@@ -5,8 +5,7 @@
 //! form and the saturation currents of every X- or DC-driven monitor input
 //! transistor depend only on the setup, never on the device under test. The
 //! per-device path ([`TestSetup::signature_of`]) recomputes all of that for
-//! every device; per the ROADMAP "Hot paths" item this dominates per-device
-//! cost (~0.25 ms/device at 2 MS/s).
+//! every device.
 //!
 //! This module computes the shared work once per setup fingerprint and
 //! evaluates device responses against it in batches:
@@ -14,8 +13,8 @@
 //! * [`StimulusBank`] — a bounded, LRU-evicting cache of [`SharedStimulus`]
 //!   entries, keyed exactly by [`stimulus_key`] (no lossy hashing);
 //! * [`SharedStimulus`] — the cached per-setup artifacts: raw stimulus,
-//!   noiseless observed stimulus, and structure-of-arrays current-term
-//!   streams for every monitor input transistor;
+//!   noiseless observed stimulus, structure-of-arrays current-term streams
+//!   for every monitor input transistor, and per-sample Y thresholds;
 //! * [`capture_signatures_batch`] — evaluates N device responses against the
 //!   shared stimulus with a cache-friendly inner loop (one pass per monitor
 //!   over the sample stream) and scratch buffers reused across the whole
@@ -31,6 +30,43 @@
 //! Batched capture is therefore bit-identical to
 //! [`TestSetup::signature_of`] at every batch size; the workspace
 //! determinism and equivalence tests enforce this.
+//!
+//! # Boundary-threshold zone encoding
+//!
+//! A monitor's output is which side of its boundary curve the `(x, y)`
+//! point lies on. When x is the shared noiseless stimulus, that side is a
+//! step function of y at each sample, so noiseless capture does not need
+//! transistor currents for it.
+//!
+//! * **The contract.** For every monitor with exactly one Y-driven input,
+//!   [`SharedStimulus::new`] tabulates per sample the `f64` value of y at
+//!   which the bit flips, found by an exact search in `f64` total order
+//!   against the same slot expression exact encoding evaluates. Noiseless
+//!   batched capture then decides the bit with two compares: y below `lo`
+//!   or above `hi`, the flip point minus and plus a guard band of
+//!   `GUARD_ULPS` ulps. It evaluates the slot expression only inside the
+//!   band or for a non-finite y.
+//! * **Why it is exact.** With x shared, the bit at sample k is
+//!   `(fl(fl(s + c) − R) > 0) ^ inverted` for a Y input on the left branch
+//!   (`fl(L − fl(s + c))` on the right), where s is the Y-gate current and
+//!   c, R and L are fixed per monitor and sample. Round-to-nearest `+` and
+//!   `−` are monotone, so the bit is a step function of s whose direction
+//!   follows the branch and `inverted`. The level-1 model makes s
+//!   non-decreasing in finite y except possibly through libm `exp`
+//!   rounding, which can only matter within a few ulps of the flip point:
+//!   the guard band evaluates that region exactly.
+//! * **The fallbacks.** Exact evaluation remains for monitors with zero or
+//!   several Y inputs, for a Y-gate transistor model whose current is not
+//!   provably non-decreasing (negative channel-length modulation, a slope
+//!   factor in `(0, 1)`), and for noisy setups, where x differs per device.
+//!   The per-device [`TestSetup::signature_of`] /
+//!   [`xy_monitor::ZonePartition::zone_code`] path never uses the table and
+//!   stays the audit reference.
+//! * **The cost.** The table is two `f64` per monitor and sample, built by
+//!   false position on the branch-current difference, warm-started from the
+//!   neighbouring samples' flip points, then an exact key-order search from
+//!   that estimate: a few evaluations per monitor and sample, once per
+//!   [`StimulusBank`] miss.
 //!
 //! # Examples
 //!
@@ -62,7 +98,11 @@ use std::sync::{Arc, Mutex};
 use cut_filters::BiquadParams;
 use sim_signal::lowpass_in_place;
 use sim_signal::Waveform;
-use xy_monitor::{saturation_current, MonitorInput, MosParams};
+use xy_monitor::{saturation_current, CurrentComparator, MonitorInput, MosParams};
+
+mod threshold;
+
+use threshold::YThresholds;
 
 use crate::capture::signature_from_codes;
 use crate::error::{DsigError, Result};
@@ -173,11 +213,12 @@ enum TermSlot {
 }
 
 impl TermSlot {
-    /// The current of this slot at sample `k`, given the observed `x`/`y`
-    /// sample streams. `x_is_shared` selects the precomputed X streams (the
-    /// noiseless case, where x is the shared observed stimulus itself).
+    /// The current of this slot at sample `k`, given the observed `x` sample
+    /// stream and the observed `y` at that sample. `x_is_shared` selects the
+    /// precomputed X streams (the noiseless case, where x is the shared
+    /// observed stimulus itself).
     #[inline]
-    fn value(&self, k: usize, x: &[f64], y: &[f64], x_is_shared: bool) -> f64 {
+    fn value(&self, k: usize, x: &[f64], y: f64, x_is_shared: bool) -> f64 {
         match self {
             TermSlot::Const(current) => *current,
             TermSlot::XGate { params, shared } => {
@@ -187,22 +228,111 @@ impl TermSlot {
                     saturation_current(params, x[k])
                 }
             }
-            TermSlot::YGate(params) => saturation_current(params, y[k]),
+            TermSlot::YGate(params) => saturation_current(params, y),
         }
     }
 }
 
 /// The four input-transistor terms of one monitor, in `[M1, M2, M3, M4]`
-/// slot order (M1 + M2 feed the left branch, M3 + M4 the right).
+/// slot order (M1 + M2 feed the left branch, M3 + M4 the right), plus the
+/// threshold table of the noiseless fast path when the monitor has one.
 #[derive(Debug, Clone)]
 struct MonitorTerms {
     inverted: bool,
     slots: [TermSlot; 4],
+    thresholds: Option<YThresholds>,
+}
+
+impl MonitorTerms {
+    /// Precomputes the terms of one monitor on the shared noiseless observed
+    /// stimulus `x`, then tabulates its Y thresholds when it qualifies.
+    fn new(monitor: &CurrentComparator, x: &[f64]) -> Self {
+        let mut terms = MonitorTerms {
+            inverted: monitor.inverted,
+            slots: std::array::from_fn(|i| match monitor.inputs[i] {
+                MonitorInput::Dc(bias) => TermSlot::Const(saturation_current(&monitor.transistors[i], bias)),
+                MonitorInput::XAxis => TermSlot::XGate {
+                    params: monitor.transistors[i],
+                    shared: x
+                        .iter()
+                        .map(|&v| saturation_current(&monitor.transistors[i], v))
+                        .collect(),
+                },
+                MonitorInput::YAxis => TermSlot::YGate(monitor.transistors[i]),
+            }),
+            thresholds: None,
+        };
+        terms.thresholds = terms.y_thresholds(monitor, x);
+        terms
+    }
+
+    /// The threshold table of a monitor with exactly one Y-driven input
+    /// whose transistor model provably rises with its gate voltage
+    /// ([`rises_with_gate`]); `None` keeps the monitor on exact evaluation.
+    fn y_thresholds(&self, monitor: &CurrentComparator, x: &[f64]) -> Option<YThresholds> {
+        let mut y_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::YAxis);
+        let slot = y_slots.next()?;
+        if y_slots.next().is_some() || !rises_with_gate(&monitor.transistors[slot]) {
+            return None;
+        }
+        // A rising Y-gate current raises I_left − I_right on the left branch
+        // and lowers it on the right one.
+        let on_right = slot >= 2;
+        let rising = |k, y| {
+            let difference = self.difference(k, x, y, true);
+            if on_right {
+                -difference
+            } else {
+                difference
+            }
+        };
+        Some(YThresholds::build(
+            x,
+            self.inverted ^ on_right,
+            |k, y| self.bit(k, x, y, true),
+            rising,
+        ))
+    }
+
+    /// `I_left − I_right` at sample `k`: the branch currents summed in slot
+    /// order, exactly as [`CurrentComparator::current_difference`] does.
+    /// Always inlined: it is the per-sample body of exact encoding.
+    #[inline(always)]
+    fn difference(&self, k: usize, x: &[f64], y: f64, x_is_shared: bool) -> f64 {
+        let [s0, s1, s2, s3] = &self.slots;
+        let left = s0.value(k, x, y, x_is_shared) + s1.value(k, x, y, x_is_shared);
+        let right = s2.value(k, x, y, x_is_shared) + s3.value(k, x, y, x_is_shared);
+        left - right
+    }
+
+    /// The monitor's output bit at sample `k` by exact evaluation — the slot
+    /// expression every other decision is checked against.
+    #[inline]
+    fn bit(&self, k: usize, x: &[f64], y: f64, x_is_shared: bool) -> bool {
+        (self.difference(k, x, y, x_is_shared) > 0.0) ^ self.inverted
+    }
+}
+
+/// Whether [`saturation_current`] provably never falls as the gate voltage
+/// rises, up to libm `exp` rounding ([`threshold::GUARD_ULPS`]): a positive
+/// finite gain, non-negative channel-length modulation, and a non-negative
+/// subthreshold prefactor (slope factor of at least 1, or the term disabled).
+/// A Y gate failing this keeps its monitor on exact evaluation.
+fn rises_with_gate(t: &MosParams) -> bool {
+    let beta = t.beta();
+    let n = t.subthreshold_n;
+    beta > 0.0
+        && beta.is_finite()
+        && t.lambda >= 0.0
+        && t.lambda.is_finite()
+        && t.vth0.is_finite()
+        && (!(n > 0.0) || (n >= 1.0 && n.is_finite()))
 }
 
 /// The per-setup artifacts shared by every device of a batched capture: the
-/// synthesized stimulus, its noiseless observed (band-limited) form and the
-/// structure-of-arrays current-term streams of the monitor bank.
+/// synthesized stimulus, its noiseless observed (band-limited) form, the
+/// structure-of-arrays current-term streams of the monitor bank and the
+/// per-sample Y thresholds of every monitor with exactly one Y-driven input.
 ///
 /// Obtain one from a [`StimulusBank`] (cached per [`stimulus_key`]) or
 /// directly with [`SharedStimulus::new`].
@@ -219,8 +349,9 @@ pub struct SharedStimulus {
 
 impl SharedStimulus {
     /// Synthesizes the shared artifacts of a setup: the stimulus sample
-    /// stream, its noiseless observed form, and the current-term streams of
-    /// every X- or DC-driven monitor input transistor.
+    /// stream, its noiseless observed form, the current-term streams of
+    /// every X- or DC-driven monitor input transistor, and the Y-threshold
+    /// table of every monitor with exactly one Y-driven input.
     ///
     /// # Errors
     /// Returns [`DsigError::InvalidConfig`] when the setup's sample rate
@@ -241,21 +372,7 @@ impl SharedStimulus {
             .partition
             .monitors()
             .iter()
-            .map(|monitor| MonitorTerms {
-                inverted: monitor.inverted,
-                slots: std::array::from_fn(|i| match monitor.inputs[i] {
-                    MonitorInput::Dc(bias) => TermSlot::Const(saturation_current(&monitor.transistors[i], bias)),
-                    MonitorInput::XAxis => TermSlot::XGate {
-                        params: monitor.transistors[i],
-                        shared: x_obs
-                            .samples()
-                            .iter()
-                            .map(|&x| saturation_current(&monitor.transistors[i], x))
-                            .collect(),
-                    },
-                    MonitorInput::YAxis => TermSlot::YGate(monitor.transistors[i]),
-                }),
-            })
+            .map(|monitor| MonitorTerms::new(monitor, x_obs.samples()))
             .collect();
         Ok(SharedStimulus {
             key: stimulus_key(setup),
@@ -277,19 +394,38 @@ impl SharedStimulus {
     }
 
     /// Zone-encodes one device's observed sample streams into `codes`
-    /// (cleared first), one structure-of-arrays pass per monitor.
+    /// (cleared first), one structure-of-arrays pass per monitor. With x
+    /// shared, a monitor with a threshold table is decided by compares and
+    /// evaluated exactly only inside a guard band.
     fn encode_into(&self, x: &[f64], y: &[f64], x_is_shared: bool, codes: &mut Vec<u32>) {
-        let n = y.len();
         codes.clear();
-        codes.resize(n, 0);
+        codes.resize(y.len(), 0);
         for (m, terms) in self.monitors.iter().enumerate() {
             let bit = 1u32 << m;
-            let [s0, s1, s2, s3] = &terms.slots;
-            for k in 0..n {
-                let left = s0.value(k, x, y, x_is_shared) + s1.value(k, x, y, x_is_shared);
-                let right = s2.value(k, x, y, x_is_shared) + s3.value(k, x, y, x_is_shared);
-                if ((left - right) > 0.0) ^ terms.inverted {
-                    codes[k] |= bit;
+            match terms.thresholds.as_ref().filter(|_| x_is_shared) {
+                Some(table) => {
+                    // One branch-free pass sets every bit as the table
+                    // decides it; a second pass, only when some sample needs
+                    // it, evaluates the undecided ones exactly.
+                    let mut any_undecided = false;
+                    for ((code, &yk), &band) in codes.iter_mut().zip(y).zip(&table.bands) {
+                        any_undecided |= !YThresholds::decides(band, yk);
+                        *code |= u32::from((yk > band[1]) ^ table.below) << m;
+                    }
+                    if any_undecided {
+                        for (k, ((code, &yk), &band)) in codes.iter_mut().zip(y).zip(&table.bands).enumerate() {
+                            if !YThresholds::decides(band, yk) {
+                                *code = (*code & !bit) | u32::from(terms.bit(k, x, yk, true)) << m;
+                            }
+                        }
+                    }
+                }
+                None => {
+                    for (k, (code, &yk)) in codes.iter_mut().zip(y).enumerate() {
+                        if terms.bit(k, x, yk, x_is_shared) {
+                            *code |= bit;
+                        }
+                    }
                 }
             }
         }
@@ -510,6 +646,7 @@ impl Default for StimulusBank {
 
 #[cfg(test)]
 mod tests {
+    use super::threshold::{from_order_key, order_key, GUARD_ULPS, MIN_KEY, POS_INF_KEY};
     use super::*;
     use sim_signal::NoiseModel;
 
@@ -650,6 +787,232 @@ mod tests {
         bank.shared_for(&rate_b).unwrap();
         assert_eq!(bank.misses(), 4, "the evicted entry must be re-synthesized");
         assert_eq!(bank.evictions(), 2, "re-inserting past capacity evicts again");
+    }
+
+    /// Probes every tabulated flip point of `setup` at ±1 to ±(guard + 8)
+    /// ulps through noiseless encoding, checking each bit against the exact
+    /// slot expression and the per-device comparator, and that the band the
+    /// table leaves to exact evaluation is no wider than the guard. Returns
+    /// the number of tabulated monitors.
+    fn probe_flip_points(setup: &TestSetup) -> usize {
+        let shared = SharedStimulus::new(setup).unwrap();
+        let x = shared.x_obs.samples();
+        let reach = GUARD_ULPS as i64 + 8;
+        let mut codes = Vec::new();
+        let mut tabulated = 0;
+        for (m, (terms, monitor)) in shared.monitors.iter().zip(setup.partition.monitors()).enumerate() {
+            let Some(table) = &terms.thresholds else { continue };
+            tabulated += 1;
+            let flips: Vec<u64> = table
+                .bands
+                .iter()
+                .map(|&[lo, hi]| {
+                    if hi < f64::INFINITY {
+                        order_key(hi) - GUARD_ULPS
+                    } else {
+                        order_key(lo) + GUARD_ULPS
+                    }
+                })
+                .collect();
+            for (k, &flip) in flips.iter().enumerate() {
+                if flip > MIN_KEY && flip < POS_INF_KEY {
+                    assert_eq!(
+                        terms.bit(k, x, from_order_key(flip - 1), true),
+                        table.below,
+                        "sample {k}"
+                    );
+                    assert_ne!(terms.bit(k, x, from_order_key(flip), true), table.below, "sample {k}");
+                }
+            }
+            for offset in -reach..=reach {
+                let keys: Vec<u64> = flips
+                    .iter()
+                    .map(|&flip| flip.saturating_add_signed(offset).clamp(MIN_KEY, POS_INF_KEY - 1))
+                    .collect();
+                let y: Vec<f64> = keys.iter().map(|&key| from_order_key(key)).collect();
+                shared.encode_into(x, &y, true, &mut codes);
+                let label = &monitor.label;
+                for k in 0..x.len() {
+                    let exact = terms.bit(k, x, y[k], true);
+                    assert_eq!(codes[k] >> m & 1 == 1, exact, "{label} sample {k} offset {offset}");
+                    assert_eq!(monitor.output(x[k], y[k]), exact, "{label} sample {k} offset {offset}");
+                    if offset.unsigned_abs() > GUARD_ULPS && keys[k].abs_diff(flips[k]) > GUARD_ULPS {
+                        let decided = YThresholds::decides(table.bands[k], y[k]);
+                        assert!(decided, "{label} sample {k} offset {offset} left to exact");
+                    }
+                }
+            }
+        }
+        tabulated
+    }
+
+    /// A Table I setup at the given rate, with or without the front-end
+    /// bandwidth limit.
+    fn table1_setup(rate: f64, bandwidth: bool) -> TestSetup {
+        let mut setup = TestSetup::paper_default().unwrap().with_sample_rate(rate).unwrap();
+        if !bandwidth {
+            setup.monitor_bandwidth_hz = None;
+        }
+        setup
+    }
+
+    #[test]
+    fn threshold_table_matches_exact_expression_around_every_table1_flip_point() {
+        for rate in [2e6, 5e6] {
+            for bandwidth in [true, false] {
+                let tabulated = probe_flip_points(&table1_setup(rate, bandwidth));
+                assert_eq!(tabulated, 6, "every Table I monitor has exactly one Y input");
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_table_matches_exact_expression_at_random_and_non_finite_y() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E);
+        for (rate, bandwidth) in [(2e6, true), (5e6, false)] {
+            let setup = table1_setup(rate, bandwidth);
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let x = shared.x_obs.samples();
+            let mut codes = Vec::new();
+            let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for trial in 0..53 {
+                // Constant NaN and ±inf streams, then random streams: half
+                // inside the observation window, half any bit pattern (huge,
+                // tiny, subnormal, NaN payloads).
+                let y: Vec<f64> = (0..x.len())
+                    .map(|_| match trial {
+                        0..=2 => special[trial],
+                        _ if trial % 2 == 0 => rng.gen_range(-0.5..1.5),
+                        _ => f64::from_bits(rng.gen::<u64>()),
+                    })
+                    .collect();
+                shared.encode_into(x, &y, true, &mut codes);
+                for k in 0..x.len() {
+                    assert_eq!(
+                        codes[k],
+                        setup.partition.zone_code(x[k], y[k]),
+                        "sample {k} y {:e}",
+                        y[k]
+                    );
+                    for (m, terms) in shared.monitors.iter().enumerate() {
+                        assert_eq!(
+                            codes[k] >> m & 1 == 1,
+                            terms.bit(k, x, y[k], true),
+                            "sample {k} y {:e}",
+                            y[k]
+                        );
+                        let table = terms.thresholds.as_ref().unwrap();
+                        if !y[k].is_finite() {
+                            assert!(!YThresholds::decides(table.bands[k], y[k]), "{} must go exact", y[k]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Custom monitors: Y on the right branch, Y on both branches, and each
+    /// in both output polarities.
+    fn custom_setup() -> TestSetup {
+        use xy_monitor::ZonePartition;
+        let nmos = MosParams::nmos_65nm(1.8e-6, 180e-9);
+        let right_y = CurrentComparator::new(
+            "right-y",
+            [nmos; 4],
+            [
+                MonitorInput::XAxis,
+                MonitorInput::Dc(0.3),
+                MonitorInput::YAxis,
+                MonitorInput::Dc(0.3),
+            ],
+            1.2,
+        )
+        .unwrap();
+        let both_y = CurrentComparator::new(
+            "both-y",
+            [nmos.with_width(3e-6), nmos, nmos.with_width(1e-6), nmos],
+            [
+                MonitorInput::YAxis,
+                MonitorInput::XAxis,
+                MonitorInput::YAxis,
+                MonitorInput::Dc(0.5),
+            ],
+            1.2,
+        )
+        .unwrap();
+        let flipped = |monitor: &CurrentComparator| CurrentComparator {
+            inverted: !monitor.inverted,
+            ..monitor.clone()
+        };
+        let monitors = vec![flipped(&right_y), right_y, flipped(&both_y), both_y];
+        let mut setup = table1_setup(2e6, true);
+        setup.partition = ZonePartition::new(monitors).unwrap();
+        setup
+    }
+
+    #[test]
+    fn custom_partitions_stay_bit_identical_on_both_paths() {
+        let setup = custom_setup();
+        let shared = SharedStimulus::new(&setup).unwrap();
+        let tabulated: Vec<bool> = shared.monitors.iter().map(|m| m.thresholds.is_some()).collect();
+        assert_eq!(
+            tabulated,
+            [true, true, false, false],
+            "a right-branch Y gate is tabulated; Y on both branches stays exact"
+        );
+        assert_eq!(probe_flip_points(&setup), 2);
+        let devices = lot(7);
+        let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+        for (device, batched_sig) in devices.iter().zip(&batched) {
+            let per_device = setup.signature_of(&device.cut, device.noise_seed).unwrap();
+            assert_eq!(*batched_sig, per_device, "device {:?}", device.cut.f0_hz);
+            assert!(per_device.len() > 1, "the response must cross the custom boundaries");
+        }
+    }
+
+    #[test]
+    fn non_monotone_y_gate_models_stay_on_exact_evaluation() {
+        use xy_monitor::ZonePartition;
+        let nmos = MosParams::nmos_65nm(1.8e-6, 180e-9);
+        let inputs = [
+            MonitorInput::YAxis,
+            MonitorInput::Dc(0.0),
+            MonitorInput::XAxis,
+            MonitorInput::Dc(0.0),
+        ];
+        // Strongly negative channel-length modulation turns the Y-gate
+        // current over at 1/3 V of overdrive, so y crosses this boundary
+        // twice where x is low; a slope factor in (0, 1) makes the
+        // subthreshold current fall as y rises.
+        let turning = [MosParams { lambda: -2.0, ..nmos }; 4];
+        let mut sinking = [nmos; 4];
+        sinking[0].subthreshold_n = 0.5;
+        let monitors = [turning, sinking]
+            .into_iter()
+            .map(|transistors| CurrentComparator::new("non-monotone", transistors, inputs, 1.2).unwrap())
+            .collect();
+        let mut setup = table1_setup(2e6, true);
+        setup.partition = ZonePartition::new(monitors).unwrap();
+        let shared = SharedStimulus::new(&setup).unwrap();
+        let x = shared.x_obs.samples();
+        let mut codes = Vec::new();
+        for step in 0..=40 {
+            let y = vec![-0.5 + 0.05 * f64::from(step); x.len()];
+            shared.encode_into(x, &y, true, &mut codes);
+            for k in 0..x.len() {
+                assert_eq!(codes[k], setup.partition.zone_code(x[k], y[k]), "sample {k} y {}", y[k]);
+            }
+        }
+        let devices = lot(3);
+        let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+        for (device, batched_sig) in devices.iter().zip(&batched) {
+            assert_eq!(
+                *batched_sig,
+                setup.signature_of(&device.cut, device.noise_seed).unwrap()
+            );
+        }
+        assert!(shared.monitors.iter().all(|m| m.thresholds.is_none()));
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! inconsistencies (wrong magic, unsupported version, impossible counts,
 //! trailing garbage) report [`DsigError::Corrupt`].
 
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::decision::TestOutcome;
 use crate::error::{DsigError, Result};
@@ -83,13 +86,63 @@ pub fn put_outcome(out: &mut Vec<u8>, outcome: TestOutcome) {
     });
 }
 
-/// Writes serialized bytes to a file, naming the artifact and path in the
-/// error.
+/// Writes serialized bytes to a file durably, naming the artifact and path
+/// in the error.
+///
+/// The bytes go to a temporary sibling file first, which is synced and then
+/// renamed over `path`, and the parent directory is synced after the
+/// rename. A crash or error mid-save therefore leaves either the previous
+/// file or the new one, never a truncated mix, and a failed save removes
+/// its temporary file.
 ///
 /// # Errors
 /// Returns [`DsigError::Io`] on filesystem errors.
 pub fn save_bytes(path: &Path, bytes: &[u8], what: &str) -> Result<()> {
-    std::fs::write(path, bytes).map_err(|e| DsigError::Io(format!("writing {what} {}: {e}", path.display())))
+    replace_file(path, |file| file.write_all(bytes))
+        .map_err(|e| DsigError::Io(format!("writing {what} {}: {e}", path.display())))
+}
+
+/// Replaces `path` with the contents `fill` writes, through a synced
+/// temporary sibling and a rename (see [`save_bytes`]).
+fn replace_file(path: &Path, fill: impl FnOnce(&mut File) -> io::Result<()>) -> io::Result<()> {
+    // A per-process, per-save suffix keeps concurrent saves of one path apart.
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = PathBuf::from(temp);
+    let written = File::create(&temp).and_then(|mut file| {
+        fill(&mut file)?;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&temp, path)
+    });
+    if let Err(e) = written {
+        let _ = fs::remove_file(&temp);
+        return Err(e);
+    }
+    sync_parent(path)
+}
+
+/// Syncs the directory holding `path`, so a completed rename survives a
+/// crash.
+#[cfg(unix)]
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()
+}
+
+/// Directories cannot be opened for syncing on this platform; the rename
+/// itself is the commit point.
+#[cfg(not(unix))]
+fn sync_parent(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 /// Reads a file written with [`save_bytes`], naming the artifact and path in
@@ -433,6 +486,65 @@ mod tests {
             }
             other => panic!("expected Io, got {other:?}"),
         }
+    }
+
+    /// A fresh, empty directory for one save test.
+    fn save_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dsig-wire-{test}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn dir_entries(dir: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn saves_replace_the_previous_file_and_leave_no_temp_file() {
+        let dir = save_dir("replace");
+        let path = dir.join("store.dsgs");
+        save_bytes(&path, &[1, 2, 3, 4], "golden store").unwrap();
+        save_bytes(&path, &[9, 8], "golden store").unwrap();
+        assert_eq!(load_bytes(&path, "golden store").unwrap(), vec![9, 8]);
+        assert_eq!(dir_entries(&dir), vec![std::ffi::OsString::from("store.dsgs")]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_save_keeps_the_previous_file_byte_identical() {
+        let dir = save_dir("torn");
+        let path = dir.join("store.dsgs");
+        let previous: Vec<u8> = (0..=255).collect();
+        save_bytes(&path, &previous, "golden store").unwrap();
+
+        // The writer dies half-way through the new contents.
+        let torn = replace_file(&path, |file| {
+            file.write_all(&[0xEE; 100])?;
+            Err(io::Error::other("simulated crash mid-save"))
+        });
+        assert!(torn.is_err());
+        assert_eq!(fs::read(&path).unwrap(), previous);
+        assert_eq!(dir_entries(&dir), vec![std::ffi::OsString::from("store.dsgs")]);
+
+        // The rename itself fails: the target is a directory.
+        let blocked = dir.join("blocked");
+        fs::create_dir(&blocked).unwrap();
+        fs::write(blocked.join("inside"), b"x").unwrap();
+        assert!(matches!(
+            save_bytes(&blocked, &[1], "golden store"),
+            Err(DsigError::Io(_))
+        ));
+        assert_eq!(
+            dir_entries(&dir),
+            vec![
+                std::ffi::OsString::from("blocked"),
+                std::ffi::OsString::from("store.dsgs")
+            ]
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -67,8 +67,8 @@ impl RetestStats {
 
 /// Which capture path produced a campaign's observed signatures — recorded
 /// in the report so a throughput regression is diagnosable from the report
-/// alone (a campaign silently falling back to the per-device path is ~3×
-/// slower than the batched one).
+/// alone (a campaign silently falling back to the per-device path is
+/// several times slower than the batched one).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CapturePath {
     /// The report predates capture-path recording (a version-1 `DSGR` file).

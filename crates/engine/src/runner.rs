@@ -309,8 +309,8 @@ impl CampaignRunner {
 
         let track_coverage = matches!(campaign.population, DevicePopulation::FaultGrid(_));
         let mut report = CampaignReport::new();
-        // Record the capture path so a silent fall-back to the ~3x slower
-        // per-device path is diagnosable from the report alone.
+        // Record the capture path so a silent fall-back to the several times
+        // slower per-device path is diagnosable from the report alone.
         report.capture = if use_batch {
             CapturePath::Batched
         } else if campaign.monitor_variation.is_some() {

@@ -5,9 +5,7 @@
 //!
 //! Backends are addressed **by label** (`local-<id>` for in-process
 //! backends, `host:port` for TCP ones). Labels stay valid across
-//! membership changes; the index-based methods are deprecated shims that
-//! resolve against the current membership order and go stale the moment a
-//! backend joins or leaves.
+//! membership changes.
 
 use std::sync::Arc;
 
@@ -99,13 +97,6 @@ impl RouterHandle {
         self.core.rank_labels(key)
     }
 
-    /// The rendezvous ranking of a fingerprint as member **indices** into
-    /// the current membership order.
-    #[deprecated(since = "0.2.0", note = "indices go stale under live membership; use rank_labels")]
-    pub fn rank(&self, key: u64) -> Vec<usize> {
-        self.core.rank(key)
-    }
-
     /// Kills the member at `label` (see [`Backend::kill`]): subsequent
     /// requests routed to it fail and fail over to its replicas.
     ///
@@ -132,48 +123,6 @@ impl RouterHandle {
     /// Rejects an unknown label.
     pub fn backend_is_down(&self, label: &str) -> Result<bool> {
         self.core.down_by_label(label)
-    }
-
-    /// Resolves the label of the member at `index` in membership order —
-    /// the bridge the deprecated index shims use.
-    fn label_at(&self, index: usize) -> String {
-        self.core.backend_labels()[index].clone()
-    }
-
-    /// Kills backend `index` (membership order).
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    #[deprecated(since = "0.2.0", note = "indices go stale under live membership; use kill(label)")]
-    pub fn kill_backend(&self, index: usize) {
-        self.core
-            .kill_by_label(&self.label_at(index))
-            .expect("label resolved from the live membership");
-    }
-
-    /// Revives backend `index` (membership order).
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    #[deprecated(since = "0.2.0", note = "indices go stale under live membership; use revive(label)")]
-    pub fn revive_backend(&self, index: usize) {
-        self.core
-            .revive_by_label(&self.label_at(index))
-            .expect("label resolved from the live membership");
-    }
-
-    /// Whether backend `index` (membership order) is currently marked down.
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    #[deprecated(
-        since = "0.2.0",
-        note = "indices go stale under live membership; use backend_is_down(label)"
-    )]
-    pub fn backend_down(&self, index: usize) -> bool {
-        self.core
-            .down_by_label(&self.label_at(index))
-            .expect("label resolved from the live membership")
     }
 
     /// Admits an explicit [`Backend`] (TCP or in-process) into the live
@@ -455,17 +404,42 @@ mod tests {
     }
 
     fn fleet(backends: usize, replicas: usize) -> RouterHandle {
-        RouterHandle::spawn(
+        fleet_with(
             backends,
-            ServeConfig::with_shards(1),
-            RouterStore::new(),
             RouterConfig {
                 replicas,
                 sub_batch: 3, // force sub-batch splits in tests
                 ..RouterConfig::default()
             },
         )
-        .unwrap()
+    }
+
+    /// An in-process fleet whose backends and routing core report into one
+    /// registry of their own.
+    fn fleet_with(backends: usize, config: RouterConfig) -> RouterHandle {
+        let registry = dsig_obs::Registry::new();
+        let members = (0..backends as u64)
+            .map(|id| {
+                Backend::local(
+                    id,
+                    ServeHandle::spawn_in(
+                        Arc::new(GoldenStore::new()),
+                        ServeConfig::with_shards(1),
+                        registry.clone(),
+                    ),
+                )
+            })
+            .collect();
+        routed(members, config, registry)
+    }
+
+    /// A routing core over `members` reporting into `registry`. Tests keep
+    /// off the process-wide registry because events are drained from its
+    /// ring: tests running in parallel would drain each other's events.
+    fn routed(members: Vec<Backend>, config: RouterConfig, registry: dsig_obs::Registry) -> RouterHandle {
+        RouterHandle::from_core(Arc::new(
+            RouterCore::new_in(members, RouterStore::new(), config, registry).unwrap(),
+        ))
     }
 
     fn local_backend(id: u64) -> Backend {
@@ -642,9 +616,8 @@ mod tests {
         let router = fleet(3, 1); // one copy: failover must refresh
         let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
         router.push_golden(0x0B5, golden.clone(), band(0.05)).unwrap();
-        // Fleet metrics share the process-global registry (other tests bump
-        // the same counters), so everything is asserted as before/after
-        // deltas with >= — counters are monotonic.
+        // Everything is asserted as before/after deltas with >= — counters
+        // are monotonic.
         let sum = |snapshot: &MetricsSnapshot, what: &str| -> u64 {
             (0..3)
                 .map(|i| {
@@ -678,9 +651,8 @@ mod tests {
     #[test]
     fn fleet_scrape_prefixes_backends_rolls_up_and_health_tracks_kills() {
         // Isolated per-backend registries make the health verdict
-        // deterministic even though the router core itself registers in the
-        // process-global registry (the health sample only reads the `fleet.`
-        // rollup, which is built from the backend snapshots).
+        // deterministic (the health sample only reads the `fleet.` rollup,
+        // which is built from the backend snapshots).
         let fleet: Vec<Backend> = (0..3)
             .map(|id| {
                 Backend::local(
@@ -693,7 +665,7 @@ mod tests {
                 )
             })
             .collect();
-        let router = RouterHandle::with_backends(fleet, RouterStore::new(), RouterConfig::default()).unwrap();
+        let router = routed(fleet, RouterConfig::default(), dsig_obs::Registry::new());
         let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
         router.push_golden(0xF7EE7, golden.clone(), band(0.05)).unwrap();
         router.screen(0xF7EE7, std::slice::from_ref(&golden)).unwrap();
@@ -765,8 +737,7 @@ mod tests {
         router.screen(0xE7E47, std::slice::from_ref(&golden)).unwrap();
         router.revive(&owner).unwrap();
 
-        // The event sink is process-global (other tests may interleave), so
-        // assert only that this test's transitions are present.
+        // Assert only that this test's transitions are present.
         let names: Vec<String> = router.events().events.into_iter().map(|event| event.name).collect();
         for expected in ["backend.backed_off", "backend.recovered", "golden.refresh_on_miss"] {
             assert!(
@@ -812,36 +783,27 @@ mod tests {
     }
 
     #[test]
-    fn unknown_labels_are_rejected_and_index_shims_still_resolve() {
+    fn unknown_labels_are_rejected_and_labels_resolve() {
         let router = fleet(2, 2);
         assert!(router.kill("no-such-backend").is_err());
         assert!(router.revive("no-such-backend").is_err());
         assert!(router.backend_is_down("no-such-backend").is_err());
         let golden = sig(&[(1, 100e-6)]);
         router.push_golden(0x51, golden.clone(), band(0.05)).unwrap();
-        // The deprecated index addressing keeps working for one release,
-        // resolving through the membership order.
-        #[allow(deprecated)]
-        {
-            assert_eq!(router.rank(0x51), {
-                let labels = router.backend_labels();
-                router
-                    .rank_labels(0x51)
-                    .iter()
-                    .map(|label| labels.iter().position(|l| l == label).unwrap())
-                    .collect::<Vec<_>>()
-            });
-            // Kill both members; a failed screen arms the health records the
-            // index shims then read (a bare kill alone does not).
-            router.kill_backend(0);
-            router.kill_backend(1);
-            assert!(router.screen(0x51, std::slice::from_ref(&golden)).is_err());
-            assert!(router.backend_down(0));
-            assert!(router.backend_down(1));
-            router.revive_backend(0);
-            router.revive_backend(1);
-            assert!(!router.backend_down(0));
-            assert!(!router.backend_down(1));
+        let (mut ranked, mut members) = (router.rank_labels(0x51), router.backend_labels());
+        ranked.sort();
+        members.sort();
+        assert_eq!(ranked, members);
+        // Kill both members; a failed screen arms the health records the
+        // label lookups then read (a bare kill alone does not).
+        for label in router.backend_labels() {
+            router.kill(&label).unwrap();
+        }
+        assert!(router.screen(0x51, std::slice::from_ref(&golden)).is_err());
+        for label in router.backend_labels() {
+            assert!(router.backend_is_down(&label).unwrap());
+            router.revive(&label).unwrap();
+            assert!(!router.backend_is_down(&label).unwrap());
         }
     }
 
@@ -996,7 +958,7 @@ mod tests {
             },
             ..RouterConfig::default()
         };
-        let router = RouterHandle::spawn(3, ServeConfig::with_shards(1), RouterStore::new(), config).unwrap();
+        let router = fleet_with(3, config);
         let keys: Vec<u64> = (300..324).collect();
         for &key in &keys {
             router

@@ -245,13 +245,6 @@ impl RouterCore {
             .collect()
     }
 
-    /// Member indices (within the *current* snapshot) in rendezvous order.
-    /// Indices go stale the moment membership changes — label addressing is
-    /// the stable vocabulary.
-    pub(crate) fn rank(&self, key: u64) -> Vec<usize> {
-        self.snapshot().rank(key)
-    }
-
     /// Resolves a member by label.
     fn find(&self, label: &str) -> Result<Arc<Backend>> {
         let m = self.snapshot();

@@ -2,7 +2,9 @@
 //! random setups (sample rate, monitor bandwidth, capture clock, measurement
 //! noise) and random lots (deviations, seeds, batch sizes), batched capture
 //! must be bit-identical to the per-device reference path — signature by
-//! signature, entry by entry.
+//! signature, entry by entry. About half the generated setups are
+//! noiseless, so both the shared-x branch (threshold-table encoding) and
+//! the per-device-x branch are exercised.
 
 use analog_signature::dsig::{
     capture_signatures_batch, BatchDevice, CaptureClock, SharedStimulus, StimulusBank, TestSetup,
@@ -11,12 +13,15 @@ use analog_signature::filters::BiquadParams;
 use analog_signature::signal::NoiseModel;
 use proptest::prelude::*;
 
+/// Sample rates the generator picks from: all resolve the stimulus
+/// comfortably, and 5 MS/s is the paper's own rate.
+const RATES: [f64; 5] = [0.5e6, 1.0e6, 1.5e6, 2.0e6, 5.0e6];
+
 /// Materializes a random-but-valid observation setup from generated knobs.
-fn setup_from(rate_step: u32, bandwidth_khz: u32, clock_bits: u32, noise_sigma_mv: f64) -> TestSetup {
+fn setup_from(rate: f64, bandwidth_khz: u32, clock_bits: u32, noise_sigma_mv: f64) -> TestSetup {
     let mut setup = TestSetup::paper_default()
         .expect("setup")
-        // 0.5, 1.0, 1.5 or 2.0 MS/s — all resolve the stimulus comfortably.
-        .with_sample_rate(0.5e6 * f64::from(rate_step))
+        .with_sample_rate(rate)
         .expect("rate");
     // 0 disables the front-end bandwidth limit; otherwise 100..=420 kHz.
     setup.monitor_bandwidth_hz = if bandwidth_khz == 0 {
@@ -39,14 +44,17 @@ proptest! {
 
     #[test]
     fn batched_capture_equals_per_device_capture(
-        knobs in (1u32..5, 0u32..421, 0u32..13, 0.0..8.0f64),
+        knobs in (0usize..RATES.len(), 0u32..421, 0u32..13, prop::bool::ANY, 0.0..8.0f64),
         lot in prop::collection::vec((-18.0..18.0f64, 0u64..1_000_000), 1..9),
     ) {
-        let (rate_step, bandwidth_khz, clock_bits, noise_sigma_mv) = knobs;
+        let (rate_index, bandwidth_khz, clock_bits, noisy, noise_sigma_mv) = knobs;
         // Sub-100 kHz bandwidths would chop into the stimulus band itself;
         // clamp the generated value into {None} ∪ [100, 420] kHz.
         let bandwidth_khz = if bandwidth_khz < 100 { 0 } else { bandwidth_khz };
-        let setup = setup_from(rate_step, bandwidth_khz, clock_bits, noise_sigma_mv);
+        // A σ drawn from a continuous range is almost never exactly zero, so
+        // noiseless setups get their own coin flip.
+        let noise_sigma_mv = if noisy { noise_sigma_mv } else { 0.0 };
+        let setup = setup_from(RATES[rate_index], bandwidth_khz, clock_bits, noise_sigma_mv);
 
         let devices: Vec<BatchDevice> = lot
             .iter()
