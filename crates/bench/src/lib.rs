@@ -1,6 +1,6 @@
 //! # repro-bench
 //!
-//! Shared helpers for the reproduction binaries and criterion benches.
+//! Shared helpers for the reproduction binaries and load generators.
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
 //! evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
 //! for paper-vs-measured results).

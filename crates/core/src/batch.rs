@@ -2,10 +2,10 @@
 //!
 //! Every device observed through one [`TestSetup`] sees the *same* input
 //! samples: the synthesized stimulus, its noiseless band-limited observed
-//! form and the saturation currents of every X- or DC-driven monitor input
-//! transistor depend only on the setup, never on the device under test. The
-//! per-device path ([`TestSetup::signature_of`]) recomputes all of that for
-//! every device.
+//! form, the gate drives of every X-driven and the currents of every
+//! DC-driven monitor input transistor depend only on the setup, never on the
+//! device under test. The per-device path ([`TestSetup::signature_of`])
+//! recomputes all of that for every device.
 //!
 //! This module computes the shared work once per setup fingerprint and
 //! evaluates device responses against it in batches:
@@ -13,8 +13,9 @@
 //! * [`StimulusBank`] — a bounded, LRU-evicting cache of [`SharedStimulus`]
 //!   entries, keyed exactly by [`stimulus_key`] (no lossy hashing);
 //! * [`SharedStimulus`] — the cached per-setup artifacts: raw stimulus,
-//!   noiseless observed stimulus, structure-of-arrays current-term streams
-//!   for every monitor input transistor, and per-sample Y thresholds;
+//!   noiseless observed stimulus, the monitor bank's slot table with the
+//!   gate-drive streams of its X drive models on that stimulus, and
+//!   per-sample Y thresholds;
 //! * [`capture_signatures_batch`] — evaluates N device responses against the
 //!   shared stimulus with a cache-friendly inner loop (one pass per monitor
 //!   over the sample stream) and scratch buffers reused across the whole
@@ -23,13 +24,32 @@
 //! # Bit-identity contract
 //!
 //! The fast path reuses the *exact* `f64` values the per-device path
-//! computes: cached terms are produced by the same `saturation_current`
-//! calls on the same voltages, branch currents are added in the same slot
-//! order, and run-length encoding goes through the same
-//! [`signature_from_codes`] helper.
-//! Batched capture is therefore bit-identical to
-//! [`TestSetup::signature_of`] at every batch size; the workspace
-//! determinism and equivalence tests enforce this.
+//! computes:
+//!
+//! * **Transistor currents.** [`xy_monitor::saturation_current`] is the
+//!   composition of two parts. A [`GateDrive`](xy_monitor::GateDrive) holds
+//!   the overdrive, the channel-length modulation factor and both
+//!   subthreshold exponentials; it depends only on the gate voltage and the
+//!   transistor's *drive model*: `vth0`, `lambda` and `subthreshold_n`,
+//!   compared bit for bit by [`MosParams::shares_drive_with`]. A
+//!   [`GateGain`](xy_monitor::GateGain) holds `beta / 2` and the
+//!   subthreshold prefactor, from `kp`, `W` and `L`. Exact encoding
+//!   computes one drive per sample for each distinct drive model, on x and
+//!   on y, and each monitor input applies its own gain to it: the same
+//!   operations on the same operands in the same order as
+//!   `saturation_current`, so the same current. DC-driven inputs cost one
+//!   `saturation_current` call per setup.
+//! * **Branch sums.** Branch currents are added in the same slot order as
+//!   [`CurrentComparator::current_difference`].
+//! * **Run-length encoding** goes through the same
+//!   [`signature_from_codes`](crate::capture::signature_from_codes) helper.
+//!
+//! Batched capture and [`TestSetup::signatures_of_repeats`] are therefore
+//! bit-identical to [`TestSetup::signature_of`] at every batch size; the
+//! workspace determinism and equivalence tests enforce this. For Table I,
+//! whose transistors differ only in width, a noisy sample costs two drive
+//! evaluations (one on x, one on y) and twelve short multiply-add chains
+//! instead of twelve `saturation_current` calls.
 //!
 //! # Boundary-threshold zone encoding
 //!
@@ -98,13 +118,15 @@ use std::sync::{Arc, Mutex};
 use cut_filters::BiquadParams;
 use sim_signal::lowpass_in_place;
 use sim_signal::Waveform;
-use xy_monitor::{saturation_current, CurrentComparator, MonitorInput, MosParams};
+use xy_monitor::{CurrentComparator, MonitorInput, MosParams};
 
+mod slots;
 mod threshold;
 
+use slots::{capture_codes, DriveStreams};
+pub(crate) use slots::{CaptureScratch, SlotTable};
 use threshold::YThresholds;
 
-use crate::capture::signature_from_codes;
 use crate::error::{DsigError, Result};
 use crate::flow::TestSetup;
 use crate::signature::Signature;
@@ -199,125 +221,12 @@ impl BatchDevice {
     }
 }
 
-/// One precomputed current term of a monitor input transistor.
-#[derive(Debug, Clone)]
-enum TermSlot {
-    /// DC-driven gate: the saturation current is one constant for all samples.
-    Const(f64),
-    /// X-driven gate: per-sample currents precomputed on the shared noiseless
-    /// observed stimulus, plus the transistor model for the noisy case where
-    /// x differs per device.
-    XGate { params: MosParams, shared: Vec<f64> },
-    /// Y-driven gate: always evaluated against the per-device response.
-    YGate(MosParams),
-}
-
-impl TermSlot {
-    /// The current of this slot at sample `k`, given the observed `x` sample
-    /// stream and the observed `y` at that sample. `x_is_shared` selects the
-    /// precomputed X streams (the noiseless case, where x is the shared
-    /// observed stimulus itself).
-    #[inline]
-    fn value(&self, k: usize, x: &[f64], y: f64, x_is_shared: bool) -> f64 {
-        match self {
-            TermSlot::Const(current) => *current,
-            TermSlot::XGate { params, shared } => {
-                if x_is_shared {
-                    shared[k]
-                } else {
-                    saturation_current(params, x[k])
-                }
-            }
-            TermSlot::YGate(params) => saturation_current(params, y),
-        }
-    }
-}
-
-/// The four input-transistor terms of one monitor, in `[M1, M2, M3, M4]`
-/// slot order (M1 + M2 feed the left branch, M3 + M4 the right), plus the
-/// threshold table of the noiseless fast path when the monitor has one.
-#[derive(Debug, Clone)]
-struct MonitorTerms {
-    inverted: bool,
-    slots: [TermSlot; 4],
-    thresholds: Option<YThresholds>,
-}
-
-impl MonitorTerms {
-    /// Precomputes the terms of one monitor on the shared noiseless observed
-    /// stimulus `x`, then tabulates its Y thresholds when it qualifies.
-    fn new(monitor: &CurrentComparator, x: &[f64]) -> Self {
-        let mut terms = MonitorTerms {
-            inverted: monitor.inverted,
-            slots: std::array::from_fn(|i| match monitor.inputs[i] {
-                MonitorInput::Dc(bias) => TermSlot::Const(saturation_current(&monitor.transistors[i], bias)),
-                MonitorInput::XAxis => TermSlot::XGate {
-                    params: monitor.transistors[i],
-                    shared: x
-                        .iter()
-                        .map(|&v| saturation_current(&monitor.transistors[i], v))
-                        .collect(),
-                },
-                MonitorInput::YAxis => TermSlot::YGate(monitor.transistors[i]),
-            }),
-            thresholds: None,
-        };
-        terms.thresholds = terms.y_thresholds(monitor, x);
-        terms
-    }
-
-    /// The threshold table of a monitor with exactly one Y-driven input
-    /// whose transistor model provably rises with its gate voltage
-    /// ([`rises_with_gate`]); `None` keeps the monitor on exact evaluation.
-    fn y_thresholds(&self, monitor: &CurrentComparator, x: &[f64]) -> Option<YThresholds> {
-        let mut y_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::YAxis);
-        let slot = y_slots.next()?;
-        if y_slots.next().is_some() || !rises_with_gate(&monitor.transistors[slot]) {
-            return None;
-        }
-        // A rising Y-gate current raises I_left − I_right on the left branch
-        // and lowers it on the right one.
-        let on_right = slot >= 2;
-        let rising = |k, y| {
-            let difference = self.difference(k, x, y, true);
-            if on_right {
-                -difference
-            } else {
-                difference
-            }
-        };
-        Some(YThresholds::build(
-            x,
-            self.inverted ^ on_right,
-            |k, y| self.bit(k, x, y, true),
-            rising,
-        ))
-    }
-
-    /// `I_left − I_right` at sample `k`: the branch currents summed in slot
-    /// order, exactly as [`CurrentComparator::current_difference`] does.
-    /// Always inlined: it is the per-sample body of exact encoding.
-    #[inline(always)]
-    fn difference(&self, k: usize, x: &[f64], y: f64, x_is_shared: bool) -> f64 {
-        let [s0, s1, s2, s3] = &self.slots;
-        let left = s0.value(k, x, y, x_is_shared) + s1.value(k, x, y, x_is_shared);
-        let right = s2.value(k, x, y, x_is_shared) + s3.value(k, x, y, x_is_shared);
-        left - right
-    }
-
-    /// The monitor's output bit at sample `k` by exact evaluation — the slot
-    /// expression every other decision is checked against.
-    #[inline]
-    fn bit(&self, k: usize, x: &[f64], y: f64, x_is_shared: bool) -> bool {
-        (self.difference(k, x, y, x_is_shared) > 0.0) ^ self.inverted
-    }
-}
-
-/// Whether [`saturation_current`] provably never falls as the gate voltage
-/// rises, up to libm `exp` rounding ([`threshold::GUARD_ULPS`]): a positive
-/// finite gain, non-negative channel-length modulation, and a non-negative
-/// subthreshold prefactor (slope factor of at least 1, or the term disabled).
-/// A Y gate failing this keeps its monitor on exact evaluation.
+/// Whether [`xy_monitor::saturation_current`] provably never falls as the
+/// gate voltage rises, up to libm `exp` rounding ([`threshold::GUARD_ULPS`]):
+/// a positive finite gain, non-negative channel-length modulation, and a
+/// non-negative subthreshold prefactor (slope factor of at least 1, or the
+/// term disabled). A Y gate failing this keeps its monitor on exact
+/// evaluation.
 fn rises_with_gate(t: &MosParams) -> bool {
     let beta = t.beta();
     let n = t.subthreshold_n;
@@ -331,7 +240,7 @@ fn rises_with_gate(t: &MosParams) -> bool {
 
 /// The per-setup artifacts shared by every device of a batched capture: the
 /// synthesized stimulus, its noiseless observed (band-limited) form, the
-/// structure-of-arrays current-term streams of the monitor bank and the
+/// monitor bank's slot table with the X drive streams on that form, and the
 /// per-sample Y thresholds of every monitor with exactly one Y-driven input.
 ///
 /// Obtain one from a [`StimulusBank`] (cached per [`stimulus_key`]) or
@@ -344,14 +253,18 @@ pub struct SharedStimulus {
     /// The noiseless observed stimulus: `x_raw` low-pass filtered at the
     /// monitor bandwidth (or `x_raw` itself without a bandwidth limit).
     x_obs: Waveform,
-    monitors: Vec<MonitorTerms>,
+    slots: SlotTable,
+    /// The drives of every X drive model on `x_obs`.
+    x_drives: DriveStreams,
+    /// Per monitor, its threshold table when it has one.
+    thresholds: Vec<Option<YThresholds>>,
 }
 
 impl SharedStimulus {
     /// Synthesizes the shared artifacts of a setup: the stimulus sample
-    /// stream, its noiseless observed form, the current-term streams of
-    /// every X- or DC-driven monitor input transistor, and the Y-threshold
-    /// table of every monitor with exactly one Y-driven input.
+    /// stream, its noiseless observed form, the drive streams of every X
+    /// drive model on it, and the Y-threshold table of every monitor with
+    /// exactly one Y-driven input.
     ///
     /// # Errors
     /// Returns [`DsigError::InvalidConfig`] when the setup's sample rate
@@ -368,18 +281,61 @@ impl SharedStimulus {
             Some(bandwidth) => x_raw.lowpass(bandwidth),
             None => x_raw.clone(),
         };
-        let monitors = setup
-            .partition
-            .monitors()
-            .iter()
-            .map(|monitor| MonitorTerms::new(monitor, x_obs.samples()))
-            .collect();
-        Ok(SharedStimulus {
+        let slots = SlotTable::new(&setup.partition);
+        let mut x_drives = DriveStreams::default();
+        x_drives.fill(slots.x_models(), x_obs.samples());
+        let mut shared = SharedStimulus {
             key: stimulus_key(setup),
             x_raw,
             x_obs,
-            monitors,
-        })
+            slots,
+            x_drives,
+            thresholds: Vec::new(),
+        };
+        shared.thresholds = setup
+            .partition
+            .monitors()
+            .iter()
+            .enumerate()
+            .map(|(m, monitor)| shared.y_thresholds(m, monitor))
+            .collect();
+        Ok(shared)
+    }
+
+    /// The threshold table of monitor `m` when it has exactly one Y-driven
+    /// input whose transistor model provably rises with its gate voltage
+    /// ([`rises_with_gate`]); `None` keeps the monitor on exact evaluation.
+    fn y_thresholds(&self, m: usize, monitor: &CurrentComparator) -> Option<YThresholds> {
+        let mut y_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::YAxis);
+        let slot = y_slots.next()?;
+        if y_slots.next().is_some() || !rises_with_gate(&monitor.transistors[slot]) {
+            return None;
+        }
+        // A rising Y-gate current raises I_left − I_right on the left branch
+        // and lowers it on the right one.
+        let on_right = slot >= 2;
+        let rising = |k, y| {
+            let difference = self.slots.difference_at(m, &self.x_drives, k, y);
+            if on_right {
+                -difference
+            } else {
+                difference
+            }
+        };
+        Some(YThresholds::build(
+            self.x_obs.samples(),
+            monitor.inverted ^ on_right,
+            |k, y| self.exact_bit(m, k, y),
+            rising,
+        ))
+    }
+
+    /// Monitor `m`'s bit at sample `k` of the shared x and observed `y` by
+    /// exact evaluation — the slot expression every other decision is
+    /// checked against.
+    #[inline]
+    fn exact_bit(&self, m: usize, k: usize, y: f64) -> bool {
+        self.slots.bit_at(m, &self.x_drives, k, y)
     }
 
     /// Number of samples in the shared stimulus (one Lissajous period).
@@ -393,38 +349,35 @@ impl SharedStimulus {
         self.key == stimulus_key(setup)
     }
 
-    /// Zone-encodes one device's observed sample streams into `codes`
-    /// (cleared first), one structure-of-arrays pass per monitor. With x
-    /// shared, a monitor with a threshold table is decided by compares and
-    /// evaluated exactly only inside a guard band.
-    fn encode_into(&self, x: &[f64], y: &[f64], x_is_shared: bool, codes: &mut Vec<u32>) {
+    /// Zone-encodes one device's noiseless observed `y` into
+    /// `scratch.codes` against the shared x, one pass per monitor. A monitor
+    /// with a threshold table is decided by compares and evaluated exactly
+    /// only inside its guard band; the others are evaluated exactly over
+    /// the drive streams of `y`.
+    fn encode_noiseless(&self, y: &[f64], scratch: &mut CaptureScratch) {
+        let CaptureScratch { y_drives, codes, .. } = scratch;
         codes.clear();
         codes.resize(y.len(), 0);
-        for (m, terms) in self.monitors.iter().enumerate() {
-            let bit = 1u32 << m;
-            match terms.thresholds.as_ref().filter(|_| x_is_shared) {
-                Some(table) => {
-                    // One branch-free pass sets every bit as the table
-                    // decides it; a second pass, only when some sample needs
-                    // it, evaluates the undecided ones exactly.
-                    let mut any_undecided = false;
-                    for ((code, &yk), &band) in codes.iter_mut().zip(y).zip(&table.bands) {
-                        any_undecided |= !YThresholds::decides(band, yk);
-                        *code |= u32::from((yk > band[1]) ^ table.below) << m;
-                    }
-                    if any_undecided {
-                        for (k, ((code, &yk), &band)) in codes.iter_mut().zip(y).zip(&table.bands).enumerate() {
-                            if !YThresholds::decides(band, yk) {
-                                *code = (*code & !bit) | u32::from(terms.bit(k, x, yk, true)) << m;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for (k, (code, &yk)) in codes.iter_mut().zip(y).enumerate() {
-                        if terms.bit(k, x, yk, x_is_shared) {
-                            *code |= bit;
-                        }
+        if self.thresholds.iter().any(Option::is_none) {
+            y_drives.fill(self.slots.y_models(), y);
+        }
+        for (m, table) in self.thresholds.iter().enumerate() {
+            let Some(table) = table else {
+                self.slots.encode_monitor(m, &self.x_drives, y_drives, codes);
+                continue;
+            };
+            // One branch-free pass sets every bit as the table decides it; a
+            // second pass, only when some sample needs it, evaluates the
+            // undecided ones exactly.
+            let mut any_undecided = false;
+            for ((code, &yk), &band) in codes.iter_mut().zip(y).zip(&table.bands) {
+                any_undecided |= !YThresholds::decides(band, yk);
+                *code |= u32::from((yk > band[1]) ^ table.below) << m;
+            }
+            if any_undecided {
+                for (k, ((code, &yk), &band)) in codes.iter_mut().zip(y).zip(&table.bands).enumerate() {
+                    if !YThresholds::decides(band, yk) {
+                        *code = (*code & !(1 << m)) | u32::from(self.exact_bit(m, k, yk)) << m;
                     }
                 }
             }
@@ -456,12 +409,11 @@ pub fn capture_signatures_batch(
     }
     let n = shared.x_obs.len();
     let dt = shared.x_obs.dt();
-    let x_is_shared = setup.noise.is_none();
+    let noisy = !setup.noise.is_none();
 
     // Scratch buffers reused across every device of the batch.
     let mut y: Vec<f64> = Vec::new();
-    let mut x_dev: Vec<f64> = Vec::new();
-    let mut codes: Vec<u32> = Vec::new();
+    let mut scratch = CaptureScratch::default();
 
     let mut out = Vec::with_capacity(devices.len());
     for device in devices {
@@ -474,32 +426,18 @@ pub fn capture_signatures_batch(
                 right: y.len(),
             }));
         }
-        if !x_is_shared {
-            setup
-                .noise
-                .apply_in_place(&mut y, device.noise_seed.wrapping_mul(2).wrapping_add(1));
-        }
-        if let Some(bandwidth) = setup.monitor_bandwidth_hz {
-            lowpass_in_place(&mut y, dt, bandwidth);
-        }
-
-        let x: &[f64] = if x_is_shared {
-            shared.x_obs.samples()
+        out.push(if noisy {
+            // x differs per device: both streams go through exact encoding.
+            shared
+                .slots
+                .capture_measurement(setup, shared.x_raw.samples(), &y, device.noise_seed, dt, &mut scratch)?
         } else {
-            x_dev.clear();
-            x_dev.extend_from_slice(shared.x_raw.samples());
-            setup
-                .noise
-                .apply_in_place(&mut x_dev, device.noise_seed.wrapping_mul(2));
             if let Some(bandwidth) = setup.monitor_bandwidth_hz {
-                lowpass_in_place(&mut x_dev, dt, bandwidth);
+                lowpass_in_place(&mut y, dt, bandwidth);
             }
-            &x_dev
-        };
-
-        shared.encode_into(x, &y, x_is_shared, &mut codes);
-        let raw = signature_from_codes(codes.iter().copied(), dt, setup.clock.as_ref())?;
-        out.push(raw.deglitched(setup.transition_min_dwell));
+            shared.encode_noiseless(&y, &mut scratch);
+            capture_codes(setup, &scratch.codes, dt)?
+        });
     }
     Ok(out)
 }
@@ -789,6 +727,13 @@ mod tests {
         assert_eq!(bank.evictions(), 2, "re-inserting past capacity evicts again");
     }
 
+    /// Noiseless encoding of `y` against the shared x.
+    fn encode(shared: &SharedStimulus, y: &[f64]) -> Vec<u32> {
+        let mut scratch = CaptureScratch::default();
+        shared.encode_noiseless(y, &mut scratch);
+        scratch.codes
+    }
+
     /// Probes every tabulated flip point of `setup` at ±1 to ±(guard + 8)
     /// ulps through noiseless encoding, checking each bit against the exact
     /// slot expression and the per-device comparator, and that the band the
@@ -798,10 +743,9 @@ mod tests {
         let shared = SharedStimulus::new(setup).unwrap();
         let x = shared.x_obs.samples();
         let reach = GUARD_ULPS as i64 + 8;
-        let mut codes = Vec::new();
         let mut tabulated = 0;
-        for (m, (terms, monitor)) in shared.monitors.iter().zip(setup.partition.monitors()).enumerate() {
-            let Some(table) = &terms.thresholds else { continue };
+        for (m, (table, monitor)) in shared.thresholds.iter().zip(setup.partition.monitors()).enumerate() {
+            let Some(table) = table else { continue };
             tabulated += 1;
             let flips: Vec<u64> = table
                 .bands
@@ -817,11 +761,11 @@ mod tests {
             for (k, &flip) in flips.iter().enumerate() {
                 if flip > MIN_KEY && flip < POS_INF_KEY {
                     assert_eq!(
-                        terms.bit(k, x, from_order_key(flip - 1), true),
+                        shared.exact_bit(m, k, from_order_key(flip - 1)),
                         table.below,
                         "sample {k}"
                     );
-                    assert_ne!(terms.bit(k, x, from_order_key(flip), true), table.below, "sample {k}");
+                    assert_ne!(shared.exact_bit(m, k, from_order_key(flip)), table.below, "sample {k}");
                 }
             }
             for offset in -reach..=reach {
@@ -830,10 +774,10 @@ mod tests {
                     .map(|&flip| flip.saturating_add_signed(offset).clamp(MIN_KEY, POS_INF_KEY - 1))
                     .collect();
                 let y: Vec<f64> = keys.iter().map(|&key| from_order_key(key)).collect();
-                shared.encode_into(x, &y, true, &mut codes);
+                let codes = encode(&shared, &y);
                 let label = &monitor.label;
                 for k in 0..x.len() {
-                    let exact = terms.bit(k, x, y[k], true);
+                    let exact = shared.exact_bit(m, k, y[k]);
                     assert_eq!(codes[k] >> m & 1 == 1, exact, "{label} sample {k} offset {offset}");
                     assert_eq!(monitor.output(x[k], y[k]), exact, "{label} sample {k} offset {offset}");
                     if offset.unsigned_abs() > GUARD_ULPS && keys[k].abs_diff(flips[k]) > GUARD_ULPS {
@@ -874,7 +818,6 @@ mod tests {
             let setup = table1_setup(rate, bandwidth);
             let shared = SharedStimulus::new(&setup).unwrap();
             let x = shared.x_obs.samples();
-            let mut codes = Vec::new();
             let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
             for trial in 0..53 {
                 // Constant NaN and ±inf streams, then random streams: half
@@ -887,7 +830,7 @@ mod tests {
                         _ => f64::from_bits(rng.gen::<u64>()),
                     })
                     .collect();
-                shared.encode_into(x, &y, true, &mut codes);
+                let codes = encode(&shared, &y);
                 for k in 0..x.len() {
                     assert_eq!(
                         codes[k],
@@ -895,14 +838,14 @@ mod tests {
                         "sample {k} y {:e}",
                         y[k]
                     );
-                    for (m, terms) in shared.monitors.iter().enumerate() {
+                    for (m, table) in shared.thresholds.iter().enumerate() {
                         assert_eq!(
                             codes[k] >> m & 1 == 1,
-                            terms.bit(k, x, y[k], true),
+                            shared.exact_bit(m, k, y[k]),
                             "sample {k} y {:e}",
                             y[k]
                         );
-                        let table = terms.thresholds.as_ref().unwrap();
+                        let table = table.as_ref().unwrap();
                         if !y[k].is_finite() {
                             assert!(!YThresholds::decides(table.bands[k], y[k]), "{} must go exact", y[k]);
                         }
@@ -955,7 +898,7 @@ mod tests {
     fn custom_partitions_stay_bit_identical_on_both_paths() {
         let setup = custom_setup();
         let shared = SharedStimulus::new(&setup).unwrap();
-        let tabulated: Vec<bool> = shared.monitors.iter().map(|m| m.thresholds.is_some()).collect();
+        let tabulated: Vec<bool> = shared.thresholds.iter().map(Option::is_some).collect();
         assert_eq!(
             tabulated,
             [true, true, false, false],
@@ -969,6 +912,88 @@ mod tests {
             assert_eq!(*batched_sig, per_device, "device {:?}", device.cut.f0_hz);
             assert!(per_device.len() > 1, "the response must cross the custom boundaries");
         }
+    }
+
+    /// The custom monitors plus one reading x through two drive models (gates
+    /// differing in vth0) and one with the subthreshold term disabled, each
+    /// in both output polarities, under the paper's measurement noise.
+    fn noisy_custom_setup() -> TestSetup {
+        use xy_monitor::ZonePartition;
+        let nmos = MosParams::nmos_65nm(1.8e-6, 180e-9);
+        let two_x = CurrentComparator::new(
+            "two-x",
+            [nmos, nmos.with_vth0(0.35), nmos.with_width(3e-6), nmos],
+            [
+                MonitorInput::XAxis,
+                MonitorInput::XAxis,
+                MonitorInput::YAxis,
+                MonitorInput::Dc(0.45),
+            ],
+            1.2,
+        )
+        .unwrap();
+        let flat = MosParams {
+            subthreshold_n: 0.0,
+            ..nmos
+        };
+        let no_subthreshold = CurrentComparator::new(
+            "no-subthreshold",
+            [flat, flat, flat.with_width(1e-6), flat],
+            [
+                MonitorInput::YAxis,
+                MonitorInput::Dc(0.3),
+                MonitorInput::XAxis,
+                MonitorInput::Dc(0.1),
+            ],
+            1.2,
+        )
+        .unwrap();
+        let mut setup = custom_setup().with_noise(NoiseModel::paper_default());
+        let mut monitors = setup.partition.monitors().to_vec();
+        for monitor in [two_x, no_subthreshold] {
+            monitors.push(CurrentComparator {
+                inverted: !monitor.inverted,
+                ..monitor.clone()
+            });
+            monitors.push(monitor);
+        }
+        setup.partition = ZonePartition::new(monitors).unwrap();
+        setup
+    }
+
+    #[test]
+    fn noisy_custom_partitions_match_per_repeat_capture_on_both_exact_paths() {
+        let setup = noisy_custom_setup();
+        let shared = SharedStimulus::new(&setup).unwrap();
+        assert_eq!(
+            (shared.slots.x_models().len(), shared.slots.y_models().len()),
+            (3, 2),
+            "x: nominal, raised vth0, no subthreshold; y: nominal at any width, no subthreshold"
+        );
+        let devices = lot(5);
+        let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+        let (mut ever_set, mut always_set) = (0u32, u32::MAX);
+        for (device, batched_sig) in devices.iter().zip(&batched) {
+            let seed = device.noise_seed;
+            assert_eq!(
+                *batched_sig,
+                setup.signature_of(&device.cut, seed).unwrap(),
+                "seed {seed}"
+            );
+            let repeats = setup.signatures_of_repeats(&device.cut, 3, seed).unwrap();
+            for (i, repeat) in (0u64..).zip(&repeats) {
+                assert_eq!(
+                    *repeat,
+                    setup.signature_of(&device.cut, seed + i).unwrap(),
+                    "seed {seed}"
+                );
+            }
+            for entry in batched_sig.entries() {
+                (ever_set, always_set) = (ever_set | entry.code.0, always_set & entry.code.0);
+            }
+        }
+        let all = (1u32 << setup.partition.bits()) - 1;
+        assert_eq!(ever_set & !always_set, all, "every monitor's bit must flip in the lot");
     }
 
     #[test]
@@ -996,10 +1021,9 @@ mod tests {
         setup.partition = ZonePartition::new(monitors).unwrap();
         let shared = SharedStimulus::new(&setup).unwrap();
         let x = shared.x_obs.samples();
-        let mut codes = Vec::new();
         for step in 0..=40 {
             let y = vec![-0.5 + 0.05 * f64::from(step); x.len()];
-            shared.encode_into(x, &y, true, &mut codes);
+            let codes = encode(&shared, &y);
             for k in 0..x.len() {
                 assert_eq!(codes[k], setup.partition.zone_code(x[k], y[k]), "sample {k} y {}", y[k]);
             }
@@ -1012,7 +1036,7 @@ mod tests {
                 setup.signature_of(&device.cut, device.noise_seed).unwrap()
             );
         }
-        assert!(shared.monitors.iter().all(|m| m.thresholds.is_none()));
+        assert!(shared.thresholds.iter().all(Option::is_none));
     }
 
     #[test]

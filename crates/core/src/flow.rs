@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use sim_signal::{MultitoneSpec, NoiseModel, Waveform};
 use xy_monitor::ZonePartition;
 
+use crate::batch::{CaptureScratch, SlotTable};
 use crate::capture::{capture_signature, CaptureClock, PointEncoder};
 use crate::decision::{AcceptanceBand, ScreeningStats, TestOutcome};
 use crate::error::{DsigError, Result};
@@ -134,36 +135,33 @@ impl TestSetup {
     ///
     /// This is the averaged-measurement fast path behind
     /// [`TestFlow::evaluate_averaged`]: the per-repeat cost drops to noise
-    /// application, front-end filtering and capture. Without a noise model
-    /// every repeat observes identical samples, so the signature is captured
-    /// once and shared.
+    /// application and front-end filtering in reused buffers, then exact
+    /// zone encoding that computes each sample's gate drives once per drive
+    /// model (see [`crate::batch`]). Without a noise model every repeat
+    /// observes identical samples, so the signature is captured once and
+    /// shared.
     ///
     /// # Errors
     /// Propagates capture errors.
     pub fn signatures_of_repeats(&self, cut: &BiquadParams, repeats: usize, base_seed: u64) -> Result<Vec<Signature>> {
         let x = self.stimulus.sample(1, self.sample_rate);
         let y = cut.steady_state_response(&self.stimulus, 1, self.sample_rate);
-        let capture_one = |x_obs: Waveform, y_obs: Waveform| -> Result<Signature> {
-            let (mut x_obs, mut y_obs) = (x_obs, y_obs);
-            if let Some(bandwidth) = self.monitor_bandwidth_hz {
-                x_obs = x_obs.lowpass(bandwidth);
-                y_obs = y_obs.lowpass(bandwidth);
-            }
-            let raw = capture_signature(&self.partition, &x_obs, &y_obs, self.clock.as_ref())?;
-            Ok(raw.deglitched(self.transition_min_dwell))
-        };
+        if x.len() != y.len() {
+            return Err(DsigError::Signal(sim_signal::SignalError::GridMismatch {
+                left: x.len(),
+                right: y.len(),
+            }));
+        }
+        let table = SlotTable::new(&self.partition);
+        let mut scratch = CaptureScratch::default();
+        let mut capture_one =
+            |seed: u64| table.capture_measurement(self, x.samples(), y.samples(), seed, x.dt(), &mut scratch);
         if self.noise.is_none() {
-            let signature = capture_one(x, y)?;
+            let signature = capture_one(base_seed)?;
             return Ok(vec![signature; repeats]);
         }
         (0..repeats)
-            .map(|i| {
-                let seed = base_seed.wrapping_add(i as u64);
-                capture_one(
-                    self.noise.apply(&x, seed.wrapping_mul(2)),
-                    self.noise.apply(&y, seed.wrapping_mul(2).wrapping_add(1)),
-                )
-            })
+            .map(|i| capture_one(base_seed.wrapping_add(i as u64)))
             .collect()
     }
 

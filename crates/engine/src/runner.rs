@@ -532,8 +532,15 @@ fn apply_retest(
                     flipped: remote_score.flipped,
                     repeats_used: remote_score.repeats_used,
                 };
-                note_cap_hit(policy, &verdict, outcome.result.index);
                 let used = remote_score.repeats_used as usize;
+                if used > device_repeats.len() {
+                    return Err(dsig_core::DsigError::Remote(format!(
+                        "remote target used {used} retest repeats of device {} but was sent {}",
+                        outcome.result.index,
+                        device_repeats.len()
+                    )));
+                }
+                note_cap_hit(policy, &verdict, outcome.result.index);
                 // The remote tier already folded the peak Hamming distance
                 // over the initial capture and the consumed repeats.
                 finish_retest(
@@ -1033,6 +1040,58 @@ mod tests {
             .run_with_target(&c, ScoreTarget::Remote(&NoRetest))
             .unwrap_err();
         assert!(matches!(err, dsig_core::DsigError::Remote(_)));
+    }
+
+    #[test]
+    fn remote_retest_claiming_more_repeats_than_sent_is_an_error() {
+        use crate::score::{RemoteRetest, RemoteScore, RemoteScorer, RetestDevice, ScoreTarget};
+        use dsig_core::{RetestPolicy, TestOutcome};
+
+        // A faulty tier: every device sits on the band threshold, and the
+        // retest answer claims one repeat more than the device was sent.
+        struct Overreaching;
+        const ON_THRESHOLD: RemoteScore = RemoteScore {
+            ndf: 0.03,
+            peak_hamming: 0,
+            outcome: TestOutcome::Pass,
+        };
+        impl RemoteScorer for Overreaching {
+            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+                Ok(vec![ON_THRESHOLD; signatures.len()])
+            }
+            fn retest_remote(
+                &self,
+                _key: u64,
+                _policy: &RetestPolicy,
+                devices: &[RetestDevice],
+            ) -> Result<Vec<RemoteRetest>> {
+                Ok(devices
+                    .iter()
+                    .map(|device| RemoteRetest {
+                        score: ON_THRESHOLD,
+                        marginal: true,
+                        flipped: false,
+                        repeats_used: device.repeats.len() as u32 + 1,
+                    })
+                    .collect())
+            }
+        }
+
+        let mut c = campaign(DevicePopulation::MonteCarlo {
+            devices: 4,
+            sigma_pct: 1.0,
+        });
+        c.setup = c.setup.clone().with_noise(sim_signal::NoiseModel::paper_default());
+        let policy = RetestPolicy::new(0.015, vec![2, 4]).unwrap();
+        assert!(policy.is_marginal(&c.band, ON_THRESHOLD.ndf));
+        let err = CampaignRunner::with_threads(1)
+            .with_retest(policy)
+            .run_with_target(&c, ScoreTarget::Remote(&Overreaching))
+            .unwrap_err();
+        assert!(
+            matches!(&err, dsig_core::DsigError::Remote(message) if message.contains("used 5 retest repeats of device")),
+            "{err}"
+        );
     }
 
     #[test]

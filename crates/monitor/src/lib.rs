@@ -54,5 +54,6 @@ pub use zoner::{hamming_distance, ZonePartition};
 // The comparator's public `transistors` field is made of `MosParams`, so the
 // transistor model (and the current law the boundaries derive from) is part
 // of this crate's API surface; re-export both so downstream crates don't need
-// a direct `sim-spice` dependency to evaluate monitor branch currents.
-pub use sim_spice::devices::{saturation_current, MosParams};
+// a direct `sim-spice` dependency to evaluate monitor branch currents (the
+// drive/gain split included).
+pub use sim_spice::devices::{saturation_current, GateDrive, GateGain, MosParams};

@@ -2,4 +2,6 @@
 
 pub mod mosfet;
 
-pub use mosfet::{evaluate, saturation_current, MosEval, MosParams, MosPolarity, MosRegion, THERMAL_VOLTAGE};
+pub use mosfet::{
+    evaluate, saturation_current, GateDrive, GateGain, MosEval, MosParams, MosPolarity, MosRegion, THERMAL_VOLTAGE,
+};

@@ -139,6 +139,15 @@ impl MosParams {
         self.kp = kp;
         self
     }
+
+    /// Whether `other` has the same drive model: bit-identical threshold
+    /// voltage, channel-length modulation and subthreshold slope factor. Two
+    /// such transistors get the same [`GateDrive`] at every gate voltage.
+    pub fn shares_drive_with(&self, other: &MosParams) -> bool {
+        self.vth0.to_bits() == other.vth0.to_bits()
+            && self.lambda.to_bits() == other.lambda.to_bits()
+            && self.subthreshold_n.to_bits() == other.subthreshold_n.to_bits()
+    }
 }
 
 /// Operating region of the evaluated transistor.
@@ -294,13 +303,102 @@ pub fn evaluate(params: &MosParams, vg: f64, vd: f64, vs: f64) -> MosEval {
 /// Saturation-region drain current for a source-grounded device with the gate
 /// driven at `vgs` (volts). This is the quantity added on each branch of the
 /// current-comparator monitor in the paper (Fig. 2).
+///
+/// The drain is tied high enough to stay in saturation; channel-length
+/// modulation is irrelevant for the current *comparison*, so it is evaluated
+/// at the overdrive voltage itself. The current is the composition of its
+/// width-independent [`GateDrive`] and its per-transistor [`GateGain`], and
+/// equals the large-signal model's drain current at that bias bit for bit.
+#[inline]
 pub fn saturation_current(params: &MosParams, vgs: f64) -> f64 {
-    // Drain tied high enough to stay in saturation; channel-length modulation
-    // is irrelevant for the current *comparison* so it is evaluated at the
-    // overdrive voltage itself.
-    let vov = (vgs - params.vth0).max(0.0);
-    let vds = vov.max(THERMAL_VOLTAGE);
-    eval_forward(params, vgs, vds).id
+    GateGain::new(params).current(&GateDrive::at(params, vgs))
+}
+
+/// The part of [`saturation_current`] that does not depend on the
+/// transistor's size: the overdrive, the channel-length modulation factor
+/// and both subthreshold exponentials at one gate voltage.
+///
+/// It is a function of `vth0`, `lambda`, `subthreshold_n` and the gate
+/// voltage only, so transistors that [`MosParams::shares_drive_with`] each
+/// other share it, and one drive per gate voltage serves all of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GateDrive {
+    /// Overdrive `vgs − vth0`; the device is cut off when it is `<= 0`.
+    vov: f64,
+    /// Channel-length modulation factor `1 + lambda · vds`.
+    clm: f64,
+    /// Subthreshold exponential `exp(min(vov / (n V_T), 0))`, 0 when the
+    /// subthreshold term is disabled.
+    expx: f64,
+    /// Drain factor `1 − exp(−vds / V_T)`, 0 when the subthreshold term is
+    /// disabled.
+    dfac: f64,
+}
+
+impl GateDrive {
+    /// The drive of `params`' model at gate voltage `vgs`, with the drain
+    /// biased as [`saturation_current`] biases it. Computes the operands of
+    /// the large-signal model's saturation branch with the same operations.
+    #[inline]
+    pub fn at(params: &MosParams, vgs: f64) -> Self {
+        let vov = vgs - params.vth0;
+        let vds = vov.max(0.0).max(THERMAL_VOLTAGE);
+        let n = params.subthreshold_n;
+        let (expx, dfac) = if n > 0.0 {
+            let x = (vov / (n * THERMAL_VOLTAGE)).min(0.0);
+            (x.exp(), 1.0 - (-vds / THERMAL_VOLTAGE).exp())
+        } else {
+            (0.0, 0.0)
+        };
+        GateDrive {
+            vov,
+            clm: 1.0 + params.lambda * vds,
+            expx,
+            dfac,
+        }
+    }
+}
+
+/// The per-transistor part of [`saturation_current`]: the square-law gain
+/// `beta / 2` and the subthreshold prefactor `beta (n − 1) V_T²`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GateGain {
+    half_beta: f64,
+    /// 0 when the subthreshold term is disabled.
+    i0: f64,
+}
+
+impl GateGain {
+    /// The gain of one transistor.
+    #[inline]
+    pub fn new(params: &MosParams) -> Self {
+        let beta = params.beta();
+        let n = params.subthreshold_n;
+        GateGain {
+            half_beta: 0.5 * beta,
+            i0: if n > 0.0 {
+                beta * (n - 1.0) * THERMAL_VOLTAGE * THERMAL_VOLTAGE
+            } else {
+                0.0
+            },
+        }
+    }
+
+    /// The saturation current of this transistor under `drive`, which must
+    /// come from a model it shares its drive with. The products run in the
+    /// large-signal model's order (`0.5 · beta · vov · vov · clm` starts with
+    /// `beta / 2`, the subthreshold current is `(i0 · expx) · dfac`), so the
+    /// result is the `f64` [`saturation_current`] returns for this transistor
+    /// at the drive's gate voltage.
+    #[inline]
+    pub fn current(&self, drive: &GateDrive) -> f64 {
+        let isub = self.i0 * drive.expx * drive.dfac;
+        if drive.vov <= 0.0 {
+            isub
+        } else {
+            self.half_beta * drive.vov * drive.vov * drive.clm + isub
+        }
+    }
 }
 
 #[cfg(test)]
@@ -484,6 +582,112 @@ mod tests {
         assert!(
             (i_wide / i_narrow - 5.0).abs() < 0.1,
             "5x width should give ~5x current"
+        );
+    }
+
+    /// A random transistor: either polarity, any size and gain, and drive
+    /// parameters drawn from the awkward corners of the model — a disabled
+    /// (n ≤ 0 or NaN), falling (0 < n < 1) or rising (n ≥ 1) subthreshold
+    /// term, negative, zero and huge channel-length modulation.
+    fn random_params(rng: &mut impl rand::Rng) -> MosParams {
+        let lambdas = [0.0, 0.06, -2.0, 1e3, -0.0, rng.gen_range(-1.0..1.0)];
+        let slopes = [
+            0.0,
+            0.5,
+            1.0,
+            1.4,
+            2.0,
+            -1.0,
+            f64::NAN,
+            rng.gen_range(0.01..1.0),
+            rng.gen_range(1.0..3.0),
+        ];
+        MosParams {
+            polarity: if rng.gen::<bool>() {
+                MosPolarity::Nmos
+            } else {
+                MosPolarity::Pmos
+            },
+            width: 10f64.powf(rng.gen_range(-8.0..-4.0)),
+            length: 10f64.powf(rng.gen_range(-8.0..-5.0)),
+            vth0: rng.gen_range(-0.5..1.0),
+            kp: 10f64.powf(rng.gen_range(-6.0..-2.0)),
+            lambda: lambdas[rng.gen_range(0..lambdas.len())],
+            subthreshold_n: slopes[rng.gen_range(0..slopes.len())],
+        }
+    }
+
+    /// A random gate voltage: any bit pattern (NaN payloads, infinities,
+    /// subnormals, huge values), a special value, or one inside the window.
+    fn random_vgs(rng: &mut impl rand::Rng) -> f64 {
+        match rng.gen_range(0u32..4) {
+            0 => f64::from_bits(rng.gen::<u64>()),
+            1 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -5e-324][rng.gen_range(0..7usize)],
+            2 => f64::from_bits(rng.gen_range(0u64..1 << 52)),
+            _ => rng.gen_range(-0.5..1.5),
+        }
+    }
+
+    #[test]
+    fn saturation_current_is_the_large_signal_drain_current_bit_for_bit() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A7);
+        for _ in 0..200_000 {
+            let p = random_params(&mut rng);
+            let v = random_vgs(&mut rng);
+            let vds = (v - p.vth0).max(0.0).max(THERMAL_VOLTAGE);
+            let expected = eval_forward(&p, v, vds).id;
+            assert_eq!(
+                saturation_current(&p, v).to_bits(),
+                expected.to_bits(),
+                "{p:?} at vgs {v:e}: expected {expected:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_shared_drive_gives_each_transistor_its_own_saturation_current() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD21E);
+        for _ in 0..200_000 {
+            let p = random_params(&mut rng);
+            // Another transistor of the same drive model: only size, gain
+            // and polarity differ.
+            let q = MosParams {
+                vth0: p.vth0,
+                lambda: p.lambda,
+                subthreshold_n: p.subthreshold_n,
+                ..random_params(&mut rng)
+            };
+            assert!(p.shares_drive_with(&q) && q.shares_drive_with(&p));
+            let v = random_vgs(&mut rng);
+            assert_eq!(
+                GateGain::new(&p).current(&GateDrive::at(&q, v)).to_bits(),
+                saturation_current(&p, v).to_bits(),
+                "{p:?} through {q:?} at vgs {v:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn drive_models_differ_in_any_drive_parameter_bit() {
+        let p = nmos();
+        assert!(p.shares_drive_with(&p.with_width(9e-6).with_kp(1e-3)));
+        assert!(!p.shares_drive_with(&p.with_vth0(p.vth0.next_up())));
+        assert!(!p.shares_drive_with(&MosParams { lambda: 0.07, ..p }));
+        assert!(!p.shares_drive_with(&MosParams {
+            subthreshold_n: 0.0,
+            ..p
+        }));
+        let zero = MosParams { lambda: 0.0, ..p };
+        assert!(!zero.shares_drive_with(&MosParams { lambda: -0.0, ..p }));
+        let nan = MosParams {
+            subthreshold_n: f64::NAN,
+            ..p
+        };
+        assert!(
+            nan.shares_drive_with(&nan),
+            "bitwise, so a NaN model shares with itself"
         );
     }
 

@@ -2,9 +2,10 @@
 //! random setups (sample rate, monitor bandwidth, capture clock, measurement
 //! noise) and random lots (deviations, seeds, batch sizes), batched capture
 //! must be bit-identical to the per-device reference path — signature by
-//! signature, entry by entry. About half the generated setups are
-//! noiseless, so both the shared-x branch (threshold-table encoding) and
-//! the per-device-x branch are exercised.
+//! signature, entry by entry. The repeat fast path must likewise equal
+//! per-device capture under each repeat's seed. About half the generated
+//! setups are noiseless, so both the shared-x branch (threshold-table
+//! encoding) and the per-device-x branch are exercised.
 
 use analog_signature::dsig::{
     capture_signatures_batch, BatchDevice, CaptureClock, SharedStimulus, StimulusBank, TestSetup,
@@ -72,6 +73,37 @@ proptest! {
                 .expect("per-device capture");
             prop_assert_eq!(batched_sig.len(), per_device.len());
             for (a, b) in batched_sig.entries().iter().zip(per_device.entries()) {
+                prop_assert_eq!(a.code, b.code, "zone codes diverged");
+                prop_assert_eq!(
+                    a.duration.to_bits(),
+                    b.duration.to_bits(),
+                    "dwell times must be bit-identical"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repeats_equal_per_repeat_capture(
+        knobs in (0usize..RATES.len(), 0u32..421, 0u32..13, prop::bool::ANY, 0.0..8.0f64),
+        deviation in -18.0..18.0f64,
+        base_seed in 0u64..1_000_000,
+        repeats in 0usize..5,
+    ) {
+        // The same generated setups; every repeat must be the per-device
+        // capture under its own seed.
+        let (rate_index, bandwidth_khz, clock_bits, noisy, noise_sigma_mv) = knobs;
+        let bandwidth_khz = if bandwidth_khz < 100 { 0 } else { bandwidth_khz };
+        let noise_sigma_mv = if noisy { noise_sigma_mv } else { 0.0 };
+        let setup = setup_from(RATES[rate_index], bandwidth_khz, clock_bits, noise_sigma_mv);
+        let cut = BiquadParams::paper_default().with_f0_shift_pct(deviation);
+
+        let repeated = setup.signatures_of_repeats(&cut, repeats, base_seed).expect("repeats");
+        prop_assert_eq!(repeated.len(), repeats);
+        for (i, repeat) in (0u64..).zip(&repeated) {
+            let per_repeat = setup.signature_of(&cut, base_seed + i).expect("per-repeat capture");
+            prop_assert_eq!(repeat.len(), per_repeat.len());
+            for (a, b) in repeat.entries().iter().zip(per_repeat.entries()) {
                 prop_assert_eq!(a.code, b.code, "zone codes diverged");
                 prop_assert_eq!(
                     a.duration.to_bits(),

@@ -595,5 +595,17 @@ fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() 
     for score in scores {
         assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits());
     }
-    drop(stalled);
+
+    // Once it reads again, the stalled peer gets every answer. Taking them
+    // all also means none of its requests is still queued in the server when
+    // the next test starts metering the process-global counters.
+    let mut reader = std::io::BufReader::new(stalled);
+    let mut answered: Vec<u64> = (0..256)
+        .map(|_| {
+            let payload = proto::read_frame(&mut reader).unwrap().expect("stalled peer's answer");
+            proto::peek_request_id(&payload)
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, (1u64..=256).collect::<Vec<_>>());
 }
