@@ -30,7 +30,7 @@ use dsig_core::{AcceptanceBand, Signature, TestSetup};
 use dsig_engine::{Campaign, CampaignRunner, DevicePopulation};
 use dsig_obs::{HealthReport, MetricsSnapshot};
 use dsig_router::{Backend, Router, RouterConfig, RouterStore};
-use dsig_serve::{GoldenStore, ObsScrape, Screen, ServeClient, ServeConfig, Server};
+use dsig_serve::{GoldenStore, ServeClient, ServeConfig, ServeError, Server};
 use repro_bench::smoke::save_text;
 use repro_bench::top::render_fleet_table;
 
@@ -141,10 +141,8 @@ impl DemoFleet {
     }
 
     /// Screens `requests` small batches so the next sample has rates to
-    /// show. Generic over the shared [`Screen`] trait: any screening
-    /// surface (TCP client, pipelined client, in-process handle) can drive
-    /// the demo load.
-    fn drive<S: Screen>(&self, client: &mut S, requests: usize) -> Result<(), S::Error> {
+    /// show.
+    fn drive(&self, client: &ServeClient, requests: usize) -> Result<(), ServeError> {
         for request in 0..requests {
             let batch: Vec<Signature> = (0..8)
                 .map(|k| self.pool[(request * 8 + k) % self.pool.len()].clone())
@@ -172,11 +170,10 @@ impl DemoFleet {
     }
 }
 
-/// One console sample over the shared [`ObsScrape`] trait: the aggregated
-/// fleet scrape plus the health verdict (which carries the membership
-/// epoch). Any scrapeable tier — serve or router, TCP or in-process — can
-/// sit behind the console.
-fn sample<C: ObsScrape>(client: &mut C) -> Result<(MetricsSnapshot, HealthReport), C::Error> {
+/// One console sample: the aggregated fleet scrape plus the health verdict
+/// (which carries the membership epoch). Serve and router answer both
+/// alike, so either tier can sit behind the console.
+fn sample(client: &ServeClient) -> Result<(MetricsSnapshot, HealthReport), ServeError> {
     Ok((client.fleet_metrics()?, client.health()?))
 }
 
@@ -194,27 +191,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (None, Some(addr)) => addr.parse()?,
         (None, None) => unreachable!("parse_args enforces one of --addr/--spawn"),
     };
-    let mut client = ServeClient::connect(addr)?;
+    let client = ServeClient::connect(addr)?;
 
-    let mut prev = sample(&mut client)?.0;
+    let mut prev = sample(&client)?.0;
     let mut prev_at = Instant::now();
     let mut tick = 0u64;
     let mut last_table;
     loop {
         tick += 1;
         if let Some(demo) = demo.as_mut() {
-            demo.drive(&mut client, 6)?;
+            demo.drive(&client, 6)?;
             if args.once {
                 // Make a single capture interesting: kill the golden's
                 // owner and screen through the failover path, so the table
                 // shows a backed-off backend and a degraded verdict, and
                 // the event log records the transitions.
                 demo.kill_owner();
-                demo.drive(&mut client, 6)?;
+                demo.drive(&client, 6)?;
             }
         }
         std::thread::sleep(Duration::from_millis(args.interval_ms));
-        let (curr, health) = sample(&mut client)?;
+        let (curr, health) = sample(&client)?;
         let now = Instant::now();
         let dt = now.duration_since(prev_at).as_secs_f64();
         last_table = render_fleet_table(&prev, &curr, dt, &health);

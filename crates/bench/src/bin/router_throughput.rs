@@ -58,9 +58,9 @@ fn drive_tcp(
             .map(|client_index| {
                 let pool = Arc::clone(pool);
                 scope.spawn(move || -> Result<Vec<Duration>, dsig_serve::ServeError> {
-                    // ServeClient and RouterClient speak the same protocol;
-                    // one loop serves both paths.
-                    let mut client = ServeClient::connect(addr)?;
+                    // The router speaks the serving protocol: one client
+                    // loop serves both paths.
+                    let client = ServeClient::connect(addr)?;
                     let mut times = Vec::with_capacity(load.requests_per_client);
                     for request in 0..load.requests_per_client {
                         let at = (client_index + request * load.clients) % pool.len();
@@ -100,7 +100,7 @@ fn drive_tcp_traced(
                 let pool = Arc::clone(pool);
                 scope.spawn(move || -> Result<Vec<Duration>, dsig_serve::ServeError> {
                     let tracer = Tracer::default();
-                    let mut client = ServeClient::connect(addr)?;
+                    let client = ServeClient::connect(addr)?;
                     let mut times = Vec::with_capacity(load.requests_per_client);
                     for request in 0..load.requests_per_client {
                         let at = (client_index + request * load.clients) % pool.len();
@@ -145,7 +145,7 @@ fn drive_retest(
                 let marginal = Arc::clone(marginal);
                 let policy = policy.clone();
                 scope.spawn(move || -> Result<Vec<Duration>, dsig_serve::ServeError> {
-                    let mut client = ServeClient::connect(addr)?;
+                    let client = ServeClient::connect(addr)?;
                     let mut times = Vec::with_capacity(load.requests_per_client);
                     for request in 0..load.requests_per_client {
                         let at = (client_index + request * load.clients) % pool.len();
@@ -205,7 +205,7 @@ fn drive_tcp_audited(
                 let pool = Arc::clone(pool);
                 let expected = Arc::clone(expected);
                 scope.spawn(move || -> Result<Vec<Duration>, dsig_serve::ServeError> {
-                    let mut client = ServeClient::connect(addr)?;
+                    let client = ServeClient::connect(addr)?;
                     let mut times = Vec::with_capacity(load.requests_per_client);
                     for request in 0..load.requests_per_client {
                         let at = (client_index + request * load.clients) % pool.len();
@@ -255,7 +255,7 @@ fn churn_pair(
     let pause = Duration::from_secs_f64((start.elapsed().as_secs_f64() / 3.0).min(2.0));
     let standby_label = standby_addr.to_string();
     let churner = std::thread::spawn(move || -> Result<(), dsig_router::RouterError> {
-        let mut admin = RouterClient::connect(addr)?;
+        let admin = RouterClient::connect(addr)?;
         std::thread::sleep(pause);
         admin.fleet_drain("local-1")?;
         std::thread::sleep(pause);
@@ -408,7 +408,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The multi-golden fan-out path (DSRM), one request per client batch.
     let start = Instant::now();
-    let mut client = RouterClient::connect(router.local_addr())?;
+    let client = RouterClient::connect(router.local_addr())?;
     let mut latencies = Vec::with_capacity(load.requests_per_client);
     for request in 0..load.requests_per_client {
         let items: Vec<(u64, Signature)> = (0..batch)
@@ -546,7 +546,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // re-measure up to two more pairs, keeping the best one.
     if smoke && churn_ratio < CHURN_MIN_RATIO + 0.05 {
         for _ in 0..2 {
-            let mut admin = RouterClient::connect(router.local_addr())?;
+            let admin = RouterClient::connect(router.local_addr())?;
             admin.fleet_join("local-1")?;
             admin.fleet_leave(&standby_addr)?;
             drop(admin);

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let pool = Arc::clone(&pool);
                     let load = &load;
                     scope.spawn(move || -> Result<Vec<Duration>, dsig_serve::ServeError> {
-                        let mut client = ServeClient::connect(addr)?;
+                        let client = ServeClient::connect(addr)?;
                         let mut times = Vec::with_capacity(load.requests_per_client);
                         for request in 0..load.requests_per_client {
                             let at = (client_index + request * load.clients) % pool.len();
@@ -161,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (`DSTX`) and write the rendered trees — the third artifact CI uploads.
     if let Some(path) = repro_bench::smoke::trace_path_from_args() {
         let tracer = Tracer::default();
-        let mut client = ServeClient::connect(addr)?;
+        let client = ServeClient::connect(addr)?;
         client.traces()?; // discard the spans left by the pool-capture campaign
         for request in 0..3usize {
             let slice: Vec<Signature> = (0..64).map(|k| pool[(request * 64 + k) % pool.len()].clone()).collect();

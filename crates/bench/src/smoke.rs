@@ -6,7 +6,7 @@
 //! uploads as a workflow artifact.
 
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsig_core::Signature;
@@ -124,11 +124,10 @@ impl MuxLoad {
 }
 
 /// The blocking arm of the mux shape: every tester thread funnels its
-/// single-signature requests through one mutex-guarded [`ServeClient`] —
-/// one connection, at most one request in flight, exactly the semantics
-/// untagged clients live under.
+/// single-signature requests through one shared [`ServeClient`] — one
+/// connection, at most one request in flight.
 fn drive_mux_serialized(addr: SocketAddr, key: u64, pool: &Arc<Vec<Signature>>, load: &MuxLoad) -> Vec<Duration> {
-    let client = Mutex::new(ServeClient::connect(addr).expect("serialized client connect"));
+    let client = ServeClient::connect(addr).expect("serialized client connect");
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..load.testers)
             .map(|tester| {
@@ -139,10 +138,7 @@ fn drive_mux_serialized(addr: SocketAddr, key: u64, pool: &Arc<Vec<Signature>>, 
                     for request in 0..load.requests_per_tester {
                         let signature = &pool[(tester + request * load.testers) % pool.len()];
                         let sent = Instant::now();
-                        client
-                            .lock()
-                            .expect("serialized client poisoned")
-                            .screen_one(key, signature)?;
+                        client.screen_one(key, signature)?;
                         times.push(sent.elapsed());
                     }
                     Ok(times)

@@ -9,8 +9,14 @@
 //! * for versioned formats, a little-endian `u16` **format version**
 //!   immediately after the magic (legacy formats whose magic ends in a digit,
 //!   like `DSG1`, carry the version in the magic itself),
+//! * for the serving protocol's wire frames, a little-endian `u64` request
+//!   id at bytes `6..14` ([`put_tagged_header`]),
 //! * a little-endian payload of fixed-width integers, bit-exact `f64`s
 //!   (`f64::to_bits`) and `u32`-length-prefixed byte strings.
+//!
+//! Persisted formats keep decoding every older version ([`ByteReader::header`]
+//! accepts `1..=max_version`); wire frames are never persisted and are read
+//! at exactly their current version ([`ByteReader::tagged_header`]).
 //!
 //! Decoding goes through [`ByteReader`], which never panics on malformed
 //! input: every read is bounds-checked and reports
@@ -311,18 +317,24 @@ impl<'a> ByteReader<'a> {
         Ok(version)
     }
 
-    /// Consumes a versioned header plus the `u64` request id of frames at or
-    /// above `tagged_from`, returning `(version, request_id)`. Frames older
-    /// than `tagged_from` carry no id field and read as id `0` — the untagged
-    /// at-most-one-in-flight convention of the serving protocol.
+    /// Consumes a tagged frame header — magic, `u16` version, `u64` request
+    /// id — and returns the request id. Wire frames are never persisted, so
+    /// a tagged header is read at exactly one `version`: an older or newer
+    /// frame is rejected like any other malformed one.
     ///
     /// # Errors
-    /// Returns [`DsigError::Corrupt`] on a magic mismatch or an unsupported
-    /// version, and [`DsigError::Truncated`] on a cut-off id field.
-    pub fn tagged_header(&mut self, magic: [u8; 4], max_version: u16, tagged_from: u16) -> Result<(u16, u64)> {
-        let version = self.header(magic, max_version)?;
-        let request_id = if version >= tagged_from { self.u64()? } else { 0 };
-        Ok((version, request_id))
+    /// Returns [`DsigError::Corrupt`] on a magic or version mismatch, and
+    /// [`DsigError::Truncated`] on a cut-off header.
+    pub fn tagged_header(&mut self, magic: [u8; 4], version: u16) -> Result<u64> {
+        self.magic(magic)?;
+        let got = self.u16()?;
+        if got != version {
+            return Err(DsigError::Corrupt {
+                context: self.context,
+                detail: format!("unsupported frame version {got} (this build speaks version {version})"),
+            });
+        }
+        self.u64()
     }
 
     /// Checks that `count` items of at least `min_item_bytes` each can fit in
@@ -420,33 +432,32 @@ mod tests {
     }
 
     #[test]
-    fn tagged_headers_round_trip_and_untagged_versions_read_id_zero() {
+    fn tagged_headers_round_trip_and_other_versions_are_rejected() {
         let mut out = Vec::new();
         put_tagged_header(&mut out, *b"TAGD", 3, 0xDEAD_BEEF_CAFE);
         assert_eq!(&out[6..14], &0xDEAD_BEEF_CAFEu64.to_le_bytes());
         let mut r = ByteReader::new(&out, "tagged");
-        assert_eq!(r.tagged_header(*b"TAGD", 3, 3).unwrap(), (3, 0xDEAD_BEEF_CAFE));
+        assert_eq!(r.tagged_header(*b"TAGD", 3).unwrap(), 0xDEAD_BEEF_CAFE);
         r.finish().unwrap();
 
-        // An older, untagged frame of the same family: no id field, id 0.
-        let mut old = Vec::new();
-        put_header(&mut old, *b"TAGD", 2);
-        let mut r = ByteReader::new(&old, "tagged");
-        assert_eq!(r.tagged_header(*b"TAGD", 3, 3).unwrap(), (2, 0));
-        r.finish().unwrap();
+        // Any other version of the same family — older or newer — is
+        // corrupt, whatever follows the version field.
+        for version in [0, 1, 2, 4] {
+            let mut other = Vec::new();
+            put_tagged_header(&mut other, *b"TAGD", version, 7);
+            let mut r = ByteReader::new(&other, "tagged");
+            assert!(
+                matches!(r.tagged_header(*b"TAGD", 3), Err(DsigError::Corrupt { .. })),
+                "version {version}"
+            );
+        }
 
-        // A tagged frame cut off inside the id is truncated, not id 0.
+        // A tagged frame cut off inside the id is truncated.
         let mut r = ByteReader::new(&out[..10], "tagged");
-        assert!(matches!(
-            r.tagged_header(*b"TAGD", 3, 3),
-            Err(DsigError::Truncated { .. })
-        ));
-        // Header errors pass through unchanged.
+        assert!(matches!(r.tagged_header(*b"TAGD", 3), Err(DsigError::Truncated { .. })));
+        // The wrong magic is corrupt.
         let mut r = ByteReader::new(&out, "tagged");
-        assert!(matches!(
-            r.tagged_header(*b"TAGD", 2, 2),
-            Err(DsigError::Corrupt { .. })
-        ));
+        assert!(matches!(r.tagged_header(*b"EVIL", 3), Err(DsigError::Corrupt { .. })));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Metrics say *how much* and traces say *where the time went*; events say
 //! *what happened*: a backend was marked backed off, a pipelined client
 //! reconnected and resubmitted, a connection was poisoned. An [`EventSink`]
-//! is a bounded lock-per-slot ring of [`EventRecord`]s mirroring the span
-//! ring in [`crate::Tracer`] — emitting an event is one relaxed `fetch_add`
-//! plus one uncontended per-slot mutex, and the ring overwrites the oldest
-//! record instead of blocking when full (counting the overwrite in
-//! [`EventSink::dropped`], surfaced as the `obs.dropped_events` counter).
+//! keeps its [`EventRecord`]s in the same bounded lock-per-slot ring as the
+//! span ring of [`crate::Tracer`] — emitting an event is one relaxed
+//! `fetch_add` plus one uncontended per-slot mutex, and the ring overwrites
+//! the oldest record instead of blocking when full (counting the overwrite
+//! in [`EventSink::dropped`], surfaced as the `obs.dropped_events` counter).
 //!
 //! Each record captures the ambient [`crate::TraceContext`]'s trace id at
 //! emission time, so operational history correlates with the span log: the
@@ -15,12 +15,12 @@
 //! trace id. The [`EventLog`] `DSEL` codec puts drained events on the wire
 //! for the `DSEX`/`DSED` scrape pair.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dsig_core::wire::{self, ByteReader};
 use dsig_core::{DsigError, Result};
 
+use crate::ring::Ring;
 use crate::trace;
 
 /// Magic bytes of a serialized event log.
@@ -95,12 +95,6 @@ pub struct EventRecord {
     pub trace_id: u64,
 }
 
-struct EventSinkInner {
-    slots: Vec<Mutex<Option<EventRecord>>>,
-    cursor: AtomicUsize,
-    dropped: AtomicU64,
-}
-
 /// A cheaply cloneable event recorder: a bounded ring of [`EventRecord`]s.
 ///
 /// Clones share the ring. When the ring is full the oldest event is
@@ -108,13 +102,13 @@ struct EventSinkInner {
 /// diagnostic side channel and must never block or grow without bound.
 #[derive(Clone)]
 pub struct EventSink {
-    inner: Arc<EventSinkInner>,
+    ring: Arc<Ring<EventRecord>>,
 }
 
 impl std::fmt::Debug for EventSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventSink")
-            .field("capacity", &self.inner.slots.len())
+            .field("capacity", &self.ring.capacity())
             .finish()
     }
 }
@@ -137,23 +131,19 @@ impl EventSink {
     /// Creates a sink holding at most `capacity.max(1)` events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventSink {
-            inner: Arc::new(EventSinkInner {
-                slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-                cursor: AtomicUsize::new(0),
-                dropped: AtomicU64::new(0),
-            }),
+            ring: Arc::new(Ring::new(capacity)),
         }
     }
 
     /// The ring capacity, in events.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.ring.capacity()
     }
 
     /// Number of events overwritten before being drained. Surfaced in
     /// snapshots as the `obs.dropped_events` counter.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Records one event, stamping the emission time and the ambient
@@ -168,26 +158,14 @@ impl EventSink {
             at_us: trace::now_us(),
             trace_id: trace::current_context().trace_id,
         };
-        let slot = self.inner.cursor.fetch_add(1, Ordering::Relaxed) % self.inner.slots.len();
-        let mut guard = self.inner.slots[slot]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if guard.is_some() {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        *guard = Some(record);
+        self.ring.push(record);
     }
 
     /// Takes every buffered event out of the ring, ordered by
     /// `(at_us, trace_id, name)`. Events emitted concurrently with the
     /// drain land in the next one — a drain is consuming, not idempotent.
     pub fn drain(&self) -> Vec<EventRecord> {
-        let mut events: Vec<EventRecord> = self
-            .inner
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).take())
-            .collect();
+        let mut events = self.ring.take_all();
         events.sort_by(|a, b| (a.at_us, a.trace_id, &a.name).cmp(&(b.at_us, b.trace_id, &b.name)));
         events
     }

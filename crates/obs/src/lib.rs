@@ -45,6 +45,7 @@
 pub mod events;
 pub mod metrics;
 pub mod registry;
+mod ring;
 pub mod snapshot;
 pub mod trace;
 pub mod window;

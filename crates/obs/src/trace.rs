@@ -26,12 +26,14 @@
 //! need no extra parameters.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dsig_core::wire::{self, ByteReader};
 use dsig_core::{DsigError, Result};
+
+use crate::ring::Ring;
 
 /// Magic bytes of a serialized trace log.
 pub const TRACE_LOG_MAGIC: [u8; 4] = *b"DSTL";
@@ -203,12 +205,6 @@ impl SpanRecord {
     }
 }
 
-struct TracerInner {
-    slots: Vec<Mutex<Option<SpanRecord>>>,
-    cursor: AtomicUsize,
-    dropped: AtomicU64,
-}
-
 /// A cheaply cloneable span recorder: a bounded ring of finished spans.
 ///
 /// Clones share the ring. When the ring is full the oldest span is
@@ -216,13 +212,13 @@ struct TracerInner {
 /// block or grow without bound.
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Arc<TracerInner>,
+    ring: Arc<Ring<SpanRecord>>,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("capacity", &self.inner.slots.len())
+            .field("capacity", &self.ring.capacity())
             .finish()
     }
 }
@@ -245,23 +241,19 @@ impl Tracer {
     /// Creates a tracer holding at most `capacity.max(1)` spans.
     pub fn with_capacity(capacity: usize) -> Self {
         Tracer {
-            inner: Arc::new(TracerInner {
-                slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-                cursor: AtomicUsize::new(0),
-                dropped: AtomicU64::new(0),
-            }),
+            ring: Arc::new(Ring::new(capacity)),
         }
     }
 
     /// The ring capacity, in spans.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.ring.capacity()
     }
 
     /// Number of spans overwritten before being drained. Surfaced in
     /// snapshots as the `obs.dropped_spans` counter.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Starts a new sampled trace, returning the root context to open the
@@ -299,29 +291,14 @@ impl Tracer {
     }
 
     fn record(&self, span: SpanRecord) {
-        let slot = self.inner.cursor.fetch_add(1, Ordering::Relaxed) % self.inner.slots.len();
-        // Slot mutexes are uncontended unless two recorders land on the
-        // same slot in one ring revolution; either way the lock is held
-        // for one store.
-        let mut guard = self.inner.slots[slot]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if guard.is_some() {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        *guard = Some(span);
+        self.ring.push(span);
     }
 
     /// Takes every buffered span out of the ring, ordered by
     /// `(trace_id, start_us, span_id)`. Spans recorded concurrently with
     /// the drain land in the next one.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut spans: Vec<SpanRecord> = self
-            .inner
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).take())
-            .collect();
+        let mut spans = self.ring.take_all();
         spans.sort_by_key(|a| (a.trace_id, a.start_us, a.span_id));
         spans
     }

@@ -5,7 +5,7 @@ use std::fmt;
 use dsig_core::DsigError;
 use dsig_serve::ServeError;
 
-/// Errors produced by the router, its backends and the router client.
+/// Errors produced by the router and its backends.
 #[derive(Debug)]
 pub enum RouterError {
     /// The router was built with an empty backend set.

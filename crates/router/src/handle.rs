@@ -14,8 +14,7 @@ use dsig_core::{AcceptanceBand, Signature, TestSetup};
 use dsig_engine::{RemoteScore, RemoteScorer};
 use dsig_obs::{EventLog, HealthReport, MetricsSnapshot, TraceLog};
 use dsig_serve::{
-    FleetAdmin, FleetRoster, GoldenRecord, GoldenStore, ObsScrape, RetestRequest, RetestScore, ScoreResult, Screen,
-    ServeConfig, ServeHandle,
+    FleetRoster, GoldenRecord, GoldenStore, RetestRequest, RetestScore, ScoreResult, ServeConfig, ServeHandle,
 };
 
 use crate::backend::Backend;
@@ -285,74 +284,6 @@ impl RouterHandle {
     /// As for [`RouterHandle::screen`].
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
         self.core.screen_retest(request)
-    }
-}
-
-impl Screen for RouterHandle {
-    type Error = crate::RouterError;
-
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        RouterHandle::screen(self, golden_key, signatures)
-    }
-
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        RouterHandle::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        RouterHandle::screen_multi(self, items)
-    }
-
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        RouterHandle::screen_retest(self, request)
-    }
-}
-
-impl ObsScrape for RouterHandle {
-    type Error = crate::RouterError;
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot> {
-        Ok(RouterHandle::metrics(self))
-    }
-
-    fn traces(&mut self) -> Result<TraceLog> {
-        Ok(RouterHandle::traces(self))
-    }
-
-    fn events(&mut self) -> Result<EventLog> {
-        Ok(RouterHandle::events(self))
-    }
-
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
-        Ok(RouterHandle::fleet_metrics(self))
-    }
-
-    fn fleet_traces(&mut self) -> Result<TraceLog> {
-        Ok(RouterHandle::fleet_traces(self))
-    }
-
-    fn health(&mut self) -> Result<HealthReport> {
-        Ok(RouterHandle::health(self))
-    }
-}
-
-impl FleetAdmin for RouterHandle {
-    type Error = crate::RouterError;
-
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
-        RouterHandle::fleet_join(self, label)
-    }
-
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
-        RouterHandle::fleet_leave(self, label)
-    }
-
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
-        RouterHandle::fleet_drain(self, label)
-    }
-
-    fn fleet_roster(&mut self) -> Result<FleetRoster> {
-        Ok(RouterHandle::fleet_roster(self))
     }
 }
 

@@ -23,8 +23,11 @@
 //! * [`RouterHandle`] — the in-process front (no TCP): same core, plus
 //!   [`RouterHandle::spawn`] which builds a whole in-process backend fleet
 //!   via [`dsig_serve::ServeHandle::spawn`] for tests and benches;
-//! * [`RouterClient`] — the blocking TCP client (single- and multi-golden
-//!   screening, golden push/readback);
+//! * [`RouterClient`] / [`PipelinedRouterClient`] — the TCP clients: the
+//!   router speaks the serving protocol unchanged, so these are
+//!   [`dsig_serve::ServeClient`] (blocking) and
+//!   [`dsig_serve::PipelinedClient`] (multiplexed) under the router's
+//!   names, with the serving tier's [`dsig_serve::ServeError`] vocabulary;
 //! * [`RouterStore`] — the router's authoritative golden store
 //!   (`DSGS`-compatible): characterize once, **push** to the owning
 //!   backends, **refresh** a failover backend on miss, **read back** from
@@ -46,9 +49,9 @@
 //! **replica healing**. Backends are addressed by **label** (`host:port`
 //! or `local-<id>`); membership transitions surface as `backend.joined` /
 //! `backend.left` / `backend.draining` / `replica.healed` events and the
-//! epoch rides in every `DSHR` health report. All six client/handle types
-//! program against the shared [`dsig_serve::Screen`],
-//! [`dsig_serve::ObsScrape`] and [`dsig_serve::FleetAdmin`] traits.
+//! epoch rides in every `DSHR` health report. The verbs travel over either
+//! TCP client ([`dsig_serve::Client::fleet_join`] and friends) or the
+//! in-process [`RouterHandle`].
 //!
 //! The router implements [`dsig_engine::RemoteScorer`], so a
 //! [`dsig_engine::CampaignRunner`] can score an entire campaign through the
@@ -57,23 +60,56 @@
 //!
 //! # Wire format
 //!
-//! The router speaks the serving protocol unchanged: `DSRQ`/`DSRS` for
-//! single-golden screening (forwarded verbatim to backends), plus the
-//! `DSRM` multi-golden request, the `DSGP`/`DSGF`/`DSRA` replication
-//! frames and the `DSMX`/`DSMR` metrics scrape (answering with the routing
-//! tier's own counters — per-backend forwards/failovers/retries, backoff
-//! gauge, fan-out latency, refresh-on-miss), all specified in
-//! `docs/FORMATS.md`.
+//! The router speaks the serving protocol unchanged — the same frames, each
+//! at its current version with the request id at bytes `6..14`:
+//! `DSRQ`/`DSRS` for single-golden screening (forwarded verbatim to
+//! backends), plus the `DSRM` multi-golden request, the `DSRT`/`DSRR`
+//! retest pair, the `DSGP`/`DSGF`/`DSRA` replication frames, the `DSAQ`
+//! fleet-admin verbs and the observability scrapes (`DSMX`/`DSFM`,
+//! `DSTX`/`DSFT`, `DSEX`, `DSHC`), answering with the routing tier's own
+//! counters — per-backend forwards/failovers/retries, backoff gauge,
+//! fan-out latency, refresh-on-miss — or the fleet-wide merge. All are
+//! specified in `docs/FORMATS.md`.
 //!
 //! # Example
 //!
-//! See [`RouterClient`] for the end-to-end loopback example, and
-//! `examples/router.rs` for a multi-backend fleet with a killed backend.
+//! Characterize a golden through the router (which replicates it to the
+//! owning backends), then screen a deviated device over loopback:
+//!
+//! ```
+//! use std::sync::Arc;
+//! use cut_filters::BiquadParams;
+//! use dsig_core::{AcceptanceBand, TestSetup};
+//! use dsig_router::{Backend, Router, RouterClient, RouterConfig, RouterStore};
+//! use dsig_serve::{GoldenStore, ServeConfig, ServeHandle};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! // Two in-process scoring backends fronted by a TCP router.
+//! let fleet: Vec<Backend> = (0..2)
+//!     .map(|id| Backend::local(id, ServeHandle::spawn(Arc::new(GoldenStore::new()), ServeConfig::with_shards(1))))
+//!     .collect();
+//! let router = Router::bind("127.0.0.1:0", fleet, RouterStore::new(), RouterConfig::default())?;
+//!
+//! // Characterization: once, through the router — the golden lands on its
+//! // rendezvous owner and replica.
+//! let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
+//! let reference = BiquadParams::paper_default();
+//! let key = router.handle().characterize(&setup, &reference, AcceptanceBand::new(0.03)?)?;
+//!
+//! // Production test: capture a signature, upload, decide.
+//! let observed = setup.signature_of(&reference.with_f0_shift_pct(10.0), 7)?;
+//! let client = RouterClient::connect(router.local_addr())?;
+//! let score = client.screen_one(key, &observed)?;
+//! assert!(score.ndf > 0.0);
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! `examples/router.rs` runs a multi-backend fleet with a killed backend.
 
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod client;
 pub mod error;
 pub mod handle;
 pub mod hash;
@@ -82,7 +118,7 @@ pub mod server;
 pub mod store;
 
 pub use backend::{Backend, HealthConfig};
-pub use client::{PipelinedRouterClient, RouterClient};
+pub use dsig_serve::{PipelinedClient as PipelinedRouterClient, ServeClient as RouterClient};
 pub use error::{Result, RouterError};
 pub use handle::RouterHandle;
 pub use hash::{hrw_weight, mix64, rank_backends};

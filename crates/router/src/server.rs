@@ -167,9 +167,9 @@ impl Drop for Router {
     }
 }
 
-/// Serves one TCP connection through the shared [`WorkPool`]: tagged
-/// requests route as pool jobs completing out of order, untagged ones keep
-/// their in-order semantics (see [`mux::drive_connection`]).
+/// Serves one TCP connection through the shared [`WorkPool`]: requests
+/// route as pool jobs completing out of order (see
+/// [`mux::drive_connection`]).
 fn handle_connection(stream: TcpStream, core: Arc<RouterCore>, pool: Arc<WorkPool>) {
     let respond_to = Arc::new(move |payload: Vec<u8>| {
         // Pin the caller's trace context per request so the routing spans
@@ -251,9 +251,8 @@ fn respond(core: &RouterCore, request: Request) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::RouterClient;
     use dsig_core::{AcceptanceBand, Signature, SignatureEntry, TestOutcome, ZoneCode};
-    use dsig_serve::{GoldenStore, ServeConfig, ServeHandle};
+    use dsig_serve::{GoldenStore, ServeClient, ServeConfig, ServeError, ServeHandle};
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -288,7 +287,7 @@ mod tests {
             RouterConfig::default(),
         )
         .unwrap();
-        let mut client = RouterClient::connect(router.local_addr()).unwrap();
+        let client = ServeClient::connect(router.local_addr()).unwrap();
         let band = AcceptanceBand::new(0.05).unwrap();
         let golden_a = sig(&[(1, 100e-6), (3, 100e-6)]);
         let golden_b = sig(&[(2, 100e-6), (4, 100e-6)]);
@@ -341,7 +340,7 @@ mod tests {
         // Unknown goldens carry the code through the router.
         assert!(matches!(
             client.screen(0xDEAD, &[golden_a]),
-            Err(RouterError::UnknownGolden(0xDEAD))
+            Err(ServeError::UnknownGolden(0xDEAD))
         ));
     }
 
@@ -354,7 +353,7 @@ mod tests {
             RouterConfig::default(),
         )
         .unwrap();
-        let mut client = RouterClient::connect(router.local_addr()).unwrap();
+        let client = ServeClient::connect(router.local_addr()).unwrap();
         let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
         client
             .push_golden(0x11, AcceptanceBand::new(0.05).unwrap(), &golden)

@@ -1,29 +1,42 @@
-//! The TCP clients: connect to a [`crate::Server`], frame requests and
-//! decode responses.
+//! The TCP client: every typed operation written once, over two transports.
 //!
-//! * [`ServeClient`] — the blocking client: one connection, one request in
-//!   flight; throughput comes from batching (many signatures per request)
-//!   and from running several clients in parallel.
-//! * [`PipelinedClient`] — the multiplexed client: one connection, **N
+//! [`Client`] carries the typed operations — screening, adaptive retest,
+//! golden push and fetch, the observability scrapes and drains, the
+//! fleet-admin verbs — over a small sealed exchange seam: one encoded
+//! request frame in, its response payload out. The response-count check,
+//! the `UnknownGolden(key)` mapping and the drain rule live in that one
+//! typed layer. Its two instantiations differ only in the transport:
+//!
+//! * [`ServeClient`] — the blocking transport: one connection, one request
+//!   in flight, each exchange a write-then-read on the caller's thread (no
+//!   reader thread, no channel). Throughput comes from batching (many
+//!   signatures per request) and from running several clients in parallel.
+//! * [`PipelinedClient`] — the multiplexed transport: one connection, **N
 //!   requests in flight**, responses matched by the echoed request id and
 //!   completed out of order. Cheap to clone; every clone shares the
 //!   connection, so thousands of caller threads fan in over one stream.
 //!
+//! A serving process and a routing tier speak the same protocol, so both
+//! clients talk to either.
+//!
 //! # Retry semantics
 //!
 //! Nearly every request is pure (screening scores, golden pushes and
-//! fetches are all idempotent), so both clients transparently reconnect
-//! **once** when the connection turns out to be dead — a server restart or
-//! an idle-timeout close between requests does not surface to the caller.
-//! Under pipelining the rule is explicit: on reconnect, only the
-//! **unacknowledged idempotent** requests are resubmitted (with their
-//! original ids), and each request is resubmitted **at most once** — if the
-//! replacement connection dies too (a crash-looping or shedding server),
-//! the request fails with the I/O error instead of being redialed forever.
-//! Requests whose responses already arrived are never resent, and a pending
-//! drain — `DSTX`, its fleet form `DSFT`, or a `DSEX` event drain, the
-//! non-idempotent requests, since draining consumes records — fails with
-//! the connection error instead of being silently re-issued.
+//! fetches, metrics scrapes and the fleet-admin verbs are all idempotent), so
+//! both transports transparently resend a request **once** when the
+//! connection turns out to be dead — a server restart or an idle-timeout
+//! close between requests does not surface to the caller. If the
+//! replacement connection dies too (a crash-looping or shedding server), the
+//! request fails with the I/O error instead of being redialed forever.
+//! Under pipelining only the **unacknowledged** requests are resubmitted,
+//! with their original ids; requests whose responses already arrived are
+//! never resent.
+//!
+//! The drains — `DSTX`, its fleet form `DSFT`, and the `DSEX` event drain —
+//! are the exception on both transports: draining consumes records, so a
+//! drain whose connection dies fails with the connection error instead of
+//! being silently re-issued (the drain may or may not have happened
+//! server-side).
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -38,15 +51,43 @@ use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Tr
 use crate::error::{Result, ServeError};
 use crate::proto::{
     decode_admin_response, decode_events_response, decode_health_response, decode_metrics_response, decode_response,
-    decode_retest_response, decode_traces_response, encode_admin_request, encode_events_request, encode_fetch_request,
-    encode_fleet_metrics_request, encode_fleet_traces_request, encode_health_request, encode_metrics_request,
-    encode_multi_request, encode_push_request, encode_request, encode_retest_request, encode_traces_request,
-    read_frame, stamp_request_id, write_frame, AdminRequest, AdminResponse, ErrorCode, EventsResponse, FleetRoster,
-    HealthResponse, MetricsResponse, RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse,
-    TracesResponse, EVENTS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, TRACES_REQUEST_MAGIC,
+    decode_retest_response, decode_traces_response, encode_admin_request, encode_fetch_request, encode_multi_request,
+    encode_push_request, encode_request, encode_retest_request, encode_scrape_request, read_frame, stamp_request_id,
+    write_frame, AdminRequest, AdminResponse, ErrorCode, EventsResponse, FleetRoster, HealthResponse, MetricsResponse,
+    RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse, EVENTS_REQUEST_MAGIC,
+    FLEET_METRICS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC, METRICS_REQUEST_MAGIC,
+    TRACES_REQUEST_MAGIC,
 };
 
-/// A blocking client over one TCP connection.
+mod seam {
+    use std::net::SocketAddr;
+
+    use crate::error::Result;
+
+    /// The exchange seam [`super::Client`] writes its typed operations over.
+    /// Sealed: implemented by the two transports of this module only.
+    pub trait Exchange {
+        /// Sends one encoded request frame and returns its response payload.
+        /// `resend` says whether the request may ride a second connection
+        /// when the first turns out dead; drains may not.
+        fn exchange(&self, frame: Vec<u8>, resend: bool) -> Result<Vec<u8>>;
+
+        /// The server address the transport is connected to (and redials).
+        fn peer_addr(&self) -> SocketAddr;
+    }
+}
+
+/// A typed client of the serving protocol over transport `T`: either
+/// [`ServeClient`] (blocking) or [`PipelinedClient`] (multiplexed). Every
+/// method takes `&self`.
+///
+/// See the module docs for the retry semantics.
+#[derive(Clone)]
+pub struct Client<T> {
+    transport: T,
+}
+
+/// The blocking TCP client: one connection, one request in flight.
 ///
 /// # Examples
 ///
@@ -66,43 +107,343 @@ use crate::proto::{
 /// let server = Server::bind("127.0.0.1:0", store, ServeConfig::default())?;
 ///
 /// let observed = setup.signature_of(&reference, 7)?;
-/// let mut client = ServeClient::connect(server.local_addr())?;
+/// let client = ServeClient::connect(server.local_addr())?;
 /// let score = client.screen_one(key, &observed)?;
 /// assert_eq!(score.ndf, 0.0, "the nominal device matches its golden exactly");
 /// # Ok(())
 /// # }
 /// ```
-pub struct ServeClient {
+pub type ServeClient = Client<Blocking>;
+
+/// The multiplexed TCP client: one connection, many requests in flight,
+/// responses matched to callers by the echoed request id.
+///
+/// Cloning is cheap and every clone shares the connection and id space —
+/// hand clones to as many threads as you like. The `start_*` / `wait_*`
+/// pairs return and redeem a [`Ticket`] instead of blocking, which is how
+/// one thread keeps hundreds of requests in flight.
+pub type PipelinedClient = Client<Pipelined>;
+
+impl<T: seam::Exchange> Client<T> {
+    /// The server address this client is connected to (and reconnects to).
+    pub fn peer_addr(&self) -> SocketAddr {
+        self.transport.peer_addr()
+    }
+
+    /// One idempotent request: resent once on a fresh connection if the
+    /// current one turns out dead.
+    fn call(&self, frame: Vec<u8>) -> Result<Vec<u8>> {
+        self.transport.exchange(frame, true)
+    }
+
+    /// One consuming drain: never resent — if the connection dies before
+    /// the response arrives, the drain fails with the connection error.
+    fn drain(&self, frame: Vec<u8>) -> Result<Vec<u8>> {
+        self.transport.exchange(frame, false)
+    }
+
+    /// Scores a batch of observed signatures against the golden stored under
+    /// `golden_key` on the server (routed to its owning backend by a routing
+    /// tier), returning one [`ScoreResult`] per signature in request order.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::UnknownGolden`] if the server does not hold the
+    /// fingerprint, [`ServeError::Remote`] for other server-side failures,
+    /// [`ServeError::Protocol`] on malformed responses and
+    /// [`ServeError::Io`] on dead connections (after one transparent
+    /// reconnect attempt).
+    pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+        decode_scores(
+            &self.call(encode_request(golden_key, signatures))?,
+            signatures.len(),
+            golden_key,
+        )
+    }
+
+    /// Scores a single signature (a one-element [`Client::screen`]).
+    ///
+    /// # Errors
+    /// As for [`Client::screen`].
+    pub fn screen_one(&self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
+        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
+    }
+
+    /// Scores a batch where each signature names its own golden fingerprint
+    /// (`DSRM`), returning one [`ScoreResult`] per item in request order.
+    /// Against a routing tier this is the frame that fans out across
+    /// backends.
+    ///
+    /// # Errors
+    /// As for [`Client::screen`], except that an unknown fingerprint
+    /// anywhere fails the whole batch with [`ServeError::Remote`], whose
+    /// message names the fingerprint (the wire error body carries no key).
+    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
+        match decode_response(&self.call(encode_multi_request(items))?)? {
+            ScreenResponse::Results(results) => check_count(results, items.len()),
+            ScreenResponse::Error { message, .. } => Err(ServeError::Remote(message)),
+        }
+    }
+
+    /// Screens an adaptive-retest batch (`DSRT`): each device's single-shot
+    /// signature plus its measurement repeats, re-decided server-side through
+    /// the request's retest policy. Returns one [`RetestScore`] per device in
+    /// request order.
+    ///
+    /// # Errors
+    /// As for [`Client::screen`].
+    pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+        decode_retest_scores(
+            &self.call(encode_retest_request(request))?,
+            request.items.len(),
+            request.golden_key,
+        )
+    }
+
+    /// Stores (or replaces) a golden record on the server (`DSGP`) — the
+    /// replication push a routing tier uses to place goldens on backends.
+    ///
+    /// # Errors
+    /// As for [`Client::screen`] (minus `UnknownGolden`).
+    pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
+        match decode_admin_response(&self.call(encode_push_request(key, band, golden))?)? {
+            AdminResponse::Ack => Ok(()),
+            other => Err(admin_mismatch("push", other)),
+        }
+    }
+
+    /// Reads a golden record back from the server (`DSGF`) — the readback a
+    /// routing tier uses to refresh its local store on a miss.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::UnknownGolden`] when the server has no record
+    /// under `key`; otherwise as for [`Client::screen`].
+    pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
+        match decode_admin_response(&self.call(encode_fetch_request(key))?)? {
+            AdminResponse::Record { band, golden } => Ok((band, golden)),
+            AdminResponse::Error {
+                code: ErrorCode::UnknownGolden,
+                ..
+            } => Err(ServeError::UnknownGolden(key)),
+            other => Err(admin_mismatch("fetch", other)),
+        }
+    }
+
+    /// Scrapes the server's live metrics registry (`DSMX`), returning its
+    /// [`MetricsSnapshot`] — the operator's view of request counters, shard
+    /// latencies and traffic totals. Counters are monotonically consistent
+    /// across successive scrapes of the same process.
+    ///
+    /// # Errors
+    /// As for [`Client::screen`] (minus `UnknownGolden`).
+    pub fn metrics(&self) -> Result<MetricsSnapshot> {
+        snapshot_of(&self.call(encode_scrape_request(METRICS_REQUEST_MAGIC))?)
+    }
+
+    /// Scrapes the fleet-wide merged metrics (`DSFM`): against a routing
+    /// tier the snapshot carries every backend's metrics under
+    /// `backend.<label>.` prefixes, the cross-backend rollup under `fleet.`
+    /// and the router's own registry unprefixed; a bare server answers its
+    /// own snapshot — a fleet of one. Idempotent, like `DSMX`.
+    ///
+    /// # Errors
+    /// As for [`Client::metrics`].
+    pub fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
+        snapshot_of(&self.call(encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC))?)
+    }
+
+    /// Drains the server's buffered trace spans (`DSTX`), returning its
+    /// [`TraceLog`]. Scraping consumes: each span is exported at most once,
+    /// so successive scrapes return disjoint span sets — and a drain is
+    /// never resent on a dead connection.
+    ///
+    /// # Errors
+    /// As for [`Client::metrics`].
+    pub fn traces(&self) -> Result<TraceLog> {
+        trace_log_of(&self.drain(encode_scrape_request(TRACES_REQUEST_MAGIC))?)
+    }
+
+    /// Drains trace spans fleet-wide (`DSFT`): a routing tier drains every
+    /// reachable backend plus itself; a bare server answers its own log.
+    /// Consuming, like `DSTX`.
+    ///
+    /// # Errors
+    /// As for [`Client::metrics`].
+    pub fn fleet_traces(&self) -> Result<TraceLog> {
+        trace_log_of(&self.drain(encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC))?)
+    }
+
+    /// Drains the server's structured event log (`DSEX`): backend
+    /// backoff/recovery transitions, reconnects, refresh-on-miss records.
+    /// Consuming, like `DSTX`: each event is exported at most once.
+    ///
+    /// # Errors
+    /// As for [`Client::metrics`].
+    pub fn events(&self) -> Result<EventLog> {
+        match decode_events_response(&self.drain(encode_scrape_request(EVENTS_REQUEST_MAGIC))?)? {
+            EventsResponse::Log(log) => Ok(log),
+            EventsResponse::Error { message, .. } => Err(ServeError::Remote(message)),
+        }
+    }
+
+    /// Asks the server to evaluate its own health (`DSHC`), returning the
+    /// PASS/DEGRADED/FAIL [`HealthReport`]; a routing tier folds in backend
+    /// reachability and its membership epoch. Idempotent.
+    ///
+    /// # Errors
+    /// As for [`Client::metrics`].
+    pub fn health(&self) -> Result<HealthReport> {
+        match decode_health_response(&self.call(encode_scrape_request(HEALTH_REQUEST_MAGIC))?)? {
+            HealthResponse::Report(report) => Ok(report),
+            HealthResponse::Error { message, .. } => Err(ServeError::Remote(message)),
+        }
+    }
+
+    /// Asks a routing tier to admit the backend at `label` (`DSAQ` join: a
+    /// dialable `host:port`, or an existing member's label to reactivate it)
+    /// and waits for the golden migration to complete, returning the roster
+    /// after the membership change. Idempotent by label: joining a member
+    /// that is already active is an acknowledged no-op.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Remote`] when the peer rejects the verb (a leaf
+    /// serving process is not a routing tier, an unparseable label);
+    /// otherwise as for [`Client::metrics`].
+    pub fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
+        self.admin(AdminRequest::Join { label: label.into() })
+    }
+
+    /// Asks a routing tier to remove the member at `label` (`DSAQ` leave),
+    /// re-replicating its goldens to the surviving owners first. Idempotent
+    /// by label: leaving an unknown member is an acknowledged no-op; the last
+    /// member cannot leave.
+    ///
+    /// # Errors
+    /// As for [`Client::fleet_join`].
+    pub fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
+        self.admin(AdminRequest::Leave { label: label.into() })
+    }
+
+    /// Asks a routing tier to drain the member at `label` (`DSAQ` drain):
+    /// its goldens are re-replicated and new work steers away, but the
+    /// member stays in the roster as a last resort. Idempotent by label.
+    ///
+    /// # Errors
+    /// As for [`Client::fleet_join`].
+    pub fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
+        self.admin(AdminRequest::Drain { label: label.into() })
+    }
+
+    /// Reads the routing tier's live membership roster (`DSAQ` list): the
+    /// current epoch plus every member's label, id and state. Idempotent.
+    ///
+    /// # Errors
+    /// As for [`Client::fleet_join`].
+    pub fn fleet_roster(&self) -> Result<FleetRoster> {
+        self.admin(AdminRequest::List)
+    }
+
+    /// One fleet-admin verb, answered with the post-change roster.
+    fn admin(&self, request: AdminRequest) -> Result<FleetRoster> {
+        match decode_admin_response(&self.call(encode_admin_request(&request))?)? {
+            AdminResponse::Roster(roster) => Ok(roster),
+            other => Err(admin_mismatch("admin verb", other)),
+        }
+    }
+}
+
+/// Checks that a response carries one result per request item.
+fn check_count<S>(results: Vec<S>, expected: usize) -> Result<Vec<S>> {
+    if results.len() != expected {
+        return Err(ServeError::Protocol(format!(
+            "server returned {} results for {expected} requested",
+            results.len(),
+        )));
+    }
+    Ok(results)
+}
+
+/// Decodes a screening response to `golden_key`, checking the score count.
+fn decode_scores(payload: &[u8], expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
+    match decode_response(payload)? {
+        ScreenResponse::Results(results) => check_count(results, expected),
+        ScreenResponse::Error { code, message } => Err(remote_error(code, message, golden_key)),
+    }
+}
+
+/// Decodes a retest response to `golden_key`, checking the per-device score
+/// count.
+fn decode_retest_scores(payload: &[u8], expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
+    match decode_retest_response(payload)? {
+        RetestResponse::Results(results) => check_count(results, expected),
+        RetestResponse::Error { code, message } => Err(remote_error(code, message, golden_key)),
+    }
+}
+
+/// The error a server-side failure of a request for `golden_key` surfaces
+/// as: an unknown golden carries the key, anything else the remote message.
+fn remote_error(code: ErrorCode, message: String, golden_key: u64) -> ServeError {
+    match code {
+        ErrorCode::UnknownGolden => ServeError::UnknownGolden(golden_key),
+        _ => ServeError::Remote(message),
+    }
+}
+
+/// The error an admin-family response of the wrong kind surfaces as: the
+/// server's message for an error, a protocol violation otherwise.
+fn admin_mismatch(request: &str, response: AdminResponse) -> ServeError {
+    let kind = match response {
+        AdminResponse::Error { message, .. } => return ServeError::Remote(message),
+        AdminResponse::Ack => "a bare ack",
+        AdminResponse::Record { .. } => "a record",
+        AdminResponse::Roster(_) => "a roster",
+    };
+    ServeError::Protocol(format!("{request} answered with {kind}"))
+}
+
+/// Decodes a metrics-scrape response into its snapshot.
+fn snapshot_of(payload: &[u8]) -> Result<MetricsSnapshot> {
+    match decode_metrics_response(payload)? {
+        MetricsResponse::Snapshot(snapshot) => Ok(snapshot),
+        MetricsResponse::Error { message, .. } => Err(ServeError::Remote(message)),
+    }
+}
+
+/// Decodes a trace-drain response into its log.
+fn trace_log_of(payload: &[u8]) -> Result<TraceLog> {
+    match decode_traces_response(payload)? {
+        TracesResponse::Log(log) => Ok(log),
+        TracesResponse::Error { message, .. } => Err(ServeError::Remote(message)),
+    }
+}
+
+/// The blocking transport of [`ServeClient`]: one connection, exchanged on
+/// the caller's thread. The lock only serializes callers sharing one client;
+/// it is uncontended in the one-thread use it is built for.
+pub struct Blocking {
     addr: SocketAddr,
+    /// The live connection; `None` after a failed exchange, redialed by the
+    /// next one.
+    conn: Mutex<Option<Connection>>,
+}
+
+/// One dialed connection of the blocking transport.
+struct Connection {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
 }
 
-impl ServeClient {
-    /// Connects to a scoring server.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Io`] on connection errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
+impl Connection {
+    fn dial(addr: impl ToSocketAddrs) -> Result<Connection> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let addr = stream.peer_addr()?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(ServeClient {
-            addr,
-            reader,
+        Ok(Connection {
+            reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
         })
     }
 
-    /// The server address this client is connected to (and reconnects to).
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Sends one request frame and reads the response frame on the current
-    /// connection.
-    fn exchange_once(&mut self, request: &[u8]) -> Result<Vec<u8>> {
+    /// Writes one request frame and reads the response frame.
+    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         write_frame(&mut self.writer, request)?;
         self.writer.flush()?;
         read_frame(&mut self.reader)?.ok_or_else(|| {
@@ -112,304 +453,53 @@ impl ServeClient {
             ))
         })
     }
+}
 
-    /// Sends one request frame and reads the response, reconnecting **once**
-    /// on a dead connection (broken pipe, reset, end-of-stream). Every
-    /// request the protocol carries is idempotent — screening is a pure
-    /// function and pushes/fetches are last-write-wins reads/writes — so a
-    /// single resend can never change an outcome.
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        match self.exchange_once(request) {
-            Err(ServeError::Io(_)) => {
-                *self = Self::connect(self.addr)?;
-                self.exchange_once(request)
-            }
-            other => other,
+impl ServeClient {
+    /// Connects to a scoring server or routing tier.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Io`] on connection errors.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
+        let conn = Connection::dial(addr)?;
+        let addr = conn.writer.get_ref().peer_addr()?;
+        Ok(Client {
+            transport: Blocking {
+                addr,
+                conn: Mutex::new(Some(conn)),
+            },
+        })
+    }
+}
+
+impl Blocking {
+    /// One exchange on the live connection, dialing first if the last one
+    /// failed. A failure drops the connection, so the next exchange
+    /// redials.
+    fn exchange_once(&self, conn: &mut Option<Connection>, frame: &[u8]) -> Result<Vec<u8>> {
+        let live = match conn {
+            Some(live) => live,
+            None => conn.insert(Connection::dial(self.addr)?),
+        };
+        let response = live.exchange(frame);
+        if response.is_err() {
+            *conn = None;
+        }
+        response
+    }
+}
+
+impl seam::Exchange for Blocking {
+    fn exchange(&self, frame: Vec<u8>, resend: bool) -> Result<Vec<u8>> {
+        let mut conn = self.conn.lock().expect("blocking connection poisoned");
+        match self.exchange_once(&mut conn, &frame) {
+            Err(ServeError::Io(_)) if resend => self.exchange_once(&mut conn, &frame),
+            response => response,
         }
     }
 
-    /// Scores a batch of observed signatures against the golden stored under
-    /// `golden_key` on the server, returning one [`ScoreResult`] per
-    /// signature in request order.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::UnknownGolden`] if the server does not hold the
-    /// fingerprint, [`ServeError::Remote`] for other server-side failures,
-    /// [`ServeError::Protocol`] on malformed responses and
-    /// [`ServeError::Io`] on dead connections (after one transparent
-    /// reconnect attempt).
-    pub fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        let payload = self.exchange(&encode_request(golden_key, signatures))?;
-        decode_scores(&payload, signatures.len(), Some(golden_key))
-    }
-
-    /// Scores a batch where each signature names its own golden fingerprint
-    /// (`DSRM`), returning one [`ScoreResult`] per item in request order.
-    /// Against a routing tier this is the frame that fans out across
-    /// backends.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`]; an unknown fingerprint anywhere fails
-    /// the whole batch with [`ServeError::Remote`].
-    pub fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        let payload = self.exchange(&encode_multi_request(items))?;
-        decode_scores(&payload, items.len(), None)
-    }
-
-    /// Screens an adaptive-retest batch (`DSRT`): each device's single-shot
-    /// signature plus its measurement repeats, re-decided server-side through
-    /// the request's retest policy. Returns one [`RetestScore`] per device in
-    /// request order.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        let payload = self.exchange(&encode_retest_request(request))?;
-        decode_retest_scores(&payload, request.items.len(), request.golden_key)
-    }
-
-    /// Scores a single signature (a one-element [`ServeClient::screen`]).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
-    }
-
-    /// Stores (or replaces) a golden record on the server (`DSGP`) — the
-    /// replication push a routing tier uses to place goldens on backends.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`] (minus `UnknownGolden`).
-    pub fn push_golden(&mut self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        let payload = self.exchange(&encode_push_request(key, band, golden))?;
-        decode_push_ack(&payload)
-    }
-
-    /// Scrapes the server's live metrics registry (`DSMX`), returning its
-    /// [`MetricsSnapshot`] — the operator's view of request counters, shard
-    /// latencies and traffic totals. Counters are monotonically consistent
-    /// across successive scrapes of the same process.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`] (minus `UnknownGolden`).
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot> {
-        let payload = self.exchange(&encode_metrics_request())?;
-        decode_metrics_snapshot(&payload)
-    }
-
-    /// Drains the server's buffered trace spans (`DSTX`), returning its
-    /// [`TraceLog`]. Scraping consumes: each span is exported at most once,
-    /// so successive scrapes return disjoint span sets.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`] (minus `UnknownGolden`).
-    pub fn traces(&mut self) -> Result<TraceLog> {
-        let payload = self.exchange(&encode_traces_request())?;
-        decode_trace_log(&payload)
-    }
-
-    /// Reads a golden record back from the server (`DSGF`) — the readback a
-    /// routing tier uses to refresh its local store on a miss.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::UnknownGolden`] when the server has no record
-    /// under `key`; otherwise as for [`ServeClient::screen`].
-    pub fn fetch_golden(&mut self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        let payload = self.exchange(&encode_fetch_request(key))?;
-        decode_fetch_record(&payload, key)
-    }
-
-    /// Scrapes the fleet-wide merged metrics (`DSFM`): against a routing
-    /// tier the snapshot carries every backend's metrics under
-    /// `backend.<id>.` prefixes plus `fleet.` rollups; a bare server
-    /// answers its own snapshot — a fleet of one. Idempotent, like `DSMX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
-        let payload = self.exchange(&encode_fleet_metrics_request())?;
-        decode_metrics_snapshot(&payload)
-    }
-
-    /// Drains trace spans fleet-wide (`DSFT`): a routing tier drains every
-    /// backend plus itself; a bare server answers its own log. Consuming,
-    /// like `DSTX` — successive drains return disjoint span sets.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::traces`].
-    pub fn fleet_traces(&mut self) -> Result<TraceLog> {
-        let payload = self.exchange(&encode_fleet_traces_request())?;
-        decode_trace_log(&payload)
-    }
-
-    /// Drains the server's structured event log (`DSEX`). Consuming: each
-    /// event is exported at most once.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn events(&mut self) -> Result<EventLog> {
-        let payload = self.exchange(&encode_events_request())?;
-        decode_event_log(&payload)
-    }
-
-    /// Asks the server to evaluate its own health (`DSHC`), returning the
-    /// PASS/DEGRADED/FAIL [`HealthReport`]. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn health(&mut self) -> Result<HealthReport> {
-        let payload = self.exchange(&encode_health_request())?;
-        decode_health_report(&payload)
-    }
-
-    /// Asks a routing tier to admit the backend at `label` (`DSAQ` join) and
-    /// waits for the golden migration to complete, returning the roster
-    /// after the membership change. Idempotent by label: joining a member
-    /// that is already active is an acknowledged no-op.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Remote`] when the peer rejects the verb (a leaf
-    /// serving process is not a routing tier, an unparseable label);
-    /// otherwise as for [`ServeClient::metrics`].
-    pub fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::Join { label: label.into() }))?;
-        decode_roster(&payload)
-    }
-
-    /// Asks a routing tier to remove the member at `label` (`DSAQ` leave),
-    /// re-replicating its goldens to the surviving owners first. Idempotent
-    /// by label: leaving an unknown member is an acknowledged no-op.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::Leave { label: label.into() }))?;
-        decode_roster(&payload)
-    }
-
-    /// Asks a routing tier to drain the member at `label` (`DSAQ` drain):
-    /// its goldens are re-replicated and new work steers away, but the
-    /// member stays in the roster as a last resort. Idempotent by label.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::Drain { label: label.into() }))?;
-        decode_roster(&payload)
-    }
-
-    /// Reads the routing tier's live membership roster (`DSAQ` list): the
-    /// current epoch plus every member's label, id and state. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_roster(&mut self) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::List))?;
-        decode_roster(&payload)
-    }
-}
-
-/// Decodes a screening response, checking the score count.
-fn decode_scores(payload: &[u8], expected: usize, golden_key: Option<u64>) -> Result<Vec<ScoreResult>> {
-    match decode_response(payload)? {
-        ScreenResponse::Results(results) => {
-            if results.len() != expected {
-                return Err(ServeError::Protocol(format!(
-                    "server returned {} results for {expected} signatures",
-                    results.len(),
-                )));
-            }
-            Ok(results)
-        }
-        ScreenResponse::Error { code, message } => Err(match (code, golden_key) {
-            (ErrorCode::UnknownGolden, Some(key)) => ServeError::UnknownGolden(key),
-            _ => ServeError::Remote(message),
-        }),
-    }
-}
-
-/// Decodes a retest response, checking the per-device score count.
-fn decode_retest_scores(payload: &[u8], expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
-    match decode_retest_response(payload)? {
-        RetestResponse::Results(results) => {
-            if results.len() != expected {
-                return Err(ServeError::Protocol(format!(
-                    "server returned {} retest scores for {expected} devices",
-                    results.len(),
-                )));
-            }
-            Ok(results)
-        }
-        RetestResponse::Error { code, message } => Err(match code {
-            ErrorCode::UnknownGolden => ServeError::UnknownGolden(golden_key),
-            _ => ServeError::Remote(message),
-        }),
-    }
-}
-
-/// Decodes a push acknowledgement.
-fn decode_push_ack(payload: &[u8]) -> Result<()> {
-    match decode_admin_response(payload)? {
-        AdminResponse::Ack => Ok(()),
-        AdminResponse::Record { .. } => Err(ServeError::Protocol("push answered with a record".into())),
-        AdminResponse::Roster(_) => Err(ServeError::Protocol("push answered with a roster".into())),
-        AdminResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
-}
-
-/// Decodes a fetch response into the stored record.
-fn decode_fetch_record(payload: &[u8], key: u64) -> Result<(AcceptanceBand, Signature)> {
-    match decode_admin_response(payload)? {
-        AdminResponse::Record { band, golden } => Ok((band, golden)),
-        AdminResponse::Ack => Err(ServeError::Protocol("fetch answered with a bare ack".into())),
-        AdminResponse::Roster(_) => Err(ServeError::Protocol("fetch answered with a roster".into())),
-        AdminResponse::Error { code, message } => Err(match code {
-            ErrorCode::UnknownGolden => ServeError::UnknownGolden(key),
-            _ => ServeError::Remote(message),
-        }),
-    }
-}
-
-/// Decodes a fleet-admin response into the post-change roster.
-fn decode_roster(payload: &[u8]) -> Result<FleetRoster> {
-    match decode_admin_response(payload)? {
-        AdminResponse::Roster(roster) => Ok(roster),
-        AdminResponse::Ack => Err(ServeError::Protocol("admin verb answered with a bare ack".into())),
-        AdminResponse::Record { .. } => Err(ServeError::Protocol("admin verb answered with a record".into())),
-        AdminResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
-}
-
-/// Decodes a metrics-scrape response into its snapshot.
-fn decode_metrics_snapshot(payload: &[u8]) -> Result<MetricsSnapshot> {
-    match decode_metrics_response(payload)? {
-        MetricsResponse::Snapshot(snapshot) => Ok(snapshot),
-        MetricsResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
-}
-
-/// Decodes a trace-scrape response into its log.
-fn decode_trace_log(payload: &[u8]) -> Result<TraceLog> {
-    match decode_traces_response(payload)? {
-        TracesResponse::Log(log) => Ok(log),
-        TracesResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
-}
-
-/// Decodes an event-drain response into its log.
-fn decode_event_log(payload: &[u8]) -> Result<EventLog> {
-    match decode_events_response(payload)? {
-        EventsResponse::Log(log) => Ok(log),
-        EventsResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
-}
-
-/// Decodes a health-check response into its report.
-fn decode_health_report(payload: &[u8]) -> Result<HealthReport> {
-    match decode_health_response(payload)? {
-        HealthResponse::Report(report) => Ok(report),
-        HealthResponse::Error { message, .. } => Err(ServeError::Remote(message)),
+    fn peer_addr(&self) -> SocketAddr {
+        self.addr
     }
 }
 
@@ -423,8 +513,10 @@ const DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 /// resubmit the request if the connection dies underneath it.
 struct PendingEntry {
     /// The encoded request frame, id already stamped — resent verbatim on
-    /// reconnect (idempotent requests only).
+    /// reconnect (if `resend` allows it).
     frame: Vec<u8>,
+    /// Whether the request may be resubmitted at all (drains may not).
+    resend: bool,
     /// Delivers the response payload (or the terminal error) to the ticket.
     tx: mpsc::Sender<Result<Vec<u8>>>,
     /// Whether the one-redial retry budget is spent: a request rides at most
@@ -453,7 +545,7 @@ struct MuxState {
 struct MuxInner {
     addr: SocketAddr,
     state: Mutex<MuxState>,
-    /// Monotonic id source; ids start at 1 (0 is the untagged correlator).
+    /// Monotonic id source; ids start at 1 (0 is the encoders' placeholder).
     next_id: AtomicU64,
 }
 
@@ -515,32 +607,15 @@ impl Ticket {
     }
 }
 
-/// The multiplexed TCP client: one connection, many requests in flight,
-/// responses matched to callers by the echoed request id.
-///
-/// Cloning is cheap and every clone shares the connection and id space —
-/// hand clones to as many threads as you like (`&self` methods throughout).
-/// Each typed method has the same signature and decode semantics as its
-/// [`ServeClient`] counterpart; the `start_*` variants return a [`Ticket`]
-/// instead of blocking, which is how one thread keeps hundreds of requests
-/// in flight.
-///
-/// See the module docs for the retry semantics under pipelining.
-pub struct PipelinedClient {
+/// The multiplexed transport of [`PipelinedClient`]: one connection shared
+/// by every clone, with a reader thread matching responses to tickets by id.
+#[derive(Clone)]
+pub struct Pipelined {
     inner: Arc<MuxInner>,
 }
 
-impl Clone for PipelinedClient {
-    fn clone(&self) -> Self {
-        PipelinedClient {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
 impl PipelinedClient {
-    /// Connects to a scoring server (or router — both speak the same
-    /// protocol).
+    /// Connects to a scoring server or routing tier.
     ///
     /// # Errors
     /// Returns [`ServeError::Io`] on connection errors.
@@ -560,14 +635,47 @@ impl PipelinedClient {
         let mut state = inner.state.lock().expect("mux state poisoned");
         attach_stream(&inner, &mut state, stream)?;
         drop(state);
-        Ok(PipelinedClient { inner })
+        Ok(Client {
+            transport: Pipelined { inner },
+        })
     }
 
-    /// The server address this client is connected to (and reconnects to).
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.inner.addr
+    /// Starts a screening request (`DSRQ`); redeem with
+    /// [`PipelinedClient::wait_screen`].
+    ///
+    /// # Errors
+    /// As for [`Ticket::wait`].
+    pub fn start_screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Ticket> {
+        self.transport.submit(encode_request(golden_key, signatures), true)
     }
 
+    /// Redeems a [`PipelinedClient::start_screen`] ticket.
+    ///
+    /// # Errors
+    /// As for [`Client::screen`].
+    pub fn wait_screen(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
+        decode_scores(&ticket.wait()?, expected, golden_key)
+    }
+
+    /// Starts an adaptive-retest request (`DSRT`); redeem with
+    /// [`PipelinedClient::wait_retest`].
+    ///
+    /// # Errors
+    /// As for [`Ticket::wait`].
+    pub fn start_retest(&self, request: &RetestRequest) -> Result<Ticket> {
+        self.transport.submit(encode_retest_request(request), true)
+    }
+
+    /// Redeems a [`PipelinedClient::start_retest`] ticket.
+    ///
+    /// # Errors
+    /// As for [`Client::screen_retest`].
+    pub fn wait_retest(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
+        decode_retest_scores(&ticket.wait()?, expected, golden_key)
+    }
+}
+
+impl Pipelined {
     /// Submits one encoded request frame and returns its [`Ticket`]. The
     /// frame is stamped with a fresh id; the response with the matching id
     /// resolves the ticket, whenever it arrives.
@@ -576,7 +684,7 @@ impl PipelinedClient {
     /// Returns [`ServeError::Io`] if the connection is down and redialing
     /// fails, and the poisoning [`ServeError::Dsig`] if a protocol
     /// violation has terminally killed this client.
-    fn call(&self, mut frame: Vec<u8>) -> Result<Ticket> {
+    fn submit(&self, mut frame: Vec<u8>, resend: bool) -> Result<Ticket> {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         stamp_request_id(&mut frame, id);
         let (tx, rx) = mpsc::channel();
@@ -606,6 +714,7 @@ impl PipelinedClient {
             id,
             PendingEntry {
                 frame,
+                resend,
                 tx,
                 resubmitted: false,
             },
@@ -615,7 +724,7 @@ impl PipelinedClient {
         let writer = writer.as_mut().expect("connected above");
         if write_frame(writer, frame).is_err() {
             // The connection died under us; one transparent reconnect
-            // resubmits everything in flight (including this request).
+            // resubmits everything in flight that may be resent.
             reconnect(&self.inner, &mut state);
         }
         // No flush here: the frame sits in the write buffer until the buffer
@@ -627,211 +736,16 @@ impl PipelinedClient {
             inner: Arc::clone(&self.inner),
         })
     }
-
-    /// Starts a screening request (`DSRQ`); redeem with
-    /// [`PipelinedClient::wait_screen`].
-    ///
-    /// # Errors
-    /// As for [`Ticket::wait`].
-    pub fn start_screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Ticket> {
-        self.call(encode_request(golden_key, signatures))
-    }
-
-    /// Redeems a [`PipelinedClient::start_screen`] ticket.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn wait_screen(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
-        decode_scores(&ticket.wait()?, expected, Some(golden_key))
-    }
-
-    /// Starts an adaptive-retest request (`DSRT`); redeem with
-    /// [`PipelinedClient::wait_retest`].
-    ///
-    /// # Errors
-    /// As for [`Ticket::wait`].
-    pub fn start_retest(&self, request: &RetestRequest) -> Result<Ticket> {
-        self.call(encode_retest_request(request))
-    }
-
-    /// Redeems a [`PipelinedClient::start_retest`] ticket.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen_retest`].
-    pub fn wait_retest(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
-        decode_retest_scores(&ticket.wait()?, expected, golden_key)
-    }
-
-    /// Scores a batch against one golden — the pipelined
-    /// [`ServeClient::screen`].
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        self.wait_screen(self.start_screen(golden_key, signatures)?, signatures.len(), golden_key)
-    }
-
-    /// Scores a single signature (a one-element [`PipelinedClient::screen`]).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen_one(&self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
-    }
-
-    /// Scores a multi-golden batch (`DSRM`) — the pipelined
-    /// [`ServeClient::screen_multi`].
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen_multi`].
-    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        let ticket = self.call(encode_multi_request(items))?;
-        decode_scores(&ticket.wait()?, items.len(), None)
-    }
-
-    /// Screens an adaptive-retest batch — the pipelined
-    /// [`ServeClient::screen_retest`].
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen_retest`].
-    pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        self.wait_retest(self.start_retest(request)?, request.items.len(), request.golden_key)
-    }
-
-    /// Stores (or replaces) a golden record on the server (`DSGP`).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::push_golden`].
-    pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        decode_push_ack(&self.call(encode_push_request(key, band, golden))?.wait()?)
-    }
-
-    /// Reads a golden record back from the server (`DSGF`).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fetch_golden`].
-    pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        decode_fetch_record(&self.call(encode_fetch_request(key))?.wait()?, key)
-    }
-
-    /// Scrapes the server's live metrics registry (`DSMX`).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn metrics(&self) -> Result<MetricsSnapshot> {
-        decode_metrics_snapshot(&self.call(encode_metrics_request())?.wait()?)
-    }
-
-    /// Drains the server's buffered trace spans (`DSTX`). A drain is not
-    /// idempotent: if the connection dies before the response arrives, the
-    /// call fails with [`ServeError::Io`] instead of being resubmitted (the
-    /// drain may or may not have happened server-side).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::traces`].
-    pub fn traces(&self) -> Result<TraceLog> {
-        decode_trace_log(&self.call(encode_traces_request())?.wait()?)
-    }
-
-    /// Scrapes the fleet-wide merged metrics (`DSFM`) — the pipelined
-    /// [`ServeClient::fleet_metrics`]. Idempotent: resubmitted on a
-    /// transparent reconnect like `DSMX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
-        decode_metrics_snapshot(&self.call(encode_fleet_metrics_request())?.wait()?)
-    }
-
-    /// Drains trace spans fleet-wide (`DSFT`) — the pipelined
-    /// [`ServeClient::fleet_traces`]. Not idempotent: fails instead of
-    /// resubmitting on a dead connection, like `DSTX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::traces`].
-    pub fn fleet_traces(&self) -> Result<TraceLog> {
-        decode_trace_log(&self.call(encode_fleet_traces_request())?.wait()?)
-    }
-
-    /// Drains the server's structured event log (`DSEX`) — the pipelined
-    /// [`ServeClient::events`]. Not idempotent: fails instead of
-    /// resubmitting on a dead connection, like `DSTX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn events(&self) -> Result<EventLog> {
-        decode_event_log(&self.call(encode_events_request())?.wait()?)
-    }
-
-    /// Asks the server to evaluate its own health (`DSHC`) — the pipelined
-    /// [`ServeClient::health`]. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn health(&self) -> Result<HealthReport> {
-        decode_health_report(&self.call(encode_health_request())?.wait()?)
-    }
-
-    /// Admits a backend into the fleet (`DSAQ` join) — the pipelined
-    /// [`ServeClient::fleet_join`]. Idempotent by label: resubmitted on a
-    /// transparent reconnect like every other admin verb.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
-        decode_roster(
-            &self
-                .call(encode_admin_request(&AdminRequest::Join { label: label.into() }))?
-                .wait()?,
-        )
-    }
-
-    /// Removes a fleet member (`DSAQ` leave) — the pipelined
-    /// [`ServeClient::fleet_leave`]. Idempotent by label.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
-        decode_roster(
-            &self
-                .call(encode_admin_request(&AdminRequest::Leave { label: label.into() }))?
-                .wait()?,
-        )
-    }
-
-    /// Drains a fleet member (`DSAQ` drain) — the pipelined
-    /// [`ServeClient::fleet_drain`]. Idempotent by label.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
-        decode_roster(
-            &self
-                .call(encode_admin_request(&AdminRequest::Drain { label: label.into() }))?
-                .wait()?,
-        )
-    }
-
-    /// Reads the live membership roster (`DSAQ` list) — the pipelined
-    /// [`ServeClient::fleet_roster`]. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_roster(&self) -> Result<FleetRoster> {
-        decode_roster(&self.call(encode_admin_request(&AdminRequest::List))?.wait()?)
-    }
 }
 
-/// Whether a pending frame is a consuming drain — a `DSTX` trace scrape,
-/// its fleet form `DSFT`, or a `DSEX` event drain. Drains are the
-/// non-idempotent requests: a reconnect fails them with the connection
-/// error instead of silently re-issuing (the server-side drain may or may
-/// not have happened).
-fn is_drain_frame(frame: &[u8]) -> bool {
-    matches!(
-        frame.get(..4),
-        Some(magic) if magic == TRACES_REQUEST_MAGIC || magic == FLEET_TRACES_REQUEST_MAGIC || magic == EVENTS_REQUEST_MAGIC
-    )
+impl seam::Exchange for Pipelined {
+    fn exchange(&self, frame: Vec<u8>, resend: bool) -> Result<Vec<u8>> {
+        self.submit(frame, resend)?.wait()
+    }
+
+    fn peer_addr(&self) -> SocketAddr {
+        self.inner.addr
+    }
 }
 
 /// The terminal error a poisoned client answers everything with.
@@ -856,16 +770,16 @@ fn attach_stream(inner: &Arc<MuxInner>, state: &mut MuxState, stream: TcpStream)
 }
 
 /// Tears down the current connection and dials **once**: unacknowledged
-/// idempotent requests that have not been resubmitted before are resubmitted
+/// resendable requests that have not been resubmitted before are resubmitted
 /// with their original ids (and their one-redial budget marked spent);
-/// pending trace drains (non-idempotent), requests whose budget is already
-/// spent and — if the redial fails — everything else resolve to the
-/// connection error. Callers already hold the lock.
+/// pending drains, requests whose budget is already spent and — if the
+/// redial fails — everything else resolve to the connection error. Callers
+/// already hold the lock.
 fn reconnect(inner: &Arc<MuxInner>, state: &mut MuxState) {
     state.writer = None;
     // Invalidate the old reader even if redialing fails.
     state.generation += 1;
-    // Fail the non-idempotent requests rather than re-issuing them, and the
+    // Fail the drains rather than re-issuing them, and the
     // requests whose single transparent resubmission is already spent — the
     // budget is what keeps a server that accepts and immediately dies again
     // (crash loop, overload shedding) from being redialed forever while
@@ -873,13 +787,13 @@ fn reconnect(inner: &Arc<MuxInner>, state: &mut MuxState) {
     let spent: Vec<u64> = state
         .pending
         .iter()
-        .filter(|(_, entry)| entry.resubmitted || is_drain_frame(&entry.frame))
+        .filter(|(_, entry)| entry.resubmitted || !entry.resend)
         .map(|(&id, _)| id)
         .collect();
     for id in spent {
         if let Some(entry) = state.pending.remove(&id) {
-            let message = if is_drain_frame(&entry.frame) {
-                "connection died before the drain resolved; not resubmitted (trace/event drains are not idempotent)"
+            let message = if !entry.resend {
+                "connection died before the drain resolved; not resubmitted (drains are not idempotent)"
             } else {
                 "connection died again after the request's one transparent resubmission"
             };
@@ -1062,7 +976,7 @@ mod tests {
     #[test]
     fn client_screens_over_loopback() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
         let results = client.screen(key, &observed).unwrap();
         assert_eq!(results.len(), 2);
@@ -1080,7 +994,7 @@ mod tests {
     #[test]
     fn unknown_golden_is_reported_with_the_key() {
         let (server, _) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         match client.screen(0xDEAD, &[sig(&[(1, 1.0)])]) {
             Err(ServeError::UnknownGolden(key)) => assert_eq!(key, 0xDEAD),
             other => panic!("expected UnknownGolden, got {other:?}"),
@@ -1092,7 +1006,7 @@ mod tests {
     #[test]
     fn empty_batches_round_trip() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         assert!(client.screen(key, &[]).unwrap().is_empty());
     }
 
@@ -1132,7 +1046,7 @@ mod tests {
             }
         });
 
-        let mut client = ServeClient::connect(addr).unwrap();
+        let client = ServeClient::connect(addr).unwrap();
         assert_eq!(client.peer_addr(), addr);
         // The first exchange hits the torn-down connection and must succeed
         // through the one-shot transparent reconnect; later requests reuse
@@ -1286,6 +1200,60 @@ mod tests {
         serve_thread.join().unwrap();
     }
 
+    /// The blocking twin: a `DSTX` drain whose connection dies fails with
+    /// the connection error — no redial, no resend — and the next request
+    /// dials a fresh connection lazily.
+    #[test]
+    fn blocking_drains_fail_on_a_dead_connection_instead_of_resubmitting() {
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (window_closed, window) = mpsc::channel();
+        let serve_thread = std::thread::spawn(move || {
+            // Connection 1: swallow the DSTX frame and hang up.
+            let (first, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(first.try_clone().unwrap());
+            let frame = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(&frame[..4], b"DSTX");
+            drop(reader);
+            drop(first);
+            // The failed drain must not redial: poll the listener briefly
+            // and reject any second connection.
+            listener.set_nonblocking(true).unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(300);
+            while std::time::Instant::now() < deadline {
+                match listener.accept() {
+                    Ok(_) => panic!("a trace drain must not trigger a redial, let alone a resubmission"),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                    }
+                    Err(e) => panic!("unexpected accept error {e}"),
+                }
+            }
+            window_closed.send(()).unwrap();
+            // Connection 2, dialed by the next request: answer its scrape.
+            listener.set_nonblocking(false).unwrap();
+            let (second, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(second.try_clone().unwrap());
+            let frame = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(&frame[..4], b"DSMX");
+            let mut response =
+                crate::proto::encode_metrics_response(&MetricsResponse::Snapshot(MetricsSnapshot { metrics: vec![] }));
+            stamp_request_id(&mut response, crate::proto::peek_request_id(&frame));
+            let mut writer = BufWriter::new(&second);
+            write_frame(&mut writer, &response).unwrap();
+            writer.flush().unwrap();
+        });
+
+        let client = ServeClient::connect(addr).unwrap();
+        assert!(matches!(client.traces(), Err(ServeError::Io(_))));
+        window.recv().unwrap();
+        // The dead connection is not reused: the next request redials.
+        assert!(client.metrics().unwrap().metrics.is_empty());
+        serve_thread.join().unwrap();
+    }
+
     /// Against a server that accepts and immediately dies again, the retry
     /// budget is one transparent resubmission per request: the second dead
     /// connection fails the ticket with [`ServeError::Io`] instead of
@@ -1358,7 +1326,7 @@ mod tests {
     #[test]
     fn metrics_scrape_reports_live_counters_over_tcp() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let before = client.metrics().unwrap();
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
         client.screen(key, &observed).unwrap();
@@ -1385,7 +1353,7 @@ mod tests {
         use dsig_obs::{trace, Tracer};
 
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
 
         // An unsampled request (no ambient context) must leave no spans.
@@ -1417,7 +1385,7 @@ mod tests {
     #[test]
     fn multi_screen_and_admin_ops_round_trip_over_tcp() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         // Push a second golden, read it back, and screen against both.
         let band = AcceptanceBand::new(0.02).unwrap();
         let second = sig(&[(2, 100e-6), (4, 100e-6)]);
@@ -1441,5 +1409,34 @@ mod tests {
         assert!(results[2].ndf > 0.0);
         // Bit-identical to the in-process multi path.
         assert_eq!(results, server.handle().screen_multi(&items).unwrap());
+    }
+
+    /// One helper exercises both transports: the typed layer cannot tell
+    /// them apart.
+    fn drive<T: seam::Exchange>(peer: &Client<T>, key: u64) {
+        let observed = sig(&[(1, 100e-6), (3, 100e-6)]);
+        assert_eq!(peer.screen_one(key, &observed).unwrap().ndf, 0.0);
+        assert_eq!(peer.screen(key, std::slice::from_ref(&observed)).unwrap().len(), 1);
+        let items = vec![(key, observed)];
+        assert_eq!(peer.screen_multi(&items).unwrap().len(), 1);
+        assert!(peer.metrics().unwrap().counter("serve.signatures_scored").is_some());
+        let _ = peer.health().unwrap();
+        let _ = peer.fleet_metrics().unwrap();
+        // A leaf rejects every fleet-admin verb with the routing-tier error.
+        for verdict in [
+            peer.fleet_join("127.0.0.1:1"),
+            peer.fleet_leave("x"),
+            peer.fleet_drain("x"),
+            peer.fleet_roster(),
+        ] {
+            assert!(matches!(verdict, Err(ServeError::Remote(_))), "{verdict:?}");
+        }
+    }
+
+    #[test]
+    fn both_transports_drive_every_operation_against_a_bare_server() {
+        let (server, key) = serve();
+        drive(&ServeClient::connect(server.local_addr()).unwrap(), key);
+        drive(&PipelinedClient::connect(server.local_addr()).unwrap(), key);
     }
 }

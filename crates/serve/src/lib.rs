@@ -19,11 +19,14 @@
 //!   for every shard count;
 //! * [`ServeHandle`] — the in-process client path (same shards, no TCP) for
 //!   embedding the scorer into another process;
-//! * [`ServeClient`] — the blocking TCP client with batch screening;
-//! * [`PipelinedClient`] — the multiplexed TCP client: N requests in
-//!   flight on one connection, responses matched by request id;
+//! * [`Client`] — the one typed TCP client: every operation written once
+//!   over a sealed exchange seam, in two transports — [`ServeClient`]
+//!   (blocking, one request in flight) and [`PipelinedClient`] (N requests
+//!   in flight on one connection, responses matched by request id). A
+//!   routing tier speaks the same protocol, and `dsig_router` re-exports
+//!   the two as `RouterClient` and `PipelinedRouterClient`;
 //! * [`mux`] — the shared [`WorkPool`] + connection event loop that serves
-//!   tagged frames out of order;
+//!   frames out of order;
 //! * [`proto`] — the std-only wire protocol (layout below).
 //!
 //! # Wire format
@@ -39,9 +42,8 @@
 //!
 //! ```text
 //! request   := "DSRQ", u16 version=3,
-//!              u64 request_id,                 (multiplexing correlator,
-//!                                               0 = untagged; v1/2 omit)
-//!              17-byte trace context,          (v1 omits)
+//!              u64 request_id,                 (multiplexing correlator)
+//!              17-byte trace context,
 //!              u64 golden_key,                 (fingerprint of the golden)
 //!              u32 count,
 //!              count * { u32 len, len bytes }  (each a Signature::to_bytes)
@@ -51,8 +53,7 @@
 //!
 //! ```text
 //! response  := "DSRS", u16 version=2,
-//!              u64 request_id,                 (echo of the request's id;
-//!                                               v1 omits)
+//!              u64 request_id,                 (echo of the request's id)
 //!              u8 status, body
 //! status 0  := u32 count, count * { f64 ndf, u32 peak_hamming, u8 outcome }
 //!              (outcome: 0 = PASS, 1 = FAIL; one score per request
@@ -62,10 +63,11 @@
 //!               3 = internal)
 //! ```
 //!
-//! The request id sits at the fixed bytes `6..14` of every tagged frame.
-//! Tagged requests on one connection may be answered **out of order**; the
-//! echoed id is the correlator. Untagged (older-version) frames keep their
-//! historical at-most-one-in-flight, in-order semantics.
+//! The request id sits at the fixed bytes `6..14` of every frame. Requests
+//! on one connection may be answered **out of order**; the echoed id is the
+//! correlator. Wire frames are never persisted, so every frame is read at
+//! exactly its current version: an older one draws a `BadRequest` error in
+//! its response family, like any malformed frame.
 //!
 //! Five further request kinds share the frame and header convention and are
 //! dispatched by payload magic: `DSRM` (multi-golden screening, each
@@ -111,7 +113,7 @@
 //!
 //! // Production test: capture a signature from a device, upload, decide.
 //! let observed = setup.signature_of(&reference.with_f0_shift_pct(10.0), 7)?;
-//! let mut client = ServeClient::connect(server.local_addr())?;
+//! let client = ServeClient::connect(server.local_addr())?;
 //! let score = client.screen_one(key, &observed)?;
 //! assert!(score.ndf > 0.0);
 //! # Ok(())
@@ -120,7 +122,6 @@
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod client;
 pub mod error;
 pub mod mux;
@@ -128,8 +129,7 @@ pub mod proto;
 pub mod server;
 pub mod store;
 
-pub use api::{FleetAdmin, ObsScrape, Screen};
-pub use client::{PipelinedClient, ServeClient, Ticket};
+pub use client::{Client, PipelinedClient, ServeClient, Ticket};
 pub use error::{Result, ServeError};
 pub use mux::WorkPool;
 pub use proto::{

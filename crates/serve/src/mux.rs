@@ -16,12 +16,9 @@
 //! ```
 //!
 //! Each accepted connection runs two threads: the **reader** decodes frames
-//! and submits tagged requests to the shared pool (untagged pre-v3 frames
-//! are served inline — in order, and answered with untagged version-1
-//! responses, preserving exactly the contract pre-multiplexing clients were
-//! built against), and the **writer** drains the response channel, so a
-//! stalled peer blocks only its own reader/writer pair — never a pool
-//! worker, never another connection. Responses outstanding per connection
+//! and submits each request to the shared pool, and the **writer** drains
+//! the response channel, so a stalled peer blocks only its own
+//! reader/writer pair — never a pool worker, never another connection. Responses outstanding per connection
 //! are capped at [`MAX_QUEUED_RESPONSES`]: past the cap the reader stops
 //! pulling new requests until the peer drains some responses, so a peer
 //! that pipelines requests without ever reading answers holds a bounded
@@ -37,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::proto::{peek_request_id, read_frame, request_is_tagged, stamp_request_id, untag_response, write_frame};
+use crate::proto::{peek_request_id, read_frame, stamp_request_id, write_frame};
 
 /// One unit of connection work: decode, serve and encode one request.
 type Job = Box<dyn FnOnce() + Send>;
@@ -261,15 +258,8 @@ impl Drop for SlotGuard {
 
 /// Serves one TCP connection through the shared pool until the peer closes:
 /// the calling thread becomes the frame **reader**, a spawned thread the
-/// frame **writer**, and tagged requests run as pool jobs whose responses
-/// complete out of order (matched by the echoed request id).
-///
-/// Untagged (pre-multiplexing) requests are served inline on the reader
-/// thread: at most one in flight, responses in request order — and answered
-/// with **untagged version-1 response frames**
-/// ([`crate::proto::untag_response`]), because a pre-tagging client decodes
-/// responses with `max_version = 1` and would reject the current tagged
-/// layout. That is exactly the contract those clients were built against.
+/// frame **writer**, and requests run as pool jobs whose responses complete
+/// out of order (matched by the echoed request id).
 ///
 /// Returns when the peer closes or the stream errors; in-flight pool jobs
 /// finish and their responses are written (or dropped if the peer is gone)
@@ -294,10 +284,10 @@ pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Respond
     // With a single pool worker, completion order is submission order and
     // every job runs back-to-back on that one thread — the handoff (job
     // allocation, semaphore, queue, worker wake-up) buys nothing, so serve
-    // tagged requests inline on the reader instead. Responses still flow
-    // through the writer thread, so a stalled peer keeps blocking only its
-    // own writer.
-    let inline_tagged = pool.workers() == 1;
+    // requests inline on the reader instead. Responses still flow through
+    // the writer thread, so a stalled peer keeps blocking only its own
+    // writer.
+    let inline = pool.workers() == 1;
     // A clean close, unreadable frame or dead socket ends the read loop; so
     // does writer death (the response budget can never be repaid).
     while let Ok(Some(payload)) = read_frame(&mut reader) {
@@ -306,34 +296,30 @@ pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Respond
         let Some(slot) = gate.acquire() else {
             break;
         };
-        if request_is_tagged(&payload) {
-            if inline_tagged {
-                let request_id = peek_request_id(&payload);
-                let mut response = respond(payload);
-                stamp_request_id(&mut response, request_id);
-                let _ = responses.send((response, slot));
-                continue;
-            }
-            let respond = Arc::clone(&respond);
-            let responses = responses.clone();
-            pool.submit(Box::new(move || {
-                let request_id = peek_request_id(&payload);
-                let mut response = respond(payload);
-                stamp_request_id(&mut response, request_id);
-                // A send failure means the writer died with the peer; the
-                // response is dropped like any write to a closed socket.
-                let _ = responses.send((response, slot));
-            }));
-        } else {
-            // Answer in the untagged layout the pre-tagging peer decodes
-            // (no stamping — the placeholder id is dropped with the field).
-            let _ = responses.send((untag_response(respond(payload)), slot));
+        if inline {
+            let _ = responses.send((answer(&*respond, payload), slot));
+            continue;
         }
+        let respond = Arc::clone(&respond);
+        let responses = responses.clone();
+        pool.submit(Box::new(move || {
+            // A send failure means the writer died with the peer; the
+            // response is dropped like any write to a closed socket.
+            let _ = responses.send((answer(&*respond, payload), slot));
+        }));
     }
     // Close our sender; the writer exits once every in-flight job's clone
     // is gone and the channel drains.
     drop(responses);
     let _ = writer.join();
+}
+
+/// Serves one request frame: its response, with the request's id stamped in.
+fn answer(respond: &Responder, payload: Vec<u8>) -> Vec<u8> {
+    let request_id = peek_request_id(&payload);
+    let mut response = respond(payload);
+    stamp_request_id(&mut response, request_id);
+    response
 }
 
 /// The write half of a connection: drain the response channel, batching
@@ -447,54 +433,6 @@ mod tests {
             sum += finished.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
         }
         assert_eq!(sum, 55, "jobs after the panics still run on a full-size pool");
-    }
-
-    #[test]
-    fn untagged_requests_are_answered_with_untagged_v1_responses() {
-        use std::io::Write;
-        use std::net::TcpListener;
-
-        // A pre-tagging peer sends an untagged (version-1) frame; the
-        // connection loop must answer with a version-1 response — no id
-        // field — because that peer's decoder rejects anything newer.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let respond: Arc<Responder> =
-            Arc::new(|_payload| crate::proto::encode_response(&crate::proto::ScreenResponse::Results(vec![])));
-        let server = std::thread::spawn(move || {
-            let pool = WorkPool::new(2);
-            let (stream, _) = listener.accept().unwrap();
-            drive_connection(stream, &pool, respond);
-        });
-
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut writer = std::io::BufWriter::new(stream.try_clone().unwrap());
-        // An untagged v1 request: magic + version 1, no id field.
-        let mut untagged = Vec::new();
-        untagged.extend_from_slice(&crate::proto::REQUEST_MAGIC);
-        untagged.extend_from_slice(&1u16.to_le_bytes());
-        assert!(!request_is_tagged(&untagged));
-        write_frame(&mut writer, &untagged).unwrap();
-        writer.flush().unwrap();
-
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        let response = read_frame(&mut reader).unwrap().expect("response frame");
-        assert_eq!(&response[..4], b"DSRS");
-        assert_eq!(
-            u16::from_le_bytes(response[4..6].try_into().unwrap()),
-            1,
-            "an untagged request draws a version-1 response"
-        );
-        let tagged = crate::proto::encode_response(&crate::proto::ScreenResponse::Results(vec![]));
-        assert_eq!(response.len(), tagged.len() - 8, "exactly the id field is dropped");
-        assert_eq!(&response[6..], &tagged[14..], "the body is untouched");
-        // The current decoder still reads the downgraded frame (as id 0).
-        assert!(matches!(
-            crate::proto::decode_response(&response).unwrap(),
-            crate::proto::ScreenResponse::Results(results) if results.is_empty()
-        ));
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        server.join().unwrap();
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The compact binary wire protocol, std-only.
 //!
 //! Every message travels as a length-prefixed frame; payloads follow the
-//! shared versioned-header convention of [`dsig_core::wire`]. See the crate
-//! docs for the full byte layout.
+//! shared versioned-header convention of [`dsig_core::wire`]. Every request
+//! and response frame carries its `u64` request id at bytes `6..14` and is
+//! read at exactly its current version — wire frames are never persisted,
+//! so an older frame is rejected like any malformed one. See the crate docs
+//! for the full byte layout.
 //!
 //! The protocol is deliberately batch-first: one request carries any number
 //! of signatures for one golden, so the framing, syscall and dispatch cost is
@@ -85,27 +88,16 @@ pub const HEALTH_REQUEST_MAGIC: [u8; 4] = *b"DSHC";
 /// Magic prefix of health-check response payloads (`DSHR`) — one
 /// [`dsig_obs::HealthReport`], or an error.
 pub const HEALTH_RESPONSE_MAGIC: [u8; 4] = *b"DSHR";
-/// Wire-protocol version of response frames and of the scrape requests
-/// (`DSMX`/`DSTX`). Version 2 added a `u64` request id right after the
-/// header — the multiplexing correlator echoed from the request — at the
-/// fixed offset `6..14` shared by every tagged frame. Version-1 frames
-/// still decode, as the untagged id `0`.
+/// Wire-protocol version of response frames and of the header-only scrape
+/// requests: magic, version, then the `u64` request id at bytes `6..14`
+/// (the multiplexing correlator, echoed from the request).
 pub const PROTO_VERSION: u16 = 2;
 /// Wire-protocol version of the work-carrying request frames
-/// (`DSRQ`/`DSRM`/`DSRT`/`DSGP`/`DSGF`). Version 2 added a fixed 17-byte
-/// trace context right after the header; version 3 added a `u64` request id
-/// between the header and the context (bytes `6..14`, like every tagged
-/// frame). Version-1 frames still decode with [`TraceContext::NONE`], and
-/// version-1/2 frames decode as the untagged id `0` — the
-/// at-most-one-in-flight convention pre-multiplexing clients rely on.
+/// (`DSRQ`/`DSRM`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`): magic, version, the `u64`
+/// request id at bytes `6..14`, then a fixed 17-byte trace context.
 pub const REQUEST_PROTO_VERSION: u16 = 3;
-/// First work-carrying request version that carries a request id.
-pub const REQUEST_TAGGED_FROM: u16 = 3;
-/// First response / scrape-request version that carries a request id.
-pub const PROTO_TAGGED_FROM: u16 = 2;
-/// Wire-protocol version of health-check responses (`DSHR`). Version 3
-/// appended the `u64` fleet membership epoch after the backend count;
-/// version-2 reports still decode, as epoch `0`.
+/// Wire-protocol version of health-check responses (`DSHR`), whose report
+/// carries the `u64` fleet membership epoch after the backend count.
 pub const HEALTH_RESPONSE_VERSION: u16 = 3;
 
 /// Upper bound on a frame payload (64 MiB). A length prefix beyond this is
@@ -115,7 +107,7 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Status byte of an ok response.
 const STATUS_OK: u8 = 0;
-/// Status byte of an error response.
+/// Status byte of an error response; every response family shares it.
 const STATUS_ERROR: u8 = 1;
 
 /// Machine-readable error codes carried by error responses.
@@ -480,35 +472,13 @@ pub enum AdminResponse {
 
 /// Status byte of an [`AdminResponse::Ack`].
 const ADMIN_ACK: u8 = 0;
-/// Status byte of an [`AdminResponse::Error`] (same value as
-/// [`STATUS_ERROR`], so error bodies share one layout across responses).
-const ADMIN_ERROR: u8 = 1;
 /// Status byte of an [`AdminResponse::Record`].
 const ADMIN_RECORD: u8 = 2;
 /// Status byte of an [`AdminResponse::Roster`].
 const ADMIN_ROSTER: u8 = 3;
 
-/// Appends the current thread's ambient trace context (see
-/// [`trace::current_context`]): request encoders stamp outgoing frames with
-/// whatever context the caller has pinned, so deep call chains propagate
-/// causality without threading a parameter through every signature.
-fn put_request_context(out: &mut Vec<u8>) {
-    trace::put_trace_context(out, trace::current_context());
-}
-
-/// Consumes (and validates) the context block of a version-`version`
-/// request frame; version-1 frames have none.
-fn skip_request_context(r: &mut wire::ByteReader<'_>, version: u16) -> Result<()> {
-    if version >= 2 {
-        trace::read_trace_context(r)?;
-    }
-    Ok(())
-}
-
-/// The work-carrying request magics
-/// (`DSRQ`/`DSRM`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`): the frames that carry a
-/// trace context from version 2 and a request id from version
-/// [`REQUEST_TAGGED_FROM`].
+/// The work-carrying request magics (`DSRQ`/`DSRM`/`DSRT`/`DSGP`/`DSGF`/
+/// `DSAQ`): the frames that carry a trace context after the request id.
 const WORK_REQUEST_MAGICS: [[u8; 4]; 6] = [
     REQUEST_MAGIC,
     MULTI_REQUEST_MAGIC,
@@ -518,138 +488,84 @@ const WORK_REQUEST_MAGICS: [[u8; 4]; 6] = [
     ADMIN_REQUEST_MAGIC,
 ];
 
-/// The first version at which a request frame of `magic` carries a request
-/// id, or `None` for a magic that is not a request.
-fn request_tagged_from(magic: [u8; 4]) -> Option<u16> {
-    /// The header-only scrape request magics, which tag from
-    /// [`PROTO_TAGGED_FROM`] like responses do.
-    const SCRAPE_REQUEST_MAGICS: [[u8; 4]; 6] = [
-        METRICS_REQUEST_MAGIC,
-        TRACES_REQUEST_MAGIC,
-        FLEET_METRICS_REQUEST_MAGIC,
-        FLEET_TRACES_REQUEST_MAGIC,
-        EVENTS_REQUEST_MAGIC,
-        HEALTH_REQUEST_MAGIC,
-    ];
-    if WORK_REQUEST_MAGICS.contains(&magic) {
-        Some(REQUEST_TAGGED_FROM)
-    } else if SCRAPE_REQUEST_MAGICS.contains(&magic) {
-        Some(PROTO_TAGGED_FROM)
-    } else {
-        None
-    }
+/// Starts a work-request frame of `magic`: the tagged header with the
+/// placeholder id `0`, then the current thread's ambient trace context (see
+/// [`trace::current_context`]) — so deep call chains propagate causality
+/// without threading a parameter through every signature.
+fn work_request(magic: [u8; 4], capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    wire::put_tagged_header(&mut out, magic, REQUEST_PROTO_VERSION, 0);
+    trace::put_trace_context(&mut out, trace::current_context());
+    out
 }
 
-/// Reads the version field of a payload that is at least `magic + version`
-/// long, without validating anything else.
-fn peek_version(payload: &[u8]) -> Option<u16> {
-    payload
-        .get(4..6)
-        .map(|v| u16::from_le_bytes(v.try_into().expect("2 bytes")))
+/// Opens a work-request frame of `magic`: checks the tagged header and reads
+/// the trace context, returning it with a reader positioned at the body.
+fn open_work_request<'a>(
+    payload: &'a [u8],
+    magic: [u8; 4],
+    context: &'static str,
+) -> Result<(TraceContext, wire::ByteReader<'a>)> {
+    let mut r = wire::ByteReader::new(payload, context);
+    r.tagged_header(magic, REQUEST_PROTO_VERSION)?;
+    Ok((trace::read_trace_context(&mut r)?, r))
 }
 
-/// Extracts the request id of a tagged frame — request **or** response —
-/// without decoding its body: the correlator the event loop echoes into the
-/// response and the pipelined client demultiplexes on. Infallible: untagged
-/// (older-version), truncated or unrecognized payloads peek as the id `0`
-/// (the decoder proper reports the actual error).
+/// Extracts the request id of a frame — request **or** response — without
+/// decoding its body: bytes `6..14`, the correlator the event loop echoes
+/// into the response and the pipelined client demultiplexes on. Infallible:
+/// a payload too short to carry an id peeks as `0` (the decoder proper
+/// reports the actual error).
 pub fn peek_request_id(payload: &[u8]) -> u64 {
-    let magic: [u8; 4] = match payload.get(..4).and_then(|m| m.try_into().ok()) {
-        Some(magic) => magic,
-        None => return 0,
-    };
-    // Requests tag from their family's threshold; every response family
-    // tags from PROTO_TAGGED_FROM; anything else is not a tagged frame.
-    const RESPONSE_MAGICS: [[u8; 4]; 7] = [
-        RESPONSE_MAGIC,
-        RETEST_RESPONSE_MAGIC,
-        ADMIN_RESPONSE_MAGIC,
-        METRICS_RESPONSE_MAGIC,
-        TRACES_RESPONSE_MAGIC,
-        EVENTS_RESPONSE_MAGIC,
-        HEALTH_RESPONSE_MAGIC,
-    ];
-    let tagged_from = match request_tagged_from(magic) {
-        Some(tagged_from) => tagged_from,
-        None if RESPONSE_MAGICS.contains(&magic) => PROTO_TAGGED_FROM,
-        None => return 0,
-    };
-    match (peek_version(payload), payload.get(6..14)) {
-        (Some(version), Some(id)) if version >= tagged_from => u64::from_le_bytes(id.try_into().expect("8 bytes")),
-        _ => 0,
-    }
+    payload
+        .get(6..14)
+        .map_or(0, |id| u64::from_le_bytes(id.try_into().expect("8 bytes")))
 }
 
-/// Whether a request payload is a tagged (multiplexable) frame. Tagged
-/// requests may be answered out of order — the id correlates them; untagged
-/// requests keep the historical at-most-one-in-flight, in-order semantics.
-/// Unrecognized payloads report untagged (they draw an in-order error
-/// response).
-pub fn request_is_tagged(payload: &[u8]) -> bool {
-    let magic: [u8; 4] = match payload.get(..4).and_then(|m| m.try_into().ok()) {
-        Some(magic) => magic,
-        None => return false,
-    };
-    match (request_tagged_from(magic), peek_version(payload)) {
-        (Some(tagged_from), Some(version)) => version >= tagged_from && payload.len() >= 14,
-        _ => false,
-    }
-}
-
-/// Stamps `request_id` into a tagged frame in place (bytes `6..14`, right
-/// after the magic and version). Encoders emit the placeholder id `0`;
-/// transports that multiplex stamp the real correlator here — and the event
-/// loop stamps the echoed id into responses the same way — without
-/// re-encoding the body.
+/// Stamps `request_id` into a frame in place (bytes `6..14`, right after the
+/// magic and version). Encoders emit the placeholder id `0`; transports that
+/// multiplex stamp the real correlator here — and the event loop stamps the
+/// echoed id into responses the same way — without re-encoding the body.
 ///
 /// # Panics
 /// Panics if `frame` is shorter than a tagged header — calling this on
-/// anything but a current-version encoder output is a programming error.
+/// anything but an encoder's output is a programming error.
 pub fn stamp_request_id(frame: &mut [u8], request_id: u64) {
     frame[6..14].copy_from_slice(&request_id.to_le_bytes());
-}
-
-/// Rewrites a current-version (tagged) response frame into the version-1
-/// untagged layout: the version field drops to `1` and the `u64` id at
-/// bytes `6..14` is removed, leaving the body untouched (the id is the only
-/// thing the response version bump added). This is how a server answers an
-/// **untagged** request — a pre-tagging client decodes responses with
-/// `max_version = 1` and would reject a version-2 frame outright, so the
-/// event loop downgrades what it echoes back to them. Frames already
-/// untagged (or too short to carry an id) pass through unchanged.
-pub fn untag_response(mut frame: Vec<u8>) -> Vec<u8> {
-    if frame.len() >= 14 && peek_version(&frame).is_some_and(|version| version >= PROTO_TAGGED_FROM) {
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        frame.drain(6..14);
-    }
-    frame
 }
 
 /// Extracts the trace context of a request frame without decoding its body
 /// — the dispatch loop pins it to the handling thread before
 /// [`decode_any_request`] runs. Infallible: anything that is not a
-/// well-formed version-2+ frame of a context-carrying family yields
+/// well-formed frame of a context-carrying family yields
 /// [`TraceContext::NONE`] (the decoder proper reports the actual error).
 pub fn decode_request_context(payload: &[u8]) -> TraceContext {
-    let magic: [u8; 4] = match payload.get(..4).and_then(|m| m.try_into().ok()) {
-        Some(magic) => magic,
-        None => return TraceContext::NONE,
-    };
-    if !WORK_REQUEST_MAGICS.contains(&magic) {
-        return TraceContext::NONE;
-    }
-    let mut r = wire::ByteReader::new(payload, "request trace context");
-    match r.tagged_header(magic, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM) {
-        Ok((version, _)) if version >= 2 => trace::read_trace_context(&mut r).unwrap_or(TraceContext::NONE),
-        _ => TraceContext::NONE,
-    }
+    WORK_REQUEST_MAGICS
+        .into_iter()
+        .find(|magic| payload.get(..4) == Some(magic.as_slice()))
+        .and_then(|magic| open_work_request(payload, magic, "request trace context").ok())
+        .map_or(TraceContext::NONE, |(ctx, _)| ctx)
+}
+
+/// Appends an error body — status byte, `u16` error code, message — the
+/// layout every response family shares.
+fn put_error(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
+    out.push(STATUS_ERROR);
+    wire::put_u16(out, code.to_u16());
+    wire::put_str(out, message);
+}
+
+/// Reads an error body after its status byte, through the end of the frame.
+fn read_error(mut r: wire::ByteReader<'_>) -> Result<(ErrorCode, String)> {
+    let code = ErrorCode::from_u16(r.u16()?)?;
+    let message = r.string()?;
+    r.finish()?;
+    Ok((code, message))
 }
 
 /// Encodes a screening request payload (without the frame length prefix).
 pub fn encode_request(golden_key: u64, signatures: &[Signature]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(35 + 64 * signatures.len());
-    wire::put_tagged_header(&mut out, REQUEST_MAGIC, REQUEST_PROTO_VERSION, 0);
-    put_request_context(&mut out);
+    let mut out = work_request(REQUEST_MAGIC, 35 + 64 * signatures.len());
     wire::put_u64(&mut out, golden_key);
     wire::put_u32(&mut out, signatures.len() as u32);
     for signature in signatures {
@@ -663,9 +579,7 @@ pub fn encode_request(golden_key: u64, signatures: &[Signature]) -> Vec<u8> {
 /// # Errors
 /// Returns [`ServeError::Dsig`] on framing or signature decoding errors.
 pub fn decode_request(payload: &[u8]) -> Result<ScreenRequest> {
-    let mut r = wire::ByteReader::new(payload, "screen request");
-    let (version, _) = r.tagged_header(REQUEST_MAGIC, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM)?;
-    skip_request_context(&mut r, version)?;
+    let (_, mut r) = open_work_request(payload, REQUEST_MAGIC, "screen request")?;
     let golden_key = r.u64()?;
     let count = r.u32()? as usize;
     // Minimum per signature: 4-byte length prefix + 8-byte empty signature.
@@ -681,9 +595,7 @@ pub fn decode_request(payload: &[u8]) -> Result<ScreenRequest> {
 /// Encodes a multi-golden screening request payload (without the frame
 /// length prefix).
 pub fn encode_multi_request(items: &[(u64, Signature)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(27 + 76 * items.len());
-    wire::put_tagged_header(&mut out, MULTI_REQUEST_MAGIC, REQUEST_PROTO_VERSION, 0);
-    put_request_context(&mut out);
+    let mut out = work_request(MULTI_REQUEST_MAGIC, 27 + 76 * items.len());
     wire::put_u32(&mut out, items.len() as u32);
     for (key, signature) in items {
         wire::put_u64(&mut out, *key);
@@ -698,9 +610,7 @@ pub fn encode_multi_request(items: &[(u64, Signature)]) -> Vec<u8> {
 /// # Errors
 /// Returns [`ServeError::Dsig`] on framing or signature decoding errors.
 pub fn decode_multi_request(payload: &[u8]) -> Result<MultiScreenRequest> {
-    let mut r = wire::ByteReader::new(payload, "multi screen request");
-    let (version, _) = r.tagged_header(MULTI_REQUEST_MAGIC, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM)?;
-    skip_request_context(&mut r, version)?;
+    let (_, mut r) = open_work_request(payload, MULTI_REQUEST_MAGIC, "multi screen request")?;
     let count = r.u32()? as usize;
     // Minimum per item: 8-byte key + 4-byte length + 8-byte empty signature.
     r.check_count(count, 20)?;
@@ -716,9 +626,7 @@ pub fn decode_multi_request(payload: &[u8]) -> Result<MultiScreenRequest> {
 /// Encodes an adaptive-retest screening request payload (without the frame
 /// length prefix).
 pub fn encode_retest_request(request: &RetestRequest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(49 + 128 * request.items.len());
-    wire::put_tagged_header(&mut out, RETEST_REQUEST_MAGIC, REQUEST_PROTO_VERSION, 0);
-    put_request_context(&mut out);
+    let mut out = work_request(RETEST_REQUEST_MAGIC, 49 + 128 * request.items.len());
     wire::put_u64(&mut out, request.golden_key);
     wire::put_f64(&mut out, request.policy.guard_band);
     wire::put_u32(&mut out, request.policy.schedule.len() as u32);
@@ -744,9 +652,7 @@ pub fn encode_retest_request(request: &RetestRequest) -> Vec<u8> {
 /// errors (an invalid guard band or schedule is rejected by
 /// [`RetestPolicy::new`]).
 pub fn decode_retest_request(payload: &[u8]) -> Result<RetestRequest> {
-    let mut r = wire::ByteReader::new(payload, "retest request");
-    let (version, _) = r.tagged_header(RETEST_REQUEST_MAGIC, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM)?;
-    skip_request_context(&mut r, version)?;
+    let (_, mut r) = open_work_request(payload, RETEST_REQUEST_MAGIC, "retest request")?;
     let golden_key = r.u64()?;
     let guard_band = r.f64()?;
     let steps = r.u32()? as usize;
@@ -797,11 +703,7 @@ pub fn encode_retest_response(response: &RetestResponse) -> Vec<u8> {
                 wire::put_u32(&mut out, result.repeats_used);
             }
         }
-        RetestResponse::Error { code, message } => {
-            out.push(STATUS_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        RetestResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -814,7 +716,7 @@ pub fn encode_retest_response(response: &RetestResponse) -> Vec<u8> {
 /// [`ServeError::Protocol`] on unknown status, marginal or flip tags.
 pub fn decode_retest_response(payload: &[u8]) -> Result<RetestResponse> {
     let mut r = wire::ByteReader::new(payload, "retest response");
-    r.tagged_header(RETEST_RESPONSE_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(RETEST_RESPONSE_MAGIC, PROTO_VERSION)?;
     match r.u8()? {
         STATUS_OK => {
             let count = r.u32()? as usize;
@@ -841,12 +743,7 @@ pub fn decode_retest_response(payload: &[u8]) -> Result<RetestResponse> {
             r.finish()?;
             Ok(RetestResponse::Results(results))
         }
-        STATUS_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(RetestResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| RetestResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown retest response status {other}"))),
     }
 }
@@ -862,9 +759,7 @@ fn decode_bool(tag: u8, what: &str) -> Result<bool> {
 
 /// Encodes a golden-push request payload (without the frame length prefix).
 pub fn encode_push_request(key: u64, band: AcceptanceBand, golden: &Signature) -> Vec<u8> {
-    let mut out = Vec::with_capacity(43 + 64);
-    wire::put_tagged_header(&mut out, PUSH_MAGIC, REQUEST_PROTO_VERSION, 0);
-    put_request_context(&mut out);
+    let mut out = work_request(PUSH_MAGIC, 43 + 64);
     wire::put_u64(&mut out, key);
     wire::put_f64(&mut out, band.ndf_threshold);
     wire::put_bytes(&mut out, &golden.to_bytes());
@@ -877,9 +772,7 @@ pub fn encode_push_request(key: u64, band: AcceptanceBand, golden: &Signature) -
 /// Returns [`ServeError::Dsig`] on framing, signature or acceptance-band
 /// decoding errors.
 pub fn decode_push_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "golden push request");
-    let (version, _) = r.tagged_header(PUSH_MAGIC, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM)?;
-    skip_request_context(&mut r, version)?;
+    let (_, mut r) = open_work_request(payload, PUSH_MAGIC, "golden push request")?;
     let key = r.u64()?;
     let band = AcceptanceBand::new(r.f64()?)?;
     let golden = Signature::from_bytes(r.bytes()?)?;
@@ -889,9 +782,7 @@ pub fn decode_push_request(payload: &[u8]) -> Result<Request> {
 
 /// Encodes a golden-fetch request payload (without the frame length prefix).
 pub fn encode_fetch_request(key: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(31);
-    wire::put_tagged_header(&mut out, FETCH_MAGIC, REQUEST_PROTO_VERSION, 0);
-    put_request_context(&mut out);
+    let mut out = work_request(FETCH_MAGIC, 31);
     wire::put_u64(&mut out, key);
     out
 }
@@ -901,9 +792,7 @@ pub fn encode_fetch_request(key: u64) -> Vec<u8> {
 /// # Errors
 /// Returns [`ServeError::Dsig`] on framing errors.
 pub fn decode_fetch_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "golden fetch request");
-    let (version, _) = r.tagged_header(FETCH_MAGIC, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM)?;
-    skip_request_context(&mut r, version)?;
+    let (_, mut r) = open_work_request(payload, FETCH_MAGIC, "golden fetch request")?;
     let key = r.u64()?;
     r.finish()?;
     Ok(Request::FetchGolden { key })
@@ -912,9 +801,7 @@ pub fn decode_fetch_request(payload: &[u8]) -> Result<Request> {
 /// Encodes a fleet-admin request payload (without the frame length prefix):
 /// one verb tag plus the addressed label (empty for [`AdminRequest::List`]).
 pub fn encode_admin_request(request: &AdminRequest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(40);
-    wire::put_tagged_header(&mut out, ADMIN_REQUEST_MAGIC, REQUEST_PROTO_VERSION, 0);
-    put_request_context(&mut out);
+    let mut out = work_request(ADMIN_REQUEST_MAGIC, 40);
     let (verb, label) = match request {
         AdminRequest::Join { label } => (ADMIN_VERB_JOIN, label.as_str()),
         AdminRequest::Leave { label } => (ADMIN_VERB_LEAVE, label.as_str()),
@@ -933,9 +820,7 @@ pub fn encode_admin_request(request: &AdminRequest) -> Vec<u8> {
 /// [`ServeError::Protocol`] on an unknown verb tag or a label where none is
 /// allowed (`List` carries an empty label).
 pub fn decode_admin_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "fleet admin request");
-    let (version, _) = r.tagged_header(ADMIN_REQUEST_MAGIC, REQUEST_PROTO_VERSION, REQUEST_TAGGED_FROM)?;
-    skip_request_context(&mut r, version)?;
+    let (_, mut r) = open_work_request(payload, ADMIN_REQUEST_MAGIC, "fleet admin request")?;
     let verb = r.u8()?;
     let label = r.string()?;
     r.finish()?;
@@ -956,25 +841,59 @@ pub fn decode_admin_request(payload: &[u8]) -> Result<Request> {
     Ok(Request::Admin(request))
 }
 
-/// Encodes a metrics-scrape request payload (without the frame length
-/// prefix). The request is header-only.
-pub fn encode_metrics_request() -> Vec<u8> {
-    let mut out = Vec::with_capacity(6);
-    wire::put_tagged_header(&mut out, METRICS_REQUEST_MAGIC, PROTO_VERSION, 0);
+/// The header-only scrape requests, keyed by magic: the request each one
+/// decodes to and the response family that answers it — and its decode
+/// errors. The fleet scrapes answer in their leaf scrape's family.
+static SCRAPES: [([u8; 4], Request, [u8; 4]); 6] = [
+    (METRICS_REQUEST_MAGIC, Request::Metrics, METRICS_RESPONSE_MAGIC),
+    (TRACES_REQUEST_MAGIC, Request::Traces, TRACES_RESPONSE_MAGIC),
+    (
+        FLEET_METRICS_REQUEST_MAGIC,
+        Request::FleetMetrics,
+        METRICS_RESPONSE_MAGIC,
+    ),
+    (FLEET_TRACES_REQUEST_MAGIC, Request::FleetTraces, TRACES_RESPONSE_MAGIC),
+    (EVENTS_REQUEST_MAGIC, Request::Events, EVENTS_RESPONSE_MAGIC),
+    (HEALTH_REQUEST_MAGIC, Request::Health, HEALTH_RESPONSE_MAGIC),
+];
+
+/// The [`SCRAPES`] entry of a payload's magic, if it is a scrape request.
+fn scrape_of(payload: &[u8]) -> Option<&'static ([u8; 4], Request, [u8; 4])> {
+    SCRAPES
+        .iter()
+        .find(|(magic, ..)| payload.get(..4) == Some(magic.as_slice()))
+}
+
+/// Encodes a header-only scrape request payload (without the frame length
+/// prefix): `magic` is one of `DSMX`/`DSTX`/`DSFM`/`DSFT`/`DSEX`/`DSHC`.
+pub fn encode_scrape_request(magic: [u8; 4]) -> Vec<u8> {
+    debug_assert!(
+        SCRAPES.iter().any(|(scrape, ..)| *scrape == magic),
+        "not a scrape magic"
+    );
+    let mut out = Vec::with_capacity(14);
+    wire::put_tagged_header(&mut out, magic, PROTO_VERSION, 0);
     out
 }
 
-/// Decodes a metrics-scrape request payload. Never panics on malformed
-/// input.
+/// Decodes a header-only scrape request payload by its magic. Never panics
+/// on malformed input.
 ///
 /// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (wrong magic, unsupported
-/// version, trailing bytes).
-pub fn decode_metrics_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "metrics request");
-    r.tagged_header(METRICS_REQUEST_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+/// Returns [`ServeError::Protocol`] for a magic that is not a scrape request
+/// and [`ServeError::Dsig`] on framing errors (unsupported version,
+/// truncation, trailing bytes).
+pub fn decode_scrape_request(payload: &[u8]) -> Result<Request> {
+    let (magic, request, _) = scrape_of(payload).ok_or_else(|| {
+        ServeError::Protocol(format!(
+            "{:?} is not a scrape request",
+            String::from_utf8_lossy(payload.get(..4).unwrap_or(payload))
+        ))
+    })?;
+    let mut r = wire::ByteReader::new(payload, "scrape request");
+    r.tagged_header(*magic, PROTO_VERSION)?;
     r.finish()?;
-    Ok(Request::Metrics)
+    Ok(request.clone())
 }
 
 /// Encodes a metrics-scrape response payload (without the frame length
@@ -987,11 +906,7 @@ pub fn encode_metrics_response(response: &MetricsResponse) -> Vec<u8> {
             out.push(STATUS_OK);
             wire::put_bytes(&mut out, &snapshot.to_bytes());
         }
-        MetricsResponse::Error { code, message } => {
-            out.push(STATUS_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        MetricsResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -1004,42 +919,16 @@ pub fn encode_metrics_response(response: &MetricsResponse) -> Vec<u8> {
 /// [`ServeError::Protocol`] on an unknown status byte.
 pub fn decode_metrics_response(payload: &[u8]) -> Result<MetricsResponse> {
     let mut r = wire::ByteReader::new(payload, "metrics response");
-    r.tagged_header(METRICS_RESPONSE_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(METRICS_RESPONSE_MAGIC, PROTO_VERSION)?;
     match r.u8()? {
         STATUS_OK => {
             let snapshot = MetricsSnapshot::from_bytes(r.bytes()?)?;
             r.finish()?;
             Ok(MetricsResponse::Snapshot(snapshot))
         }
-        STATUS_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(MetricsResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| MetricsResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown metrics response status {other}"))),
     }
-}
-
-/// Encodes a trace-scrape request payload (without the frame length
-/// prefix). The request is header-only, like `DSMX`.
-pub fn encode_traces_request() -> Vec<u8> {
-    let mut out = Vec::with_capacity(6);
-    wire::put_tagged_header(&mut out, TRACES_REQUEST_MAGIC, PROTO_VERSION, 0);
-    out
-}
-
-/// Decodes a trace-scrape request payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (wrong magic, unsupported
-/// version, trailing bytes).
-pub fn decode_traces_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "traces request");
-    r.tagged_header(TRACES_REQUEST_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
-    r.finish()?;
-    Ok(Request::Traces)
 }
 
 /// Encodes a trace-scrape response payload (without the frame length
@@ -1052,11 +941,7 @@ pub fn encode_traces_response(response: &TracesResponse) -> Vec<u8> {
             out.push(STATUS_OK);
             wire::put_bytes(&mut out, &log.to_bytes());
         }
-        TracesResponse::Error { code, message } => {
-            out.push(STATUS_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        TracesResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -1069,86 +954,16 @@ pub fn encode_traces_response(response: &TracesResponse) -> Vec<u8> {
 /// [`ServeError::Protocol`] on an unknown status byte.
 pub fn decode_traces_response(payload: &[u8]) -> Result<TracesResponse> {
     let mut r = wire::ByteReader::new(payload, "traces response");
-    r.tagged_header(TRACES_RESPONSE_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(TRACES_RESPONSE_MAGIC, PROTO_VERSION)?;
     match r.u8()? {
         STATUS_OK => {
             let log = TraceLog::from_bytes(r.bytes()?)?;
             r.finish()?;
             Ok(TracesResponse::Log(log))
         }
-        STATUS_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(TracesResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| TracesResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown traces response status {other}"))),
     }
-}
-
-/// Encodes a fleet-metrics-scrape request payload (without the frame
-/// length prefix). The request is header-only, like `DSMX`; the response
-/// comes back in the `DSMR` family.
-pub fn encode_fleet_metrics_request() -> Vec<u8> {
-    let mut out = Vec::with_capacity(6);
-    wire::put_tagged_header(&mut out, FLEET_METRICS_REQUEST_MAGIC, PROTO_VERSION, 0);
-    out
-}
-
-/// Decodes a fleet-metrics-scrape request payload. Never panics on
-/// malformed input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (wrong magic, unsupported
-/// version, trailing bytes).
-pub fn decode_fleet_metrics_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "fleet metrics request");
-    r.tagged_header(FLEET_METRICS_REQUEST_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
-    r.finish()?;
-    Ok(Request::FleetMetrics)
-}
-
-/// Encodes a fleet-trace-drain request payload (without the frame length
-/// prefix). The request is header-only, like `DSTX`; the response comes
-/// back in the `DSTD` family.
-pub fn encode_fleet_traces_request() -> Vec<u8> {
-    let mut out = Vec::with_capacity(6);
-    wire::put_tagged_header(&mut out, FLEET_TRACES_REQUEST_MAGIC, PROTO_VERSION, 0);
-    out
-}
-
-/// Decodes a fleet-trace-drain request payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (wrong magic, unsupported
-/// version, trailing bytes).
-pub fn decode_fleet_traces_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "fleet traces request");
-    r.tagged_header(FLEET_TRACES_REQUEST_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
-    r.finish()?;
-    Ok(Request::FleetTraces)
-}
-
-/// Encodes an event-drain request payload (without the frame length
-/// prefix). The request is header-only, like `DSTX`.
-pub fn encode_events_request() -> Vec<u8> {
-    let mut out = Vec::with_capacity(6);
-    wire::put_tagged_header(&mut out, EVENTS_REQUEST_MAGIC, PROTO_VERSION, 0);
-    out
-}
-
-/// Decodes an event-drain request payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (wrong magic, unsupported
-/// version, trailing bytes).
-pub fn decode_events_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "events request");
-    r.tagged_header(EVENTS_REQUEST_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
-    r.finish()?;
-    Ok(Request::Events)
 }
 
 /// Encodes an event-drain response payload (without the frame length
@@ -1161,11 +976,7 @@ pub fn encode_events_response(response: &EventsResponse) -> Vec<u8> {
             out.push(STATUS_OK);
             wire::put_bytes(&mut out, &log.to_bytes());
         }
-        EventsResponse::Error { code, message } => {
-            out.push(STATUS_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        EventsResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -1178,42 +989,16 @@ pub fn encode_events_response(response: &EventsResponse) -> Vec<u8> {
 /// [`ServeError::Protocol`] on an unknown status byte.
 pub fn decode_events_response(payload: &[u8]) -> Result<EventsResponse> {
     let mut r = wire::ByteReader::new(payload, "events response");
-    r.tagged_header(EVENTS_RESPONSE_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(EVENTS_RESPONSE_MAGIC, PROTO_VERSION)?;
     match r.u8()? {
         STATUS_OK => {
             let log = EventLog::from_bytes(r.bytes()?)?;
             r.finish()?;
             Ok(EventsResponse::Log(log))
         }
-        STATUS_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(EventsResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| EventsResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown events response status {other}"))),
     }
-}
-
-/// Encodes a health-check request payload (without the frame length
-/// prefix). The request is header-only, like `DSMX`.
-pub fn encode_health_request() -> Vec<u8> {
-    let mut out = Vec::with_capacity(6);
-    wire::put_tagged_header(&mut out, HEALTH_REQUEST_MAGIC, PROTO_VERSION, 0);
-    out
-}
-
-/// Decodes a health-check request payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (wrong magic, unsupported
-/// version, trailing bytes).
-pub fn decode_health_request(payload: &[u8]) -> Result<Request> {
-    let mut r = wire::ByteReader::new(payload, "health request");
-    r.tagged_header(HEALTH_REQUEST_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
-    r.finish()?;
-    Ok(Request::Health)
 }
 
 /// Encodes a health-check response payload (without the frame length
@@ -1237,11 +1022,7 @@ pub fn encode_health_response(response: &HealthResponse) -> Vec<u8> {
                 wire::put_str(&mut out, finding);
             }
         }
-        HealthResponse::Error { code, message } => {
-            out.push(STATUS_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        HealthResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -1254,7 +1035,7 @@ pub fn encode_health_response(response: &HealthResponse) -> Vec<u8> {
 /// [`ServeError::Protocol`] on an unknown status byte or verdict tag.
 pub fn decode_health_response(payload: &[u8]) -> Result<HealthResponse> {
     let mut r = wire::ByteReader::new(payload, "health response");
-    let (version, _) = r.tagged_header(HEALTH_RESPONSE_MAGIC, HEALTH_RESPONSE_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(HEALTH_RESPONSE_MAGIC, HEALTH_RESPONSE_VERSION)?;
     match r.u8()? {
         STATUS_OK => {
             let tag = r.u8()?;
@@ -1264,8 +1045,7 @@ pub fn decode_health_response(payload: &[u8]) -> Result<HealthResponse> {
             let p99_us = r.u64()?;
             let backed_off = r.u32()?;
             let backends = r.u32()?;
-            // Version 2 reports predate live membership: epoch 0.
-            let epoch = if version >= 3 { r.u64()? } else { 0 };
+            let epoch = r.u64()?;
             let n_findings = r.u32()? as usize;
             // Minimum finding: one empty length-prefixed string.
             r.check_count(n_findings, 4)?;
@@ -1284,12 +1064,7 @@ pub fn decode_health_response(payload: &[u8]) -> Result<HealthResponse> {
                 findings,
             }))
         }
-        STATUS_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(HealthResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| HealthResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown health response status {other}"))),
     }
 }
@@ -1307,13 +1082,8 @@ pub fn decode_any_request(payload: &[u8]) -> Result<Request> {
         Some(magic) if *magic == RETEST_REQUEST_MAGIC => Ok(Request::Retest(decode_retest_request(payload)?)),
         Some(magic) if *magic == PUSH_MAGIC => decode_push_request(payload),
         Some(magic) if *magic == FETCH_MAGIC => decode_fetch_request(payload),
-        Some(magic) if *magic == METRICS_REQUEST_MAGIC => decode_metrics_request(payload),
-        Some(magic) if *magic == TRACES_REQUEST_MAGIC => decode_traces_request(payload),
-        Some(magic) if *magic == FLEET_METRICS_REQUEST_MAGIC => decode_fleet_metrics_request(payload),
-        Some(magic) if *magic == FLEET_TRACES_REQUEST_MAGIC => decode_fleet_traces_request(payload),
-        Some(magic) if *magic == EVENTS_REQUEST_MAGIC => decode_events_request(payload),
-        Some(magic) if *magic == HEALTH_REQUEST_MAGIC => decode_health_request(payload),
         Some(magic) if *magic == ADMIN_REQUEST_MAGIC => decode_admin_request(payload),
+        Some(_) if scrape_of(payload).is_some() => decode_scrape_request(payload),
         Some(magic) => Err(ServeError::Protocol(format!(
             "unknown request magic {:?}",
             String::from_utf8_lossy(magic)
@@ -1325,51 +1095,31 @@ pub fn decode_any_request(payload: &[u8]) -> Result<Request> {
     }
 }
 
-/// Encodes the response for a request frame that failed to decode, matching
-/// the response family the client is waiting for: admin requests
+/// Encodes the response for a request frame that failed to decode, in the
+/// response family the client is waiting for: admin requests
 /// (`DSGP`/`DSGF`/`DSAQ`) are answered with a `DSRA` error, retest requests
-/// (`DSRT`) with a `DSRR` error, metrics scrapes (`DSMX`/`DSFM`) with a
-/// `DSMR` error, trace scrapes (`DSTX`/`DSFT`) with a `DSTD` error, event
-/// drains (`DSEX`) with a `DSED` error and health checks (`DSHC`) with a
-/// `DSHR` error, so each client-side decoder surfaces the server's message
-/// instead of a magic mismatch; everything else gets a `DSRS` error.
+/// (`DSRT`) with a `DSRR` error and each scrape with an error in the family
+/// that answers it (`DSFM` in `DSMR`, `DSFT` in `DSTD` — the table
+/// [`decode_scrape_request`] reads), so each client-side decoder surfaces
+/// the server's message instead of a magic mismatch; everything else gets a
+/// `DSRS` error.
 pub fn encode_decode_error(payload: &[u8], message: String) -> Vec<u8> {
-    match payload.get(..4) {
+    let family = match payload.get(..4) {
         Some(magic) if *magic == PUSH_MAGIC || *magic == FETCH_MAGIC || *magic == ADMIN_REQUEST_MAGIC => {
-            encode_admin_response(&AdminResponse::Error {
-                code: ErrorCode::BadRequest,
-                message,
-            })
+            ADMIN_RESPONSE_MAGIC
         }
-        Some(magic) if *magic == RETEST_REQUEST_MAGIC => encode_retest_response(&RetestResponse::Error {
-            code: ErrorCode::BadRequest,
-            message,
-        }),
-        Some(magic) if *magic == METRICS_REQUEST_MAGIC || *magic == FLEET_METRICS_REQUEST_MAGIC => {
-            encode_metrics_response(&MetricsResponse::Error {
-                code: ErrorCode::BadRequest,
-                message,
-            })
-        }
-        Some(magic) if *magic == TRACES_REQUEST_MAGIC || *magic == FLEET_TRACES_REQUEST_MAGIC => {
-            encode_traces_response(&TracesResponse::Error {
-                code: ErrorCode::BadRequest,
-                message,
-            })
-        }
-        Some(magic) if *magic == EVENTS_REQUEST_MAGIC => encode_events_response(&EventsResponse::Error {
-            code: ErrorCode::BadRequest,
-            message,
-        }),
-        Some(magic) if *magic == HEALTH_REQUEST_MAGIC => encode_health_response(&HealthResponse::Error {
-            code: ErrorCode::BadRequest,
-            message,
-        }),
-        _ => encode_response(&ScreenResponse::Error {
-            code: ErrorCode::BadRequest,
-            message,
-        }),
-    }
+        Some(magic) if *magic == RETEST_REQUEST_MAGIC => RETEST_RESPONSE_MAGIC,
+        _ => scrape_of(payload).map_or(RESPONSE_MAGIC, |&(_, _, family)| family),
+    };
+    let version = if family == HEALTH_RESPONSE_MAGIC {
+        HEALTH_RESPONSE_VERSION
+    } else {
+        PROTO_VERSION
+    };
+    let mut out = Vec::with_capacity(32);
+    wire::put_tagged_header(&mut out, family, version, 0);
+    put_error(&mut out, ErrorCode::BadRequest, &message);
+    out
 }
 
 /// Encodes an admin response payload (without the frame length prefix).
@@ -1393,11 +1143,7 @@ pub fn encode_admin_response(response: &AdminResponse) -> Vec<u8> {
                 out.push(entry.state.to_u8());
             }
         }
-        AdminResponse::Error { code, message } => {
-            out.push(ADMIN_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        AdminResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -1409,7 +1155,7 @@ pub fn encode_admin_response(response: &AdminResponse) -> Vec<u8> {
 /// [`ServeError::Protocol`] on an unknown status byte.
 pub fn decode_admin_response(payload: &[u8]) -> Result<AdminResponse> {
     let mut r = wire::ByteReader::new(payload, "admin response");
-    r.tagged_header(ADMIN_RESPONSE_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(ADMIN_RESPONSE_MAGIC, PROTO_VERSION)?;
     match r.u8()? {
         ADMIN_ACK => {
             r.finish()?;
@@ -1438,12 +1184,7 @@ pub fn decode_admin_response(payload: &[u8]) -> Result<AdminResponse> {
             r.finish()?;
             Ok(AdminResponse::Roster(FleetRoster { epoch, entries }))
         }
-        ADMIN_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(AdminResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| AdminResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown admin response status {other}"))),
     }
 }
@@ -1462,11 +1203,7 @@ pub fn encode_response(response: &ScreenResponse) -> Vec<u8> {
                 wire::put_outcome(&mut out, result.outcome);
             }
         }
-        ScreenResponse::Error { code, message } => {
-            out.push(STATUS_ERROR);
-            wire::put_u16(&mut out, code.to_u16());
-            wire::put_str(&mut out, message);
-        }
+        ScreenResponse::Error { code, message } => put_error(&mut out, *code, message),
     }
     out
 }
@@ -1478,7 +1215,7 @@ pub fn encode_response(response: &ScreenResponse) -> Vec<u8> {
 /// tags) and [`ServeError::Protocol`] on an unknown status byte.
 pub fn decode_response(payload: &[u8]) -> Result<ScreenResponse> {
     let mut r = wire::ByteReader::new(payload, "screen response");
-    r.tagged_header(RESPONSE_MAGIC, PROTO_VERSION, PROTO_TAGGED_FROM)?;
+    r.tagged_header(RESPONSE_MAGIC, PROTO_VERSION)?;
     match r.u8()? {
         STATUS_OK => {
             let count = r.u32()? as usize;
@@ -1495,12 +1232,7 @@ pub fn decode_response(payload: &[u8]) -> Result<ScreenResponse> {
             r.finish()?;
             Ok(ScreenResponse::Results(results))
         }
-        STATUS_ERROR => {
-            let code = ErrorCode::from_u16(r.u16()?)?;
-            let message = r.string()?;
-            r.finish()?;
-            Ok(ScreenResponse::Error { code, message })
-        }
+        STATUS_ERROR => read_error(r).map(|(code, message)| ScreenResponse::Error { code, message }),
         other => Err(ServeError::Protocol(format!("unknown response status {other}"))),
     }
 }
@@ -1631,47 +1363,6 @@ mod tests {
         let at = 14; // magic + version + request id
         bad_status[at] = 9;
         assert!(matches!(decode_response(&bad_status), Err(ServeError::Protocol(_))));
-    }
-
-    #[test]
-    fn untag_response_downgrades_every_response_family_to_v1() {
-        // Each family's tagged (current-version) encoding downgrades to a
-        // version-1 frame: version field 1, id bytes 6..14 gone, body
-        // untouched — and the current decoder still accepts the result.
-        let frames = [
-            encode_response(&ScreenResponse::Results(vec![])),
-            encode_retest_response(&RetestResponse::Results(vec![])),
-            encode_admin_response(&AdminResponse::Ack),
-            encode_metrics_response(&MetricsResponse::Error {
-                code: ErrorCode::Internal,
-                message: "x".into(),
-            }),
-            encode_traces_response(&TracesResponse::Error {
-                code: ErrorCode::Internal,
-                message: "x".into(),
-            }),
-            encode_events_response(&EventsResponse::Log(EventLog::default())),
-            encode_health_response(&HealthResponse::Error {
-                code: ErrorCode::Internal,
-                message: "x".into(),
-            }),
-        ];
-        for tagged in frames {
-            let untagged = untag_response(tagged.clone());
-            assert_eq!(&untagged[..4], &tagged[..4]);
-            assert_eq!(u16::from_le_bytes(untagged[4..6].try_into().unwrap()), 1);
-            assert_eq!(&untagged[6..], &tagged[14..], "body must be untouched");
-            assert_eq!(peek_request_id(&untagged), 0);
-            // Downgrading an already-untagged frame is a no-op.
-            assert_eq!(untag_response(untagged.clone()), untagged);
-        }
-        let v1 = untag_response(encode_response(&ScreenResponse::Results(vec![])));
-        assert!(matches!(
-            decode_response(&v1).unwrap(),
-            ScreenResponse::Results(results) if results.is_empty()
-        ));
-        // Frames too short for an id field pass through unchanged.
-        assert_eq!(untag_response(b"DSRS".to_vec()), b"DSRS".to_vec());
     }
 
     #[test]
@@ -1990,15 +1681,15 @@ mod tests {
     fn metrics_frames_round_trip_and_reject_malformed_payloads() {
         use dsig_obs::Registry;
 
-        let request = encode_metrics_request();
+        let request = encode_scrape_request(METRICS_REQUEST_MAGIC);
         assert_eq!(decode_any_request(&request).unwrap(), Request::Metrics);
         // A scrape request carries nothing beyond the header.
         let mut trailing_request = request.clone();
         trailing_request.push(0);
-        assert!(decode_metrics_request(&trailing_request).is_err());
+        assert!(decode_scrape_request(&trailing_request).is_err());
         let mut future = request.clone();
         future[4..6].copy_from_slice(&42u16.to_le_bytes());
-        assert!(decode_metrics_request(&future).is_err(), "future protocol version");
+        assert!(decode_scrape_request(&future).is_err(), "future protocol version");
 
         let registry = Registry::new();
         registry.counter("serve.requests.screen").add(3);
@@ -2028,7 +1719,7 @@ mod tests {
         ));
 
         // A decode failure of a DSMX request answers in the DSMR family.
-        let response = encode_decode_error(&encode_metrics_request()[..5], "bad".into());
+        let response = encode_decode_error(&encode_scrape_request(METRICS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_metrics_response(&response).unwrap(),
             MetricsResponse::Error {
@@ -2075,44 +1766,27 @@ mod tests {
         let bare = encode_fetch_request(7);
         assert_eq!(decode_request_context(&bare), TraceContext::NONE);
         // Non-context frames and garbage peek to NONE instead of erroring.
-        assert_eq!(decode_request_context(&encode_metrics_request()), TraceContext::NONE);
+        assert_eq!(
+            decode_request_context(&encode_scrape_request(METRICS_REQUEST_MAGIC)),
+            TraceContext::NONE
+        );
         assert_eq!(decode_request_context(b"DS"), TraceContext::NONE);
         assert_eq!(decode_request_context(b"NOPE1234"), TraceContext::NONE);
-    }
-
-    #[test]
-    fn version1_requests_decode_with_a_null_context() {
-        // A hand-encoded version-1 screen request: no context block.
-        let mut v1 = Vec::new();
-        wire::put_header(&mut v1, REQUEST_MAGIC, 1);
-        wire::put_u64(&mut v1, 0xFEED);
-        wire::put_u32(&mut v1, 1);
-        wire::put_bytes(&mut v1, &sig(&[(1, 1.0)]).to_bytes());
-        let decoded = decode_request(&v1).unwrap();
-        assert_eq!(decoded.golden_key, 0xFEED);
-        assert_eq!(decoded.signatures.len(), 1);
-        assert_eq!(decode_request_context(&v1), TraceContext::NONE);
-        // Same for a version-1 fetch.
-        let mut fetch = Vec::new();
-        wire::put_header(&mut fetch, FETCH_MAGIC, 1);
-        wire::put_u64(&mut fetch, 42);
-        assert_eq!(decode_any_request(&fetch).unwrap(), Request::FetchGolden { key: 42 });
-        assert_eq!(decode_request_context(&fetch), TraceContext::NONE);
     }
 
     #[test]
     fn traces_frames_round_trip_and_reject_malformed_payloads() {
         use dsig_obs::SpanRecord;
 
-        let request = encode_traces_request();
+        let request = encode_scrape_request(TRACES_REQUEST_MAGIC);
         assert_eq!(decode_any_request(&request).unwrap(), Request::Traces);
         // A scrape request carries nothing beyond the header.
         let mut trailing_request = request.clone();
         trailing_request.push(0);
-        assert!(decode_traces_request(&trailing_request).is_err());
+        assert!(decode_scrape_request(&trailing_request).is_err());
         let mut future = request.clone();
         future[4..6].copy_from_slice(&42u16.to_le_bytes());
-        assert!(decode_traces_request(&future).is_err(), "future protocol version");
+        assert!(decode_scrape_request(&future).is_err(), "future protocol version");
 
         let log = TraceLog {
             spans: vec![SpanRecord {
@@ -2150,7 +1824,7 @@ mod tests {
         ));
 
         // A decode failure of a DSTX request answers in the DSTD family.
-        let response = encode_decode_error(&encode_traces_request()[..5], "bad".into());
+        let response = encode_decode_error(&encode_scrape_request(TRACES_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_traces_response(&response).unwrap(),
             TracesResponse::Error {
@@ -2163,10 +1837,13 @@ mod tests {
     #[test]
     fn fleet_scrape_requests_round_trip_and_answer_in_leaf_families() {
         for (payload, want) in [
-            (encode_fleet_metrics_request(), Request::FleetMetrics),
-            (encode_fleet_traces_request(), Request::FleetTraces),
-            (encode_events_request(), Request::Events),
-            (encode_health_request(), Request::Health),
+            (
+                encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC),
+                Request::FleetMetrics,
+            ),
+            (encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC), Request::FleetTraces),
+            (encode_scrape_request(EVENTS_REQUEST_MAGIC), Request::Events),
+            (encode_scrape_request(HEALTH_REQUEST_MAGIC), Request::Health),
         ] {
             assert_eq!(decode_any_request(&payload).unwrap(), want);
             // Scrape requests carry nothing beyond the header.
@@ -2179,22 +1856,22 @@ mod tests {
         }
         // Decode failures answer in the family the client decodes: DSFM in
         // DSMR, DSFT in DSTD, DSEX in DSED, DSHC in DSHR.
-        let response = encode_decode_error(&encode_fleet_metrics_request()[..5], "bad".into());
+        let response = encode_decode_error(&encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_metrics_response(&response).unwrap(),
             MetricsResponse::Error { .. }
         ));
-        let response = encode_decode_error(&encode_fleet_traces_request()[..5], "bad".into());
+        let response = encode_decode_error(&encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_traces_response(&response).unwrap(),
             TracesResponse::Error { .. }
         ));
-        let response = encode_decode_error(&encode_events_request()[..5], "bad".into());
+        let response = encode_decode_error(&encode_scrape_request(EVENTS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_events_response(&response).unwrap(),
             EventsResponse::Error { .. }
         ));
-        let response = encode_decode_error(&encode_health_request()[..5], "bad".into());
+        let response = encode_decode_error(&encode_scrape_request(HEALTH_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_health_response(&response).unwrap(),
             HealthResponse::Error { .. }
@@ -2272,24 +1949,6 @@ mod tests {
             decode_health_response(&bad_verdict),
             Err(ServeError::Protocol(_))
         ));
-        // A hand-built version-2 report (no epoch field) still decodes, as
-        // epoch 0 — the pre-membership layout.
-        let mut v2 = Vec::new();
-        wire::put_tagged_header(&mut v2, HEALTH_RESPONSE_MAGIC, 2, 0);
-        v2.push(STATUS_OK);
-        v2.push(HealthStatus::Pass.to_u8());
-        wire::put_f64(&mut v2, 0.0);
-        wire::put_u64(&mut v2, 17);
-        wire::put_u32(&mut v2, 0);
-        wire::put_u32(&mut v2, 2);
-        wire::put_u32(&mut v2, 0);
-        match decode_health_response(&v2).unwrap() {
-            HealthResponse::Report(report) => {
-                assert_eq!(report.epoch, 0);
-                assert_eq!(report.backends, 2);
-            }
-            other => panic!("expected a report, got {other:?}"),
-        }
     }
 
     #[test]
@@ -2298,7 +1957,6 @@ mod tests {
         // patches bytes 6..14 in place and the peek reads it back.
         let mut request = encode_request(7, &[sig(&[(1, 1.0)])]);
         assert_eq!(peek_request_id(&request), 0);
-        assert!(request_is_tagged(&request));
         stamp_request_id(&mut request, 0xABCD_EF01_2345_6789);
         assert_eq!(peek_request_id(&request), 0xABCD_EF01_2345_6789);
         // The body still decodes — the id lives outside it.
@@ -2323,12 +1981,12 @@ mod tests {
             encode_admin_request(&AdminRequest::Join {
                 label: "127.0.0.1:9000".into(),
             }),
-            encode_metrics_request(),
-            encode_traces_request(),
-            encode_fleet_metrics_request(),
-            encode_fleet_traces_request(),
-            encode_events_request(),
-            encode_health_request(),
+            encode_scrape_request(METRICS_REQUEST_MAGIC),
+            encode_scrape_request(TRACES_REQUEST_MAGIC),
+            encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC),
+            encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC),
+            encode_scrape_request(EVENTS_REQUEST_MAGIC),
+            encode_scrape_request(HEALTH_REQUEST_MAGIC),
             encode_retest_response(&RetestResponse::Results(vec![])),
             encode_admin_response(&AdminResponse::Ack),
             encode_admin_response(&AdminResponse::Roster(FleetRoster {
@@ -2346,46 +2004,59 @@ mod tests {
             stamp_request_id(&mut frame, 99);
             assert_eq!(peek_request_id(&frame), 99, "family {:?}", &frame[..4]);
         }
-        // Garbage peeks as the untagged id without panicking.
+        // The peek is a read of bytes 6..14, whatever the magic; a payload
+        // too short to carry an id peeks as 0 without panicking.
+        assert_eq!(peek_request_id(b"NOPE12\x07\0\0\0\0\0\0\0tail"), 7);
         assert_eq!(peek_request_id(b"DS"), 0);
-        assert_eq!(peek_request_id(b"NOPE1234aaaaaaaa"), 0);
-        assert!(!request_is_tagged(b"NOPE1234aaaaaaaa"));
-        assert!(!request_is_tagged(&encode_response(&ScreenResponse::Results(vec![]))));
+        assert_eq!(peek_request_id(b"DSRQ\x03\0\x07"), 0);
     }
 
     #[test]
-    fn untagged_cross_version_frames_still_decode_as_id_zero() {
-        // A hand-built v2 work request: header + trace context, no id — the
-        // frame a pre-multiplexing client sends.
+    fn older_frame_versions_are_rejected_like_malformed_frames() {
+        // Hand-built frames of the versions before the current layout: a v2
+        // work request (trace context, no id), a v1 one (bare header), a v1
+        // response and scrape, and a v2 health report (no epoch).
         let mut v2 = Vec::new();
         wire::put_header(&mut v2, REQUEST_MAGIC, 2);
         trace::put_trace_context(&mut v2, TraceContext::NONE);
         wire::put_u64(&mut v2, 7);
         wire::put_u32(&mut v2, 0);
-        assert!(!request_is_tagged(&v2), "v2 keeps one-in-flight semantics");
-        assert_eq!(peek_request_id(&v2), 0);
-        let decoded = decode_request(&v2).unwrap();
-        assert_eq!(decoded.golden_key, 7);
-        assert!(decoded.signatures.is_empty());
-
-        // A hand-built v1 work request: bare header, no context either.
         let mut v1 = Vec::new();
         wire::put_header(&mut v1, REQUEST_MAGIC, 1);
         wire::put_u64(&mut v1, 9);
         wire::put_u32(&mut v1, 0);
-        assert!(!request_is_tagged(&v1));
-        assert_eq!(decode_request(&v1).unwrap().golden_key, 9);
+        let mut fetch = Vec::new();
+        wire::put_header(&mut fetch, FETCH_MAGIC, 1);
+        wire::put_u64(&mut fetch, 42);
+        let mut scrape = Vec::new();
+        wire::put_header(&mut scrape, METRICS_REQUEST_MAGIC, 1);
+        for old in [&v2, &v1, &fetch, &scrape] {
+            let err = decode_any_request(old).unwrap_err();
+            assert!(err.to_string().contains("version"), "{err}");
+            assert_eq!(decode_request_context(old), TraceContext::NONE);
+        }
+        assert!(decode_request(&v2).is_err());
+        assert!(decode_request(&v1).is_err());
 
-        // A hand-built v1 response: header + status + empty count.
         let mut r1 = Vec::new();
         wire::put_header(&mut r1, RESPONSE_MAGIC, 1);
         r1.push(STATUS_OK);
         wire::put_u32(&mut r1, 0);
-        assert_eq!(peek_request_id(&r1), 0);
-        assert_eq!(decode_response(&r1).unwrap(), ScreenResponse::Results(vec![]));
+        assert!(decode_response(&r1).is_err());
 
-        // A v3 work request truncated inside the id region is an error, not
-        // a panic.
+        let mut h2 = Vec::new();
+        wire::put_tagged_header(&mut h2, HEALTH_RESPONSE_MAGIC, 2, 0);
+        h2.push(STATUS_OK);
+        h2.push(HealthStatus::Pass.to_u8());
+        wire::put_f64(&mut h2, 0.0);
+        wire::put_u64(&mut h2, 17);
+        wire::put_u32(&mut h2, 0);
+        wire::put_u32(&mut h2, 2);
+        wire::put_u32(&mut h2, 0);
+        assert!(decode_health_response(&h2).is_err());
+
+        // A current work request truncated inside the id region is an
+        // error, not a panic.
         let tagged = encode_request(7, &[]);
         assert!(decode_request(&tagged[..10]).is_err());
     }

@@ -1146,7 +1146,7 @@ mod tests {
 
         // The TCP path answers the identical scores.
         let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
-        let mut client = crate::client::ServeClient::connect(server.local_addr()).unwrap();
+        let client = crate::client::ServeClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.screen_retest(&request).unwrap(), results);
         // Unknown goldens carry the fingerprint back.
         let unknown = RetestRequest {

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Backends answer readbacks for what they own (the replication path).
-    let mut direct = ServeClient::connect(server_a.local_addr())?;
+    let direct = ServeClient::connect(server_a.local_addr())?;
     let holds = direct.fetch_golden(key).is_ok();
     println!("backend {} holds the golden directly: {holds}", server_a.local_addr());
 
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Screen the first half through the router, kill the owner backend,
     //    screen the rest — failover must not change a single verdict.
-    let mut client = RouterClient::connect(router.local_addr())?;
+    let client = RouterClient::connect(router.local_addr())?;
     let mut scores = Vec::with_capacity(DEVICES);
     let half = DEVICES / 2;
     for batch in signatures[..half].chunks(BATCH) {

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Server::bind("127.0.0.1:0", served_store, ServeConfig::default())?;
     println!("server listening on {}", server.local_addr());
 
-    let mut client = ServeClient::connect(server.local_addr())?;
+    let client = ServeClient::connect(server.local_addr())?;
     let signatures: Vec<_> = log.entries().iter().map(|(_, s)| s.clone()).collect();
     let mut scores = Vec::with_capacity(signatures.len());
     for batch in signatures.chunks(BATCH) {

@@ -377,7 +377,7 @@ proptest! {
         let message = String::from_utf8(message_bytes).unwrap();
         // The DSMX request is header-only and dispatches like every other
         // request family.
-        let request = proto::encode_metrics_request();
+        let request = proto::encode_scrape_request(proto::METRICS_REQUEST_MAGIC);
         match proto::decode_any_request(&request).unwrap() {
             proto::Request::Metrics => {}
             other => prop_assert!(false, "expected Metrics, got {:?}", other),
@@ -424,16 +424,18 @@ proptest! {
         }
         // Truncating or corrupting the request header errors too.
         let keep = (request.len() as f64 * cut) as usize;
-        prop_assert!(proto::decode_metrics_request(&request[..keep]).is_err());
+        prop_assert!(proto::decode_scrape_request(&request[..keep]).is_err());
         let mut mutated = request.clone();
         let at = ((mutated.len() - 1) as f64 * position) as usize;
         mutated[at] ^= flip;
+        let same_family = matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::Metrics));
         if at < 6 {
-            // Magic/version corruption always errors; bytes 6..14 are the
-            // opaque request id, which any value is legal for.
-            prop_assert!(proto::decode_metrics_request(&mutated).is_err());
+            // Magic/version corruption never decodes as this family (a magic
+            // flip may legally land on another scrape's magic); bytes 6..14
+            // are the opaque request id, which any value is legal for.
+            prop_assert!(!same_family);
         } else {
-            prop_assert!(proto::decode_metrics_request(&mutated).is_ok());
+            prop_assert!(same_family);
             prop_assert_eq!(proto::peek_request_id(&mutated) == 0, mutated[6..14] == [0; 8]);
         }
     }
@@ -498,23 +500,22 @@ proptest! {
 
         // The DSTX request is header-only and dispatches like every other
         // request family.
-        let request = proto::encode_traces_request();
+        let request = proto::encode_scrape_request(proto::TRACES_REQUEST_MAGIC);
         match proto::decode_any_request(&request).unwrap() {
             proto::Request::Traces => {}
             other => prop_assert!(false, "expected Traces, got {:?}", other),
         }
         let keep = (request.len() as f64 * cut) as usize;
-        prop_assert!(proto::decode_traces_request(&request[..keep]).is_err());
+        prop_assert!(proto::decode_scrape_request(&request[..keep]).is_err());
         let mut mutated = request.clone();
         let at = ((mutated.len() - 1) as f64 * position) as usize;
         mutated[at] ^= flip;
-        if at < 6 {
-            // As for DSMX: only the magic/version bytes are load-bearing;
-            // the request id (6..14) is an opaque correlator.
-            prop_assert!(proto::decode_traces_request(&mutated).is_err());
-        } else {
-            prop_assert!(proto::decode_traces_request(&mutated).is_ok());
-        }
+        // As for DSMX: only the magic/version bytes are load-bearing; the
+        // request id (6..14) is an opaque correlator.
+        prop_assert_eq!(
+            matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::Traces)),
+            at >= 6
+        );
 
         // Both DSTD response arms round-trip and reject abuse.
         let message = String::from_utf8(message_bytes).unwrap();
@@ -601,13 +602,13 @@ proptest! {
 
         // The DSEX request is header-only and dispatches like every other
         // request family.
-        let request = proto::encode_events_request();
+        let request = proto::encode_scrape_request(proto::EVENTS_REQUEST_MAGIC);
         match proto::decode_any_request(&request).unwrap() {
             proto::Request::Events => {}
             other => prop_assert!(false, "expected Events, got {:?}", other),
         }
         let keep = (request.len() as f64 * cut) as usize;
-        prop_assert!(proto::decode_events_request(&request[..keep]).is_err());
+        prop_assert!(proto::decode_scrape_request(&request[..keep]).is_err());
 
         // Both DSED response arms round-trip and reject abuse.
         let message = String::from_utf8(message_bytes).unwrap();
@@ -650,13 +651,13 @@ proptest! {
         use analog_signature::obs::{HealthReport, HealthStatus};
         // The DSHC request is header-only and dispatches like every other
         // request family.
-        let request = proto::encode_health_request();
+        let request = proto::encode_scrape_request(proto::HEALTH_REQUEST_MAGIC);
         match proto::decode_any_request(&request).unwrap() {
             proto::Request::Health => {}
             other => prop_assert!(false, "expected Health, got {:?}", other),
         }
         let keep = (request.len() as f64 * cut) as usize;
-        prop_assert!(proto::decode_health_request(&request[..keep]).is_err());
+        prop_assert!(proto::decode_scrape_request(&request[..keep]).is_err());
 
         // Both response arms round-trip and reject abuse; the error rate is
         // a bit-exact f64.
@@ -704,8 +705,8 @@ proptest! {
         cut in 0.0..1.0_f64,
     ) {
         for (request, is_metrics) in [
-            (proto::encode_fleet_metrics_request(), true),
-            (proto::encode_fleet_traces_request(), false),
+            (proto::encode_scrape_request(proto::FLEET_METRICS_REQUEST_MAGIC), true),
+            (proto::encode_scrape_request(proto::FLEET_TRACES_REQUEST_MAGIC), false),
         ] {
             match proto::decode_any_request(&request).unwrap() {
                 proto::Request::FleetMetrics => prop_assert!(is_metrics),
@@ -723,9 +724,9 @@ proptest! {
             let at = ((mutated.len() - 1) as f64 * position) as usize;
             mutated[at] ^= flip;
             let same_family = if is_metrics {
-                proto::decode_fleet_metrics_request(&mutated).is_ok()
+                matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::FleetMetrics))
             } else {
-                proto::decode_fleet_traces_request(&mutated).is_ok()
+                matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::FleetTraces))
             };
             if at < 6 {
                 prop_assert!(!same_family);
@@ -757,16 +758,15 @@ proptest! {
         prop_assert_eq!(proto::peek_request_id(&tagged), 0);
         proto::stamp_request_id(&mut tagged, id);
         prop_assert_eq!(proto::peek_request_id(&tagged), id);
-        prop_assert!(proto::request_is_tagged(&tagged));
         let decoded = proto::decode_request(&tagged).unwrap();
         prop_assert_eq!(&decoded, &reference);
         for (a, b) in decoded.signatures[0].entries().iter().zip(reference.signatures[0].entries()) {
             prop_assert_eq!(a.duration.to_bits(), b.duration.to_bits());
         }
 
-        // Cross-version decode: the same body framed as v2 (trace context,
-        // no id) and v1 (bare) must still decode, as the untagged id 0 with
-        // the historical one-in-flight semantics.
+        // Other versions: the same body framed as v2 (trace context, no id)
+        // and v1 (bare) — the layouts before the request id — and as a
+        // future v4 are rejected like any malformed frame.
         let body = &tagged[14 + 17..];
         let mut v2 = Vec::new();
         wire::put_header(&mut v2, proto::REQUEST_MAGIC, 2);
@@ -775,10 +775,14 @@ proptest! {
         let mut v1 = Vec::new();
         wire::put_header(&mut v1, proto::REQUEST_MAGIC, 1);
         v1.extend_from_slice(body);
-        for old in [&v2, &v1] {
-            prop_assert!(!proto::request_is_tagged(old));
-            prop_assert_eq!(proto::peek_request_id(old), 0);
-            prop_assert_eq!(&proto::decode_request(old).unwrap(), &reference);
+        let mut v4 = tagged.clone();
+        v4[4..6].copy_from_slice(&4u16.to_le_bytes());
+        for other in [&v2, &v1, &v4] {
+            prop_assert!(matches!(
+                proto::decode_request(other),
+                Err(analog_signature::serve::ServeError::Dsig(DsigError::Corrupt { .. }))
+            ));
+            prop_assert!(proto::decode_any_request(other).is_err());
         }
 
         // Truncation anywhere — including inside the id — is a clean error.
@@ -802,50 +806,38 @@ proptest! {
     #[test]
     fn wire_tagged_headers_round_trip_and_reject_abuse(
         version in 0u16..8,
-        max_version in 1u16..8,
-        tagged_from in 1u16..8,
+        expected in 1u16..8,
         id in 0u64..u64::MAX,
         trailer in prop::collection::vec(0u8..255, 0..8),
     ) {
         use analog_signature::dsig::wire::{self, ByteReader};
         let magic = *b"DSQQ";
         let mut frame = Vec::new();
-        if version >= tagged_from {
-            wire::put_tagged_header(&mut frame, magic, version, id);
-        } else {
-            wire::put_header(&mut frame, magic, version);
-        }
+        wire::put_tagged_header(&mut frame, magic, version, id);
         frame.extend_from_slice(&trailer);
 
         let mut reader = ByteReader::new(&frame, "proptest frame");
-        let result = reader.tagged_header(magic, max_version, tagged_from);
-        if version == 0 || version > max_version {
-            // Version 0 and future versions are rejected before the id is
-            // ever touched.
-            prop_assert!(result.is_err());
-        } else if version >= tagged_from {
-            prop_assert_eq!(result.unwrap(), (version, id));
+        let result = reader.tagged_header(magic, expected);
+        if version == expected {
+            prop_assert_eq!(result.unwrap(), id);
             prop_assert_eq!(reader.remaining(), trailer.len());
-        } else {
-            // Untagged versions read as id 0 without consuming body bytes.
-            prop_assert_eq!(result.unwrap(), (version, 0));
-            prop_assert_eq!(reader.remaining(), trailer.len());
-        }
-
-        // A tagged header truncated inside the id region is a clean
-        // Truncated error, never a panic or a garbage id.
-        if version >= tagged_from && version <= max_version && version > 0 {
+            // A header truncated inside the id region is a clean Truncated
+            // error, never a panic or a garbage id.
             for keep in 6..14 {
                 let mut reader = ByteReader::new(&frame[..keep], "proptest frame");
                 prop_assert!(matches!(
-                    reader.tagged_header(magic, max_version, tagged_from),
+                    reader.tagged_header(magic, expected),
                     Err(DsigError::Truncated { .. })
                 ));
             }
+        } else {
+            // Every other version — older, newer or 0 — is rejected before
+            // the id is ever touched.
+            prop_assert!(matches!(result, Err(DsigError::Corrupt { .. })));
         }
         // The wrong magic is rejected whatever the version says.
         let mut reader = ByteReader::new(&frame, "proptest frame");
-        prop_assert!(reader.tagged_header(*b"XXXX", max_version, tagged_from).is_err());
+        prop_assert!(reader.tagged_header(*b"XXXX", expected).is_err());
     }
 
     #[test]
@@ -880,3 +872,473 @@ proptest! {
         }
     }
 }
+
+/// One frame of every request and response family (and every decode-error
+/// answer), encoded from fixed inputs — the work requests under a fixed
+/// ambient trace context.
+fn golden_frames() -> Vec<(String, Vec<u8>)> {
+    use analog_signature::dsig::{RetestPolicy, TestOutcome};
+    use analog_signature::obs::trace::{self, TraceContext};
+    use analog_signature::obs::{
+        EventLevel, EventLog, EventRecord, HealthReport, HealthStatus, HistogramSnapshot, MetricValue, SpanRecord,
+        TraceLog,
+    };
+    use proto::{
+        AdminRequest, AdminResponse, BackendState, ErrorCode, EventsResponse, FleetRoster, HealthResponse,
+        MetricsResponse, RetestItem, RetestRequest, RetestResponse, RetestScore, RosterEntry, ScoreResult,
+        ScreenResponse, TracesResponse,
+    };
+
+    let seconds = |parts: &[(u32, f64)]| {
+        Signature::new(
+            parts
+                .iter()
+                .map(|&(code, duration)| SignatureEntry {
+                    code: ZoneCode(code),
+                    duration,
+                })
+                .collect(),
+        )
+        .unwrap()
+    };
+    let a = seconds(&[(1, 100e-6), (3, 250e-6)]);
+    let b = seconds(&[(7, 1.0)]);
+    let band = AcceptanceBand::new(0.03).unwrap();
+    let ctx = TraceContext {
+        trace_id: 0x0123_4567_89AB_CDEF,
+        parent_span: 0xFEDC_BA98_7654_3210,
+        sampled: true,
+    };
+    let mut frames: Vec<(&str, Vec<u8>)> = Vec::new();
+    {
+        let _guard = trace::with_context(ctx);
+        frames.push(("DSRQ", proto::encode_request(0xFEED_F00D, &[a.clone(), b.clone()])));
+        frames.push(("DSRM", proto::encode_multi_request(&[(7, a.clone()), (9, b.clone())])));
+        frames.push((
+            "DSRT",
+            proto::encode_retest_request(&RetestRequest {
+                golden_key: 0xFEED,
+                policy: RetestPolicy::new(0.005, vec![2, 6]).unwrap(),
+                items: vec![RetestItem {
+                    initial: a.clone(),
+                    repeats: vec![b.clone(), a.clone()],
+                }],
+            }),
+        ));
+        frames.push(("DSGP", proto::encode_push_request(0xFACE, band, &a)));
+        frames.push(("DSGF", proto::encode_fetch_request(42)));
+        for (name, request) in [
+            (
+                "DSAQ join",
+                AdminRequest::Join {
+                    label: "127.0.0.1:9000".into(),
+                },
+            ),
+            (
+                "DSAQ leave",
+                AdminRequest::Leave {
+                    label: "local-1".into(),
+                },
+            ),
+            (
+                "DSAQ drain",
+                AdminRequest::Drain {
+                    label: "local-2".into(),
+                },
+            ),
+            ("DSAQ list", AdminRequest::List),
+        ] {
+            frames.push((name, proto::encode_admin_request(&request)));
+        }
+    }
+    let mut stamped = proto::encode_request(0xFEED_F00D, std::slice::from_ref(&b));
+    proto::stamp_request_id(&mut stamped, 0x1122_3344_5566_7788);
+    frames.push(("DSRQ stamped", stamped));
+    for (name, magic) in [
+        ("DSMX", proto::METRICS_REQUEST_MAGIC),
+        ("DSTX", proto::TRACES_REQUEST_MAGIC),
+        ("DSFM", proto::FLEET_METRICS_REQUEST_MAGIC),
+        ("DSFT", proto::FLEET_TRACES_REQUEST_MAGIC),
+        ("DSEX", proto::EVENTS_REQUEST_MAGIC),
+        ("DSHC", proto::HEALTH_REQUEST_MAGIC),
+    ] {
+        frames.push((name, proto::encode_scrape_request(magic)));
+    }
+    let pass = ScoreResult {
+        ndf: 0.0125,
+        peak_hamming: 2,
+        outcome: TestOutcome::Pass,
+    };
+    let fail = ScoreResult {
+        ndf: 0.41,
+        peak_hamming: 5,
+        outcome: TestOutcome::Fail,
+    };
+    let error = |message: &str| (ErrorCode::Internal, message.to_string());
+    frames.push((
+        "DSRS results",
+        proto::encode_response(&ScreenResponse::Results(vec![pass, fail])),
+    ));
+    frames.push((
+        "DSRS error",
+        proto::encode_response(&ScreenResponse::Error {
+            code: ErrorCode::UnknownGolden,
+            message: "no such golden".into(),
+        }),
+    ));
+    frames.push((
+        "DSRR results",
+        proto::encode_retest_response(&RetestResponse::Results(vec![
+            RetestScore {
+                score: fail,
+                marginal: true,
+                flipped: true,
+                repeats_used: 6,
+            },
+            RetestScore {
+                score: pass,
+                marginal: false,
+                flipped: false,
+                repeats_used: 0,
+            },
+        ])),
+    ));
+    let (code, message) = error("boom");
+    frames.push((
+        "DSRR error",
+        proto::encode_retest_response(&RetestResponse::Error { code, message }),
+    ));
+    frames.push(("DSRA ack", proto::encode_admin_response(&AdminResponse::Ack)));
+    frames.push((
+        "DSRA record",
+        proto::encode_admin_response(&AdminResponse::Record {
+            band,
+            golden: a.clone(),
+        }),
+    ));
+    let entry = |label: &str, id: u64, state: BackendState| RosterEntry {
+        label: label.into(),
+        id,
+        state,
+    };
+    frames.push((
+        "DSRA roster",
+        proto::encode_admin_response(&AdminResponse::Roster(FleetRoster {
+            epoch: 5,
+            entries: vec![
+                entry("127.0.0.1:9000", 0xFEED, BackendState::Active),
+                entry("local-1", 7, BackendState::Draining),
+                entry("local-2", 9, BackendState::BackedOff),
+            ],
+        })),
+    ));
+    frames.push((
+        "DSRA error",
+        proto::encode_admin_response(&AdminResponse::Error {
+            code: ErrorCode::BadRequest,
+            message: "bad label".into(),
+        }),
+    ));
+    let snapshot = MetricsSnapshot {
+        metrics: vec![
+            ("a.count".into(), MetricValue::Counter(3)),
+            ("b.level".into(), MetricValue::Gauge(1234.5)),
+            (
+                "c.us".into(),
+                MetricValue::Histogram(HistogramSnapshot {
+                    count: 2,
+                    sum_us: 30,
+                    max_us: 20,
+                    buckets: vec![(16, 1), (32, 1), (u64::MAX, 0)],
+                }),
+            ),
+        ],
+    };
+    frames.push((
+        "DSMR snapshot",
+        proto::encode_metrics_response(&MetricsResponse::Snapshot(snapshot)),
+    ));
+    let (code, message) = error("registry");
+    frames.push((
+        "DSMR error",
+        proto::encode_metrics_response(&MetricsResponse::Error { code, message }),
+    ));
+    let spans = TraceLog {
+        spans: vec![SpanRecord {
+            trace_id: 1,
+            span_id: 2,
+            parent_span: 0,
+            name: "serve.dispatch".into(),
+            tier: "serve".into(),
+            start_us: 10,
+            end_us: 40,
+            annotations: vec![("batch".into(), "64".into())],
+        }],
+    };
+    frames.push(("DSTD log", proto::encode_traces_response(&TracesResponse::Log(spans))));
+    let (code, message) = error("tracer");
+    frames.push((
+        "DSTD error",
+        proto::encode_traces_response(&TracesResponse::Error { code, message }),
+    ));
+    let events = EventLog {
+        events: vec![EventRecord {
+            level: EventLevel::Warn,
+            tier: "router".into(),
+            name: "backend.backed_off".into(),
+            message: "local-1 down".into(),
+            fields: vec![("backend".into(), "local-1".into())],
+            at_us: 123,
+            trace_id: 0xFEED,
+        }],
+    };
+    frames.push(("DSED log", proto::encode_events_response(&EventsResponse::Log(events))));
+    let (code, message) = error("sink");
+    frames.push((
+        "DSED error",
+        proto::encode_events_response(&EventsResponse::Error { code, message }),
+    ));
+    frames.push((
+        "DSHR report",
+        proto::encode_health_response(&HealthResponse::Report(HealthReport {
+            status: HealthStatus::Degraded,
+            error_rate: 0.25,
+            p99_us: 45_000,
+            backed_off: 1,
+            backends: 3,
+            epoch: 4,
+            findings: vec!["1 of 3 backends backed off".into()],
+        })),
+    ));
+    let (code, message) = error("no snapshot");
+    frames.push((
+        "DSHR error",
+        proto::encode_health_response(&HealthResponse::Error { code, message }),
+    ));
+    let mut frames: Vec<(String, Vec<u8>)> = frames
+        .into_iter()
+        .map(|(name, bytes)| (name.to_string(), bytes))
+        .collect();
+    for magic in [
+        "DSRQ", "DSRM", "DSRT", "DSGP", "DSGF", "DSAQ", "DSMX", "DSTX", "DSFM", "DSFT", "DSEX", "DSHC", "NOPE",
+    ] {
+        frames.push((
+            format!("decode error {magic}"),
+            proto::encode_decode_error(magic.as_bytes(), "bad request".into()),
+        ));
+    }
+    frames
+}
+
+#[test]
+fn current_frames_are_byte_identical_to_the_captured_golden_bytes() {
+    let frames = golden_frames();
+    assert_eq!(frames.len(), GOLDEN_FRAMES.len());
+    for ((name, bytes), (golden_name, golden_hex)) in frames.iter().zip(GOLDEN_FRAMES) {
+        assert_eq!(name, golden_name);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(&hex, golden_hex, "{name}: the encoding drifted from the captured bytes");
+    }
+}
+
+/// Every frame [`golden_frames`] encodes, as captured hex from the codec
+/// before the one-header refactor: current frames must stay byte-identical.
+const GOLDEN_FRAMES: &[(&str, &str)] = &[
+    (
+        "DSRQ",
+        concat!(
+            "4453525103000000000000000000efcdab89674523011032547698badcfe010df0edfe00000000020000002000000044",
+            "53473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f1400000044534731010000000700000000",
+            "0000000000f03f",
+        ),
+    ),
+    (
+        "DSRM",
+        concat!(
+            "4453524d03000000000000000000efcdab89674523011032547698badcfe010200000007000000000000002000000044",
+            "53473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f0900000000000000140000004453473101",
+            "00000007000000000000000000f03f",
+        ),
+    ),
+    (
+        "DSRT",
+        concat!(
+            "4453525403000000000000000000efcdab89674523011032547698badcfe01edfe0000000000007b14ae47e17a743f02",
+            "000000020000000600000001000000200000004453473102000000010000002d431cebe2361a3f03000000fca9f1d24d",
+            "62303f0200000014000000445347310100000007000000000000000000f03f200000004453473102000000010000002d",
+            "431cebe2361a3f03000000fca9f1d24d62303f",
+        ),
+    ),
+    (
+        "DSGP",
+        concat!(
+            "4453475003000000000000000000efcdab89674523011032547698badcfe01cefa000000000000b81e85eb51b89e3f20",
+            "0000004453473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f",
+        ),
+    ),
+    (
+        "DSGF",
+        "4453474603000000000000000000efcdab89674523011032547698badcfe012a00000000000000",
+    ),
+    (
+        "DSAQ join",
+        concat!(
+            "4453415103000000000000000000efcdab89674523011032547698badcfe01000e0000003132372e302e302e313a3930",
+            "3030",
+        ),
+    ),
+    (
+        "DSAQ leave",
+        "4453415103000000000000000000efcdab89674523011032547698badcfe0101070000006c6f63616c2d31",
+    ),
+    (
+        "DSAQ drain",
+        "4453415103000000000000000000efcdab89674523011032547698badcfe0102070000006c6f63616c2d32",
+    ),
+    (
+        "DSAQ list",
+        "4453415103000000000000000000efcdab89674523011032547698badcfe010300000000",
+    ),
+    (
+        "DSRQ stamped",
+        concat!(
+            "445352510300887766554433221100000000000000000000000000000000000df0edfe00000000010000001400000044",
+            "5347310100000007000000000000000000f03f",
+        ),
+    ),
+    ("DSMX", "44534d5802000000000000000000"),
+    ("DSTX", "4453545802000000000000000000"),
+    ("DSFM", "4453464d02000000000000000000"),
+    ("DSFT", "4453465402000000000000000000"),
+    ("DSEX", "4453455802000000000000000000"),
+    ("DSHC", "4453484302000000000000000000"),
+    (
+        "DSRS results",
+        "445352530200000000000000000000020000009a9999999999893f02000000003d0ad7a3703dda3f0500000001",
+    ),
+    (
+        "DSRS error",
+        "44535253020000000000000000000101000e0000006e6f207375636820676f6c64656e",
+    ),
+    (
+        "DSRR results",
+        concat!(
+            "445352520200000000000000000000020000003d0ad7a3703dda3f05000000010101060000009a9999999999893f0200",
+            "000000000000000000",
+        ),
+    ),
+    ("DSRR error", "445352520200000000000000000001030004000000626f6f6d"),
+    ("DSRA ack", "445352410200000000000000000000"),
+    (
+        "DSRA record",
+        concat!(
+            "445352410200000000000000000002b81e85eb51b89e3f200000004453473102000000010000002d431cebe2361a3f03",
+            "000000fca9f1d24d62303f",
+        ),
+    ),
+    (
+        "DSRA roster",
+        concat!(
+            "4453524102000000000000000000030500000000000000030000000e0000003132372e302e302e313a39303030edfe00",
+            "000000000000070000006c6f63616c2d31070000000000000001070000006c6f63616c2d32090000000000000002",
+        ),
+    ),
+    (
+        "DSRA error",
+        "445352410200000000000000000001020009000000626164206c6162656c",
+    ),
+    (
+        "DSMR snapshot",
+        concat!(
+            "44534d5202000000000000000000008700000044534d5302000300000007000000612e636f756e740003000000000000",
+            "0007000000622e6c6576656c0100000000004a934004000000632e75730202000000000000001e000000000000001400",
+            "000000000000030000001000000000000000010000000000000020000000000000000100000000000000ffffffffffff",
+            "ffff0000000000000000",
+        ),
+    ),
+    (
+        "DSMR error",
+        "44534d5202000000000000000000010300080000007265676973747279",
+    ),
+    (
+        "DSTD log",
+        concat!(
+            "445354440200000000000000000000600000004453544c01000100000001000000000000000200000000000000000000",
+            "00000000000e00000073657276652e64697370617463680500000073657276650a000000000000002800000000000000",
+            "01000000050000006261746368020000003634",
+        ),
+    ),
+    ("DSTD error", "445354440200000000000000000001030006000000747261636572"),
+    (
+        "DSED log",
+        concat!(
+            "445345440200000000000000000000650000004453454c0100010000000106000000726f75746572120000006261636b",
+            "656e642e6261636b65645f6f66660c0000006c6f63616c2d3120646f776e7b00000000000000edfe0000000000000100",
+            "0000070000006261636b656e64070000006c6f63616c2d31",
+        ),
+    ),
+    ("DSED error", "44534544020000000000000000000103000400000073696e6b"),
+    (
+        "DSHR report",
+        concat!(
+            "44534852030000000000000000000001000000000000d03fc8af00000000000001000000030000000400000000000000",
+            "010000001a00000031206f662033206261636b656e6473206261636b6564206f6666",
+        ),
+    ),
+    (
+        "DSHR error",
+        "44534852030000000000000000000103000b0000006e6f20736e617073686f74",
+    ),
+    (
+        "decode error DSRQ",
+        "44535253020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSRM",
+        "44535253020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSRT",
+        "44535252020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSGP",
+        "44535241020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSGF",
+        "44535241020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSAQ",
+        "44535241020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSMX",
+        "44534d52020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSTX",
+        "44535444020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSFM",
+        "44534d52020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSFT",
+        "44535444020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSEX",
+        "44534544020000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error DSHC",
+        "44534852030000000000000000000102000b0000006261642072657175657374",
+    ),
+    (
+        "decode error NOPE",
+        "44535253020000000000000000000102000b0000006261642072657175657374",
+    ),
+];

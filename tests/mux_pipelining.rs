@@ -105,7 +105,7 @@ fn hundreds_of_in_flight_requests_on_one_connection_match_the_blocking_path() {
         .collect();
 
     // Ground truth: the blocking one-in-flight client.
-    let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
+    let blocking = ServeClient::connect(server.local_addr()).unwrap();
     let blocking_scores: Vec<_> = lot.signatures[..IN_FLIGHT]
         .iter()
         .map(|s| blocking.screen_one(key, s).unwrap())
@@ -201,7 +201,7 @@ fn scrape_frames_interleave_with_hundreds_of_in_flight_screens() {
     let (store, key) = served_store();
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(4)).unwrap();
 
-    let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
+    let blocking = ServeClient::connect(server.local_addr()).unwrap();
     let reference = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // Put 128 screens in flight, then run the whole observability surface —
@@ -272,7 +272,7 @@ fn tagged_responses_complete_out_of_order_and_are_matched_by_id() {
     let (store, key) = served_store();
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
 
-    let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
+    let blocking = ServeClient::connect(server.local_addr()).unwrap();
     let light_score = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // Raw wire: request id 1 carries a 2048-signature batch, ids 2..=65 one
@@ -354,7 +354,7 @@ fn routed_pipelined_campaign_is_bit_identical_at_every_backend_count() {
             .characterize(&lot.setup, &lot.reference, lot.band)
             .unwrap();
 
-        let mut blocking = RouterClient::connect(router.local_addr()).unwrap();
+        let blocking = RouterClient::connect(router.local_addr()).unwrap();
         let mut blocking_scores = Vec::with_capacity(DEVICES);
         for batch in lot.signatures.chunks(BATCH) {
             blocking_scores.extend(blocking.screen(key, batch).unwrap());
@@ -393,62 +393,73 @@ fn routed_pipelined_campaign_is_bit_identical_at_every_backend_count() {
 }
 
 #[test]
-fn pre_tagging_v1_clients_still_round_trip_against_the_upgraded_server() {
+fn old_version_frames_draw_current_bad_request_errors_and_the_connection_keeps_serving() {
     let _exclusive = exclusive();
     let lot = lot();
     let (store, key) = served_store();
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
     let addr = server.local_addr();
 
-    let mut blocking = ServeClient::connect(addr).unwrap();
+    let blocking = ServeClient::connect(addr).unwrap();
     let expected = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
-    // A frame exactly as a pre-tagging binary emits it: version-1 header,
-    // no request id, no trace context. Such a binary also decodes responses
-    // with `max_version = 1`, so the answer must come back as version 1 too
-    // — the whole point of the untagged inline path.
+    // A version-2 DSRQ (trace context, no request id) and a version-1 DSMX
+    // (bare header): the layouts from before every frame carried its id.
     let current = proto::encode_request(key, std::slice::from_ref(&lot.signatures[0]));
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(&current[..4]);
-    v1.extend_from_slice(&1u16.to_le_bytes());
-    v1.extend_from_slice(&current[14 + 17..]); // body after the id + trace context
+    let mut v2 = Vec::new();
+    v2.extend_from_slice(&current[..4]);
+    v2.extend_from_slice(&2u16.to_le_bytes());
+    v2.extend_from_slice(&current[14..]); // trace context + body
+    let mut v1_scrape = Vec::new();
+    v1_scrape.extend_from_slice(b"DSMX");
+    v1_scrape.extend_from_slice(&1u16.to_le_bytes());
 
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = std::io::BufWriter::new(stream.try_clone().unwrap());
     let mut reader = std::io::BufReader::new(stream);
-    for round in 0..3 {
-        proto::write_frame(&mut writer, &v1).unwrap();
+    let mut exchange = |frame: &[u8]| {
+        proto::write_frame(&mut writer, frame).unwrap();
         writer.flush().unwrap();
-        let response = proto::read_frame(&mut reader).unwrap().expect("v1 response");
-        assert_eq!(&response[..4], b"DSRS", "round {round}");
-        assert_eq!(
-            u16::from_le_bytes(response[4..6].try_into().unwrap()),
-            1,
-            "round {round}: a v1-only reader rejects anything newer, so the response must be v1"
-        );
-        match proto::decode_response(&response).unwrap() {
-            proto::ScreenResponse::Results(scores) => {
-                assert_eq!(scores.len(), 1, "round {round}");
-                assert_eq!(scores[0].ndf.to_bits(), expected.ndf.to_bits(), "round {round}");
-                assert_eq!(scores[0].outcome, expected.outcome, "round {round}");
-            }
-            other => panic!("round {round}: unexpected response {other:?}"),
-        }
-    }
+        proto::read_frame(&mut reader).unwrap().expect("response frame")
+    };
 
-    // The scrape families tag from v2; a v1 `DSMX` must draw a v1 `DSMR`.
-    let mut scrape = Vec::new();
-    scrape.extend_from_slice(b"DSMX");
-    scrape.extend_from_slice(&1u16.to_le_bytes());
-    proto::write_frame(&mut writer, &scrape).unwrap();
-    writer.flush().unwrap();
-    let response = proto::read_frame(&mut reader).unwrap().expect("v1 scrape response");
+    // Each old frame is answered like any malformed one: a current-version
+    // BadRequest error in its own response family.
+    let response = exchange(&v2);
+    assert_eq!(&response[..4], b"DSRS");
+    assert_eq!(u16::from_le_bytes([response[4], response[5]]), proto::PROTO_VERSION);
+    match proto::decode_response(&response).unwrap() {
+        proto::ScreenResponse::Error { code, message } => {
+            assert_eq!(code, proto::ErrorCode::BadRequest);
+            assert!(message.contains("version"), "{message}");
+        }
+        other => panic!("a v2 DSRQ must draw an error, got {other:?}"),
+    }
+    let response = exchange(&v1_scrape);
     assert_eq!(&response[..4], b"DSMR");
-    assert_eq!(u16::from_le_bytes(response[4..6].try_into().unwrap()), 1);
+    assert_eq!(u16::from_le_bytes([response[4], response[5]]), proto::PROTO_VERSION);
     assert!(matches!(
         proto::decode_metrics_response(&response).unwrap(),
-        proto::MetricsResponse::Snapshot(_)
+        proto::MetricsResponse::Error {
+            code: proto::ErrorCode::BadRequest,
+            ..
+        }
     ));
+
+    // The same connection then serves a current DSRQ bit-identically.
+    let mut frame = current.clone();
+    proto::stamp_request_id(&mut frame, 7);
+    let response = exchange(&frame);
+    assert_eq!(proto::peek_request_id(&response), 7);
+    match proto::decode_response(&response).unwrap() {
+        proto::ScreenResponse::Results(scores) => {
+            assert_eq!(scores.len(), 1);
+            assert_eq!(scores[0].ndf.to_bits(), expected.ndf.to_bits());
+            assert_eq!(scores[0].outcome, expected.outcome);
+            assert_eq!(scores[0].peak_hamming, expected.peak_hamming);
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
 }
 
 #[test]
@@ -459,7 +470,7 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
     let addr = server.local_addr();
 
-    let mut blocking = ServeClient::connect(addr).unwrap();
+    let blocking = ServeClient::connect(addr).unwrap();
     let reference_score = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // Chaos peer 1: a slow-loris writer trickling one valid tagged frame a
@@ -528,7 +539,7 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
 
     // The torn frame and the garbage frame cost the server nothing but a
     // decode error; it still serves new connections.
-    let mut fresh = ServeClient::connect(addr).unwrap();
+    let fresh = ServeClient::connect(addr).unwrap();
     let score = fresh.screen_one(key, &lot.signatures[0]).unwrap();
     assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits());
 }
@@ -541,7 +552,7 @@ fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() 
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
     let addr = server.local_addr();
 
-    let mut blocking = ServeClient::connect(addr).unwrap();
+    let blocking = ServeClient::connect(addr).unwrap();
     let reference_score = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // The stalled peer: pipelines 256 requests for 256-score responses

@@ -45,7 +45,7 @@ fn loopback_screening_is_bit_identical_to_direct_scoring() {
     assert_eq!(key, golden_fingerprint(&setup, &reference));
 
     let screen_all = |server: &Server| -> Vec<analog_signature::serve::ScoreResult> {
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let mut scores = Vec::with_capacity(signatures.len());
         for batch in signatures.chunks(BATCH) {
             scores.extend(client.screen(key, batch).unwrap());
@@ -124,7 +124,7 @@ fn batch_characterization_serves_identical_goldens() {
     let observed = setup.signature_of(&cut, 7).unwrap();
     let direct = flow.evaluate(&cut, 7).unwrap();
     let server = Server::bind("127.0.0.1:0", batch_store, ServeConfig::with_shards(2)).unwrap();
-    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let client = ServeClient::connect(server.local_addr()).unwrap();
     let score = client.screen_one(keys[1], &observed).unwrap();
     assert_eq!(score.ndf.to_bits(), direct.ndf.to_bits());
     assert_eq!(score.peak_hamming, direct.peak_hamming);
@@ -151,7 +151,7 @@ fn in_process_handle_matches_tcp_path() {
 
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(3)).unwrap();
     let from_handle = server.handle().screen(key, &observed).unwrap();
-    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let client = ServeClient::connect(server.local_addr()).unwrap();
     let from_tcp = client.screen(key, &observed).unwrap();
     assert_eq!(from_handle, from_tcp, "TCP and in-process paths must agree exactly");
     // Nominal passes, ±10% fails with this band.
