@@ -17,9 +17,12 @@
 //!   the transitions emit.
 //!
 //! `--once` takes exactly two samples, renders one table, and exits — the
-//! shape CI uses to capture a `TOP_*.txt` artifact. `--out <path>` writes
-//! the final table and `--events <path>` drains the fleet's structured
-//! event log (`DSEX`) to a file on exit.
+//! shape CI uses to capture a `TOP_*.txt` artifact. Screens that fail after
+//! the demo kill are part of the demo: they are counted, and the table shows
+//! them (with one backend, the kill takes the whole fleet down and the
+//! verdict is FAIL). `--out <path>` writes the final table and
+//! `--events <path>` drains the fleet's structured event log (`DSEX`) to a
+//! file on exit; both create missing parent directories.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,8 +34,10 @@ use dsig_engine::{Campaign, CampaignRunner, DevicePopulation};
 use dsig_obs::{HealthReport, MetricsSnapshot};
 use dsig_router::{Backend, Router, RouterConfig, RouterStore};
 use dsig_serve::{GoldenStore, ServeClient, ServeConfig, ServeError, Server};
-use repro_bench::smoke::save_text;
 use repro_bench::top::render_fleet_table;
+
+/// Screening requests the demo fleet drives per console sample.
+const DEMO_REQUESTS: usize = 6;
 
 const USAGE: &str = "usage: dsig_top (--addr HOST:PORT | --spawn N) \
                      [--interval-ms N] [--once] [--out PATH] [--events PATH]";
@@ -140,16 +145,13 @@ impl DemoFleet {
         })
     }
 
-    /// Screens `requests` small batches so the next sample has rates to
-    /// show.
-    fn drive(&self, client: &ServeClient, requests: usize) -> Result<(), ServeError> {
-        for request in 0..requests {
-            let batch: Vec<Signature> = (0..8)
-                .map(|k| self.pool[(request * 8 + k) % self.pool.len()].clone())
-                .collect();
-            client.screen(self.key, &batch)?;
-        }
-        Ok(())
+    /// Screens the `request`-th small batch of the pool, so the next sample
+    /// has rates to show.
+    fn screen(&self, client: &ServeClient, request: usize) -> Result<(), ServeError> {
+        let batch: Vec<Signature> = (0..8)
+            .map(|k| self.pool[(request * 8 + k) % self.pool.len()].clone())
+            .collect();
+        client.screen(self.key, &batch).map(drop)
     }
 
     /// Takes the golden's owner backend down for real: stop its listener,
@@ -168,6 +170,16 @@ impl DemoFleet {
             .kill(&self.owner)
             .expect("the owner label came from the live membership");
     }
+}
+
+/// Writes `text` to `path`, creating missing parent directories.
+fn save_text(path: &std::path::Path, text: &str) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::write(path, text)
 }
 
 /// One console sample: the aggregated fleet scrape plus the health verdict
@@ -197,24 +209,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prev_at = Instant::now();
     let mut tick = 0u64;
     let mut last_table;
+    let mut demo_note = String::new();
     loop {
         tick += 1;
         if let Some(demo) = demo.as_mut() {
-            demo.drive(&client, 6)?;
+            for request in 0..DEMO_REQUESTS {
+                demo.screen(&client, request)?;
+            }
             if args.once {
                 // Make a single capture interesting: kill the golden's
                 // owner and screen through the failover path, so the table
                 // shows a backed-off backend and a degraded verdict, and
-                // the event log records the transitions.
+                // the event log records the transitions. A screen the kill
+                // fails is part of the demo, not a console error.
                 demo.kill_owner();
-                demo.drive(&client, 6)?;
+                let failed = (0..DEMO_REQUESTS)
+                    .filter(|&request| demo.screen(&client, request).is_err())
+                    .count();
+                demo_note = format!(
+                    "demo: killed {}; {failed} of {DEMO_REQUESTS} screens failed after the kill\n",
+                    demo.owner
+                );
             }
         }
         std::thread::sleep(Duration::from_millis(args.interval_ms));
         let (curr, health) = sample(&client)?;
         let now = Instant::now();
         let dt = now.duration_since(prev_at).as_secs_f64();
-        last_table = render_fleet_table(&prev, &curr, dt, &health);
+        last_table = render_fleet_table(&prev, &curr, dt, &health) + &demo_note;
         println!("-- dsig_top {addr} tick {tick} (dt {dt:.2}s)");
         println!("{last_table}");
         prev = curr;

@@ -1,15 +1,15 @@
 //! # repro-bench
 //!
-//! Shared helpers for the reproduction binaries and load generators.
-//! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for paper-vs-measured results).
+//! Shared helpers for the paper-reproduction binaries and the `dsig_top`
+//! fleet console ([`top`]). Each other binary in `src/bin/` regenerates one
+//! table or figure of the paper's evaluation, or a study built on them
+//! (baselines, design ablation, noise detection); README.md shows how to
+//! run them. Performance is measured by the separate `perfbench/` package,
+//! not here.
 
 #![warn(missing_docs)]
 
-pub mod smoke;
 pub mod top;
-pub mod trend;
 
 use cut_filters::BiquadParams;
 use dsig_core::{DsigError, TestFlow, TestSetup};

@@ -119,8 +119,8 @@ impl CampaignRunner {
 
     /// Returns a copy with the shared-stimulus batched capture fast path
     /// enabled or disabled. Batching is on by default and bit-identical to
-    /// the per-device path; disabling it is only useful for benchmarking the
-    /// per-device reference (see the `campaign_throughput` bin).
+    /// the per-device path; disabling it gives the per-device reference that
+    /// tests and perfbench's lot audits compare the fast path against.
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
         self
@@ -555,9 +555,11 @@ fn apply_retest(
     Ok(())
 }
 
-/// Logs an event for a device that consumed the policy's whole escalation
-/// schedule and still verdicted marginal — the population the repeat cap is
-/// sized against. Observational only: the verdict itself is untouched.
+/// Logs an event for a device whose escalation walk consumed the policy's
+/// whole schedule, whether or not its last average cleared the guard band —
+/// the population the repeat cap is sized against. (`verdict.marginal` is
+/// the single-shot flag every escalated device carries.) Observational only:
+/// the verdict itself is untouched.
 fn note_cap_hit(policy: &RetestPolicy, verdict: &dsig_core::RetestVerdict, device: impl std::fmt::Display) {
     if verdict.marginal && verdict.repeats_used >= policy.repeat_cap() {
         dsig_obs::Registry::global().events().emit(

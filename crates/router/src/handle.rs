@@ -37,8 +37,7 @@ impl RouterHandle {
     /// Spawns `backends` in-process scoring backends — each its own
     /// [`GoldenStore`] and shard set ([`ServeHandle::spawn`]), no TCP
     /// anywhere — and fronts them with a router. This is the fixture the
-    /// loopback tests and the `router_throughput` bench build their fleets
-    /// with.
+    /// loopback tests build their fleets with.
     ///
     /// # Errors
     /// Returns [`crate::RouterError::NoBackends`] for a zero backend count.

@@ -376,11 +376,16 @@ mod tests {
         assert!(forwards(&after) > forwards(&before));
         assert!(after.histogram("router.fanout_us").is_some());
         // The TCP scrape decodes to the same shape the in-process scrape has.
+        // Only this fleet's labels are compared: sibling tests register
+        // other backends' counters in the shared registry between the two
+        // scrapes.
         let backend_metrics = |snapshot: &dsig_obs::MetricsSnapshot| {
             snapshot
                 .metrics
                 .iter()
-                .filter(|(name, _)| name.starts_with("router.backend"))
+                .filter(|(name, _)| {
+                    name.starts_with("router.backend.local-0.") || name.starts_with("router.backend.local-1.")
+                })
                 .count()
         };
         assert_eq!(backend_metrics(&after), backend_metrics(&router.handle().metrics()));

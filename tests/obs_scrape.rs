@@ -2,17 +2,18 @@
 //! fleet *while* a campaign screens through it must show counters moving and
 //! stay monotonically consistent scrape-over-scrape — and the instrumentation
 //! must be purely observational: the routed campaign report stays
-//! bit-identical to an uninstrumented local run.
+//! bit-identical to an uninstrumented local run. Retest cap hits on a
+//! backend must reach the fleet event log a TCP client drains.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use analog_signature::dsig::{AcceptanceBand, TestSetup};
+use analog_signature::dsig::{AcceptanceBand, RetestPolicy, Signature, SignatureEntry, TestSetup, ZoneCode};
 use analog_signature::engine::{Campaign, CampaignRunner, DevicePopulation, ScoreTarget};
 use analog_signature::filters::BiquadParams;
-use analog_signature::obs::{HealthStatus, MetricsSnapshot, Registry};
-use analog_signature::router::{Backend, RouterConfig, RouterHandle, RouterStore};
-use analog_signature::serve::{GoldenStore, ServeConfig, ServeHandle};
+use analog_signature::obs::{EventLog, EventRecord, HealthStatus, MetricsSnapshot, Registry};
+use analog_signature::router::{Backend, Router, RouterClient, RouterConfig, RouterHandle, RouterStore};
+use analog_signature::serve::{GoldenStore, RetestItem, RetestRequest, ServeConfig, ServeHandle};
 
 /// Every counter and histogram count present in `before` must still be
 /// present in `after`, no smaller: counters are monotone, and a scrape must
@@ -187,4 +188,89 @@ fn one_fleet_scrape_carries_prefixes_and_rollups_and_health_flips_on_kills() {
         router.revive(&label).unwrap();
     }
     assert_eq!(router.health().status, HealthStatus::Pass);
+}
+
+/// A golden of two 100 µs zones, and an observed copy whose second zone
+/// reads code 7 instead of 3 (one bit apart) for its last `flipped_us`: its
+/// NDF is `flipped_us / 200`.
+fn two_zone(flipped_us: f64) -> Signature {
+    let entries = [(1, 100.0), (3, 100.0 - flipped_us), (7, flipped_us)];
+    Signature::new(
+        entries
+            .iter()
+            .filter(|&&(_, us)| us > 0.0)
+            .map(|&(code, us)| SignatureEntry {
+                code: ZoneCode(code),
+                duration: us * 1e-6,
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn retest_cap_hits_reach_the_fleet_event_log_over_tcp() {
+    // Private backend registries: a sibling test's drain of the global
+    // registry cannot take these events.
+    let fleet: Vec<Backend> = (0..2)
+        .map(|id| {
+            Backend::local(
+                id,
+                ServeHandle::spawn_in(Arc::new(GoldenStore::new()), ServeConfig::default(), Registry::new()),
+            )
+        })
+        .collect();
+    let router = Router::bind("127.0.0.1:0", fleet, RouterStore::new(), RouterConfig::default()).unwrap();
+    let client = RouterClient::connect(router.local_addr()).unwrap();
+    const KEY: u64 = 0xCA9E_0417;
+    let band = AcceptanceBand::new(0.05).unwrap();
+    client.push_golden(KEY, band, &two_zone(0.0)).unwrap();
+
+    // Threshold 0.05, guard 0.02: an NDF in [0.03, 0.07] is marginal.
+    let policy = RetestPolicy::new(0.02, vec![1, 2]).unwrap();
+    let (clean, marginal, far) = (two_zone(0.0), two_zone(10.0), two_zone(30.0));
+    let item = |initial: &Signature, repeats: [&Signature; 2]| RetestItem {
+        initial: initial.clone(),
+        repeats: repeats.into_iter().cloned().collect(),
+    };
+    let request = RetestRequest {
+        golden_key: KEY,
+        policy,
+        items: vec![
+            // 1. Not marginal: decided by its single shot.
+            RetestItem {
+                initial: clean.clone(),
+                repeats: Vec::new(),
+            },
+            // 2. Marginal, resolved by its first repeat (average 0).
+            item(&marginal, [&clean, &clean]),
+            // 3. Marginal after one repeat (0.05), resolved by the last step
+            //    (average 0.1): it consumed the whole schedule.
+            item(&marginal, [&marginal, &far]),
+            // 4. Marginal throughout.
+            item(&marginal, [&marginal, &marginal]),
+        ],
+    };
+    let scores = client.screen_retest(&request).unwrap();
+    let walked: Vec<(bool, u32)> = scores.iter().map(|s| (s.marginal, s.repeats_used)).collect();
+    assert_eq!(walked, vec![(false, 0), (true, 1), (true, 2), (true, 2)]);
+
+    let key = format!("{KEY:#x}");
+    let cap_hits = |log: EventLog| -> Vec<EventRecord> {
+        log.events
+            .into_iter()
+            .filter(|event| event.name == "retest.cap_hit")
+            .filter(|event| event.fields.iter().any(|(k, v)| k == "golden_key" && *v == key))
+            .collect()
+    };
+    let hits = cap_hits(client.events().unwrap());
+    assert_eq!(hits.len(), 2, "devices 3 and 4 hit the cap: {hits:?}");
+    for hit in &hits {
+        assert!(
+            hit.fields.contains(&("repeats_used".to_string(), "2".to_string())),
+            "{hit:?}"
+        );
+    }
+    // The drain is consuming: a second scrape carries neither again.
+    assert_eq!(cap_hits(client.events().unwrap()), Vec::new());
 }

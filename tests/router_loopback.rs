@@ -4,16 +4,19 @@
 //! backend counts 1, 2 and 4 — and keep doing so, with zero wrong verdicts,
 //! after one backend is killed mid-lot, and through a full **rolling
 //! restart** (kill the owner, admin-join a fresh standby, remove the dead
-//! member) at backend counts 2, 4 and 8. A campaign scoring through the
-//! router as its `ScoreTarget` must reproduce the local report exactly.
+//! member) at backend counts 2, 4 and 8 — and through a drain and a cold
+//! TCP join while two TCP clients keep screening. A campaign scoring
+//! through the router as its `ScoreTarget` must reproduce the local report
+//! exactly.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use analog_signature::dsig::{AcceptanceBand, Signature, TestSetup};
-use analog_signature::engine::{Campaign, CampaignReport, CampaignRunner, DevicePopulation, ScoreTarget};
+use analog_signature::engine::{Campaign, CampaignReport, CampaignRunner, DevicePopulation, DeviceResult, ScoreTarget};
 use analog_signature::filters::BiquadParams;
-use analog_signature::router::{Backend, RouterConfig, RouterHandle, RouterStore};
-use analog_signature::serve::{GoldenStore, ServeConfig, ServeHandle};
+use analog_signature::router::{Backend, Router, RouterClient, RouterConfig, RouterHandle, RouterStore};
+use analog_signature::serve::{BackendState, GoldenStore, ServeConfig, ServeHandle, Server};
 
 const DEVICES: usize = 1000;
 /// Client-side batch size; deliberately coprime with the router's sub-batch
@@ -76,11 +79,7 @@ fn router_with(backends: usize, sub_batch: usize) -> (RouterHandle, u64) {
     (router, key)
 }
 
-fn assert_scores_match(
-    scores: &[analog_signature::serve::ScoreResult],
-    results: &[analog_signature::engine::DeviceResult],
-    what: &str,
-) {
+fn assert_scores_match(scores: &[analog_signature::serve::ScoreResult], results: &[DeviceResult], what: &str) {
     assert_eq!(scores.len(), results.len());
     for (score, result) in scores.iter().zip(results) {
         assert_eq!(
@@ -224,4 +223,107 @@ fn campaign_scores_through_the_router_target_bit_identically() {
         routed, local,
         "a campaign scored through the router must reproduce the local report exactly"
     );
+}
+
+#[test]
+fn a_drain_and_a_cold_tcp_join_under_concurrent_tcp_load_keep_every_verdict() {
+    // Membership changes land between batches the load has already screened
+    // and batches it has yet to screen: the admin client waits on the shared
+    // batch counter before each change, and each screening client stops only
+    // `AFTER_LAST_CHANGE` batches after the join returned. The overlap is by
+    // construction, so nothing here depends on timing.
+    const CLIENTS: usize = 2;
+    const DRAIN_AFTER: usize = 8;
+    const JOIN_AFTER: usize = 16;
+    const AFTER_LAST_CHANGE: usize = 8;
+    let lot = lot();
+    let fleet: Vec<Backend> = (0..4)
+        .map(|id| {
+            Backend::local(
+                id,
+                ServeHandle::spawn(Arc::new(GoldenStore::new()), ServeConfig::default()),
+            )
+        })
+        .collect();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        fleet,
+        RouterStore::new(),
+        RouterConfig {
+            sub_batch: 97,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let key = router
+        .handle()
+        .characterize(&lot.setup, &lot.reference, lot.band)
+        .unwrap();
+    let standby = Server::bind("127.0.0.1:0", Arc::new(GoldenStore::new()), ServeConfig::default()).unwrap();
+    let standby_label = standby.local_addr().to_string();
+    let addr = router.local_addr();
+    let admin = RouterClient::connect(addr).unwrap();
+    let epoch_before = admin.fleet_roster().unwrap().epoch;
+
+    let chunks: Vec<(&[Signature], &[DeviceResult])> = lot
+        .signatures
+        .chunks(BATCH)
+        .zip(lot.report.results.chunks(BATCH))
+        .collect();
+    let screened = AtomicUsize::new(0);
+    let changed = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client_index| {
+                let (chunks, screened, changed) = (&chunks, &screened, &changed);
+                scope.spawn(move || {
+                    let client = RouterClient::connect(addr).unwrap();
+                    let mut after_change = 0;
+                    for batch in (client_index..).step_by(CLIENTS) {
+                        if changed.load(Ordering::SeqCst) {
+                            if after_change == AFTER_LAST_CHANGE {
+                                break;
+                            }
+                            after_change += 1;
+                        }
+                        let (signatures, expected) = chunks[batch % chunks.len()];
+                        let scores = client.screen(key, signatures).unwrap();
+                        assert_scores_match(&scores, expected, &format!("churn client {client_index} batch {batch}"));
+                        screened.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        // A client only finishes before the last change by panicking: stop
+        // waiting then, so the scope re-raises its panic instead of hanging.
+        let wait_for = |batches: usize| {
+            while screened.load(Ordering::SeqCst) < batches && !clients.iter().any(|client| client.is_finished()) {
+                std::thread::yield_now();
+            }
+        };
+        let changes = (|| {
+            wait_for(DRAIN_AFTER);
+            admin.fleet_drain("local-1")?;
+            wait_for(JOIN_AFTER);
+            admin.fleet_join(&standby_label)
+        })();
+        changed.store(true, Ordering::SeqCst);
+        changes.unwrap();
+    });
+    assert!(screened.load(Ordering::SeqCst) >= JOIN_AFTER + CLIENTS * AFTER_LAST_CHANGE);
+
+    // The end state over TCP: the drained member is still ranked but not
+    // targeted, the standby is a full member, and each change bumped the
+    // epoch once.
+    let roster = admin.fleet_roster().unwrap();
+    let state_of = |label: &str| {
+        roster
+            .entries
+            .iter()
+            .find(|entry| entry.label == label)
+            .map(|entry| entry.state)
+    };
+    assert_eq!(state_of("local-1"), Some(BackendState::Draining), "{roster:?}");
+    assert_eq!(state_of(&standby_label), Some(BackendState::Active), "{roster:?}");
+    assert_eq!(roster.epoch, epoch_before + 2, "{roster:?}");
 }
