@@ -15,7 +15,7 @@ use crate::batch::{CaptureScratch, SlotTable};
 use crate::capture::{capture_signature, CaptureClock, PointEncoder};
 use crate::decision::{AcceptanceBand, ScreeningStats, TestOutcome};
 use crate::error::{DsigError, Result};
-use crate::ndf::{ndf, peak_hamming_distance};
+use crate::ndf::ndf_and_peak;
 use crate::retest::{retest_seed, RetestPolicy, RetestVerdict};
 use crate::signature::Signature;
 
@@ -288,9 +288,10 @@ impl TestFlow {
     /// Propagates capture and comparison errors.
     pub fn evaluate(&self, cut: &BiquadParams, noise_seed: u64) -> Result<NdfReport> {
         let observed = self.setup.signature_of(cut, noise_seed)?;
+        let (ndf, peak_hamming) = ndf_and_peak(&self.golden, &observed)?;
         Ok(NdfReport {
-            ndf: ndf(&self.golden, &observed)?,
-            peak_hamming: peak_hamming_distance(&self.golden, &observed)?,
+            ndf,
+            peak_hamming,
             observed_zones: observed.len(),
         })
     }
@@ -336,9 +337,10 @@ impl TestFlow {
         signatures
             .iter()
             .map(|observed| {
+                let (ndf, peak_hamming) = ndf_and_peak(&self.golden, observed)?;
                 Ok(NdfReport {
-                    ndf: ndf(&self.golden, observed)?,
-                    peak_hamming: peak_hamming_distance(&self.golden, observed)?,
+                    ndf,
+                    peak_hamming,
                     observed_zones: observed.len(),
                 })
             })
@@ -378,8 +380,9 @@ impl TestFlow {
             }
         } else {
             for observed in self.setup.signatures_of_repeats(cut, repeats, base_seed)? {
-                ndf_sum += ndf(&self.golden, &observed)?;
-                peak = peak.max(peak_hamming_distance(&self.golden, &observed)?);
+                let (ndf, peak_hamming) = ndf_and_peak(&self.golden, &observed)?;
+                ndf_sum += ndf;
+                peak = peak.max(peak_hamming);
                 zones = zones.max(observed.len());
             }
         }
@@ -447,8 +450,9 @@ impl TestFlow {
         let mut repeat_peaks = Vec::with_capacity(repeats.len());
         let mut repeat_zones = Vec::with_capacity(repeats.len());
         for observed in &repeats {
-            repeat_ndfs.push(ndf(&self.golden, observed)?);
-            repeat_peaks.push(peak_hamming_distance(&self.golden, observed)?);
+            let (ndf, peak_hamming) = ndf_and_peak(&self.golden, observed)?;
+            repeat_ndfs.push(ndf);
+            repeat_peaks.push(peak_hamming);
             repeat_zones.push(observed.len());
         }
         let verdict = policy.escalate(band, initial.ndf, &repeat_ndfs);

@@ -9,6 +9,8 @@
 //!   observations, with master-clock quantization ([`CaptureClock`]);
 //! * [`ndf()`](fn@ndf) — the normalized discrepancy factor (Eq. 2), the time-weighted
 //!   average Hamming distance between observed and golden zone codes;
+//!   [`ndf_and_peak`] returns it with the chronogram's peak from one walk,
+//!   the form every scoring path uses;
 //! * [`AcceptanceBand`] / [`TestOutcome`] — the PASS/FAIL decision;
 //! * [`TestFlow`] — the end-to-end flow (golden generation, CUT evaluation,
 //!   Fig. 8 sweeps, population screening, minimum detectable deviation);
@@ -58,7 +60,7 @@ pub use capture::{capture_signature, signature_from_codes, CaptureClock, PointEn
 pub use decision::{AcceptanceBand, ScreeningStats, TestOutcome};
 pub use error::{DsigError, Result};
 pub use flow::{NdfReport, RetestNdfReport, SweepPoint, TestFlow, TestSetup};
-pub use ndf::{hamming_chronogram, ndf, peak_hamming_distance, HammingSegment};
+pub use ndf::{hamming_chronogram, ndf, ndf_and_peak, peak_hamming_distance, HammingSegment};
 pub use regression::{dwell_features, SignatureRegressor};
 pub use retest::{retest_seed, RetestPolicy, RetestVerdict};
 pub use signature::{Signature, SignatureEntry, ZoneCode};

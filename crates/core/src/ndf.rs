@@ -5,7 +5,7 @@
 //! codes over one Lissajous period.
 
 use crate::error::{DsigError, Result};
-use crate::signature::Signature;
+use crate::signature::{Signature, SignatureEntry, ZoneCode};
 
 /// One segment of the Hamming-distance chronogram (the lower plot of Fig. 7):
 /// the Hamming distance is constant over `[t_start, t_end)`.
@@ -92,10 +92,95 @@ pub fn peak_hamming_distance(golden: &Signature, observed: &Signature) -> Result
         .unwrap_or(0))
 }
 
+/// The NDF and the peak Hamming distance of one comparison, bit-identical to
+/// `(ndf(golden, observed)?, peak_hamming_distance(golden, observed)?)`.
+///
+/// Every scoring path uses this; [`ndf`], [`peak_hamming_distance`] and
+/// [`hamming_chronogram`] stay as the reference it is tested against. It
+/// makes one allocation-free merge walk over both signatures' cumulative
+/// boundaries and replays the reference arithmetic: the same breakpoints in
+/// the same order, the same 1e-15 dedup, the same midpoint code lookups (a
+/// forward cursor per signature instead of a rescan) and the same summation
+/// order.
+///
+/// # Errors
+/// Same as [`ndf`], in the same order.
+pub fn ndf_and_peak(golden: &Signature, observed: &Signature) -> Result<(f64, u32)> {
+    let period = golden.total_duration();
+    if period <= 0.0 {
+        return Err(DsigError::InvalidSignature("golden signature has zero duration".into()));
+    }
+    if golden.is_empty() || observed.is_empty() {
+        return Err(DsigError::InvalidSignature("cannot compare empty signatures".into()));
+    }
+    let mut golden_times = transitions(golden.entries()).peekable();
+    let mut observed_times = transitions(observed.entries()).take_while(|&t| t < period).peekable();
+    let breakpoints = std::iter::from_fn(|| match (golden_times.peek(), observed_times.peek()) {
+        (Some(g), Some(o)) if o < g => observed_times.next(),
+        (Some(_), _) => golden_times.next(),
+        (None, _) => observed_times.next(),
+    })
+    .chain(std::iter::once(period));
+
+    let mut golden_code = CodeCursor::new(golden.entries());
+    let mut observed_code = CodeCursor::new(observed.entries());
+    // `Iterator::sum` over the chronogram folds from -0.0.
+    let (mut t0, mut weighted, mut peak) = (0.0, -0.0, 0);
+    for t1 in breakpoints {
+        // The reference's dedup. Kept breakpoints ascend at least 1e-15
+        // apart, so its skip of non-positive windows never fires.
+        if (t1 - t0).abs() < 1e-15 {
+            continue;
+        }
+        let mid = 0.5 * (t0 + t1);
+        let distance = golden_code.at(mid).hamming_distance(observed_code.at(mid));
+        weighted += distance as f64 * (t1 - t0);
+        peak = peak.max(distance);
+        t0 = t1;
+    }
+    Ok((weighted / period, peak))
+}
+
+/// A non-empty signature's transition instants, accumulated from 0.0 in
+/// entry order as [`Signature::transition_times`] does.
+fn transitions(entries: &[SignatureEntry]) -> impl Iterator<Item = f64> + '_ {
+    entries[..entries.len() - 1].iter().scan(0.0, |acc, e| {
+        *acc += e.duration;
+        Some(*acc)
+    })
+}
+
+/// [`Signature::code_at`] for non-decreasing times: the cursor keeps the
+/// entry it last returned and that entry's end, summed in `code_at`'s order.
+struct CodeCursor<'a> {
+    entries: &'a [SignatureEntry],
+    index: usize,
+    end: f64,
+}
+
+impl<'a> CodeCursor<'a> {
+    fn new(entries: &'a [SignatureEntry]) -> Self {
+        CodeCursor {
+            entries,
+            index: 0,
+            end: entries[0].duration,
+        }
+    }
+
+    /// The code at `t`. A time at or before 0 finds the cursor on the first
+    /// entry (durations are positive); one past the end stops on the last.
+    fn at(&mut self, t: f64) -> ZoneCode {
+        while !(t < self.end) && self.index + 1 < self.entries.len() {
+            self.index += 1;
+            self.end += self.entries[self.index].duration;
+        }
+        self.entries[self.index].code
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signature::{SignatureEntry, ZoneCode};
 
     fn sig(entries: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -176,6 +261,42 @@ mod tests {
         assert!(ndf(&g, &empty).is_err());
         assert!(ndf(&empty, &g).is_err());
         assert!(hamming_chronogram(&empty, &empty).is_err());
+    }
+
+    /// `ndf_and_peak` against the two reference calls: NDF bits, peak and
+    /// error all equal.
+    fn assert_matches_reference(golden: &Signature, observed: &Signature) {
+        let reference = ndf(golden, observed).and_then(|n| Ok((n.to_bits(), peak_hamming_distance(golden, observed)?)));
+        let one_pass = ndf_and_peak(golden, observed).map(|(n, peak)| (n.to_bits(), peak));
+        assert_eq!(one_pass, reference, "golden {golden:?} observed {observed:?}");
+    }
+
+    #[test]
+    fn one_pass_scoring_matches_the_reference_on_edge_cases() {
+        let g = sig(&[(4, 10e-6), (20, 30e-6), (28, 60e-6)]);
+        let tiny = sig(&[(1, 4e-16), (2, 4e-16)]);
+        let cases = [
+            (g.clone(), sig(&[(4, 12e-6), (20, 28e-6), (30, 60e-6)])),
+            (g.clone(), g.clone()),
+            // An observed transition 5e-16 s after the golden's is dropped by
+            // the dedup; one past the period is ignored.
+            (g.clone(), sig(&[(5, 10e-6 + 5e-16), (20, 100e-6), (7, 1.0)])),
+            // A golden shorter than 1e-15 s has no window at all.
+            (tiny.clone(), sig(&[(6, 1.0)])),
+            // The last midpoint overflows to +inf, where `code_at` returns the
+            // last code of each signature.
+            (
+                sig(&[(1, f64::MAX / 4.0), (2, f64::MAX / 2.0)]),
+                sig(&[(3, f64::MAX / 2.0), (0, f64::MAX / 4.0)]),
+            ),
+            (g.clone(), Signature::default()),
+            (Signature::default(), g.clone()),
+        ];
+        for (golden, observed) in &cases {
+            assert_matches_reference(golden, observed);
+        }
+        let (value, peak) = ndf_and_peak(&tiny, &cases[3].1).unwrap();
+        assert_eq!((value.to_bits(), peak), ((-0.0f64).to_bits(), 0));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Signature {
     ///
     /// # Errors
     /// Returns [`DsigError::InvalidSignature`] if any duration is negative or
-    /// not finite.
+    /// not finite, or if the durations sum past `f64::MAX`.
     pub fn new(entries: Vec<SignatureEntry>) -> Result<Self> {
         for e in &entries {
             if !(e.duration >= 0.0) || !e.duration.is_finite() {
@@ -91,7 +91,14 @@ impl Signature {
                 _ => merged.push(e),
             }
         }
-        Ok(Signature { entries: merged })
+        let signature = Signature { entries: merged };
+        // Every cumulative boundary is at most the total, so a finite total
+        // keeps every instant the NDF walks finite.
+        let total = signature.total_duration();
+        if !total.is_finite() {
+            return Err(DsigError::InvalidSignature(format!("durations sum to {total}")));
+        }
+        Ok(signature)
     }
 
     /// Builds a signature from uniformly sampled zone codes with sample
@@ -216,6 +223,9 @@ impl Signature {
             // Every entry was a glitch: keep the dominant zone.
             return self.clone();
         }
+        // Only captured signatures are deglitched (the capture paths of
+        // `TestSetup`), and their one observation window is far below
+        // `f64::MAX`, so regrouping the same durations cannot overflow.
         Signature::new(merged).expect("durations remain finite and non-negative")
     }
 
@@ -261,9 +271,9 @@ impl Signature {
     /// Decoding never panics on malformed input: short buffers report
     /// [`DsigError::Truncated`], a wrong magic, an impossible entry count or
     /// trailing bytes report [`DsigError::Corrupt`], and smuggled invalid
-    /// durations (negative, NaN, infinite) report
-    /// [`DsigError::InvalidSignature`] through the [`Signature::new`]
-    /// validation.
+    /// durations (negative, NaN, infinite, or summing past `f64::MAX`)
+    /// report [`DsigError::InvalidSignature`] through the
+    /// [`Signature::new`] validation.
     ///
     /// # Errors
     /// See above.
@@ -289,6 +299,12 @@ impl Signature {
 }
 
 impl FromIterator<SignatureEntry> for Signature {
+    /// Collects entries through [`Signature::new`].
+    ///
+    /// # Panics
+    /// Panics where `new` would return an error. Collect only captured
+    /// dwells, which are finite, non-negative and sum to one observation
+    /// window; decoded input goes through `new` and its error.
     fn from_iter<T: IntoIterator<Item = SignatureEntry>>(iter: T) -> Self {
         Signature::new(iter.into_iter().collect()).expect("finite non-negative durations")
     }
@@ -332,6 +348,23 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert!(Signature::new(vec![entry(1, -1.0)]).is_err());
         assert!(Signature::new(vec![entry(1, f64::NAN)]).is_err());
+    }
+
+    #[test]
+    fn new_rejects_entries_summing_past_f64_max() {
+        // Each duration is finite; their sum is not.
+        let err = Signature::new(vec![entry(1, 1e308), entry(2, 1e308)]).unwrap_err();
+        assert!(matches!(err, DsigError::InvalidSignature(_)), "{err:?}");
+        // Halves of f64::MAX still sum to a finite period.
+        let s = Signature::new(vec![entry(1, f64::MAX / 2.0), entry(2, f64::MAX / 2.0)]).unwrap();
+        assert_eq!(s.total_duration(), f64::MAX);
+    }
+
+    #[test]
+    fn new_rejects_a_merged_entry_past_f64_max() {
+        // Merging two same-code entries would overflow the merged duration.
+        let err = Signature::new(vec![entry(1, 1e308), entry(1, 1e308)]).unwrap_err();
+        assert!(matches!(err, DsigError::InvalidSignature(_)), "{err:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use dsig_core::{ndf, wire, Result, Signature};
+use dsig_core::{ndf_and_peak, wire, Result, Signature};
 
 /// Magic prefix of the signature-log framing.
 const LOG_MAGIC: [u8; 4] = *b"DSGL";
@@ -115,7 +115,7 @@ impl SignatureLog {
     pub fn replay(&self, golden: &Signature) -> Result<Vec<(u32, f64)>> {
         self.entries
             .iter()
-            .map(|(index, signature)| Ok((*index, ndf(golden, signature)?)))
+            .map(|(index, signature)| Ok((*index, ndf_and_peak(golden, signature)?.0)))
             .collect()
     }
 }

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsig_core::{
-    capture_signatures_batch, ndf, peak_hamming_distance, retest_seed, BatchDevice, Result, RetestPolicy,
-    SharedStimulus, Signature, StimulusBank, TestFlow, TestSetup,
+    capture_signatures_batch, ndf_and_peak, retest_seed, BatchDevice, Result, RetestPolicy, SharedStimulus, Signature,
+    StimulusBank, TestFlow, TestSetup,
 };
 use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{Counter, Gauge, Histogram, Registry, Span};
@@ -493,8 +493,9 @@ fn apply_retest(
                 let mut repeat_ndfs = Vec::with_capacity(device_repeats.len());
                 let mut repeat_peaks = Vec::with_capacity(device_repeats.len());
                 for observed in device_repeats {
-                    repeat_ndfs.push(ndf(golden, observed)?);
-                    repeat_peaks.push(peak_hamming_distance(golden, observed)?);
+                    let (ndf, peak_hamming) = ndf_and_peak(golden, observed)?;
+                    repeat_ndfs.push(ndf);
+                    repeat_peaks.push(peak_hamming);
                 }
                 let outcome = &mut outcomes[at];
                 let verdict = policy.escalate(&campaign.band, outcome.result.ndf, &repeat_ndfs);
@@ -617,9 +618,7 @@ fn score_batch(
             .into_iter()
             .zip(observed)
             .map(|(spec, observed)| {
-                let golden = flow.golden();
-                let ndf_value = ndf(golden, &observed)?;
-                let peak_hamming = peak_hamming_distance(golden, &observed)?;
+                let (ndf_value, peak_hamming) = ndf_and_peak(flow.golden(), &observed)?;
                 Ok(device_outcome(campaign, spec, observed, ndf_value, peak_hamming, None))
             })
             .collect(),
@@ -687,7 +686,7 @@ mod tests {
     use super::*;
     use crate::campaign::DevicePopulation;
     use cut_filters::{BiquadParams, ComponentRef, Fault};
-    use dsig_core::AcceptanceBand;
+    use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand};
     use xy_monitor::ProcessVariation;
 
     fn campaign(population: DevicePopulation) -> Campaign {

@@ -426,8 +426,9 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Renders the snapshot as aligned human-readable text, one metric per
-    /// line (the format CI uploads next to the bench JSON artifacts).
+    /// Renders the snapshot as human-readable text, one metric per line:
+    /// a counter's value, a gauge's value, or a histogram's count, mean,
+    /// p50, p95, p99 and max in microseconds.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.metrics {

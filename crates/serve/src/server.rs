@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand, DsigError, RetestPolicy, Signature};
+use dsig_core::{ndf_and_peak, AcceptanceBand, DsigError, RetestPolicy, Signature};
 use dsig_engine::{available_threads, RemoteRetest, RemoteScore, RemoteScorer, RetestDevice};
 use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{
@@ -217,11 +217,11 @@ struct ScoreJob {
 
 /// Scores one observed signature against a golden record.
 fn score(record: &GoldenRecord, observed: &Signature) -> std::result::Result<ScoreResult, DsigError> {
-    let ndf_value = ndf(&record.golden, observed)?;
+    let (ndf, peak_hamming) = ndf_and_peak(&record.golden, observed)?;
     Ok(ScoreResult {
-        ndf: ndf_value,
-        peak_hamming: peak_hamming_distance(&record.golden, observed)?,
-        outcome: record.band.decide(ndf_value),
+        ndf,
+        peak_hamming,
+        outcome: record.band.decide(ndf),
     })
 }
 

@@ -873,6 +873,52 @@ proptest! {
     }
 }
 
+/// A golden whose two durations are finite but sum past `f64::MAX` (its
+/// period would be +inf and every score NaN) is refused by decoding, so a
+/// server answers the push with an error and stores nothing.
+#[test]
+fn a_pushed_golden_whose_durations_overflow_is_rejected_and_not_stored() {
+    use analog_signature::serve::{GoldenStore, ServeConfig, ServeError, Server};
+    use std::io::Write;
+    use std::sync::Arc;
+
+    // Encode a valid two-entry golden, then patch both durations to 1e308
+    // in the frame's embedded signature bytes.
+    let key = 0xB16;
+    let valid = signature_from(&[(1, 1.0), (2, 1.0)]);
+    let mut frame = proto::encode_push_request(key, AcceptanceBand::new(0.03).unwrap(), &valid);
+    let embedded = valid.to_bytes();
+    let at = frame
+        .windows(embedded.len())
+        .position(|w| w == embedded.as_slice())
+        .expect("the frame embeds the golden's bytes");
+    for entry in 0..2 {
+        let duration = at + 8 + 12 * entry + 4;
+        frame[duration..duration + 8].copy_from_slice(&1e308f64.to_bits().to_le_bytes());
+    }
+    for decoded in [proto::decode_any_request(&frame), proto::decode_push_request(&frame)] {
+        assert!(
+            matches!(decoded, Err(ServeError::Dsig(DsigError::InvalidSignature(_)))),
+            "{decoded:?}"
+        );
+    }
+
+    let store = Arc::new(GoldenStore::new());
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(1)).unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut writer = std::io::BufWriter::new(stream.try_clone().unwrap());
+    proto::write_frame(&mut writer, &frame).unwrap();
+    writer.flush().unwrap();
+    let response = proto::read_frame(&mut std::io::BufReader::new(stream))
+        .unwrap()
+        .expect("response frame");
+    match proto::decode_admin_response(&response).unwrap() {
+        proto::AdminResponse::Error { code, .. } => assert_eq!(code, proto::ErrorCode::BadRequest),
+        other => panic!("an overflowing golden must draw an error, got {other:?}"),
+    }
+    assert!(store.get(key).is_none(), "the refused golden was stored");
+}
+
 /// One frame of every request and response family (and every decode-error
 /// answer), encoded from fixed inputs — the work requests under a fixed
 /// ambient trace context.

@@ -1,6 +1,6 @@
 //! Determinism of the parallel campaign engine: a multi-threaded campaign
-//! over a Monte-Carlo population must produce NDFs bit-identical to the
-//! plain serial loop, at every thread count.
+//! over a Monte-Carlo population must produce NDFs and peak Hamming
+//! distances bit-identical to the plain serial loop, at every thread count.
 
 use analog_signature::dsig::{ndf, peak_hamming_distance, AcceptanceBand, TestFlow, TestSetup};
 use analog_signature::engine::{Campaign, CampaignRunner, DevicePopulation};
@@ -30,9 +30,10 @@ fn campaign() -> Campaign {
 }
 
 /// The reference implementation the engine must reproduce bit-for-bit: a
-/// plain serial loop over `Campaign::device`, scored against a golden
-/// signature characterized directly with `TestFlow::new`.
-fn serial_reference_ndfs(campaign: &Campaign) -> Vec<f64> {
+/// plain serial loop over `Campaign::device`, scored by the reference `ndf`
+/// and `peak_hamming_distance` against a golden signature characterized
+/// directly with `TestFlow::new`. One `(ndf, peak)` pair per device.
+fn serial_reference_ndfs(campaign: &Campaign) -> Vec<(f64, u32)> {
     let noiseless = TestSetup {
         noise: NoiseModel::none(),
         ..campaign.setup.clone()
@@ -45,8 +46,10 @@ fn serial_reference_ndfs(campaign: &Campaign) -> Vec<f64> {
                 .setup
                 .signature_of(&spec.cut, spec.noise_seed)
                 .expect("signature");
-            let _ = peak_hamming_distance(flow.golden(), &observed).expect("peak");
-            ndf(flow.golden(), &observed).expect("ndf")
+            (
+                ndf(flow.golden(), &observed).expect("ndf"),
+                peak_hamming_distance(flow.golden(), &observed).expect("peak"),
+            )
         })
         .collect()
 }
@@ -57,8 +60,9 @@ fn parallel_campaign_matches_serial_loop_bit_for_bit() {
     let reference = serial_reference_ndfs(&campaign);
     assert_eq!(reference.len(), DEVICES);
     // The population must be non-trivial: both passing and failing devices.
-    assert!(reference.iter().any(|&n| n > 0.03), "lot has no failing device");
-    assert!(reference.iter().any(|&n| n < 0.03), "lot has no passing device");
+    assert!(reference.iter().any(|&(n, _)| n > 0.03), "lot has no failing device");
+    assert!(reference.iter().any(|&(n, _)| n < 0.03), "lot has no passing device");
+    assert!(reference.iter().any(|&(_, p)| p > 1), "lot has no multi-bit peak");
 
     for threads in [1usize, 2, 8] {
         let report = CampaignRunner::with_threads(threads)
@@ -66,11 +70,15 @@ fn parallel_campaign_matches_serial_loop_bit_for_bit() {
             .run(&campaign)
             .expect("campaign run");
         assert_eq!(report.devices(), DEVICES);
-        let ndfs: Vec<f64> = report.results.iter().map(|r| r.ndf).collect();
         assert_eq!(
-            ndfs.iter().map(|n| n.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|n| n.to_bits()).collect::<Vec<_>>(),
+            report.results.iter().map(|r| r.ndf.to_bits()).collect::<Vec<_>>(),
+            reference.iter().map(|(n, _)| n.to_bits()).collect::<Vec<_>>(),
             "NDFs at {threads} thread(s) differ from the serial loop"
+        );
+        assert_eq!(
+            report.results.iter().map(|r| r.peak_hamming).collect::<Vec<_>>(),
+            reference.iter().map(|&(_, p)| p).collect::<Vec<_>>(),
+            "peaks at {threads} thread(s) differ from the serial loop"
         );
         // Device order and identity are preserved, not just the multiset.
         for (i, result) in report.results.iter().enumerate() {
