@@ -14,8 +14,8 @@
 //!   entries, keyed exactly by [`stimulus_key`] (no lossy hashing);
 //! * [`SharedStimulus`] — the cached per-setup artifacts: raw stimulus,
 //!   noiseless observed stimulus, the monitor bank's slot table with the
-//!   gate-drive streams of its X drive models on that stimulus, and
-//!   per-sample Y thresholds;
+//!   gate-drive streams of its X drive models on that stimulus, per-sample
+//!   Y thresholds, and the stimulus tones on the sample grid;
 //! * [`capture_signatures_batch`] — evaluates N device responses against the
 //!   shared stimulus with a cache-friendly inner loop (one pass per monitor
 //!   over the sample stream) and scratch buffers reused across the whole
@@ -46,7 +46,9 @@
 //!
 //! Batched capture and [`TestSetup::signatures_of_repeats`] are therefore
 //! bit-identical to [`TestSetup::signature_of`] at every batch size; the
-//! workspace determinism and equivalence tests enforce this. For Table I,
+//! workspace determinism and equivalence tests enforce this. Noiseless
+//! batched capture also computes y differently, but provably lands every
+//! sample in the same zones (see the last section below). For Table I,
 //! whose transistors differ only in width, a noisy sample costs two drive
 //! evaluations (one on x, one on y) and twelve short multiply-add chains
 //! instead of twelve `saturation_current` calls.
@@ -88,6 +90,48 @@
 //!   that estimate: a few evaluations per monitor and sample, once per
 //!   [`StimulusBank`] miss.
 //!
+//! # Certified response synthesis
+//!
+//! The response y reaches the signature only through the zone bits, so a
+//! cheaper y that provably gets every bit the exact y would get gives the
+//! same signature. Noiseless batched capture computes such a y when every
+//! monitor has a threshold table; otherwise every device takes the exact
+//! path, today's
+//! [`steady_state_response_into`](BiquadParams::steady_state_response_into)
+//! then the front-end filter, which stays the reference.
+//!
+//! * **The synthesis.** [`SharedStimulus::new`] tabulates the sine and
+//!   cosine of every tone's angle `fl(ω·t_k)` on the sample grid, formed as
+//!   the reference forms it ([`ToneGrid`], about 19 KB at 2 MS/s). Per
+//!   device, [`BiquadParams::steady_state_response_on_grid`] expands each
+//!   tone `a·sin(θ + p)` as `(a·cos p)·sin θ + (a·sin p)·cos θ`: two
+//!   multiply-adds per tone and sample instead of one libm `sin`.
+//! * **The bound.** The synthesis returns E with `|y − y_ref| ≤ E` at every
+//!   sample, assuming only that libm `sin` and `cos` are within one ulp.
+//!   Its terms are the reference's rounding of `θ + p` (`u·|a|·(Θ + |p|)`,
+//!   the term that grows with the harmonic index), both paths' libm and
+//!   product rounding (`16u·|a|` per tone), both sums' rounding and
+//!   underflow; the derivation is in its docs. [`lowpass_gap_bound`]
+//!   carries E through the front-end filter. The filter's update is a
+//!   convex combination of state and input, so the gap between two exact
+//!   filters never grows, and each computed filter adds only its own
+//!   rounding, about `u·max|y|/α` for smoothing factor α.
+//! * **The decision.** Each bit is decided against its threshold band
+//!   widened by the carried bound E': above when `fl(y − hi) > E'`, below
+//!   when `fl(lo − y) > E'`. Rounding is monotone, so these hold only when
+//!   `y − hi > E'` (or `lo − y > E'`) exactly; every y' within E' of y is
+//!   then outside the band on the same side, where the table decides y'
+//!   as the exact slot expression does.
+//! * **The fallback.** If E' is not finite, some sample is not finite, or
+//!   any sample of any monitor lies inside its widened band, the device is
+//!   recaptured on the exact path, and
+//!   [`SharedStimulus::exact_syntheses`] counts it. At 2 MS/s, E' is about
+//!   5e-15 V for Table I devices, dozens of ulps at 0.5 V, and a lot of
+//!   2,048 Monte-Carlo devices recaptures none.
+//! * **What does not change.** Noisy capture, [`TestSetup::signature_of`]
+//!   and [`TestSetup::signatures_of_repeats`] use only the reference
+//!   synthesis, and no option chooses the path.
+//!
 //! # Examples
 //!
 //! ```
@@ -113,12 +157,12 @@
 //! # }
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cut_filters::BiquadParams;
-use sim_signal::lowpass_in_place;
-use sim_signal::Waveform;
-use xy_monitor::{CurrentComparator, MonitorInput, MosParams};
+use cut_filters::{BiquadParams, ToneGrid};
+use sim_signal::{lowpass_gap_bound, lowpass_in_place, Waveform};
+use xy_monitor::{CurrentComparator, MonitorInput, MosParams, MosPolarity};
 
 mod slots;
 mod threshold;
@@ -191,16 +235,20 @@ pub fn push_monitor_words(key: &mut Vec<u64>, monitor: &xy_monitor::CurrentCompa
         }
     }
     for t in &monitor.transistors {
-        key.push(
-            format!("{:?}", t.polarity)
-                .bytes()
-                .fold(0u64, |acc, b| acc << 8 | u64::from(b)),
-        );
+        key.push(match t.polarity {
+            MosPolarity::Nmos => NMOS_WORD,
+            MosPolarity::Pmos => PMOS_WORD,
+        });
         for v in [t.width, t.length, t.vth0, t.kp, t.lambda, t.subthreshold_n] {
             key.push(v.to_bits());
         }
     }
 }
+
+/// The key words of the two transistor polarities: each name's bytes,
+/// big-endian, the words every earlier key layout wrote.
+const NMOS_WORD: u64 = u64::from_be_bytes(*b"\0\0\0\0Nmos");
+const PMOS_WORD: u64 = u64::from_be_bytes(*b"\0\0\0\0Pmos");
 
 /// One device of a batched capture: the CUT parameters and the seed of its
 /// measurement-noise realisation (the same seed [`TestSetup::signature_of`]
@@ -240,12 +288,14 @@ fn rises_with_gate(t: &MosParams) -> bool {
 
 /// The per-setup artifacts shared by every device of a batched capture: the
 /// synthesized stimulus, its noiseless observed (band-limited) form, the
-/// monitor bank's slot table with the X drive streams on that form, and the
-/// per-sample Y thresholds of every monitor with exactly one Y-driven input.
+/// monitor bank's slot table with the X drive streams on that form, the
+/// per-sample Y thresholds of every monitor with exactly one Y-driven input,
+/// and, when every monitor has them, the tone grid of certified response
+/// synthesis.
 ///
 /// Obtain one from a [`StimulusBank`] (cached per [`stimulus_key`]) or
 /// directly with [`SharedStimulus::new`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SharedStimulus {
     key: Vec<u64>,
     /// The raw synthesized stimulus (`stimulus.sample(1, sample_rate)`).
@@ -258,13 +308,20 @@ pub struct SharedStimulus {
     x_drives: DriveStreams,
     /// Per monitor, its threshold table when it has one.
     thresholds: Vec<Option<YThresholds>>,
+    /// The stimulus tones on the sample grid, for certified response
+    /// synthesis; present when every monitor has a threshold table.
+    tones: Option<ToneGrid>,
+    /// Noiseless batched devices whose response went through the exact
+    /// synthesis.
+    exact_syntheses: AtomicU64,
 }
 
 impl SharedStimulus {
     /// Synthesizes the shared artifacts of a setup: the stimulus sample
     /// stream, its noiseless observed form, the drive streams of every X
-    /// drive model on it, and the Y-threshold table of every monitor with
-    /// exactly one Y-driven input.
+    /// drive model on it, the Y-threshold table of every monitor with
+    /// exactly one Y-driven input and, when every monitor has one, the tone
+    /// grid of certified response synthesis.
     ///
     /// # Errors
     /// Returns [`DsigError::InvalidConfig`] when the setup's sample rate
@@ -291,6 +348,8 @@ impl SharedStimulus {
             slots,
             x_drives,
             thresholds: Vec::new(),
+            tones: None,
+            exact_syntheses: AtomicU64::new(0),
         };
         shared.thresholds = setup
             .partition
@@ -299,6 +358,10 @@ impl SharedStimulus {
             .enumerate()
             .map(|(m, monitor)| shared.y_thresholds(m, monitor))
             .collect();
+        if shared.thresholds.iter().all(Option::is_some) {
+            shared.tones = Some(ToneGrid::new(&setup.stimulus, 1, setup.sample_rate))
+                .filter(|grid| grid.len() == shared.samples());
+        }
         Ok(shared)
     }
 
@@ -347,6 +410,69 @@ impl SharedStimulus {
     /// given setup — exact [`stimulus_key`] equality.
     pub fn matches(&self, setup: &TestSetup) -> bool {
         self.key == stimulus_key(setup)
+    }
+
+    /// Number of noiseless devices captured against this shared stimulus
+    /// whose response went through the exact synthesis: a certified
+    /// synthesis left some bit in doubt, or the setup has a monitor without
+    /// a threshold table (then every device).
+    pub fn exact_syntheses(&self) -> u64 {
+        self.exact_syntheses.load(Ordering::Relaxed)
+    }
+
+    /// Synthesizes a device's noiseless observed y on the tone grid into
+    /// `y` (the certified synthesis, then the front-end filter) and returns
+    /// a bound on its distance from the exact path's y at every sample:
+    /// [`BiquadParams::steady_state_response_on_grid`]'s bound carried
+    /// through the filter by [`lowpass_gap_bound`]. It is `+inf` or NaN when
+    /// no bound holds, including for any non-finite synthesized sample.
+    fn certified_response(&self, grid: &ToneGrid, setup: &TestSetup, cut: &BiquadParams, y: &mut Vec<f64>) -> f64 {
+        let bound = cut.steady_state_response_on_grid(grid, y);
+        // The sum of magnitudes is finite only when every sample is.
+        let (peak, total) = y
+            .iter()
+            .fold((0.0f64, 0.0), |(peak, total), v| (peak.max(v.abs()), total + v.abs()));
+        if !total.is_finite() {
+            return f64::INFINITY;
+        }
+        match setup.monitor_bandwidth_hz {
+            Some(bandwidth) => {
+                let dt = self.x_obs.dt();
+                lowpass_in_place(y, dt, bandwidth);
+                lowpass_gap_bound(bound, peak, dt, bandwidth)
+            }
+            None => bound,
+        }
+    }
+
+    /// Zone-encodes a certified y, within `bound` of the exact path's y at
+    /// every sample, into `scratch.codes`: each bit is decided by its
+    /// monitor's threshold table with the band widened by `bound` on both
+    /// sides ([`YThresholds::beyond`]). Returns `false`, leaving the codes
+    /// unusable, when the bound is not finite, a monitor has no table, or
+    /// some sample lies inside a widened band: a bit is then in doubt.
+    fn encode_certified(&self, y: &[f64], bound: f64, scratch: &mut CaptureScratch) -> bool {
+        if !bound.is_finite() {
+            return false;
+        }
+        let codes = &mut scratch.codes;
+        codes.clear();
+        codes.resize(y.len(), 0);
+        for (m, table) in self.thresholds.iter().enumerate() {
+            let Some(table) = table else {
+                return false;
+            };
+            let mut undecided = false;
+            for ((code, &yk), &band) in codes.iter_mut().zip(y).zip(&table.bands) {
+                let (above, below) = YThresholds::beyond(band, yk, bound);
+                undecided |= !(above | below);
+                *code |= u32::from(above ^ table.below) << m;
+            }
+            if undecided {
+                return false;
+            }
+        }
+        true
     }
 
     /// Zone-encodes one device's noiseless observed `y` into
@@ -414,30 +540,46 @@ pub fn capture_signatures_batch(
     // Scratch buffers reused across every device of the batch.
     let mut y: Vec<f64> = Vec::new();
     let mut scratch = CaptureScratch::default();
-
-    let mut out = Vec::with_capacity(devices.len());
-    for device in devices {
-        device
-            .cut
-            .steady_state_response_into(&setup.stimulus, 1, setup.sample_rate, &mut y);
+    // The reference synthesis of the exact path.
+    let exact_response = |cut: &BiquadParams, y: &mut Vec<f64>| {
+        cut.steady_state_response_into(&setup.stimulus, 1, setup.sample_rate, y);
         if y.len() != n {
             return Err(DsigError::Signal(sim_signal::SignalError::GridMismatch {
                 left: n,
                 right: y.len(),
             }));
         }
-        out.push(if noisy {
+        Ok(())
+    };
+
+    let mut out = Vec::with_capacity(devices.len());
+    for device in devices {
+        if noisy {
             // x differs per device: both streams go through exact encoding.
-            shared
-                .slots
-                .capture_measurement(setup, shared.x_raw.samples(), &y, device.noise_seed, dt, &mut scratch)?
-        } else {
+            exact_response(&device.cut, &mut y)?;
+            out.push(shared.slots.capture_measurement(
+                setup,
+                shared.x_raw.samples(),
+                &y,
+                device.noise_seed,
+                dt,
+                &mut scratch,
+            )?);
+            continue;
+        }
+        let certified = shared.tones.as_ref().is_some_and(|grid| {
+            let bound = shared.certified_response(grid, setup, &device.cut, &mut y);
+            shared.encode_certified(&y, bound, &mut scratch)
+        });
+        if !certified {
+            shared.exact_syntheses.fetch_add(1, Ordering::Relaxed);
+            exact_response(&device.cut, &mut y)?;
             if let Some(bandwidth) = setup.monitor_bandwidth_hz {
                 lowpass_in_place(&mut y, dt, bandwidth);
             }
             shared.encode_noiseless(&y, &mut scratch);
-            capture_codes(setup, &scratch.codes, dt)?
-        });
+        }
+        out.push(capture_codes(setup, &scratch.codes, dt)?);
     }
     Ok(out)
 }
@@ -460,6 +602,8 @@ struct BankInner {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Exact syntheses of evicted entries, as of their eviction.
+    evicted_exact_syntheses: u64,
 }
 
 /// A bounded, thread-safe cache of [`SharedStimulus`] entries keyed exactly
@@ -492,6 +636,7 @@ impl StimulusBank {
                 hits: 0,
                 misses: 0,
                 evictions: 0,
+                evicted_exact_syntheses: 0,
             }),
         }
     }
@@ -534,8 +679,9 @@ impl StimulusBank {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
                 .expect("capacity is at least one");
-            inner.entries.swap_remove(lru);
+            let evicted = inner.entries.swap_remove(lru);
             inner.evictions += 1;
+            inner.evicted_exact_syntheses += evicted.shared.exact_syntheses();
         }
         inner.entries.push(BankEntry {
             key,
@@ -574,6 +720,13 @@ impl StimulusBank {
     pub fn evictions(&self) -> u64 {
         self.inner.lock().expect("stimulus bank lock poisoned").evictions
     }
+
+    /// [`SharedStimulus::exact_syntheses`] summed over every entry this bank
+    /// has held (an evicted entry's count as of its eviction).
+    pub fn exact_syntheses(&self) -> u64 {
+        let inner = self.inner.lock().expect("stimulus bank lock poisoned");
+        inner.evicted_exact_syntheses + inner.entries.iter().map(|e| e.shared.exact_syntheses()).sum::<u64>()
+    }
 }
 
 impl Default for StimulusBank {
@@ -586,7 +739,7 @@ impl Default for StimulusBank {
 mod tests {
     use super::threshold::{from_order_key, order_key, GUARD_ULPS, MIN_KEY, POS_INF_KEY};
     use super::*;
-    use sim_signal::NoiseModel;
+    use sim_signal::{MultitoneSpec, NoiseModel, ToneSpec};
 
     fn setup() -> TestSetup {
         TestSetup::paper_default().unwrap().with_sample_rate(1e6).unwrap()
@@ -1037,6 +1190,151 @@ mod tests {
             );
         }
         assert!(shared.thresholds.iter().all(Option::is_none));
+    }
+
+    /// The float nearest `end + outward·distance`, stepped until its
+    /// distance from `end`, as [`YThresholds::beyond`] computes it, is at
+    /// least `distance` (`away`) or at most `distance` (otherwise): a probe
+    /// on the intended side of the widened band edge despite the rounding
+    /// of the probe itself.
+    fn probe(end: f64, outward: f64, distance: f64, away: bool) -> f64 {
+        let mut y = end + outward * distance;
+        let step = |y: f64, sign: f64| if sign > 0.0 { y.next_up() } else { y.next_down() };
+        while away && outward * (y - end) < distance {
+            y = step(y, outward);
+        }
+        while !away && outward * (y - end) > distance {
+            y = step(y, -outward);
+        }
+        y
+    }
+
+    #[test]
+    fn widened_bands_leave_every_doubtful_table1_bit_to_the_exact_path() {
+        for (rate, bandwidth) in [(2e6, true), (5e6, false)] {
+            let setup = table1_setup(rate, bandwidth);
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let grid = shared.tones.as_ref().expect("Table I is fully tabulated");
+            let mut y = Vec::new();
+            let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), &mut y);
+            assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
+            let mut scratch = CaptureScratch::default();
+            assert!(
+                shared.encode_certified(&y, bound, &mut scratch),
+                "the nominal device is decided"
+            );
+            let mut probed = 0;
+            for (m, table) in shared.thresholds.iter().enumerate() {
+                let table = table.as_ref().unwrap();
+                for (k, &[lo, hi]) in table.bands.iter().enumerate() {
+                    for (end, outward) in [(hi, 1.0), (lo, -1.0)] {
+                        if !end.is_finite() {
+                            continue;
+                        }
+                        probed += 1;
+                        for scale in [0.5, 0.99, 1.01, 2.0] {
+                            let yk = probe(end, outward, scale * bound, scale > 1.0);
+                            let (above, below) = YThresholds::beyond([lo, hi], yk, bound);
+                            let at = format!("monitor {m} sample {k} edge {end} scale {scale}");
+                            if scale < 1.0 {
+                                assert!(!(above | below), "{at}: decided inside the widened band");
+                                let mut doubtful = y.clone();
+                                doubtful[k] = yk;
+                                assert!(!shared.encode_certified(&doubtful, bound, &mut scratch), "{at}");
+                            } else {
+                                assert!(above ^ below, "{at}: left undecided beyond the widened band");
+                                let bit = above ^ table.below;
+                                assert_eq!(shared.exact_bit(m, k, yk - bound), bit, "{at}");
+                                assert_eq!(shared.exact_bit(m, k, yk + bound), bit, "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(probed > 2 * shared.samples(), "only {probed} finite band edges");
+        }
+    }
+
+    #[test]
+    fn certified_response_stays_within_its_bound_on_table1_lots() {
+        for (rate, bandwidth) in [(2e6, true), (5e6, false)] {
+            let setup = table1_setup(rate, bandwidth);
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let grid = shared.tones.as_ref().unwrap();
+            let (mut certified, mut exact) = (Vec::new(), Vec::new());
+            for device in lot(9) {
+                let bound = shared.certified_response(grid, &setup, &device.cut, &mut certified);
+                device
+                    .cut
+                    .steady_state_response_into(&setup.stimulus, 1, setup.sample_rate, &mut exact);
+                if let Some(bandwidth) = setup.monitor_bandwidth_hz {
+                    lowpass_in_place(&mut exact, shared.x_obs.dt(), bandwidth);
+                }
+                let gap = certified
+                    .iter()
+                    .zip(&exact)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                assert!(gap <= bound, "f0 {}: gap {gap:e} above {bound:e}", device.cut.f0_hz);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_syntheses_count_the_devices_left_to_the_exact_path() {
+        let bank = StimulusBank::with_capacity(1);
+        let devices = lot(7);
+        let table1 = table1_setup(2e6, true);
+        let shared = bank.shared_for(&table1).unwrap();
+        capture_signatures_batch(&table1, &shared, &devices).unwrap();
+        assert_eq!(
+            shared.exact_syntheses(),
+            0,
+            "a Table I lot is decided by the certified synthesis"
+        );
+        // Noisy capture never takes the certified path, and does not count.
+        capture_signatures_batch(
+            &table1.clone().with_noise(NoiseModel::paper_default()),
+            &shared,
+            &devices,
+        )
+        .unwrap();
+        assert_eq!(bank.exact_syntheses(), 0);
+        // A monitor without a threshold table sends every device exact.
+        let custom = custom_setup();
+        let custom_shared = bank.shared_for(&custom).unwrap();
+        assert!(custom_shared.tones.is_none());
+        capture_signatures_batch(&custom, &custom_shared, &devices).unwrap();
+        assert_eq!(custom_shared.exact_syntheses(), 7);
+        // The bank's total survives the entry's eviction.
+        assert_eq!(bank.exact_syntheses(), 7);
+        bank.shared_for(&table1).unwrap();
+        assert_eq!(bank.evictions(), 2);
+        assert_eq!(bank.exact_syntheses(), 7);
+    }
+
+    #[test]
+    fn devices_without_a_deciding_bound_are_captured_exactly() {
+        // A phase of 1e17 rad makes the reference round its sine argument by
+        // volts, so the bound leaves every bit in doubt; a NaN amplitude
+        // leaves no bound at all.
+        for tone in [ToneSpec::new(3, 0.14).with_phase(1e17), ToneSpec::new(3, f64::NAN)] {
+            let mut setup = table1_setup(2e6, true);
+            let mut tones = setup.stimulus.tones().to_vec();
+            tones[1] = tone;
+            setup.stimulus = MultitoneSpec::new(5_000.0, 0.5, tones).unwrap();
+            let shared = SharedStimulus::new(&setup).unwrap();
+            assert!(shared.tones.is_some());
+            let devices = lot(3);
+            let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+            assert_eq!(shared.exact_syntheses(), 3, "{tone:?}");
+            for (device, batched_sig) in devices.iter().zip(&batched) {
+                assert_eq!(
+                    *batched_sig,
+                    setup.signature_of(&device.cut, device.noise_seed).unwrap()
+                );
+            }
+        }
     }
 
     #[test]

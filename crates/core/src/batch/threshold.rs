@@ -103,6 +103,23 @@ impl YThresholds {
     pub(super) fn decides([lo, hi]: [f64; 2], y: f64) -> bool {
         ((y < lo) | (y > hi)) & y.is_finite()
     }
+
+    /// Whether `y` lies more than `bound` above the band `[lo, hi]`, and
+    /// whether it lies more than `bound` below it:
+    /// `(fl(y − hi) > bound, fl(lo − y) > bound)`. For a finite `y` and
+    /// `bound`, every y' within `bound` of `y` then lies above, or below,
+    /// the band too, so the table decides y' the same way.
+    ///
+    /// No rounding can erode that margin. Round-to-nearest is monotone and
+    /// `bound` is a float, so `y − hi ≤ bound` in exact arithmetic would
+    /// give `fl(y − hi) ≤ fl(bound) = bound`: the compare holds only when
+    /// `y − hi > bound` exactly. The same goes for `lo − y`. An infinite
+    /// band end never compares beyond (`y − inf` is `-inf`), and a NaN y
+    /// never does.
+    #[inline]
+    pub(super) fn beyond([lo, hi]: [f64; 2], y: f64, bound: f64) -> (bool, bool) {
+        (y - hi > bound, lo - y > bound)
+    }
 }
 
 /// First outward step of the flip-point search when no neighbouring flip

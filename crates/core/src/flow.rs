@@ -71,11 +71,12 @@ impl TestSetup {
     ///
     /// # Errors
     /// Returns [`DsigError::InvalidConfig`] for a rate that does not resolve
-    /// the stimulus (fewer than 50 samples per fundamental period).
+    /// the stimulus (fewer than 50 samples per fundamental period) and for a
+    /// NaN or infinite rate.
     pub fn with_sample_rate(mut self, sample_rate: f64) -> Result<Self> {
-        if sample_rate * self.stimulus.period() < 50.0 {
+        if !(sample_rate * self.stimulus.period() >= 50.0) || !sample_rate.is_finite() {
             return Err(DsigError::InvalidConfig(format!(
-                "sample rate {sample_rate} Hz resolves fewer than 50 points per period"
+                "sample rate {sample_rate} Hz is not finite or resolves fewer than 50 points per period"
             )));
         }
         self.sample_rate = sample_rate;
@@ -839,5 +840,18 @@ mod tests {
         let setup = TestSetup::paper_default().unwrap();
         assert!(setup.clone().with_sample_rate(1e3).is_err());
         assert!(setup.with_sample_rate(2e6).is_ok());
+    }
+
+    #[test]
+    fn with_sample_rate_rejects_nan_and_infinite_rates() {
+        // NaN fails every comparison and +inf clears any lower bound: both
+        // used to be accepted, and capture then panicked on the sample grid.
+        let setup = TestSetup::paper_default().unwrap();
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(setup.clone().with_sample_rate(rate), Err(DsigError::InvalidConfig(_))),
+                "rate {rate}"
+            );
+        }
     }
 }

@@ -248,6 +248,26 @@ mod tests {
     }
 
     #[test]
+    fn persisted_fingerprints_keep_their_values() {
+        // DSGS stores key goldens by these digests across processes and
+        // releases, so the key layout (including each transistor's polarity
+        // word) must not drift. The second setup swaps one monitor's input
+        // pair for PMOS devices, so both polarity words are covered.
+        let paper = TestSetup::paper_default().unwrap();
+        let reference = BiquadParams::paper_default();
+        assert_eq!(golden_fingerprint(&paper, &reference), 4565530561233378702);
+        let mut monitors = paper.partition.monitors().to_vec();
+        for t in &mut monitors[0].transistors[..2] {
+            *t = xy_monitor::MosParams::pmos_65nm(t.width, t.length);
+        }
+        let with_pmos = TestSetup {
+            partition: xy_monitor::ZonePartition::new(monitors).unwrap(),
+            ..paper
+        };
+        assert_eq!(golden_fingerprint(&with_pmos, &reference), 16634139454986308002);
+    }
+
+    #[test]
     fn key_and_fingerprint_are_stable() {
         let a = golden_key(&setup(), &BiquadParams::paper_default());
         let b = golden_key(&setup(), &BiquadParams::paper_default());

@@ -50,11 +50,15 @@ struct EngineMetrics {
     retest_us: Arc<Histogram>,
     /// `engine.devices_per_s` — population throughput of the last campaign.
     devices_per_s: Arc<Gauge>,
-    /// `engine.bank.hits` / `.misses` / `.evictions` — the runner's stimulus
-    /// bank counters, mirrored as gauges after each campaign.
+    /// `engine.bank.hits` / `.misses` / `.evictions` / `.exact_syntheses` —
+    /// the runner's stimulus bank counters, mirrored as gauges after each
+    /// campaign. The last counts the noiseless batched devices whose
+    /// response went through the exact synthesis rather than the certified
+    /// one ([`StimulusBank::exact_syntheses`]).
     bank_hits: Arc<Gauge>,
     bank_misses: Arc<Gauge>,
     bank_evictions: Arc<Gauge>,
+    bank_exact_syntheses: Arc<Gauge>,
     /// `engine.queue_depth` — chunks still queued (this one included) when a
     /// worker claims a chunk.
     queue_depth: Arc<Histogram>,
@@ -73,6 +77,7 @@ impl EngineMetrics {
             bank_hits: registry.gauge("engine.bank.hits"),
             bank_misses: registry.gauge("engine.bank.misses"),
             bank_evictions: registry.gauge("engine.bank.evictions"),
+            bank_exact_syntheses: registry.gauge("engine.bank.exact_syntheses"),
             queue_depth: registry.histogram("engine.queue_depth"),
             fallback_per_device: registry.counter("engine.fallback.per_device"),
         }
@@ -306,6 +311,9 @@ impl CampaignRunner {
         self.metrics.bank_hits.set(self.bank.hits() as f64);
         self.metrics.bank_misses.set(self.bank.misses() as f64);
         self.metrics.bank_evictions.set(self.bank.evictions() as f64);
+        self.metrics
+            .bank_exact_syntheses
+            .set(self.bank.exact_syntheses() as f64);
 
         let track_coverage = matches!(campaign.population, DevicePopulation::FaultGrid(_));
         let mut report = CampaignReport::new();
@@ -1113,6 +1121,7 @@ mod tests {
         assert!(count(&after, "engine.queue_depth") > count(&before, "engine.queue_depth"));
         assert!(after.gauge("engine.devices_per_s").is_some());
         assert!(after.gauge("engine.bank.misses").is_some());
+        assert!(after.gauge("engine.bank.exact_syntheses").is_some());
 
         let fallbacks = after.counter("engine.fallback.per_device").unwrap_or(0);
         CampaignRunner::with_threads(1).with_batching(false).run(&c).unwrap();
@@ -1123,6 +1132,49 @@ mod tests {
         );
         // Instrumentation is observational: the report stays bit-identical.
         assert_eq!(CampaignRunner::with_threads(2).run(&c).unwrap(), plain);
+    }
+
+    #[test]
+    fn the_bank_counts_devices_captured_on_the_exact_synthesis() {
+        // A Table I lot is decided by the certified synthesis. Adding a
+        // monitor with a Y input on both branches (which has no threshold
+        // table) sends every device of the same lot to the exact one.
+        let c = campaign(DevicePopulation::MonteCarlo {
+            devices: 10,
+            sigma_pct: 3.0,
+        });
+        let runner = CampaignRunner::with_threads(2).with_chunk_size(4);
+        runner.run(&c).unwrap();
+        assert_eq!(runner.stimulus_bank().exact_syntheses(), 0);
+
+        let nmos = xy_monitor::MosParams::nmos_65nm(1.8e-6, 180e-9);
+        let both_y = xy_monitor::CurrentComparator::new(
+            "both-y",
+            [nmos.with_width(3e-6), nmos, nmos.with_width(1e-6), nmos],
+            [
+                xy_monitor::MonitorInput::YAxis,
+                xy_monitor::MonitorInput::XAxis,
+                xy_monitor::MonitorInput::YAxis,
+                xy_monitor::MonitorInput::Dc(0.5),
+            ],
+            1.2,
+        )
+        .unwrap();
+        let mut monitors = c.setup.partition.monitors().to_vec();
+        monitors.push(both_y);
+        let mut untabulated = c.clone();
+        untabulated.setup.partition = ZonePartition::new(monitors).unwrap();
+        let runner = CampaignRunner::with_threads(2).with_chunk_size(4);
+        let report = runner.run(&untabulated).unwrap();
+        assert_eq!(runner.stimulus_bank().exact_syntheses(), 10);
+        // Both paths are the same capture: batching on or off agrees.
+        assert_eq!(
+            report,
+            CampaignRunner::with_threads(1)
+                .with_batching(false)
+                .run(&untabulated)
+                .unwrap()
+        );
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub use error::{FilterError, Result};
 pub use faults::{fig8_f0_sweep, ComponentRef, Fault};
 pub use state_space::StateSpaceSim;
 pub use tow_thomas::{TowThomasCircuit, TowThomasDesign};
-pub use transfer::{BiquadKind, BiquadParams};
+pub use transfer::{BiquadKind, BiquadParams, ToneGrid};

@@ -56,4 +56,4 @@ pub use zoner::{hamming_distance, ZonePartition};
 // of this crate's API surface; re-export both so downstream crates don't need
 // a direct `sim-spice` dependency to evaluate monitor branch currents (the
 // drive/gain split included).
-pub use sim_spice::devices::{saturation_current, GateDrive, GateGain, MosParams};
+pub use sim_spice::devices::{saturation_current, GateDrive, GateGain, MosParams, MosPolarity};

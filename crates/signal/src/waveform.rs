@@ -285,14 +285,56 @@ pub fn lowpass_in_place(samples: &mut [f64], dt: f64, cutoff_hz: f64) {
     let Some(&first) = samples.first() else {
         return;
     };
-    let alpha = {
-        let rc = 1.0 / (2.0 * std::f64::consts::PI * cutoff_hz);
-        dt / (dt + rc)
-    };
+    let alpha = lowpass_alpha(dt, cutoff_hz);
     let mut state = first;
     for x in samples.iter_mut() {
         state += alpha * (*x - state);
         *x = state;
+    }
+}
+
+/// The smoothing factor of [`lowpass_in_place`]: `dt / (dt + RC)` with
+/// `RC = 1 / (2π·cutoff)`.
+fn lowpass_alpha(dt: f64, cutoff_hz: f64) -> f64 {
+    let rc = 1.0 / (2.0 * std::f64::consts::PI * cutoff_hz);
+    dt / (dt + rc)
+}
+
+/// How far apart [`lowpass_in_place`] can carry two sample streams: if the
+/// streams differ by at most `gap` at every sample and the first is at most
+/// `peak` in magnitude, their filtered streams (same `dt` and `cutoff_hz`)
+/// differ by at most the returned value. It is `+inf` when no bound holds:
+/// for a non-finite argument, or a smoothing factor `α` below `4u`.
+///
+/// The derivation, with `u = 2^-53`:
+///
+/// * **The exact filters.** In exact arithmetic the update
+///   `s ← s + α·(x − s)` is a convex combination of state and input, so two
+///   exact filters whose inputs differ by at most `gap` stay within `gap`
+///   of each other, and each stays within its input's magnitude bound.
+/// * **Each computed filter** starts exactly on its first input and then
+///   rounds once per step, by
+///   `ρ ≤ (2u + u²)·α·|x − s| + u·|s + m| + 2^-1075` with `m` the rounded
+///   increment. The error this leaves decays by `1 − α` per step, so by
+///   induction a computed filter stays within
+///   `e(P) = 2P·(u/α + 5u) + 2^-1074/α` of the exact one on inputs bounded
+///   by `P`, whenever `u/α ≤ 1/4`: the step bound is then at most
+///   `α·e(P)`.
+///
+/// The result is `gap + e(peak) + e(peak + gap)`, times `1 + 2^-20` for the
+/// rounding of its own evaluation.
+pub fn lowpass_gap_bound(gap: f64, peak: f64, dt: f64, cutoff_hz: f64) -> f64 {
+    const U: f64 = f64::EPSILON / 2.0;
+    let alpha = lowpass_alpha(dt, cutoff_hz);
+    if !(4.0 * U..=1.0).contains(&alpha) {
+        return f64::INFINITY;
+    }
+    let own_rounding = |peak: f64| 2.0 * peak * (U / alpha + 5.0 * U) + f64::from_bits(1) / alpha;
+    let bound = gap + own_rounding(peak) + own_rounding(peak + gap);
+    if bound.is_finite() {
+        bound * (1.0 + 1.0 / (1u64 << 20) as f64)
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -407,6 +449,45 @@ mod tests {
         let tail: Vec<f64> = attenuated.samples().iter().copied().skip(500).collect();
         let amp = tail.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
         assert!(amp < 0.15, "stop-band amplitude {amp}");
+    }
+
+    #[test]
+    fn lowpass_gap_bound_covers_both_filters_rounding() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x10_0FA5);
+        let dt = 5e-7;
+        // Smoothing factors from about 3e-5 to about 0.97.
+        for cutoff in [10.0, 1e3, 50e3, 300e3, 10e6] {
+            for gap in [0.0, 1e-15, 4e-14] {
+                let x: Vec<f64> = (0..4000).map(|_| rng.gen_range(-1.2..1.2)).collect();
+                // The second stream sits `gap` away, in a random direction
+                // per sample, or all on one side.
+                let one_sided = rng.gen::<bool>();
+                let shifted: Vec<f64> = x
+                    .iter()
+                    .map(|&v| v + if one_sided || rng.gen::<bool>() { gap } else { -gap })
+                    .collect();
+                let actual_gap = x.iter().zip(&shifted).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+                let peak = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let bound = lowpass_gap_bound(actual_gap, peak, dt, cutoff);
+                let (mut a, mut b) = (x.clone(), shifted);
+                lowpass_in_place(&mut a, dt, cutoff);
+                lowpass_in_place(&mut b, dt, cutoff);
+                let filtered_gap = a.iter().zip(&b).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+                assert!(
+                    filtered_gap <= bound,
+                    "cutoff {cutoff} gap {gap:e}: {filtered_gap:e} above {bound:e}"
+                );
+                // Each filter adds only its own rounding, about u·peak/α.
+                let alpha = lowpass_alpha(dt, cutoff);
+                let own = 4.0 * (peak + actual_gap) * (f64::EPSILON / 2.0) * (1.0 / alpha + 5.0);
+                assert!(bound <= (actual_gap + own) * 1.001, "cutoff {cutoff}: {bound:e}");
+            }
+        }
+        // No bound without finite inputs or with a vanishing smoothing factor.
+        assert_eq!(lowpass_gap_bound(f64::NAN, 1.0, dt, 1e3), f64::INFINITY);
+        assert_eq!(lowpass_gap_bound(1e-15, f64::INFINITY, dt, 1e3), f64::INFINITY);
+        assert_eq!(lowpass_gap_bound(1e-15, 1.0, dt, 1e-12), f64::INFINITY);
     }
 
     #[test]

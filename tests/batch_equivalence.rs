@@ -1,17 +1,18 @@
 //! Property test of the shared-stimulus batched capture fast path: over
 //! random setups (sample rate, monitor bandwidth, capture clock, measurement
-//! noise) and random lots (deviations, seeds, batch sizes), batched capture
-//! must be bit-identical to the per-device reference path — signature by
-//! signature, entry by entry. The repeat fast path must likewise equal
-//! per-device capture under each repeat's seed. About half the generated
-//! setups are noiseless, so both the shared-x branch (threshold-table
+//! noise, stimulus) and random lots (f0 deviations, Q, gain, output tap,
+//! seeds, batch sizes), batched capture must be bit-identical to the
+//! per-device reference path — signature by signature, entry by entry. The
+//! repeat fast path must likewise equal per-device capture under each
+//! repeat's seed. About half the generated setups are noiseless, so both the
+//! shared-x branch (certified response synthesis and threshold-table
 //! encoding) and the per-device-x branch are exercised.
 
 use analog_signature::dsig::{
     capture_signatures_batch, BatchDevice, CaptureClock, SharedStimulus, StimulusBank, TestSetup,
 };
-use analog_signature::filters::BiquadParams;
-use analog_signature::signal::NoiseModel;
+use analog_signature::filters::{BiquadKind, BiquadParams};
+use analog_signature::signal::{MultitoneSpec, NoiseModel, ToneSpec};
 use proptest::prelude::*;
 
 /// Sample rates the generator picks from: all resolve the stimulus
@@ -40,13 +41,34 @@ fn setup_from(rate: f64, bandwidth_khz: u32, clock_bits: u32, noise_sigma_mv: f6
     setup
 }
 
+/// The three Biquad output taps, indexed by a generated knob.
+const KINDS: [BiquadKind; 3] = [BiquadKind::LowPass, BiquadKind::BandPass, BiquadKind::HighPass];
+
+/// A multitone stimulus on the paper's 5 kHz fundamental from generated
+/// tones `(harmonic, weight, phase)`: the weights share `swing` volts of
+/// total amplitude around `offset`.
+fn stimulus_from(tones: &[(u32, f64, f64)], offset: f64, swing: f64) -> MultitoneSpec {
+    let weights: f64 = tones.iter().map(|&(_, weight, _)| weight).sum();
+    let tones = tones
+        .iter()
+        .map(|&(harmonic, weight, phase)| ToneSpec::new(harmonic, swing * weight / weights).with_phase(phase))
+        .collect();
+    MultitoneSpec::new(5_000.0, offset, tones).expect("stimulus")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn batched_capture_equals_per_device_capture(
         knobs in (0usize..RATES.len(), 0u32..421, 0u32..13, prop::bool::ANY, 0.0..8.0f64),
-        lot in prop::collection::vec((-18.0..18.0f64, 0u64..1_000_000), 1..9),
+        stimulus in (
+            prop::collection::vec((1u32..51, 0.05..1.0f64, -12.0..12.0f64), 1..7),
+            0.25..0.75f64,
+            0.05..0.5f64,
+            prop::bool::ANY,
+        ),
+        lot in prop::collection::vec((-18.0..18.0f64, 0u64..1_000_000, 0.3..5.0f64, 0.25..2.0f64, 0usize..3), 1..9),
     ) {
         let (rate_index, bandwidth_khz, clock_bits, noisy, noise_sigma_mv) = knobs;
         // Sub-100 kHz bandwidths would chop into the stimulus band itself;
@@ -55,12 +77,19 @@ proptest! {
         // A σ drawn from a continuous range is almost never exactly zero, so
         // noiseless setups get their own coin flip.
         let noise_sigma_mv = if noisy { noise_sigma_mv } else { 0.0 };
-        let setup = setup_from(RATES[rate_index], bandwidth_khz, clock_bits, noise_sigma_mv);
+        let mut setup = setup_from(RATES[rate_index], bandwidth_khz, clock_bits, noise_sigma_mv);
+        // Half the cases keep the paper's stimulus; the others draw 1-6
+        // tones up to the 50th harmonic, phases beyond ±π, and the offset.
+        let (tones, offset, swing, drawn) = stimulus;
+        if drawn {
+            setup.stimulus = stimulus_from(&tones, offset, swing);
+        }
 
         let devices: Vec<BatchDevice> = lot
             .iter()
-            .map(|&(deviation, seed)| {
-                BatchDevice::new(BiquadParams::paper_default().with_f0_shift_pct(deviation), seed)
+            .map(|&(deviation, seed, q, gain, kind)| {
+                let cut = BiquadParams::new(15_000.0, q, gain, KINDS[kind]).expect("cut");
+                BatchDevice::new(cut.with_f0_shift_pct(deviation), seed)
             })
             .collect();
 
@@ -80,6 +109,11 @@ proptest! {
                     "dwell times must be bit-identical"
                 );
             }
+        }
+        // Noiseless lots must have been decided by the certified synthesis,
+        // so the property checks its bound and not only the exact fallback.
+        if setup.noise.is_none() {
+            prop_assert_eq!(shared.exact_syntheses(), 0);
         }
     }
 
