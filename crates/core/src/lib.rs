@@ -20,7 +20,7 @@
 //! * [`retest`] — adaptive retest of marginal NDFs ([`RetestPolicy`]): a
 //!   guard band around the acceptance threshold plus a cumulative repeat
 //!   schedule, decided by one pure escalation walk shared by the local flow,
-//!   the serving shards and the campaign runner;
+//!   the serving tier and the campaign runner;
 //! * [`baseline`] — straight-line zoning and raw waveform comparison
 //!   baselines used for comparison benches.
 //!

@@ -12,7 +12,7 @@
 //! hard* (a cumulative repeat schedule with an escalation cap);
 //! [`RetestPolicy::escalate`] is the **pure decision walk** shared verbatim
 //! by the local flow ([`crate::TestFlow::evaluate_with_retest`]), the serving
-//! shards (`DSRT` requests) and the campaign runner — which is what makes
+//! tier (`DSRT` requests) and the campaign runner — which is what makes
 //! retested campaign reports bit-identical across local, serve-target and
 //! router-target scoring.
 

@@ -77,4 +77,4 @@ pub use report::{
     ReportDiff, RetestStats,
 };
 pub use runner::CampaignRunner;
-pub use score::{RemoteRetest, RemoteScore, RemoteScorer, RetestDevice, ScoreTarget};
+pub use score::{RemoteScorer, RetestItem, RetestScore, ScoreResult, ScoreTarget};

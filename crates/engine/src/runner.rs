@@ -20,7 +20,7 @@ use crate::campaign::{Campaign, DevicePopulation, DeviceSpec};
 use crate::codec::SignatureLog;
 use crate::pool::{available_threads, parallel_map_indexed, DEFAULT_CHUNK};
 use crate::report::{CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats};
-use crate::score::{RemoteScorer, RetestDevice, ScoreTarget};
+use crate::score::{RemoteScorer, RetestItem, ScoreTarget};
 
 /// Executes campaigns over a worker pool with a shared golden-signature cache
 /// and a shared-stimulus bank for the batched capture fast path.
@@ -148,7 +148,7 @@ impl CampaignRunner {
     /// [`TestSetup::signatures_of_repeats`], seeds derived by
     /// [`dsig_core::retest_seed`]) and re-decided by the policy's escalation
     /// walk. On a remote [`ScoreTarget`], the repeats ship to the tier in one
-    /// `DSRT` request per chunk and the **serving shards** verdict — reports
+    /// `DSRT` request per chunk and the **serving tier** verdicts — reports
     /// stay bit-identical to local retest scoring because the walk is the
     /// same pure function of the same repeat measurements.
     pub fn with_retest(mut self, policy: RetestPolicy) -> Self {
@@ -516,10 +516,10 @@ fn apply_retest(
             }
         }
         Scorer::Remote { remote, key } => {
-            let devices: Vec<RetestDevice> = marginal
+            let devices: Vec<RetestItem> = marginal
                 .iter()
                 .zip(&repeats)
-                .map(|(&at, device_repeats)| RetestDevice {
+                .map(|(&at, device_repeats)| RetestItem {
                     initial: outcomes[at].observed.clone(),
                     repeats: device_repeats.clone(),
                 })
@@ -814,7 +814,7 @@ mod tests {
 
     #[test]
     fn remote_score_target_is_bit_identical_to_local_scoring() {
-        use crate::score::{RemoteScore, RemoteScorer, ScoreTarget};
+        use crate::score::{RemoteScorer, ScoreResult, ScoreTarget};
 
         // A stand-in serving tier: scores against its own characterization of
         // the same (setup, reference, band) — exactly what a golden store
@@ -824,12 +824,12 @@ mod tests {
             band: AcceptanceBand,
         }
         impl RemoteScorer for FlowScorer {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 signatures
                     .iter()
                     .map(|observed| {
                         let ndf_value = ndf(self.flow.golden(), observed)?;
-                        Ok(RemoteScore {
+                        Ok(ScoreResult {
                             ndf: ndf_value,
                             peak_hamming: peak_hamming_distance(self.flow.golden(), observed)?,
                             outcome: self.band.decide(ndf_value),
@@ -858,7 +858,7 @@ mod tests {
         // remote scorer; failures there must surface as remote errors.
         struct Failing;
         impl RemoteScorer for Failing {
-            fn screen_remote(&self, _key: u64, _signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+            fn screen_remote(&self, _key: u64, _signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 Err(dsig_core::DsigError::Remote("backend gone".into()))
             }
         }
@@ -950,22 +950,22 @@ mod tests {
 
     #[test]
     fn remote_retest_scoring_is_bit_identical_to_local_retest() {
-        use crate::score::{RemoteRetest, RemoteScore, RemoteScorer, RetestDevice, ScoreTarget};
+        use crate::score::{RemoteScorer, RetestItem, RetestScore, ScoreResult, ScoreTarget};
         use dsig_core::RetestPolicy;
 
         // A stand-in remote tier that escalates with the same pure walk the
-        // serving shards use, against its own characterization.
+        // serving tier uses, against its own characterization.
         struct RetestingScorer {
             flow: TestFlow,
             band: AcceptanceBand,
         }
         impl RemoteScorer for RetestingScorer {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 signatures
                     .iter()
                     .map(|observed| {
                         let ndf_value = ndf(self.flow.golden(), observed)?;
-                        Ok(RemoteScore {
+                        Ok(ScoreResult {
                             ndf: ndf_value,
                             peak_hamming: peak_hamming_distance(self.flow.golden(), observed)?,
                             outcome: self.band.decide(ndf_value),
@@ -977,8 +977,8 @@ mod tests {
                 &self,
                 _key: u64,
                 policy: &RetestPolicy,
-                devices: &[RetestDevice],
-            ) -> Result<Vec<RemoteRetest>> {
+                devices: &[RetestItem],
+            ) -> Result<Vec<RetestScore>> {
                 devices
                     .iter()
                     .map(|device| {
@@ -992,8 +992,8 @@ mod tests {
                             repeat_peaks.push(peak_hamming_distance(golden, repeat)?);
                         }
                         let verdict = policy.escalate(&self.band, initial_ndf, &repeat_ndfs);
-                        Ok(RemoteRetest {
-                            score: RemoteScore {
+                        Ok(RetestScore {
+                            score: ScoreResult {
                                 ndf: verdict.ndf,
                                 peak_hamming: repeat_peaks[..verdict.repeats_used as usize]
                                     .iter()
@@ -1033,10 +1033,10 @@ mod tests {
         // A target without retest support surfaces a remote error.
         struct NoRetest;
         impl RemoteScorer for NoRetest {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 Ok(signatures
                     .iter()
-                    .map(|_| RemoteScore {
+                    .map(|_| ScoreResult {
                         ndf: 0.03,
                         peak_hamming: 0,
                         outcome: dsig_core::TestOutcome::Pass,
@@ -1053,30 +1053,30 @@ mod tests {
 
     #[test]
     fn remote_retest_claiming_more_repeats_than_sent_is_an_error() {
-        use crate::score::{RemoteRetest, RemoteScore, RemoteScorer, RetestDevice, ScoreTarget};
+        use crate::score::{RemoteScorer, RetestItem, RetestScore, ScoreResult, ScoreTarget};
         use dsig_core::{RetestPolicy, TestOutcome};
 
         // A faulty tier: every device sits on the band threshold, and the
         // retest answer claims one repeat more than the device was sent.
         struct Overreaching;
-        const ON_THRESHOLD: RemoteScore = RemoteScore {
+        const ON_THRESHOLD: ScoreResult = ScoreResult {
             ndf: 0.03,
             peak_hamming: 0,
             outcome: TestOutcome::Pass,
         };
         impl RemoteScorer for Overreaching {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 Ok(vec![ON_THRESHOLD; signatures.len()])
             }
             fn retest_remote(
                 &self,
                 _key: u64,
                 _policy: &RetestPolicy,
-                devices: &[RetestDevice],
-            ) -> Result<Vec<RemoteRetest>> {
+                devices: &[RetestItem],
+            ) -> Result<Vec<RetestScore>> {
                 Ok(devices
                     .iter()
-                    .map(|device| RemoteRetest {
+                    .map(|device| RetestScore {
                         score: ON_THRESHOLD,
                         marginal: true,
                         flipped: false,

@@ -12,6 +12,11 @@
 //! capture side fans out over the runner's worker pool while every verdict
 //! comes from the serving tier.
 //!
+//! The score types of the seam ([`ScoreResult`], [`RetestItem`],
+//! [`RetestScore`]) are also the serving protocol's: `dsig_serve::proto`
+//! re-exports them, so a tier answers the runner with its wire scores as
+//! they are.
+//!
 //! Because signature scoring is a pure function of `(golden, observed)` and
 //! the acceptance band, a remote target whose golden was characterized from
 //! the same `(setup, reference, band)` produces reports **bit-identical** to
@@ -20,39 +25,39 @@
 
 use dsig_core::{Result, RetestPolicy, Signature, TestOutcome};
 
-/// One remotely produced score, mirroring the wire score of the serving
-/// protocol: the NDF, the peak instantaneous Hamming distance and the
-/// PASS/FAIL decision of the golden's acceptance band.
+/// The score of one signature against a golden: what a serving tier
+/// answers per signature, and what a remote scoring target returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteScore {
+pub struct ScoreResult {
     /// Normalized discrepancy factor (Eq. 2 of the paper).
     pub ndf: f64,
     /// Peak instantaneous Hamming distance over the period.
     pub peak_hamming: u32,
-    /// PASS/FAIL decision made by the remote golden's acceptance band.
+    /// PASS/FAIL decision of the golden's acceptance band.
     pub outcome: TestOutcome,
 }
 
-/// One marginal device of an adaptive-retest remote batch: its single-shot
-/// signature plus the pre-captured measurement repeats the remote tier may
-/// consume while escalating.
+/// One device of an adaptive-retest batch: the single-shot signature plus
+/// the pre-captured measurement repeats the scoring tier may consume if the
+/// single shot turns out marginal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetestDevice {
+pub struct RetestItem {
     /// The single-shot observed signature.
     pub initial: Signature,
-    /// Measurement repeats (independent noise realisations of the same
-    /// device), at most the policy's escalation cap.
+    /// Measurement repeats of the same device (independent noise
+    /// realisations), at most the policy's escalation cap.
     pub repeats: Vec<Signature>,
 }
 
-/// One remotely produced adaptive-retest score: the final (averaged, for
-/// escalated devices) score plus the escalation metadata, mirroring the
-/// `DSRR` wire score.
+/// The adaptive-retest score of one device: the final (possibly averaged)
+/// score plus the retest metadata of the escalation walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteRetest {
-    /// The deciding score.
-    pub score: RemoteScore,
-    /// Whether the single-shot NDF fell inside the remote policy guard band.
+pub struct RetestScore {
+    /// The deciding score: single-shot for non-marginal devices, with the
+    /// NDF averaged and the peak Hamming distance folded over the consumed
+    /// repeats otherwise.
+    pub score: ScoreResult,
+    /// Whether the single-shot NDF fell inside the guard band.
     pub marginal: bool,
     /// Whether the averaged verdict differs from the single-shot one.
     pub flipped: bool,
@@ -71,7 +76,7 @@ pub trait RemoteScorer: Sync {
     /// # Errors
     /// Returns [`dsig_core::DsigError::Remote`] (or a decoded scoring error)
     /// when the backend cannot answer.
-    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>>;
+    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>>;
 
     /// Screens an adaptive-retest batch (`DSRT`): each device's single shot
     /// plus its measurement repeats, re-decided remotely through `policy`'s
@@ -89,8 +94,8 @@ pub trait RemoteScorer: Sync {
         &self,
         golden_key: u64,
         policy: &RetestPolicy,
-        devices: &[RetestDevice],
-    ) -> Result<Vec<RemoteRetest>> {
+        devices: &[RetestItem],
+    ) -> Result<Vec<RetestScore>> {
         let _ = (golden_key, policy, devices);
         Err(dsig_core::DsigError::Remote(
             "this scoring target does not support adaptive retest".into(),
@@ -128,10 +133,10 @@ mod tests {
         assert_eq!(format!("{:?}", ScoreTarget::Local), "ScoreTarget::Local");
         struct Null;
         impl RemoteScorer for Null {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<RemoteScore>> {
+            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 Ok(signatures
                     .iter()
-                    .map(|_| RemoteScore {
+                    .map(|_| ScoreResult {
                         ndf: 0.0,
                         peak_hamming: 0,
                         outcome: TestOutcome::Pass,

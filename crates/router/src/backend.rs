@@ -63,7 +63,7 @@ enum Transport {
         addr: SocketAddr,
         mux: Mutex<Option<PipelinedClient>>,
     },
-    /// An in-process shard set (spawned via [`ServeHandle::spawn`]) — the
+    /// An in-process scoring handle (built by [`ServeHandle::spawn`]) — the
     /// no-TCP path tests and single-process deployments use. The `killed`
     /// flag simulates a dead process: once set, every operation fails like a
     /// torn-down connection would.
@@ -107,7 +107,7 @@ impl Backend {
         }
     }
 
-    /// An in-process backend over an already spawned shard set, with an
+    /// An in-process backend over an existing [`ServeHandle`], with an
     /// explicit rendezvous id (in-process routers number their backends
     /// `0, 1, 2, …`).
     pub fn local(id: u64, handle: ServeHandle) -> Backend {

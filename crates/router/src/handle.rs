@@ -11,10 +11,11 @@ use std::sync::Arc;
 
 use cut_filters::BiquadParams;
 use dsig_core::{AcceptanceBand, Signature, TestSetup};
-use dsig_engine::{RemoteScore, RemoteScorer};
+use dsig_engine::RemoteScorer;
 use dsig_obs::{EventLog, HealthReport, MetricsSnapshot, TraceLog};
 use dsig_serve::{
-    FleetRoster, GoldenRecord, GoldenStore, RetestRequest, RetestScore, ScoreResult, ServeConfig, ServeHandle,
+    FleetRoster, GoldenRecord, GoldenStore, RetestItem, RetestRequest, RetestScore, ScoreResult, ServeConfig,
+    ServeHandle,
 };
 
 use crate::backend::Backend;
@@ -34,19 +35,19 @@ impl RouterHandle {
         RouterHandle { core }
     }
 
-    /// Spawns `backends` in-process scoring backends — each its own
-    /// [`GoldenStore`] and shard set ([`ServeHandle::spawn`]), no TCP
-    /// anywhere — and fronts them with a router. This is the fixture the
-    /// loopback tests build their fleets with.
+    /// Builds `backends` in-process scoring backends — each its own
+    /// [`GoldenStore`] behind a [`ServeHandle`] that scores on the calling
+    /// thread, no TCP anywhere — and fronts them with a router. This is the
+    /// fixture the loopback tests build their fleets with.
     ///
     /// # Errors
     /// Returns [`crate::RouterError::NoBackends`] for a zero backend count.
-    pub fn spawn(backends: usize, per_backend: ServeConfig, store: RouterStore, config: RouterConfig) -> Result<Self> {
+    pub fn spawn(backends: usize, store: RouterStore, config: RouterConfig) -> Result<Self> {
         let fleet: Vec<Backend> = (0..backends)
             .map(|id| {
                 Backend::local(
                     id as u64,
-                    ServeHandle::spawn(Arc::new(GoldenStore::new()), per_backend.clone()),
+                    ServeHandle::spawn(Arc::new(GoldenStore::new()), ServeConfig::with_shards(1)),
                 )
             })
             .collect();
@@ -276,7 +277,7 @@ impl RouterHandle {
 
     /// Screens an adaptive-retest batch (`DSRT`): routed to the golden's
     /// owning backend (with the same deterministic failover chain as
-    /// [`RouterHandle::screen`]), whose shards rerun marginal devices with
+    /// [`RouterHandle::screen`]), which reruns marginal devices with
     /// averaged repeats before verdicting.
     ///
     /// # Errors
@@ -287,25 +288,22 @@ impl RouterHandle {
 }
 
 impl RemoteScorer for RouterHandle {
-    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<RemoteScore>> {
-        RouterHandle::screen(self, golden_key, signatures)
-            // The score conversion is dsig-serve's `From<ScoreResult>`.
-            .map(|scores| scores.into_iter().map(Into::into).collect())
-            .map_err(crate::RouterError::into_dsig)
+    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<ScoreResult>> {
+        RouterHandle::screen(self, golden_key, signatures).map_err(crate::RouterError::into_dsig)
     }
 
     fn retest_remote(
         &self,
         golden_key: u64,
         policy: &dsig_core::RetestPolicy,
-        devices: &[dsig_engine::RetestDevice],
-    ) -> dsig_core::Result<Vec<dsig_engine::RemoteRetest>> {
-        RouterHandle::screen_retest(
-            self,
-            &dsig_serve::server::retest_request_of(golden_key, policy, devices),
-        )
-        .map(|scores| scores.into_iter().map(Into::into).collect())
-        .map_err(crate::RouterError::into_dsig)
+        devices: &[RetestItem],
+    ) -> dsig_core::Result<Vec<RetestScore>> {
+        let request = RetestRequest {
+            golden_key,
+            policy: policy.clone(),
+            items: devices.to_vec(),
+        };
+        RouterHandle::screen_retest(self, &request).map_err(crate::RouterError::into_dsig)
     }
 }
 
@@ -382,12 +380,7 @@ mod tests {
     #[test]
     fn empty_fleets_and_duplicate_ids_are_rejected() {
         assert!(matches!(
-            RouterHandle::spawn(
-                0,
-                ServeConfig::with_shards(1),
-                RouterStore::new(),
-                RouterConfig::default()
-            ),
+            RouterHandle::spawn(0, RouterStore::new(), RouterConfig::default()),
             Err(RouterError::NoBackends)
         ));
         let dup = vec![local_backend(1), local_backend(1)];

@@ -18,8 +18,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`Router`] — the TCP front: accept loop, request dispatch by magic,
-//!   fan-out over the fleet;
+//! * [`Router`] — the TCP front: the serving tier's accept loop
+//!   ([`dsig_serve::mux::Listener`]), request dispatch by magic, fan-out over
+//!   the fleet;
 //! * [`RouterHandle`] — the in-process front (no TCP): same core, plus
 //!   [`RouterHandle::spawn`] which builds a whole in-process backend fleet
 //!   via [`dsig_serve::ServeHandle::spawn`] for tests and benches;

@@ -865,7 +865,7 @@ impl RouterCore {
     /// Screens an adaptive-retest batch: the request is split at the
     /// configured sub-batch boundary (counted in devices) and each piece is
     /// forwarded to the golden's owner along the same failover chain plain
-    /// screening uses — the owning shard set reruns marginal devices with
+    /// screening uses — the owning backend reruns marginal devices with
     /// averaged repeats before verdicting, and a backend dying mid-batch
     /// only re-routes the not-yet-decided remainder.
     pub(crate) fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {

@@ -21,13 +21,11 @@
 //! `TestFlow` loop at every backend count, because the router never touches
 //! a score — it only decides *where* the pure scoring function runs.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use dsig_obs::trace;
-use dsig_serve::mux::{self, WorkPool};
+use dsig_serve::mux::{Listener, Responder, WorkPool};
 use dsig_serve::proto::{
     decode_any_request, decode_request_context, encode_admin_response, encode_decode_error, encode_events_response,
     encode_health_response, encode_metrics_response, encode_response, encode_retest_response, encode_traces_response,
@@ -66,10 +64,8 @@ fn admin_error_code_of(err: &RouterError) -> ErrorCode {
 /// Dropping (or [`Router::shutdown`]-ing) the router stops accepting new
 /// connections; in-flight connections finish serving their streams.
 pub struct Router {
-    local_addr: SocketAddr,
+    listener: Listener,
     core: Arc<RouterCore>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl Router {
@@ -86,48 +82,19 @@ impl Router {
         store: RouterStore,
         config: RouterConfig,
     ) -> Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let core = Arc::new(RouterCore::new(backends, store, config)?);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_core = Arc::clone(&core);
-        let accept_shutdown = Arc::clone(&shutdown);
         // One request-processing pool shared by every downstream connection:
         // thousands of pipelined testers fan in over it, while each backend
         // is reached through one multiplexed upstream connection.
         let pool = Arc::new(WorkPool::new(dsig_engine::available_threads()));
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let conn_core = Arc::clone(&accept_core);
-                        let conn_pool = Arc::clone(&pool);
-                        // Connection threads are detached; they exit when the
-                        // peer closes its end of the stream.
-                        std::thread::spawn(move || handle_connection(stream, conn_core, conn_pool));
-                    }
-                    // Back off briefly on accept errors instead of spinning.
-                    Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-                }
-            }
-        });
-
-        Ok(Router {
-            local_addr,
-            core,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
+        let listener = Listener::bind(addr, pool, responder(Arc::clone(&core)))?;
+        Ok(Router { listener, core })
     }
 
     /// The address the router is listening on (with the real port when bound
     /// to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// A new in-process handle to the routing core (no TCP round-trip).
@@ -138,40 +105,15 @@ impl Router {
     /// Stops accepting connections and joins the accept loop. Idempotent;
     /// also invoked on drop.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection (dialing the
-        // loopback equivalent of a wildcard bind address).
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let woke = TcpStream::connect_timeout(&wake, std::time::Duration::from_secs(1)).is_ok();
-        if let Some(thread) = self.accept_thread.take() {
-            if woke {
-                let _ = thread.join();
-            }
-            // A failed wake leaves the thread detached rather than hanging
-            // the caller; it exits at the next connection attempt.
-        }
+        self.listener.shutdown();
     }
 }
 
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Serves one TCP connection through the shared [`WorkPool`]: requests
+/// The router's request handler, shared by every connection: requests
 /// route as pool jobs completing out of order (see
-/// [`mux::drive_connection`]).
-fn handle_connection(stream: TcpStream, core: Arc<RouterCore>, pool: Arc<WorkPool>) {
-    let respond_to = Arc::new(move |payload: Vec<u8>| {
+/// [`dsig_serve::mux::drive_connection`]).
+fn responder(core: Arc<RouterCore>) -> Arc<Responder> {
+    Arc::new(move |payload: Vec<u8>| {
         // Pin the caller's trace context per request so the routing spans
         // parent under the remote caller even when pool workers interleave
         // requests from many testers.
@@ -180,8 +122,7 @@ fn handle_connection(stream: TcpStream, core: Arc<RouterCore>, pool: Arc<WorkPoo
             Ok(request) => respond(&core, request),
             Err(err) => encode_decode_error(&payload, err.to_string()),
         }
-    });
-    mux::drive_connection(stream, &pool, respond_to);
+    })
 }
 
 /// Builds the response frame for one decoded request — the router answers

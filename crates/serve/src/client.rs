@@ -44,7 +44,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 
-use dsig_core::{AcceptanceBand, DsigError, Signature};
+use dsig_core::{AcceptanceBand, DsigError, RetestPolicy, Signature};
 
 use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, TraceLog};
 
@@ -54,9 +54,9 @@ use crate::proto::{
     decode_retest_response, decode_traces_response, encode_admin_request, encode_fetch_request, encode_multi_request,
     encode_push_request, encode_request, encode_retest_request, encode_scrape_request, read_frame, stamp_request_id,
     write_frame, AdminRequest, AdminResponse, ErrorCode, EventsResponse, FleetRoster, HealthResponse, MetricsResponse,
-    RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse, EVENTS_REQUEST_MAGIC,
-    FLEET_METRICS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC, METRICS_REQUEST_MAGIC,
-    TRACES_REQUEST_MAGIC,
+    RetestItem, RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse,
+    EVENTS_REQUEST_MAGIC, FLEET_METRICS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC,
+    METRICS_REQUEST_MAGIC, TRACES_REQUEST_MAGIC,
 };
 
 mod seam {
@@ -229,8 +229,8 @@ impl<T: seam::Exchange> Client<T> {
     }
 
     /// Scrapes the server's live metrics registry (`DSMX`), returning its
-    /// [`MetricsSnapshot`] — the operator's view of request counters, shard
-    /// latencies and traffic totals. Counters are monotonically consistent
+    /// [`MetricsSnapshot`] — the operator's view of request counters,
+    /// request latencies and traffic totals. Counters are monotonically consistent
     /// across successive scrapes of the same process.
     ///
     /// # Errors
@@ -916,25 +916,22 @@ fn reader_loop(inner: &Weak<MuxInner>, stream: TcpStream, generation: u64) {
 }
 
 impl dsig_engine::RemoteScorer for PipelinedClient {
-    fn screen_remote(
-        &self,
-        golden_key: u64,
-        signatures: &[Signature],
-    ) -> dsig_core::Result<Vec<dsig_engine::RemoteScore>> {
-        self.screen(golden_key, signatures)
-            .map(|scores| scores.into_iter().map(Into::into).collect())
-            .map_err(ServeError::into_dsig)
+    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<ScoreResult>> {
+        self.screen(golden_key, signatures).map_err(ServeError::into_dsig)
     }
 
     fn retest_remote(
         &self,
         golden_key: u64,
-        policy: &dsig_core::RetestPolicy,
-        devices: &[dsig_engine::RetestDevice],
-    ) -> dsig_core::Result<Vec<dsig_engine::RemoteRetest>> {
-        self.screen_retest(&crate::server::retest_request_of(golden_key, policy, devices))
-            .map(|scores| scores.into_iter().map(Into::into).collect())
-            .map_err(ServeError::into_dsig)
+        policy: &RetestPolicy,
+        devices: &[RetestItem],
+    ) -> dsig_core::Result<Vec<RetestScore>> {
+        let request = RetestRequest {
+            golden_key,
+            policy: policy.clone(),
+            items: devices.to_vec(),
+        };
+        self.screen_retest(&request).map_err(ServeError::into_dsig)
     }
 }
 
@@ -1036,7 +1033,7 @@ mod tests {
             let mut writer = std::io::BufWriter::new(live);
             while let Ok(Some(payload)) = crate::proto::read_frame(&mut reader) {
                 let request = crate::proto::decode_request(&payload).unwrap();
-                let results = handle.screen_vec(request.golden_key, request.signatures).unwrap();
+                let results = handle.screen(request.golden_key, &request.signatures).unwrap();
                 crate::proto::write_frame(
                     &mut writer,
                     &crate::proto::encode_response(&ScreenResponse::Results(results)),
@@ -1111,7 +1108,7 @@ mod tests {
         let serve_thread = std::thread::spawn(move || {
             let answer = |stream: &std::net::TcpStream, payload: &[u8]| {
                 let request = crate::proto::decode_request(payload).unwrap();
-                let results = handle.screen_vec(request.golden_key, request.signatures).unwrap();
+                let results = handle.screen(request.golden_key, &request.signatures).unwrap();
                 let mut response = crate::proto::encode_response(&ScreenResponse::Results(results));
                 crate::proto::stamp_request_id(&mut response, crate::proto::peek_request_id(payload));
                 let mut writer = std::io::BufWriter::new(stream);
@@ -1341,7 +1338,7 @@ mod tests {
         assert!(delta("serve.bytes_in") > 0);
         assert!(delta("serve.bytes_out") > 0);
         assert!(after.counter("serve.requests.dsmx").unwrap() >= 1);
-        assert!(after.histogram("serve.dispatch_us").unwrap().count >= 1);
+        assert!(after.histogram("serve.request_us").unwrap().count >= 1);
         // The TCP scrape and the in-process scrape see the same registry.
         assert!(
             server.metrics().counter("serve.requests.dsrq").unwrap() >= after.counter("serve.requests.dsrq").unwrap()
@@ -1359,7 +1356,7 @@ mod tests {
         // An unsampled request (no ambient context) must leave no spans.
         client.screen(key, &observed).unwrap();
         // A sampled request propagates its context over the wire; the server
-        // parents its dispatch/shard/reassembly spans under it.
+        // parents its scoring span under it.
         let ctx = Tracer::default().start_trace();
         {
             let _guard = trace::with_context(ctx);
@@ -1368,9 +1365,12 @@ mod tests {
         let log = client.traces().unwrap();
         let ours: Vec<_> = log.spans.iter().filter(|s| s.trace_id == ctx.trace_id).collect();
         assert!(!ours.is_empty(), "sampled request must leave spans on the server");
-        for name in ["serve.dispatch", "serve.shard", "serve.reassembly"] {
-            assert!(ours.iter().any(|s| s.name == name), "missing {name} span");
-        }
+        assert!(
+            ours.iter()
+                .any(|s| s.name == "serve.score"
+                    && s.annotations.iter().any(|(key, value)| key == "items" && value == "2")),
+            "missing serve.score span over the request's 2 signatures"
+        );
         assert!(ours
             .iter()
             .all(|s| s.parent_span == ctx.parent_span && s.tier == "serve"));

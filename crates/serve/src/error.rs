@@ -20,7 +20,8 @@ pub enum ServeError {
     /// The server reported an error for a request (the rendered remote
     /// message, as received over the wire).
     Remote(String),
-    /// The scoring shards have shut down and can no longer accept work.
+    /// The backend has shut down (a killed in-process backend) and can no
+    /// longer accept work.
     Closed,
 }
 
@@ -49,7 +50,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             ServeError::Remote(msg) => write!(f, "server reported an error: {msg}"),
-            ServeError::Closed => write!(f, "the scoring shards have shut down"),
+            ServeError::Closed => write!(f, "the scoring backend has shut down"),
         }
     }
 }

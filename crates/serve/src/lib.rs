@@ -13,20 +13,20 @@
 //! * [`GoldenStore`] — goldens characterized once per `(setup, reference)`
 //!   fingerprint ([`dsig_engine::golden_fingerprint`]), held in memory for
 //!   scoring and persisted in a versioned binary format;
-//! * [`Server`] / [`ServeConfig`] — a `std::net::TcpListener` accept loop
-//!   dispatching to N scoring shards over channels; batches are chunked
-//!   across shards and reassembled in order, so results are bit-identical
-//!   for every shard count;
-//! * [`ServeHandle`] — the in-process client path (same shards, no TCP) for
-//!   embedding the scorer into another process;
+//! * [`Server`] / [`ServeConfig`] — a TCP accept loop whose connections
+//!   run requests on one shared [`WorkPool`]; each batch is scored in
+//!   request order on the thread that holds the request, so results are
+//!   bit-identical for every pool size;
+//! * [`ServeHandle`] — the in-process client path (the same scoring, on the
+//!   caller's thread, no TCP) for embedding the scorer into another process;
 //! * [`Client`] — the one typed TCP client: every operation written once
 //!   over a sealed exchange seam, in two transports — [`ServeClient`]
 //!   (blocking, one request in flight) and [`PipelinedClient`] (N requests
 //!   in flight on one connection, responses matched by request id). A
 //!   routing tier speaks the same protocol, and `dsig_router` re-exports
 //!   the two as `RouterClient` and `PipelinedRouterClient`;
-//! * [`mux`] — the shared [`WorkPool`] + connection event loop that serves
-//!   frames out of order;
+//! * [`mux`] — the accept loop both serving tiers share, the [`WorkPool`]
+//!   and the connection event loop that serves frames out of order;
 //! * [`proto`] — the std-only wire protocol (layout below).
 //!
 //! # Wire format
@@ -108,7 +108,7 @@
 //! let store = Arc::new(GoldenStore::new());
 //! let key = store.characterize(&setup, &reference, AcceptanceBand::new(0.03)?)?;
 //!
-//! // Serving: ephemeral loopback port, default shard count.
+//! // Serving: ephemeral loopback port, default pool size.
 //! let server = Server::bind("127.0.0.1:0", store, ServeConfig::default())?;
 //!
 //! // Production test: capture a signature from a device, upload, decide.

@@ -1,5 +1,6 @@
-//! The multiplexed connection core: a work-stealing thread pool shared by
-//! every connection of a serving process, plus the per-connection
+//! The multiplexed connection core: the [`Listener`] accept loop both
+//! serving tiers front their TCP port with, a work-stealing thread pool
+//! shared by every connection of a serving process, and the per-connection
 //! reader/writer event loop that lets one TCP stream carry hundreds of
 //! pipelined requests answered **out of order**.
 //!
@@ -24,15 +25,16 @@
 //! that pipelines requests without ever reading answers holds a bounded
 //! amount of server memory. Pool workers stamp the request's id into the
 //! response ([`crate::proto::stamp_request_id`]) and hand it to the owning
-//! connection's writer; completion order is whatever the shards finish
+//! connection's writer; completion order is whatever the pool finishes
 //! first, which is the whole point.
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::proto::{peek_request_id, read_frame, stamp_request_id, write_frame};
 
@@ -43,6 +45,94 @@ type Job = Box<dyn FnOnce() + Send>;
 /// payload in, one encoded response frame out. Implementations do their own
 /// metric/trace bookkeeping — the loop only moves bytes and ids.
 pub type Responder = dyn Fn(Vec<u8>) -> Vec<u8> + Send + Sync;
+
+/// A bound TCP port and its accept loop: every accepted stream is served on
+/// its own detached thread by [`drive_connection`], with one responder and
+/// one [`WorkPool`] shared by all of them. The serving tier's `Server` and
+/// the routing tier's `Router` each hold one.
+///
+/// Dropping (or [`Listener::shutdown`]-ing) the listener stops accepting new
+/// connections; open connections keep serving until their peers close.
+pub struct Listener {
+    local_addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Binds `addr` (use port 0 for an ephemeral port) and starts accepting.
+    ///
+    /// # Errors
+    /// Returns the I/O error of a failed bind.
+    pub fn bind(addr: impl ToSocketAddrs, pool: Arc<WorkPool>, respond: Arc<Responder>) -> std::io::Result<Listener> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let accept_shutdown = Arc::clone(&shutdown);
+        let accept_thread = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if accept_shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
+                        let pool = Arc::clone(&pool);
+                        let respond = Arc::clone(&respond);
+                        // Connection threads are detached; they exit when the
+                        // peer closes its end of the stream.
+                        std::thread::spawn(move || drive_connection(stream, &pool, respond));
+                    }
+                    // Back off briefly on accept errors (e.g. EMFILE under
+                    // fd exhaustion) instead of busy-spinning the core.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            }
+        });
+        Ok(Listener {
+            local_addr,
+            shutdown,
+            accept_thread: Some(accept_thread),
+        })
+    }
+
+    /// The bound address (with the real port when bound to port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stops accepting connections and joins the accept loop. Idempotent;
+    /// also invoked on drop. Open connections finish serving their streams.
+    pub fn shutdown(&mut self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Wake the blocking accept with a throwaway connection. A wildcard
+        // bind address (0.0.0.0 / ::) is not dialable everywhere, so dial
+        // its loopback equivalent on the bound port.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+        if let Some(thread) = self.accept_thread.take() {
+            if woke {
+                let _ = thread.join();
+            }
+            // If the wake connection failed, the accept loop may still be
+            // blocked; leave the thread detached rather than hang the caller.
+            // It exits at the next (never-served) connection attempt.
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
 
 /// A fixed-size work-stealing thread pool, shared by every connection of a
 /// server so the request concurrency is bounded by core count, not by

@@ -13,11 +13,13 @@
 
 use std::io::{Read, Write};
 
-use dsig_core::{wire, AcceptanceBand, RetestPolicy, Signature, TestOutcome};
+use dsig_core::{wire, AcceptanceBand, RetestPolicy, Signature};
 use dsig_obs::trace::{self, TraceContext};
 use dsig_obs::{EventLog, HealthReport, HealthStatus, MetricsSnapshot, TraceLog};
 
 use crate::error::{Result, ServeError};
+
+pub use dsig_engine::{RetestItem, RetestScore, ScoreResult};
 
 /// Magic prefix of request payloads.
 pub const REQUEST_MAGIC: [u8; 4] = *b"DSRQ";
@@ -48,7 +50,7 @@ pub const RETEST_REQUEST_MAGIC: [u8; 4] = *b"DSRT";
 /// `DSRS`-style score list extended with per-device retest metadata.
 pub const RETEST_RESPONSE_MAGIC: [u8; 4] = *b"DSRR";
 /// Magic prefix of metrics-scrape request payloads (`DSMX`): a header-only
-/// frame asking the answering process — serving shard host or router — for a
+/// frame asking the answering process — serving process or router — for a
 /// snapshot of its live metrics registry.
 pub const METRICS_REQUEST_MAGIC: [u8; 4] = *b"DSMX";
 /// Magic prefix of metrics-scrape response payloads (`DSMR`) — one
@@ -151,17 +153,6 @@ pub struct ScreenRequest {
     pub signatures: Vec<Signature>,
 }
 
-/// The score of one signature against a golden.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreResult {
-    /// Normalized discrepancy factor (Eq. 2 of the paper).
-    pub ndf: f64,
-    /// Peak instantaneous Hamming distance over the period.
-    pub peak_hamming: u32,
-    /// PASS/FAIL decision of the golden's acceptance band.
-    pub outcome: TestOutcome,
-}
-
 /// A decoded response: per-signature scores, or a server-side error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScreenResponse {
@@ -185,22 +176,10 @@ pub struct MultiScreenRequest {
     pub items: Vec<(u64, Signature)>,
 }
 
-/// One device of an adaptive-retest screening request: the single-shot
-/// signature plus the pre-captured measurement repeats the server may consume
-/// if the single shot turns out marginal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetestItem {
-    /// The single-shot observed signature.
-    pub initial: Signature,
-    /// Measurement repeats of the same device (independent noise
-    /// realisations), at most the policy's escalation cap.
-    pub repeats: Vec<Signature>,
-}
-
 /// A decoded adaptive-retest screening request (`DSRT`): score each device's
 /// single shot against the golden under `golden_key`, and re-decide marginal
 /// ones from averaged repeats through the carried [`RetestPolicy`] —
-/// **server-side**, before any verdict leaves the shard.
+/// **server-side**, before any verdict is answered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetestRequest {
     /// Fingerprint of the golden to score against.
@@ -209,22 +188,6 @@ pub struct RetestRequest {
     pub policy: RetestPolicy,
     /// The devices, in request order.
     pub items: Vec<RetestItem>,
-}
-
-/// The adaptive-retest score of one device: the final (possibly averaged)
-/// score plus the retest metadata of the escalation walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetestScore {
-    /// The deciding score: single-shot for non-marginal devices, with the
-    /// NDF averaged and the peak Hamming distance folded over the consumed
-    /// repeats otherwise.
-    pub score: ScoreResult,
-    /// Whether the single-shot NDF fell inside the guard band.
-    pub marginal: bool,
-    /// Whether the averaged verdict differs from the single-shot one.
-    pub flipped: bool,
-    /// Measurement repeats consumed by the escalation walk.
-    pub repeats_used: u32,
 }
 
 /// A decoded adaptive-retest response (`DSRR`): per-device retest scores, or
@@ -1293,7 +1256,7 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsig_core::{SignatureEntry, ZoneCode};
+    use dsig_core::{SignatureEntry, TestOutcome, ZoneCode};
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(

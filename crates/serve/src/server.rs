@@ -1,75 +1,69 @@
-//! The sharded scoring server: a `std::net::TcpListener` accept loop
-//! dispatching batches to N scoring shards over channels, plus the in-process
+//! The scoring server: a [`mux::Listener`] accept loop whose connections
+//! run requests on one shared [`WorkPool`], plus the in-process
 //! [`ServeHandle`] client path that bypasses TCP entirely for embedded use.
 //!
 //! # Architecture
 //!
 //! ```text
-//!                    ┌──────────────┐   ScoreJob    ┌─────────┐
-//!  TCP conn ──────▶ │  connection   │ ────────────▶ │ shard 0 │
-//!  TCP conn ──────▶ │  threads      │ ────────────▶ │ shard 1 │
-//!                    │ (frame codec) │ ────────────▶ │   ...   │
-//!  ServeHandle ───▶ │  + dispatch   │ ◀──────────── │ shard N │
-//!                    └──────────────┘  chunk replies └─────────┘
+//!  TCP conn ──▶ reader ─┐      ┌──── WorkPool ────┐
+//!  TCP conn ──▶ reader ─┼────▶ │ decode, score,   │ ──▶ per-connection writer
+//!  TCP conn ──▶ reader ─┘      │ encode           │
+//!                              └──────────────────┘
+//!  ServeHandle ──▶ score on the caller's thread
 //! ```
 //!
-//! Each request's signature batch is split into fixed-size chunks fanned out
-//! round-robin over the shards, and chunk replies are reassembled in request
-//! order — so one large batch parallelizes across every shard while scoring
-//! stays bit-identical to a serial loop (scoring is a pure function of
-//! `(golden, observed)`; shard count and dispatch order cannot change it).
+//! A request's batch is scored on the thread that holds the request — a
+//! pool worker, a connection reader serving inline (one-worker pool) or the
+//! caller of an in-process [`ServeHandle`] — over the decoded signatures as
+//! they are, in request order. Scoring is a pure function of
+//! `(golden, observed)`, so every path answers bit-identical scores;
+//! requests still run concurrently across the pool.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use dsig_core::{ndf_and_peak, AcceptanceBand, DsigError, RetestPolicy, Signature};
-use dsig_engine::{available_threads, RemoteRetest, RemoteScore, RemoteScorer, RetestDevice};
-use dsig_obs::trace::{self, TraceContext, Tracer};
+use dsig_engine::{available_threads, RemoteScorer};
+use dsig_obs::trace::{self, Tracer};
 use dsig_obs::{
     Counter, EventLevel, EventLog, Gauge, HealthReport, HealthSample, Histogram, MetricValue, MetricsSnapshot,
     Registry, SloPolicy, Span, TraceLog,
 };
 
 use crate::error::{Result, ServeError};
-use crate::mux::{self, WorkPool};
+use crate::mux::{self, Responder, WorkPool};
 use crate::proto::{
     decode_any_request, decode_request_context, encode_admin_response, encode_decode_error, encode_events_response,
     encode_health_response, encode_metrics_response, encode_response, encode_retest_response, encode_traces_response,
-    AdminResponse, ErrorCode, EventsResponse, HealthResponse, MetricsResponse, Request, RetestRequest, RetestResponse,
-    RetestScore, ScoreResult, ScreenResponse, TracesResponse,
+    AdminResponse, ErrorCode, EventsResponse, HealthResponse, MetricsResponse, Request, RetestItem, RetestRequest,
+    RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse,
 };
 use crate::store::{GoldenRecord, GoldenStore};
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of scoring shards (worker threads). Defaults to the hardware
-    /// thread count.
+    /// Worker threads of the server's request pool. Defaults to the hardware
+    /// thread count. With one worker, each connection serves its requests
+    /// inline on its reader thread. An in-process [`ServeHandle`] reads
+    /// nothing from the config: it scores on the caller's thread.
     pub shards: usize,
-    /// Signatures per chunk handed to one shard. Small chunks spread a batch
-    /// wider; large chunks cut channel traffic. Defaults to 64.
-    pub shard_chunk: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: available_threads(),
-            shard_chunk: 64,
         }
     }
 }
 
 impl ServeConfig {
-    /// A config with an explicit shard count and the default chunk size.
+    /// A config with an explicit pool size (at least one worker).
     pub fn with_shards(shards: usize) -> Self {
-        ServeConfig {
-            shards: shards.max(1),
-            ..Self::default()
-        }
+        ServeConfig { shards: shards.max(1) }
     }
 }
 
@@ -84,10 +78,6 @@ struct ServeMetrics {
     errors: PerFamily,
     /// `serve.errors.decode` — frames whose payload failed to decode.
     decode_errors: Arc<Counter>,
-    /// `serve.dispatch_us` — time to fan one batch out to the shards.
-    dispatch_us: Arc<Histogram>,
-    /// `serve.reassembly_us` — time from last chunk sent to batch reassembled.
-    reassembly_us: Arc<Histogram>,
     /// `serve.bytes_in` / `serve.bytes_out` — framed TCP payload traffic.
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
@@ -159,8 +149,6 @@ impl ServeMetrics {
             requests: PerFamily::new(registry, "requests"),
             errors: PerFamily::new(registry, "errors"),
             decode_errors: registry.counter("serve.errors.decode"),
-            dispatch_us: registry.histogram("serve.dispatch_us"),
-            reassembly_us: registry.histogram("serve.reassembly_us"),
             bytes_in: registry.counter("serve.bytes_in"),
             bytes_out: registry.counter("serve.bytes_out"),
             scored: registry.counter("serve.signatures_scored"),
@@ -201,20 +189,6 @@ pub fn health_sample(snapshot: &MetricsSnapshot, prefix: &str, backed_off: u32, 
     }
 }
 
-/// One chunk of scoring work handed to a shard. The batch itself is shared
-/// (`Arc`), so fanning a request across shards moves no signature data.
-struct ScoreJob {
-    record: Arc<GoldenRecord>,
-    batch: Arc<[Signature]>,
-    /// The chunk of the batch this job scores; its start doubles as the
-    /// reassembly key.
-    range: std::ops::Range<usize>,
-    /// Trace context of the request this chunk belongs to — the shard
-    /// thread parents its `serve.shard` span under it.
-    ctx: TraceContext,
-    reply: mpsc::Sender<(usize, std::result::Result<Vec<ScoreResult>, DsigError>)>,
-}
-
 /// Scores one observed signature against a golden record.
 fn score(record: &GoldenRecord, observed: &Signature) -> std::result::Result<ScoreResult, DsigError> {
     let (ndf, peak_hamming) = ndf_and_peak(&record.golden, observed)?;
@@ -225,64 +199,24 @@ fn score(record: &GoldenRecord, observed: &Signature) -> std::result::Result<Sco
     })
 }
 
-fn shard_loop(jobs: mpsc::Receiver<ScoreJob>, scored: Arc<AtomicU64>, scored_metric: Arc<Counter>, tracer: Tracer) {
-    while let Ok(job) = jobs.recv() {
-        let mut shard_span = tracer.span("serve.shard", "serve", job.ctx);
-        shard_span.annotate("chunk_start", job.range.start);
-        shard_span.annotate("items", job.range.len());
-        let items = &job.batch[job.range.clone()];
-        let result: std::result::Result<Vec<ScoreResult>, DsigError> =
-            items.iter().map(|observed| score(&job.record, observed)).collect();
-        if result.is_ok() {
-            scored.fetch_add(items.len() as u64, Ordering::Relaxed);
-            scored_metric.add(items.len() as u64);
-        }
-        // Recorded before the reply is sent so a scrape issued right after
-        // the response cannot miss the shard span.
-        drop(shard_span);
-        // A send failure means the requester gave up (disconnected client);
-        // the work is simply dropped.
-        let _ = job.reply.send((job.range.start, result));
-    }
-}
-
-/// An in-process client of the scoring shards: the same dispatch path the
-/// TCP connection threads use, without any socket or framing cost. Cloning a
-/// handle is cheap; each clone can be used from its own thread.
+/// An in-process scoring backend: the scoring path the TCP connections use,
+/// without any socket or framing cost. Every call scores on the calling
+/// thread. Cloning a handle is cheap; each clone can be used from its own
+/// thread.
+#[derive(Clone)]
 pub struct ServeHandle {
-    shards: Vec<mpsc::Sender<ScoreJob>>,
-    cursor: Arc<AtomicUsize>,
     store: Arc<GoldenStore>,
-    chunk: usize,
     scored: Arc<AtomicU64>,
     registry: Registry,
     tracer: Tracer,
     metrics: Arc<ServeMetrics>,
 }
 
-impl Clone for ServeHandle {
-    fn clone(&self) -> Self {
-        ServeHandle {
-            shards: self.shards.clone(),
-            cursor: Arc::clone(&self.cursor),
-            store: Arc::clone(&self.store),
-            chunk: self.chunk,
-            scored: Arc::clone(&self.scored),
-            registry: self.registry.clone(),
-            tracer: self.tracer.clone(),
-            metrics: Arc::clone(&self.metrics),
-        }
-    }
-}
-
 impl ServeHandle {
-    /// Spawns a set of scoring shards over a store and returns a handle to
-    /// them — the TCP-free way to embed a scoring backend in another process
-    /// (the router tier builds its in-process backends this way; a
-    /// [`Server`] is this plus a listener).
-    ///
-    /// Shard threads are detached and exit once the last clone of the
-    /// returned handle is dropped.
+    /// Builds a handle over a store — the TCP-free way to embed a scoring
+    /// backend in another process (the router tier builds its in-process
+    /// backends this way; a [`Server`] is this plus a listener). The handle
+    /// starts no thread and reads nothing from `config`.
     ///
     /// Metrics register in the process-wide [`Registry::global`]; use
     /// [`ServeHandle::spawn_in`] to register elsewhere.
@@ -290,32 +224,16 @@ impl ServeHandle {
         ServeHandle::spawn_in(store, config, Registry::global())
     }
 
-    /// Like [`ServeHandle::spawn`], registering the fleet's metrics in
+    /// Like [`ServeHandle::spawn`], registering the handle's metrics in
     /// `registry` instead of the process-wide one (test isolation, or one
     /// registry per embedded fleet).
-    pub fn spawn_in(store: Arc<GoldenStore>, config: ServeConfig, registry: Registry) -> ServeHandle {
-        let metrics = Arc::new(ServeMetrics::new(&registry));
-        let tracer = registry.tracer().clone();
-        let scored = Arc::new(AtomicU64::new(0));
-        let mut shards = Vec::with_capacity(config.shards.max(1));
-        for _ in 0..config.shards.max(1) {
-            let (jobs, receiver) = mpsc::channel();
-            let counter = Arc::clone(&scored);
-            let scored_metric = Arc::clone(&metrics.scored);
-            let shard_tracer = tracer.clone();
-            // Shards are detached: they exit when the last job sender drops.
-            std::thread::spawn(move || shard_loop(receiver, counter, scored_metric, shard_tracer));
-            shards.push(jobs);
-        }
+    pub fn spawn_in(store: Arc<GoldenStore>, _config: ServeConfig, registry: Registry) -> ServeHandle {
         ServeHandle {
-            shards,
-            cursor: Arc::new(AtomicUsize::new(0)),
             store,
-            chunk: config.shard_chunk.max(1),
-            scored,
+            scored: Arc::new(AtomicU64::new(0)),
+            tracer: registry.tracer().clone(),
+            metrics: Arc::new(ServeMetrics::new(&registry)),
             registry,
-            tracer,
-            metrics,
         }
     }
 
@@ -324,9 +242,9 @@ impl ServeHandle {
         &self.store
     }
 
-    /// Snapshots the registry this handle's fleet reports into — the
-    /// in-process form of the `DSMX` metrics scrape. Counters are
-    /// monotonically consistent across successive calls.
+    /// Snapshots the registry this handle reports into — the in-process
+    /// form of the `DSMX` metrics scrape. Counters are monotonically
+    /// consistent across successive calls.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -356,8 +274,8 @@ impl ServeHandle {
         policy.evaluate(health_sample(&self.metrics(), "", 0, 1))
     }
 
-    /// Total signatures scored successfully through this handle's shards
-    /// (shared with every clone and with the owning [`Server`], if any).
+    /// Total signatures scored successfully through this handle (shared
+    /// with every clone and with the owning [`Server`], if any).
     pub fn signatures_scored(&self) -> u64 {
         self.scored.load(Ordering::Relaxed)
     }
@@ -378,9 +296,9 @@ impl ServeHandle {
     }
 
     /// Scores a batch where **each signature names its own golden**: items
-    /// are grouped by fingerprint, each group is screened through the shards
-    /// like a [`ServeHandle::screen`] batch, and results return in request
-    /// order — bit-identical to screening the groups separately.
+    /// are grouped by fingerprint, each group is scored like a
+    /// [`ServeHandle::screen`] batch, and results return in request order —
+    /// bit-identical to screening the groups separately.
     ///
     /// # Errors
     /// As for [`ServeHandle::screen`]; an unknown fingerprint anywhere fails
@@ -388,8 +306,8 @@ impl ServeHandle {
     pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
         let mut results: Vec<Option<ScoreResult>> = vec![None; items.len()];
         for (key, indices) in group_by_fingerprint(items) {
-            let batch: Vec<Signature> = indices.iter().map(|&i| items[i].1.clone()).collect();
-            let scores = self.screen_vec(key, batch)?;
+            let record = self.fetch_golden(key)?;
+            let scores = self.score_batch(&record, indices.iter().map(|&i| &items[i].1))?;
             for (&index, score) in indices.iter().zip(scores) {
                 results[index] = Some(score);
             }
@@ -398,11 +316,11 @@ impl ServeHandle {
     }
 
     /// Screens an adaptive-retest batch: every device's single-shot
-    /// signature **and** its pre-captured measurement repeats are scored
-    /// through the shards in one flattened batch, then the pure escalation
-    /// walk of [`dsig_core::RetestPolicy::escalate`] re-decides marginal
-    /// devices from averaged repeats — server-side, before any verdict is
-    /// answered. Returns one [`RetestScore`] per device in request order.
+    /// signature **and** its pre-captured measurement repeats are scored in
+    /// request order, then the pure escalation walk of
+    /// [`dsig_core::RetestPolicy::escalate`] re-decides marginal devices from
+    /// averaged repeats — server-side, before any verdict is answered.
+    /// Returns one [`RetestScore`] per device in request order.
     ///
     /// The averaged NDF of a retested device is bit-identical to
     /// [`dsig_core::TestFlow::evaluate_averaged`] over the consumed repeats,
@@ -414,52 +332,24 @@ impl ServeHandle {
     /// As for [`ServeHandle::screen`]; the golden's stored acceptance band
     /// decides marginality and the final verdicts.
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        let flat: Vec<Signature> = request
-            .items
+        self.retest(request.golden_key, &request.policy, &request.items)
+    }
+
+    /// The retest core: score every initial signature and every repeat (the
+    /// scoring path of plain screening) before any escalation walk, so a
+    /// request that fails to score emits no event; then walk each device.
+    fn retest(&self, golden_key: u64, policy: &RetestPolicy, items: &[RetestItem]) -> Result<Vec<RetestScore>> {
+        let record = self.fetch_golden(golden_key)?;
+        let flat = items
             .iter()
-            .flat_map(|item| std::iter::once(&item.initial).chain(&item.repeats).cloned())
-            .collect();
-        let repeat_counts: Vec<usize> = request.items.iter().map(|item| item.repeats.len()).collect();
-        self.screen_retest_flat(request.golden_key, &request.policy, flat, &repeat_counts)
-    }
-
-    /// Like [`ServeHandle::screen_retest`], taking ownership of the request —
-    /// the zero-copy path the connection threads use (the decoded signatures
-    /// move straight into the shard batch, never cloned).
-    ///
-    /// # Errors
-    /// As for [`ServeHandle::screen_retest`].
-    pub fn screen_retest_owned(&self, request: RetestRequest) -> Result<Vec<RetestScore>> {
-        let repeat_counts: Vec<usize> = request.items.iter().map(|item| item.repeats.len()).collect();
-        let flat: Vec<Signature> = request
-            .items
-            .into_iter()
-            .flat_map(|item| std::iter::once(item.initial).chain(item.repeats))
-            .collect();
-        self.screen_retest_flat(request.golden_key, &request.policy, flat, &repeat_counts)
-    }
-
-    /// The shared retest core: score the flattened `initial + repeats` batch
-    /// through the shards (the exact scoring pipeline of plain screening),
-    /// then run the pure escalation walk per device.
-    fn screen_retest_flat(
-        &self,
-        golden_key: u64,
-        policy: &RetestPolicy,
-        flat: Vec<Signature>,
-        repeat_counts: &[usize],
-    ) -> Result<Vec<RetestScore>> {
-        let record = self
-            .store
-            .get(golden_key)
-            .ok_or(ServeError::UnknownGolden(golden_key))?;
-        let scores = self.screen_record(Arc::clone(&record), flat)?;
-        let mut results = Vec::with_capacity(repeat_counts.len());
+            .flat_map(|item| std::iter::once(&item.initial).chain(&item.repeats));
+        let scores = self.score_batch(&record, flat)?;
+        let mut results = Vec::with_capacity(items.len());
         let mut at = 0usize;
-        for &repeat_count in repeat_counts {
+        for item in items {
             let initial = scores[at];
-            let repeats = &scores[at + 1..at + 1 + repeat_count];
-            at += 1 + repeat_count;
+            let repeats = &scores[at + 1..at + 1 + item.repeats.len()];
+            at += 1 + item.repeats.len();
             let repeat_ndfs: Vec<f64> = repeats.iter().map(|s| s.ndf).collect();
             let verdict = policy.escalate(&record.band, initial.ndf, &repeat_ndfs);
             if verdict.marginal && verdict.repeats_used >= policy.repeat_cap() {
@@ -493,106 +383,33 @@ impl ServeHandle {
     /// Scores a batch of observed signatures against the golden stored under
     /// `golden_key`, returning one [`ScoreResult`] per signature in order.
     ///
-    /// The batch is chunked across the scoring shards and reassembled, so a
-    /// large batch uses every shard; results are bit-identical for any shard
-    /// count and chunk size.
-    ///
     /// # Errors
-    /// Returns [`ServeError::UnknownGolden`] for an unknown fingerprint,
-    /// [`ServeError::Closed`] if the shards have shut down, and
+    /// Returns [`ServeError::UnknownGolden`] for an unknown fingerprint and
     /// [`ServeError::Dsig`] if any signature fails to score.
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        self.screen_vec(golden_key, signatures.to_vec())
+        let record = self.fetch_golden(golden_key)?;
+        self.score_batch(&record, signatures)
     }
 
-    /// Like [`ServeHandle::screen`], taking ownership of the batch — the
-    /// zero-copy path the connection threads use (the decoded request batch
-    /// is shared with the shards via one `Arc`, never cloned).
-    ///
-    /// # Errors
-    /// As for [`ServeHandle::screen`].
-    pub fn screen_vec(&self, golden_key: u64, signatures: Vec<Signature>) -> Result<Vec<ScoreResult>> {
-        let record = self
-            .store
-            .get(golden_key)
-            .ok_or(ServeError::UnknownGolden(golden_key))?;
-        self.screen_record(record, signatures)
-    }
-
-    /// The shard-dispatch core behind [`ServeHandle::screen_vec`] and the
-    /// retest path, taking an already-resolved golden record (one store
-    /// lookup per request, however the caller obtained the record).
-    fn screen_record(&self, record: Arc<GoldenRecord>, signatures: Vec<Signature>) -> Result<Vec<ScoreResult>> {
-        if signatures.is_empty() {
-            return Ok(Vec::new());
+    /// The one scoring path: scores borrowed signatures against a resolved
+    /// golden record on the calling thread, in order, under one
+    /// `serve.score` span parented under the request's trace context. A
+    /// batch that scores adds its size to `serve.signatures_scored` once.
+    fn score_batch<'a>(
+        &self,
+        record: &GoldenRecord,
+        signatures: impl IntoIterator<Item = &'a Signature>,
+    ) -> Result<Vec<ScoreResult>> {
+        let mut span = self.tracer.span("serve.score", "serve", trace::current_context());
+        let signatures = signatures.into_iter();
+        let mut scores = Vec::with_capacity(signatures.size_hint().0);
+        for observed in signatures {
+            scores.push(score(record, observed)?);
         }
-        let batch: Arc<[Signature]> = signatures.into();
-        let inbound = trace::current_context();
-        if batch.len() <= self.chunk {
-            // A batch that fits one chunk is scored on the calling thread:
-            // the shard round trip (channel, wake-up, reply) only pays for
-            // itself when there are chunks to run in parallel. Spans and
-            // metrics are identical to the dispatched path with one chunk.
-            {
-                let mut dispatch_span = self.tracer.span("serve.dispatch", "serve", inbound);
-                let _dispatch = Span::enter(&self.metrics.dispatch_us);
-                dispatch_span.annotate("chunks", 1usize);
-                dispatch_span.annotate("batch", batch.len());
-            }
-            let result = {
-                let mut shard_span = self.tracer.span("serve.shard", "serve", inbound);
-                shard_span.annotate("chunk_start", 0usize);
-                shard_span.annotate("items", batch.len());
-                let scored: std::result::Result<Vec<ScoreResult>, DsigError> =
-                    batch.iter().map(|observed| score(&record, observed)).collect();
-                if scored.is_ok() {
-                    self.scored.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    self.metrics.scored.add(batch.len() as u64);
-                }
-                scored
-            };
-            let mut reassembly_span = self.tracer.span("serve.reassembly", "serve", inbound);
-            reassembly_span.annotate("chunks", 1usize);
-            let _reassembly = Span::enter(&self.metrics.reassembly_us);
-            return Ok(result?);
-        }
-        let (reply, replies) = mpsc::channel();
-        let mut chunks = 0usize;
-        {
-            let mut dispatch_span = self.tracer.span("serve.dispatch", "serve", inbound);
-            let _dispatch = Span::enter(&self.metrics.dispatch_us);
-            for start in (0..batch.len()).step_by(self.chunk) {
-                let end = (start + self.chunk).min(batch.len());
-                let shard = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                self.shards[shard]
-                    .send(ScoreJob {
-                        record: Arc::clone(&record),
-                        batch: Arc::clone(&batch),
-                        range: start..end,
-                        ctx: inbound,
-                        reply: reply.clone(),
-                    })
-                    .map_err(|_| ServeError::Closed)?;
-                chunks += 1;
-            }
-            dispatch_span.annotate("chunks", chunks);
-            dispatch_span.annotate("batch", batch.len());
-        }
-        drop(reply);
-        let mut reassembly_span = self.tracer.span("serve.reassembly", "serve", inbound);
-        reassembly_span.annotate("chunks", chunks);
-        let _reassembly = Span::enter(&self.metrics.reassembly_us);
-        let mut parts = Vec::with_capacity(chunks);
-        for _ in 0..chunks {
-            let part = replies.recv().map_err(|_| ServeError::Closed)?;
-            parts.push(part);
-        }
-        parts.sort_unstable_by_key(|&(start, _)| start);
-        let mut results = Vec::with_capacity(batch.len());
-        for (_, part) in parts {
-            results.extend(part?);
-        }
-        Ok(results)
+        span.annotate("items", scores.len());
+        self.scored.fetch_add(scores.len() as u64, Ordering::Relaxed);
+        self.metrics.scored.add(scores.len() as u64);
+        Ok(scores)
     }
 
     /// Scores a single signature (a one-element [`ServeHandle::screen`]).
@@ -604,21 +421,20 @@ impl ServeHandle {
     }
 }
 
-/// The scoring server: shard workers plus a TCP accept loop.
+/// The scoring server: a TCP listener whose connections run requests on one
+/// shared [`WorkPool`], over the [`ServeHandle`] it hands out in-process.
 ///
 /// Dropping (or [`Server::shutdown`]-ing) the server stops accepting new
-/// connections; shard workers exit once the last [`ServeHandle`] — including
-/// the handles held by still-open connections — is gone.
+/// connections; open connections keep serving, and handles keep scoring.
 pub struct Server {
-    local_addr: SocketAddr,
+    listener: mux::Listener,
     handle: ServeHandle,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds a listener (use port 0 for an ephemeral port), spawns the
-    /// scoring shards and the accept loop, and starts serving.
+    /// Binds a listener (use port 0 for an ephemeral port), starts the
+    /// request pool of `config.shards` workers and the accept loop, and
+    /// starts serving.
     ///
     /// Metrics register in the process-wide [`Registry::global`]; use
     /// [`Server::bind_in`] to register elsewhere.
@@ -642,52 +458,23 @@ impl Server {
         config: ServeConfig,
         registry: Registry,
     ) -> Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let handle = ServeHandle::spawn_in(store, config, registry);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_handle = handle.clone();
-        let accept_shutdown = Arc::clone(&shutdown);
         // One request-processing pool shared by every connection: request
-        // concurrency scales with cores, not with connection count, so one
-        // listener fans out to thousands of pipelined clients.
-        let pool = Arc::new(WorkPool::new(available_threads()));
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let conn_handle = accept_handle.clone();
-                        let conn_pool = Arc::clone(&pool);
-                        // Connection threads are detached; they exit when the
-                        // peer closes its end of the stream.
-                        std::thread::spawn(move || handle_connection(stream, conn_handle, conn_pool));
-                    }
-                    // Back off briefly on accept errors (e.g. EMFILE under
-                    // fd exhaustion) instead of busy-spinning the core.
-                    Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
-                }
-            }
-        });
-
-        Ok(Server {
-            local_addr,
-            handle,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
+        // concurrency scales with the pool, not with connection count, so
+        // one listener fans out to thousands of pipelined clients.
+        let pool = Arc::new(WorkPool::new(config.shards));
+        let handle = ServeHandle::spawn_in(store, config, registry);
+        let respond = responder(handle.clone(), Arc::downgrade(&pool));
+        let listener = mux::Listener::bind(addr, pool, respond)?;
+        Ok(Server { listener, handle })
     }
 
     /// The address the server is listening on (with the real port when bound
     /// to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
-    /// A new in-process handle to the scoring shards.
+    /// A new in-process handle scoring against the server's store.
     pub fn handle(&self) -> ServeHandle {
         self.handle.clone()
     }
@@ -708,34 +495,7 @@ impl Server {
     /// also invoked on drop. In-flight connections finish serving their
     /// current stream.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection. A wildcard
-        // bind address (0.0.0.0 / ::) is not dialable everywhere, so dial
-        // its loopback equivalent on the bound port.
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let woke = TcpStream::connect_timeout(&wake, std::time::Duration::from_secs(1)).is_ok();
-        if let Some(thread) = self.accept_thread.take() {
-            if woke {
-                let _ = thread.join();
-            }
-            // If the wake connection failed, the accept loop may still be
-            // blocked; leave the thread detached rather than hang the caller.
-            // It exits at the next (never-served) connection attempt.
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 }
 
@@ -784,7 +544,7 @@ fn respond(handle: &ServeHandle, request: Request) -> Vec<u8> {
     let error_counter = Arc::clone(metrics.errors.of(&request));
     let count_error = || error_counter.inc();
     match request {
-        Request::Screen(request) => encode_response(&match handle.screen_vec(request.golden_key, request.signatures) {
+        Request::Screen(request) => encode_response(&match handle.screen(request.golden_key, &request.signatures) {
             Ok(results) => ScreenResponse::Results(results),
             Err(err) => {
                 count_error();
@@ -804,7 +564,7 @@ fn respond(handle: &ServeHandle, request: Request) -> Vec<u8> {
                 }
             }
         }),
-        Request::Retest(request) => encode_retest_response(&match handle.screen_retest_owned(request) {
+        Request::Retest(request) => encode_retest_response(&match handle.screen_retest(&request) {
             Ok(results) => RetestResponse::Results(results),
             Err(err) => {
                 count_error();
@@ -852,15 +612,16 @@ fn respond(handle: &ServeHandle, request: Request) -> Vec<u8> {
     }
 }
 
-/// Serves one TCP connection through the shared [`WorkPool`]: frames are
-/// read on this thread, tagged requests run as pool jobs completing out of
-/// order, and a writer thread streams responses back (see
-/// [`mux::drive_connection`]).
-fn handle_connection(stream: TcpStream, handle: ServeHandle, pool: Arc<WorkPool>) {
-    let depth_pool = Arc::clone(&pool);
-    let respond_to = Arc::new(move |payload: Vec<u8>| {
+/// The server's request handler, shared by every connection: decode one
+/// request payload, answer it through `handle`, meter the bytes. It sees the
+/// pool only to sample `serve.queue_depth`, and holds it weakly so the pool
+/// is never dropped from one of its own workers.
+fn responder(handle: ServeHandle, pool: Weak<WorkPool>) -> Arc<Responder> {
+    Arc::new(move |payload: Vec<u8>| {
         handle.metrics.bytes_in.add(payload.len() as u64 + 4);
-        handle.metrics.queue_depth.set(depth_pool.queued() as f64);
+        if let Some(pool) = pool.upgrade() {
+            handle.metrics.queue_depth.set(pool.queued() as f64);
+        }
         let response = {
             // Pin the caller's trace context for the whole request so every
             // span opened while serving it parents under the remote caller
@@ -877,65 +638,21 @@ fn handle_connection(stream: TcpStream, handle: ServeHandle, pool: Arc<WorkPool>
         };
         handle.metrics.bytes_out.add(response.len() as u64 + 4);
         response
-    });
-    mux::drive_connection(stream, &pool, respond_to);
-}
-
-impl From<ScoreResult> for RemoteScore {
-    fn from(score: ScoreResult) -> Self {
-        RemoteScore {
-            ndf: score.ndf,
-            peak_hamming: score.peak_hamming,
-            outcome: score.outcome,
-        }
-    }
-}
-
-impl From<RetestScore> for RemoteRetest {
-    fn from(score: RetestScore) -> Self {
-        RemoteRetest {
-            score: score.score.into(),
-            marginal: score.marginal,
-            flipped: score.flipped,
-            repeats_used: score.repeats_used,
-        }
-    }
-}
-
-/// Builds the wire retest request of an engine-level retest batch — shared
-/// by the [`RemoteScorer`] impls of the serving and routing tiers.
-pub fn retest_request_of(golden_key: u64, policy: &RetestPolicy, devices: &[RetestDevice]) -> RetestRequest {
-    RetestRequest {
-        golden_key,
-        policy: policy.clone(),
-        items: devices
-            .iter()
-            .map(|device| crate::proto::RetestItem {
-                initial: device.initial.clone(),
-                repeats: device.repeats.clone(),
-            })
-            .collect(),
-    }
+    })
 }
 
 impl RemoteScorer for ServeHandle {
-    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<RemoteScore>> {
-        self.screen(golden_key, signatures)
-            .map(|scores| scores.into_iter().map(Into::into).collect())
-            .map_err(ServeError::into_dsig)
+    fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<ScoreResult>> {
+        self.screen(golden_key, signatures).map_err(ServeError::into_dsig)
     }
 
     fn retest_remote(
         &self,
         golden_key: u64,
         policy: &RetestPolicy,
-        devices: &[RetestDevice],
-    ) -> dsig_core::Result<Vec<RemoteRetest>> {
-        // The built request is already owned: take the zero-copy path so the
-        // signatures are cloned once, not twice.
-        self.screen_retest_owned(retest_request_of(golden_key, policy, devices))
-            .map(|scores| scores.into_iter().map(Into::into).collect())
-            .map_err(ServeError::into_dsig)
+        devices: &[RetestItem],
+    ) -> dsig_core::Result<Vec<RetestScore>> {
+        self.retest(golden_key, policy, devices).map_err(ServeError::into_dsig)
     }
 }
 
@@ -943,6 +660,7 @@ impl RemoteScorer for ServeHandle {
 mod tests {
     use super::*;
     use dsig_core::{AcceptanceBand, SignatureEntry, TestOutcome, ZoneCode};
+    use std::net::TcpStream;
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -996,13 +714,9 @@ mod tests {
     }
 
     #[test]
-    fn batches_are_chunked_across_shards_in_order() {
+    fn batches_score_in_request_order() {
         let store = store_with_golden(1);
-        let config = ServeConfig {
-            shards: 4,
-            shard_chunk: 3, // force many chunks
-        };
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&store), config).unwrap();
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(4)).unwrap();
         let handle = server.handle();
         // A batch with a recognizable per-item signature: item k dwells k+1
         // microseconds in zone 2.
@@ -1054,11 +768,7 @@ mod tests {
     fn multi_screen_matches_per_key_screening_in_request_order() {
         let store = store_with_golden(1);
         store.insert(2, sig(&[(2, 100e-6), (4, 100e-6)]), AcceptanceBand::new(0.05).unwrap());
-        let config = ServeConfig {
-            shards: 3,
-            shard_chunk: 2, // force chunking inside each key group
-        };
-        let handle = ServeHandle::spawn(Arc::clone(&store), config);
+        let handle = ServeHandle::spawn(Arc::clone(&store), ServeConfig::with_shards(3));
         // Interleave the two goldens so grouping must reassemble by index.
         let items: Vec<(u64, Signature)> = (0..20)
             .map(|k| {
@@ -1085,11 +795,7 @@ mod tests {
 
         let store = store_with_golden(4);
         let record = store.get(4).unwrap();
-        let config = ServeConfig {
-            shards: 3,
-            shard_chunk: 2, // force chunking across the flattened batch
-        };
-        let handle = ServeHandle::spawn(Arc::clone(&store), config);
+        let handle = ServeHandle::spawn(Arc::clone(&store), ServeConfig::with_shards(3));
         // Three devices: one far inside the band, one marginal whose repeats
         // push it over the threshold (a PASS -> FAIL flip), one marginal and
         // confirmed by its repeats.
@@ -1174,7 +880,7 @@ mod tests {
                            // either refused or accepted by the OS backlog and never served —
                            // both are fine, the point is that this does not hang or panic.
         let _ = TcpStream::connect(addr);
-        // The in-process path still works: shards live as long as handles do.
+        // The in-process path still works: it needs no listener.
         let handle = server.handle();
         assert!(handle.screen(3, &[sig(&[(1, 100e-6), (3, 100e-6)])]).is_ok());
     }

@@ -43,8 +43,8 @@ pub struct GoldenRecord {
 /// A thread-safe map of golden fingerprints to [`GoldenRecord`]s with
 /// versioned disk persistence.
 ///
-/// Lookups hand out `Arc`s, so scoring shards hold a golden without blocking
-/// writers that characterize new goldens concurrently.
+/// Lookups hand out `Arc`s, so a request being scored holds its golden
+/// without blocking writers that characterize new goldens concurrently.
 #[derive(Debug, Default)]
 pub struct GoldenStore {
     records: RwLock<HashMap<u64, Arc<GoldenRecord>>>,

@@ -21,7 +21,7 @@
 //! | [`dsig`] | `dsig-core` | signatures, capture, NDF, decisions, test flows, baselines |
 //! | [`engine`] | `dsig-engine` | parallel campaign runner, golden cache, reports, signature log |
 //! | [`obs`] | `dsig-obs` | zero-dependency metrics: counters, gauges, histograms, snapshots |
-//! | [`serve`] | `dsig-serve` | sharded scoring server, persistent golden store, wire protocol |
+//! | [`serve`] | `dsig-serve` | scoring server, persistent golden store, wire protocol |
 //! | [`router`] | `dsig-router` | multi-backend routing tier: golden-key sharding, replication, failover |
 //!
 //! # Quick start
@@ -81,7 +81,7 @@ pub use dsig_engine as engine;
 /// The zero-dependency observability substrate (`dsig-obs`).
 pub use dsig_obs as obs;
 
-/// The sharded signature-scoring service (`dsig-serve`).
+/// The signature-scoring service (`dsig-serve`).
 pub use dsig_serve as serve;
 
 /// The multi-backend routing tier (`dsig-router`).

@@ -78,6 +78,17 @@ fn served_store() -> (Arc<GoldenStore>, u64) {
     (store, key)
 }
 
+/// The connection mode a pool of `shards` workers serves in: one worker
+/// answers each request inline on its connection's reader thread, more run
+/// requests as pool jobs.
+fn mode_of(shards: usize) -> &'static str {
+    if shards == 1 {
+        "inline"
+    } else {
+        "pooled"
+    }
+}
+
 #[test]
 fn hundreds_of_in_flight_requests_on_one_connection_match_the_blocking_path() {
     let _exclusive = exclusive();
@@ -465,9 +476,17 @@ fn old_version_frames_draw_current_bad_request_errors_and_the_connection_keeps_s
 #[test]
 fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections() {
     let _exclusive = exclusive();
+    for shards in [1usize, 2] {
+        chaos_peers_at(shards);
+    }
+}
+
+/// The chaos-peer scenario on a server whose pool has `shards` workers.
+fn chaos_peers_at(shards: usize) {
+    let mode = mode_of(shards);
     let lot = lot();
     let (store, key) = served_store();
-    let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
+    let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(shards)).unwrap();
     let addr = server.local_addr();
 
     let blocking = ServeClient::connect(addr).unwrap();
@@ -529,11 +548,11 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
         .collect();
     for ticket in tickets {
         let scores = pipelined.wait_screen(ticket, 1, key).unwrap();
-        assert_eq!(scores[0].ndf.to_bits(), reference_score.ndf.to_bits());
+        assert_eq!(scores[0].ndf.to_bits(), reference_score.ndf.to_bits(), "{mode}");
     }
 
     let loris_score = loris.join().expect("slow-loris must be served, not wedged");
-    assert_eq!(loris_score.ndf.to_bits(), reference_score.ndf.to_bits());
+    assert_eq!(loris_score.ndf.to_bits(), reference_score.ndf.to_bits(), "{mode}");
     torn.join().unwrap();
     garbage.join().unwrap();
 
@@ -541,15 +560,23 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
     // decode error; it still serves new connections.
     let fresh = ServeClient::connect(addr).unwrap();
     let score = fresh.screen_one(key, &lot.signatures[0]).unwrap();
-    assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits());
+    assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits(), "{mode}");
 }
 
 #[test]
 fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() {
     let _exclusive = exclusive();
+    for shards in [1usize, 2] {
+        stalled_reader_at(shards);
+    }
+}
+
+/// The stalled-reader scenario on a server whose pool has `shards` workers.
+fn stalled_reader_at(shards: usize) {
+    let mode = mode_of(shards);
     let lot = lot();
     let (store, key) = served_store();
-    let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
+    let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(shards)).unwrap();
     let addr = server.local_addr();
 
     let blocking = ServeClient::connect(addr).unwrap();
@@ -600,11 +627,11 @@ fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() 
     });
     let scores = watchdog
         .recv_timeout(Duration::from_secs(30))
-        .expect("healthy connection starved by a stalled peer")
+        .unwrap_or_else(|_| panic!("healthy connection starved by a stalled peer ({mode})"))
         .expect("healthy client panicked");
     assert_eq!(scores.len(), 64);
     for score in scores {
-        assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits());
+        assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits(), "{mode}");
     }
 
     // Once it reads again, the stalled peer gets every answer. Taking them
@@ -618,5 +645,5 @@ fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() 
         })
         .collect();
     answered.sort_unstable();
-    assert_eq!(answered, (1u64..=256).collect::<Vec<_>>());
+    assert_eq!(answered, (1u64..=256).collect::<Vec<_>>(), "{mode}");
 }

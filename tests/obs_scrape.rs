@@ -59,7 +59,6 @@ fn live_fleet_scrapes_move_and_leave_the_campaign_report_bit_identical() {
 
     let router = RouterHandle::spawn(
         BACKENDS,
-        ServeConfig::default(),
         RouterStore::new(),
         RouterConfig {
             sub_batch: 37,

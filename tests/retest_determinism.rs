@@ -134,7 +134,6 @@ fn router_target_reproduces_the_local_retest_report_at_every_backend_count() {
     for backends in [1usize, 2, 4] {
         let router = RouterHandle::spawn(
             backends,
-            ServeConfig::with_shards(2),
             RouterStore::new(),
             RouterConfig {
                 sub_batch: 97, // coprime with the runner chunk: split everywhere

@@ -67,7 +67,6 @@ fn router_with(backends: usize, sub_batch: usize) -> (RouterHandle, u64) {
     let lot = lot();
     let router = RouterHandle::spawn(
         backends,
-        ServeConfig::default(),
         RouterStore::new(),
         RouterConfig {
             sub_batch,

@@ -53,7 +53,9 @@ fn loopback_screening_is_bit_identical_to_direct_scoring() {
         scores
     };
 
-    for shards in [1usize, 4] {
+    // One pool worker serves each request inline on its connection's
+    // reader thread; four run requests as pool jobs.
+    for (shards, mode) in [(1usize, "inline"), (4, "pooled")] {
         let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(shards)).unwrap();
         let scores = screen_all(&server);
         assert_eq!(scores.len(), DEVICES);
@@ -61,17 +63,21 @@ fn loopback_screening_is_bit_identical_to_direct_scoring() {
             assert_eq!(
                 score.ndf.to_bits(),
                 result.ndf.to_bits(),
-                "shards={shards} device={}: served NDF must be bit-identical",
+                "{mode} (pool of {shards}) device={}: served NDF must be bit-identical",
                 result.index
             );
             assert_eq!(
                 score.outcome, result.outcome,
-                "shards={shards} device={}: served outcome must match",
+                "{mode} (pool of {shards}) device={}: served outcome must match",
                 result.index
             );
-            assert_eq!(score.peak_hamming, result.peak_hamming);
+            assert_eq!(
+                score.peak_hamming, result.peak_hamming,
+                "{mode} (pool of {shards}) device={}: served peak must match",
+                result.index
+            );
         }
-        assert_eq!(server.signatures_scored(), DEVICES as u64);
+        assert_eq!(server.signatures_scored(), DEVICES as u64, "{mode}");
     }
 
     // Persistence: the store round-trips through disk and a server built on

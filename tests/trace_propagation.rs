@@ -2,8 +2,8 @@
 //! routed through a backend fleet must leave one **connected** span tree per
 //! chunk — the engine's root `engine.chunk` span parenting the capture/
 //! score/retest children, the router's screening spans beneath those, and
-//! the serving tier's dispatch/shard/reassembly spans beneath the router's
-//! forwards — with no orphans at any backend count. And the instrumentation
+//! the serving tier's scoring spans beneath the router's forwards — with no
+//! orphans at any backend count. And the instrumentation
 //! must be purely observational: the traced routed report stays bit-identical
 //! to an untraced local run.
 
@@ -14,7 +14,6 @@ use analog_signature::engine::{Campaign, CampaignRunner, DevicePopulation, Score
 use analog_signature::filters::BiquadParams;
 use analog_signature::obs::{Registry, SpanRecord, TraceTree};
 use analog_signature::router::{RouterConfig, RouterHandle, RouterStore};
-use analog_signature::serve::ServeConfig;
 
 #[test]
 fn routed_retest_campaign_yields_one_connected_span_tree_per_chunk() {
@@ -60,7 +59,6 @@ fn routed_retest_campaign_yields_one_connected_span_tree_per_chunk() {
     for backends in [1usize, 2] {
         let router = RouterHandle::spawn(
             backends,
-            ServeConfig::default(),
             RouterStore::new(),
             RouterConfig {
                 sub_batch: 7, // force sub-batch splits inside each chunk
@@ -91,7 +89,7 @@ fn routed_retest_campaign_yields_one_connected_span_tree_per_chunk() {
             "expected one trace per chunk at {backends} backend(s)"
         );
         let mut total_forwards = 0usize;
-        let mut total_shards = 0usize;
+        let mut total_scores = 0usize;
         for tree in &trees {
             assert_eq!(tree.orphan_count(), 0, "disconnected span in:\n{}", tree.render());
             assert_eq!(tree.root_count(), 1, "expected a single root in:\n{}", tree.render());
@@ -111,7 +109,7 @@ fn routed_retest_campaign_yields_one_connected_span_tree_per_chunk() {
                 match span.tier.as_str() {
                     // Serve spans always hang beneath the router's forwards.
                     "serve" => {
-                        total_shards += usize::from(span.name == "serve.shard");
+                        total_scores += usize::from(span.name == "serve.score");
                         assert_eq!(
                             parent.expect("serve span has a parent").name,
                             "router.forward",
@@ -131,6 +129,6 @@ fn routed_retest_campaign_yields_one_connected_span_tree_per_chunk() {
             }
         }
         assert!(total_forwards > 0, "no router.forward spans at {backends} backend(s)");
-        assert!(total_shards > 0, "no serve.shard spans at {backends} backend(s)");
+        assert!(total_scores > 0, "no serve.score spans at {backends} backend(s)");
     }
 }
