@@ -77,4 +77,4 @@ pub use report::{
     ReportDiff, RetestStats,
 };
 pub use runner::CampaignRunner;
-pub use score::{RemoteScorer, RetestItem, RetestScore, ScoreResult, ScoreTarget};
+pub use score::{RemoteScorer, RetestItem, RetestRequest, RetestScore, ScoreResult, ScoreTarget};

@@ -20,7 +20,7 @@ use crate::campaign::{Campaign, DevicePopulation, DeviceSpec};
 use crate::codec::SignatureLog;
 use crate::pool::{available_threads, parallel_map_indexed, DEFAULT_CHUNK};
 use crate::report::{CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats};
-use crate::score::{RemoteScorer, RetestItem, ScoreTarget};
+use crate::score::{RemoteScorer, RetestItem, RetestRequest, ScoreTarget};
 
 /// Executes campaigns over a worker pool with a shared golden-signature cache
 /// and a shared-stimulus bank for the batched capture fast path.
@@ -244,66 +244,43 @@ impl CampaignRunner {
         let tracer = &self.tracer;
         let tracing = self.tracing;
         let started = Instant::now();
-        let outcomes: Vec<Result<DeviceOutcome>> = if use_batch {
-            let shared = self.bank.shared_for(&campaign.setup)?;
-            let chunks = devices.div_ceil(self.chunk);
-            let per_chunk = parallel_map_indexed(chunks, self.threads, 1, |chunk_index| {
-                // Chunks are claimed in index order, so the pending depth at
-                // claim time is everything at or past this index.
-                metrics.queue_depth.record_us((chunks - chunk_index) as u64);
-                let start = chunk_index * self.chunk;
-                let end = (start + self.chunk).min(devices);
-                // Each chunk is its own trace: one sampled root span whose
-                // context flows through the capture/score/retest children
-                // and, via the ambient context, across the wire.
-                let root = if tracing {
-                    tracer.start_trace()
-                } else {
-                    TraceContext::NONE
-                };
-                let mut chunk_span = tracer.span("engine.chunk", "engine", root);
-                chunk_span.annotate("chunk", chunk_index);
-                chunk_span.annotate("devices", end - start);
-                let ctx = chunk_span.context();
-                evaluate_chunk_batched(campaign, &scorer, retest, metrics, tracer, ctx, &shared, start, end)
-            });
-            let mut flat = Vec::with_capacity(devices);
-            for chunk in per_chunk {
-                match chunk {
-                    Ok(scored) => flat.extend(scored.into_iter().map(Ok)),
-                    Err(e) => flat.push(Err(e)),
-                }
-            }
-            flat
+        let shared = if use_batch {
+            Some(self.bank.shared_for(&campaign.setup)?)
         } else {
-            // The per-device path also works in chunks, so remote scoring
-            // ships one request per chunk instead of one per device.
             self.metrics.fallback_per_device.inc();
-            let chunks = devices.div_ceil(self.chunk);
-            let per_chunk = parallel_map_indexed(chunks, self.threads, 1, |chunk_index| {
-                metrics.queue_depth.record_us((chunks - chunk_index) as u64);
-                let start = chunk_index * self.chunk;
-                let end = (start + self.chunk).min(devices);
-                let root = if tracing {
-                    tracer.start_trace()
-                } else {
-                    TraceContext::NONE
-                };
-                let mut chunk_span = tracer.span("engine.chunk", "engine", root);
-                chunk_span.annotate("chunk", chunk_index);
-                chunk_span.annotate("devices", end - start);
-                let ctx = chunk_span.context();
-                evaluate_chunk_per_device(campaign, &scorer, retest, metrics, tracer, ctx, start, end)
-            });
-            let mut flat = Vec::with_capacity(devices);
-            for chunk in per_chunk {
-                match chunk {
-                    Ok(scored) => flat.extend(scored.into_iter().map(Ok)),
-                    Err(e) => flat.push(Err(e)),
-                }
-            }
-            flat
+            None
         };
+        let shared = shared.as_deref();
+        // Both capture paths work in chunks, so remote scoring ships one
+        // request per chunk instead of one per device.
+        let chunks = devices.div_ceil(self.chunk);
+        let per_chunk = parallel_map_indexed(chunks, self.threads, 1, |chunk_index| {
+            // Chunks are claimed in index order, so the pending depth at
+            // claim time is everything at or past this index.
+            metrics.queue_depth.record_us((chunks - chunk_index) as u64);
+            let start = chunk_index * self.chunk;
+            let end = (start + self.chunk).min(devices);
+            // Each chunk is its own trace: one sampled root span whose
+            // context flows through the capture/score/retest children
+            // and, via the ambient context, across the wire.
+            let root = if tracing {
+                tracer.start_trace()
+            } else {
+                TraceContext::NONE
+            };
+            let mut chunk_span = tracer.span("engine.chunk", "engine", root);
+            chunk_span.annotate("chunk", chunk_index);
+            chunk_span.annotate("devices", end - start);
+            let ctx = chunk_span.context();
+            evaluate_chunk(campaign, &scorer, retest, metrics, tracer, ctx, shared, start, end)
+        });
+        let mut outcomes: Vec<Result<DeviceOutcome>> = Vec::with_capacity(devices);
+        for chunk in per_chunk {
+            match chunk {
+                Ok(scored) => outcomes.extend(scored.into_iter().map(Ok)),
+                Err(e) => outcomes.push(Err(e)),
+            }
+        }
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
             self.metrics.devices_per_s.set(devices as f64 / elapsed);
@@ -376,17 +353,20 @@ fn observed_setup(campaign: &Campaign, spec: &DeviceSpec) -> Result<Option<TestS
     }))
 }
 
-/// Evaluates one chunk of the population through the per-device capture
-/// path: each device is observed individually (with a per-device varied
-/// monitor bank when the campaign asks for it), then the chunk is scored in
-/// one go — one remote request per chunk on the remote path.
-fn evaluate_chunk_per_device(
+/// Evaluates one chunk of the population: capture its signatures — against
+/// the shared stimulus on the batched fast path (`shared` present), or one
+/// device at a time (with a per-device varied monitor bank when the campaign
+/// asks for it) — then score the chunk in one go (one remote request per
+/// chunk on the remote path) and retest its marginal devices. Scratch
+/// buffers live per chunk, not per device.
+fn evaluate_chunk(
     campaign: &Campaign,
     scorer: &Scorer<'_>,
     retest: Option<&RetestPolicy>,
     metrics: &EngineMetrics,
     tracer: &Tracer,
     ctx: TraceContext,
+    shared: Option<&SharedStimulus>,
     start: usize,
     end: usize,
 ) -> Result<Vec<DeviceOutcome>> {
@@ -394,13 +374,19 @@ fn evaluate_chunk_per_device(
     let observed: Vec<Signature> = {
         let _capture_span = tracer.span("engine.capture", "engine", ctx);
         let _capture = Span::enter(&metrics.capture_us);
-        specs
-            .iter()
-            .map(|spec| match observed_setup(campaign, spec)? {
-                None => campaign.setup.signature_of(&spec.cut, spec.noise_seed),
-                Some(setup) => setup.signature_of(&spec.cut, spec.noise_seed),
-            })
-            .collect::<Result<_>>()?
+        match shared {
+            Some(shared) => {
+                let batch: Vec<BatchDevice> = specs.iter().map(|s| BatchDevice::new(s.cut, s.noise_seed)).collect();
+                capture_signatures_batch(&campaign.setup, shared, &batch)?
+            }
+            None => specs
+                .iter()
+                .map(|spec| match observed_setup(campaign, spec)? {
+                    None => campaign.setup.signature_of(&spec.cut, spec.noise_seed),
+                    Some(setup) => setup.signature_of(&spec.cut, spec.noise_seed),
+                })
+                .collect::<Result<_>>()?,
+        }
     };
     let mut outcomes = {
         let score_span = tracer.span("engine.score", "engine", ctx);
@@ -409,41 +395,6 @@ fn evaluate_chunk_per_device(
         let _ambient = trace::with_context(score_span.context());
         let _score = Span::enter(&metrics.score_us);
         score_batch(campaign, scorer, specs, observed)?
-    };
-    apply_retest(campaign, scorer, retest, metrics, tracer, ctx, &mut outcomes)?;
-    Ok(outcomes)
-}
-
-/// Evaluates one chunk of the population through the batched capture fast
-/// path: materialize the specs, capture the chunk's signatures against the
-/// shared stimulus, and score the chunk through the scorer (one remote
-/// request per chunk on the remote path). Scratch buffers live per chunk,
-/// not per device.
-fn evaluate_chunk_batched(
-    campaign: &Campaign,
-    scorer: &Scorer<'_>,
-    retest: Option<&RetestPolicy>,
-    metrics: &EngineMetrics,
-    tracer: &Tracer,
-    ctx: TraceContext,
-    shared: &SharedStimulus,
-    start: usize,
-    end: usize,
-) -> Result<Vec<DeviceOutcome>> {
-    let specs: Vec<DeviceSpec> = (start..end).map(|i| campaign.device(i)).collect::<Result<_>>()?;
-    let batch: Vec<BatchDevice> = specs.iter().map(|s| BatchDevice::new(s.cut, s.noise_seed)).collect();
-    let signatures = {
-        let _capture_span = tracer.span("engine.capture", "engine", ctx);
-        let _capture = Span::enter(&metrics.capture_us);
-        capture_signatures_batch(&campaign.setup, shared, &batch)?
-    };
-    let mut outcomes = {
-        let score_span = tracer.span("engine.score", "engine", ctx);
-        // The score span is the ambient context, so a remote score target
-        // injects it into outgoing frames and the tiers parent under it.
-        let _ambient = trace::with_context(score_span.context());
-        let _score = Span::enter(&metrics.score_us);
-        score_batch(campaign, scorer, specs, signatures)?
     };
     apply_retest(campaign, scorer, retest, metrics, tracer, ctx, &mut outcomes)?;
     Ok(outcomes)
@@ -516,23 +467,29 @@ fn apply_retest(
             }
         }
         Scorer::Remote { remote, key } => {
-            let devices: Vec<RetestItem> = marginal
-                .iter()
-                .zip(&repeats)
-                .map(|(&at, device_repeats)| RetestItem {
-                    initial: outcomes[at].observed.clone(),
-                    repeats: device_repeats.clone(),
-                })
-                .collect();
-            let scores = remote.retest_remote(*key, policy, &devices)?;
-            if scores.len() != devices.len() {
+            // The repeats move into the request; only the initial signature
+            // is copied, because the outcome keeps it for the signature log.
+            let request = RetestRequest {
+                golden_key: *key,
+                policy: policy.clone(),
+                items: marginal
+                    .iter()
+                    .zip(repeats)
+                    .map(|(&at, repeats)| RetestItem {
+                        initial: outcomes[at].observed.clone(),
+                        repeats,
+                    })
+                    .collect(),
+            };
+            let scores = remote.retest_remote(&request)?;
+            if scores.len() != request.items.len() {
                 return Err(dsig_core::DsigError::Remote(format!(
                     "remote target returned {} retest scores for {} devices",
                     scores.len(),
-                    devices.len()
+                    request.items.len()
                 )));
             }
-            for ((&at, device_repeats), remote_score) in marginal.iter().zip(&repeats).zip(scores) {
+            for ((&at, item), remote_score) in marginal.iter().zip(&request.items).zip(scores) {
                 let outcome = &mut outcomes[at];
                 let verdict = dsig_core::RetestVerdict {
                     ndf: remote_score.score.ndf,
@@ -542,22 +499,17 @@ fn apply_retest(
                     repeats_used: remote_score.repeats_used,
                 };
                 let used = remote_score.repeats_used as usize;
-                if used > device_repeats.len() {
+                if used > item.repeats.len() {
                     return Err(dsig_core::DsigError::Remote(format!(
                         "remote target used {used} retest repeats of device {} but was sent {}",
                         outcome.result.index,
-                        device_repeats.len()
+                        item.repeats.len()
                     )));
                 }
                 note_cap_hit(policy, &verdict, outcome.result.index);
                 // The remote tier already folded the peak Hamming distance
                 // over the initial capture and the consumed repeats.
-                finish_retest(
-                    outcome,
-                    verdict,
-                    remote_score.score.peak_hamming,
-                    &device_repeats[..used],
-                );
+                finish_retest(outcome, verdict, remote_score.score.peak_hamming, &item.repeats[..used]);
             }
         }
     }
@@ -950,7 +902,7 @@ mod tests {
 
     #[test]
     fn remote_retest_scoring_is_bit_identical_to_local_retest() {
-        use crate::score::{RemoteScorer, RetestItem, RetestScore, ScoreResult, ScoreTarget};
+        use crate::score::{RemoteScorer, RetestRequest, RetestScore, ScoreResult, ScoreTarget};
         use dsig_core::RetestPolicy;
 
         // A stand-in remote tier that escalates with the same pure walk the
@@ -973,13 +925,9 @@ mod tests {
                     })
                     .collect()
             }
-            fn retest_remote(
-                &self,
-                _key: u64,
-                policy: &RetestPolicy,
-                devices: &[RetestItem],
-            ) -> Result<Vec<RetestScore>> {
-                devices
+            fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+                request
+                    .items
                     .iter()
                     .map(|device| {
                         let golden = self.flow.golden();
@@ -991,7 +939,7 @@ mod tests {
                             repeat_ndfs.push(ndf(golden, repeat)?);
                             repeat_peaks.push(peak_hamming_distance(golden, repeat)?);
                         }
-                        let verdict = policy.escalate(&self.band, initial_ndf, &repeat_ndfs);
+                        let verdict = request.policy.escalate(&self.band, initial_ndf, &repeat_ndfs);
                         Ok(RetestScore {
                             score: ScoreResult {
                                 ndf: verdict.ndf,
@@ -1053,7 +1001,7 @@ mod tests {
 
     #[test]
     fn remote_retest_claiming_more_repeats_than_sent_is_an_error() {
-        use crate::score::{RemoteScorer, RetestItem, RetestScore, ScoreResult, ScoreTarget};
+        use crate::score::{RemoteScorer, RetestRequest, RetestScore, ScoreResult, ScoreTarget};
         use dsig_core::{RetestPolicy, TestOutcome};
 
         // A faulty tier: every device sits on the band threshold, and the
@@ -1068,13 +1016,9 @@ mod tests {
             fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
                 Ok(vec![ON_THRESHOLD; signatures.len()])
             }
-            fn retest_remote(
-                &self,
-                _key: u64,
-                _policy: &RetestPolicy,
-                devices: &[RetestItem],
-            ) -> Result<Vec<RetestScore>> {
-                Ok(devices
+            fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+                Ok(request
+                    .items
                     .iter()
                     .map(|device| RetestScore {
                         score: ON_THRESHOLD,

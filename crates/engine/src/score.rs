@@ -7,15 +7,16 @@
 //! signatures against a persisted golden fingerprint implements
 //! [`RemoteScorer`], and [`crate::CampaignRunner::run_with_target`] accepts a
 //! [`ScoreTarget`] selecting the local path or a remote implementation.
-//! `dsig_serve::ServeHandle` and `dsig_router::RouterHandle` both implement
-//! the trait, which is what makes multi-process campaign sharding real: the
-//! capture side fans out over the runner's worker pool while every verdict
-//! comes from the serving tier.
+//! `dsig_serve::ServeHandle`, `dsig_serve::PipelinedClient` and
+//! `dsig_router::RouterHandle` implement the trait, which is what makes
+//! multi-process campaign sharding real: the capture side fans out over the
+//! runner's worker pool while every verdict comes from the serving tier.
 //!
-//! The score types of the seam ([`ScoreResult`], [`RetestItem`],
-//! [`RetestScore`]) are also the serving protocol's: `dsig_serve::proto`
-//! re-exports them, so a tier answers the runner with its wire scores as
-//! they are.
+//! The types of the seam ([`ScoreResult`], [`RetestItem`],
+//! [`RetestRequest`], [`RetestScore`]) are also the serving protocol's:
+//! `dsig_serve::proto` re-exports them, so the runner hands a tier its
+//! adaptive-retest request as the tier encodes it, and a tier answers the
+//! runner with its wire scores as they are.
 //!
 //! Because signature scoring is a pure function of `(golden, observed)` and
 //! the acceptance band, a remote target whose golden was characterized from
@@ -49,6 +50,20 @@ pub struct RetestItem {
     pub repeats: Vec<Signature>,
 }
 
+/// An adaptive-retest screening request (`DSRT`): score each device's
+/// single shot against the golden under `golden_key`, and re-decide marginal
+/// ones from averaged repeats through the carried [`RetestPolicy`] —
+/// **server-side**, before any verdict is answered.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RetestRequest {
+    /// Fingerprint of the golden to score against.
+    pub golden_key: u64,
+    /// The guard band and escalation schedule applied to every device.
+    pub policy: RetestPolicy,
+    /// The devices, in request order.
+    pub items: Vec<RetestItem>,
+}
+
 /// The adaptive-retest score of one device: the final (possibly averaged)
 /// score plus the retest metadata of the escalation walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,24 +94,21 @@ pub trait RemoteScorer: Sync {
     fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>>;
 
     /// Screens an adaptive-retest batch (`DSRT`): each device's single shot
-    /// plus its measurement repeats, re-decided remotely through `policy`'s
-    /// escalation walk against the golden stored under `golden_key`. Returns
-    /// one score per device, in input order.
+    /// plus its measurement repeats, re-decided remotely through the
+    /// request's policy against the golden stored under its `golden_key`.
+    /// The request is borrowed, so an implementation that encodes or scores
+    /// it needs no copy of its signatures. Returns one score per device, in
+    /// request order.
     ///
     /// The default implementation reports the capability as unsupported —
-    /// serving and routing tiers (`ServeHandle`, `RouterHandle`) override it
-    /// with the `DSRT` fast path.
+    /// the serving tier (`ServeHandle`, and `PipelinedClient` over TCP) and
+    /// the routing tier (`RouterHandle`) override it with the `DSRT` path.
     ///
     /// # Errors
     /// Returns [`dsig_core::DsigError::Remote`] when the backend cannot
     /// answer or does not support adaptive retest.
-    fn retest_remote(
-        &self,
-        golden_key: u64,
-        policy: &RetestPolicy,
-        devices: &[RetestItem],
-    ) -> Result<Vec<RetestScore>> {
-        let _ = (golden_key, policy, devices);
+    fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+        let _ = request;
         Err(dsig_core::DsigError::Remote(
             "this scoring target does not support adaptive retest".into(),
         ))

@@ -208,146 +208,101 @@ impl Backend {
         health.consecutive_failures == 1
     }
 
-    /// Clones the backend's shared multiplexed connection, dialing it on
-    /// first use (or after a transport failure cleared it).
-    fn client(addr: SocketAddr, mux: &Mutex<Option<PipelinedClient>>) -> Result<PipelinedClient, ServeError> {
-        let mut slot = mux.lock().expect("backend mux lock poisoned");
-        if let Some(client) = &*slot {
-            return Ok(client.clone());
-        }
-        let client = PipelinedClient::connect(addr)?;
-        *slot = Some(client.clone());
-        Ok(client)
-    }
-
-    /// Clears the shared connection after a transport failure (remote-side
-    /// errors keep it: the stream itself is fine). The pipelined client
+    /// Runs one operation on this backend — the only place the transport is
+    /// matched. Over TCP, `tcp` runs on the shared multiplexed connection,
+    /// dialed on first use (or after a transport failure cleared it); a
+    /// transport error clears the connection again, while remote-side
+    /// errors keep it (the stream itself is fine). The pipelined client
     /// already retried once internally, so a transport error here means the
-    /// backend is genuinely unreachable right now.
-    fn settle<T>(mux: &Mutex<Option<PipelinedClient>>, result: Result<T, ServeError>) -> Result<T, ServeError> {
-        match &result {
-            Ok(_) | Err(ServeError::UnknownGolden(_) | ServeError::Remote(_)) => {}
-            Err(_) => *mux.lock().expect("backend mux lock poisoned") = None,
+    /// backend is genuinely unreachable right now. In process, `local` runs
+    /// on the handle unless the backend is killed, which fails every
+    /// operation with [`ServeError::Closed`] as a torn-down connection would.
+    fn dispatch<T>(
+        &self,
+        tcp: impl FnOnce(&PipelinedClient) -> Result<T, ServeError>,
+        local: impl FnOnce(&ServeHandle) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        match &self.transport {
+            Transport::Tcp { addr, mux } => {
+                let client = {
+                    let mut slot = mux.lock().expect("backend mux lock poisoned");
+                    match &*slot {
+                        Some(client) => client.clone(),
+                        None => slot.insert(PipelinedClient::connect(*addr)?).clone(),
+                    }
+                };
+                let result = tcp(&client);
+                if let Err(err) = &result {
+                    if !matches!(err, ServeError::UnknownGolden(_) | ServeError::Remote(_)) {
+                        *mux.lock().expect("backend mux lock poisoned") = None;
+                    }
+                }
+                result
+            }
+            Transport::Local { handle, killed } => {
+                if killed.load(Ordering::SeqCst) {
+                    return Err(ServeError::Closed);
+                }
+                local(handle)
+            }
         }
-        result
     }
 
     /// Scores a batch against this backend.
     pub(crate) fn screen(&self, key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.screen(key, signatures))
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
-                handle.screen(key, signatures)
-            }
-        }
+        self.dispatch(
+            |client| client.screen(key, signatures),
+            |handle| handle.screen(key, signatures),
+        )
     }
 
     /// Screens an adaptive-retest batch against this backend (`DSRT`).
     pub(crate) fn retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>, ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.screen_retest(request))
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
-                handle.screen_retest(request)
-            }
-        }
+        self.dispatch(
+            |client| client.screen_retest(request),
+            |handle| handle.screen_retest(request),
+        )
     }
 
     /// Pushes a golden record to this backend (replication).
     pub(crate) fn push(&self, key: u64, record: &GoldenRecord) -> Result<(), ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.push_golden(key, record.band, &record.golden))
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
+        self.dispatch(
+            |client| client.push_golden(key, record.band, &record.golden),
+            |handle| {
                 handle.push_golden(key, record.golden.clone(), record.band);
                 Ok(())
-            }
-        }
+            },
+        )
     }
 
     /// Scrapes this backend's own metrics snapshot (`DSMX`) — one leg of the
     /// router's fleet-metrics fan-out.
     pub(crate) fn metrics(&self) -> Result<MetricsSnapshot, ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.metrics())
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
-                Ok(handle.metrics())
-            }
-        }
+        self.dispatch(PipelinedClient::metrics, |handle| Ok(handle.metrics()))
     }
 
     /// Drains this backend's buffered trace spans (`DSTX`) — one leg of the
     /// router's fleet-trace fan-out. A drain is consuming: spans move to the
     /// caller and are gone from the backend.
     pub(crate) fn traces(&self) -> Result<TraceLog, ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.traces())
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
-                Ok(handle.traces())
-            }
-        }
+        self.dispatch(PipelinedClient::traces, |handle| Ok(handle.traces()))
     }
 
     /// Drains this backend's buffered events (`DSEX`). Consuming, like
     /// [`Backend::traces`].
     pub(crate) fn events(&self) -> Result<EventLog, ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.events())
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
-                Ok(handle.events())
-            }
-        }
+        self.dispatch(PipelinedClient::events, |handle| Ok(handle.events()))
     }
 
     /// Reads a golden record back from this backend.
     pub(crate) fn fetch(&self, key: u64) -> Result<(AcceptanceBand, Signature), ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = Self::client(*addr, mux)?;
-                Self::settle(mux, client.fetch_golden(key))
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
+        self.dispatch(
+            |client| client.fetch_golden(key),
+            |handle| {
                 let record = handle.fetch_golden(key)?;
                 Ok((record.band, record.golden.clone()))
-            }
-        }
+            },
+        )
     }
 }
 
@@ -357,7 +312,7 @@ mod tests {
     use std::sync::Arc;
 
     use dsig_core::{SignatureEntry, ZoneCode};
-    use dsig_serve::{GoldenStore, ServeConfig};
+    use dsig_serve::{GoldenStore, ServeConfig, Server};
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -493,6 +448,76 @@ mod tests {
             Err(ServeError::Closed)
         ));
         assert!(matches!(backend.fetch(9), Err(ServeError::Closed)));
+    }
+
+    /// Whether a TCP backend currently holds its shared connection.
+    fn connected(backend: &Backend) -> bool {
+        match &backend.transport {
+            Transport::Tcp { mux, .. } => mux.lock().unwrap().is_some(),
+            Transport::Local { .. } => panic!("not a TCP backend"),
+        }
+    }
+
+    #[test]
+    fn tcp_backend_keeps_its_connection_on_answers_and_redials_after_a_kill() {
+        let mut server =
+            Server::bind("127.0.0.1:0", Arc::new(GoldenStore::new()), ServeConfig::with_shards(1)).unwrap();
+        let record = GoldenRecord {
+            golden: sig(&[(1, 100e-6)]),
+            band: AcceptanceBand::new(0.05).unwrap(),
+        };
+        let observed = std::slice::from_ref(&record.golden);
+        let backend = Backend::tcp(server.local_addr());
+        assert!(!connected(&backend), "the connection is dialed on first use");
+        backend.push(4, &record).unwrap();
+        assert!(connected(&backend));
+
+        // An unknown golden is the server's answer, not a transport failure:
+        // the connection stays, and a router does not mark the backend down.
+        assert!(matches!(
+            backend.screen(0xBAD, observed),
+            Err(ServeError::UnknownGolden(0xBAD))
+        ));
+        assert!(connected(&backend), "a remote-side error keeps the connection");
+        let router = crate::RouterHandle::with_backends(
+            vec![Backend::tcp(server.local_addr())],
+            crate::RouterStore::new(),
+            crate::RouterConfig::default(),
+        )
+        .unwrap();
+        let label = server.local_addr().to_string();
+        router.push_golden(4, record.golden.clone(), record.band).unwrap();
+        assert!(matches!(
+            router.screen(0xBAD, observed),
+            Err(crate::RouterError::UnknownGolden(0xBAD))
+        ));
+        assert!(!router.backend_is_down(&label).unwrap());
+
+        // A kill only drops the connection: the next call redials the
+        // still-running server and succeeds without a revive.
+        backend.kill();
+        assert!(!connected(&backend), "a TCP kill drops the shared connection");
+        assert_eq!(backend.screen(4, observed).unwrap()[0].ndf, 0.0);
+        assert!(connected(&backend), "the next call redials");
+        router.kill(&label).unwrap();
+        assert_eq!(router.screen(4, observed).unwrap()[0].ndf, 0.0);
+        assert!(!router.backend_is_down(&label).unwrap());
+
+        // Once the server is gone, a kill followed by a call fails with the
+        // connection error, leaves the slot empty, and the router marks the
+        // backend down.
+        server.shutdown();
+        backend.kill();
+        assert!(matches!(backend.screen(4, observed), Err(ServeError::Io(_))));
+        assert!(!connected(&backend), "a transport failure leaves the slot empty");
+        router.kill(&label).unwrap();
+        match router.screen(4, observed) {
+            Err(crate::RouterError::AllBackendsFailed { detail, .. }) => {
+                assert!(detail.contains("i/o failed"), "{detail}")
+            }
+            other => panic!("expected AllBackendsFailed, got {other:?}"),
+        }
+        assert!(router.backend_is_down(&label).unwrap());
     }
 
     #[test]

@@ -1,40 +1,66 @@
-//! The in-process router front: the same routing core the TCP listener
-//! serves, without any socket — and a constructor that spawns a whole
-//! backend fleet in-process (via [`ServeHandle::spawn`]) for tests,
-//! benchmarks and single-process deployments.
+//! The router, [`RouterHandle`]: rendezvous ranking, per-backend
+//! sub-batch splitting, golden replication/refresh/readback, health-aware
+//! deterministic failover, and **live membership** — join/leave/drain with
+//! golden migration, epoch-versioned so every observer can tell which fleet
+//! shape answered.
+//!
+//! A handle works in-process, without any socket; the TCP
+//! [`crate::Router`] holds one and answers every frame through it.
+//! [`RouterHandle::spawn`] builds a whole backend fleet in-process (via
+//! [`ServeHandle::spawn`]) for tests, benchmarks and single-process
+//! deployments.
 //!
 //! Backends are addressed **by label** (`local-<id>` for in-process
 //! backends, `host:port` for TCP ones). Labels stay valid across
 //! membership changes.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 use cut_filters::BiquadParams;
-use dsig_core::{AcceptanceBand, Signature, TestSetup};
+use dsig_core::{AcceptanceBand, DsigError, Signature, TestSetup};
 use dsig_engine::RemoteScorer;
-use dsig_obs::{EventLog, HealthReport, MetricsSnapshot, TraceLog};
+use dsig_obs::trace::{self, TraceContext, Tracer};
+use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Span, TraceLog};
+use dsig_serve::server::{group_by_fingerprint, health_sample};
 use dsig_serve::{
-    FleetRoster, GoldenRecord, GoldenStore, RetestItem, RetestRequest, RetestScore, ScoreResult, ServeConfig,
-    ServeHandle,
+    AdminRequest, BackendState, FleetRoster, GoldenRecord, GoldenStore, RetestRequest, RetestScore, RosterEntry,
+    ScoreResult, ServeConfig, ServeError, ServeHandle,
 };
 
 use crate::backend::Backend;
-use crate::error::Result;
-use crate::router::{RouterConfig, RouterCore};
-use crate::store::RouterStore;
+use crate::error::{Result, RouterError};
+use crate::router::{MemberEntry, Membership, RouterConfig, RouterMetrics};
+use crate::RouterStore;
 
-/// An in-process client of a routing core. Cloning is cheap; each clone can
-/// be used from its own thread.
+/// The routing state every clone of a [`RouterHandle`] shares.
+struct RouterInner {
+    /// The live fleet. Reads are one `Arc` clone under a read lock; writes
+    /// (join/leave/drain) install a whole new snapshot with a bumped epoch.
+    membership: RwLock<Arc<Membership>>,
+    /// Serializes membership changes end to end (snapshot → migrate →
+    /// install), so two concurrent joins cannot interleave their golden
+    /// migrations or lose each other's epoch bump.
+    admin: Mutex<()>,
+    store: RouterStore,
+    config: RouterConfig,
+    registry: Registry,
+    tracer: Tracer,
+    metrics: RouterMetrics,
+}
+
+/// The router: the live membership, the authoritative golden store and the
+/// config, with every routed operation. Cloning is cheap (the state is
+/// shared); each clone can be used from its own thread, and a
+/// [`crate::Router`] serves TCP clients through one.
 #[derive(Clone)]
 pub struct RouterHandle {
-    core: Arc<RouterCore>,
+    inner: Arc<RouterInner>,
 }
 
 impl RouterHandle {
-    pub(crate) fn from_core(core: Arc<RouterCore>) -> Self {
-        RouterHandle { core }
-    }
-
     /// Builds `backends` in-process scoring backends — each its own
     /// [`GoldenStore`] behind a [`ServeHandle`] that scores on the calling
     /// thread, no TCP anywhere — and fronts them with a router. This is the
@@ -55,45 +81,105 @@ impl RouterHandle {
     }
 
     /// Fronts an explicit backend set (mix TCP and in-process freely) with a
-    /// routing core.
+    /// router reporting into the process-wide [`Registry::global`].
     ///
     /// # Errors
     /// Returns [`crate::RouterError::NoBackends`] for an empty set and an
     /// invalid-config error for duplicate rendezvous ids.
     pub fn with_backends(backends: Vec<Backend>, store: RouterStore, config: RouterConfig) -> Result<Self> {
+        Self::new_in(backends, store, config, Registry::global())
+    }
+
+    /// Like [`RouterHandle::with_backends`] with an explicit metrics
+    /// registry.
+    pub(crate) fn new_in(
+        backends: Vec<Backend>,
+        store: RouterStore,
+        config: RouterConfig,
+        registry: Registry,
+    ) -> Result<Self> {
+        if backends.is_empty() {
+            return Err(RouterError::NoBackends);
+        }
+        let mut ids: Vec<u64> = backends.iter().map(Backend::id).collect();
+        ids.sort_unstable();
+        if ids.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(RouterError::Dsig(DsigError::InvalidConfig(
+                "router backends must have unique rendezvous ids".into(),
+            )));
+        }
+        let entries: Vec<MemberEntry> = backends
+            .into_iter()
+            .map(|backend| MemberEntry::new(&registry, backend))
+            .collect();
+        let metrics = RouterMetrics::new(&registry);
+        metrics.epoch.set(1.0);
+        let tracer = registry.tracer().clone();
         Ok(RouterHandle {
-            core: Arc::new(RouterCore::new(backends, store, config)?),
+            inner: Arc::new(RouterInner {
+                membership: RwLock::new(Arc::new(Membership { epoch: 1, entries })),
+                admin: Mutex::new(()),
+                store,
+                config,
+                registry,
+                tracer,
+                metrics,
+            }),
         })
     }
 
-    /// The router's authoritative golden store.
+    /// The router's authoritative golden store: goldens are characterized or
+    /// pushed here, replicated to their owners, and refreshed from here onto
+    /// a failover backend that misses one.
     pub fn store(&self) -> &RouterStore {
-        self.core.store()
+        &self.inner.store
+    }
+
+    /// One consistent view of the fleet: the snapshot every operation works
+    /// within.
+    fn snapshot(&self) -> Arc<Membership> {
+        Arc::clone(&self.inner.membership.read().expect("membership lock poisoned"))
     }
 
     /// Number of members (active, draining or backed off) in the live fleet.
     pub fn backend_count(&self) -> usize {
-        self.core.backend_count()
+        self.snapshot().entries.len()
     }
 
     /// The live membership epoch: starts at 1, bumped on every
     /// join/leave/drain. The same value rides in `DSHR` health reports and
     /// the `DSAQ` roster.
     pub fn epoch(&self) -> u64 {
-        self.core.epoch()
+        self.snapshot().epoch
     }
 
     /// Member labels in membership order (`local-<id>` for in-process
     /// backends, `host:port` for TCP ones) — the stable addressing
     /// vocabulary of the fleet.
     pub fn backend_labels(&self) -> Vec<String> {
-        self.core.backend_labels()
+        self.snapshot()
+            .entries
+            .iter()
+            .map(|entry| entry.backend.label().to_string())
+            .collect()
     }
 
-    /// The rendezvous ranking of a fingerprint as member labels, owner
-    /// first.
+    /// The rendezvous ranking of a fingerprint as member labels: owner
+    /// first, then its replicas.
     pub fn rank_labels(&self, key: u64) -> Vec<String> {
-        self.core.rank_labels(key)
+        let m = self.snapshot();
+        m.rank(key)
+            .into_iter()
+            .map(|i| m.entries[i].backend.label().to_string())
+            .collect()
+    }
+
+    /// Resolves a member by label.
+    fn find(&self, label: &str) -> Result<Arc<Backend>> {
+        let m = self.snapshot();
+        m.index_of(label)
+            .map(|i| Arc::clone(&m.entries[i].backend))
+            .ok_or_else(|| RouterError::Dsig(DsigError::InvalidConfig(format!("unknown backend {label:?}"))))
     }
 
     /// Kills the member at `label` (see [`Backend::kill`]): subsequent
@@ -102,17 +188,28 @@ impl RouterHandle {
     /// # Errors
     /// Rejects an unknown label.
     pub fn kill(&self, label: &str) -> Result<()> {
-        self.core.kill_by_label(label)
+        self.find(label)?.kill();
+        Ok(())
     }
 
     /// Revives the member at `label` (see [`Backend::revive`]): undoes a
     /// kill and clears its failure record, so the next forward (and the
-    /// next health check) sees it up immediately.
+    /// next health check) sees it up immediately. Logs the recovery event
+    /// when this ended a failure streak.
     ///
     /// # Errors
     /// Rejects an unknown label.
     pub fn revive(&self, label: &str) -> Result<()> {
-        self.core.revive_by_label(label)
+        if self.find(label)?.revive() {
+            self.inner.registry.events().emit(
+                EventLevel::Info,
+                "router",
+                "backend.recovered",
+                "backend revived by the operator; failure record cleared",
+                &[("backend", label)],
+            );
+        }
+        Ok(())
     }
 
     /// Whether the member at `label`'s health record currently marks it
@@ -121,99 +218,374 @@ impl RouterHandle {
     /// # Errors
     /// Rejects an unknown label.
     pub fn backend_is_down(&self, label: &str) -> Result<bool> {
-        self.core.down_by_label(label)
+        Ok(self.find(label)?.is_down())
     }
 
     /// Admits an explicit [`Backend`] (TCP or in-process) into the live
-    /// fleet: the goldens it now owns are migrated onto it **before** the
-    /// membership flips, so it never sees a request it cannot answer.
-    /// Idempotent by label; joining a draining member reactivates it.
+    /// fleet, migrating the goldens it now owns onto it **before** the
+    /// membership flips — a joining backend warms up without operator
+    /// action and never sees a request it cannot answer. Idempotent by
+    /// label: joining an active member is a no-op, joining a draining one
+    /// reactivates it.
     ///
     /// # Errors
     /// Rejects a rendezvous-id collision and an unreachable backend (the
     /// migration must land).
     pub fn join(&self, backend: Backend) -> Result<FleetRoster> {
-        self.core.join_backend(backend)
+        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let m = self.snapshot();
+        if let Some(index) = m.index_of(backend.label()) {
+            return self.reactivate_locked(&m, index);
+        }
+        self.join_new_locked(&m, backend)
     }
 
-    /// The wire form of [`RouterHandle::join`]: an existing member is
-    /// reactivated by label, a new one must be a dialable `host:port`
-    /// (joined as a TCP backend).
+    /// The wire form of [`RouterHandle::join`]: an existing member (any
+    /// transport) is reactivated by label, a new one must be a dialable
+    /// `host:port` (joined as a TCP backend).
     ///
     /// # Errors
     /// As for [`RouterHandle::join`], plus unparseable labels.
     pub fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
-        self.core.join_by_label(label)
+        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let m = self.snapshot();
+        if let Some(index) = m.index_of(label) {
+            return self.reactivate_locked(&m, index);
+        }
+        let addr: SocketAddr = label.parse().map_err(|_| {
+            RouterError::Dsig(DsigError::InvalidConfig(format!(
+                "cannot join {label:?}: not a member and not a dialable host:port address"
+            )))
+        })?;
+        self.join_new_locked(&m, Backend::tcp(addr))
     }
 
-    /// Removes the member at `label`, re-replicating its goldens to the
-    /// surviving owners first. Idempotent: leaving an unknown member is an
-    /// acknowledged no-op.
+    /// Reactivates an existing member (caller holds the admin lock): a
+    /// draining member returns to active duty (with its owned goldens
+    /// re-warmed), an active member is an acknowledged no-op.
+    fn reactivate_locked(&self, m: &Membership, index: usize) -> Result<FleetRoster> {
+        if !m.entries[index].draining {
+            return Ok(self.fleet_roster());
+        }
+        let mut entries = m.entries.clone();
+        entries[index].draining = false;
+        let next = Arc::new(Membership {
+            epoch: m.epoch + 1,
+            entries,
+        });
+        self.warm_up(&next, index)?;
+        let label = next.entries[index].backend.label().to_string();
+        self.install(
+            next,
+            "backend.joined",
+            "draining member reactivated and re-warmed",
+            &label,
+        );
+        Ok(self.fleet_roster())
+    }
+
+    /// Admits a brand-new member (caller holds the admin lock): goldens
+    /// migrate first, the membership flips second.
+    fn join_new_locked(&self, m: &Membership, backend: Backend) -> Result<FleetRoster> {
+        if m.entries.iter().any(|entry| entry.backend.id() == backend.id()) {
+            return Err(RouterError::Dsig(DsigError::InvalidConfig(format!(
+                "backend {} collides with an existing rendezvous id",
+                backend.label()
+            ))));
+        }
+        let label = backend.label().to_string();
+        let mut entries = m.entries.clone();
+        entries.push(MemberEntry::new(&self.inner.registry, backend));
+        let index = entries.len() - 1;
+        let next = Arc::new(Membership {
+            epoch: m.epoch + 1,
+            entries,
+        });
+        self.warm_up(&next, index)?;
+        self.install(
+            next,
+            "backend.joined",
+            "new member admitted; owned goldens migrated",
+            &label,
+        );
+        Ok(self.fleet_roster())
+    }
+
+    /// Pushes every golden whose replica set (under `next`'s ranking)
+    /// includes member `index` onto that member — the join-time migration.
+    /// Any push failure rejects the whole join: an unreachable backend must
+    /// not enter the rotation cold.
+    fn warm_up(&self, next: &Membership, index: usize) -> Result<usize> {
+        let replicas = self.inner.config.replicas.max(1);
+        let mut migrated = 0usize;
+        for key in self.inner.store.keys() {
+            let rank = next.rank(key);
+            if !rank.iter().take(replicas).any(|&i| i == index) {
+                continue;
+            }
+            let Some(record) = self.inner.store.get(key) else {
+                continue;
+            };
+            next.entries[index].backend.push(key, &record)?;
+            migrated += 1;
+        }
+        Ok(migrated)
+    }
+
+    /// Removes the member at `label` from the fleet, re-replicating its
+    /// goldens to the surviving owners **before** it goes. Idempotent by
+    /// label: leaving an unknown member is an acknowledged no-op.
     ///
     /// # Errors
-    /// Rejects removing the last member.
+    /// Rejects removing the last member — a router with no backends can
+    /// answer nothing.
     pub fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
-        self.core.leave_backend(label)
+        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let m = self.snapshot();
+        let Some(index) = m.index_of(label) else {
+            return Ok(self.fleet_roster());
+        };
+        if m.entries.len() == 1 {
+            return Err(RouterError::Dsig(DsigError::InvalidConfig(format!(
+                "cannot remove {label:?}: it is the last backend of the fleet"
+            ))));
+        }
+        self.rereplicate_from(&m, index);
+        let mut entries = m.entries.clone();
+        entries.remove(index);
+        let next = Arc::new(Membership {
+            epoch: m.epoch + 1,
+            entries,
+        });
+        self.install(
+            next,
+            "backend.left",
+            "member removed; its golden replicas re-homed to survivors",
+            label,
+        );
+        Ok(self.fleet_roster())
     }
 
-    /// Marks the member at `label` draining: new work steers away, its
-    /// goldens re-replicate, and it stays ranked as a failover last resort.
-    /// Idempotent on a draining member.
+    /// Marks the member at `label` draining: new work steers away (it stays
+    /// ranked as a failover last resort) and its goldens are re-replicated
+    /// to the non-draining members so the replica count survives its
+    /// eventual removal. Idempotent on a draining member.
     ///
     /// # Errors
-    /// Rejects an unknown label.
+    /// Rejects an unknown label (a drain never removes, so resubmission
+    /// converges).
     pub fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
-        self.core.drain_backend(label)
+        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let m = self.snapshot();
+        let Some(index) = m.index_of(label) else {
+            return Err(RouterError::Dsig(DsigError::InvalidConfig(format!(
+                "cannot drain unknown backend {label:?}"
+            ))));
+        };
+        if m.entries[index].draining {
+            return Ok(self.fleet_roster());
+        }
+        let mut entries = m.entries.clone();
+        entries[index].draining = true;
+        let next = Arc::new(Membership {
+            epoch: m.epoch + 1,
+            entries,
+        });
+        self.install(
+            Arc::clone(&next),
+            "backend.draining",
+            "member draining: new work steers away; goldens re-replicating",
+            label,
+        );
+        self.rereplicate_from(&next, index);
+        Ok(self.fleet_roster())
     }
 
-    /// The live roster: epoch plus every member's label, id and state.
+    /// The live roster: epoch plus every member's label, id and state — the
+    /// `DSAQ` list body, also returned by every admin verb so the caller
+    /// sees the fleet it just changed.
     pub fn fleet_roster(&self) -> FleetRoster {
-        self.core.roster()
+        let m = self.snapshot();
+        let now = Instant::now();
+        FleetRoster {
+            epoch: m.epoch,
+            entries: m
+                .entries
+                .iter()
+                .map(|entry| RosterEntry {
+                    label: entry.backend.label().to_string(),
+                    id: entry.backend.id(),
+                    state: if entry.draining {
+                        BackendState::Draining
+                    } else if !entry.backend.is_available(now) {
+                        BackendState::BackedOff
+                    } else {
+                        BackendState::Active
+                    },
+                })
+                .collect(),
+        }
+    }
+
+    /// Dispatches one decoded `DSAQ` admin verb.
+    pub(crate) fn admin(&self, request: &AdminRequest) -> Result<FleetRoster> {
+        match request {
+            AdminRequest::Join { label } => self.fleet_join(label),
+            AdminRequest::Leave { label } => self.fleet_leave(label),
+            AdminRequest::Drain { label } => self.fleet_drain(label),
+            AdminRequest::List => Ok(self.fleet_roster()),
+        }
+    }
+
+    /// Installs a new membership snapshot and logs the transition.
+    fn install(&self, next: Arc<Membership>, event: &str, detail: &str, label: &str) {
+        let epoch = next.epoch;
+        self.inner.metrics.epoch.set(epoch as f64);
+        *self.inner.membership.write().expect("membership lock poisoned") = next;
+        self.inner.registry.events().emit(
+            EventLevel::Info,
+            "router",
+            event,
+            detail,
+            &[("backend", label), ("epoch", &epoch.to_string())],
+        );
+    }
+
+    /// Re-replicates every golden whose replica set includes member `index`
+    /// onto the first `replicas` other, non-draining members — the shared
+    /// engine behind leave, drain and replica healing. Best-effort: a
+    /// failing target is marked down and skipped (refresh-on-miss covers
+    /// any copy this pass could not place). Returns the goldens re-homed.
+    fn rereplicate_from(&self, m: &Membership, index: usize) -> usize {
+        let now = Instant::now();
+        let replicas = self.inner.config.replicas.max(1);
+        let mut rehomed = 0usize;
+        for key in self.inner.store.keys() {
+            let rank = m.rank(key);
+            if !rank.iter().take(replicas).any(|&i| i == index) {
+                continue;
+            }
+            let Some(record) = self.inner.store.get(key) else {
+                continue;
+            };
+            let mut placed = false;
+            for &target in rank
+                .iter()
+                .filter(|&&i| i != index && !m.entries[i].draining)
+                .take(replicas)
+            {
+                match m.entries[target].backend.push(key, &record) {
+                    Ok(()) => {
+                        self.mark_success(&m.entries[target]);
+                        placed = true;
+                    }
+                    // A plain failure note (no healing re-entry): healing a
+                    // second dead member will be triggered by its own
+                    // forward-path failures, not recursively from here.
+                    Err(_) => self.note_failure_plain(&m.entries[target], now),
+                }
+            }
+            if placed {
+                rehomed += 1;
+            }
+        }
+        rehomed
     }
 
     /// Snapshots the routing tier's metrics (per-backend forward/failover/
     /// retry counters, backoff gauge, fan-out latency, refresh-on-miss,
     /// membership epoch) — the in-process equivalent of a `DSMX` scrape.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.core.metrics()
+        self.inner.registry.snapshot()
     }
 
     /// Drains the routing tier's buffered trace spans — the in-process
     /// equivalent of a `DSTX` scrape. Each span is exported at most once.
     pub fn traces(&self) -> TraceLog {
-        self.core.traces()
+        TraceLog {
+            spans: self.inner.registry.tracer().drain(),
+        }
+    }
+
+    /// Scrapes every member of `m` concurrently and merges the answers:
+    /// every member's snapshot under a `backend.<label>.` prefix, the
+    /// cross-backend rollup under `fleet.`, and the router's own registry
+    /// unprefixed. Also returns, per member, whether it answered.
+    fn scrape_fleet(&self, m: &Membership) -> (MetricsSnapshot, Vec<bool>) {
+        let scraped = m.fan_out(Backend::metrics);
+        let answered = scraped.iter().map(Option::is_some).collect();
+        let parts: Vec<(String, MetricsSnapshot)> = m
+            .entries
+            .iter()
+            .zip(scraped)
+            .filter_map(|(entry, snapshot)| snapshot.map(|s| (entry.backend.label().to_string(), s)))
+            .collect();
+        (
+            MetricsSnapshot::merge_fleet(&parts, &self.inner.registry.snapshot()),
+            answered,
+        )
     }
 
     /// Aggregated fleet metrics — the in-process equivalent of a `DSFM`
     /// scrape: every backend's snapshot under a `backend.<label>.` prefix,
     /// the cross-backend rollup under `fleet.`, and the router's own
-    /// registry unprefixed. Unreachable backends are skipped, never fatal.
+    /// registry unprefixed. Unreachable backends are skipped — a fleet
+    /// scrape is an observation, never a failure.
     pub fn fleet_metrics(&self) -> MetricsSnapshot {
-        self.core.fleet_metrics()
+        self.scrape_fleet(&self.snapshot()).0
     }
 
     /// Aggregated fleet trace drain — the in-process equivalent of a `DSFT`
-    /// scrape: every reachable backend's spans plus the router's own.
-    /// Consuming: each span is exported at most once fleet-wide.
+    /// scrape: every reachable backend's spans plus the router's own, in the
+    /// tracer's canonical `(trace_id, start_us, span_id)` order. Consuming:
+    /// each span is exported at most once fleet-wide.
     pub fn fleet_traces(&self) -> TraceLog {
-        self.core.fleet_traces()
+        let drained = self.snapshot().fan_out(Backend::traces);
+        let mut spans: Vec<dsig_obs::SpanRecord> = drained.into_iter().flatten().flat_map(|log| log.spans).collect();
+        spans.extend(self.inner.registry.tracer().drain());
+        spans.sort_by_key(|span| (span.trace_id, span.start_us, span.span_id));
+        TraceLog { spans }
     }
 
     /// Drains the fleet's buffered events — the in-process equivalent of a
-    /// `DSEX` scrape at the router: every reachable backend's events plus
-    /// the router's own (backend backoff/recovery and membership
-    /// transitions, refresh-on-miss records). Consuming: each record is
-    /// exported at most once fleet-wide.
+    /// `DSEX` scrape at the router: every reachable backend's drained events
+    /// plus the router's own (backend backoff/recovery and membership
+    /// transitions, refresh-on-miss records), in the sink's canonical
+    /// `(at_us, trace_id, name)` order. In-process fleets share one global
+    /// sink with the router; the drain's take-semantics keep each record
+    /// exported exactly once either way.
     pub fn events(&self) -> EventLog {
-        self.core.events()
+        let drained = self.snapshot().fan_out(Backend::events);
+        let mut events: Vec<dsig_obs::EventRecord> = drained.into_iter().flatten().flat_map(|log| log.events).collect();
+        events.extend(self.inner.registry.events().drain());
+        events.sort_by(|a, b| (a.at_us, a.trace_id, &a.name).cmp(&(b.at_us, b.trace_id, &b.name)));
+        EventLog { events }
     }
 
     /// Scrapes the fleet and verdicts it against the configured
-    /// [`dsig_obs::SloPolicy`] — the in-process equivalent of a `DSHC` health
-    /// check. A backend counts as down when its health record backs it off
-    /// or its scrape fails; the report carries the live membership epoch.
+    /// [`dsig_obs::SloPolicy`] — the in-process equivalent of a `DSHC`
+    /// health check. A member counts as down when its health record backs
+    /// it off *or* its scrape fails (a killed backend is down right now even
+    /// before any forward has armed the backoff); the `fleet.` rollup is
+    /// what gets verdicted. The report carries the live membership epoch,
+    /// so an operator watching health sees churn as it lands.
     pub fn health(&self) -> HealthReport {
-        self.core.health()
+        let now = Instant::now();
+        let m = self.snapshot();
+        let (merged, answered) = self.scrape_fleet(&m);
+        let down = m
+            .entries
+            .iter()
+            .zip(answered)
+            .filter(|(entry, answered)| !answered || !entry.backend.is_available(now))
+            .count();
+        let mut report =
+            self.inner
+                .config
+                .slo
+                .evaluate(health_sample(&merged, "fleet.", down as u32, m.entries.len() as u32));
+        report.epoch = m.epoch;
+        report
     }
 
     /// Characterizes `(setup, reference)` into the router store and pushes
@@ -223,38 +595,110 @@ impl RouterHandle {
     /// # Errors
     /// Propagates capture errors; fails if no backend accepts the push.
     pub fn characterize(&self, setup: &TestSetup, reference: &BiquadParams, band: AcceptanceBand) -> Result<u64> {
-        self.core.characterize(setup, reference, band)
+        let key = self.inner.store.characterize(setup, reference, band)?;
+        let record = self.inner.store.get(key).expect("characterize stores the record");
+        self.replicate(key, &record)?;
+        Ok(key)
     }
 
     /// Stores an already-characterized golden and replicates it to its
-    /// owning backends.
+    /// owning backends — the routing-tier form of the `DSGP` push.
     ///
     /// # Errors
     /// Fails if no backend accepts the push.
     pub fn push_golden(&self, key: u64, golden: Signature, band: AcceptanceBand) -> Result<()> {
-        self.core.push_golden(key, golden, band)
+        self.inner.store.insert(key, golden, band);
+        let record = self.inner.store.get(key).expect("insert stores the record");
+        self.replicate(key, &record)?;
+        Ok(())
+    }
+
+    /// Pushes a record to the first `replicas` non-draining members of the
+    /// key's rendezvous ranking. Succeeds when at least one copy lands;
+    /// members that refuse are marked down and reported in the error
+    /// otherwise.
+    fn replicate(&self, key: u64, record: &GoldenRecord) -> Result<usize> {
+        let now = Instant::now();
+        let m = self.snapshot();
+        let rank = m.rank(key);
+        let eligible: Vec<usize> = rank.iter().copied().filter(|&i| !m.entries[i].draining).collect();
+        let targets: &[usize] = if eligible.is_empty() { &rank } else { &eligible };
+        let copies = self.inner.config.replicas.max(1).min(targets.len());
+        let mut pushed = 0usize;
+        let mut failures: Vec<String> = Vec::new();
+        for &index in targets {
+            if pushed == copies {
+                break;
+            }
+            let entry = &m.entries[index];
+            match entry.backend.push(key, record) {
+                Ok(()) => {
+                    self.mark_success(entry);
+                    pushed += 1;
+                }
+                Err(err) => {
+                    self.mark_failure(&m, index, now);
+                    failures.push(format!("{}: {err}", entry.backend.label()));
+                }
+            }
+        }
+        if pushed == 0 {
+            return Err(RouterError::AllBackendsFailed {
+                key,
+                detail: failures.join("; "),
+            });
+        }
+        Ok(pushed)
     }
 
     /// Resolves a golden record: the router store first, then readback from
-    /// the owning backends (caching it locally).
+    /// the members in rendezvous order (caching the record locally) — the
+    /// `DSGF` path a freshly restarted router uses to repopulate its store.
     ///
     /// # Errors
     /// Returns [`crate::RouterError::UnknownGolden`] when nobody holds it.
     pub fn golden(&self, key: u64) -> Result<Arc<GoldenRecord>> {
-        self.core.golden(key)
+        if let Some(record) = self.inner.store.get(key) {
+            return Ok(record);
+        }
+        let now = Instant::now();
+        let m = self.snapshot();
+        for index in m.rank(key) {
+            let entry = &m.entries[index];
+            match entry.backend.fetch(key) {
+                Ok((band, golden)) => {
+                    self.mark_success(entry);
+                    self.inner.store.insert(key, golden, band);
+                    return Ok(self.inner.store.get(key).expect("record just cached"));
+                }
+                Err(ServeError::UnknownGolden(_)) => {}
+                Err(_) => self.mark_failure(&m, index, now),
+            }
+        }
+        Err(RouterError::UnknownGolden(key))
     }
 
-    /// Scores a batch against the golden under `golden_key`, routed to the
-    /// owning backend (with deterministic failover) and split at the
-    /// configured sub-batch boundary — bit-identical to direct
-    /// [`dsig_core::TestFlow`] scoring for every backend count and split.
+    /// Scores a batch against the golden under `golden_key`: the batch is
+    /// split at the configured sub-batch boundary and each piece is
+    /// forwarded to the owning backend through the failover chain, so a
+    /// backend dying mid-batch only re-routes the not-yet-scored remainder.
+    /// Bit-identical to direct [`dsig_core::TestFlow`] scoring for every
+    /// backend count and split.
     ///
     /// # Errors
     /// Returns [`crate::RouterError::UnknownGolden`] for an unknown
-    /// fingerprint and [`crate::RouterError::AllBackendsFailed`] when the
-    /// whole failover chain is down.
+    /// fingerprint (also for an empty batch) and
+    /// [`crate::RouterError::AllBackendsFailed`] when the whole failover
+    /// chain is down.
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        self.core.screen(golden_key, signatures)
+        let mut screen_span = self
+            .inner
+            .tracer
+            .span("router.screen", "router", trace::current_context());
+        screen_span.annotate("batch", signatures.len());
+        self.forward_pieces(screen_span.context(), signatures, |chunk| {
+            self.forward_with_failover(golden_key, |backend| backend.screen(golden_key, chunk))
+        })
     }
 
     /// Scores a single signature (a one-element [`RouterHandle::screen`]).
@@ -265,45 +709,318 @@ impl RouterHandle {
         Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
     }
 
-    /// Scores a multi-golden batch: split into per-backend sub-batches by
-    /// rendezvous ownership, forwarded concurrently, reassembled in request
-    /// order.
+    /// Scores a multi-golden batch: items are grouped by fingerprint, the
+    /// groups are bucketed by the member that currently owns them, buckets
+    /// are forwarded **concurrently** (one thread per member bucket), and
+    /// results are reassembled in request order. Each group still goes
+    /// through the full failover chain, so a dead owner degrades to its
+    /// replica instead of failing the batch.
     ///
     /// # Errors
-    /// As for [`RouterHandle::screen`].
+    /// As for [`RouterHandle::screen`]; an unknown key anywhere fails the
+    /// whole batch, and the first failing bucket's error wins.
     pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        self.core.screen_multi(items)
+        if items.is_empty() {
+            return Ok(Vec::new());
+        }
+        let now = Instant::now();
+        let m = self.snapshot();
+        // Group item indices by fingerprint (first-appearance order — the
+        // same grouping the serving tier uses), then bucket the groups by
+        // their currently preferred member.
+        let groups = group_by_fingerprint(items);
+        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (group, (key, _)) in groups.iter().enumerate() {
+            buckets.entry(self.preferred(&m, *key, now)).or_default().push(group);
+        }
+
+        let results: Mutex<Vec<Option<ScoreResult>>> = Mutex::new(vec![None; items.len()]);
+        let errors: Mutex<Vec<(usize, RouterError)>> = Mutex::new(Vec::new());
+        // The ambient trace context is thread-local; capture it here so the
+        // bucket threads re-establish it before forwarding.
+        let inbound = trace::current_context();
+        std::thread::scope(|scope| {
+            for (bucket_order, group_ids) in buckets.values().enumerate() {
+                let results = &results;
+                let errors = &errors;
+                let groups = &groups;
+                scope.spawn(move || {
+                    let _ctx = trace::with_context(inbound);
+                    for &group in group_ids {
+                        let (key, indices) = &groups[group];
+                        let key = *key;
+                        let batch: Vec<Signature> = indices.iter().map(|&i| items[i].1.clone()).collect();
+                        match self.screen(key, &batch) {
+                            Ok(scores) => {
+                                let mut slots = results.lock().expect("router results lock poisoned");
+                                for (&index, score) in indices.iter().zip(scores) {
+                                    slots[index] = Some(score);
+                                }
+                            }
+                            Err(err) => {
+                                errors
+                                    .lock()
+                                    .expect("router errors lock poisoned")
+                                    .push((bucket_order, err));
+                                return;
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let mut errors = errors.into_inner().expect("router errors lock poisoned");
+        if !errors.is_empty() {
+            // Deterministic error selection: the first failing bucket wins.
+            errors.sort_by_key(|&(bucket_order, _)| bucket_order);
+            return Err(errors.remove(0).1);
+        }
+        Ok(results
+            .into_inner()
+            .expect("router results lock poisoned")
+            .into_iter()
+            .map(|slot| slot.expect("every item scored"))
+            .collect())
     }
 
-    /// Screens an adaptive-retest batch (`DSRT`): routed to the golden's
-    /// owning backend (with the same deterministic failover chain as
-    /// [`RouterHandle::screen`]), which reruns marginal devices with
-    /// averaged repeats before verdicting.
+    /// Screens an adaptive-retest batch (`DSRT`): the request is split at
+    /// the configured sub-batch boundary (counted in devices) and each piece
+    /// is forwarded to the golden's owner along the same failover chain as
+    /// [`RouterHandle::screen`] — the owning backend reruns marginal devices
+    /// with averaged repeats before verdicting, and a backend dying
+    /// mid-batch only re-routes the not-yet-decided remainder. A request
+    /// that fits one piece is forwarded as it is; only a split one copies
+    /// its devices into per-piece requests.
     ///
     /// # Errors
     /// As for [`RouterHandle::screen`].
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        self.core.screen_retest(request)
+        let key = request.golden_key;
+        let mut retest_span = self
+            .inner
+            .tracer
+            .span("router.retest", "router", trace::current_context());
+        retest_span.annotate("devices", request.items.len());
+        self.forward_pieces(retest_span.context(), &request.items, |chunk| {
+            let split;
+            let piece = if chunk.len() == request.items.len() {
+                request
+            } else {
+                split = RetestRequest {
+                    golden_key: key,
+                    policy: request.policy.clone(),
+                    items: chunk.to_vec(),
+                };
+                &split
+            };
+            self.forward_with_failover(key, |backend| backend.retest(piece))
+        })
+    }
+
+    /// Splits `items` at the configured sub-batch boundary and forwards each
+    /// piece under its own `router.sub_batch` span (a child of `parent`,
+    /// annotated with the piece index and size), concatenating the answers
+    /// in request order; the first failing piece fails the batch. An empty
+    /// batch is forwarded anyway, under `parent`, so an unknown fingerprint
+    /// is reported exactly like the serving tier reports it.
+    fn forward_pieces<I, T>(
+        &self,
+        parent: TraceContext,
+        items: &[I],
+        forward: impl Fn(&[I]) -> Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
+        if items.is_empty() {
+            let _ctx = trace::with_context(parent);
+            return forward(items);
+        }
+        let mut results = Vec::with_capacity(items.len());
+        for (piece, chunk) in items.chunks(self.inner.config.sub_batch.max(1)).enumerate() {
+            let mut sub_span = self.inner.tracer.span("router.sub_batch", "router", parent);
+            sub_span.annotate("piece", piece);
+            sub_span.annotate("items", chunk.len());
+            let _ctx = trace::with_context(sub_span.context());
+            results.extend(forward(chunk)?);
+        }
+        Ok(results)
+    }
+
+    /// Forwards one golden-addressed operation through the failover chain:
+    /// every member in rendezvous order — available non-draining ones
+    /// first, then backed-off and draining ones as a last resort. The first
+    /// success wins; both operations routed this way (plain screening and
+    /// adaptive retest) are pure functions of `(golden, observed,
+    /// band/policy)`, so *which* member answers can never change a verdict.
+    fn forward_with_failover<T>(
+        &self,
+        key: u64,
+        attempt: impl Fn(&Backend) -> std::result::Result<T, ServeError>,
+    ) -> Result<T> {
+        let _fanout = Span::enter(&self.inner.metrics.fanout_us);
+        // One membership snapshot and one clock sample per forward: the
+        // partitioning and any failure bookkeeping below see the same fleet
+        // and the same instant, so a member can never be judged available
+        // and then shifted or back-dated past its own check.
+        let now = Instant::now();
+        let m = self.snapshot();
+        let rank = m.rank(key);
+        let (preferred, last_resort): (Vec<usize>, Vec<usize>) = rank
+            .iter()
+            .copied()
+            .partition(|&i| !m.entries[i].draining && m.entries[i].backend.is_available(now));
+        self.inner.metrics.backoff.set(last_resort.len() as f64);
+
+        let inbound = trace::current_context();
+        let mut failures: Vec<String> = Vec::new();
+        let mut misses = 0usize;
+        for (position, &index) in preferred.iter().chain(&last_resort).enumerate() {
+            let entry = &m.entries[index];
+            let backend = entry.backend.as_ref();
+            let mut forward_span = self.inner.tracer.span("router.forward", "router", inbound);
+            forward_span.annotate("backend", backend.label());
+            if position > 0 {
+                forward_span.annotate("failover", position);
+            }
+            // The backend call runs under the forward span's context, so a
+            // serving backend parents its spans beneath this forward.
+            let outcome = {
+                let _ctx = trace::with_context(forward_span.context());
+                self.try_backend(backend, key, &attempt)
+            };
+            match outcome {
+                Ok(scores) => {
+                    self.mark_success(entry);
+                    entry.metrics.forwards.inc();
+                    if position > 0 {
+                        entry.metrics.failovers.inc();
+                    }
+                    return Ok(scores);
+                }
+                Err(ServeError::UnknownGolden(_)) => {
+                    // The backend answered (it is healthy) — neither it nor
+                    // the router store holds the golden.
+                    misses += 1;
+                    forward_span.annotate("outcome", "unknown_golden");
+                    failures.push(format!("{}: unknown golden", backend.label()));
+                }
+                Err(err) => {
+                    self.mark_failure(&m, index, now);
+                    entry.metrics.retries.inc();
+                    forward_span.annotate("outcome", "failed");
+                    failures.push(format!("{}: {err}", backend.label()));
+                }
+            }
+        }
+        if misses == rank.len() {
+            return Err(RouterError::UnknownGolden(key));
+        }
+        Err(RouterError::AllBackendsFailed {
+            key,
+            detail: failures.join("; "),
+        })
+    }
+
+    /// One attempt of an arbitrary golden-addressed operation against one
+    /// member, refreshing the golden from the router store when the backend
+    /// misses it (the replication path's "refresh on miss").
+    fn try_backend<T>(
+        &self,
+        backend: &Backend,
+        key: u64,
+        attempt: &impl Fn(&Backend) -> std::result::Result<T, ServeError>,
+    ) -> std::result::Result<T, ServeError> {
+        match attempt(backend) {
+            Err(ServeError::UnknownGolden(_)) => match self.inner.store.get(key) {
+                Some(record) => {
+                    backend.push(key, &record)?;
+                    self.inner.metrics.refresh_on_miss.inc();
+                    self.inner.registry.events().emit(
+                        EventLevel::Info,
+                        "router",
+                        "golden.refresh_on_miss",
+                        "backend missed a golden mid-request; re-pushed from the router store",
+                        &[("golden_key", &format!("{key:#x}")), ("backend", backend.label())],
+                    );
+                    attempt(backend)
+                }
+                None => Err(ServeError::UnknownGolden(key)),
+            },
+            other => other,
+        }
+    }
+
+    /// The member a key is dispatched to right now: the highest-ranked
+    /// non-draining member outside a failure backoff, or the owner if every
+    /// ranked member is backed off or draining (it will be retried —
+    /// backoff deprioritizes, never abandons).
+    fn preferred(&self, m: &Membership, key: u64, now: Instant) -> usize {
+        let rank = m.rank(key);
+        rank.iter()
+            .copied()
+            .find(|&i| !m.entries[i].draining && m.entries[i].backend.is_available(now))
+            .unwrap_or(rank[0])
+    }
+
+    /// Clears a member's failure record, logging the recovery event when
+    /// this ends a failure streak.
+    fn mark_success(&self, entry: &MemberEntry) {
+        if entry.backend.note_success() {
+            self.inner.registry.events().emit(
+                EventLevel::Info,
+                "router",
+                "backend.recovered",
+                "backend answered again after a failure streak; failure record cleared",
+                &[("backend", entry.backend.label())],
+            );
+        }
+    }
+
+    /// Records a failure without the healing check — used inside the
+    /// healing pass itself.
+    fn note_failure_plain(&self, entry: &MemberEntry, now: Instant) {
+        if entry.backend.note_failure(now, &self.inner.config.health) {
+            self.inner.registry.events().emit(
+                EventLevel::Warn,
+                "router",
+                "backend.backed_off",
+                "backend failed; marked down with exponential backoff (deprioritized, not abandoned)",
+                &[("backend", entry.backend.label())],
+            );
+        }
+    }
+
+    /// Records a failure against member `index`, logging the backed-off
+    /// event when this starts a failure streak — and, when the streak's
+    /// backoff saturates at the configured cap (the backend has stayed
+    /// dead past every doubling), **heals the replicas**: every golden the
+    /// dead member held a copy of is re-replicated to the surviving
+    /// owners, once per death.
+    fn mark_failure(&self, m: &Membership, index: usize, now: Instant) {
+        let entry = &m.entries[index];
+        self.note_failure_plain(entry, now);
+        if entry.backend.arm_heal(&self.inner.config.health) {
+            let healed = self.rereplicate_from(m, index);
+            self.inner.registry.events().emit(
+                EventLevel::Warn,
+                "router",
+                "replica.healed",
+                "backend stayed dead past its backoff cap; its golden replicas were re-replicated to surviving owners",
+                &[
+                    ("backend", entry.backend.label()),
+                    ("goldens", &healed.to_string()),
+                    ("epoch", &m.epoch.to_string()),
+                ],
+            );
+        }
     }
 }
 
 impl RemoteScorer for RouterHandle {
     fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<ScoreResult>> {
-        RouterHandle::screen(self, golden_key, signatures).map_err(crate::RouterError::into_dsig)
+        self.screen(golden_key, signatures).map_err(RouterError::into_dsig)
     }
 
-    fn retest_remote(
-        &self,
-        golden_key: u64,
-        policy: &dsig_core::RetestPolicy,
-        devices: &[RetestItem],
-    ) -> dsig_core::Result<Vec<RetestScore>> {
-        let request = RetestRequest {
-            golden_key,
-            policy: policy.clone(),
-            items: devices.to_vec(),
-        };
-        RouterHandle::screen_retest(self, &request).map_err(crate::RouterError::into_dsig)
+    fn retest_remote(&self, request: &RetestRequest) -> dsig_core::Result<Vec<RetestScore>> {
+        self.screen_retest(request).map_err(RouterError::into_dsig)
     }
 }
 
@@ -342,7 +1059,7 @@ mod tests {
         )
     }
 
-    /// An in-process fleet whose backends and routing core report into one
+    /// An in-process fleet whose backends and router report into one
     /// registry of their own.
     fn fleet_with(backends: usize, config: RouterConfig) -> RouterHandle {
         let registry = dsig_obs::Registry::new();
@@ -361,13 +1078,11 @@ mod tests {
         routed(members, config, registry)
     }
 
-    /// A routing core over `members` reporting into `registry`. Tests keep
+    /// A router over `members` reporting into `registry`. Tests keep
     /// off the process-wide registry because events are drained from its
     /// ring: tests running in parallel would drain each other's events.
     fn routed(members: Vec<Backend>, config: RouterConfig, registry: dsig_obs::Registry) -> RouterHandle {
-        RouterHandle::from_core(Arc::new(
-            RouterCore::new_in(members, RouterStore::new(), config, registry).unwrap(),
-        ))
+        RouterHandle::new_in(members, RouterStore::new(), config, registry).unwrap()
     }
 
     fn local_backend(id: u64) -> Backend {

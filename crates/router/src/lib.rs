@@ -21,7 +21,9 @@
 //! * [`Router`] — the TCP front: the serving tier's accept loop
 //!   ([`dsig_serve::mux::Listener`]), request dispatch by magic, fan-out over
 //!   the fleet;
-//! * [`RouterHandle`] — the in-process front (no TCP): same core, plus
+//! * [`RouterHandle`] — the router itself, usable in-process (no TCP): the
+//!   live membership, the golden store and every routed operation, shared by
+//!   its clones and by the [`Router`] that fronts it, plus
 //!   [`RouterHandle::spawn`] which builds a whole in-process backend fleet
 //!   via [`dsig_serve::ServeHandle::spawn`] for tests and benches;
 //! * [`RouterClient`] / [`PipelinedRouterClient`] — the TCP clients: the
@@ -29,10 +31,11 @@
 //!   [`dsig_serve::ServeClient`] (blocking) and
 //!   [`dsig_serve::PipelinedClient`] (multiplexed) under the router's
 //!   names, with the serving tier's [`dsig_serve::ServeError`] vocabulary;
-//! * [`RouterStore`] — the router's authoritative golden store
-//!   (`DSGS`-compatible): characterize once, **push** to the owning
-//!   backends, **refresh** a failover backend on miss, **read back** from
-//!   backends after a router restart;
+//! * [`RouterStore`] — the router's authoritative golden store, a
+//!   [`dsig_serve::GoldenStore`] (same `DSGS` format, same fingerprint
+//!   keying): characterize once, **push** to the owning backends,
+//!   **refresh** a failover backend on miss, **read back** from backends
+//!   after a router restart;
 //! * [`Backend`] / [`HealthConfig`] — the backend fleet: TCP or in-process
 //!   transports, stable rendezvous ids, exponential-backoff health records
 //!   with deterministic failover (the replica chain *is* the HRW ranking);
@@ -116,13 +119,13 @@ pub mod handle;
 pub mod hash;
 pub mod router;
 pub mod server;
-pub mod store;
 
 pub use backend::{Backend, HealthConfig};
+/// The router's authoritative golden store: the serving tier's golden store.
+pub use dsig_serve::GoldenStore as RouterStore;
 pub use dsig_serve::{PipelinedClient as PipelinedRouterClient, ServeClient as RouterClient};
 pub use error::{Result, RouterError};
 pub use handle::RouterHandle;
 pub use hash::{hrw_weight, mix64, rank_backends};
 pub use router::RouterConfig;
 pub use server::Router;
-pub use store::RouterStore;

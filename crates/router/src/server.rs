@@ -1,7 +1,7 @@
 //! The TCP router front: an accept loop speaking the `dsig-serve` wire
 //! protocol (`DSRQ`/`DSRM`/`DSGP`/`DSGF`/`DSMX` in, `DSRS`/`DSRA`/`DSMR`
-//! out), fanning every request out across the backend fleet through the
-//! routing core. The fleet-observability frames (`DSFM`/`DSFT` aggregated
+//! out), answering every request through the [`RouterHandle`] it holds,
+//! which fans it out across the backend fleet. The fleet-observability frames (`DSFM`/`DSFT` aggregated
 //! scrapes, `DSEX` event drain, `DSHC` health check) are answered here too —
 //! the router is the natural aggregation point for a fleet.
 //!
@@ -36,8 +36,8 @@ use dsig_serve::proto::{
 use crate::backend::Backend;
 use crate::error::{Result, RouterError};
 use crate::handle::RouterHandle;
-use crate::router::{RouterConfig, RouterCore};
-use crate::store::RouterStore;
+use crate::router::RouterConfig;
+use crate::RouterStore;
 
 /// Maps a router error onto the wire error code it travels as.
 fn error_code_of(err: &RouterError) -> ErrorCode {
@@ -58,14 +58,14 @@ fn admin_error_code_of(err: &RouterError) -> ErrorCode {
     }
 }
 
-/// The routing tier's TCP front: shares one routing core between the
-/// accept loop and any number of in-process [`RouterHandle`]s.
+/// The routing tier's TCP front: the accept loop answers every connection
+/// through one [`RouterHandle`], whose clones route in-process alongside.
 ///
 /// Dropping (or [`Router::shutdown`]-ing) the router stops accepting new
 /// connections; in-flight connections finish serving their streams.
 pub struct Router {
     listener: Listener,
-    core: Arc<RouterCore>,
+    handle: RouterHandle,
 }
 
 impl Router {
@@ -82,13 +82,13 @@ impl Router {
         store: RouterStore,
         config: RouterConfig,
     ) -> Result<Router> {
-        let core = Arc::new(RouterCore::new(backends, store, config)?);
+        let handle = RouterHandle::with_backends(backends, store, config)?;
         // One request-processing pool shared by every downstream connection:
         // thousands of pipelined testers fan in over it, while each backend
         // is reached through one multiplexed upstream connection.
         let pool = Arc::new(WorkPool::new(dsig_engine::available_threads()));
-        let listener = Listener::bind(addr, pool, responder(Arc::clone(&core)))?;
-        Ok(Router { listener, core })
+        let listener = Listener::bind(addr, pool, responder(handle.clone()))?;
+        Ok(Router { listener, handle })
     }
 
     /// The address the router is listening on (with the real port when bound
@@ -97,9 +97,10 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// A new in-process handle to the routing core (no TCP round-trip).
+    /// A clone of the router's handle: the same fleet and store, in-process
+    /// (no TCP round-trip).
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle::from_core(Arc::clone(&self.core))
+        self.handle.clone()
     }
 
     /// Stops accepting connections and joins the accept loop. Idempotent;
@@ -112,14 +113,14 @@ impl Router {
 /// The router's request handler, shared by every connection: requests
 /// route as pool jobs completing out of order (see
 /// [`dsig_serve::mux::drive_connection`]).
-fn responder(core: Arc<RouterCore>) -> Arc<Responder> {
+fn responder(router: RouterHandle) -> Arc<Responder> {
     Arc::new(move |payload: Vec<u8>| {
         // Pin the caller's trace context per request so the routing spans
         // parent under the remote caller even when pool workers interleave
         // requests from many testers.
         let _ctx = trace::with_context(decode_request_context(&payload));
         match decode_any_request(&payload) {
-            Ok(request) => respond(&core, request),
+            Ok(request) => respond(&router, request),
             Err(err) => encode_decode_error(&payload, err.to_string()),
         }
     })
@@ -127,23 +128,23 @@ fn responder(core: Arc<RouterCore>) -> Arc<Responder> {
 
 /// Builds the response frame for one decoded request — the router answers
 /// the same request kinds a serving process does, after fanning out.
-fn respond(core: &RouterCore, request: Request) -> Vec<u8> {
+fn respond(router: &RouterHandle, request: Request) -> Vec<u8> {
     match request {
-        Request::Screen(request) => encode_response(&match core.screen(request.golden_key, &request.signatures) {
+        Request::Screen(request) => encode_response(&match router.screen(request.golden_key, &request.signatures) {
             Ok(results) => ScreenResponse::Results(results),
             Err(err) => ScreenResponse::Error {
                 code: error_code_of(&err),
                 message: err.to_string(),
             },
         }),
-        Request::MultiScreen(request) => encode_response(&match core.screen_multi(&request.items) {
+        Request::MultiScreen(request) => encode_response(&match router.screen_multi(&request.items) {
             Ok(results) => ScreenResponse::Results(results),
             Err(err) => ScreenResponse::Error {
                 code: error_code_of(&err),
                 message: err.to_string(),
             },
         }),
-        Request::Retest(request) => encode_retest_response(&match core.screen_retest(&request) {
+        Request::Retest(request) => encode_retest_response(&match router.screen_retest(&request) {
             Ok(results) => RetestResponse::Results(results),
             Err(err) => RetestResponse::Error {
                 code: error_code_of(&err),
@@ -151,7 +152,7 @@ fn respond(core: &RouterCore, request: Request) -> Vec<u8> {
             },
         }),
         Request::PushGolden { key, band, golden } => {
-            encode_admin_response(&match core.push_golden(key, golden, band) {
+            encode_admin_response(&match router.push_golden(key, golden, band) {
                 Ok(()) => AdminResponse::Ack,
                 Err(err) => AdminResponse::Error {
                     code: error_code_of(&err),
@@ -159,7 +160,7 @@ fn respond(core: &RouterCore, request: Request) -> Vec<u8> {
                 },
             })
         }
-        Request::FetchGolden { key } => encode_admin_response(&match core.golden(key) {
+        Request::FetchGolden { key } => encode_admin_response(&match router.golden(key) {
             Ok(record) => AdminResponse::Record {
                 band: record.band,
                 golden: record.golden.clone(),
@@ -169,17 +170,17 @@ fn respond(core: &RouterCore, request: Request) -> Vec<u8> {
                 message: err.to_string(),
             },
         }),
-        Request::Metrics => encode_metrics_response(&MetricsResponse::Snapshot(core.metrics())),
-        Request::Traces => encode_traces_response(&TracesResponse::Log(core.traces())),
+        Request::Metrics => encode_metrics_response(&MetricsResponse::Snapshot(router.metrics())),
+        Request::Traces => encode_traces_response(&TracesResponse::Log(router.traces())),
         // The fleet scrapes fan out to every backend and merge; the router's
         // own plain `DSMX`/`DSTX` answers above stay backend-free.
-        Request::FleetMetrics => encode_metrics_response(&MetricsResponse::Snapshot(core.fleet_metrics())),
-        Request::FleetTraces => encode_traces_response(&TracesResponse::Log(core.fleet_traces())),
-        Request::Events => encode_events_response(&EventsResponse::Log(core.events())),
-        Request::Health => encode_health_response(&HealthResponse::Report(core.health())),
+        Request::FleetMetrics => encode_metrics_response(&MetricsResponse::Snapshot(router.fleet_metrics())),
+        Request::FleetTraces => encode_traces_response(&TracesResponse::Log(router.fleet_traces())),
+        Request::Events => encode_events_response(&EventsResponse::Log(router.events())),
+        Request::Health => encode_health_response(&HealthResponse::Report(router.health())),
         // The admin family: live membership over the same tagged mux the
         // work frames ride. Every verb answers the post-change roster.
-        Request::Admin(admin) => encode_admin_response(&match core.admin(&admin) {
+        Request::Admin(admin) => encode_admin_response(&match router.admin(&admin) {
             Ok(roster) => AdminResponse::Roster(roster),
             Err(err) => AdminResponse::Error {
                 code: admin_error_code_of(&err),
@@ -283,6 +284,51 @@ mod tests {
             client.screen(0xDEAD, &[golden_a]),
             Err(ServeError::UnknownGolden(0xDEAD))
         ));
+    }
+
+    #[test]
+    fn empty_batches_refuse_unknown_goldens_and_answer_known_ones_empty() {
+        let router = Router::bind(
+            "127.0.0.1:0",
+            local_fleet(2),
+            RouterStore::new(),
+            RouterConfig::default(),
+        )
+        .unwrap();
+        let handle = router.handle();
+        let client = ServeClient::connect(router.local_addr()).unwrap();
+        handle
+            .push_golden(0xE, sig(&[(1, 100e-6)]), AcceptanceBand::new(0.05).unwrap())
+            .unwrap();
+        let empty_retest = |golden_key| dsig_serve::RetestRequest {
+            golden_key,
+            policy: dsig_core::RetestPolicy::new(0.03, vec![2]).unwrap(),
+            items: vec![],
+        };
+
+        // An empty batch still routes, so an unknown fingerprint is refused
+        // exactly as the serving tier refuses it: in process and over TCP.
+        assert!(matches!(
+            handle.screen(0xBAD, &[]),
+            Err(RouterError::UnknownGolden(0xBAD))
+        ));
+        assert!(matches!(
+            handle.screen_retest(&empty_retest(0xBAD)),
+            Err(RouterError::UnknownGolden(0xBAD))
+        ));
+        assert!(matches!(
+            client.screen(0xBAD, &[]),
+            Err(ServeError::UnknownGolden(0xBAD))
+        ));
+        assert!(matches!(
+            client.screen_retest(&empty_retest(0xBAD)),
+            Err(ServeError::UnknownGolden(0xBAD))
+        ));
+        // A known fingerprint answers the same batches with empty lists.
+        assert!(handle.screen(0xE, &[]).unwrap().is_empty());
+        assert!(handle.screen_retest(&empty_retest(0xE)).unwrap().is_empty());
+        assert!(client.screen(0xE, &[]).unwrap().is_empty());
+        assert!(client.screen_retest(&empty_retest(0xE)).unwrap().is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 
-use dsig_core::{AcceptanceBand, DsigError, RetestPolicy, Signature};
+use dsig_core::{AcceptanceBand, DsigError, Signature};
 
 use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, TraceLog};
 
@@ -54,9 +54,9 @@ use crate::proto::{
     decode_retest_response, decode_traces_response, encode_admin_request, encode_fetch_request, encode_multi_request,
     encode_push_request, encode_request, encode_retest_request, encode_scrape_request, read_frame, stamp_request_id,
     write_frame, AdminRequest, AdminResponse, ErrorCode, EventsResponse, FleetRoster, HealthResponse, MetricsResponse,
-    RetestItem, RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse,
-    EVENTS_REQUEST_MAGIC, FLEET_METRICS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC,
-    METRICS_REQUEST_MAGIC, TRACES_REQUEST_MAGIC,
+    RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse, EVENTS_REQUEST_MAGIC,
+    FLEET_METRICS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC, METRICS_REQUEST_MAGIC,
+    TRACES_REQUEST_MAGIC,
 };
 
 mod seam {
@@ -920,18 +920,8 @@ impl dsig_engine::RemoteScorer for PipelinedClient {
         self.screen(golden_key, signatures).map_err(ServeError::into_dsig)
     }
 
-    fn retest_remote(
-        &self,
-        golden_key: u64,
-        policy: &RetestPolicy,
-        devices: &[RetestItem],
-    ) -> dsig_core::Result<Vec<RetestScore>> {
-        let request = RetestRequest {
-            golden_key,
-            policy: policy.clone(),
-            items: devices.to_vec(),
-        };
-        self.screen_retest(&request).map_err(ServeError::into_dsig)
+    fn retest_remote(&self, request: &RetestRequest) -> dsig_core::Result<Vec<RetestScore>> {
+        self.screen_retest(request).map_err(ServeError::into_dsig)
     }
 }
 

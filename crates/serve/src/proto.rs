@@ -19,7 +19,7 @@ use dsig_obs::{EventLog, HealthReport, HealthStatus, MetricsSnapshot, TraceLog};
 
 use crate::error::{Result, ServeError};
 
-pub use dsig_engine::{RetestItem, RetestScore, ScoreResult};
+pub use dsig_engine::{RetestItem, RetestRequest, RetestScore, ScoreResult};
 
 /// Magic prefix of request payloads.
 pub const REQUEST_MAGIC: [u8; 4] = *b"DSRQ";
@@ -174,20 +174,6 @@ pub enum ScreenResponse {
 pub struct MultiScreenRequest {
     /// `(golden fingerprint, observed signature)` pairs, in request order.
     pub items: Vec<(u64, Signature)>,
-}
-
-/// A decoded adaptive-retest screening request (`DSRT`): score each device's
-/// single shot against the golden under `golden_key`, and re-decide marginal
-/// ones from averaged repeats through the carried [`RetestPolicy`] —
-/// **server-side**, before any verdict is answered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetestRequest {
-    /// Fingerprint of the golden to score against.
-    pub golden_key: u64,
-    /// The guard band and escalation schedule applied to every device.
-    pub policy: RetestPolicy,
-    /// The devices, in request order.
-    pub items: Vec<RetestItem>,
 }
 
 /// A decoded adaptive-retest response (`DSRR`): per-device retest scores, or

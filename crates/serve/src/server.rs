@@ -24,7 +24,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use dsig_core::{ndf_and_peak, AcceptanceBand, DsigError, RetestPolicy, Signature};
+use dsig_core::{ndf_and_peak, AcceptanceBand, DsigError, Signature};
 use dsig_engine::{available_threads, RemoteScorer};
 use dsig_obs::trace::{self, Tracer};
 use dsig_obs::{
@@ -37,8 +37,8 @@ use crate::mux::{self, Responder, WorkPool};
 use crate::proto::{
     decode_any_request, decode_request_context, encode_admin_response, encode_decode_error, encode_events_response,
     encode_health_response, encode_metrics_response, encode_response, encode_retest_response, encode_traces_response,
-    AdminResponse, ErrorCode, EventsResponse, HealthResponse, MetricsResponse, Request, RetestItem, RetestRequest,
-    RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse,
+    AdminResponse, ErrorCode, EventsResponse, HealthResponse, MetricsResponse, Request, RetestRequest, RetestResponse,
+    RetestScore, ScoreResult, ScreenResponse, TracesResponse,
 };
 use crate::store::{GoldenRecord, GoldenStore};
 
@@ -328,18 +328,20 @@ impl ServeHandle {
     /// consumed repeat — exactly what
     /// [`dsig_core::TestFlow::evaluate_with_retest`] computes locally.
     ///
+    /// Every initial signature and every repeat is scored (the scoring path
+    /// of plain screening) before any escalation walk, so a request that
+    /// fails to score emits no event.
+    ///
     /// # Errors
     /// As for [`ServeHandle::screen`]; the golden's stored acceptance band
     /// decides marginality and the final verdicts.
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        self.retest(request.golden_key, &request.policy, &request.items)
-    }
-
-    /// The retest core: score every initial signature and every repeat (the
-    /// scoring path of plain screening) before any escalation walk, so a
-    /// request that fails to score emits no event; then walk each device.
-    fn retest(&self, golden_key: u64, policy: &RetestPolicy, items: &[RetestItem]) -> Result<Vec<RetestScore>> {
-        let record = self.fetch_golden(golden_key)?;
+        let RetestRequest {
+            golden_key,
+            policy,
+            items,
+        } = request;
+        let record = self.fetch_golden(*golden_key)?;
         let flat = items
             .iter()
             .flat_map(|item| std::iter::once(&item.initial).chain(&item.repeats));
@@ -646,13 +648,8 @@ impl RemoteScorer for ServeHandle {
         self.screen(golden_key, signatures).map_err(ServeError::into_dsig)
     }
 
-    fn retest_remote(
-        &self,
-        golden_key: u64,
-        policy: &RetestPolicy,
-        devices: &[RetestItem],
-    ) -> dsig_core::Result<Vec<RetestScore>> {
-        self.retest(golden_key, policy, devices).map_err(ServeError::into_dsig)
+    fn retest_remote(&self, request: &RetestRequest) -> dsig_core::Result<Vec<RetestScore>> {
+        self.screen_retest(request).map_err(ServeError::into_dsig)
     }
 }
 
