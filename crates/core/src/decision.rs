@@ -5,6 +5,7 @@
 //! bands."
 
 use crate::error::{DsigError, Result};
+use crate::wire::{ByteReader, Wire};
 
 /// The outcome of a signature-based test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,6 +148,32 @@ impl ScreeningStats {
         } else {
             self.false_rejects as f64 / self.truly_good as f64
         }
+    }
+}
+
+// The outcome tags every format that carries a verdict shares.
+crate::wire_tags!(TestOutcome: u8 { Pass = 0, Fail = 1 });
+
+crate::wire_fields!(ScreeningStats {
+    total,
+    passed,
+    failed,
+    truly_good,
+    truly_bad,
+    escapes,
+    false_rejects
+});
+
+/// The threshold, decoded through [`AcceptanceBand::new`].
+impl Wire for AcceptanceBand {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.ndf_threshold.put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        AcceptanceBand::new(f64::get(r)?)
     }
 }
 

@@ -18,6 +18,7 @@
 
 use crate::decision::{AcceptanceBand, TestOutcome};
 use crate::error::{DsigError, Result};
+use crate::wire::{ByteReader, Wire};
 
 /// When and how hard to re-measure a marginal device before verdicting.
 ///
@@ -177,6 +178,22 @@ pub fn retest_seed(noise_seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The guard band, then the schedule; decoded through
+/// [`RetestPolicy::new`].
+impl Wire for RetestPolicy {
+    const MIN_BYTES: usize = 8 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.guard_band.put(out);
+        self.schedule.put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let guard_band = f64::get(r)?;
+        RetestPolicy::new(guard_band, Wire::get(r)?)
+    }
 }
 
 #[cfg(test)]

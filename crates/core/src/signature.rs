@@ -7,7 +7,7 @@
 use std::fmt;
 
 use crate::error::{DsigError, Result};
-use crate::wire;
+use crate::wire::{self, ByteReader, Format, Wire};
 
 /// An n-bit zone code delivered by the monitor bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -72,7 +72,7 @@ impl Signature {
     /// # Errors
     /// Returns [`DsigError::InvalidSignature`] if any duration is negative or
     /// not finite, or if the durations sum past `f64::MAX`.
-    pub fn new(entries: Vec<SignatureEntry>) -> Result<Self> {
+    pub fn new(mut entries: Vec<SignatureEntry>) -> Result<Self> {
         for e in &entries {
             if !(e.duration >= 0.0) || !e.duration.is_finite() {
                 return Err(DsigError::InvalidSignature(format!(
@@ -81,17 +81,23 @@ impl Signature {
                 )));
             }
         }
-        let mut merged: Vec<SignatureEntry> = Vec::with_capacity(entries.len());
-        for e in entries {
+        // Merge in place: `kept` entries are final so far, and the read
+        // index never falls behind the write index.
+        let mut kept = 0;
+        for i in 0..entries.len() {
+            let e = entries[i];
             if e.duration == 0.0 {
                 continue;
             }
-            match merged.last_mut() {
-                Some(last) if last.code == e.code => last.duration += e.duration,
-                _ => merged.push(e),
+            if kept > 0 && entries[kept - 1].code == e.code {
+                entries[kept - 1].duration += e.duration;
+            } else {
+                entries[kept] = e;
+                kept += 1;
             }
         }
-        let signature = Signature { entries: merged };
+        entries.truncate(kept);
+        let signature = Signature { entries };
         // Every cumulative boundary is at most the total, so a finite total
         // keeps every instant the NDF walks finite.
         let total = signature.total_duration();
@@ -246,6 +252,29 @@ impl Signature {
 /// Magic prefix of the binary signature encoding (see [`Signature::to_bytes`]).
 const CODEC_MAGIC: [u8; 4] = *b"DSG1";
 
+crate::wire_fields!(ZoneCode { 0 });
+crate::wire_fields!(SignatureEntry { code, duration });
+
+/// The `DSG1` codec: the magic, then the entries as one list of
+/// `(u32 code, f64 duration)` pairs. Nested in a frame or file, a signature
+/// travels behind its `u32` byte length.
+impl Format for Signature {
+    const MAGIC: [u8; 4] = CODEC_MAGIC;
+    const VERSION: Option<u16> = None;
+    const CONTEXT: &'static str = "signature";
+    const MIN_BODY: usize = 4;
+
+    fn put_body(&self, out: &mut Vec<u8>) {
+        self.entries.put(out);
+    }
+
+    /// Decodes through [`Signature::new`], so smuggled invalid durations
+    /// are rejected like constructed ones.
+    fn get_body(r: &mut ByteReader<'_>) -> Result<Self> {
+        Signature::new(Wire::get(r)?)
+    }
+}
+
 impl Signature {
     /// Encodes the signature into a compact, self-describing binary form:
     /// a 4-byte magic (`DSG1`), the entry count as a little-endian `u32`,
@@ -256,14 +285,7 @@ impl Signature {
     /// bytes versus hundreds of kilobytes for the raw waveform pair, which is
     /// what makes storing and replaying full campaign outputs practical.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 12 * self.entries.len());
-        out.extend_from_slice(&CODEC_MAGIC);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.code.value().to_le_bytes());
-            out.extend_from_slice(&e.duration.to_bits().to_le_bytes());
-        }
-        out
+        wire::to_bytes(self)
     }
 
     /// Decodes a signature previously encoded with [`Signature::to_bytes`].
@@ -278,23 +300,7 @@ impl Signature {
     /// # Errors
     /// See above.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = wire::ByteReader::new(bytes, "signature");
-        r.magic(CODEC_MAGIC)?;
-        let count = r.u32()? as usize;
-        // Each entry is exactly 12 bytes; reject impossible counts before
-        // allocating so a corrupted count field cannot demand gigabytes.
-        r.check_count(count, 12)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let code = r.u32()?;
-            let bits = r.u64()?;
-            entries.push(SignatureEntry {
-                code: ZoneCode(code),
-                duration: f64::from_bits(bits),
-            });
-        }
-        r.finish()?;
-        Signature::new(entries)
+        wire::from_bytes(bytes)
     }
 }
 

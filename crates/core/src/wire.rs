@@ -1,73 +1,451 @@
-//! Shared little-endian binary framing helpers.
+//! The one binary codec: every persisted format and wire frame of the
+//! workspace is declared through the [`Wire`] trait.
 //!
-//! Every persistent format and wire frame of the workspace — the signature
-//! codec (`DSG1`), the engine's signature logs (`DSGL`) and campaign reports
-//! (`DSGR`), the serving layer's golden stores (`DSGS`) and its
-//! request/response frames (`DSRQ`/`DSRS`) — follows one convention:
+//! A value's encoding is written once, as its [`Wire`] impl, and every frame
+//! and file that carries the value reuses it. Plain structs list their fields
+//! once, in wire order, with [`wire_fields!`](crate::wire_fields); tag enums
+//! list their variants and tags once with [`wire_tags!`](crate::wire_tags).
+//! Types that validate on decode (a signature, an acceptance band, a retest
+//! policy, …) write their impl by hand and decode through their
+//! constructors.
 //!
-//! * a 4-byte ASCII **magic** identifying the format,
-//! * for versioned formats, a little-endian `u16` **format version**
-//!   immediately after the magic (legacy formats whose magic ends in a digit,
-//!   like `DSG1`, carry the version in the magic itself),
-//! * for the serving protocol's wire frames, a little-endian `u64` request
-//!   id at bytes `6..14` ([`put_tagged_header`]),
-//! * a little-endian payload of fixed-width integers, bit-exact `f64`s
-//!   (`f64::to_bits`) and `u32`-length-prefixed byte strings.
+//! The encodings follow one convention:
 //!
-//! Persisted formats keep decoding every older version ([`ByteReader::header`]
-//! accepts `1..=max_version`); wire frames are never persisted and are read
-//! at exactly their current version ([`ByteReader::tagged_header`]).
+//! * fixed-width little-endian integers, bit-exact `f64`s
+//!   ([`f64::to_bits`]), strict `bool`s (0 or 1) and `u32`-length-prefixed
+//!   UTF-8 strings;
+//! * a list is a `u32` count followed by its items ([`Vec`] is the only
+//!   place that writes a count and checks one);
+//! * a standalone [`Format`] — a persisted file such as the signature codec
+//!   (`DSG1`), a signature log (`DSGL`), a campaign report (`DSGR`) or a
+//!   golden store (`DSGS`) — starts with a 4-byte ASCII **magic**, then a
+//!   little-endian `u16` **format version** for the versioned formats
+//!   (those whose magic ends in a digit carry the version in the magic);
+//!   nested inside another body, a format travels behind its `u32` byte
+//!   length;
+//! * the serving protocol's wire frames carry a little-endian `u64` request
+//!   id at bytes `6..14` ([`put_tagged_header`]).
+//!
+//! Every format and frame is read at exactly its current version: an older
+//! or newer one is rejected like any other malformed input. A version bump
+//! is a declared break.
 //!
 //! Decoding goes through [`ByteReader`], which never panics on malformed
 //! input: every read is bounds-checked and reports
 //! [`DsigError::Truncated`] with the failing offset, and structural
-//! inconsistencies (wrong magic, unsupported version, impossible counts,
-//! trailing garbage) report [`DsigError::Corrupt`].
+//! inconsistencies (wrong magic, unsupported version, invalid tags,
+//! impossible counts, trailing garbage) report [`DsigError::Corrupt`].
 
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::decision::TestOutcome;
 use crate::error::{DsigError, Result};
 
-/// Appends a little-endian `u16`.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A value with one little-endian encoding, shared by every frame and file
+/// that carries it.
+pub trait Wire: Sized {
+    /// The fewest bytes an encoded value takes. A list's decoder checks its
+    /// count against this before allocating, so a corrupt count cannot
+    /// demand gigabytes.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding of `self`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads one value. Never panics on malformed input.
+    ///
+    /// # Errors
+    /// Returns [`DsigError::Truncated`] when the buffer runs out and
+    /// [`DsigError::Corrupt`] (or the type's own validation error) on an
+    /// invalid value.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self>;
 }
 
-/// Appends a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+macro_rules! int_wire {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            const MIN_BYTES: usize = std::mem::size_of::<$int>();
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                Ok(<$int>::from_le_bytes(r.take(Self::MIN_BYTES)?.try_into().expect("sized read")))
+            }
+        }
+    )*};
 }
 
-/// Appends a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+int_wire!(u8, u16, u32, u64);
+
+/// A `usize` travels as a `u64`; a value this platform cannot hold is
+/// corrupt.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let value = u64::get(r)?;
+        usize::try_from(value).map_err(|_| r.corrupt(format!("{value} does not fit a usize")))
+    }
 }
 
-/// Appends an `f64` bit-exactly (via [`f64::to_bits`]).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// Bit-exact, through [`f64::to_bits`].
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
 }
 
-/// Appends a `u32`-length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
+/// One byte, 0 or 1; any other byte is corrupt.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(r.corrupt(format!("invalid bool byte {other}"))),
+        }
+    }
 }
 
-/// Appends a `u32`-length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+/// A `u32` byte length, then UTF-8.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(out, self.len());
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let bytes = r.bytes()?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| r.corrupt(format!("string field is not UTF-8: {e}")))
+    }
+}
+
+/// A `u32` count, then the items. The only encoding that writes a count.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(self, out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let count = u32::get(r)? as usize;
+        r.check_count(count, T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Appends a borrowed list in [`Vec`]'s encoding.
+///
+/// # Panics
+/// Panics on more than `u32::MAX` items, which no frame can carry.
+pub fn put_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    put_len(out, items.len());
+    for item in items {
+        item.put(out);
+    }
+}
+
+/// A presence byte (0 or 1), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// An `Arc` travels as the value it shares.
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        T::put(self, out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+macro_rules! tuple_wire {
+    ($($index:tt $name:ident),+) => {
+        /// The fields in order.
+        impl<$($name: Wire),+> Wire for ($($name,)+) {
+            const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$index.put(out);)+
+            }
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                Ok(($($name::get(r)?,)+))
+            }
+        }
+    };
+}
+
+tuple_wire!(0 A, 1 B);
+tuple_wire!(0 A, 1 B, 2 C);
+tuple_wire!(0 A, 1 B, 2 C, 3 D);
+
+/// Writes a `u32` length or count.
+///
+/// # Panics
+/// Panics past `u32::MAX`: no frame or file can carry that much.
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    u32::try_from(len).expect("a wire length fits a u32").put(out);
+}
+
+/// A standalone format: a 4-byte magic, the `u16` version of a versioned
+/// format, then the body. Written whole by [`to_bytes`] and read whole by
+/// [`from_bytes`]; as a [`Wire`] value nested in another body, a format
+/// travels behind its `u32` byte length.
+pub trait Format: Sized {
+    /// The format's magic.
+    const MAGIC: [u8; 4];
+    /// The version after the magic; `None` for the formats whose magic
+    /// carries it.
+    const VERSION: Option<u16>;
+    /// What decode errors name.
+    const CONTEXT: &'static str;
+    /// The fewest bytes of a body.
+    const MIN_BODY: usize;
+
+    /// Appends the body.
+    fn put_body(&self, out: &mut Vec<u8>);
+
+    /// Reads the body.
+    ///
+    /// # Errors
+    /// As for [`Wire::get`].
+    fn get_body(r: &mut ByteReader<'_>) -> Result<Self>;
+}
+
+/// A format nested in another body: its `u32` byte length, then the whole
+/// format.
+impl<T: Format> Wire for T {
+    const MIN_BYTES: usize = 4 + 4 + if T::VERSION.is_some() { 2 } else { 0 } + T::MIN_BODY;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        put_format(self, out);
+        let len = out.len() - at - 4;
+        out[at..at + 4].copy_from_slice(&u32::try_from(len).expect("a wire length fits a u32").to_le_bytes());
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        from_bytes(r.bytes()?)
+    }
+}
+
+fn put_format<T: Format>(value: &T, out: &mut Vec<u8>) {
+    match T::VERSION {
+        Some(version) => put_header(out, T::MAGIC, version),
+        None => out.extend_from_slice(&T::MAGIC),
+    }
+    value.put_body(out);
+}
+
+/// Encodes a standalone format: magic, version, body.
+pub fn to_bytes<T: Format>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_format(value, &mut out);
+    out
+}
+
+/// Decodes a standalone format written by [`to_bytes`], at exactly its
+/// current version. Never panics on malformed input.
+///
+/// # Errors
+/// Returns [`DsigError::Truncated`] on a cut-off buffer,
+/// [`DsigError::Corrupt`] on a wrong magic, another version, a malformed
+/// body or trailing bytes, and the format's own validation errors.
+pub fn from_bytes<T: Format>(bytes: &[u8]) -> Result<T> {
+    let mut r = ByteReader::new(bytes, T::CONTEXT);
+    match T::VERSION {
+        Some(version) => r.header(T::MAGIC, version)?,
+        None => r.magic(T::MAGIC)?,
+    }
+    let value = T::get_body(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// The [`Wire::MIN_BYTES`] of the field `field` selects: how
+/// [`wire_fields!`](crate::wire_fields) sums a struct's minimum size from
+/// field names alone.
+pub const fn min_bytes_of<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// The smallest of `sizes`: how [`wire_tags!`](crate::wire_tags) takes a
+/// tag enum's minimum size over its variants.
+pub const fn min_of(sizes: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < sizes.len() {
+        if sizes[i] < min {
+            min = sizes[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// Declares a struct's encoding by listing its fields once, in wire order;
+/// each field travels through its own [`Wire`] impl.
+///
+/// `wire_fields!(Type { a, b })` implements [`Wire`] for `Type`.
+/// `wire_fields!(Type { a, b }, file: MAGIC, VERSION, "context")`
+/// implements [`Format`] instead, with these fields as the body.
+///
+/// ```
+/// use dsig_core::wire::{ByteReader, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Reading {
+///     volts: f64,
+///     channel: u32,
+/// }
+/// // The channel goes first on the wire.
+/// dsig_core::wire_fields!(Reading { channel, volts });
+///
+/// let mut out = Vec::new();
+/// Reading { volts: 1.5, channel: 3 }.put(&mut out);
+/// assert_eq!(out[..4], 3u32.to_le_bytes());
+/// assert_eq!(out.len(), Reading::MIN_BYTES);
+/// let back = Reading::get(&mut ByteReader::new(&out, "reading")).unwrap();
+/// assert_eq!(back, Reading { volts: 1.5, channel: 3 });
+/// ```
+#[macro_export]
+macro_rules! wire_fields {
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ $crate::wire::min_bytes_of(|v: &$ty| &v.$field))*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::wire::Wire::put(&self.$field, out);)*
+            }
+
+            fn get(r: &mut $crate::wire::ByteReader<'_>) -> $crate::Result<Self> {
+                Ok($ty { $($field: $crate::wire::Wire::get(r)?),* })
+            }
+        }
+    };
+    ($ty:ident { $($field:tt),* $(,)? }, file: $magic:expr, $version:expr, $context:expr) => {
+        impl $crate::wire::Format for $ty {
+            const MAGIC: [u8; 4] = $magic;
+            const VERSION: Option<u16> = $version;
+            const CONTEXT: &'static str = $context;
+            const MIN_BODY: usize = 0 $(+ $crate::wire::min_bytes_of(|v: &$ty| &v.$field))*;
+
+            fn put_body(&self, out: &mut Vec<u8>) {
+                $($crate::wire::Wire::put(&self.$field, out);)*
+            }
+
+            fn get_body(r: &mut $crate::wire::ByteReader<'_>) -> $crate::Result<Self> {
+                Ok($ty { $($field: $crate::wire::Wire::get(r)?),* })
+            }
+        }
+    };
+}
+
+/// Declares a tag enum's encoding by listing its variants and tags once:
+/// the tag as `repr`, then a newtype variant's payload through its own
+/// [`Wire`] impl. An unknown tag is [`DsigError::Corrupt`].
+///
+/// ```
+/// use dsig_core::wire::{ByteReader, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Reading {
+///     Idle,
+///     Volts(f64),
+/// }
+/// dsig_core::wire_tags!(Reading: u8 { Idle = 0, Volts(f64) = 7 });
+///
+/// let mut out = Vec::new();
+/// Reading::Volts(1.5).put(&mut out);
+/// assert_eq!(out[0], 7);
+/// let back = Reading::get(&mut ByteReader::new(&out, "reading")).unwrap();
+/// assert_eq!(back, Reading::Volts(1.5));
+/// assert!(Reading::get(&mut ByteReader::new(&[9], "reading")).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_tags {
+    ($ty:ident: $repr:ty { $($variant:ident $(($payload:ty))? = $tag:literal),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN_BYTES: usize = <$repr as $crate::wire::Wire>::MIN_BYTES
+                + $crate::wire::min_of(&[$(0 $(+ <$payload as $crate::wire::Wire>::MIN_BYTES)?),+]);
+
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($crate::__wire_bind!($payload, payload)))? => {
+                        <$repr as $crate::wire::Wire>::put(&$tag, out);
+                        $($crate::wire::Wire::put($crate::__wire_bind!($payload, payload), out);)?
+                    })+
+                }
+            }
+
+            fn get(r: &mut $crate::wire::ByteReader<'_>) -> $crate::Result<Self> {
+                match <$repr as $crate::wire::Wire>::get(r)? {
+                    $($tag => Ok($ty::$variant $((<$payload as $crate::wire::Wire>::get(r)?))?),)+
+                    other => Err(r.corrupt(format!(concat!("invalid ", stringify!($ty), " tag {}"), other))),
+                }
+            }
+        }
+    };
+}
+
+/// Names a newtype variant's payload inside [`wire_tags!`](crate::wire_tags).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_bind {
+    ($payload:ty, $name:ident) => {
+        $name
+    };
 }
 
 /// Appends a 4-byte magic followed by a `u16` format version — the header of
 /// every versioned format.
 pub fn put_header(out: &mut Vec<u8>, magic: [u8; 4], version: u16) {
     out.extend_from_slice(&magic);
-    put_u16(out, version);
+    version.put(out);
 }
 
 /// Appends a tagged frame header: magic, `u16` version, `u64` request id.
@@ -78,18 +456,7 @@ pub fn put_header(out: &mut Vec<u8>, magic: [u8; 4], version: u16) {
 /// can stamp the real one in place without re-encoding the body.
 pub fn put_tagged_header(out: &mut Vec<u8>, magic: [u8; 4], version: u16, request_id: u64) {
     put_header(out, magic, version);
-    put_u64(out, request_id);
-}
-
-/// Appends a PASS/FAIL outcome as its stable wire tag (0 = PASS, 1 = FAIL).
-/// The single definition shared by every format that carries outcomes (the
-/// campaign-report file and the serving protocol), so the tag mapping cannot
-/// drift between them.
-pub fn put_outcome(out: &mut Vec<u8>, outcome: TestOutcome) {
-    out.push(match outcome {
-        TestOutcome::Pass => 0,
-        TestOutcome::Fail => 1,
-    });
+    request_id.put(out);
 }
 
 /// Writes serialized bytes to a file durably, naming the artifact and path
@@ -183,6 +550,19 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.at
     }
 
+    /// The next byte, without consuming it; `None` at the end.
+    pub fn peek(&self) -> Option<u8> {
+        self.buf.get(self.at).copied()
+    }
+
+    /// A [`DsigError::Corrupt`] naming this reader's structure.
+    pub fn corrupt(&self, detail: impl Into<String>) -> DsigError {
+        DsigError::Corrupt {
+            context: self.context,
+            detail: detail.into(),
+        }
+    }
+
     /// Takes the next `len` raw bytes.
     ///
     /// # Errors
@@ -200,82 +580,13 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Reads one byte.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Truncated`] on an exhausted buffer.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Truncated`] on an exhausted buffer.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Truncated`] on an exhausted buffer.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Truncated`] on an exhausted buffer.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `f64` bit-exactly (via [`f64::from_bits`]).
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Truncated`] on an exhausted buffer.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a `u32`-length-prefixed byte string.
     ///
     /// # Errors
     /// Returns [`DsigError::Truncated`] if the prefix or payload is cut off.
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
+        let len = u32::get(self)? as usize;
         self.take(len)
-    }
-
-    /// Reads a `u32`-length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Truncated`] on a cut-off payload and
-    /// [`DsigError::Corrupt`] on invalid UTF-8.
-    pub fn string(&mut self) -> Result<String> {
-        let context = self.context;
-        let bytes = self.bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| DsigError::Corrupt {
-            context,
-            detail: format!("string field is not UTF-8: {e}"),
-        })
-    }
-
-    /// Reads a PASS/FAIL outcome tag written by [`put_outcome`].
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Corrupt`] on an unknown tag.
-    pub fn outcome(&mut self) -> Result<TestOutcome> {
-        match self.u8()? {
-            0 => Ok(TestOutcome::Pass),
-            1 => Ok(TestOutcome::Fail),
-            other => Err(DsigError::Corrupt {
-                context: self.context,
-                detail: format!("invalid outcome tag {other}"),
-            }),
-        }
     }
 
     /// Consumes and checks a 4-byte magic.
@@ -284,57 +595,43 @@ impl<'a> ByteReader<'a> {
     /// Returns [`DsigError::Truncated`] on a short buffer and
     /// [`DsigError::Corrupt`] on a mismatch.
     pub fn magic(&mut self, expected: [u8; 4]) -> Result<()> {
-        let context = self.context;
         let got = self.take(4)?;
         if got != expected {
-            return Err(DsigError::Corrupt {
-                context,
-                detail: format!(
-                    "bad magic {:?} (expected {:?})",
-                    String::from_utf8_lossy(got),
-                    String::from_utf8_lossy(&expected)
-                ),
-            });
+            return Err(self.corrupt(format!(
+                "bad magic {:?} (expected {:?})",
+                String::from_utf8_lossy(got),
+                String::from_utf8_lossy(&expected)
+            )));
         }
         Ok(())
     }
 
-    /// Consumes a versioned header (magic + `u16` version) and checks that
-    /// the version does not exceed `max_version`, returning the version read.
+    /// Consumes a versioned header (magic + `u16` version) written at
+    /// exactly `version`.
     ///
     /// # Errors
-    /// Returns [`DsigError::Corrupt`] on a magic mismatch or a version newer
-    /// than this reader understands.
-    pub fn header(&mut self, magic: [u8; 4], max_version: u16) -> Result<u16> {
+    /// Returns [`DsigError::Truncated`] on a cut-off header and
+    /// [`DsigError::Corrupt`] on a magic mismatch or any other version.
+    pub fn header(&mut self, magic: [u8; 4], version: u16) -> Result<()> {
         self.magic(magic)?;
-        let version = self.u16()?;
-        if version == 0 || version > max_version {
-            return Err(DsigError::Corrupt {
-                context: self.context,
-                detail: format!("unsupported format version {version} (this build reads 1..={max_version})"),
-            });
+        let got = u16::get(self)?;
+        if got != version {
+            return Err(self.corrupt(format!(
+                "unsupported version {got} (this build reads version {version})"
+            )));
         }
-        Ok(version)
+        Ok(())
     }
 
     /// Consumes a tagged frame header — magic, `u16` version, `u64` request
-    /// id — and returns the request id. Wire frames are never persisted, so
-    /// a tagged header is read at exactly one `version`: an older or newer
-    /// frame is rejected like any other malformed one.
+    /// id — and returns the request id.
     ///
     /// # Errors
     /// Returns [`DsigError::Corrupt`] on a magic or version mismatch, and
     /// [`DsigError::Truncated`] on a cut-off header.
     pub fn tagged_header(&mut self, magic: [u8; 4], version: u16) -> Result<u64> {
-        self.magic(magic)?;
-        let got = self.u16()?;
-        if got != version {
-            return Err(DsigError::Corrupt {
-                context: self.context,
-                detail: format!("unsupported frame version {got} (this build speaks version {version})"),
-            });
-        }
-        self.u64()
+        self.header(magic, version)?;
+        u64::get(self)
     }
 
     /// Checks that `count` items of at least `min_item_bytes` each can fit in
@@ -345,13 +642,10 @@ impl<'a> ByteReader<'a> {
     /// Returns [`DsigError::Corrupt`] for an impossible count.
     pub fn check_count(&self, count: usize, min_item_bytes: usize) -> Result<()> {
         if count > self.remaining() / min_item_bytes.max(1) {
-            return Err(DsigError::Corrupt {
-                context: self.context,
-                detail: format!(
-                    "claims {count} entries but only {} payload bytes follow",
-                    self.remaining()
-                ),
-            });
+            return Err(self.corrupt(format!(
+                "claims {count} entries but only {} payload bytes follow",
+                self.remaining()
+            )));
         }
         Ok(())
     }
@@ -362,10 +656,7 @@ impl<'a> ByteReader<'a> {
     /// Returns [`DsigError::Corrupt`] if trailing bytes remain.
     pub fn finish(self) -> Result<()> {
         if self.at != self.buf.len() {
-            return Err(DsigError::Corrupt {
-                context: self.context,
-                detail: format!("{} trailing bytes after the payload", self.remaining()),
-            });
+            return Err(self.corrupt(format!("{} trailing bytes after the payload", self.remaining())));
         }
         Ok(())
     }
@@ -375,32 +666,49 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
+    /// Encodes one value on its own.
+    fn encode<T: Wire>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.put(&mut out);
+        out
+    }
+
+    /// Decodes one value that must fill `bytes` exactly.
+    fn decode<T: Wire>(bytes: &[u8]) -> Result<T> {
+        let mut r = ByteReader::new(bytes, "test");
+        let value = T::get(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+
     #[test]
     fn scalars_round_trip() {
         let mut out = Vec::new();
         put_header(&mut out, *b"TEST", 1);
-        put_u16(&mut out, 7);
-        put_u32(&mut out, 0xDEAD_BEEF);
-        put_u64(&mut out, u64::MAX - 1);
-        put_f64(&mut out, -0.0);
-        put_str(&mut out, "zone");
-        put_bytes(&mut out, &[1, 2, 3]);
+        7u16.put(&mut out);
+        0xDEAD_BEEFu32.put(&mut out);
+        (u64::MAX - 1).put(&mut out);
+        (-0.0f64).put(&mut out);
+        String::from("zone").put(&mut out);
+        vec![1u8, 2, 3].put(&mut out);
+        (12usize, true).put(&mut out);
 
         let mut r = ByteReader::new(&out, "test");
-        assert_eq!(r.header(*b"TEST", 3).unwrap(), 1);
-        assert_eq!(r.u16().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.string().unwrap(), "zone");
+        r.header(*b"TEST", 1).unwrap();
+        assert_eq!(u16::get(&mut r).unwrap(), 7);
+        assert_eq!(u32::get(&mut r).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(u64::get(&mut r).unwrap(), u64::MAX - 1);
+        assert_eq!(f64::get(&mut r).unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(String::get(&mut r).unwrap(), "zone");
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
+        assert_eq!(<(usize, bool)>::get(&mut r).unwrap(), (12, true));
         r.finish().unwrap();
     }
 
     #[test]
     fn truncation_reports_context_and_counts() {
         let mut r = ByteReader::new(&[1, 2], "widget");
-        match r.u32() {
+        match u32::get(&mut r) {
             Err(DsigError::Truncated {
                 context,
                 needed,
@@ -417,18 +725,20 @@ mod tests {
     #[test]
     fn bad_magic_and_version_are_corrupt() {
         let mut out = Vec::new();
-        put_header(&mut out, *b"GOOD", 9);
+        put_header(&mut out, *b"GOOD", 2);
         let mut r = ByteReader::new(&out, "hdr");
-        assert!(matches!(r.header(*b"EVIL", 9), Err(DsigError::Corrupt { .. })));
+        assert!(matches!(r.header(*b"EVIL", 2), Err(DsigError::Corrupt { .. })));
+        // Older, newer and zero versions are all rejected.
+        for version in [0, 1, 3, 9] {
+            let mut r = ByteReader::new(&out, "hdr");
+            assert!(
+                matches!(r.header(*b"GOOD", version), Err(DsigError::Corrupt { .. })),
+                "a version-2 header read as version {version}"
+            );
+        }
         let mut r = ByteReader::new(&out, "hdr");
-        assert!(
-            matches!(r.header(*b"GOOD", 2), Err(DsigError::Corrupt { .. })),
-            "version 9 must be rejected by a max_version 2 reader"
-        );
-        let mut zero = Vec::new();
-        put_header(&mut zero, *b"GOOD", 0);
-        let mut r = ByteReader::new(&zero, "hdr");
-        assert!(matches!(r.header(*b"GOOD", 2), Err(DsigError::Corrupt { .. })));
+        r.header(*b"GOOD", 2).unwrap();
+        r.finish().unwrap();
     }
 
     #[test]
@@ -467,20 +777,107 @@ mod tests {
         assert!(r.check_count(2, 5).is_ok());
         assert!(matches!(r.check_count(3, 5), Err(DsigError::Corrupt { .. })));
         let mut r = ByteReader::new(&buf, "tail");
-        let _ = r.u64().unwrap();
+        let _ = u64::get(&mut r).unwrap();
         assert!(matches!(r.finish(), Err(DsigError::Corrupt { .. })));
+        // A list claiming more items than the buffer can hold is corrupt
+        // before anything is allocated.
+        let mut huge = encode(&vec![7u64]);
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode::<Vec<u64>>(&huge), Err(DsigError::Corrupt { .. })));
     }
 
     #[test]
     fn outcomes_round_trip_and_reject_unknown_tags() {
+        use crate::decision::TestOutcome;
         let mut out = Vec::new();
-        put_outcome(&mut out, TestOutcome::Pass);
-        put_outcome(&mut out, TestOutcome::Fail);
+        TestOutcome::Pass.put(&mut out);
+        TestOutcome::Fail.put(&mut out);
         out.push(7);
         let mut r = ByteReader::new(&out, "outcome");
-        assert_eq!(r.outcome().unwrap(), TestOutcome::Pass);
-        assert_eq!(r.outcome().unwrap(), TestOutcome::Fail);
-        assert!(matches!(r.outcome(), Err(DsigError::Corrupt { .. })));
+        assert_eq!(TestOutcome::get(&mut r).unwrap(), TestOutcome::Pass);
+        assert_eq!(TestOutcome::get(&mut r).unwrap(), TestOutcome::Fail);
+        assert!(matches!(TestOutcome::get(&mut r), Err(DsigError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn bools_and_presence_tags_are_strict() {
+        assert!(!decode::<bool>(&[0]).unwrap());
+        assert!(decode::<bool>(&[1]).unwrap());
+        for byte in [2u8, 7, 255] {
+            assert!(matches!(decode::<bool>(&[byte]), Err(DsigError::Corrupt { .. })));
+            assert!(matches!(
+                decode::<Option<u8>>(&[byte, 0]),
+                Err(DsigError::Corrupt { .. })
+            ));
+        }
+        for value in [None, Some(0xABCDu32)] {
+            assert_eq!(decode::<Option<u32>>(&encode(&value)).unwrap(), value);
+        }
+        assert_eq!(<Option<u64>>::MIN_BYTES, 1);
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Row {
+        label: String,
+        value: f64,
+        flags: Vec<bool>,
+    }
+    crate::wire_fields!(Row { value, label, flags });
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Tagged {
+        Empty,
+        Row(Row),
+        Count(u64),
+    }
+    crate::wire_tags!(Tagged: u16 { Empty = 4, Row(Row) = 5, Count(u64) = 9 });
+
+    #[test]
+    fn declared_fields_and_tags_round_trip_in_declared_order() {
+        let row = Row {
+            label: "zone".into(),
+            value: 1.25,
+            flags: vec![true, false],
+        };
+        let bytes = encode(&row);
+        // The listed order, not the struct's, is the wire order.
+        assert_eq!(bytes[..8], 1.25f64.to_bits().to_le_bytes());
+        assert_eq!(decode::<Row>(&bytes).unwrap(), row);
+        assert_eq!(Row::MIN_BYTES, 8 + 4 + 4);
+
+        for tagged in [Tagged::Empty, Tagged::Row(row), Tagged::Count(3)] {
+            let bytes = encode(&tagged);
+            assert_eq!(decode::<Tagged>(&bytes).unwrap(), tagged);
+        }
+        assert_eq!(encode(&Tagged::Empty), 4u16.to_le_bytes());
+        assert_eq!(Tagged::MIN_BYTES, 2, "the smallest variant carries no payload");
+        assert!(matches!(decode::<Tagged>(&[6, 0]), Err(DsigError::Corrupt { .. })));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Doc {
+        rows: Vec<(u32, String)>,
+    }
+    crate::wire_fields!(Doc { rows }, file: *b"DOC1", Some(3), "doc");
+
+    #[test]
+    fn formats_stand_alone_and_nest_behind_their_length() {
+        let doc = Doc {
+            rows: vec![(1, "a".into()), (2, String::new())],
+        };
+        let bytes = to_bytes(&doc);
+        assert_eq!(&bytes[..6], b"DOC1\x03\x00");
+        assert_eq!(from_bytes::<Doc>(&bytes).unwrap(), doc);
+        // Another version of the same magic is corrupt.
+        let mut other = bytes.clone();
+        other[4] = 2;
+        assert!(matches!(from_bytes::<Doc>(&other), Err(DsigError::Corrupt { .. })));
+        // Nested, the format travels behind its byte length.
+        let nested = encode(&doc);
+        assert_eq!(nested[..4], (bytes.len() as u32).to_le_bytes());
+        assert_eq!(nested[4..], bytes[..]);
+        assert_eq!(decode::<Doc>(&nested).unwrap(), doc);
+        assert_eq!(Doc::MIN_BYTES, 4 + 4 + 2 + 4);
     }
 
     #[test]
@@ -561,8 +958,8 @@ mod tests {
     #[test]
     fn invalid_utf8_is_corrupt() {
         let mut out = Vec::new();
-        put_bytes(&mut out, &[0xFF, 0xFE]);
-        let mut r = ByteReader::new(&out, "text");
-        assert!(matches!(r.string(), Err(DsigError::Corrupt { .. })));
+        put_len(&mut out, 2);
+        out.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(matches!(decode::<String>(&out), Err(DsigError::Corrupt { .. })));
     }
 }

@@ -10,9 +10,6 @@ use std::path::Path;
 
 use dsig_core::{ndf_and_peak, wire, Result, Signature};
 
-/// Magic prefix of the signature-log framing.
-const LOG_MAGIC: [u8; 4] = *b"DSGL";
-
 /// An ordered log of `(device index, observed signature)` pairs.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SignatureLog {
@@ -49,16 +46,7 @@ impl SignatureLog {
     /// entry the device index (`u32`), the signature byte length (`u32`) and
     /// the signature bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&LOG_MAGIC);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (index, signature) in &self.entries {
-            let bytes = signature.to_bytes();
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
-        out
+        wire::to_bytes(self)
     }
 
     /// Decodes a log produced by [`SignatureLog::to_bytes`].
@@ -71,21 +59,7 @@ impl SignatureLog {
     /// # Errors
     /// See above.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = wire::ByteReader::new(bytes, "signature log");
-        r.magic(LOG_MAGIC)?;
-        let count = r.u32()? as usize;
-        // Every entry needs at least its 8-byte header plus an 8-byte empty
-        // signature; reject impossible counts before allocating, so a
-        // corrupted count field cannot trigger a huge allocation.
-        r.check_count(count, 16)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let index = r.u32()?;
-            let payload = r.bytes()?;
-            entries.push((index, Signature::from_bytes(payload)?));
-        }
-        r.finish()?;
-        Ok(SignatureLog { entries })
+        wire::from_bytes(bytes)
     }
 
     /// Writes the serialized log to a file.
@@ -119,6 +93,8 @@ impl SignatureLog {
             .collect()
     }
 }
+
+dsig_core::wire_fields!(SignatureLog { entries }, file: *b"DSGL", None, "signature log");
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,12 @@
 //! Streaming campaign aggregation: NDF histogram, pass/fail yield, per-fault
 //! coverage and dwell-time statistics, folded one device at a time — plus
 //! persistence ([`CampaignReport::save`] / [`CampaignReport::load`], format
-//! `DSGR` v1 under the shared versioned-header convention of
-//! [`dsig_core::wire`]) and run-to-run comparison ([`report_diff`]).
+//! `DSGR` v2, declared through [`dsig_core::wire`]) and run-to-run comparison ([`report_diff`]).
 
 use std::path::Path;
 
-use dsig_core::{wire, Result, ScreeningStats, TestOutcome};
+use dsig_core::wire::{self, ByteReader, Wire};
+use dsig_core::{Result, ScreeningStats, TestOutcome};
 
 /// The outcome of evaluating one device of a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +71,7 @@ impl RetestStats {
 /// several times slower than the batched one).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum CapturePath {
-    /// The report predates capture-path recording (a version-1 `DSGR` file).
+    /// The capture path was not recorded.
     #[default]
     Unknown,
     /// The shared-stimulus batched fast path.
@@ -404,19 +404,79 @@ impl Default for CampaignReport {
     }
 }
 
-/// Magic prefix of the persisted campaign-report format.
-const REPORT_MAGIC: [u8; 4] = *b"DSGR";
 /// Current campaign-report format version. Version 2 added the capture-path
 /// record, the aggregate retest statistics and the per-device retest
-/// metadata; version-1 reports still load (with those fields defaulted).
+/// metadata; a report of any other version is rejected.
 const REPORT_VERSION: u16 = 2;
 
-/// Wire tag of [`CapturePath::Unknown`].
-const CAPTURE_UNKNOWN: u8 = 0;
-/// Wire tag of [`CapturePath::Batched`].
-const CAPTURE_BATCHED: u8 = 1;
-/// Wire tag of [`CapturePath::PerDevice`].
-const CAPTURE_PER_DEVICE: u8 = 2;
+dsig_core::wire_fields!(NdfHistogram {
+    bin_width,
+    counts,
+    overflow
+});
+dsig_core::wire_fields!(DwellStats { min, max, sum, count });
+dsig_core::wire_fields!(RetestStats {
+    marginal,
+    flips_to_fail,
+    flips_to_pass,
+    repeats_spent
+});
+dsig_core::wire_fields!(FaultCoverage { label, ndf, detected });
+dsig_core::wire_fields!(DeviceRetest {
+    initial_ndf,
+    repeats_used,
+    flipped
+});
+dsig_core::wire_fields!(DeviceResult {
+    index,
+    label,
+    true_deviation_pct,
+    ndf,
+    peak_hamming,
+    observed_zones,
+    outcome,
+    retest
+});
+dsig_core::wire_fields!(CampaignReport {
+    screening,
+    histogram,
+    dwell,
+    ndf_sum,
+    ndf_min,
+    ndf_max,
+    capture,
+    retest,
+    coverage,
+    results
+}, file: *b"DSGR", Some(REPORT_VERSION), "campaign report");
+
+/// A tag byte and a reason string; only [`CapturePath::PerDevice`] carries
+/// a reason, so the other paths must carry an empty one.
+impl Wire for CapturePath {
+    const MIN_BYTES: usize = 1 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            CapturePath::Unknown => (0u8, String::new()).put(out),
+            CapturePath::Batched => (1u8, String::new()).put(out),
+            CapturePath::PerDevice { reason } => {
+                2u8.put(out);
+                reason.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let (tag, reason) = <(u8, String)>::get(r)?;
+        match tag {
+            0 | 1 if !reason.is_empty() => Err(r.corrupt(format!("capture path {tag} carries a reason {reason:?}"))),
+            0 => Ok(CapturePath::Unknown),
+            1 => Ok(CapturePath::Batched),
+            2 => Ok(CapturePath::PerDevice { reason }),
+            other => Err(r.corrupt(format!("invalid capture-path tag {other}"))),
+        }
+    }
+}
 
 impl CampaignReport {
     /// Serializes the complete report (screening counters, histogram, dwell
@@ -424,210 +484,17 @@ impl CampaignReport {
     /// per-device results) into the versioned `DSGR` binary format.
     /// Floating-point fields round-trip bit-exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + 64 * self.results.len());
-        wire::put_header(&mut out, REPORT_MAGIC, REPORT_VERSION);
-        for count in [
-            self.screening.total,
-            self.screening.passed,
-            self.screening.failed,
-            self.screening.truly_good,
-            self.screening.truly_bad,
-            self.screening.escapes,
-            self.screening.false_rejects,
-        ] {
-            wire::put_u64(&mut out, count as u64);
-        }
-        wire::put_f64(&mut out, self.histogram.bin_width);
-        wire::put_u32(&mut out, self.histogram.counts.len() as u32);
-        for &count in &self.histogram.counts {
-            wire::put_u64(&mut out, count);
-        }
-        wire::put_u64(&mut out, self.histogram.overflow);
-        for v in [self.dwell.min, self.dwell.max, self.dwell.sum] {
-            wire::put_f64(&mut out, v);
-        }
-        wire::put_u64(&mut out, self.dwell.count);
-        for v in [self.ndf_sum, self.ndf_min, self.ndf_max] {
-            wire::put_f64(&mut out, v);
-        }
-        match &self.capture {
-            CapturePath::Unknown => {
-                out.push(CAPTURE_UNKNOWN);
-                wire::put_str(&mut out, "");
-            }
-            CapturePath::Batched => {
-                out.push(CAPTURE_BATCHED);
-                wire::put_str(&mut out, "");
-            }
-            CapturePath::PerDevice { reason } => {
-                out.push(CAPTURE_PER_DEVICE);
-                wire::put_str(&mut out, reason);
-            }
-        }
-        for count in [
-            self.retest.marginal as u64,
-            self.retest.flips_to_fail as u64,
-            self.retest.flips_to_pass as u64,
-            self.retest.repeats_spent,
-        ] {
-            wire::put_u64(&mut out, count);
-        }
-        wire::put_u32(&mut out, self.coverage.len() as u32);
-        for row in &self.coverage {
-            wire::put_str(&mut out, &row.label);
-            wire::put_f64(&mut out, row.ndf);
-            out.push(u8::from(row.detected));
-        }
-        wire::put_u32(&mut out, self.results.len() as u32);
-        for r in &self.results {
-            wire::put_u64(&mut out, r.index as u64);
-            wire::put_str(&mut out, &r.label);
-            wire::put_f64(&mut out, r.true_deviation_pct);
-            wire::put_f64(&mut out, r.ndf);
-            wire::put_u32(&mut out, r.peak_hamming);
-            wire::put_u64(&mut out, r.observed_zones as u64);
-            wire::put_outcome(&mut out, r.outcome);
-            match &r.retest {
-                None => out.push(0),
-                Some(retest) => {
-                    out.push(1);
-                    wire::put_f64(&mut out, retest.initial_ndf);
-                    wire::put_u32(&mut out, retest.repeats_used);
-                    out.push(u8::from(retest.flipped));
-                }
-            }
-        }
-        out
+        wire::to_bytes(self)
     }
 
-    /// Decodes a report produced by [`CampaignReport::to_bytes`].
+    /// Decodes a report produced by [`CampaignReport::to_bytes`], at exactly
+    /// the current version.
     ///
     /// # Errors
     /// Returns [`dsig_core::DsigError::Truncated`] / [`dsig_core::DsigError::Corrupt`] on malformed
     /// input; never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = wire::ByteReader::new(bytes, "campaign report");
-        let version = r.header(REPORT_MAGIC, REPORT_VERSION)?;
-        let mut counts = [0usize; 7];
-        for slot in &mut counts {
-            *slot = r.u64()? as usize;
-        }
-        let screening = ScreeningStats {
-            total: counts[0],
-            passed: counts[1],
-            failed: counts[2],
-            truly_good: counts[3],
-            truly_bad: counts[4],
-            escapes: counts[5],
-            false_rejects: counts[6],
-        };
-        let bin_width = r.f64()?;
-        let bins = r.u32()? as usize;
-        r.check_count(bins, 8)?;
-        let mut histogram = NdfHistogram {
-            bin_width,
-            counts: Vec::with_capacity(bins),
-            overflow: 0,
-        };
-        for _ in 0..bins {
-            histogram.counts.push(r.u64()?);
-        }
-        histogram.overflow = r.u64()?;
-        let dwell = DwellStats {
-            min: r.f64()?,
-            max: r.f64()?,
-            sum: r.f64()?,
-            count: r.u64()?,
-        };
-        let ndf_sum = r.f64()?;
-        let ndf_min = r.f64()?;
-        let ndf_max = r.f64()?;
-        let (capture, retest) = if version >= 2 {
-            let capture = match r.u8()? {
-                CAPTURE_UNKNOWN => {
-                    r.string()?;
-                    CapturePath::Unknown
-                }
-                CAPTURE_BATCHED => {
-                    r.string()?;
-                    CapturePath::Batched
-                }
-                CAPTURE_PER_DEVICE => CapturePath::PerDevice { reason: r.string()? },
-                other => {
-                    return Err(dsig_core::DsigError::Corrupt {
-                        context: "campaign report",
-                        detail: format!("invalid capture-path tag {other}"),
-                    })
-                }
-            };
-            let retest = RetestStats {
-                marginal: r.u64()? as usize,
-                flips_to_fail: r.u64()? as usize,
-                flips_to_pass: r.u64()? as usize,
-                repeats_spent: r.u64()?,
-            };
-            (capture, retest)
-        } else {
-            // Version-1 reports predate capture-path and retest recording.
-            (CapturePath::Unknown, RetestStats::default())
-        };
-        let coverage_rows = r.u32()? as usize;
-        r.check_count(coverage_rows, 13)?;
-        let mut coverage = Vec::with_capacity(coverage_rows);
-        for _ in 0..coverage_rows {
-            coverage.push(FaultCoverage {
-                label: r.string()?,
-                ndf: r.f64()?,
-                detected: r.u8()? != 0,
-            });
-        }
-        let result_rows = r.u32()? as usize;
-        // Minimum device row: the 41 v1 bytes, plus the retest presence tag
-        // in v2 rows.
-        r.check_count(result_rows, if version >= 2 { 42 } else { 41 })?;
-        let mut results = Vec::with_capacity(result_rows);
-        for _ in 0..result_rows {
-            results.push(DeviceResult {
-                index: r.u64()? as usize,
-                label: r.string()?,
-                true_deviation_pct: r.f64()?,
-                ndf: r.f64()?,
-                peak_hamming: r.u32()?,
-                observed_zones: r.u64()? as usize,
-                outcome: r.outcome()?,
-                retest: if version >= 2 {
-                    match r.u8()? {
-                        0 => None,
-                        1 => Some(DeviceRetest {
-                            initial_ndf: r.f64()?,
-                            repeats_used: r.u32()?,
-                            flipped: r.u8()? != 0,
-                        }),
-                        other => {
-                            return Err(dsig_core::DsigError::Corrupt {
-                                context: "campaign report",
-                                detail: format!("invalid retest presence tag {other}"),
-                            })
-                        }
-                    }
-                } else {
-                    None
-                },
-            });
-        }
-        r.finish()?;
-        Ok(CampaignReport {
-            screening,
-            histogram,
-            dwell,
-            coverage,
-            results,
-            retest,
-            capture,
-            ndf_sum,
-            ndf_min,
-            ndf_max,
-        })
+        wire::from_bytes(bytes)
     }
 
     /// Writes the serialized report to a file.
@@ -864,14 +731,89 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(CampaignReport::from_bytes(&trailing).is_err());
+        // The sample rows carry no retest metadata, so the last device row
+        // ends with its outcome tag and then its retest presence tag (0).
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last - 1..], [0, 0], "a PASS row without retest metadata");
         // A bad outcome tag in the last device row is caught by validation.
-        let mut bad_outcome = bytes;
-        let last = bad_outcome.len() - 1;
-        bad_outcome[last] = 7;
+        let mut bad_outcome = bytes.clone();
+        bad_outcome[last - 1] = 7;
         assert!(matches!(
             CampaignReport::from_bytes(&bad_outcome),
             Err(DsigError::Corrupt { .. })
         ));
+        // So is a bad retest presence tag.
+        let mut bad_presence = bytes;
+        bad_presence[last] = 7;
+        assert!(matches!(
+            CampaignReport::from_bytes(&bad_presence),
+            Err(DsigError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn a_detected_byte_other_than_0_or_1_is_corrupt() {
+        // One coverage row and no device rows: the detected byte sits just
+        // before the 4-byte device-row count.
+        let mut report = CampaignReport::new();
+        report.coverage.push(FaultCoverage {
+            label: "open R1".into(),
+            ndf: 0.5,
+            detected: true,
+        });
+        let mut bytes = report.to_bytes();
+        let detected = bytes.len() - 5;
+        assert_eq!(bytes[detected], 1);
+        bytes[detected] = 7;
+        assert!(matches!(
+            CampaignReport::from_bytes(&bytes),
+            Err(DsigError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn a_flipped_byte_other_than_0_or_1_is_corrupt() {
+        // A last device row with retest metadata ends with its flipped byte.
+        let mut report = sample_report();
+        let mut retested = result(3, 0.041, 5.0, TestOutcome::Fail);
+        retested.retest = Some(DeviceRetest {
+            initial_ndf: 0.028,
+            repeats_used: 6,
+            flipped: true,
+        });
+        report.record(retested, &DwellStats::new(), 3.0, false);
+        let mut bytes = report.to_bytes();
+        let flipped = bytes.len() - 1;
+        assert_eq!(bytes[flipped], 1);
+        bytes[flipped] = 9;
+        assert!(matches!(
+            CampaignReport::from_bytes(&bytes),
+            Err(DsigError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn a_reason_on_the_unknown_or_batched_capture_path_is_corrupt() {
+        let mut report = sample_report();
+        report.capture = CapturePath::PerDevice {
+            reason: "reason-marker".into(),
+        };
+        let bytes = report.to_bytes();
+        let marker = bytes
+            .windows(13)
+            .position(|w| w == b"reason-marker")
+            .expect("the report carries the reason");
+        // The capture tag precedes the reason's 4-byte length.
+        let tag = marker - 5;
+        assert_eq!(bytes[tag], 2);
+        for other in [0, 1] {
+            let mut mutated = bytes.clone();
+            mutated[tag] = other;
+            assert!(
+                matches!(CampaignReport::from_bytes(&mutated), Err(DsigError::Corrupt { .. })),
+                "capture tag {other} with a reason"
+            );
+        }
     }
 
     #[test]
@@ -917,47 +859,15 @@ mod tests {
     }
 
     #[test]
-    fn version_1_reports_still_load_with_defaulted_metadata() {
-        // Re-encode a sample report as a version-1 file: the v1 layout is the
-        // v2 one minus the capture path, retest stats and per-device tags.
-        let report = sample_report();
-        let v2 = report.to_bytes();
-        let mut v1 = Vec::new();
-        wire::put_header(&mut v1, *b"DSGR", 1);
-        // Screening counters .. ndf_max: everything up to the capture tag.
-        let fixed_head = 6 + 7 * 8 + 8 + 4 + 50 * 8 + 8 + 3 * 8 + 8 + 3 * 8;
-        v1.extend_from_slice(&v2[6..fixed_head]);
-        // Skip capture tag + empty reason + 4 retest counters.
-        let mut at = fixed_head + 1 + 4 + 4 * 8;
-        // Coverage rows pass through unchanged.
-        let coverage_start = at;
-        let coverage_rows = u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
-        at += 4;
-        for _ in 0..coverage_rows {
-            let label_len = u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
-            at += 4 + label_len + 8 + 1;
-        }
-        v1.extend_from_slice(&v2[coverage_start..at]);
-        // Device rows: copy each row minus its trailing retest tag (0).
-        let result_rows = u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
-        v1.extend_from_slice(&v2[at..at + 4]);
-        at += 4;
-        for _ in 0..result_rows {
-            let row_start = at;
-            at += 8;
-            let label_len = u32::from_le_bytes(v2[at..at + 4].try_into().unwrap()) as usize;
-            at += 4 + label_len + 8 + 8 + 4 + 8 + 1;
-            v1.extend_from_slice(&v2[row_start..at]);
-            assert_eq!(v2[at], 0, "sample rows carry no retest metadata");
-            at += 1;
-        }
-        assert_eq!(at, v2.len());
-
-        let decoded = CampaignReport::from_bytes(&v1).unwrap();
-        assert_eq!(decoded.capture, CapturePath::Unknown);
-        assert_eq!(decoded.retest, RetestStats::default());
-        assert_eq!(decoded.results, report.results);
-        assert_eq!(decoded.screening, report.screening);
+    fn version_1_reports_are_rejected_as_corrupt() {
+        // A report is read at exactly its current version: a version-1
+        // header is refused before any body byte is read.
+        let mut v1 = sample_report().to_bytes();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            CampaignReport::from_bytes(&v1),
+            Err(DsigError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -136,6 +136,24 @@ impl std::fmt::Debug for ScoreTarget<'_> {
     }
 }
 
+dsig_core::wire_fields!(ScoreResult {
+    ndf,
+    peak_hamming,
+    outcome
+});
+dsig_core::wire_fields!(RetestItem { initial, repeats });
+dsig_core::wire_fields!(RetestRequest {
+    golden_key,
+    policy,
+    items
+});
+dsig_core::wire_fields!(RetestScore {
+    score,
+    marginal,
+    flipped,
+    repeats_used
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

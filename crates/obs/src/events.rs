@@ -17,8 +17,7 @@
 
 use std::sync::Arc;
 
-use dsig_core::wire::{self, ByteReader};
-use dsig_core::{DsigError, Result};
+use dsig_core::{wire, Result};
 
 use crate::ring::Ring;
 use crate::trace;
@@ -40,31 +39,6 @@ pub enum EventLevel {
 }
 
 impl EventLevel {
-    /// The level's wire tag.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            EventLevel::Info => 0,
-            EventLevel::Warn => 1,
-            EventLevel::Error => 2,
-        }
-    }
-
-    /// Decodes a wire tag written by [`EventLevel::to_u8`].
-    ///
-    /// # Errors
-    /// Returns [`DsigError::Corrupt`] on an unknown tag.
-    pub fn from_u8(tag: u8) -> Result<EventLevel> {
-        match tag {
-            0 => Ok(EventLevel::Info),
-            1 => Ok(EventLevel::Warn),
-            2 => Ok(EventLevel::Error),
-            other => Err(DsigError::Corrupt {
-                context: "event log",
-                detail: format!("unknown event level {other}"),
-            }),
-        }
-    }
-
     /// Lower-case display name (`info`, `warn`, `error`).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -171,6 +145,18 @@ impl EventSink {
     }
 }
 
+dsig_core::wire_tags!(EventLevel: u8 { Info = 0, Warn = 1, Error = 2 });
+dsig_core::wire_fields!(EventRecord {
+    level,
+    tier,
+    name,
+    message,
+    at_us,
+    trace_id,
+    fields
+});
+dsig_core::wire_fields!(EventLog { events }, file: EVENT_LOG_MAGIC, Some(EVENT_LOG_VERSION), "event log");
+
 /// A set of events in transit: the `DSEL` wire format serve and router
 /// answer event scrapes with.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -182,67 +168,18 @@ pub struct EventLog {
 impl EventLog {
     /// Serializes the log (magic `DSEL`, version 1).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(10 + 64 * self.events.len());
-        wire::put_header(&mut out, EVENT_LOG_MAGIC, EVENT_LOG_VERSION);
-        wire::put_u32(&mut out, self.events.len() as u32);
-        for event in &self.events {
-            out.push(event.level.to_u8());
-            wire::put_str(&mut out, &event.tier);
-            wire::put_str(&mut out, &event.name);
-            wire::put_str(&mut out, &event.message);
-            wire::put_u64(&mut out, event.at_us);
-            wire::put_u64(&mut out, event.trace_id);
-            wire::put_u32(&mut out, event.fields.len() as u32);
-            for (key, value) in &event.fields {
-                wire::put_str(&mut out, key);
-                wire::put_str(&mut out, value);
-            }
-        }
-        out
+        wire::to_bytes(self)
     }
 
     /// Decodes a log serialized by [`EventLog::to_bytes`]. Never panics on
     /// malformed input.
     ///
     /// # Errors
-    /// Returns [`DsigError::Truncated`] / [`DsigError::Corrupt`] on framing
-    /// errors or an unknown level tag.
+    /// Returns [`dsig_core::DsigError::Truncated`] /
+    /// [`dsig_core::DsigError::Corrupt`] on framing errors or an unknown
+    /// level tag.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog> {
-        let mut r = ByteReader::new(bytes, "event log");
-        r.header(EVENT_LOG_MAGIC, EVENT_LOG_VERSION)?;
-        let count = r.u32()? as usize;
-        // Minimum event: level byte, three empty strings (4 each), two
-        // 8-byte integers and a 4-byte field count.
-        r.check_count(count, 33)?;
-        let mut events = Vec::with_capacity(count);
-        for _ in 0..count {
-            let level = EventLevel::from_u8(r.u8()?)?;
-            let tier = r.string()?;
-            let name = r.string()?;
-            let message = r.string()?;
-            let at_us = r.u64()?;
-            let trace_id = r.u64()?;
-            let n_fields = r.u32()? as usize;
-            // Minimum field: two empty length-prefixed strings.
-            r.check_count(n_fields, 8)?;
-            let mut fields = Vec::with_capacity(n_fields);
-            for _ in 0..n_fields {
-                let key = r.string()?;
-                let value = r.string()?;
-                fields.push((key, value));
-            }
-            events.push(EventRecord {
-                level,
-                tier,
-                name,
-                message,
-                fields,
-                at_us,
-                trace_id,
-            });
-        }
-        r.finish()?;
-        Ok(EventLog { events })
+        wire::from_bytes(bytes)
     }
 
     /// Renders the log as human-readable text, one event per line (the

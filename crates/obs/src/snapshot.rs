@@ -1,18 +1,14 @@
 //! The stable scrape format: [`MetricsSnapshot`] and its `DSMS` wire codec.
 
-use dsig_core::wire::{self, ByteReader};
-use dsig_core::{DsigError, Result};
+use dsig_core::wire::{self, ByteReader, Format, Wire};
+use dsig_core::Result;
 
 /// Magic bytes of a serialized metrics snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DSMS";
 /// Current snapshot format version. Version 2 added the exact observed
-/// maximum to histogram bodies; version-1 snapshots still decode (with a
-/// zero, i.e. unknown, maximum).
+/// maximum to histogram bodies; a snapshot of any other version is
+/// rejected.
 pub const SNAPSHOT_VERSION: u16 = 2;
-
-const KIND_COUNTER: u8 = 0;
-const KIND_GAUGE: u8 = 1;
-const KIND_HISTOGRAM: u8 = 2;
 
 /// An owned copy of one histogram's state at scrape time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,8 +18,7 @@ pub struct HistogramSnapshot {
     /// Sum of all recorded values, in microseconds (wrapping).
     pub sum_us: u64,
     /// Exact largest recorded value in µs; 0 when no sample has been
-    /// recorded (or the snapshot was decoded from a version-1 `DSMS`,
-    /// which did not carry it).
+    /// recorded.
     pub max_us: u64,
     /// `(inclusive upper bound in µs, samples)` per bucket, ascending; the
     /// final bucket's bound is `u64::MAX` (overflow).
@@ -40,7 +35,7 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
-        // max_us == 0 means "unknown" (version-1 snapshot): no clamp then.
+        // max_us == 0 carries no known maximum: no clamp then.
         let clamp = |bound: u64| if self.max_us > 0 { bound.min(self.max_us) } else { bound };
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
@@ -87,6 +82,36 @@ pub enum MetricValue {
     Gauge(f64),
     /// A latency distribution.
     Histogram(HistogramSnapshot),
+}
+
+dsig_core::wire_tags!(MetricValue: u8 {
+    Counter(u64) = 0,
+    Gauge(f64) = 1,
+    Histogram(HistogramSnapshot) = 2,
+});
+
+/// Decoded bucket bounds must ascend strictly.
+impl Wire for HistogramSnapshot {
+    const MIN_BYTES: usize = 3 * 8 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.count, self.sum_us, self.max_us).put(out);
+        self.buckets.put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let (count, sum_us, max_us) = Wire::get(r)?;
+        let buckets: Vec<(u64, u64)> = Wire::get(r)?;
+        if buckets.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(r.corrupt("histogram bounds not ascending"));
+        }
+        Ok(HistogramSnapshot {
+            count,
+            sum_us,
+            max_us,
+            buckets,
+        })
+    }
 }
 
 /// How one metric moved between two snapshots (see
@@ -173,6 +198,26 @@ pub struct MetricsSnapshot {
     pub metrics: Vec<(String, MetricValue)>,
 }
 
+/// The `DSMS` body: the metrics, whose decoded names must ascend strictly.
+impl Format for MetricsSnapshot {
+    const MAGIC: [u8; 4] = SNAPSHOT_MAGIC;
+    const VERSION: Option<u16> = Some(SNAPSHOT_VERSION);
+    const CONTEXT: &'static str = "metrics snapshot";
+    const MIN_BODY: usize = 4;
+
+    fn put_body(&self, out: &mut Vec<u8>) {
+        self.metrics.put(out);
+    }
+
+    fn get_body(r: &mut ByteReader<'_>) -> Result<Self> {
+        let metrics: Vec<(String, MetricValue)> = Wire::get(r)?;
+        if let Some(pair) = metrics.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(r.corrupt(format!("metric names not strictly ascending at {:?}", pair[1].0)));
+        }
+        Ok(MetricsSnapshot { metrics })
+    }
+}
+
 impl MetricsSnapshot {
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
@@ -208,96 +253,18 @@ impl MetricsSnapshot {
 
     /// Serializes the snapshot (magic `DSMS`, version 2).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        wire::put_header(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        wire::put_u32(&mut out, self.metrics.len() as u32);
-        for (name, value) in &self.metrics {
-            wire::put_str(&mut out, name);
-            match value {
-                MetricValue::Counter(v) => {
-                    out.push(KIND_COUNTER);
-                    wire::put_u64(&mut out, *v);
-                }
-                MetricValue::Gauge(v) => {
-                    out.push(KIND_GAUGE);
-                    wire::put_f64(&mut out, *v);
-                }
-                MetricValue::Histogram(h) => {
-                    out.push(KIND_HISTOGRAM);
-                    wire::put_u64(&mut out, h.count);
-                    wire::put_u64(&mut out, h.sum_us);
-                    wire::put_u64(&mut out, h.max_us);
-                    wire::put_u32(&mut out, h.buckets.len() as u32);
-                    for &(upper, n) in &h.buckets {
-                        wire::put_u64(&mut out, upper);
-                        wire::put_u64(&mut out, n);
-                    }
-                }
-            }
-        }
-        out
+        wire::to_bytes(self)
     }
 
-    /// Decodes a snapshot serialized by [`MetricsSnapshot::to_bytes`]
-    /// (either version: a version-1 histogram body simply has no exact
-    /// maximum).
+    /// Decodes a snapshot serialized by [`MetricsSnapshot::to_bytes`], at
+    /// exactly the current version.
+    ///
+    /// # Errors
+    /// Returns [`dsig_core::DsigError::Truncated`] /
+    /// [`dsig_core::DsigError::Corrupt`] on malformed input, including names that are not strictly ascending and
+    /// histogram bounds that are not ascending.
     pub fn from_bytes(bytes: &[u8]) -> Result<MetricsSnapshot> {
-        let mut r = ByteReader::new(bytes, "metrics snapshot");
-        let version = r.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        let count = r.u32()? as usize;
-        // Smallest metric: empty name (4) + kind (1) + counter value (8).
-        r.check_count(count, 13)?;
-        let mut metrics = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = r.string()?;
-            if let Some((last, _)) = metrics.last() {
-                if *last >= name {
-                    return Err(DsigError::Corrupt {
-                        context: "metrics snapshot",
-                        detail: format!("metric names not strictly ascending at {name:?}"),
-                    });
-                }
-            }
-            let value = match r.u8()? {
-                KIND_COUNTER => MetricValue::Counter(r.u64()?),
-                KIND_GAUGE => MetricValue::Gauge(r.f64()?),
-                KIND_HISTOGRAM => {
-                    let count = r.u64()?;
-                    let sum_us = r.u64()?;
-                    let max_us = if version >= 2 { r.u64()? } else { 0 };
-                    let buckets = r.u32()? as usize;
-                    r.check_count(buckets, 16)?;
-                    let mut out = Vec::with_capacity(buckets);
-                    let mut prev: Option<u64> = None;
-                    for _ in 0..buckets {
-                        let upper = r.u64()?;
-                        if prev.is_some_and(|p| p >= upper) {
-                            return Err(DsigError::Corrupt {
-                                context: "metrics snapshot",
-                                detail: format!("histogram bounds not ascending in {name:?}"),
-                            });
-                        }
-                        prev = Some(upper);
-                        out.push((upper, r.u64()?));
-                    }
-                    MetricValue::Histogram(HistogramSnapshot {
-                        count,
-                        sum_us,
-                        max_us,
-                        buckets: out,
-                    })
-                }
-                kind => {
-                    return Err(DsigError::Corrupt {
-                        context: "metrics snapshot",
-                        detail: format!("unknown metric kind {kind}"),
-                    });
-                }
-            };
-            metrics.push((name, value));
-        }
-        r.finish()?;
-        Ok(MetricsSnapshot { metrics })
+        wire::from_bytes(bytes)
     }
 
     /// Computes per-metric deltas from `earlier` to `self` (both sorted by
@@ -511,8 +478,8 @@ mod tests {
 
     #[test]
     fn quantiles_walk_cumulative_buckets() {
-        // max_us == 0 (unknown, as decoded from a version-1 snapshot):
-        // tail quantiles saturate at the bucket bounds like they used to.
+        // max_us == 0 (no known maximum): tail quantiles saturate at the
+        // bucket bounds.
         let h = HistogramSnapshot {
             count: 100,
             sum_us: 0,
@@ -560,25 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn version1_snapshots_still_decode() {
-        // A hand-encoded version-1 DSMS: histogram bodies without max_us.
-        let mut bytes = Vec::new();
-        wire::put_header(&mut bytes, SNAPSHOT_MAGIC, 1);
-        wire::put_u32(&mut bytes, 1);
-        wire::put_str(&mut bytes, "h");
-        bytes.push(2); // KIND_HISTOGRAM
-        wire::put_u64(&mut bytes, 3); // count
-        wire::put_u64(&mut bytes, 300); // sum_us
-        wire::put_u32(&mut bytes, 2); // buckets
-        for (upper, n) in [(64u64, 1u64), (u64::MAX, 2)] {
-            wire::put_u64(&mut bytes, upper);
-            wire::put_u64(&mut bytes, n);
-        }
-        let snap = MetricsSnapshot::from_bytes(&bytes).unwrap();
-        let h = snap.histogram("h").unwrap();
-        assert_eq!((h.count, h.sum_us, h.max_us), (3, 300, 0));
-        // Re-encoding writes the current version.
-        assert_eq!(snap.to_bytes()[4..6], SNAPSHOT_VERSION.to_le_bytes());
+    fn version1_snapshots_are_rejected_as_corrupt() {
+        // A snapshot is read at exactly its current version: a version-1
+        // header is refused before any body byte is read.
+        let mut v1 = sample().to_bytes();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            MetricsSnapshot::from_bytes(&v1),
+            Err(dsig_core::DsigError::Corrupt { .. })
+        ));
     }
 
     #[test]

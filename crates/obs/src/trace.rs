@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use dsig_core::wire::{self, ByteReader};
-use dsig_core::{DsigError, Result};
+use dsig_core::wire::{self, ByteReader, Wire};
+use dsig_core::Result;
 
 use crate::ring::Ring;
 
@@ -39,9 +39,6 @@ use crate::ring::Ring;
 pub const TRACE_LOG_MAGIC: [u8; 4] = *b"DSTL";
 /// Current trace-log format version.
 pub const TRACE_LOG_VERSION: u16 = 1;
-/// Serialized size of a [`TraceContext`] on the wire: `u64` trace id,
-/// `u64` parent span id, `u8` sampled flag.
-pub const TRACE_CONTEXT_WIRE_BYTES: usize = 17;
 
 /// The compact causal context propagated across tiers: which trace a
 /// request belongs to, which span caused it, and whether spans should be
@@ -73,37 +70,12 @@ impl TraceContext {
     }
 }
 
-/// Appends a context as its fixed 17-byte wire form.
-pub fn put_trace_context(out: &mut Vec<u8>, ctx: TraceContext) {
-    wire::put_u64(out, ctx.trace_id);
-    wire::put_u64(out, ctx.parent_span);
-    out.push(u8::from(ctx.sampled));
-}
-
-/// Reads a context written by [`put_trace_context`].
-///
-/// # Errors
-/// Returns [`DsigError::Truncated`] on a short buffer and
-/// [`DsigError::Corrupt`] on a sampled flag other than 0 or 1.
-pub fn read_trace_context(r: &mut ByteReader<'_>) -> Result<TraceContext> {
-    let trace_id = r.u64()?;
-    let parent_span = r.u64()?;
-    let sampled = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(DsigError::Corrupt {
-                context: "trace context",
-                detail: format!("invalid sampled flag {other}"),
-            })
-        }
-    };
-    Ok(TraceContext {
-        trace_id,
-        parent_span,
-        sampled,
-    })
-}
+// The fixed 17-byte wire form every work-request frame carries.
+dsig_core::wire_fields!(TraceContext {
+    trace_id,
+    parent_span,
+    sampled
+});
 
 thread_local! {
     static AMBIENT: Cell<TraceContext> = const { Cell::new(TraceContext::NONE) };
@@ -367,82 +339,57 @@ pub struct TraceLog {
 impl TraceLog {
     /// Serializes the log (magic `DSTL`, version 1).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(10 + 80 * self.spans.len());
-        wire::put_header(&mut out, TRACE_LOG_MAGIC, TRACE_LOG_VERSION);
-        wire::put_u32(&mut out, self.spans.len() as u32);
-        for span in &self.spans {
-            wire::put_u64(&mut out, span.trace_id);
-            wire::put_u64(&mut out, span.span_id);
-            wire::put_u64(&mut out, span.parent_span);
-            wire::put_str(&mut out, &span.name);
-            wire::put_str(&mut out, &span.tier);
-            wire::put_u64(&mut out, span.start_us);
-            wire::put_u64(&mut out, span.end_us);
-            wire::put_u32(&mut out, span.annotations.len() as u32);
-            for (key, value) in &span.annotations {
-                wire::put_str(&mut out, key);
-                wire::put_str(&mut out, value);
-            }
-        }
-        out
+        wire::to_bytes(self)
     }
 
     /// Decodes a log serialized by [`TraceLog::to_bytes`]. Never panics on
     /// malformed input.
     ///
     /// # Errors
-    /// Returns [`DsigError::Truncated`] / [`DsigError::Corrupt`] on framing
-    /// errors, zero trace or span ids, or a span ending before it starts.
+    /// Returns [`dsig_core::DsigError::Truncated`] /
+    /// [`dsig_core::DsigError::Corrupt`] on framing errors, zero trace or
+    /// span ids, or a span ending before it starts.
     pub fn from_bytes(bytes: &[u8]) -> Result<TraceLog> {
-        let corrupt = |detail: String| DsigError::Corrupt {
-            context: "trace log",
-            detail,
-        };
-        let mut r = ByteReader::new(bytes, "trace log");
-        r.header(TRACE_LOG_MAGIC, TRACE_LOG_VERSION)?;
-        let count = r.u32()? as usize;
-        // Minimum span: three 8-byte ids, two empty strings (4 each), two
-        // 8-byte timestamps and a 4-byte annotation count.
-        r.check_count(count, 52)?;
-        let mut spans = Vec::with_capacity(count);
-        for _ in 0..count {
-            let trace_id = r.u64()?;
-            let span_id = r.u64()?;
-            if trace_id == 0 || span_id == 0 {
-                return Err(corrupt(format!("zero id in span (trace {trace_id}, span {span_id})")));
-            }
-            let parent_span = r.u64()?;
-            let name = r.string()?;
-            let tier = r.string()?;
-            let start_us = r.u64()?;
-            let end_us = r.u64()?;
-            if end_us < start_us {
-                return Err(corrupt(format!(
-                    "span {name:?} ends at {end_us}µs before starting at {start_us}µs"
-                )));
-            }
-            let n_annotations = r.u32()? as usize;
-            // Minimum annotation: two empty length-prefixed strings.
-            r.check_count(n_annotations, 8)?;
-            let mut annotations = Vec::with_capacity(n_annotations);
-            for _ in 0..n_annotations {
-                let key = r.string()?;
-                let value = r.string()?;
-                annotations.push((key, value));
-            }
-            spans.push(SpanRecord {
-                trace_id,
-                span_id,
-                parent_span,
-                name,
-                tier,
-                start_us,
-                end_us,
-                annotations,
-            });
+        wire::from_bytes(bytes)
+    }
+}
+
+dsig_core::wire_fields!(TraceLog { spans }, file: TRACE_LOG_MAGIC, Some(TRACE_LOG_VERSION), "trace log");
+
+/// Decoded spans are checked: both ids are nonzero and a span never ends
+/// before it starts.
+impl Wire for SpanRecord {
+    const MIN_BYTES: usize = 3 * 8 + 2 * 4 + 2 * 8 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.trace_id, self.span_id, self.parent_span).put(out);
+        self.name.put(out);
+        self.tier.put(out);
+        (self.start_us, self.end_us).put(out);
+        self.annotations.put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let (trace_id, span_id, parent_span) = Wire::get(r)?;
+        if trace_id == 0 || span_id == 0 {
+            return Err(r.corrupt(format!("zero id in span (trace {trace_id}, span {span_id})")));
         }
-        r.finish()?;
-        Ok(TraceLog { spans })
+        let (name, tier, start_us, end_us): (String, String, u64, u64) = Wire::get(r)?;
+        if end_us < start_us {
+            return Err(r.corrupt(format!(
+                "span {name:?} ends at {end_us}µs before starting at {start_us}µs"
+            )));
+        }
+        Ok(SpanRecord {
+            trace_id,
+            span_id,
+            parent_span,
+            name,
+            tier,
+            start_us,
+            end_us,
+            annotations: Wire::get(r)?,
+        })
     }
 }
 
@@ -698,6 +645,7 @@ mod tests {
 
     #[test]
     fn trace_context_wire_form_round_trips() {
+        assert_eq!(TraceContext::MIN_BYTES, 17);
         for ctx in [
             TraceContext::NONE,
             TraceContext {
@@ -707,21 +655,24 @@ mod tests {
             },
         ] {
             let mut out = Vec::new();
-            put_trace_context(&mut out, ctx);
-            assert_eq!(out.len(), TRACE_CONTEXT_WIRE_BYTES);
+            ctx.put(&mut out);
+            assert_eq!(out.len(), TraceContext::MIN_BYTES);
             let mut r = ByteReader::new(&out, "test");
-            assert_eq!(read_trace_context(&mut r).unwrap(), ctx);
+            assert_eq!(TraceContext::get(&mut r).unwrap(), ctx);
             r.finish().unwrap();
         }
         // A flag beyond 1 is corruption, not a bool cast.
         let mut bad = Vec::new();
-        put_trace_context(&mut bad, TraceContext::NONE);
+        TraceContext::NONE.put(&mut bad);
         bad[16] = 7;
         let mut r = ByteReader::new(&bad, "test");
-        assert!(matches!(read_trace_context(&mut r), Err(DsigError::Corrupt { .. })));
+        assert!(matches!(
+            TraceContext::get(&mut r),
+            Err(dsig_core::DsigError::Corrupt { .. })
+        ));
         // Truncation is a clean error.
         let mut r = ByteReader::new(&bad[..10], "test");
-        assert!(read_trace_context(&mut r).is_err());
+        assert!(TraceContext::get(&mut r).is_err());
     }
 
     #[test]

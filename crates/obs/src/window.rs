@@ -132,27 +132,9 @@ impl HealthStatus {
             HealthStatus::Fail => "FAIL",
         }
     }
-
-    /// The status's wire tag.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            HealthStatus::Pass => 0,
-            HealthStatus::Degraded => 1,
-            HealthStatus::Fail => 2,
-        }
-    }
-
-    /// Decodes a wire tag written by [`HealthStatus::to_u8`]; `None` on an
-    /// unknown tag.
-    pub fn from_u8(tag: u8) -> Option<HealthStatus> {
-        match tag {
-            0 => Some(HealthStatus::Pass),
-            1 => Some(HealthStatus::Degraded),
-            2 => Some(HealthStatus::Fail),
-            _ => None,
-        }
-    }
 }
+
+dsig_core::wire_tags!(HealthStatus: u8 { Pass = 0, Degraded = 1, Fail = 2 });
 
 /// The operational facts a [`SloPolicy`] judges: one fleet scrape boiled
 /// down to five numbers.
@@ -272,6 +254,16 @@ impl SloPolicy {
     }
 }
 
+dsig_core::wire_fields!(HealthReport {
+    status,
+    error_rate,
+    p99_us,
+    backed_off,
+    backends,
+    epoch,
+    findings
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,10 +373,13 @@ mod tests {
 
     #[test]
     fn status_round_trips_and_orders() {
+        use dsig_core::wire::{ByteReader, Wire};
         for status in [HealthStatus::Pass, HealthStatus::Degraded, HealthStatus::Fail] {
-            assert_eq!(HealthStatus::from_u8(status.to_u8()), Some(status));
+            let mut out = Vec::new();
+            status.put(&mut out);
+            assert_eq!(HealthStatus::get(&mut ByteReader::new(&out, "status")).unwrap(), status);
         }
-        assert_eq!(HealthStatus::from_u8(9), None);
+        assert!(HealthStatus::get(&mut ByteReader::new(&[9], "status")).is_err());
         assert!(HealthStatus::Fail > HealthStatus::Degraded);
         assert!(HealthStatus::Degraded > HealthStatus::Pass);
     }

@@ -14,7 +14,6 @@
 //! backends, `host:port` for TCP ones). Labels stay valid across
 //! membership changes.
 
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -24,7 +23,7 @@ use dsig_core::{AcceptanceBand, DsigError, Signature, TestSetup};
 use dsig_engine::RemoteScorer;
 use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Span, TraceLog};
-use dsig_serve::server::{group_by_fingerprint, health_sample};
+use dsig_serve::server::health_sample;
 use dsig_serve::{
     AdminRequest, BackendState, FleetRoster, GoldenRecord, GoldenStore, RetestRequest, RetestScore, RosterEntry,
     ScoreResult, ServeConfig, ServeError, ServeHandle,
@@ -709,80 +708,6 @@ impl RouterHandle {
         Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
     }
 
-    /// Scores a multi-golden batch: items are grouped by fingerprint, the
-    /// groups are bucketed by the member that currently owns them, buckets
-    /// are forwarded **concurrently** (one thread per member bucket), and
-    /// results are reassembled in request order. Each group still goes
-    /// through the full failover chain, so a dead owner degrades to its
-    /// replica instead of failing the batch.
-    ///
-    /// # Errors
-    /// As for [`RouterHandle::screen`]; an unknown key anywhere fails the
-    /// whole batch, and the first failing bucket's error wins.
-    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let now = Instant::now();
-        let m = self.snapshot();
-        // Group item indices by fingerprint (first-appearance order — the
-        // same grouping the serving tier uses), then bucket the groups by
-        // their currently preferred member.
-        let groups = group_by_fingerprint(items);
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (group, (key, _)) in groups.iter().enumerate() {
-            buckets.entry(self.preferred(&m, *key, now)).or_default().push(group);
-        }
-
-        let results: Mutex<Vec<Option<ScoreResult>>> = Mutex::new(vec![None; items.len()]);
-        let errors: Mutex<Vec<(usize, RouterError)>> = Mutex::new(Vec::new());
-        // The ambient trace context is thread-local; capture it here so the
-        // bucket threads re-establish it before forwarding.
-        let inbound = trace::current_context();
-        std::thread::scope(|scope| {
-            for (bucket_order, group_ids) in buckets.values().enumerate() {
-                let results = &results;
-                let errors = &errors;
-                let groups = &groups;
-                scope.spawn(move || {
-                    let _ctx = trace::with_context(inbound);
-                    for &group in group_ids {
-                        let (key, indices) = &groups[group];
-                        let key = *key;
-                        let batch: Vec<Signature> = indices.iter().map(|&i| items[i].1.clone()).collect();
-                        match self.screen(key, &batch) {
-                            Ok(scores) => {
-                                let mut slots = results.lock().expect("router results lock poisoned");
-                                for (&index, score) in indices.iter().zip(scores) {
-                                    slots[index] = Some(score);
-                                }
-                            }
-                            Err(err) => {
-                                errors
-                                    .lock()
-                                    .expect("router errors lock poisoned")
-                                    .push((bucket_order, err));
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let mut errors = errors.into_inner().expect("router errors lock poisoned");
-        if !errors.is_empty() {
-            // Deterministic error selection: the first failing bucket wins.
-            errors.sort_by_key(|&(bucket_order, _)| bucket_order);
-            return Err(errors.remove(0).1);
-        }
-        Ok(results
-            .into_inner()
-            .expect("router results lock poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("every item scored"))
-            .collect())
-    }
-
     /// Screens an adaptive-retest batch (`DSRT`): the request is split at
     /// the configured sub-batch boundary (counted in devices) and each piece
     /// is forwarded to the golden's owner along the same failover chain as
@@ -946,18 +871,6 @@ impl RouterHandle {
             },
             other => other,
         }
-    }
-
-    /// The member a key is dispatched to right now: the highest-ranked
-    /// non-draining member outside a failure backoff, or the owner if every
-    /// ranked member is backed off or draining (it will be retried —
-    /// backoff deprioritizes, never abandons).
-    fn preferred(&self, m: &Membership, key: u64, now: Instant) -> usize {
-        let rank = m.rank(key);
-        rank.iter()
-            .copied()
-            .find(|&i| !m.entries[i].draining && m.entries[i].backend.is_available(now))
-            .unwrap_or(rank[0])
     }
 
     /// Clears a member's failure record, logging the recovery event when
@@ -1147,44 +1060,6 @@ mod tests {
         );
         // The router survives repeated screens with the owner gone.
         assert_eq!(router.screen(7, &observed).unwrap(), before);
-    }
-
-    #[test]
-    fn multi_screen_reassembles_across_backends_in_request_order() {
-        let router = fleet(4, 2);
-        // Several goldens with distinguishable signatures.
-        let keys: Vec<u64> = (0..5).map(|k| 0x1000 + k).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            router
-                .push_golden(key, sig(&[(1, 100e-6), (i as u32 + 2, 100e-6)]), band(0.05))
-                .unwrap();
-        }
-        // Interleaved items: each scores its own golden cleanly, a shifted
-        // variant of the next one dirtily.
-        let items: Vec<(u64, Signature)> = (0..30)
-            .map(|n| {
-                let key = keys[n % keys.len()];
-                (key, sig(&[(1, 100e-6), ((n % keys.len()) as u32 + 2, 100e-6)]))
-            })
-            .collect();
-        let results = router.screen_multi(&items).unwrap();
-        assert_eq!(results.len(), items.len());
-        for (n, result) in results.iter().enumerate() {
-            assert_eq!(result.ndf, 0.0, "item {n} must match its own golden");
-        }
-        // Bit-identical to screening each key separately.
-        for (item, result) in items.iter().zip(&results) {
-            let single = router.screen_one(item.0, &item.1).unwrap();
-            assert_eq!(single, *result);
-        }
-        // Unknown key anywhere fails the whole multi-batch deterministically.
-        let mut bad = items;
-        bad[4].0 = 0xFFFF;
-        assert!(matches!(
-            router.screen_multi(&bad),
-            Err(RouterError::UnknownGolden(0xFFFF))
-        ));
-        assert!(router.screen_multi(&[]).unwrap().is_empty());
     }
 
     #[test]

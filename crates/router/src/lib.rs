@@ -67,8 +67,7 @@
 //! The router speaks the serving protocol unchanged — the same frames, each
 //! at its current version with the request id at bytes `6..14`:
 //! `DSRQ`/`DSRS` for single-golden screening (forwarded verbatim to
-//! backends), plus the `DSRM` multi-golden request, the `DSRT`/`DSRR`
-//! retest pair, the `DSGP`/`DSGF`/`DSRA` replication frames, the `DSAQ`
+//! backends), plus the `DSRT`/`DSRR` retest pair, the `DSGP`/`DSGF`/`DSRA` replication frames, the `DSAQ`
 //! fleet-admin verbs and the observability scrapes (`DSMX`/`DSFM`,
 //! `DSTX`/`DSFT`, `DSEX`, `DSHC`), answering with the routing tier's own
 //! counters — per-backend forwards/failovers/retries, backoff gauge,

@@ -1,6 +1,6 @@
 //! The TCP router front: an accept loop speaking the `dsig-serve` wire
-//! protocol (`DSRQ`/`DSRM`/`DSGP`/`DSGF`/`DSMX` in, `DSRS`/`DSRA`/`DSMR`
-//! out), answering every request through the [`RouterHandle`] it holds,
+//! protocol (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSMX` in, `DSRS`/`DSRR`/`DSRA`/
+//! `DSMR` out), answering every request through the [`RouterHandle`] it holds,
 //! which fans it out across the backend fleet. The fleet-observability frames (`DSFM`/`DSFT` aggregated
 //! scrapes, `DSEX` event drain, `DSHC` health check) are answered here too —
 //! the router is the natural aggregation point for a fleet.
@@ -8,16 +8,15 @@
 //! # Architecture
 //!
 //! ```text
-//!  tester ──DSRQ/DSRM──▶ ┌─────────────────────┐ ──DSRQ──▶ backend A (dsig-serve)
-//!  tester ──DSRQ/DSRM──▶ │  Router             │ ──DSRQ──▶ backend B
+//!  tester ──DSRQ/DSRT──▶ ┌─────────────────────┐ ──DSRQ──▶ backend A (dsig-serve)
+//!  tester ──DSRQ/DSRT──▶ │  Router             │ ──DSRQ──▶ backend B
 //!                        │  HRW(golden_key)    │ ──DSGP──▶ backend C  (replication)
 //!  RouterHandle ───────▶ │  + health/failover  │ ◀─DSGF──  readback on miss
 //!                        └─────────────────────┘
 //! ```
 //!
 //! A request's `golden_fingerprint` picks its owner backend by rendezvous
-//! hashing; multi-golden batches split into per-backend sub-batches and
-//! reassemble in request order. Scoring stays bit-identical to a direct
+//! hashing. Scoring stays bit-identical to a direct
 //! `TestFlow` loop at every backend count, because the router never touches
 //! a score — it only decides *where* the pure scoring function runs.
 
@@ -27,10 +26,8 @@ use std::sync::Arc;
 use dsig_obs::trace;
 use dsig_serve::mux::{Listener, Responder, WorkPool};
 use dsig_serve::proto::{
-    decode_any_request, decode_request_context, encode_admin_response, encode_decode_error, encode_events_response,
-    encode_health_response, encode_metrics_response, encode_response, encode_retest_response, encode_traces_response,
-    AdminResponse, ErrorCode, EventsResponse, HealthResponse, MetricsResponse, Request, RetestResponse, ScreenResponse,
-    TracesResponse,
+    decode_any_request, decode_request_context, encode_decode_error, encode_reply, AdminReply, ErrorCode, Reply,
+    ReplyBody, Request,
 };
 
 use crate::backend::Backend;
@@ -130,64 +127,34 @@ fn responder(router: RouterHandle) -> Arc<Responder> {
 /// the same request kinds a serving process does, after fanning out.
 fn respond(router: &RouterHandle, request: Request) -> Vec<u8> {
     match request {
-        Request::Screen(request) => encode_response(&match router.screen(request.golden_key, &request.signatures) {
-            Ok(results) => ScreenResponse::Results(results),
-            Err(err) => ScreenResponse::Error {
-                code: error_code_of(&err),
-                message: err.to_string(),
-            },
-        }),
-        Request::MultiScreen(request) => encode_response(&match router.screen_multi(&request.items) {
-            Ok(results) => ScreenResponse::Results(results),
-            Err(err) => ScreenResponse::Error {
-                code: error_code_of(&err),
-                message: err.to_string(),
-            },
-        }),
-        Request::Retest(request) => encode_retest_response(&match router.screen_retest(&request) {
-            Ok(results) => RetestResponse::Results(results),
-            Err(err) => RetestResponse::Error {
-                code: error_code_of(&err),
-                message: err.to_string(),
-            },
-        }),
-        Request::PushGolden { key, band, golden } => {
-            encode_admin_response(&match router.push_golden(key, golden, band) {
-                Ok(()) => AdminResponse::Ack,
-                Err(err) => AdminResponse::Error {
-                    code: error_code_of(&err),
-                    message: err.to_string(),
-                },
-            })
-        }
-        Request::FetchGolden { key } => encode_admin_response(&match router.golden(key) {
-            Ok(record) => AdminResponse::Record {
-                band: record.band,
-                golden: record.golden.clone(),
-            },
-            Err(err) => AdminResponse::Error {
-                code: error_code_of(&err),
-                message: err.to_string(),
-            },
-        }),
-        Request::Metrics => encode_metrics_response(&MetricsResponse::Snapshot(router.metrics())),
-        Request::Traces => encode_traces_response(&TracesResponse::Log(router.traces())),
+        Request::Screen(request) => answer(router.screen(request.golden_key, &request.signatures), error_code_of),
+        Request::Retest(request) => answer(router.screen_retest(&request), error_code_of),
+        Request::PushGolden { key, band, golden } => answer(
+            router.push_golden(key, golden, band).map(|()| AdminReply::Ack),
+            error_code_of,
+        ),
+        Request::FetchGolden { key } => answer(
+            router.golden(key).map(|record| AdminReply::Record((*record).clone())),
+            error_code_of,
+        ),
+        Request::Metrics => answer(Ok(router.metrics()), error_code_of),
+        Request::Traces => answer(Ok(router.traces()), error_code_of),
         // The fleet scrapes fan out to every backend and merge; the router's
         // own plain `DSMX`/`DSTX` answers above stay backend-free.
-        Request::FleetMetrics => encode_metrics_response(&MetricsResponse::Snapshot(router.fleet_metrics())),
-        Request::FleetTraces => encode_traces_response(&TracesResponse::Log(router.fleet_traces())),
-        Request::Events => encode_events_response(&EventsResponse::Log(router.events())),
-        Request::Health => encode_health_response(&HealthResponse::Report(router.health())),
+        Request::FleetMetrics => answer(Ok(router.fleet_metrics()), error_code_of),
+        Request::FleetTraces => answer(Ok(router.fleet_traces()), error_code_of),
+        Request::Events => answer(Ok(router.events()), error_code_of),
+        Request::Health => answer(Ok(router.health()), error_code_of),
         // The admin family: live membership over the same tagged mux the
         // work frames ride. Every verb answers the post-change roster.
-        Request::Admin(admin) => encode_admin_response(&match router.admin(&admin) {
-            Ok(roster) => AdminResponse::Roster(roster),
-            Err(err) => AdminResponse::Error {
-                code: admin_error_code_of(&err),
-                message: err.to_string(),
-            },
-        }),
+        Request::Admin(admin) => answer(router.admin(&admin).map(AdminReply::Roster), admin_error_code_of),
     }
+}
+
+/// Encodes the reply to one routed operation's result, its error under the
+/// code `code_of` maps it to.
+fn answer<T: ReplyBody>(result: Result<T>, code_of: fn(&RouterError) -> ErrorCode) -> Vec<u8> {
+    encode_reply(&Reply::from_result(result, code_of))
 }
 
 #[cfg(test)]
@@ -249,16 +216,6 @@ mod tests {
             .screen(0xA, &[golden_a.clone(), sig(&[(1, 100e-6), (7, 100e-6)])])
             .unwrap();
         assert_eq!(results, direct);
-
-        // Multi-golden screening across both goldens.
-        let items = vec![
-            (0xA, golden_a.clone()),
-            (0xB, golden_b.clone()),
-            (0xA, golden_a.clone()),
-        ];
-        let multi = client.screen_multi(&items).unwrap();
-        assert_eq!(multi.len(), 3);
-        assert!(multi.iter().all(|r| r.ndf == 0.0));
 
         // Adaptive retest over TCP: identical to the in-process route.
         let retest = dsig_serve::RetestRequest {

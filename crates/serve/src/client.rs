@@ -50,13 +50,10 @@ use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Tr
 
 use crate::error::{Result, ServeError};
 use crate::proto::{
-    decode_admin_response, decode_events_response, decode_health_response, decode_metrics_response, decode_response,
-    decode_retest_response, decode_traces_response, encode_admin_request, encode_fetch_request, encode_multi_request,
-    encode_push_request, encode_request, encode_retest_request, encode_scrape_request, read_frame, stamp_request_id,
-    write_frame, AdminRequest, AdminResponse, ErrorCode, EventsResponse, FleetRoster, HealthResponse, MetricsResponse,
-    RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse, TracesResponse, EVENTS_REQUEST_MAGIC,
-    FLEET_METRICS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC, METRICS_REQUEST_MAGIC,
-    TRACES_REQUEST_MAGIC,
+    decode_reply, encode_admin_request, encode_fetch_request, encode_push_request, encode_request,
+    encode_retest_request, encode_scrape_request, read_frame, stamp_request_id, write_frame, AdminReply, AdminRequest,
+    FleetRoster, ReplyBody, RetestRequest, RetestScore, ScoreResult, EVENTS_REQUEST_MAGIC, FLEET_METRICS_REQUEST_MAGIC,
+    FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC, METRICS_REQUEST_MAGIC, TRACES_REQUEST_MAGIC,
 };
 
 mod seam {
@@ -153,11 +150,8 @@ impl<T: seam::Exchange> Client<T> {
     /// [`ServeError::Io`] on dead connections (after one transparent
     /// reconnect attempt).
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        decode_scores(
-            &self.call(encode_request(golden_key, signatures))?,
-            signatures.len(),
-            golden_key,
-        )
+        let payload = self.call(encode_request(golden_key, signatures))?;
+        check_count(reply(&payload, Some(golden_key))?, signatures.len())
     }
 
     /// Scores a single signature (a one-element [`Client::screen`]).
@@ -168,22 +162,6 @@ impl<T: seam::Exchange> Client<T> {
         Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
     }
 
-    /// Scores a batch where each signature names its own golden fingerprint
-    /// (`DSRM`), returning one [`ScoreResult`] per item in request order.
-    /// Against a routing tier this is the frame that fans out across
-    /// backends.
-    ///
-    /// # Errors
-    /// As for [`Client::screen`], except that an unknown fingerprint
-    /// anywhere fails the whole batch with [`ServeError::Remote`], whose
-    /// message names the fingerprint (the wire error body carries no key).
-    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        match decode_response(&self.call(encode_multi_request(items))?)? {
-            ScreenResponse::Results(results) => check_count(results, items.len()),
-            ScreenResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-        }
-    }
-
     /// Screens an adaptive-retest batch (`DSRT`): each device's single-shot
     /// signature plus its measurement repeats, re-decided server-side through
     /// the request's retest policy. Returns one [`RetestScore`] per device in
@@ -192,11 +170,8 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::screen`].
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        decode_retest_scores(
-            &self.call(encode_retest_request(request))?,
-            request.items.len(),
-            request.golden_key,
-        )
+        let payload = self.call(encode_retest_request(request))?;
+        check_count(reply(&payload, Some(request.golden_key))?, request.items.len())
     }
 
     /// Stores (or replaces) a golden record on the server (`DSGP`) — the
@@ -205,9 +180,9 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::screen`] (minus `UnknownGolden`).
     pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        match decode_admin_response(&self.call(encode_push_request(key, band, golden))?)? {
-            AdminResponse::Ack => Ok(()),
-            other => Err(admin_mismatch("push", other)),
+        match reply(&self.call(encode_push_request(key, band, golden))?, None)? {
+            AdminReply::Ack => Ok(()),
+            other => Err(ServeError::Protocol(format!("push answered with {other:?}"))),
         }
     }
 
@@ -218,13 +193,9 @@ impl<T: seam::Exchange> Client<T> {
     /// Returns [`ServeError::UnknownGolden`] when the server has no record
     /// under `key`; otherwise as for [`Client::screen`].
     pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        match decode_admin_response(&self.call(encode_fetch_request(key))?)? {
-            AdminResponse::Record { band, golden } => Ok((band, golden)),
-            AdminResponse::Error {
-                code: ErrorCode::UnknownGolden,
-                ..
-            } => Err(ServeError::UnknownGolden(key)),
-            other => Err(admin_mismatch("fetch", other)),
+        match reply(&self.call(encode_fetch_request(key))?, Some(key))? {
+            AdminReply::Record(record) => Ok((record.band, record.golden)),
+            other => Err(ServeError::Protocol(format!("fetch answered with {other:?}"))),
         }
     }
 
@@ -236,7 +207,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::screen`] (minus `UnknownGolden`).
     pub fn metrics(&self) -> Result<MetricsSnapshot> {
-        snapshot_of(&self.call(encode_scrape_request(METRICS_REQUEST_MAGIC))?)
+        reply(&self.call(encode_scrape_request(METRICS_REQUEST_MAGIC))?, None)
     }
 
     /// Scrapes the fleet-wide merged metrics (`DSFM`): against a routing
@@ -248,7 +219,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
-        snapshot_of(&self.call(encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC))?)
+        reply(&self.call(encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC))?, None)
     }
 
     /// Drains the server's buffered trace spans (`DSTX`), returning its
@@ -259,7 +230,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn traces(&self) -> Result<TraceLog> {
-        trace_log_of(&self.drain(encode_scrape_request(TRACES_REQUEST_MAGIC))?)
+        reply(&self.drain(encode_scrape_request(TRACES_REQUEST_MAGIC))?, None)
     }
 
     /// Drains trace spans fleet-wide (`DSFT`): a routing tier drains every
@@ -269,7 +240,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn fleet_traces(&self) -> Result<TraceLog> {
-        trace_log_of(&self.drain(encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC))?)
+        reply(&self.drain(encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC))?, None)
     }
 
     /// Drains the server's structured event log (`DSEX`): backend
@@ -279,10 +250,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn events(&self) -> Result<EventLog> {
-        match decode_events_response(&self.drain(encode_scrape_request(EVENTS_REQUEST_MAGIC))?)? {
-            EventsResponse::Log(log) => Ok(log),
-            EventsResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-        }
+        reply(&self.drain(encode_scrape_request(EVENTS_REQUEST_MAGIC))?, None)
     }
 
     /// Asks the server to evaluate its own health (`DSHC`), returning the
@@ -292,10 +260,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn health(&self) -> Result<HealthReport> {
-        match decode_health_response(&self.call(encode_scrape_request(HEALTH_REQUEST_MAGIC))?)? {
-            HealthResponse::Report(report) => Ok(report),
-            HealthResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-        }
+        reply(&self.call(encode_scrape_request(HEALTH_REQUEST_MAGIC))?, None)
     }
 
     /// Asks a routing tier to admit the backend at `label` (`DSAQ` join: a
@@ -344,9 +309,9 @@ impl<T: seam::Exchange> Client<T> {
 
     /// One fleet-admin verb, answered with the post-change roster.
     fn admin(&self, request: AdminRequest) -> Result<FleetRoster> {
-        match decode_admin_response(&self.call(encode_admin_request(&request))?)? {
-            AdminResponse::Roster(roster) => Ok(roster),
-            other => Err(admin_mismatch("admin verb", other)),
+        match reply(&self.call(encode_admin_request(&request))?, None)? {
+            AdminReply::Roster(roster) => Ok(roster),
+            other => Err(ServeError::Protocol(format!("admin verb answered with {other:?}"))),
         }
     }
 }
@@ -362,58 +327,10 @@ fn check_count<S>(results: Vec<S>, expected: usize) -> Result<Vec<S>> {
     Ok(results)
 }
 
-/// Decodes a screening response to `golden_key`, checking the score count.
-fn decode_scores(payload: &[u8], expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
-    match decode_response(payload)? {
-        ScreenResponse::Results(results) => check_count(results, expected),
-        ScreenResponse::Error { code, message } => Err(remote_error(code, message, golden_key)),
-    }
-}
-
-/// Decodes a retest response to `golden_key`, checking the per-device score
-/// count.
-fn decode_retest_scores(payload: &[u8], expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
-    match decode_retest_response(payload)? {
-        RetestResponse::Results(results) => check_count(results, expected),
-        RetestResponse::Error { code, message } => Err(remote_error(code, message, golden_key)),
-    }
-}
-
-/// The error a server-side failure of a request for `golden_key` surfaces
-/// as: an unknown golden carries the key, anything else the remote message.
-fn remote_error(code: ErrorCode, message: String, golden_key: u64) -> ServeError {
-    match code {
-        ErrorCode::UnknownGolden => ServeError::UnknownGolden(golden_key),
-        _ => ServeError::Remote(message),
-    }
-}
-
-/// The error an admin-family response of the wrong kind surfaces as: the
-/// server's message for an error, a protocol violation otherwise.
-fn admin_mismatch(request: &str, response: AdminResponse) -> ServeError {
-    let kind = match response {
-        AdminResponse::Error { message, .. } => return ServeError::Remote(message),
-        AdminResponse::Ack => "a bare ack",
-        AdminResponse::Record { .. } => "a record",
-        AdminResponse::Roster(_) => "a roster",
-    };
-    ServeError::Protocol(format!("{request} answered with {kind}"))
-}
-
-/// Decodes a metrics-scrape response into its snapshot.
-fn snapshot_of(payload: &[u8]) -> Result<MetricsSnapshot> {
-    match decode_metrics_response(payload)? {
-        MetricsResponse::Snapshot(snapshot) => Ok(snapshot),
-        MetricsResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
-}
-
-/// Decodes a trace-drain response into its log.
-fn trace_log_of(payload: &[u8]) -> Result<TraceLog> {
-    match decode_traces_response(payload)? {
-        TracesResponse::Log(log) => Ok(log),
-        TracesResponse::Error { message, .. } => Err(ServeError::Remote(message)),
-    }
+/// Decodes a response of body `B` and converts it to a result: the body,
+/// or the server's error (see [`crate::proto::Reply::into_result`]).
+fn reply<B: ReplyBody>(payload: &[u8], golden_key: Option<u64>) -> Result<B> {
+    decode_reply::<B>(payload)?.into_result(golden_key)
 }
 
 /// The blocking transport of [`ServeClient`]: one connection, exchanged on
@@ -654,7 +571,7 @@ impl PipelinedClient {
     /// # Errors
     /// As for [`Client::screen`].
     pub fn wait_screen(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
-        decode_scores(&ticket.wait()?, expected, golden_key)
+        check_count(reply(&ticket.wait()?, Some(golden_key))?, expected)
     }
 
     /// Starts an adaptive-retest request (`DSRT`); redeem with
@@ -671,7 +588,7 @@ impl PipelinedClient {
     /// # Errors
     /// As for [`Client::screen_retest`].
     pub fn wait_retest(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
-        decode_retest_scores(&ticket.wait()?, expected, golden_key)
+        check_count(reply(&ticket.wait()?, Some(golden_key))?, expected)
     }
 }
 
@@ -932,6 +849,7 @@ mod tests {
     use dsig_core::{AcceptanceBand, SignatureEntry, TestOutcome, ZoneCode};
 
     use super::*;
+    use crate::proto::{Reply, ScreenResponse};
     use crate::server::{ServeConfig, Server};
     use crate::store::GoldenStore;
 
@@ -1071,11 +989,6 @@ mod tests {
         let second = sig(&[(2, 100e-6)]);
         client.push_golden(0xB0B, band, &second).unwrap();
         assert_eq!(client.fetch_golden(0xB0B).unwrap(), (band, second.clone()));
-        let items = vec![(key, observed[0].clone()), (0xB0B, second)];
-        assert_eq!(
-            client.screen_multi(&items).unwrap(),
-            server.handle().screen_multi(&items).unwrap()
-        );
         assert!(client.metrics().unwrap().counter("serve.requests.dsrq").unwrap() > 0);
         let _ = client.traces().unwrap();
     }
@@ -1225,8 +1138,7 @@ mod tests {
             let mut reader = BufReader::new(second.try_clone().unwrap());
             let frame = read_frame(&mut reader).unwrap().unwrap();
             assert_eq!(&frame[..4], b"DSMX");
-            let mut response =
-                crate::proto::encode_metrics_response(&MetricsResponse::Snapshot(MetricsSnapshot { metrics: vec![] }));
+            let mut response = crate::proto::encode_reply(&Reply::Results(MetricsSnapshot { metrics: vec![] }));
             stamp_request_id(&mut response, crate::proto::peek_request_id(&frame));
             let mut writer = BufWriter::new(&second);
             write_frame(&mut writer, &response).unwrap();
@@ -1373,7 +1285,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_screen_and_admin_ops_round_trip_over_tcp() {
+    fn admin_ops_round_trip_over_tcp() {
         let (server, key) = serve();
         let client = ServeClient::connect(server.local_addr()).unwrap();
         // Push a second golden, read it back, and screen against both.
@@ -1387,18 +1299,18 @@ mod tests {
             client.fetch_golden(0xDEAD),
             Err(ServeError::UnknownGolden(0xDEAD))
         ));
-        let items = vec![
-            (key, sig(&[(1, 100e-6), (3, 100e-6)])),
-            (0xB0B, second.clone()),
-            (key, sig(&[(1, 100e-6), (7, 100e-6)])),
-        ];
-        let results = client.screen_multi(&items).unwrap();
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].ndf, 0.0);
-        assert_eq!(results[1].ndf, 0.0, "pushed golden must score its own signature clean");
-        assert!(results[2].ndf > 0.0);
-        // Bit-identical to the in-process multi path.
-        assert_eq!(results, server.handle().screen_multi(&items).unwrap());
+        let own = client
+            .screen(
+                key,
+                &[sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])],
+            )
+            .unwrap();
+        assert_eq!(own[0].ndf, 0.0);
+        assert!(own[1].ndf > 0.0);
+        let pushed = client.screen(0xB0B, std::slice::from_ref(&second)).unwrap();
+        assert_eq!(pushed[0].ndf, 0.0, "pushed golden must score its own signature clean");
+        // Bit-identical to the in-process path.
+        assert_eq!(pushed, server.handle().screen(0xB0B, &[second]).unwrap());
     }
 
     /// One helper exercises both transports: the typed layer cannot tell
@@ -1407,8 +1319,6 @@ mod tests {
         let observed = sig(&[(1, 100e-6), (3, 100e-6)]);
         assert_eq!(peer.screen_one(key, &observed).unwrap().ndf, 0.0);
         assert_eq!(peer.screen(key, std::slice::from_ref(&observed)).unwrap().len(), 1);
-        let items = vec![(key, observed)];
-        assert_eq!(peer.screen_multi(&items).unwrap().len(), 1);
         assert!(peer.metrics().unwrap().counter("serve.signatures_scored").is_some());
         let _ = peer.health().unwrap();
         let _ = peer.fleet_metrics().unwrap();

@@ -69,10 +69,8 @@
 //! exactly its current version: an older one draws a `BadRequest` error in
 //! its response family, like any malformed frame.
 //!
-//! Five further request kinds share the frame and header convention and are
-//! dispatched by payload magic: `DSRM` (multi-golden screening, each
-//! signature tagged with its own fingerprint — what a `dsig-router` tier
-//! splits across backends), `DSRT` (adaptive-retest screening: each device
+//! Further request kinds share the frame and header convention and are
+//! dispatched by payload magic: `DSRT` (adaptive-retest screening: each device
 //! carries its single shot plus measurement repeats, and marginal devices
 //! are re-decided **server-side** through the carried
 //! [`dsig_core::RetestPolicy`], answered with a `DSRR` response), `DSGP`
@@ -133,8 +131,8 @@ pub use client::{Client, PipelinedClient, ServeClient, Ticket};
 pub use error::{Result, ServeError};
 pub use mux::WorkPool;
 pub use proto::{
-    AdminRequest, AdminResponse, BackendState, ErrorCode, FleetRoster, MetricsResponse, MultiScreenRequest, Request,
-    RetestItem, RetestRequest, RetestResponse, RetestScore, RosterEntry, ScoreResult, ScreenRequest, ScreenResponse,
+    AdminReply, AdminRequest, BackendState, ErrorCode, FleetRoster, Reply, Request, RetestItem, RetestRequest,
+    RetestResponse, RetestScore, RosterEntry, ScoreResult, ScreenRequest, ScreenResponse,
 };
-pub use server::{group_by_fingerprint, ServeConfig, ServeHandle, Server};
+pub use server::{ServeConfig, ServeHandle, Server};
 pub use store::{GoldenRecord, GoldenStore};

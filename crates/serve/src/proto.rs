@@ -1,23 +1,27 @@
 //! The compact binary wire protocol, std-only.
 //!
 //! Every message travels as a length-prefixed frame; payloads follow the
-//! shared versioned-header convention of [`dsig_core::wire`]. Every request
-//! and response frame carries its `u64` request id at bytes `6..14` and is
-//! read at exactly its current version — wire frames are never persisted,
-//! so an older frame is rejected like any malformed one. See the crate docs
-//! for the full byte layout.
+//! shared versioned-header convention of [`dsig_core::wire`], and every body
+//! is declared once through its [`Wire`] impl. Every request and response
+//! frame carries its `u64` request id at bytes `6..14` and is read at
+//! exactly its current version — wire frames are never persisted, so an
+//! older frame is rejected like any malformed one. See the crate docs for
+//! the full byte layout.
 //!
 //! The protocol is deliberately batch-first: one request carries any number
 //! of signatures for one golden, so the framing, syscall and dispatch cost is
 //! amortized over the batch.
 
+use std::fmt::Display;
 use std::io::{Read, Write};
 
-use dsig_core::{wire, AcceptanceBand, RetestPolicy, Signature};
+use dsig_core::wire::{self, ByteReader, Wire};
+use dsig_core::{AcceptanceBand, Signature};
 use dsig_obs::trace::{self, TraceContext};
-use dsig_obs::{EventLog, HealthReport, HealthStatus, MetricsSnapshot, TraceLog};
+use dsig_obs::{EventLog, HealthReport, MetricsSnapshot, TraceLog};
 
 use crate::error::{Result, ServeError};
+use crate::store::GoldenRecord;
 
 pub use dsig_engine::{RetestItem, RetestRequest, RetestScore, ScoreResult};
 
@@ -25,9 +29,6 @@ pub use dsig_engine::{RetestItem, RetestRequest, RetestScore, ScoreResult};
 pub const REQUEST_MAGIC: [u8; 4] = *b"DSRQ";
 /// Magic prefix of response payloads.
 pub const RESPONSE_MAGIC: [u8; 4] = *b"DSRS";
-/// Magic prefix of multi-golden screening request payloads (`DSRM`) — the
-/// routed form where every signature carries its own golden fingerprint.
-pub const MULTI_REQUEST_MAGIC: [u8; 4] = *b"DSRM";
 /// Magic prefix of golden-push (replication) request payloads (`DSGP`).
 pub const PUSH_MAGIC: [u8; 4] = *b"DSGP";
 /// Magic prefix of golden-fetch (readback) request payloads (`DSGF`).
@@ -44,7 +45,7 @@ pub const ADMIN_REQUEST_MAGIC: [u8; 4] = *b"DSAQ";
 /// Magic prefix of adaptive-retest screening request payloads (`DSRT`): each
 /// device carries its single-shot signature plus pre-captured measurement
 /// repeats, and the server verdicts marginal devices through the
-/// [`RetestPolicy`] escalation walk before answering.
+/// [`dsig_core::RetestPolicy`] escalation walk before answering.
 pub const RETEST_REQUEST_MAGIC: [u8; 4] = *b"DSRT";
 /// Magic prefix of adaptive-retest response payloads (`DSRR`) — the
 /// `DSRS`-style score list extended with per-device retest metadata.
@@ -95,8 +96,8 @@ pub const HEALTH_RESPONSE_MAGIC: [u8; 4] = *b"DSHR";
 /// (the multiplexing correlator, echoed from the request).
 pub const PROTO_VERSION: u16 = 2;
 /// Wire-protocol version of the work-carrying request frames
-/// (`DSRQ`/`DSRM`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`): magic, version, the `u64`
-/// request id at bytes `6..14`, then a fixed 17-byte trace context.
+/// (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`): magic, version, the `u64` request
+/// id at bytes `6..14`, then a fixed 17-byte trace context.
 pub const REQUEST_PROTO_VERSION: u16 = 3;
 /// Wire-protocol version of health-check responses (`DSHR`), whose report
 /// carries the `u64` fleet membership epoch after the backend count.
@@ -123,24 +124,11 @@ pub enum ErrorCode {
     Internal,
 }
 
-impl ErrorCode {
-    fn to_u16(self) -> u16 {
-        match self {
-            ErrorCode::UnknownGolden => 1,
-            ErrorCode::BadRequest => 2,
-            ErrorCode::Internal => 3,
-        }
-    }
-
-    fn from_u16(v: u16) -> Result<Self> {
-        match v {
-            1 => Ok(ErrorCode::UnknownGolden),
-            2 => Ok(ErrorCode::BadRequest),
-            3 => Ok(ErrorCode::Internal),
-            other => Err(ServeError::Protocol(format!("unknown error code {other}"))),
-        }
-    }
-}
+dsig_core::wire_tags!(ErrorCode: u16 {
+    UnknownGolden = 1,
+    BadRequest = 2,
+    Internal = 3,
+});
 
 /// A decoded screening request: score `signatures` against the golden stored
 /// under `golden_key`.
@@ -153,43 +141,7 @@ pub struct ScreenRequest {
     pub signatures: Vec<Signature>,
 }
 
-/// A decoded response: per-signature scores, or a server-side error.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScreenResponse {
-    /// One score per request signature, in request order.
-    Results(Vec<ScoreResult>),
-    /// The request failed server-side.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Rendered error message.
-        message: String,
-    },
-}
-
-/// A decoded multi-golden screening request: score each signature against
-/// the golden its fingerprint names. This is the frame a routing tier splits
-/// into per-backend [`ScreenRequest`] sub-batches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiScreenRequest {
-    /// `(golden fingerprint, observed signature)` pairs, in request order.
-    pub items: Vec<(u64, Signature)>,
-}
-
-/// A decoded adaptive-retest response (`DSRR`): per-device retest scores, or
-/// a server-side error (same error vocabulary as [`ScreenResponse`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RetestResponse {
-    /// One retest score per request device, in request order.
-    Results(Vec<RetestScore>),
-    /// The request failed server-side.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Rendered error message.
-        message: String,
-    },
-}
+dsig_core::wire_fields!(ScreenRequest { golden_key, signatures });
 
 /// A decoded fleet-admin request (`DSAQ`): one membership verb addressed to
 /// a routing tier. Every verb is idempotent by label — replaying it after a
@@ -220,14 +172,35 @@ pub enum AdminRequest {
     List,
 }
 
-/// Verb tag of an [`AdminRequest::Join`].
-const ADMIN_VERB_JOIN: u8 = 0;
-/// Verb tag of an [`AdminRequest::Leave`].
-const ADMIN_VERB_LEAVE: u8 = 1;
-/// Verb tag of an [`AdminRequest::Drain`].
-const ADMIN_VERB_DRAIN: u8 = 2;
-/// Verb tag of an [`AdminRequest::List`].
-const ADMIN_VERB_LIST: u8 = 3;
+/// A verb tag, then the addressed label; [`AdminRequest::List`] carries an
+/// empty one.
+impl Wire for AdminRequest {
+    const MIN_BYTES: usize = 1 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        static NO_LABEL: String = String::new();
+        let (verb, label) = match self {
+            AdminRequest::Join { label } => (0u8, label),
+            AdminRequest::Leave { label } => (1, label),
+            AdminRequest::Drain { label } => (2, label),
+            AdminRequest::List => (3, &NO_LABEL),
+        };
+        verb.put(out);
+        label.put(out);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> dsig_core::Result<Self> {
+        let (verb, label) = <(u8, String)>::get(r)?;
+        match verb {
+            0 => Ok(AdminRequest::Join { label }),
+            1 => Ok(AdminRequest::Leave { label }),
+            2 => Ok(AdminRequest::Drain { label }),
+            3 if label.is_empty() => Ok(AdminRequest::List),
+            3 => Err(r.corrupt(format!("admin list request carries an unexpected label {label:?}"))),
+            other => Err(r.corrupt(format!("unknown admin verb {other}"))),
+        }
+    }
+}
 
 /// Operational state of one fleet member, as reported in a roster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,27 +213,11 @@ pub enum BackendState {
     BackedOff,
 }
 
-impl BackendState {
-    /// The state's wire tag.
-    pub fn to_u8(self) -> u8 {
-        match self {
-            BackendState::Active => 0,
-            BackendState::Draining => 1,
-            BackendState::BackedOff => 2,
-        }
-    }
-
-    /// Decodes a wire tag written by [`BackendState::to_u8`]; `None` on an
-    /// unknown tag.
-    pub fn from_u8(tag: u8) -> Option<BackendState> {
-        match tag {
-            0 => Some(BackendState::Active),
-            1 => Some(BackendState::Draining),
-            2 => Some(BackendState::BackedOff),
-            _ => None,
-        }
-    }
-}
+dsig_core::wire_tags!(BackendState: u8 {
+    Active = 0,
+    Draining = 1,
+    BackedOff = 2,
+});
 
 /// One fleet member in a roster.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,6 +230,8 @@ pub struct RosterEntry {
     pub state: BackendState,
 }
 
+dsig_core::wire_fields!(RosterEntry { label, id, state });
+
 /// A fleet membership roster: the epoch plus one entry per member. Every
 /// mutating admin verb answers with the post-change roster, so a caller
 /// always observes the membership its change produced.
@@ -284,14 +243,14 @@ pub struct FleetRoster {
     pub entries: Vec<RosterEntry>,
 }
 
+dsig_core::wire_fields!(FleetRoster { epoch, entries });
+
 /// Any request frame the serving tier understands, decoded by payload magic
 /// (see [`decode_any_request`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// A single-golden screening request (`DSRQ`).
     Screen(ScreenRequest),
-    /// A multi-golden screening request (`DSRM`).
-    MultiScreen(MultiScreenRequest),
     /// An adaptive-retest screening request (`DSRT`).
     Retest(RetestRequest),
     /// A golden replication push (`DSGP`): store `golden` under `key`.
@@ -331,13 +290,12 @@ pub enum Request {
     Admin(AdminRequest),
 }
 
-/// A decoded metrics-scrape response (`DSMR`): the answering process's
-/// metrics snapshot, or a server-side error (same error vocabulary as
-/// [`ScreenResponse`]).
+/// A decoded response of any family: the operation's results, or the error
+/// body every response family shares.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricsResponse {
-    /// The scraped snapshot.
-    Snapshot(MetricsSnapshot),
+pub enum Reply<T> {
+    /// The operation's results: the family's ok body.
+    Results(T),
     /// The request failed server-side.
     Error {
         /// Machine-readable error class.
@@ -347,90 +305,157 @@ pub enum MetricsResponse {
     },
 }
 
-/// A decoded trace-scrape response (`DSTD`): the spans the answering
-/// process had buffered (draining them), or a server-side error (same error
-/// vocabulary as [`ScreenResponse`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TracesResponse {
-    /// The drained spans.
-    Log(TraceLog),
-    /// The request failed server-side.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Rendered error message.
-        message: String,
-    },
+/// A screening response (`DSRS`): one score per request signature, in
+/// request order, or an error.
+pub type ScreenResponse = Reply<Vec<ScoreResult>>;
+/// An adaptive-retest response (`DSRR`): one retest score per request
+/// device, in request order, or an error.
+pub type RetestResponse = Reply<Vec<RetestScore>>;
+
+impl<T> Reply<T> {
+    /// The reply to an operation's outcome: its results, or its error
+    /// rendered under the code `code_of` maps it to.
+    pub fn from_result<E: Display>(result: std::result::Result<T, E>, code_of: impl FnOnce(&E) -> ErrorCode) -> Self {
+        match result {
+            Ok(body) => Reply::Results(body),
+            Err(err) => Reply::Error {
+                code: code_of(&err),
+                message: err.to_string(),
+            },
+        }
+    }
+
+    /// The results, or the server's error: an unknown golden as
+    /// [`ServeError::UnknownGolden`] of `golden_key` when the request named
+    /// one, anything else as [`ServeError::Remote`] with the server's
+    /// message.
+    ///
+    /// # Errors
+    /// As above.
+    pub fn into_result(self, golden_key: Option<u64>) -> Result<T> {
+        match (self, golden_key) {
+            (Reply::Results(body), _) => Ok(body),
+            (
+                Reply::Error {
+                    code: ErrorCode::UnknownGolden,
+                    ..
+                },
+                Some(key),
+            ) => Err(ServeError::UnknownGolden(key)),
+            (Reply::Error { message, .. }, _) => Err(ServeError::Remote(message)),
+        }
+    }
 }
 
-/// A decoded event-drain response (`DSED`): the events the answering
-/// process had buffered (draining them), or a server-side error (same error
-/// vocabulary as [`ScreenResponse`]).
+/// The ok body of a `DSRA` admin response: the status byte is the body's
+/// tag.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EventsResponse {
-    /// The drained events.
-    Log(EventLog),
-    /// The request failed server-side.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Rendered error message.
-        message: String,
-    },
-}
-
-/// A decoded health-check response (`DSHR`): the answering process's
-/// verdict, or a server-side error (same error vocabulary as
-/// [`ScreenResponse`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum HealthResponse {
-    /// The judged verdict with the facts behind it.
-    Report(HealthReport),
-    /// The request failed server-side.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Rendered error message.
-        message: String,
-    },
-}
-
-/// A decoded admin response (to [`Request::PushGolden`] /
-/// [`Request::FetchGolden`] / [`Request::Admin`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdminResponse {
+pub enum AdminReply {
     /// The push was applied.
     Ack,
     /// The fetched golden record.
-    Record {
-        /// Acceptance band of the record.
-        band: AcceptanceBand,
-        /// The golden signature.
-        golden: Signature,
-    },
+    Record(GoldenRecord),
     /// The membership roster answering a fleet-admin verb.
     Roster(FleetRoster),
-    /// The request failed server-side.
-    Error {
-        /// Machine-readable error class.
-        code: ErrorCode,
-        /// Rendered error message.
-        message: String,
-    },
 }
 
-/// Status byte of an [`AdminResponse::Ack`].
-const ADMIN_ACK: u8 = 0;
-/// Status byte of an [`AdminResponse::Record`].
-const ADMIN_RECORD: u8 = 2;
-/// Status byte of an [`AdminResponse::Roster`].
-const ADMIN_ROSTER: u8 = 3;
+dsig_core::wire_tags!(AdminReply: u8 {
+    Ack = 0,
+    Record(GoldenRecord) = 2,
+    Roster(FleetRoster) = 3,
+});
 
-/// The work-carrying request magics (`DSRQ`/`DSRM`/`DSRT`/`DSGP`/`DSGF`/
-/// `DSAQ`): the frames that carry a trace context after the request id.
-const WORK_REQUEST_MAGICS: [[u8; 4]; 6] = [
+/// The ok body of one response family: the family's magic, version and
+/// decode context, and the status byte its body travels under.
+pub trait ReplyBody: Wire {
+    /// The response family's magic.
+    const MAGIC: [u8; 4];
+    /// What decode errors name.
+    const CONTEXT: &'static str;
+    /// The response family's frame version.
+    const VERSION: u16 = PROTO_VERSION;
+    /// The ok status byte, or `None` for a body whose own tag is its
+    /// status byte (`DSRA`).
+    const STATUS: Option<u8> = Some(STATUS_OK);
+}
+
+impl ReplyBody for Vec<ScoreResult> {
+    const MAGIC: [u8; 4] = RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "screen response";
+}
+
+impl ReplyBody for Vec<RetestScore> {
+    const MAGIC: [u8; 4] = RETEST_RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "retest response";
+}
+
+impl ReplyBody for AdminReply {
+    const MAGIC: [u8; 4] = ADMIN_RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "admin response";
+    const STATUS: Option<u8> = None;
+}
+
+impl ReplyBody for MetricsSnapshot {
+    const MAGIC: [u8; 4] = METRICS_RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "metrics response";
+}
+
+impl ReplyBody for TraceLog {
+    const MAGIC: [u8; 4] = TRACES_RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "traces response";
+}
+
+impl ReplyBody for EventLog {
+    const MAGIC: [u8; 4] = EVENTS_RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "events response";
+}
+
+impl ReplyBody for HealthReport {
+    const MAGIC: [u8; 4] = HEALTH_RESPONSE_MAGIC;
+    const CONTEXT: &'static str = "health response";
+    const VERSION: u16 = HEALTH_RESPONSE_VERSION;
+}
+
+/// A status byte, then the ok body or the shared error body: `u16` error
+/// code and message.
+impl<T: ReplyBody> Wire for Reply<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Results(body) => {
+                if let Some(status) = T::STATUS {
+                    status.put(out);
+                }
+                body.put(out);
+            }
+            Reply::Error { code, message } => {
+                STATUS_ERROR.put(out);
+                code.put(out);
+                message.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> dsig_core::Result<Self> {
+        if r.peek() == Some(STATUS_ERROR) {
+            let (_, code, message) = <(u8, ErrorCode, String)>::get(r)?;
+            return Ok(Reply::Error { code, message });
+        }
+        if let Some(status) = T::STATUS {
+            let got = u8::get(r)?;
+            if got != status {
+                return Err(r.corrupt(format!("unknown response status {got}")));
+            }
+        }
+        Ok(Reply::Results(T::get(r)?))
+    }
+}
+
+/// The work-carrying request magics (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`):
+/// the frames that carry a trace context after the request id.
+const WORK_REQUEST_MAGICS: [[u8; 4]; 5] = [
     REQUEST_MAGIC,
-    MULTI_REQUEST_MAGIC,
     RETEST_REQUEST_MAGIC,
     PUSH_MAGIC,
     FETCH_MAGIC,
@@ -444,7 +469,7 @@ const WORK_REQUEST_MAGICS: [[u8; 4]; 6] = [
 fn work_request(magic: [u8; 4], capacity: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(capacity);
     wire::put_tagged_header(&mut out, magic, REQUEST_PROTO_VERSION, 0);
-    trace::put_trace_context(&mut out, trace::current_context());
+    trace::current_context().put(&mut out);
     out
 }
 
@@ -454,10 +479,19 @@ fn open_work_request<'a>(
     payload: &'a [u8],
     magic: [u8; 4],
     context: &'static str,
-) -> Result<(TraceContext, wire::ByteReader<'a>)> {
-    let mut r = wire::ByteReader::new(payload, context);
+) -> Result<(TraceContext, ByteReader<'a>)> {
+    let mut r = ByteReader::new(payload, context);
     r.tagged_header(magic, REQUEST_PROTO_VERSION)?;
-    Ok((trace::read_trace_context(&mut r)?, r))
+    Ok((TraceContext::get(&mut r)?, r))
+}
+
+/// Decodes the body of a work-request frame of `magic`, which must fill the
+/// rest of the frame.
+fn decode_work<T: Wire>(payload: &[u8], magic: [u8; 4], context: &'static str) -> Result<T> {
+    let (_, mut r) = open_work_request(payload, magic, context)?;
+    let body = T::get(&mut r)?;
+    r.finish()?;
+    Ok(body)
 }
 
 /// Extracts the request id of a frame — request **or** response — without
@@ -496,30 +530,16 @@ pub fn decode_request_context(payload: &[u8]) -> TraceContext {
         .map_or(TraceContext::NONE, |(ctx, _)| ctx)
 }
 
-/// Appends an error body — status byte, `u16` error code, message — the
-/// layout every response family shares.
-fn put_error(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
-    out.push(STATUS_ERROR);
-    wire::put_u16(out, code.to_u16());
-    wire::put_str(out, message);
-}
-
-/// Reads an error body after its status byte, through the end of the frame.
-fn read_error(mut r: wire::ByteReader<'_>) -> Result<(ErrorCode, String)> {
-    let code = ErrorCode::from_u16(r.u16()?)?;
-    let message = r.string()?;
-    r.finish()?;
-    Ok((code, message))
-}
-
 /// Encodes a screening request payload (without the frame length prefix).
+/// Each signature is written straight into the frame, which is sized
+/// exactly up front.
 pub fn encode_request(golden_key: u64, signatures: &[Signature]) -> Vec<u8> {
-    let mut out = work_request(REQUEST_MAGIC, 35 + 64 * signatures.len());
-    wire::put_u64(&mut out, golden_key);
-    wire::put_u32(&mut out, signatures.len() as u32);
-    for signature in signatures {
-        wire::put_bytes(&mut out, &signature.to_bytes());
-    }
+    // Header, trace context, key and count; then per signature its byte
+    // length, magic, entry count and 12-byte entries.
+    let capacity = 14 + 17 + 8 + 4 + signatures.iter().map(|s| 12 + 12 * s.len()).sum::<usize>();
+    let mut out = work_request(REQUEST_MAGIC, capacity);
+    golden_key.put(&mut out);
+    wire::put_slice(signatures, &mut out);
     out
 }
 
@@ -528,68 +548,14 @@ pub fn encode_request(golden_key: u64, signatures: &[Signature]) -> Vec<u8> {
 /// # Errors
 /// Returns [`ServeError::Dsig`] on framing or signature decoding errors.
 pub fn decode_request(payload: &[u8]) -> Result<ScreenRequest> {
-    let (_, mut r) = open_work_request(payload, REQUEST_MAGIC, "screen request")?;
-    let golden_key = r.u64()?;
-    let count = r.u32()? as usize;
-    // Minimum per signature: 4-byte length prefix + 8-byte empty signature.
-    r.check_count(count, 12)?;
-    let mut signatures = Vec::with_capacity(count);
-    for _ in 0..count {
-        signatures.push(Signature::from_bytes(r.bytes()?)?);
-    }
-    r.finish()?;
-    Ok(ScreenRequest { golden_key, signatures })
-}
-
-/// Encodes a multi-golden screening request payload (without the frame
-/// length prefix).
-pub fn encode_multi_request(items: &[(u64, Signature)]) -> Vec<u8> {
-    let mut out = work_request(MULTI_REQUEST_MAGIC, 27 + 76 * items.len());
-    wire::put_u32(&mut out, items.len() as u32);
-    for (key, signature) in items {
-        wire::put_u64(&mut out, *key);
-        wire::put_bytes(&mut out, &signature.to_bytes());
-    }
-    out
-}
-
-/// Decodes a multi-golden screening request payload. Never panics on
-/// malformed input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing or signature decoding errors.
-pub fn decode_multi_request(payload: &[u8]) -> Result<MultiScreenRequest> {
-    let (_, mut r) = open_work_request(payload, MULTI_REQUEST_MAGIC, "multi screen request")?;
-    let count = r.u32()? as usize;
-    // Minimum per item: 8-byte key + 4-byte length + 8-byte empty signature.
-    r.check_count(count, 20)?;
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = r.u64()?;
-        items.push((key, Signature::from_bytes(r.bytes()?)?));
-    }
-    r.finish()?;
-    Ok(MultiScreenRequest { items })
+    decode_work(payload, REQUEST_MAGIC, "screen request")
 }
 
 /// Encodes an adaptive-retest screening request payload (without the frame
 /// length prefix).
 pub fn encode_retest_request(request: &RetestRequest) -> Vec<u8> {
-    let mut out = work_request(RETEST_REQUEST_MAGIC, 49 + 128 * request.items.len());
-    wire::put_u64(&mut out, request.golden_key);
-    wire::put_f64(&mut out, request.policy.guard_band);
-    wire::put_u32(&mut out, request.policy.schedule.len() as u32);
-    for &step in &request.policy.schedule {
-        wire::put_u32(&mut out, step);
-    }
-    wire::put_u32(&mut out, request.items.len() as u32);
-    for item in &request.items {
-        wire::put_bytes(&mut out, &item.initial.to_bytes());
-        wire::put_u32(&mut out, item.repeats.len() as u32);
-        for repeat in &item.repeats {
-            wire::put_bytes(&mut out, &repeat.to_bytes());
-        }
-    }
+    let mut out = work_request(RETEST_REQUEST_MAGIC, 64 + 128 * request.items.len());
+    request.put(&mut out);
     out
 }
 
@@ -599,227 +565,57 @@ pub fn encode_retest_request(request: &RetestRequest) -> Vec<u8> {
 /// # Errors
 /// Returns [`ServeError::Dsig`] on framing, signature or policy decoding
 /// errors (an invalid guard band or schedule is rejected by
-/// [`RetestPolicy::new`]).
+/// [`dsig_core::RetestPolicy::new`]).
 pub fn decode_retest_request(payload: &[u8]) -> Result<RetestRequest> {
-    let (_, mut r) = open_work_request(payload, RETEST_REQUEST_MAGIC, "retest request")?;
-    let golden_key = r.u64()?;
-    let guard_band = r.f64()?;
-    let steps = r.u32()? as usize;
-    r.check_count(steps, 4)?;
-    let mut schedule = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        schedule.push(r.u32()?);
-    }
-    let policy = RetestPolicy::new(guard_band, schedule)?;
-    let count = r.u32()? as usize;
-    // Minimum per item: 4-byte initial length + 8-byte empty signature +
-    // 4-byte repeat count.
-    r.check_count(count, 16)?;
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        let initial = Signature::from_bytes(r.bytes()?)?;
-        let repeats_len = r.u32()? as usize;
-        r.check_count(repeats_len, 12)?;
-        let mut repeats = Vec::with_capacity(repeats_len);
-        for _ in 0..repeats_len {
-            repeats.push(Signature::from_bytes(r.bytes()?)?);
-        }
-        items.push(RetestItem { initial, repeats });
-    }
-    r.finish()?;
-    Ok(RetestRequest {
-        golden_key,
-        policy,
-        items,
-    })
-}
-
-/// Encodes an adaptive-retest response payload (without the frame length
-/// prefix).
-pub fn encode_retest_response(response: &RetestResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    wire::put_tagged_header(&mut out, RETEST_RESPONSE_MAGIC, PROTO_VERSION, 0);
-    match response {
-        RetestResponse::Results(results) => {
-            out.push(STATUS_OK);
-            wire::put_u32(&mut out, results.len() as u32);
-            for result in results {
-                wire::put_f64(&mut out, result.score.ndf);
-                wire::put_u32(&mut out, result.score.peak_hamming);
-                wire::put_outcome(&mut out, result.score.outcome);
-                out.push(u8::from(result.marginal));
-                out.push(u8::from(result.flipped));
-                wire::put_u32(&mut out, result.repeats_used);
-            }
-        }
-        RetestResponse::Error { code, message } => put_error(&mut out, *code, message),
-    }
-    out
-}
-
-/// Decodes an adaptive-retest response payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors and
-/// [`ServeError::Protocol`] on unknown status, marginal or flip tags.
-pub fn decode_retest_response(payload: &[u8]) -> Result<RetestResponse> {
-    let mut r = wire::ByteReader::new(payload, "retest response");
-    r.tagged_header(RETEST_RESPONSE_MAGIC, PROTO_VERSION)?;
-    match r.u8()? {
-        STATUS_OK => {
-            let count = r.u32()? as usize;
-            // 19 bytes per score: the 13-byte DSRS score + u8 marginal,
-            // u8 flipped, u32 repeats_used.
-            r.check_count(count, 19)?;
-            let mut results = Vec::with_capacity(count);
-            for _ in 0..count {
-                let score = ScoreResult {
-                    ndf: r.f64()?,
-                    peak_hamming: r.u32()?,
-                    outcome: r.outcome()?,
-                };
-                let marginal = decode_bool(r.u8()?, "marginal")?;
-                let flipped = decode_bool(r.u8()?, "flipped")?;
-                let repeats_used = r.u32()?;
-                results.push(RetestScore {
-                    score,
-                    marginal,
-                    flipped,
-                    repeats_used,
-                });
-            }
-            r.finish()?;
-            Ok(RetestResponse::Results(results))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| RetestResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown retest response status {other}"))),
-    }
-}
-
-/// Decodes a strict boolean wire tag (0 or 1).
-fn decode_bool(tag: u8, what: &str) -> Result<bool> {
-    match tag {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(ServeError::Protocol(format!("invalid {what} tag {other}"))),
-    }
+    decode_work(payload, RETEST_REQUEST_MAGIC, "retest request")
 }
 
 /// Encodes a golden-push request payload (without the frame length prefix).
 pub fn encode_push_request(key: u64, band: AcceptanceBand, golden: &Signature) -> Vec<u8> {
-    let mut out = work_request(PUSH_MAGIC, 43 + 64);
-    wire::put_u64(&mut out, key);
-    wire::put_f64(&mut out, band.ndf_threshold);
-    wire::put_bytes(&mut out, &golden.to_bytes());
+    let mut out = work_request(PUSH_MAGIC, 14 + 17 + 16 + 12 + 12 * golden.len());
+    key.put(&mut out);
+    band.put(&mut out);
+    golden.put(&mut out);
     out
-}
-
-/// Decodes a golden-push request payload. Never panics on malformed input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing, signature or acceptance-band
-/// decoding errors.
-pub fn decode_push_request(payload: &[u8]) -> Result<Request> {
-    let (_, mut r) = open_work_request(payload, PUSH_MAGIC, "golden push request")?;
-    let key = r.u64()?;
-    let band = AcceptanceBand::new(r.f64()?)?;
-    let golden = Signature::from_bytes(r.bytes()?)?;
-    r.finish()?;
-    Ok(Request::PushGolden { key, band, golden })
 }
 
 /// Encodes a golden-fetch request payload (without the frame length prefix).
 pub fn encode_fetch_request(key: u64) -> Vec<u8> {
-    let mut out = work_request(FETCH_MAGIC, 31);
-    wire::put_u64(&mut out, key);
+    let mut out = work_request(FETCH_MAGIC, 14 + 17 + 8);
+    key.put(&mut out);
     out
-}
-
-/// Decodes a golden-fetch request payload. Never panics on malformed input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors.
-pub fn decode_fetch_request(payload: &[u8]) -> Result<Request> {
-    let (_, mut r) = open_work_request(payload, FETCH_MAGIC, "golden fetch request")?;
-    let key = r.u64()?;
-    r.finish()?;
-    Ok(Request::FetchGolden { key })
 }
 
 /// Encodes a fleet-admin request payload (without the frame length prefix):
 /// one verb tag plus the addressed label (empty for [`AdminRequest::List`]).
 pub fn encode_admin_request(request: &AdminRequest) -> Vec<u8> {
     let mut out = work_request(ADMIN_REQUEST_MAGIC, 40);
-    let (verb, label) = match request {
-        AdminRequest::Join { label } => (ADMIN_VERB_JOIN, label.as_str()),
-        AdminRequest::Leave { label } => (ADMIN_VERB_LEAVE, label.as_str()),
-        AdminRequest::Drain { label } => (ADMIN_VERB_DRAIN, label.as_str()),
-        AdminRequest::List => (ADMIN_VERB_LIST, ""),
-    };
-    out.push(verb);
-    wire::put_str(&mut out, label);
+    request.put(&mut out);
     out
 }
 
-/// Decodes a fleet-admin request payload. Never panics on malformed input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors and
-/// [`ServeError::Protocol`] on an unknown verb tag or a label where none is
-/// allowed (`List` carries an empty label).
-pub fn decode_admin_request(payload: &[u8]) -> Result<Request> {
-    let (_, mut r) = open_work_request(payload, ADMIN_REQUEST_MAGIC, "fleet admin request")?;
-    let verb = r.u8()?;
-    let label = r.string()?;
-    r.finish()?;
-    let request = match verb {
-        ADMIN_VERB_JOIN => AdminRequest::Join { label },
-        ADMIN_VERB_LEAVE => AdminRequest::Leave { label },
-        ADMIN_VERB_DRAIN => AdminRequest::Drain { label },
-        ADMIN_VERB_LIST => {
-            if !label.is_empty() {
-                return Err(ServeError::Protocol(format!(
-                    "admin list request carries an unexpected label {label:?}"
-                )));
-            }
-            AdminRequest::List
-        }
-        other => return Err(ServeError::Protocol(format!("unknown admin verb {other}"))),
-    };
-    Ok(Request::Admin(request))
-}
-
-/// The header-only scrape requests, keyed by magic: the request each one
-/// decodes to and the response family that answers it — and its decode
-/// errors. The fleet scrapes answer in their leaf scrape's family.
-static SCRAPES: [([u8; 4], Request, [u8; 4]); 6] = [
-    (METRICS_REQUEST_MAGIC, Request::Metrics, METRICS_RESPONSE_MAGIC),
-    (TRACES_REQUEST_MAGIC, Request::Traces, TRACES_RESPONSE_MAGIC),
-    (
-        FLEET_METRICS_REQUEST_MAGIC,
-        Request::FleetMetrics,
-        METRICS_RESPONSE_MAGIC,
-    ),
-    (FLEET_TRACES_REQUEST_MAGIC, Request::FleetTraces, TRACES_RESPONSE_MAGIC),
-    (EVENTS_REQUEST_MAGIC, Request::Events, EVENTS_RESPONSE_MAGIC),
-    (HEALTH_REQUEST_MAGIC, Request::Health, HEALTH_RESPONSE_MAGIC),
+/// The header-only scrape requests, keyed by magic, with the request each
+/// one decodes to.
+static SCRAPES: [([u8; 4], Request); 6] = [
+    (METRICS_REQUEST_MAGIC, Request::Metrics),
+    (TRACES_REQUEST_MAGIC, Request::Traces),
+    (FLEET_METRICS_REQUEST_MAGIC, Request::FleetMetrics),
+    (FLEET_TRACES_REQUEST_MAGIC, Request::FleetTraces),
+    (EVENTS_REQUEST_MAGIC, Request::Events),
+    (HEALTH_REQUEST_MAGIC, Request::Health),
 ];
 
 /// The [`SCRAPES`] entry of a payload's magic, if it is a scrape request.
-fn scrape_of(payload: &[u8]) -> Option<&'static ([u8; 4], Request, [u8; 4])> {
+fn scrape_of(payload: &[u8]) -> Option<&'static ([u8; 4], Request)> {
     SCRAPES
         .iter()
-        .find(|(magic, ..)| payload.get(..4) == Some(magic.as_slice()))
+        .find(|(magic, _)| payload.get(..4) == Some(magic.as_slice()))
 }
 
 /// Encodes a header-only scrape request payload (without the frame length
 /// prefix): `magic` is one of `DSMX`/`DSTX`/`DSFM`/`DSFT`/`DSEX`/`DSHC`.
 pub fn encode_scrape_request(magic: [u8; 4]) -> Vec<u8> {
-    debug_assert!(
-        SCRAPES.iter().any(|(scrape, ..)| *scrape == magic),
-        "not a scrape magic"
-    );
+    debug_assert!(SCRAPES.iter().any(|(scrape, _)| *scrape == magic), "not a scrape magic");
     let mut out = Vec::with_capacity(14);
     wire::put_tagged_header(&mut out, magic, PROTO_VERSION, 0);
     out
@@ -833,205 +629,40 @@ pub fn encode_scrape_request(magic: [u8; 4]) -> Vec<u8> {
 /// and [`ServeError::Dsig`] on framing errors (unsupported version,
 /// truncation, trailing bytes).
 pub fn decode_scrape_request(payload: &[u8]) -> Result<Request> {
-    let (magic, request, _) = scrape_of(payload).ok_or_else(|| {
+    let (magic, request) = scrape_of(payload).ok_or_else(|| {
         ServeError::Protocol(format!(
             "{:?} is not a scrape request",
             String::from_utf8_lossy(payload.get(..4).unwrap_or(payload))
         ))
     })?;
-    let mut r = wire::ByteReader::new(payload, "scrape request");
+    let mut r = ByteReader::new(payload, "scrape request");
     r.tagged_header(*magic, PROTO_VERSION)?;
     r.finish()?;
     Ok(request.clone())
-}
-
-/// Encodes a metrics-scrape response payload (without the frame length
-/// prefix). The ok body is one length-prefixed `DSMS` snapshot.
-pub fn encode_metrics_response(response: &MetricsResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    wire::put_tagged_header(&mut out, METRICS_RESPONSE_MAGIC, PROTO_VERSION, 0);
-    match response {
-        MetricsResponse::Snapshot(snapshot) => {
-            out.push(STATUS_OK);
-            wire::put_bytes(&mut out, &snapshot.to_bytes());
-        }
-        MetricsResponse::Error { code, message } => put_error(&mut out, *code, message),
-    }
-    out
-}
-
-/// Decodes a metrics-scrape response payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing or snapshot decoding errors and
-/// [`ServeError::Protocol`] on an unknown status byte.
-pub fn decode_metrics_response(payload: &[u8]) -> Result<MetricsResponse> {
-    let mut r = wire::ByteReader::new(payload, "metrics response");
-    r.tagged_header(METRICS_RESPONSE_MAGIC, PROTO_VERSION)?;
-    match r.u8()? {
-        STATUS_OK => {
-            let snapshot = MetricsSnapshot::from_bytes(r.bytes()?)?;
-            r.finish()?;
-            Ok(MetricsResponse::Snapshot(snapshot))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| MetricsResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown metrics response status {other}"))),
-    }
-}
-
-/// Encodes a trace-scrape response payload (without the frame length
-/// prefix). The ok body is one length-prefixed `DSTL` trace log.
-pub fn encode_traces_response(response: &TracesResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    wire::put_tagged_header(&mut out, TRACES_RESPONSE_MAGIC, PROTO_VERSION, 0);
-    match response {
-        TracesResponse::Log(log) => {
-            out.push(STATUS_OK);
-            wire::put_bytes(&mut out, &log.to_bytes());
-        }
-        TracesResponse::Error { code, message } => put_error(&mut out, *code, message),
-    }
-    out
-}
-
-/// Decodes a trace-scrape response payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing or trace-log decoding errors and
-/// [`ServeError::Protocol`] on an unknown status byte.
-pub fn decode_traces_response(payload: &[u8]) -> Result<TracesResponse> {
-    let mut r = wire::ByteReader::new(payload, "traces response");
-    r.tagged_header(TRACES_RESPONSE_MAGIC, PROTO_VERSION)?;
-    match r.u8()? {
-        STATUS_OK => {
-            let log = TraceLog::from_bytes(r.bytes()?)?;
-            r.finish()?;
-            Ok(TracesResponse::Log(log))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| TracesResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown traces response status {other}"))),
-    }
-}
-
-/// Encodes an event-drain response payload (without the frame length
-/// prefix). The ok body is one length-prefixed `DSEL` event log.
-pub fn encode_events_response(response: &EventsResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    wire::put_tagged_header(&mut out, EVENTS_RESPONSE_MAGIC, PROTO_VERSION, 0);
-    match response {
-        EventsResponse::Log(log) => {
-            out.push(STATUS_OK);
-            wire::put_bytes(&mut out, &log.to_bytes());
-        }
-        EventsResponse::Error { code, message } => put_error(&mut out, *code, message),
-    }
-    out
-}
-
-/// Decodes an event-drain response payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing or event-log decoding errors and
-/// [`ServeError::Protocol`] on an unknown status byte.
-pub fn decode_events_response(payload: &[u8]) -> Result<EventsResponse> {
-    let mut r = wire::ByteReader::new(payload, "events response");
-    r.tagged_header(EVENTS_RESPONSE_MAGIC, PROTO_VERSION)?;
-    match r.u8()? {
-        STATUS_OK => {
-            let log = EventLog::from_bytes(r.bytes()?)?;
-            r.finish()?;
-            Ok(EventsResponse::Log(log))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| EventsResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown events response status {other}"))),
-    }
-}
-
-/// Encodes a health-check response payload (without the frame length
-/// prefix). The ok body carries the report inline: status byte, error
-/// rate, p99, backed-off and fleet-size counts, the membership epoch
-/// (version 3), then the findings.
-pub fn encode_health_response(response: &HealthResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    wire::put_tagged_header(&mut out, HEALTH_RESPONSE_MAGIC, HEALTH_RESPONSE_VERSION, 0);
-    match response {
-        HealthResponse::Report(report) => {
-            out.push(STATUS_OK);
-            out.push(report.status.to_u8());
-            wire::put_f64(&mut out, report.error_rate);
-            wire::put_u64(&mut out, report.p99_us);
-            wire::put_u32(&mut out, report.backed_off);
-            wire::put_u32(&mut out, report.backends);
-            wire::put_u64(&mut out, report.epoch);
-            wire::put_u32(&mut out, report.findings.len() as u32);
-            for finding in &report.findings {
-                wire::put_str(&mut out, finding);
-            }
-        }
-        HealthResponse::Error { code, message } => put_error(&mut out, *code, message),
-    }
-    out
-}
-
-/// Decodes a health-check response payload. Never panics on malformed
-/// input.
-///
-/// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors and
-/// [`ServeError::Protocol`] on an unknown status byte or verdict tag.
-pub fn decode_health_response(payload: &[u8]) -> Result<HealthResponse> {
-    let mut r = wire::ByteReader::new(payload, "health response");
-    r.tagged_header(HEALTH_RESPONSE_MAGIC, HEALTH_RESPONSE_VERSION)?;
-    match r.u8()? {
-        STATUS_OK => {
-            let tag = r.u8()?;
-            let status = HealthStatus::from_u8(tag)
-                .ok_or_else(|| ServeError::Protocol(format!("unknown health status {tag}")))?;
-            let error_rate = r.f64()?;
-            let p99_us = r.u64()?;
-            let backed_off = r.u32()?;
-            let backends = r.u32()?;
-            let epoch = r.u64()?;
-            let n_findings = r.u32()? as usize;
-            // Minimum finding: one empty length-prefixed string.
-            r.check_count(n_findings, 4)?;
-            let mut findings = Vec::with_capacity(n_findings);
-            for _ in 0..n_findings {
-                findings.push(r.string()?);
-            }
-            r.finish()?;
-            Ok(HealthResponse::Report(HealthReport {
-                status,
-                error_rate,
-                p99_us,
-                backed_off,
-                backends,
-                epoch,
-                findings,
-            }))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| HealthResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown health response status {other}"))),
-    }
 }
 
 /// Decodes any request frame by its payload magic — the dispatch point of a
 /// serving or routing process. Never panics on malformed input.
 ///
 /// # Errors
-/// Returns [`ServeError::Protocol`] for an unknown magic and the specific
-/// decoder's errors otherwise.
+/// Returns [`ServeError::Protocol`] for an unknown magic and
+/// [`ServeError::Dsig`] for a malformed frame of a known one.
 pub fn decode_any_request(payload: &[u8]) -> Result<Request> {
     match payload.get(..4) {
         Some(magic) if *magic == REQUEST_MAGIC => Ok(Request::Screen(decode_request(payload)?)),
-        Some(magic) if *magic == MULTI_REQUEST_MAGIC => Ok(Request::MultiScreen(decode_multi_request(payload)?)),
         Some(magic) if *magic == RETEST_REQUEST_MAGIC => Ok(Request::Retest(decode_retest_request(payload)?)),
-        Some(magic) if *magic == PUSH_MAGIC => decode_push_request(payload),
-        Some(magic) if *magic == FETCH_MAGIC => decode_fetch_request(payload),
-        Some(magic) if *magic == ADMIN_REQUEST_MAGIC => decode_admin_request(payload),
+        Some(magic) if *magic == PUSH_MAGIC => {
+            let (key, band, golden) = decode_work(payload, PUSH_MAGIC, "golden push request")?;
+            Ok(Request::PushGolden { key, band, golden })
+        }
+        Some(magic) if *magic == FETCH_MAGIC => Ok(Request::FetchGolden {
+            key: decode_work(payload, FETCH_MAGIC, "golden fetch request")?,
+        }),
+        Some(magic) if *magic == ADMIN_REQUEST_MAGIC => Ok(Request::Admin(decode_work(
+            payload,
+            ADMIN_REQUEST_MAGIC,
+            "fleet admin request",
+        )?)),
         Some(_) if scrape_of(payload).is_some() => decode_scrape_request(payload),
         Some(magic) => Err(ServeError::Protocol(format!(
             "unknown request magic {:?}",
@@ -1048,142 +679,84 @@ pub fn decode_any_request(payload: &[u8]) -> Result<Request> {
 /// response family the client is waiting for: admin requests
 /// (`DSGP`/`DSGF`/`DSAQ`) are answered with a `DSRA` error, retest requests
 /// (`DSRT`) with a `DSRR` error and each scrape with an error in the family
-/// that answers it (`DSFM` in `DSMR`, `DSFT` in `DSTD` — the table
-/// [`decode_scrape_request`] reads), so each client-side decoder surfaces
-/// the server's message instead of a magic mismatch; everything else gets a
-/// `DSRS` error.
+/// that answers it (`DSFM` in `DSMR`, `DSFT` in `DSTD`), so each client-side
+/// decoder surfaces the server's message instead of a magic mismatch;
+/// everything else gets a `DSRS` error.
 pub fn encode_decode_error(payload: &[u8], message: String) -> Vec<u8> {
-    let family = match payload.get(..4) {
-        Some(magic) if *magic == PUSH_MAGIC || *magic == FETCH_MAGIC || *magic == ADMIN_REQUEST_MAGIC => {
-            ADMIN_RESPONSE_MAGIC
-        }
-        Some(magic) if *magic == RETEST_REQUEST_MAGIC => RETEST_RESPONSE_MAGIC,
-        _ => scrape_of(payload).map_or(RESPONSE_MAGIC, |&(_, _, family)| family),
-    };
-    let version = if family == HEALTH_RESPONSE_MAGIC {
-        HEALTH_RESPONSE_VERSION
-    } else {
-        PROTO_VERSION
-    };
-    let mut out = Vec::with_capacity(32);
-    wire::put_tagged_header(&mut out, family, version, 0);
-    put_error(&mut out, ErrorCode::BadRequest, &message);
-    out
-}
-
-/// Encodes an admin response payload (without the frame length prefix).
-pub fn encode_admin_response(response: &AdminResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    wire::put_tagged_header(&mut out, ADMIN_RESPONSE_MAGIC, PROTO_VERSION, 0);
-    match response {
-        AdminResponse::Ack => out.push(ADMIN_ACK),
-        AdminResponse::Record { band, golden } => {
-            out.push(ADMIN_RECORD);
-            wire::put_f64(&mut out, band.ndf_threshold);
-            wire::put_bytes(&mut out, &golden.to_bytes());
-        }
-        AdminResponse::Roster(roster) => {
-            out.push(ADMIN_ROSTER);
-            wire::put_u64(&mut out, roster.epoch);
-            wire::put_u32(&mut out, roster.entries.len() as u32);
-            for entry in &roster.entries {
-                wire::put_str(&mut out, &entry.label);
-                wire::put_u64(&mut out, entry.id);
-                out.push(entry.state.to_u8());
-            }
-        }
-        AdminResponse::Error { code, message } => put_error(&mut out, *code, message),
+    fn bad_request<T: ReplyBody>(message: String) -> Vec<u8> {
+        encode_reply(&Reply::<T>::Error {
+            code: ErrorCode::BadRequest,
+            message,
+        })
     }
+    match payload.get(..4).unwrap_or_default() {
+        magic if magic == PUSH_MAGIC || magic == FETCH_MAGIC || magic == ADMIN_REQUEST_MAGIC => {
+            bad_request::<AdminReply>(message)
+        }
+        magic if magic == RETEST_REQUEST_MAGIC => bad_request::<Vec<RetestScore>>(message),
+        magic if magic == METRICS_REQUEST_MAGIC || magic == FLEET_METRICS_REQUEST_MAGIC => {
+            bad_request::<MetricsSnapshot>(message)
+        }
+        magic if magic == TRACES_REQUEST_MAGIC || magic == FLEET_TRACES_REQUEST_MAGIC => {
+            bad_request::<TraceLog>(message)
+        }
+        magic if magic == EVENTS_REQUEST_MAGIC => bad_request::<EventLog>(message),
+        magic if magic == HEALTH_REQUEST_MAGIC => bad_request::<HealthReport>(message),
+        _ => bad_request::<Vec<ScoreResult>>(message),
+    }
+}
+
+/// Encodes a response payload of any family (without the frame length
+/// prefix).
+pub fn encode_reply<T: ReplyBody>(reply: &Reply<T>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    wire::put_tagged_header(&mut out, T::MAGIC, T::VERSION, 0);
+    reply.put(&mut out);
     out
 }
 
-/// Decodes an admin response payload. Never panics on malformed input.
+/// Decodes a response payload of the family of `T`. Never panics on
+/// malformed input.
 ///
 /// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors and
-/// [`ServeError::Protocol`] on an unknown status byte.
-pub fn decode_admin_response(payload: &[u8]) -> Result<AdminResponse> {
-    let mut r = wire::ByteReader::new(payload, "admin response");
-    r.tagged_header(ADMIN_RESPONSE_MAGIC, PROTO_VERSION)?;
-    match r.u8()? {
-        ADMIN_ACK => {
-            r.finish()?;
-            Ok(AdminResponse::Ack)
-        }
-        ADMIN_RECORD => {
-            let band = AcceptanceBand::new(r.f64()?)?;
-            let golden = Signature::from_bytes(r.bytes()?)?;
-            r.finish()?;
-            Ok(AdminResponse::Record { band, golden })
-        }
-        ADMIN_ROSTER => {
-            let epoch = r.u64()?;
-            let count = r.u32()? as usize;
-            // Minimum per entry: 4-byte empty label + u64 id + u8 state.
-            r.check_count(count, 13)?;
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let label = r.string()?;
-                let id = r.u64()?;
-                let tag = r.u8()?;
-                let state = BackendState::from_u8(tag)
-                    .ok_or_else(|| ServeError::Protocol(format!("unknown backend state {tag}")))?;
-                entries.push(RosterEntry { label, id, state });
-            }
-            r.finish()?;
-            Ok(AdminResponse::Roster(FleetRoster { epoch, entries }))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| AdminResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown admin response status {other}"))),
-    }
+/// Returns [`ServeError::Dsig`] on a malformed frame: a wrong magic or
+/// version, an unknown status byte or tag, truncation or trailing bytes.
+pub fn decode_reply<T: ReplyBody>(payload: &[u8]) -> Result<Reply<T>> {
+    let mut r = ByteReader::new(payload, T::CONTEXT);
+    r.tagged_header(T::MAGIC, T::VERSION)?;
+    let reply = Reply::get(&mut r)?;
+    r.finish()?;
+    Ok(reply)
 }
 
-/// Encodes a response payload (without the frame length prefix).
+/// Encodes a screening response payload: [`encode_reply`] of the `DSRS`
+/// family.
 pub fn encode_response(response: &ScreenResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    wire::put_tagged_header(&mut out, RESPONSE_MAGIC, PROTO_VERSION, 0);
-    match response {
-        ScreenResponse::Results(results) => {
-            out.push(STATUS_OK);
-            wire::put_u32(&mut out, results.len() as u32);
-            for result in results {
-                wire::put_f64(&mut out, result.ndf);
-                wire::put_u32(&mut out, result.peak_hamming);
-                wire::put_outcome(&mut out, result.outcome);
-            }
-        }
-        ScreenResponse::Error { code, message } => put_error(&mut out, *code, message),
-    }
-    out
+    encode_reply(response)
 }
 
-/// Decodes a response payload. Never panics on malformed input.
+/// Decodes a screening response payload: [`decode_reply`] of the `DSRS`
+/// family.
 ///
 /// # Errors
-/// Returns [`ServeError::Dsig`] on framing errors (including unknown outcome
-/// tags) and [`ServeError::Protocol`] on an unknown status byte.
+/// As for [`decode_reply`].
 pub fn decode_response(payload: &[u8]) -> Result<ScreenResponse> {
-    let mut r = wire::ByteReader::new(payload, "screen response");
-    r.tagged_header(RESPONSE_MAGIC, PROTO_VERSION)?;
-    match r.u8()? {
-        STATUS_OK => {
-            let count = r.u32()? as usize;
-            // 13 bytes per score: f64 ndf, u32 peak hamming, u8 outcome.
-            r.check_count(count, 13)?;
-            let mut results = Vec::with_capacity(count);
-            for _ in 0..count {
-                results.push(ScoreResult {
-                    ndf: r.f64()?,
-                    peak_hamming: r.u32()?,
-                    outcome: r.outcome()?,
-                });
-            }
-            r.finish()?;
-            Ok(ScreenResponse::Results(results))
-        }
-        STATUS_ERROR => read_error(r).map(|(code, message)| ScreenResponse::Error { code, message }),
-        other => Err(ServeError::Protocol(format!("unknown response status {other}"))),
-    }
+    decode_reply(payload)
+}
+
+/// Encodes an adaptive-retest response payload: [`encode_reply`] of the
+/// `DSRR` family.
+pub fn encode_retest_response(response: &RetestResponse) -> Vec<u8> {
+    encode_reply(response)
+}
+
+/// Decodes an adaptive-retest response payload: [`decode_reply`] of the
+/// `DSRR` family.
+///
+/// # Errors
+/// As for [`decode_reply`].
+pub fn decode_retest_response(payload: &[u8]) -> Result<RetestResponse> {
+    decode_reply(payload)
 }
 
 /// Writes one frame: a little-endian `u32` payload length, then the payload.
@@ -1242,7 +815,18 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsig_core::{SignatureEntry, TestOutcome, ZoneCode};
+    use dsig_core::{DsigError, RetestPolicy, SignatureEntry, TestOutcome, ZoneCode};
+    use dsig_obs::HealthStatus;
+
+    /// A malformed body: a codec error, not a protocol violation.
+    fn corrupt<T: std::fmt::Debug>(decoded: Result<T>) -> bool {
+        matches!(decoded, Err(ServeError::Dsig(DsigError::Corrupt { .. })))
+    }
+
+    /// Decodes one standalone value of `T`.
+    fn get<T: Wire>(bytes: &[u8]) -> dsig_core::Result<T> {
+        T::get(&mut ByteReader::new(bytes, "test"))
+    }
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -1290,9 +874,11 @@ mod tests {
         };
         assert_eq!(decode_response(&encode_response(&err)).unwrap(), err);
         for code in [ErrorCode::UnknownGolden, ErrorCode::BadRequest, ErrorCode::Internal] {
-            assert_eq!(ErrorCode::from_u16(code.to_u16()).unwrap(), code);
+            let mut out = Vec::new();
+            code.put(&mut out);
+            assert_eq!(get::<ErrorCode>(&out).unwrap(), code);
         }
-        assert!(ErrorCode::from_u16(99).is_err());
+        assert!(get::<ErrorCode>(&99u16.to_le_bytes()).is_err());
     }
 
     #[test]
@@ -1311,30 +897,7 @@ mod tests {
         let mut bad_status = response;
         let at = 14; // magic + version + request id
         bad_status[at] = 9;
-        assert!(matches!(decode_response(&bad_status), Err(ServeError::Protocol(_))));
-    }
-
-    #[test]
-    fn multi_requests_round_trip_and_reject_malformed_payloads() {
-        let items = vec![
-            (7u64, sig(&[(1, 10e-6), (3, 20e-6)])),
-            (9u64, sig(&[(7, 1.0)])),
-            (7u64, sig(&[(2, 5e-6)])),
-        ];
-        let payload = encode_multi_request(&items);
-        match decode_any_request(&payload).unwrap() {
-            Request::MultiScreen(decoded) => assert_eq!(decoded.items, items),
-            other => panic!("expected MultiScreen, got {other:?}"),
-        }
-        assert!(decode_multi_request(&encode_multi_request(&[]))
-            .unwrap()
-            .items
-            .is_empty());
-        assert!(decode_multi_request(&payload[..9]).is_err());
-        assert!(decode_multi_request(&payload[..payload.len() - 2]).is_err());
-        let mut trailing = payload.clone();
-        trailing.push(0);
-        assert!(decode_multi_request(&trailing).is_err());
+        assert!(corrupt(decode_response(&bad_status)));
     }
 
     #[test]
@@ -1422,18 +985,12 @@ mod tests {
         assert!(decode_retest_response(&trailing).is_err());
         let mut bad_status = payload.clone();
         bad_status[14] = 9;
-        assert!(matches!(
-            decode_retest_response(&bad_status),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_retest_response(&bad_status)));
         let mut bad_marginal = payload;
         // First score: header(14) + status(1) + count(4) + ndf(8) + peak(4) +
         // outcome(1) puts the marginal tag at offset 32.
         bad_marginal[32] = 7;
-        assert!(matches!(
-            decode_retest_response(&bad_marginal),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_retest_response(&bad_marginal)));
         // A decode failure of a DSRT request answers in the DSRR family.
         let response = encode_decode_error(b"DSRT", "bad".into());
         assert!(matches!(
@@ -1462,19 +1019,19 @@ mod tests {
             }
             other => panic!("expected PushGolden, got {other:?}"),
         }
-        assert!(decode_push_request(&push[..10]).is_err());
+        assert!(decode_any_request(&push[..10]).is_err());
         // A NaN threshold is caught by AcceptanceBand validation (the
         // threshold sits after magic+version+id (14) + context (17) + key (8)).
         let mut nan = push.clone();
         nan[39..47].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(decode_push_request(&nan).is_err());
+        assert!(decode_any_request(&nan).is_err());
 
         let fetch = encode_fetch_request(42);
         assert_eq!(decode_any_request(&fetch).unwrap(), Request::FetchGolden { key: 42 });
-        assert!(decode_fetch_request(&fetch[..8]).is_err());
+        assert!(decode_any_request(&fetch[..8]).is_err());
         let mut trailing = fetch.clone();
         trailing.push(1);
-        assert!(decode_fetch_request(&trailing).is_err());
+        assert!(decode_any_request(&trailing).is_err());
 
         // Unknown magics and short buffers are protocol errors, not panics.
         assert!(matches!(decode_any_request(b"NOPE1234"), Err(ServeError::Protocol(_))));
@@ -1486,12 +1043,12 @@ mod tests {
         let band = AcceptanceBand::new(0.05).unwrap();
         let golden = sig(&[(1, 10e-6), (2, 20e-6)]);
         for response in [
-            AdminResponse::Ack,
-            AdminResponse::Record {
-                band,
+            Reply::Results(AdminReply::Ack),
+            Reply::Results(AdminReply::Record(GoldenRecord {
                 golden: golden.clone(),
-            },
-            AdminResponse::Roster(FleetRoster {
+                band,
+            })),
+            Reply::Results(AdminReply::Roster(FleetRoster {
                 epoch: 5,
                 entries: vec![
                     RosterEntry {
@@ -1505,44 +1062,40 @@ mod tests {
                         state: BackendState::Draining,
                     },
                 ],
-            }),
-            AdminResponse::Error {
+            })),
+            Reply::Error {
                 code: ErrorCode::UnknownGolden,
                 message: "no such golden".into(),
             },
         ] {
-            let payload = encode_admin_response(&response);
-            assert_eq!(decode_admin_response(&payload).unwrap(), response);
-            assert!(decode_admin_response(&payload[..5]).is_err());
+            let payload = encode_reply(&response);
+            assert_eq!(decode_reply::<AdminReply>(&payload).unwrap(), response);
+            assert!(decode_reply::<AdminReply>(&payload[..5]).is_err());
         }
-        let mut bad_status = encode_admin_response(&AdminResponse::Ack);
+        let mut bad_status = encode_reply(&Reply::Results(AdminReply::Ack));
         bad_status[14] = 9; // magic + version + request id
-        assert!(matches!(
-            decode_admin_response(&bad_status),
-            Err(ServeError::Protocol(_))
-        ));
-        let mut trailing = encode_admin_response(&AdminResponse::Ack);
+        assert!(corrupt(decode_reply::<AdminReply>(&bad_status)));
+        let mut trailing = encode_reply(&Reply::Results(AdminReply::Ack));
         trailing.push(0);
-        assert!(decode_admin_response(&trailing).is_err());
-        // An unknown backend-state tag is a clean protocol error: the tag of
+        assert!(decode_reply::<AdminReply>(&trailing).is_err());
+        // An unknown backend-state tag is a clean codec error: the tag of
         // the single empty-label entry sits at the end of the payload.
-        let mut bad_state = encode_admin_response(&AdminResponse::Roster(FleetRoster {
+        let mut bad_state = encode_reply(&Reply::Results(AdminReply::Roster(FleetRoster {
             epoch: 1,
             entries: vec![RosterEntry {
                 label: String::new(),
                 id: 1,
                 state: BackendState::BackedOff,
             }],
-        }));
+        })));
         *bad_state.last_mut().unwrap() = 9;
-        assert!(matches!(
-            decode_admin_response(&bad_state),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_reply::<AdminReply>(&bad_state)));
         for state in [BackendState::Active, BackendState::Draining, BackendState::BackedOff] {
-            assert_eq!(BackendState::from_u8(state.to_u8()), Some(state));
+            let mut out = Vec::new();
+            state.put(&mut out);
+            assert_eq!(get::<BackendState>(&out).unwrap(), state);
         }
-        assert_eq!(BackendState::from_u8(3), None);
+        assert!(get::<BackendState>(&[3]).is_err());
     }
 
     #[test]
@@ -1561,26 +1114,23 @@ mod tests {
         ] {
             let payload = encode_admin_request(&request);
             assert_eq!(decode_any_request(&payload).unwrap(), Request::Admin(request.clone()));
-            assert!(decode_admin_request(&payload[..9]).is_err(), "{request:?}");
+            assert!(decode_any_request(&payload[..9]).is_err(), "{request:?}");
             let mut trailing = payload.clone();
             trailing.push(0);
-            assert!(decode_admin_request(&trailing).is_err(), "{request:?}");
+            assert!(decode_any_request(&trailing).is_err(), "{request:?}");
             let mut future = payload.clone();
             future[4..6].copy_from_slice(&42u16.to_le_bytes());
-            assert!(decode_admin_request(&future).is_err(), "{request:?} future version");
+            assert!(decode_any_request(&future).is_err(), "{request:?} future version");
         }
-        // An unknown verb tag is a clean protocol error. The verb sits after
+        // An unknown verb tag is a clean codec error. The verb sits after
         // magic+version+id (14) + trace context (17).
         let mut bad_verb = encode_admin_request(&AdminRequest::List);
         bad_verb[31] = 9;
-        assert!(matches!(decode_admin_request(&bad_verb), Err(ServeError::Protocol(_))));
+        assert!(corrupt(decode_any_request(&bad_verb)));
         // A list verb must not carry a label.
         let mut labelled_list = encode_admin_request(&AdminRequest::Drain { label: "x".into() });
         labelled_list[31] = 3;
-        assert!(matches!(
-            decode_admin_request(&labelled_list),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_any_request(&labelled_list)));
     }
 
     #[test]
@@ -1594,8 +1144,8 @@ mod tests {
         push[4..6].copy_from_slice(&42u16.to_le_bytes());
         let err = decode_any_request(&push).unwrap_err();
         let response = encode_decode_error(&push, err.to_string());
-        match decode_admin_response(&response).unwrap() {
-            AdminResponse::Error { code, message } => {
+        match decode_reply::<AdminReply>(&response).unwrap() {
+            Reply::Error { code, message } => {
                 assert_eq!(code, ErrorCode::BadRequest);
                 assert!(message.contains("version"), "{message}");
             }
@@ -1607,8 +1157,8 @@ mod tests {
         let err = decode_any_request(&admin).unwrap_err();
         let response = encode_decode_error(&admin, err.to_string());
         assert!(matches!(
-            decode_admin_response(&response).unwrap(),
-            AdminResponse::Error {
+            decode_reply::<AdminReply>(&response).unwrap(),
+            Reply::Error {
                 code: ErrorCode::BadRequest,
                 ..
             }
@@ -1644,34 +1194,31 @@ mod tests {
         registry.counter("serve.requests.screen").add(3);
         registry.gauge("engine.devices_per_s").set(1234.5);
         registry.histogram("serve.dispatch_us").record_us(17);
-        let ok = MetricsResponse::Snapshot(registry.snapshot());
-        let payload = encode_metrics_response(&ok);
-        assert_eq!(decode_metrics_response(&payload).unwrap(), ok);
+        let ok = Reply::Results(registry.snapshot());
+        let payload = encode_reply(&ok);
+        assert_eq!(decode_reply::<MetricsSnapshot>(&payload).unwrap(), ok);
 
-        let err = MetricsResponse::Error {
+        let err = Reply::Error {
             code: ErrorCode::Internal,
             message: "registry unavailable".into(),
         };
-        assert_eq!(decode_metrics_response(&encode_metrics_response(&err)).unwrap(), err);
+        assert_eq!(decode_reply::<MetricsSnapshot>(&encode_reply(&err)).unwrap(), err);
 
         // Truncation, trailing bytes and a bad status are clean errors.
-        assert!(decode_metrics_response(&payload[..5]).is_err());
-        assert!(decode_metrics_response(&payload[..payload.len() - 1]).is_err());
+        assert!(decode_reply::<MetricsSnapshot>(&payload[..5]).is_err());
+        assert!(decode_reply::<MetricsSnapshot>(&payload[..payload.len() - 1]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
-        assert!(decode_metrics_response(&trailing).is_err());
+        assert!(decode_reply::<MetricsSnapshot>(&trailing).is_err());
         let mut bad_status = payload;
         bad_status[14] = 9; // magic + version + request id
-        assert!(matches!(
-            decode_metrics_response(&bad_status),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_reply::<MetricsSnapshot>(&bad_status)));
 
         // A decode failure of a DSMX request answers in the DSMR family.
         let response = encode_decode_error(&encode_scrape_request(METRICS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
-            decode_metrics_response(&response).unwrap(),
-            MetricsResponse::Error {
+            decode_reply::<MetricsSnapshot>(&response).unwrap(),
+            Reply::Error {
                 code: ErrorCode::BadRequest,
                 ..
             }
@@ -1691,7 +1238,6 @@ mod tests {
             let _guard = trace::with_context(ctx);
             vec![
                 ("DSRQ", encode_request(7, &[sig(&[(1, 1.0)])])),
-                ("DSRM", encode_multi_request(&[(7, sig(&[(1, 1.0)]))])),
                 (
                     "DSRT",
                     encode_retest_request(&RetestRequest {
@@ -1749,34 +1295,31 @@ mod tests {
                 annotations: vec![("batch".into(), "64".into())],
             }],
         };
-        let ok = TracesResponse::Log(log);
-        let payload = encode_traces_response(&ok);
-        assert_eq!(decode_traces_response(&payload).unwrap(), ok);
+        let ok = Reply::Results(log);
+        let payload = encode_reply(&ok);
+        assert_eq!(decode_reply::<TraceLog>(&payload).unwrap(), ok);
 
-        let err = TracesResponse::Error {
+        let err = Reply::Error {
             code: ErrorCode::Internal,
             message: "tracer unavailable".into(),
         };
-        assert_eq!(decode_traces_response(&encode_traces_response(&err)).unwrap(), err);
+        assert_eq!(decode_reply::<TraceLog>(&encode_reply(&err)).unwrap(), err);
 
         // Truncation, trailing bytes and a bad status are clean errors.
-        assert!(decode_traces_response(&payload[..5]).is_err());
-        assert!(decode_traces_response(&payload[..payload.len() - 1]).is_err());
+        assert!(decode_reply::<TraceLog>(&payload[..5]).is_err());
+        assert!(decode_reply::<TraceLog>(&payload[..payload.len() - 1]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
-        assert!(decode_traces_response(&trailing).is_err());
+        assert!(decode_reply::<TraceLog>(&trailing).is_err());
         let mut bad_status = payload;
         bad_status[14] = 9; // magic + version + request id
-        assert!(matches!(
-            decode_traces_response(&bad_status),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_reply::<TraceLog>(&bad_status)));
 
         // A decode failure of a DSTX request answers in the DSTD family.
         let response = encode_decode_error(&encode_scrape_request(TRACES_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
-            decode_traces_response(&response).unwrap(),
-            TracesResponse::Error {
+            decode_reply::<TraceLog>(&response).unwrap(),
+            Reply::Error {
                 code: ErrorCode::BadRequest,
                 ..
             }
@@ -1807,23 +1350,23 @@ mod tests {
         // DSMR, DSFT in DSTD, DSEX in DSED, DSHC in DSHR.
         let response = encode_decode_error(&encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
-            decode_metrics_response(&response).unwrap(),
-            MetricsResponse::Error { .. }
+            decode_reply::<MetricsSnapshot>(&response).unwrap(),
+            Reply::Error { .. }
         ));
         let response = encode_decode_error(&encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
-            decode_traces_response(&response).unwrap(),
-            TracesResponse::Error { .. }
+            decode_reply::<TraceLog>(&response).unwrap(),
+            Reply::Error { .. }
         ));
         let response = encode_decode_error(&encode_scrape_request(EVENTS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
-            decode_events_response(&response).unwrap(),
-            EventsResponse::Error { .. }
+            decode_reply::<EventLog>(&response).unwrap(),
+            Reply::Error { .. }
         ));
         let response = encode_decode_error(&encode_scrape_request(HEALTH_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
-            decode_health_response(&response).unwrap(),
-            HealthResponse::Error { .. }
+            decode_reply::<HealthReport>(&response).unwrap(),
+            Reply::Error { .. }
         ));
     }
 
@@ -1831,7 +1374,7 @@ mod tests {
     fn events_responses_round_trip_and_reject_malformed_payloads() {
         use dsig_obs::{EventLevel, EventRecord};
 
-        let ok = EventsResponse::Log(EventLog {
+        let ok = Reply::Results(EventLog {
             events: vec![EventRecord {
                 level: EventLevel::Warn,
                 tier: "router".into(),
@@ -1842,29 +1385,26 @@ mod tests {
                 trace_id: 0xFEED,
             }],
         });
-        let payload = encode_events_response(&ok);
-        assert_eq!(decode_events_response(&payload).unwrap(), ok);
-        let err = EventsResponse::Error {
+        let payload = encode_reply(&ok);
+        assert_eq!(decode_reply::<EventLog>(&payload).unwrap(), ok);
+        let err = Reply::Error {
             code: ErrorCode::Internal,
             message: "sink unavailable".into(),
         };
-        assert_eq!(decode_events_response(&encode_events_response(&err)).unwrap(), err);
-        assert!(decode_events_response(&payload[..5]).is_err());
-        assert!(decode_events_response(&payload[..payload.len() - 1]).is_err());
+        assert_eq!(decode_reply::<EventLog>(&encode_reply(&err)).unwrap(), err);
+        assert!(decode_reply::<EventLog>(&payload[..5]).is_err());
+        assert!(decode_reply::<EventLog>(&payload[..payload.len() - 1]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
-        assert!(decode_events_response(&trailing).is_err());
+        assert!(decode_reply::<EventLog>(&trailing).is_err());
         let mut bad_status = payload;
         bad_status[14] = 9; // magic + version + request id
-        assert!(matches!(
-            decode_events_response(&bad_status),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_reply::<EventLog>(&bad_status)));
     }
 
     #[test]
     fn health_responses_round_trip_and_reject_malformed_payloads() {
-        let ok = HealthResponse::Report(HealthReport {
+        let ok = Reply::Results(HealthReport {
             status: HealthStatus::Degraded,
             error_rate: 0.25,
             p99_us: 45_000,
@@ -1873,31 +1413,25 @@ mod tests {
             epoch: 4,
             findings: vec!["1 of 3 backends backed off".into()],
         });
-        let payload = encode_health_response(&ok);
-        assert_eq!(decode_health_response(&payload).unwrap(), ok);
-        let err = HealthResponse::Error {
+        let payload = encode_reply(&ok);
+        assert_eq!(decode_reply::<HealthReport>(&payload).unwrap(), ok);
+        let err = Reply::Error {
             code: ErrorCode::Internal,
             message: "no snapshot".into(),
         };
-        assert_eq!(decode_health_response(&encode_health_response(&err)).unwrap(), err);
-        assert!(decode_health_response(&payload[..5]).is_err());
-        assert!(decode_health_response(&payload[..payload.len() - 1]).is_err());
+        assert_eq!(decode_reply::<HealthReport>(&encode_reply(&err)).unwrap(), err);
+        assert!(decode_reply::<HealthReport>(&payload[..5]).is_err());
+        assert!(decode_reply::<HealthReport>(&payload[..payload.len() - 1]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
-        assert!(decode_health_response(&trailing).is_err());
+        assert!(decode_reply::<HealthReport>(&trailing).is_err());
         let mut bad_status = payload.clone();
         bad_status[14] = 9; // magic + version + request id
-        assert!(matches!(
-            decode_health_response(&bad_status),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_reply::<HealthReport>(&bad_status)));
         // An unknown verdict tag (right after the status byte) is an error.
         let mut bad_verdict = payload;
         bad_verdict[15] = 9;
-        assert!(matches!(
-            decode_health_response(&bad_verdict),
-            Err(ServeError::Protocol(_))
-        ));
+        assert!(corrupt(decode_reply::<HealthReport>(&bad_verdict)));
     }
 
     #[test]
@@ -1919,7 +1453,6 @@ mod tests {
         assert!(decode_response(&response).is_ok());
 
         for mut frame in [
-            encode_multi_request(&[]),
             encode_retest_request(&RetestRequest {
                 golden_key: 1,
                 policy: RetestPolicy::new(0.005, vec![2]).unwrap(),
@@ -1937,13 +1470,13 @@ mod tests {
             encode_scrape_request(EVENTS_REQUEST_MAGIC),
             encode_scrape_request(HEALTH_REQUEST_MAGIC),
             encode_retest_response(&RetestResponse::Results(vec![])),
-            encode_admin_response(&AdminResponse::Ack),
-            encode_admin_response(&AdminResponse::Roster(FleetRoster {
+            encode_reply(&Reply::Results(AdminReply::Ack)),
+            encode_reply(&Reply::Results(AdminReply::Roster(FleetRoster {
                 epoch: 1,
                 entries: vec![],
-            })),
-            encode_events_response(&EventsResponse::Log(EventLog::default())),
-            encode_health_response(&HealthResponse::Error {
+            }))),
+            encode_reply(&Reply::Results(EventLog::default())),
+            encode_reply(&Reply::<HealthReport>::Error {
                 code: ErrorCode::Internal,
                 message: "x".into(),
             }),
@@ -1967,16 +1500,14 @@ mod tests {
         // response and scrape, and a v2 health report (no epoch).
         let mut v2 = Vec::new();
         wire::put_header(&mut v2, REQUEST_MAGIC, 2);
-        trace::put_trace_context(&mut v2, TraceContext::NONE);
-        wire::put_u64(&mut v2, 7);
-        wire::put_u32(&mut v2, 0);
+        TraceContext::NONE.put(&mut v2);
+        (7u64, 0u32).put(&mut v2);
         let mut v1 = Vec::new();
         wire::put_header(&mut v1, REQUEST_MAGIC, 1);
-        wire::put_u64(&mut v1, 9);
-        wire::put_u32(&mut v1, 0);
+        (9u64, 0u32).put(&mut v1);
         let mut fetch = Vec::new();
         wire::put_header(&mut fetch, FETCH_MAGIC, 1);
-        wire::put_u64(&mut fetch, 42);
+        42u64.put(&mut fetch);
         let mut scrape = Vec::new();
         wire::put_header(&mut scrape, METRICS_REQUEST_MAGIC, 1);
         for old in [&v2, &v1, &fetch, &scrape] {
@@ -1990,19 +1521,16 @@ mod tests {
         let mut r1 = Vec::new();
         wire::put_header(&mut r1, RESPONSE_MAGIC, 1);
         r1.push(STATUS_OK);
-        wire::put_u32(&mut r1, 0);
+        0u32.put(&mut r1);
         assert!(decode_response(&r1).is_err());
 
         let mut h2 = Vec::new();
         wire::put_tagged_header(&mut h2, HEALTH_RESPONSE_MAGIC, 2, 0);
         h2.push(STATUS_OK);
-        h2.push(HealthStatus::Pass.to_u8());
-        wire::put_f64(&mut h2, 0.0);
-        wire::put_u64(&mut h2, 17);
-        wire::put_u32(&mut h2, 0);
-        wire::put_u32(&mut h2, 2);
-        wire::put_u32(&mut h2, 0);
-        assert!(decode_health_response(&h2).is_err());
+        HealthStatus::Pass.put(&mut h2);
+        (0.0f64, 17u64, 0u32, 2u32).put(&mut h2);
+        0u32.put(&mut h2);
+        assert!(decode_reply::<HealthReport>(&h2).is_err());
 
         // A current work request truncated inside the id region is an
         // error, not a panic.

@@ -19,7 +19,6 @@
 //! `(golden, observed)`, so every path answers bit-identical scores;
 //! requests still run concurrently across the pool.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -35,10 +34,8 @@ use dsig_obs::{
 use crate::error::{Result, ServeError};
 use crate::mux::{self, Responder, WorkPool};
 use crate::proto::{
-    decode_any_request, decode_request_context, encode_admin_response, encode_decode_error, encode_events_response,
-    encode_health_response, encode_metrics_response, encode_response, encode_retest_response, encode_traces_response,
-    AdminResponse, ErrorCode, EventsResponse, HealthResponse, MetricsResponse, Request, RetestRequest, RetestResponse,
-    RetestScore, ScoreResult, ScreenResponse, TracesResponse,
+    decode_any_request, decode_request_context, encode_decode_error, encode_reply, AdminReply, ErrorCode, Reply,
+    ReplyBody, Request, RetestRequest, RetestScore, ScoreResult,
 };
 use crate::store::{GoldenRecord, GoldenStore};
 
@@ -93,7 +90,6 @@ struct ServeMetrics {
 /// One counter per request family (wire magic).
 struct PerFamily {
     screen: Arc<Counter>,
-    multi: Arc<Counter>,
     retest: Arc<Counter>,
     push: Arc<Counter>,
     fetch: Arc<Counter>,
@@ -111,7 +107,6 @@ impl PerFamily {
         let name = |family: &str| format!("serve.{kind}.{family}");
         PerFamily {
             screen: registry.counter(&name("dsrq")),
-            multi: registry.counter(&name("dsrm")),
             retest: registry.counter(&name("dsrt")),
             push: registry.counter(&name("dsgp")),
             fetch: registry.counter(&name("dsgf")),
@@ -128,7 +123,6 @@ impl PerFamily {
     fn of(&self, request: &Request) -> &Arc<Counter> {
         match request {
             Request::Screen(_) => &self.screen,
-            Request::MultiScreen(_) => &self.multi,
             Request::Retest(_) => &self.retest,
             Request::PushGolden { .. } => &self.push,
             Request::FetchGolden { .. } => &self.fetch,
@@ -293,26 +287,6 @@ impl ServeHandle {
     /// under `key`.
     pub fn fetch_golden(&self, key: u64) -> Result<Arc<GoldenRecord>> {
         self.store.get(key).ok_or(ServeError::UnknownGolden(key))
-    }
-
-    /// Scores a batch where **each signature names its own golden**: items
-    /// are grouped by fingerprint, each group is scored like a
-    /// [`ServeHandle::screen`] batch, and results return in request order —
-    /// bit-identical to screening the groups separately.
-    ///
-    /// # Errors
-    /// As for [`ServeHandle::screen`]; an unknown fingerprint anywhere fails
-    /// the whole batch.
-    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        let mut results: Vec<Option<ScoreResult>> = vec![None; items.len()];
-        for (key, indices) in group_by_fingerprint(items) {
-            let record = self.fetch_golden(key)?;
-            let scores = self.score_batch(&record, indices.iter().map(|&i| &items[i].1))?;
-            for (&index, score) in indices.iter().zip(scores) {
-                results[index] = Some(score);
-            }
-        }
-        Ok(results.into_iter().map(|r| r.expect("every item scored")).collect())
     }
 
     /// Screens an adaptive-retest batch: every device's single-shot
@@ -501,31 +475,6 @@ impl Server {
     }
 }
 
-/// Groups the items of a multi-golden batch by fingerprint, preserving
-/// first-appearance order of the keys and original item indices within each
-/// group — the shared substrate of every `screen_multi` implementation (the
-/// in-process handle here, the routing tier's per-backend splitter).
-pub fn group_by_fingerprint(items: &[(u64, Signature)]) -> Vec<(u64, Vec<usize>)> {
-    let mut order: Vec<u64> = Vec::new();
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (index, (key, _)) in items.iter().enumerate() {
-        groups
-            .entry(*key)
-            .or_insert_with(|| {
-                order.push(*key);
-                Vec::new()
-            })
-            .push(index);
-    }
-    order
-        .into_iter()
-        .map(|key| {
-            let indices = groups.remove(&key).expect("every ordered key has a group");
-            (key, indices)
-        })
-        .collect()
-}
-
 /// Maps a serving-layer error onto the wire error code it travels as.
 fn error_code_of(err: &ServeError) -> ErrorCode {
     match err {
@@ -541,77 +490,46 @@ fn respond(handle: &ServeHandle, request: Request) -> Vec<u8> {
     let metrics = &handle.metrics;
     let _request_timer = Span::enter(&metrics.request_us);
     metrics.requests.of(&request).inc();
-    // Cloned up front so the error arms can tally without re-matching on
-    // the (by then moved) request.
-    let error_counter = Arc::clone(metrics.errors.of(&request));
-    let count_error = || error_counter.inc();
+    let errors = metrics.errors.of(&request);
     match request {
-        Request::Screen(request) => encode_response(&match handle.screen(request.golden_key, &request.signatures) {
-            Ok(results) => ScreenResponse::Results(results),
-            Err(err) => {
-                count_error();
-                ScreenResponse::Error {
-                    code: error_code_of(&err),
-                    message: err.to_string(),
-                }
-            }
-        }),
-        Request::MultiScreen(request) => encode_response(&match handle.screen_multi(&request.items) {
-            Ok(results) => ScreenResponse::Results(results),
-            Err(err) => {
-                count_error();
-                ScreenResponse::Error {
-                    code: error_code_of(&err),
-                    message: err.to_string(),
-                }
-            }
-        }),
-        Request::Retest(request) => encode_retest_response(&match handle.screen_retest(&request) {
-            Ok(results) => RetestResponse::Results(results),
-            Err(err) => {
-                count_error();
-                RetestResponse::Error {
-                    code: error_code_of(&err),
-                    message: err.to_string(),
-                }
-            }
-        }),
+        Request::Screen(request) => answer(errors, handle.screen(request.golden_key, &request.signatures)),
+        Request::Retest(request) => answer(errors, handle.screen_retest(&request)),
         Request::PushGolden { key, band, golden } => {
             handle.push_golden(key, golden, band);
-            encode_admin_response(&AdminResponse::Ack)
+            answer(errors, Ok(AdminReply::Ack))
         }
-        Request::FetchGolden { key } => encode_admin_response(&match handle.fetch_golden(key) {
-            Ok(record) => AdminResponse::Record {
-                band: record.band,
-                golden: record.golden.clone(),
-            },
-            Err(err) => {
-                count_error();
-                AdminResponse::Error {
-                    code: error_code_of(&err),
-                    message: err.to_string(),
-                }
-            }
-        }),
-        Request::Metrics => encode_metrics_response(&MetricsResponse::Snapshot(handle.metrics())),
-        Request::Traces => encode_traces_response(&TracesResponse::Log(handle.traces())),
+        Request::FetchGolden { key } => answer(
+            errors,
+            handle
+                .fetch_golden(key)
+                .map(|record| AdminReply::Record(GoldenRecord::clone(&record))),
+        ),
         // A standalone serving process answers the fleet scrapes as a fleet
         // of one: its own snapshot/log, no `backend.*` prefixes, so the
         // routing tier and a bare server share one client-side shape.
-        Request::FleetMetrics => encode_metrics_response(&MetricsResponse::Snapshot(handle.metrics())),
-        Request::FleetTraces => encode_traces_response(&TracesResponse::Log(handle.traces())),
-        Request::Events => encode_events_response(&EventsResponse::Log(handle.events())),
-        Request::Health => encode_health_response(&HealthResponse::Report(handle.health(&SloPolicy::default()))),
+        Request::Metrics | Request::FleetMetrics => answer(errors, Ok(handle.metrics())),
+        Request::Traces | Request::FleetTraces => answer(errors, Ok(handle.traces())),
+        Request::Events => answer(errors, Ok(handle.events())),
+        Request::Health => answer(errors, Ok(handle.health(&SloPolicy::default()))),
         // A leaf serving process has no fleet to administer; only the
         // routing tier accepts membership verbs.
         Request::Admin(_) => {
-            count_error();
-            encode_admin_response(&AdminResponse::Error {
+            errors.inc();
+            encode_reply(&Reply::<AdminReply>::Error {
                 code: ErrorCode::BadRequest,
                 message: "fleet admin verbs are only valid against a routing tier".into(),
             })
         }
     }
+}
+
+/// Encodes the reply to one operation's result, counting a failure in
+/// `errors`.
+fn answer<T: ReplyBody>(errors: &Counter, result: Result<T>) -> Vec<u8> {
+    if result.is_err() {
+        errors.inc();
+    }
+    encode_reply(&Reply::from_result(result, error_code_of))
 }
 
 /// The server's request handler, shared by every connection: decode one
@@ -759,30 +677,6 @@ mod tests {
         let record = handle.fetch_golden(12).unwrap();
         assert_eq!(record.band.ndf_threshold, 0.01);
         assert_eq!(record.golden, sig(&[(2, 50e-6)]));
-    }
-
-    #[test]
-    fn multi_screen_matches_per_key_screening_in_request_order() {
-        let store = store_with_golden(1);
-        store.insert(2, sig(&[(2, 100e-6), (4, 100e-6)]), AcceptanceBand::new(0.05).unwrap());
-        let handle = ServeHandle::spawn(Arc::clone(&store), ServeConfig::with_shards(3));
-        // Interleave the two goldens so grouping must reassemble by index.
-        let items: Vec<(u64, Signature)> = (0..20)
-            .map(|k| {
-                let key = 1 + (k % 2) as u64;
-                (key, sig(&[(1, 100e-6), (2, (k + 1) as f64 * 1e-6)]))
-            })
-            .collect();
-        let results = handle.screen_multi(&items).unwrap();
-        assert_eq!(results.len(), items.len());
-        for (result, (key, observed)) in results.iter().zip(&items) {
-            let direct = direct_score(&store.get(*key).unwrap(), observed);
-            assert_eq!(result, &direct, "multi-screen must equal per-key scoring");
-        }
-        // An unknown key anywhere fails the whole batch.
-        let mut bad = items;
-        bad[7].0 = 999;
-        assert!(matches!(handle.screen_multi(&bad), Err(ServeError::UnknownGolden(999))));
     }
 
     #[test]

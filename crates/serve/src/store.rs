@@ -15,9 +15,8 @@ use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 use cut_filters::BiquadParams;
-use dsig_core::{
-    capture_signatures_batch, wire, AcceptanceBand, BatchDevice, DsigError, Signature, StimulusBank, TestSetup,
-};
+use dsig_core::wire::{self, ByteReader, Format, Wire};
+use dsig_core::{capture_signatures_batch, AcceptanceBand, BatchDevice, Signature, StimulusBank, TestSetup};
 use dsig_engine::golden_fingerprint;
 use sim_signal::NoiseModel;
 
@@ -202,59 +201,25 @@ impl GoldenStore {
     /// Records are written in ascending fingerprint order, so equal stores
     /// produce identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let records = self.records.read().expect("store lock poisoned");
-        let mut keys: Vec<u64> = records.keys().copied().collect();
-        keys.sort_unstable();
-        let mut out = Vec::with_capacity(16 + 64 * keys.len());
-        wire::put_header(&mut out, STORE_MAGIC, STORE_VERSION);
-        wire::put_u32(&mut out, keys.len() as u32);
-        for key in keys {
-            let record = &records[&key];
-            wire::put_u64(&mut out, key);
-            wire::put_f64(&mut out, record.band.ndf_threshold);
-            wire::put_bytes(&mut out, &record.golden.to_bytes());
-        }
-        out
+        wire::to_bytes(self)
     }
 
-    /// Decodes a store produced by [`GoldenStore::to_bytes`]. Never panics on
-    /// malformed input.
+    /// Decodes a store produced by [`GoldenStore::to_bytes`], at exactly
+    /// the current version. Never panics on malformed input.
     ///
     /// # Errors
-    /// Returns [`DsigError::Truncated`] / [`DsigError::Corrupt`] wrapped in
+    /// Returns [`dsig_core::DsigError::Truncated`] /
+    /// [`dsig_core::DsigError::Corrupt`] wrapped in
     /// [`crate::ServeError::Dsig`] on malformed bytes, including duplicate
     /// fingerprints and invalid acceptance bands.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = wire::ByteReader::new(bytes, "golden store");
-        r.header(STORE_MAGIC, STORE_VERSION)?;
-        let count = r.u32()? as usize;
-        // Minimum record: 8-byte key + 8-byte threshold + 4-byte length +
-        // 8-byte empty signature.
-        r.check_count(count, 28)?;
-        let mut records = HashMap::with_capacity(count);
-        for _ in 0..count {
-            let key = r.u64()?;
-            let band = AcceptanceBand::new(r.f64()?)?;
-            let golden = Signature::from_bytes(r.bytes()?)?;
-            if records.insert(key, Arc::new(GoldenRecord { golden, band })).is_some() {
-                return Err(DsigError::Corrupt {
-                    context: "golden store",
-                    detail: format!("duplicate fingerprint {key:#018x}"),
-                }
-                .into());
-            }
-        }
-        r.finish()?;
-        Ok(GoldenStore {
-            records: RwLock::new(records),
-            bank: StimulusBank::new(),
-        })
+        Ok(wire::from_bytes(bytes)?)
     }
 
     /// Writes the serialized store to a file.
     ///
     /// # Errors
-    /// Returns [`DsigError::Io`] (wrapped in [`crate::ServeError::Dsig`]) on
+    /// Returns [`dsig_core::DsigError::Io`] (wrapped in [`crate::ServeError::Dsig`]) on
     /// filesystem errors, naming the path.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         wire::save_bytes(path.as_ref(), &self.to_bytes(), "golden store")?;
@@ -264,7 +229,7 @@ impl GoldenStore {
     /// Reads a store previously written with [`GoldenStore::save`].
     ///
     /// # Errors
-    /// Returns [`DsigError::Io`] (wrapped in [`crate::ServeError::Dsig`]) on
+    /// Returns [`dsig_core::DsigError::Io`] (wrapped in [`crate::ServeError::Dsig`]) on
     /// filesystem errors and decoding errors as in
     /// [`GoldenStore::from_bytes`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
@@ -272,10 +237,47 @@ impl GoldenStore {
     }
 }
 
+dsig_core::wire_fields!(GoldenRecord { band, golden });
+
+/// The `DSGS` body: `(fingerprint, record)` rows in ascending fingerprint
+/// order; a decoded store must not repeat a fingerprint.
+impl Format for GoldenStore {
+    const MAGIC: [u8; 4] = STORE_MAGIC;
+    const VERSION: Option<u16> = Some(STORE_VERSION);
+    const CONTEXT: &'static str = "golden store";
+    const MIN_BODY: usize = 4;
+
+    fn put_body(&self, out: &mut Vec<u8>) {
+        let mut rows: Vec<(u64, Arc<GoldenRecord>)> = self
+            .records
+            .read()
+            .expect("store lock poisoned")
+            .iter()
+            .map(|(&key, record)| (key, Arc::clone(record)))
+            .collect();
+        rows.sort_unstable_by_key(|&(key, _)| key);
+        rows.put(out);
+    }
+
+    fn get_body(r: &mut ByteReader<'_>) -> dsig_core::Result<Self> {
+        let rows: Vec<(u64, Arc<GoldenRecord>)> = Wire::get(r)?;
+        let mut records = HashMap::with_capacity(rows.len());
+        for (key, record) in rows {
+            if records.insert(key, record).is_some() {
+                return Err(r.corrupt(format!("duplicate fingerprint {key:#018x}")));
+            }
+        }
+        Ok(GoldenStore {
+            records: RwLock::new(records),
+            bank: StimulusBank::new(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsig_core::{SignatureEntry, ZoneCode};
+    use dsig_core::{DsigError, SignatureEntry, ZoneCode};
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(

@@ -1,5 +1,5 @@
 //! Property tests of the binary codecs: random signatures, logs and wire
-//! frames (including the router tier's `DSRM`/`DSGP`/`DSGF`/`DSRA`, the
+//! frames (including the router tier's `DSGP`/`DSGF`/`DSRA`, the
 //! `DSAQ` fleet-admin verbs with their roster responses, and the
 //! observability tier's `DSMS` snapshots, `DSMX`/`DSMR` scrape pair, `DSTL`
 //! trace logs, `DSTX`/`DSTD` trace scrape pair, `DSEL` event logs with
@@ -11,7 +11,7 @@
 use analog_signature::dsig::{AcceptanceBand, DsigError, Signature, SignatureEntry, ZoneCode};
 use analog_signature::engine::SignatureLog;
 use analog_signature::obs::{MetricsSnapshot, Registry};
-use analog_signature::serve::proto;
+use analog_signature::serve::{proto, GoldenRecord};
 use proptest::prelude::*;
 
 /// Builds a valid signature from generated `(code, duration-in-µs)` pairs.
@@ -81,42 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn multi_screen_requests_round_trip_and_survive_abuse(
-        items in prop::collection::vec(
-            (0u64..u64::MAX, prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..8)),
-            0..10,
-        ),
-        position in 0.0..1.0_f64,
-        flip in 1u8..255,
-        cut in 0.0..1.0_f64,
-    ) {
-        let items: Vec<(u64, Signature)> = items
-            .iter()
-            .map(|(key, parts)| (*key, signature_from(parts)))
-            .collect();
-        let bytes = proto::encode_multi_request(&items);
-        let decoded = proto::decode_multi_request(&bytes).unwrap();
-        prop_assert_eq!(&decoded.items, &items);
-        for ((_, a), (_, b)) in decoded.items.iter().zip(&items) {
-            for (x, y) in a.entries().iter().zip(b.entries()) {
-                prop_assert_eq!(x.duration.to_bits(), y.duration.to_bits());
-            }
-        }
-        // Truncation: always a clean error (the empty request is 10 bytes).
-        let keep = (bytes.len() as f64 * cut) as usize;
-        prop_assert!(proto::decode_multi_request(&bytes[..keep]).is_err());
-        // Mutation: never a panic; header corruption always errors.
-        let mut mutated = bytes.clone();
-        let at = ((mutated.len() - 1) as f64 * position) as usize;
-        mutated[at] ^= flip;
-        let _ = proto::decode_multi_request(&mutated);
-        let _ = proto::decode_any_request(&mutated);
-        if at < 6 {
-            prop_assert!(proto::decode_multi_request(&mutated).is_err());
-        }
-    }
-
-    #[test]
     fn push_fetch_and_admin_frames_round_trip_and_survive_abuse(
         key in 0u64..u64::MAX,
         threshold in 0.0..10.0_f64,
@@ -138,9 +102,12 @@ proptest! {
             proto::encode_admin_request(&proto::AdminRequest::Leave { label: "local-1".into() }),
             proto::encode_admin_request(&proto::AdminRequest::Drain { label: String::new() }),
             proto::encode_admin_request(&proto::AdminRequest::List),
-            proto::encode_admin_response(&proto::AdminResponse::Ack),
-            proto::encode_admin_response(&proto::AdminResponse::Record { band, golden: golden.clone() }),
-            proto::encode_admin_response(&proto::AdminResponse::Roster(proto::FleetRoster {
+            proto::encode_reply(&proto::Reply::Results(proto::AdminReply::Ack)),
+            proto::encode_reply(&proto::Reply::Results(proto::AdminReply::Record(GoldenRecord {
+                golden: golden.clone(),
+                band,
+            }))),
+            proto::encode_reply(&proto::Reply::Results(proto::AdminReply::Roster(proto::FleetRoster {
                 epoch: key,
                 entries: vec![
                     proto::RosterEntry {
@@ -159,8 +126,8 @@ proptest! {
                         state: proto::BackendState::BackedOff,
                     },
                 ],
-            })),
-            proto::encode_admin_response(&proto::AdminResponse::Error {
+            }))),
+            proto::encode_reply(&proto::Reply::<proto::AdminReply>::Error {
                 code: proto::ErrorCode::Internal,
                 message: "x".into(),
             }),
@@ -169,7 +136,7 @@ proptest! {
             match bytes.get(..4) {
                 Some(magic) if *magic == proto::ADMIN_RESPONSE_MAGIC => {
                     prop_assert_eq!(
-                        proto::encode_admin_response(&proto::decode_admin_response(&bytes).unwrap()),
+                        proto::encode_reply(&proto::decode_reply::<proto::AdminReply>(&bytes).unwrap()),
                         bytes.clone()
                     );
                 }
@@ -192,16 +159,17 @@ proptest! {
             // Truncation: always a clean error (every frame is > 6 bytes).
             let keep = (bytes.len() as f64 * cut) as usize;
             prop_assert!(proto::decode_any_request(&bytes[..keep]).is_err());
-            prop_assert!(proto::decode_admin_response(&bytes[..keep]).is_err());
+            prop_assert!(proto::decode_reply::<proto::AdminReply>(&bytes[..keep]).is_err());
             // Mutation: never a panic; header corruption always errors.
             let mut mutated = bytes.clone();
             let at = ((mutated.len() - 1) as f64 * position) as usize;
             mutated[at] ^= flip;
             let _ = proto::decode_any_request(&mutated);
-            let _ = proto::decode_admin_response(&mutated);
+            let _ = proto::decode_reply::<proto::AdminReply>(&mutated);
             if at < 6 {
                 prop_assert!(
-                    proto::decode_any_request(&mutated).is_err() && proto::decode_admin_response(&mutated).is_err()
+                    proto::decode_any_request(&mutated).is_err()
+                        && proto::decode_reply::<proto::AdminReply>(&mutated).is_err()
                 );
             }
         }
@@ -390,18 +358,18 @@ proptest! {
             histogram.record_us(*v);
         }
         for response in [
-            proto::MetricsResponse::Snapshot(registry.snapshot()),
-            proto::MetricsResponse::Error {
+            proto::Reply::Results(registry.snapshot()),
+            proto::Reply::Error {
                 code: proto::ErrorCode::Internal,
                 message,
             },
         ] {
-            let bytes = proto::encode_metrics_response(&response);
-            let decoded = proto::decode_metrics_response(&bytes).unwrap();
-            prop_assert_eq!(proto::encode_metrics_response(&decoded), bytes.clone());
+            let bytes = proto::encode_reply(&response);
+            let decoded = proto::decode_reply::<MetricsSnapshot>(&bytes).unwrap();
+            prop_assert_eq!(proto::encode_reply(&decoded), bytes.clone());
             if let (
-                proto::MetricsResponse::Snapshot(got),
-                proto::MetricsResponse::Snapshot(sent),
+                proto::Reply::Results(got),
+                proto::Reply::Results(sent),
             ) = (&decoded, &response)
             {
                 prop_assert_eq!(got.counter("scrape.count"), sent.counter("scrape.count"));
@@ -412,14 +380,14 @@ proptest! {
             }
             // Truncation: always a clean error (every frame is > 6 bytes).
             let keep = (bytes.len() as f64 * cut) as usize;
-            prop_assert!(proto::decode_metrics_response(&bytes[..keep]).is_err());
+            prop_assert!(proto::decode_reply::<MetricsSnapshot>(&bytes[..keep]).is_err());
             // Mutation: never a panic; header corruption always errors.
             let mut mutated = bytes.clone();
             let at = ((mutated.len() - 1) as f64 * position) as usize;
             mutated[at] ^= flip;
-            let _ = proto::decode_metrics_response(&mutated);
+            let _ = proto::decode_reply::<MetricsSnapshot>(&mutated);
             if at < 6 {
-                prop_assert!(proto::decode_metrics_response(&mutated).is_err());
+                prop_assert!(proto::decode_reply::<MetricsSnapshot>(&mutated).is_err());
             }
         }
         // Truncating or corrupting the request header errors too.
@@ -520,23 +488,23 @@ proptest! {
         // Both DSTD response arms round-trip and reject abuse.
         let message = String::from_utf8(message_bytes).unwrap();
         for response in [
-            proto::TracesResponse::Log(log),
-            proto::TracesResponse::Error {
+            proto::Reply::Results(log),
+            proto::Reply::Error {
                 code: proto::ErrorCode::Internal,
                 message,
             },
         ] {
-            let bytes = proto::encode_traces_response(&response);
-            let decoded = proto::decode_traces_response(&bytes).unwrap();
-            prop_assert_eq!(proto::encode_traces_response(&decoded), bytes.clone());
+            let bytes = proto::encode_reply(&response);
+            let decoded = proto::decode_reply::<TraceLog>(&bytes).unwrap();
+            prop_assert_eq!(proto::encode_reply(&decoded), bytes.clone());
             let keep = (bytes.len() as f64 * cut) as usize;
-            prop_assert!(proto::decode_traces_response(&bytes[..keep]).is_err());
+            prop_assert!(proto::decode_reply::<TraceLog>(&bytes[..keep]).is_err());
             let mut mutated = bytes.clone();
             let at = ((mutated.len() - 1) as f64 * position) as usize;
             mutated[at] ^= flip;
-            let _ = proto::decode_traces_response(&mutated);
+            let _ = proto::decode_reply::<TraceLog>(&mutated);
             if at < 6 {
-                prop_assert!(proto::decode_traces_response(&mutated).is_err());
+                prop_assert!(proto::decode_reply::<TraceLog>(&mutated).is_err());
             }
         }
     }
@@ -570,7 +538,7 @@ proptest! {
             events: records
                 .iter()
                 .map(|(level, (tier, name, message), fields, (at_us, trace_id))| EventRecord {
-                    level: EventLevel::from_u8(*level).unwrap(),
+                    level: [EventLevel::Info, EventLevel::Warn, EventLevel::Error][*level as usize],
                     tier: String::from_utf8(tier.clone()).unwrap(),
                     name: String::from_utf8(name.clone()).unwrap(),
                     message: String::from_utf8(message.clone()).unwrap(),
@@ -613,23 +581,23 @@ proptest! {
         // Both DSED response arms round-trip and reject abuse.
         let message = String::from_utf8(message_bytes).unwrap();
         for response in [
-            proto::EventsResponse::Log(log),
-            proto::EventsResponse::Error {
+            proto::Reply::Results(log),
+            proto::Reply::Error {
                 code: proto::ErrorCode::Internal,
                 message,
             },
         ] {
-            let bytes = proto::encode_events_response(&response);
-            let decoded = proto::decode_events_response(&bytes).unwrap();
-            prop_assert_eq!(proto::encode_events_response(&decoded), bytes.clone());
+            let bytes = proto::encode_reply(&response);
+            let decoded = proto::decode_reply::<EventLog>(&bytes).unwrap();
+            prop_assert_eq!(proto::encode_reply(&decoded), bytes.clone());
             let keep = (bytes.len() as f64 * cut) as usize;
-            prop_assert!(proto::decode_events_response(&bytes[..keep]).is_err());
+            prop_assert!(proto::decode_reply::<EventLog>(&bytes[..keep]).is_err());
             let mut mutated = bytes.clone();
             let at = ((mutated.len() - 1) as f64 * position) as usize;
             mutated[at] ^= flip;
-            let _ = proto::decode_events_response(&mutated);
+            let _ = proto::decode_reply::<EventLog>(&mutated);
             if at < 6 {
-                prop_assert!(proto::decode_events_response(&mutated).is_err());
+                prop_assert!(proto::decode_reply::<EventLog>(&mutated).is_err());
             }
         }
     }
@@ -662,7 +630,7 @@ proptest! {
         // Both response arms round-trip and reject abuse; the error rate is
         // a bit-exact f64.
         let report = HealthReport {
-            status: HealthStatus::from_u8(status).unwrap(),
+            status: [HealthStatus::Pass, HealthStatus::Degraded, HealthStatus::Fail][status as usize],
             error_rate,
             p99_us,
             backed_off,
@@ -672,28 +640,28 @@ proptest! {
         };
         let message = String::from_utf8(message_bytes).unwrap();
         for response in [
-            proto::HealthResponse::Report(report),
-            proto::HealthResponse::Error {
+            proto::Reply::Results(report),
+            proto::Reply::Error {
                 code: proto::ErrorCode::Internal,
                 message,
             },
         ] {
-            let bytes = proto::encode_health_response(&response);
-            let decoded = proto::decode_health_response(&bytes).unwrap();
-            prop_assert_eq!(proto::encode_health_response(&decoded), bytes.clone());
-            if let (proto::HealthResponse::Report(got), proto::HealthResponse::Report(sent)) =
+            let bytes = proto::encode_reply(&response);
+            let decoded = proto::decode_reply::<HealthReport>(&bytes).unwrap();
+            prop_assert_eq!(proto::encode_reply(&decoded), bytes.clone());
+            if let (proto::Reply::Results(got), proto::Reply::Results(sent)) =
                 (&decoded, &response)
             {
                 prop_assert_eq!(got.error_rate.to_bits(), sent.error_rate.to_bits());
             }
             let keep = (bytes.len() as f64 * cut) as usize;
-            prop_assert!(proto::decode_health_response(&bytes[..keep]).is_err());
+            prop_assert!(proto::decode_reply::<HealthReport>(&bytes[..keep]).is_err());
             let mut mutated = bytes.clone();
             let at = ((mutated.len() - 1) as f64 * position) as usize;
             mutated[at] ^= flip;
-            let _ = proto::decode_health_response(&mutated);
+            let _ = proto::decode_reply::<HealthReport>(&mutated);
             if at < 6 {
-                prop_assert!(proto::decode_health_response(&mutated).is_err());
+                prop_assert!(proto::decode_reply::<HealthReport>(&mutated).is_err());
             }
         }
     }
@@ -746,8 +714,8 @@ proptest! {
         position in 0.0..1.0_f64,
         flip in 1u8..255,
     ) {
-        use analog_signature::dsig::wire;
-        use analog_signature::obs::trace::{put_trace_context, TraceContext};
+        use analog_signature::dsig::wire::{self, Wire};
+        use analog_signature::obs::TraceContext;
 
         // A v3 work request: header, request id, trace context, body. The
         // encoder emits the placeholder id 0; stamping patches bytes 6..14
@@ -770,7 +738,7 @@ proptest! {
         let body = &tagged[14 + 17..];
         let mut v2 = Vec::new();
         wire::put_header(&mut v2, proto::REQUEST_MAGIC, 2);
-        put_trace_context(&mut v2, TraceContext::NONE);
+        TraceContext::NONE.put(&mut v2);
         v2.extend_from_slice(body);
         let mut v1 = Vec::new();
         wire::put_header(&mut v1, proto::REQUEST_MAGIC, 1);
@@ -896,12 +864,11 @@ fn a_pushed_golden_whose_durations_overflow_is_rejected_and_not_stored() {
         let duration = at + 8 + 12 * entry + 4;
         frame[duration..duration + 8].copy_from_slice(&1e308f64.to_bits().to_le_bytes());
     }
-    for decoded in [proto::decode_any_request(&frame), proto::decode_push_request(&frame)] {
-        assert!(
-            matches!(decoded, Err(ServeError::Dsig(DsigError::InvalidSignature(_)))),
-            "{decoded:?}"
-        );
-    }
+    let decoded = proto::decode_any_request(&frame);
+    assert!(
+        matches!(decoded, Err(ServeError::Dsig(DsigError::InvalidSignature(_)))),
+        "{decoded:?}"
+    );
 
     let store = Arc::new(GoldenStore::new());
     let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(1)).unwrap();
@@ -912,8 +879,8 @@ fn a_pushed_golden_whose_durations_overflow_is_rejected_and_not_stored() {
     let response = proto::read_frame(&mut std::io::BufReader::new(stream))
         .unwrap()
         .expect("response frame");
-    match proto::decode_admin_response(&response).unwrap() {
-        proto::AdminResponse::Error { code, .. } => assert_eq!(code, proto::ErrorCode::BadRequest),
+    match proto::decode_reply::<proto::AdminReply>(&response).unwrap() {
+        proto::Reply::Error { code, .. } => assert_eq!(code, proto::ErrorCode::BadRequest),
         other => panic!("an overflowing golden must draw an error, got {other:?}"),
     }
     assert!(store.get(key).is_none(), "the refused golden was stored");
@@ -930,9 +897,8 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
         TraceLog,
     };
     use proto::{
-        AdminRequest, AdminResponse, BackendState, ErrorCode, EventsResponse, FleetRoster, HealthResponse,
-        MetricsResponse, RetestItem, RetestRequest, RetestResponse, RetestScore, RosterEntry, ScoreResult,
-        ScreenResponse, TracesResponse,
+        AdminReply, AdminRequest, BackendState, ErrorCode, FleetRoster, Reply, RetestItem, RetestRequest,
+        RetestResponse, RetestScore, RosterEntry, ScoreResult, ScreenResponse,
     };
 
     let seconds = |parts: &[(u32, f64)]| {
@@ -959,7 +925,6 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
     {
         let _guard = trace::with_context(ctx);
         frames.push(("DSRQ", proto::encode_request(0xFEED_F00D, &[a.clone(), b.clone()])));
-        frames.push(("DSRM", proto::encode_multi_request(&[(7, a.clone()), (9, b.clone())])));
         frames.push((
             "DSRT",
             proto::encode_retest_request(&RetestRequest {
@@ -1054,13 +1019,13 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
         "DSRR error",
         proto::encode_retest_response(&RetestResponse::Error { code, message }),
     ));
-    frames.push(("DSRA ack", proto::encode_admin_response(&AdminResponse::Ack)));
+    frames.push(("DSRA ack", proto::encode_reply(&Reply::Results(AdminReply::Ack))));
     frames.push((
         "DSRA record",
-        proto::encode_admin_response(&AdminResponse::Record {
-            band,
+        proto::encode_reply(&Reply::Results(AdminReply::Record(GoldenRecord {
             golden: a.clone(),
-        }),
+            band,
+        }))),
     ));
     let entry = |label: &str, id: u64, state: BackendState| RosterEntry {
         label: label.into(),
@@ -1069,18 +1034,18 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
     };
     frames.push((
         "DSRA roster",
-        proto::encode_admin_response(&AdminResponse::Roster(FleetRoster {
+        proto::encode_reply(&Reply::Results(AdminReply::Roster(FleetRoster {
             epoch: 5,
             entries: vec![
                 entry("127.0.0.1:9000", 0xFEED, BackendState::Active),
                 entry("local-1", 7, BackendState::Draining),
                 entry("local-2", 9, BackendState::BackedOff),
             ],
-        })),
+        }))),
     ));
     frames.push((
         "DSRA error",
-        proto::encode_admin_response(&AdminResponse::Error {
+        proto::encode_reply(&Reply::<AdminReply>::Error {
             code: ErrorCode::BadRequest,
             message: "bad label".into(),
         }),
@@ -1100,14 +1065,11 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
             ),
         ],
     };
-    frames.push((
-        "DSMR snapshot",
-        proto::encode_metrics_response(&MetricsResponse::Snapshot(snapshot)),
-    ));
+    frames.push(("DSMR snapshot", proto::encode_reply(&Reply::Results(snapshot))));
     let (code, message) = error("registry");
     frames.push((
         "DSMR error",
-        proto::encode_metrics_response(&MetricsResponse::Error { code, message }),
+        proto::encode_reply(&Reply::<MetricsSnapshot>::Error { code, message }),
     ));
     let spans = TraceLog {
         spans: vec![SpanRecord {
@@ -1121,11 +1083,11 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
             annotations: vec![("batch".into(), "64".into())],
         }],
     };
-    frames.push(("DSTD log", proto::encode_traces_response(&TracesResponse::Log(spans))));
+    frames.push(("DSTD log", proto::encode_reply(&Reply::Results(spans))));
     let (code, message) = error("tracer");
     frames.push((
         "DSTD error",
-        proto::encode_traces_response(&TracesResponse::Error { code, message }),
+        proto::encode_reply(&Reply::<TraceLog>::Error { code, message }),
     ));
     let events = EventLog {
         events: vec![EventRecord {
@@ -1138,15 +1100,15 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
             trace_id: 0xFEED,
         }],
     };
-    frames.push(("DSED log", proto::encode_events_response(&EventsResponse::Log(events))));
+    frames.push(("DSED log", proto::encode_reply(&Reply::Results(events))));
     let (code, message) = error("sink");
     frames.push((
         "DSED error",
-        proto::encode_events_response(&EventsResponse::Error { code, message }),
+        proto::encode_reply(&Reply::<EventLog>::Error { code, message }),
     ));
     frames.push((
         "DSHR report",
-        proto::encode_health_response(&HealthResponse::Report(HealthReport {
+        proto::encode_reply(&Reply::Results(HealthReport {
             status: HealthStatus::Degraded,
             error_rate: 0.25,
             p99_us: 45_000,
@@ -1159,14 +1121,14 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
     let (code, message) = error("no snapshot");
     frames.push((
         "DSHR error",
-        proto::encode_health_response(&HealthResponse::Error { code, message }),
+        proto::encode_reply(&Reply::<HealthReport>::Error { code, message }),
     ));
     let mut frames: Vec<(String, Vec<u8>)> = frames
         .into_iter()
         .map(|(name, bytes)| (name.to_string(), bytes))
         .collect();
     for magic in [
-        "DSRQ", "DSRM", "DSRT", "DSGP", "DSGF", "DSAQ", "DSMX", "DSTX", "DSFM", "DSFT", "DSEX", "DSHC", "NOPE",
+        "DSRQ", "DSRT", "DSGP", "DSGF", "DSAQ", "DSMX", "DSTX", "DSFM", "DSFT", "DSEX", "DSHC", "NOPE",
     ] {
         frames.push((
             format!("decode error {magic}"),
@@ -1196,14 +1158,6 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
             "4453525103000000000000000000efcdab89674523011032547698badcfe010df0edfe00000000020000002000000044",
             "53473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f1400000044534731010000000700000000",
             "0000000000f03f",
-        ),
-    ),
-    (
-        "DSRM",
-        concat!(
-            "4453524d03000000000000000000efcdab89674523011032547698badcfe010200000007000000000000002000000044",
-            "53473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f0900000000000000140000004453473101",
-            "00000007000000000000000000f03f",
         ),
     ),
     (
@@ -1340,10 +1294,6 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
         "44535253020000000000000000000102000b0000006261642072657175657374",
     ),
     (
-        "decode error DSRM",
-        "44535253020000000000000000000102000b0000006261642072657175657374",
-    ),
-    (
         "decode error DSRT",
         "44535252020000000000000000000102000b0000006261642072657175657374",
     ),
@@ -1386,5 +1336,209 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     (
         "decode error NOPE",
         "44535253020000000000000000000102000b0000006261642072657175657374",
+    ),
+];
+
+/// One file of every persisted and standalone format, encoded from fixed
+/// inputs: a `DSG1` signature, a two-entry `DSGL` log, a `DSGR` report under
+/// each capture path (with a coverage row, a device row without retest
+/// metadata and one with it), a two-record `DSGS` store, and standalone
+/// `DSMS`, `DSTL` and `DSEL` bodies.
+fn golden_files() -> Vec<(&'static str, Vec<u8>)> {
+    use analog_signature::dsig::TestOutcome;
+    use analog_signature::engine::{CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats, NdfHistogram};
+    use analog_signature::obs::{
+        EventLevel, EventLog, EventRecord, HistogramSnapshot, MetricValue, SpanRecord, TraceLog,
+    };
+    use analog_signature::serve::GoldenStore;
+
+    let a = signature_from(&[(1, 100.0), (3, 250.0)]);
+    let b = signature_from(&[(7, 1e6)]);
+    let mut files = vec![("DSG1", a.to_bytes())];
+    let mut log = SignatureLog::new();
+    log.push(3, a.clone());
+    log.push(9, b.clone());
+    files.push(("DSGL", log.to_bytes()));
+
+    let mut report = CampaignReport::new();
+    report.histogram = NdfHistogram::new(0.1, 3);
+    let mut dwell = DwellStats::new();
+    dwell.record(10e-6);
+    dwell.record(35e-6);
+    let device = |index: usize, ndf: f64, outcome: TestOutcome, retest: Option<DeviceRetest>| DeviceResult {
+        index,
+        label: format!("d{index}"),
+        true_deviation_pct: 1.5 * index as f64,
+        ndf,
+        peak_hamming: 2,
+        observed_zones: 8,
+        outcome,
+        retest,
+    };
+    report.record(device(0, 0.01, TestOutcome::Pass, None), &dwell, 3.0, true);
+    let retest = DeviceRetest {
+        initial_ndf: 0.028,
+        repeats_used: 6,
+        flipped: true,
+    };
+    report.record(device(1, 0.041, TestOutcome::Fail, Some(retest)), &dwell, 3.0, false);
+    for (name, capture) in [
+        ("DSGR unknown", CapturePath::Unknown),
+        ("DSGR batched", CapturePath::Batched),
+        (
+            "DSGR per-device",
+            CapturePath::PerDevice {
+                reason: "monitor variation".into(),
+            },
+        ),
+    ] {
+        report.capture = capture;
+        files.push((name, report.to_bytes()));
+    }
+
+    let store = GoldenStore::new();
+    store.insert(42, a, AcceptanceBand::new(0.03).unwrap());
+    store.insert(7, b, AcceptanceBand::new(0.05).unwrap());
+    files.push(("DSGS", store.to_bytes()));
+
+    let snapshot = MetricsSnapshot {
+        metrics: vec![
+            ("a.count".into(), MetricValue::Counter(3)),
+            ("b.level".into(), MetricValue::Gauge(-2.5)),
+            (
+                "c.us".into(),
+                MetricValue::Histogram(HistogramSnapshot {
+                    count: 2,
+                    sum_us: 30,
+                    max_us: 20,
+                    buckets: vec![(16, 1), (u64::MAX, 1)],
+                }),
+            ),
+        ],
+    };
+    files.push(("DSMS", snapshot.to_bytes()));
+    let spans = TraceLog {
+        spans: vec![SpanRecord {
+            trace_id: 1,
+            span_id: 2,
+            parent_span: 0,
+            name: "serve.dispatch".into(),
+            tier: "serve".into(),
+            start_us: 10,
+            end_us: 40,
+            annotations: vec![("batch".into(), "64".into())],
+        }],
+    };
+    files.push(("DSTL", spans.to_bytes()));
+    let events = EventLog {
+        events: vec![EventRecord {
+            level: EventLevel::Error,
+            tier: "serve".into(),
+            name: "conn.poisoned".into(),
+            message: "peer sent garbage".into(),
+            fields: vec![("peer".into(), "127.0.0.1:9".into())],
+            at_us: 77,
+            trace_id: 5,
+        }],
+    };
+    files.push(("DSEL", events.to_bytes()));
+    files
+}
+
+#[test]
+fn persisted_files_are_byte_identical_to_the_captured_golden_bytes() {
+    let files = golden_files();
+    assert_eq!(files.len(), GOLDEN_FILES.len());
+    for ((name, bytes), (golden_name, golden_hex)) in files.iter().zip(GOLDEN_FILES) {
+        assert_eq!(name, golden_name);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            &hex, golden_hex,
+            "{name}: the persisted layout drifted from the captured bytes"
+        );
+    }
+}
+
+/// Every file [`golden_files`] encodes, as captured hex: persisted formats
+/// must stay byte-identical.
+const GOLDEN_FILES: &[(&str, &str)] = &[
+    (
+        "DSG1",
+        "4453473102000000010000002c431cebe2361a3f03000000fca9f1d24d62303f",
+    ),
+    (
+        "DSGL",
+        concat!(
+            "4453474c0200000003000000200000004453473102000000010000002c431cebe2361a3f03000000fca9f1d24d62303f",
+            "0900000014000000445347310100000007000000000000000000f03f",
+        ),
+    ),
+    (
+        "DSGR unknown",
+        concat!(
+            "445347520200020000000000000001000000000000000100000000000000020000000000000000000000000000000000",
+            "00000000000001000000000000009a9999999999b93f0300000002000000000000000000000000000000000000000000",
+            "00000000000000000000f168e388b5f8e43ed2fbc6d79e59023f0ed6ff39cc97173f0400000000000000ea263108ac1c",
+            "aa3f7b14ae47e17a843fcba145b6f3fda43f000000000001000000000000000100000000000000000000000000000006",
+            "00000000000000010000000200000064307b14ae47e17a843f0002000000000000000000000002000000643000000000",
+            "000000007b14ae47e17a843f02000000080000000000000000000100000000000000020000006431000000000000f83f",
+            "cba145b6f3fda43f020000000800000000000000010179e9263108ac9c3f0600000001",
+        ),
+    ),
+    (
+        "DSGR batched",
+        concat!(
+            "445347520200020000000000000001000000000000000100000000000000020000000000000000000000000000000000",
+            "00000000000001000000000000009a9999999999b93f0300000002000000000000000000000000000000000000000000",
+            "00000000000000000000f168e388b5f8e43ed2fbc6d79e59023f0ed6ff39cc97173f0400000000000000ea263108ac1c",
+            "aa3f7b14ae47e17a843fcba145b6f3fda43f010000000001000000000000000100000000000000000000000000000006",
+            "00000000000000010000000200000064307b14ae47e17a843f0002000000000000000000000002000000643000000000",
+            "000000007b14ae47e17a843f02000000080000000000000000000100000000000000020000006431000000000000f83f",
+            "cba145b6f3fda43f020000000800000000000000010179e9263108ac9c3f0600000001",
+        ),
+    ),
+    (
+        "DSGR per-device",
+        concat!(
+            "445347520200020000000000000001000000000000000100000000000000020000000000000000000000000000000000",
+            "00000000000001000000000000009a9999999999b93f0300000002000000000000000000000000000000000000000000",
+            "00000000000000000000f168e388b5f8e43ed2fbc6d79e59023f0ed6ff39cc97173f0400000000000000ea263108ac1c",
+            "aa3f7b14ae47e17a843fcba145b6f3fda43f02110000006d6f6e69746f7220766172696174696f6e0100000000000000",
+            "010000000000000000000000000000000600000000000000010000000200000064307b14ae47e17a843f000200000000",
+            "0000000000000002000000643000000000000000007b14ae47e17a843f02000000080000000000000000000100000000",
+            "000000020000006431000000000000f83fcba145b6f3fda43f020000000800000000000000010179e9263108ac9c3f06",
+            "00000001",
+        ),
+    ),
+    (
+        "DSGS",
+        concat!(
+            "4453475301000200000007000000000000009a9999999999a93f14000000445347310100000007000000000000000000",
+            "f03f2a00000000000000b81e85eb51b89e3f200000004453473102000000010000002c431cebe2361a3f03000000fca9",
+            "f1d24d62303f",
+        ),
+    ),
+    (
+        "DSMS",
+        concat!(
+            "44534d5302000300000007000000612e636f756e7400030000000000000007000000622e6c6576656c01000000000000",
+            "04c004000000632e75730202000000000000001e00000000000000140000000000000002000000100000000000000001",
+            "00000000000000ffffffffffffffff0100000000000000",
+        ),
+    ),
+    (
+        "DSTL",
+        concat!(
+            "4453544c0100010000000100000000000000020000000000000000000000000000000e00000073657276652e64697370",
+            "617463680500000073657276650a00000000000000280000000000000001000000050000006261746368020000003634",
+        ),
+    ),
+    (
+        "DSEL",
+        concat!(
+            "4453454c010001000000020500000073657276650d000000636f6e6e2e706f69736f6e65641100000070656572207365",
+            "6e7420676172626167654d0000000000000005000000000000000100000004000000706565720b0000003132372e302e",
+            "302e313a39",
+        ),
     ),
 ];

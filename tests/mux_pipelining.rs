@@ -450,8 +450,8 @@ fn old_version_frames_draw_current_bad_request_errors_and_the_connection_keeps_s
     assert_eq!(&response[..4], b"DSMR");
     assert_eq!(u16::from_le_bytes([response[4], response[5]]), proto::PROTO_VERSION);
     assert!(matches!(
-        proto::decode_metrics_response(&response).unwrap(),
-        proto::MetricsResponse::Error {
+        proto::decode_reply::<analog_signature::obs::MetricsSnapshot>(&response).unwrap(),
+        proto::Reply::Error {
             code: proto::ErrorCode::BadRequest,
             ..
         }

@@ -138,12 +138,6 @@ fn routed_screening_survives_a_killed_backend_with_zero_wrong_verdicts() {
         router.backend_is_down(&owner).unwrap(),
         "the killed owner must be marked down by the health record"
     );
-
-    // The multi-golden path takes the same failover chain: interleave the
-    // first devices as (key, signature) items.
-    let items: Vec<(u64, Signature)> = lot.signatures[..100].iter().map(|s| (key, s.clone())).collect();
-    let multi = router.screen_multi(&items).unwrap();
-    assert_scores_match(&multi, &lot.report.results[..100], "killed-owner multi");
 }
 
 #[test]
