@@ -15,11 +15,12 @@
 //! * [`SharedStimulus`] — the cached per-setup artifacts: raw stimulus,
 //!   noiseless observed stimulus, the monitor bank's slot table with the
 //!   gate-drive streams of its X drive models on that stimulus, per-sample
-//!   Y thresholds, and the stimulus tones on the sample grid;
-//! * [`capture_signatures_batch`] — evaluates N device responses against the
-//!   shared stimulus with a cache-friendly inner loop (one pass per monitor
-//!   over the sample stream) and scratch buffers reused across the whole
-//!   batch — no per-device allocation beyond the returned signatures.
+//!   Y thresholds, the stimulus tones on the sample grid and, built on the
+//!   first noisy capture, the flip-curve tables on an x grid;
+//! * [`capture_signatures_batch`] — evaluates N device responses (or N
+//!   retest repeats, one entry per repeat seed) against the shared stimulus
+//!   with scratch buffers reused across the whole batch — no per-device
+//!   allocation beyond the returned signatures.
 //!
 //! # Bit-identity contract
 //!
@@ -46,10 +47,11 @@
 //!
 //! Batched capture and [`TestSetup::signatures_of_repeats`] are therefore
 //! bit-identical to [`TestSetup::signature_of`] at every batch size; the
-//! workspace determinism and equivalence tests enforce this. Noiseless
-//! batched capture also computes y differently, but provably lands every
-//! sample in the same zones (see the last section below). For Table I,
-//! whose transistors differ only in width, a noisy sample costs two drive
+//! workspace determinism and equivalence tests enforce this. Batched
+//! capture also computes y differently and decides most bits without
+//! transistor currents, but provably lands every sample in the same zones
+//! (see the last two sections). On the exact path, for Table I, whose
+//! transistors differ only in width, a noisy sample costs two drive
 //! evaluations (one on x, one on y) and twelve short multiply-add chains
 //! instead of twelve `saturation_current` calls.
 //!
@@ -78,12 +80,12 @@
 //!   rounding, which can only matter within a few ulps of the flip point:
 //!   the guard band evaluates that region exactly.
 //! * **The fallbacks.** Exact evaluation remains for monitors with zero or
-//!   several Y inputs, for a Y-gate transistor model whose current is not
-//!   provably non-decreasing (negative channel-length modulation, a slope
-//!   factor in `(0, 1)`), and for noisy setups, where x differs per device.
-//!   The per-device [`TestSetup::signature_of`] /
-//!   [`xy_monitor::ZonePartition::zone_code`] path never uses the table and
-//!   stays the audit reference.
+//!   several Y inputs and for a Y-gate transistor model whose current is
+//!   not provably non-decreasing (negative channel-length modulation, a
+//!   slope factor in `(0, 1)`). Noisy setups, where x differs per device,
+//!   use the flip-curve tables of the last section instead. The per-device
+//!   [`TestSetup::signature_of`] / [`xy_monitor::ZonePartition::zone_code`]
+//!   path never uses either table and stays the audit reference.
 //! * **The cost.** The table is two `f64` per monitor and sample, built by
 //!   false position on the branch-current difference, warm-started from the
 //!   neighbouring samples' flip points, then an exact key-order search from
@@ -128,9 +130,80 @@
 //!   [`SharedStimulus::exact_syntheses`] counts it. At 2 MS/s, E' is about
 //!   5e-15 V for Table I devices, dozens of ulps at 0.5 V, and a lot of
 //!   2,048 Monte-Carlo devices recaptures none.
-//! * **What does not change.** Noisy capture, [`TestSetup::signature_of`]
-//!   and [`TestSetup::signatures_of_repeats`] use only the reference
-//!   synthesis, and no option chooses the path.
+//! * **What does not change.** [`TestSetup::signature_of`],
+//!   [`TestSetup::observe`] and [`TestSetup::signatures_of_repeats`] use
+//!   only the reference synthesis, and no option chooses the path.
+//!
+//! # Certified noisy capture
+//!
+//! A noisy device's x is the shared stimulus plus its own noise, so the
+//! per-sample thresholds above do not apply. Noisy batched capture decides
+//! its bits against each monitor's boundary curve y\*(x) instead — the
+//! curves of the paper's Figs. 4 and 6 — tabulated once per setup on an x
+//! grid, and synthesizes y on the tone grid as noiseless capture does.
+//!
+//! * **Which monitors.** A monitor gets a flip curve when its bit is a step
+//!   in y (exactly one Y-driven input, whose model `rises_with_gate`) and
+//!   monotone in x: its X-driven inputs, if any, all sit on one branch and
+//!   each `rises_with_gate`. With X on the other branch than Y, y\* rises
+//!   with x (Table I curves 1, 2 and 6); on the same branch it falls
+//!   (curves 3 to 5). All six Table I monitors qualify. The tables are
+//!   built only when every monitor qualifies, as the certified synthesis
+//!   needs a threshold table for every monitor.
+//! * **The table.** The x grid spans the noiseless observed x range plus
+//!   50 mV on each side, in up to 2,048 cells (at most 256 KiB of bands
+//!   per setup). The exact flip point at every grid point is found by the
+//!   same search as the per-sample thresholds, warm started from its
+//!   neighbours. A cell's band is the hull of the flip points at four grid
+//!   points, from one below the cell to one above it, widened by
+//!   `GUARD_ULPS`. The table is built on the first noisy capture of a
+//!   [`SharedStimulus`] (about 3 ms for Table I), so noiseless workloads
+//!   never pay for it.
+//! * **Why every x in a cell has its flip point in the band.** Take a
+//!   finite x in cell `c`, which spans `[g_(c+1), g_(c+2)]`; the band
+//!   covers `g_c` to `g_(c+3)`. The grid points and the cell lookup round
+//!   by a few ulps of x, far below a step, so x lies nearly a full step
+//!   from `g_c` and from `g_(c+3)`. Each X-gate current is computed from
+//!   rounded monotone operations of x and libm `exp`; within one ulp,
+//!   `exp` can return a smaller value for a larger argument only when the
+//!   two arguments are within `4.01u` of each other, which
+//!   `exp_steady_over` bounds to a gate-voltage reach a thousandth of a
+//!   step (and whose results it keeps normal). So every X-gate current at x
+//!   lies between its values at `g_c` and `g_(c+3)`. Rounded addition and
+//!   subtraction are monotone, and the X gates sit on one branch, so the
+//!   branch-current difference at `(x, y)` lies between its values at
+//!   `(g_c, y)` and `(g_(c+3), y)`. A y more than `GUARD_ULPS` above the
+//!   band is above the flip point at both grid points, so both differences
+//!   give the above-bit, and so does the one between them; the same holds
+//!   below. Without the two outer grid points, an x a few ulps from a cell
+//!   edge could fall outside both neighbours' currents.
+//! * **The synthesis and its bound.** When every monitor has a flip curve,
+//!   y is the tone-grid synthesis with its bound E, plus the device's exact
+//!   noise stream. Both paths add the same noise value to each sample, so
+//!   the gap grows only by the rounding of the two additions
+//!   (`noise_gap_bound`); [`lowpass_gap_bound`] then carries it through
+//!   the front-end filter to E'. x stays exact: the stimulus plus its noise
+//!   stream, through the same filter.
+//! * **The decision.** A bit is decided by the table when y lies more than
+//!   E' beyond its x cell's band, by the rounding argument of the
+//!   per-sample thresholds. A sample the table leaves in doubt (inside the
+//!   widened band, or x outside the grid) gets a two-point check: the
+//!   exact slot expression at the exact x, at both ends of `[y − E', y + E']`
+//!   moved outward by twice `GUARD_ULPS`. When both ends agree, the exact
+//!   path's bit is theirs; `threshold::two_point` derives why twice the
+//!   guard is enough. A Table I device at 2 MS/s has 2.5 such (sample,
+//!   monitor) pairs of its 2,400, averaged over 256 devices.
+//! * **The fallback.** The device is recaptured on the exact path
+//!   (`SlotTable::capture_measurement`, which draws x's noise again), and
+//!   counted by [`SharedStimulus::exact_syntheses`], when the two ends of a
+//!   check disagree, E' is not finite, or some sample is not finite. When a
+//!   monitor has no flip curve, or the noiseless x range is not finite,
+//!   every device takes that path. Monte-Carlo Table I lots of 2,048
+//!   devices with the paper's noise, at 1, 2 and 5 MS/s with the front-end
+//!   filter on and off, recapture none.
+//! * **Retest repeats** are batch entries: one [`BatchDevice`] per repeat
+//!   seed gives what [`TestSetup::signatures_of_repeats`] gives, through the
+//!   same table.
 //!
 //! # Examples
 //!
@@ -158,18 +231,18 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cut_filters::{BiquadParams, ToneGrid};
 use sim_signal::{lowpass_gap_bound, lowpass_in_place, Waveform};
-use xy_monitor::{CurrentComparator, MonitorInput, MosParams, MosPolarity};
+use xy_monitor::{CurrentComparator, MonitorInput, MosParams, MosPolarity, ZonePartition, THERMAL_VOLTAGE};
 
 mod slots;
 mod threshold;
 
-use slots::{capture_codes, DriveStreams};
+use slots::{capture_codes, observe_in_place, x_stream, y_stream, DriveStreams};
 pub(crate) use slots::{CaptureScratch, SlotTable};
-use threshold::YThresholds;
+use threshold::{two_point, FlipCurves, XGrid, YThresholds};
 
 use crate::error::{DsigError, Result};
 use crate::flow::TestSetup;
@@ -274,7 +347,7 @@ impl BatchDevice {
 /// a positive finite gain, non-negative channel-length modulation, and a
 /// non-negative subthreshold prefactor (slope factor of at least 1, or the
 /// term disabled). A Y gate failing this keeps its monitor on exact
-/// evaluation.
+/// evaluation, and so does an X gate on the noisy path.
 fn rises_with_gate(t: &MosParams) -> bool {
     let beta = t.beta();
     let n = t.subthreshold_n;
@@ -284,6 +357,90 @@ fn rises_with_gate(t: &MosParams) -> bool {
         && t.lambda.is_finite()
         && t.vth0.is_finite()
         && (!(n > 0.0) || (n >= 1.0 && n.is_finite()))
+}
+
+/// The Y-driven slot of a monitor whose bit is a step in y: exactly one
+/// Y-driven input, whose model [`rises_with_gate`].
+fn y_step_slot(monitor: &CurrentComparator) -> Option<usize> {
+    let mut y_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::YAxis);
+    let slot = y_slots.next()?;
+    (y_slots.next().is_none() && rises_with_gate(&monitor.transistors[slot])).then_some(slot)
+}
+
+/// Whether a monitor's X-driven gates keep its bit monotone in x over
+/// `grid`: they all sit on one branch, each [`rises_with_gate`], and each is
+/// [`exp_steady_over`] the grid. A monitor without X gates qualifies.
+fn monotone_in_x(monitor: &CurrentComparator, grid: &XGrid) -> bool {
+    let mut x_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::XAxis);
+    let Some(first) = x_slots.next() else {
+        return true;
+    };
+    let on_right = first >= 2;
+    std::iter::once(first).chain(x_slots).all(|i| {
+        let t = &monitor.transistors[i];
+        (i >= 2) == on_right && rises_with_gate(t) && exp_steady_over(t, grid)
+    })
+}
+
+/// Whether the libm `exp` calls of the gate model `t` can neither reverse
+/// across one step of `grid` nor leave the normal range on it — the premise
+/// under which a flip-curve cell band holds every x in its cell (see the
+/// module docs). A reversal needs two `exp` arguments within `4.01u` of each
+/// other; both arguments are rounded monotone functions of the gate voltage
+/// with slope at least `1/(max(n, 1)·V_T)`, so a reversal spans less than
+/// `4ε·(max(n, 1)·V_T + max|vgs − vth0|)` volts of gate voltage. The grid
+/// step must be a thousand times that.
+fn exp_steady_over(t: &MosParams, grid: &XGrid) -> bool {
+    let (lowest, highest) = grid.span();
+    let (low_vov, high_vov) = (lowest - t.vth0, highest - t.vth0);
+    let n = t.subthreshold_n;
+    let reach = 4.0 * f64::EPSILON * (n.max(1.0) * THERMAL_VOLTAGE + low_vov.abs().max(high_vov.abs()));
+    let normal = !(n > 0.0) || low_vov / (n * THERMAL_VOLTAGE) > -700.0;
+    grid.step() > 1024.0 * reach && normal
+}
+
+/// The bound on how far a y stream can end up from the exact path's once
+/// the same measurement noise is added to both: a gap of `gap` before the
+/// addition, and the stream with noise at most `peak` in magnitude.
+///
+/// Both additions round to nearest, each by at most `u` of its exact sum
+/// (an addition whose result is subnormal is exact). The certified sum's
+/// exact value is at most `peak/(1 − u)` in magnitude and the exact path's
+/// at most that plus `gap`, so the two observed streams differ by at most
+/// `gap + u·(2·peak/(1 − u) + gap)`. The result is
+/// `(gap + 2u·(peak + gap))·(1 + 2^-20)`, whose last factor covers the
+/// `1/(1 − u)` and the rounding of its own evaluation.
+fn noise_gap_bound(gap: f64, peak: f64) -> f64 {
+    const U: f64 = f64::EPSILON / 2.0;
+    (gap + 2.0 * U * (peak + gap)) * (1.0 + 1.0 / (1u64 << 20) as f64)
+}
+
+/// Applies a setup's observation to a certified y that lies within `gap` of
+/// the exact path's synthesized y at every sample: the measurement noise of
+/// `seed` (noisy setups only), then the front-end filter. Returns the bound
+/// on the result's distance from the exact path's observed y:
+/// [`noise_gap_bound`], then [`lowpass_gap_bound`]. It is `+inf` or NaN
+/// when no bound holds, including for any non-finite sample.
+fn observe_certified(setup: &TestSetup, y: &mut [f64], gap: f64, seed: u64, dt: f64) -> f64 {
+    let noisy = !setup.noise.is_none();
+    if noisy {
+        setup.noise.apply_in_place(y, y_stream(seed));
+    }
+    // The sum of magnitudes is finite only when every sample is.
+    let (peak, total) = y
+        .iter()
+        .fold((0.0f64, 0.0), |(peak, total), v| (peak.max(v.abs()), total + v.abs()));
+    if !total.is_finite() {
+        return f64::INFINITY;
+    }
+    let gap = if noisy { noise_gap_bound(gap, peak) } else { gap };
+    match setup.monitor_bandwidth_hz {
+        Some(bandwidth) => {
+            lowpass_in_place(y, dt, bandwidth);
+            lowpass_gap_bound(gap, peak, dt, bandwidth)
+        }
+        None => gap,
+    }
 }
 
 /// The per-setup artifacts shared by every device of a batched capture: the
@@ -311,8 +468,11 @@ pub struct SharedStimulus {
     /// The stimulus tones on the sample grid, for certified response
     /// synthesis; present when every monitor has a threshold table.
     tones: Option<ToneGrid>,
-    /// Noiseless batched devices whose response went through the exact
-    /// synthesis.
+    /// The flip-curve tables of noisy capture, built on the first noisy
+    /// capture; absent when some monitor has no flip curve or the noiseless
+    /// x range is not finite.
+    flip_curves: OnceLock<Option<FlipCurves>>,
+    /// Batched devices whose response went through the exact synthesis.
     exact_syntheses: AtomicU64,
 }
 
@@ -349,6 +509,7 @@ impl SharedStimulus {
             x_drives,
             thresholds: Vec::new(),
             tones: None,
+            flip_curves: OnceLock::new(),
             exact_syntheses: AtomicU64::new(0),
         };
         shared.thresholds = setup
@@ -356,7 +517,10 @@ impl SharedStimulus {
             .monitors()
             .iter()
             .enumerate()
-            .map(|(m, monitor)| shared.y_thresholds(m, monitor))
+            .map(|(m, monitor)| {
+                let slot = y_step_slot(monitor)?;
+                Some(shared.flip_points(m, slot, monitor.inverted, shared.x_obs.samples(), &shared.x_drives))
+            })
             .collect();
         if shared.thresholds.iter().all(Option::is_some) {
             shared.tones = Some(ToneGrid::new(&setup.stimulus, 1, setup.sample_rate))
@@ -365,32 +529,62 @@ impl SharedStimulus {
         Ok(shared)
     }
 
-    /// The threshold table of monitor `m` when it has exactly one Y-driven
-    /// input whose transistor model provably rises with its gate voltage
-    /// ([`rises_with_gate`]); `None` keeps the monitor on exact evaluation.
-    fn y_thresholds(&self, m: usize, monitor: &CurrentComparator) -> Option<YThresholds> {
-        let mut y_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::YAxis);
-        let slot = y_slots.next()?;
-        if y_slots.next().is_some() || !rises_with_gate(&monitor.transistors[slot]) {
-            return None;
-        }
+    /// The flip point in y of monitor `m` at every x of `x` (with the drives
+    /// `drives` of the X models there): `slot` is its Y-driven input
+    /// ([`y_step_slot`]) and `inverted` its output polarity.
+    fn flip_points(&self, m: usize, slot: usize, inverted: bool, x: &[f64], drives: &DriveStreams) -> YThresholds {
         // A rising Y-gate current raises I_left − I_right on the left branch
         // and lowers it on the right one.
         let on_right = slot >= 2;
         let rising = |k, y| {
-            let difference = self.slots.difference_at(m, &self.x_drives, k, y);
+            let difference = self.slots.difference_at(m, drives, k, y);
             if on_right {
                 -difference
             } else {
                 difference
             }
         };
-        Some(YThresholds::build(
-            self.x_obs.samples(),
-            monitor.inverted ^ on_right,
-            |k, y| self.exact_bit(m, k, y),
+        YThresholds::build(
+            x,
+            inverted ^ on_right,
+            |k, y| self.slots.bit_at(m, drives, k, y),
             rising,
-        ))
+        )
+    }
+
+    /// The flip-curve tables of `partition` (this stimulus's own monitor
+    /// bank), built on the first call, on a grid over the noiseless observed
+    /// x range plus 50 mV (`X_GRID_MARGIN_V`) on each side: present when
+    /// every monitor's bit is a step in y ([`y_step_slot`]) and monotone in
+    /// x ([`monotone_in_x`]), and that range is finite.
+    fn flip_curves(&self, partition: &ZonePartition) -> Option<&FlipCurves> {
+        self.flip_curves
+            .get_or_init(|| {
+                let (lowest, highest) = self
+                    .x_obs
+                    .samples()
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+                        (lo.min(x), hi.max(x))
+                    });
+                let monitors = partition.monitors();
+                let grid = XGrid::covering(lowest, highest, monitors.len())?;
+                let slots: Vec<usize> = monitors
+                    .iter()
+                    .map(|monitor| y_step_slot(monitor).filter(|_| monotone_in_x(monitor, &grid)))
+                    .collect::<Option<_>>()?;
+                let points = grid.points();
+                let mut drives = DriveStreams::default();
+                drives.fill(self.slots.x_models(), &points);
+                let curves = monitors
+                    .iter()
+                    .zip(slots)
+                    .enumerate()
+                    .map(|(m, (monitor, slot))| self.flip_points(m, slot, monitor.inverted, &points, &drives))
+                    .collect();
+                Some(FlipCurves::new(grid, curves))
+            })
+            .as_ref()
     }
 
     /// Monitor `m`'s bit at sample `k` of the shared x and observed `y` by
@@ -412,37 +606,45 @@ impl SharedStimulus {
         self.key == stimulus_key(setup)
     }
 
-    /// Number of noiseless devices captured against this shared stimulus
-    /// whose response went through the exact synthesis: a certified
-    /// synthesis left some bit in doubt, or the setup has a monitor without
-    /// a threshold table (then every device).
+    /// Number of devices (and retest repeats) captured against this shared
+    /// stimulus whose response went through the exact synthesis: a
+    /// certified synthesis left some bit in doubt or had no finite bound,
+    /// some observed sample was not finite, or the setup has a monitor
+    /// without a table for its path (then every device). Noiseless and
+    /// noisy captures both count.
     pub fn exact_syntheses(&self) -> u64 {
         self.exact_syntheses.load(Ordering::Relaxed)
     }
 
-    /// Synthesizes a device's noiseless observed y on the tone grid into
-    /// `y` (the certified synthesis, then the front-end filter) and returns
-    /// a bound on its distance from the exact path's y at every sample:
+    /// Synthesizes a device's observed y on the tone grid into `y` (the
+    /// certified synthesis, the measurement noise of `seed` on a noisy
+    /// setup, then the front-end filter) and returns a bound on its
+    /// distance from the exact path's observed y at every sample:
     /// [`BiquadParams::steady_state_response_on_grid`]'s bound carried
-    /// through the filter by [`lowpass_gap_bound`]. It is `+inf` or NaN when
-    /// no bound holds, including for any non-finite synthesized sample.
-    fn certified_response(&self, grid: &ToneGrid, setup: &TestSetup, cut: &BiquadParams, y: &mut Vec<f64>) -> f64 {
+    /// through the observation by [`observe_certified`].
+    fn certified_response(
+        &self,
+        grid: &ToneGrid,
+        setup: &TestSetup,
+        cut: &BiquadParams,
+        seed: u64,
+        y: &mut Vec<f64>,
+    ) -> f64 {
         let bound = cut.steady_state_response_on_grid(grid, y);
-        // The sum of magnitudes is finite only when every sample is.
-        let (peak, total) = y
-            .iter()
-            .fold((0.0f64, 0.0), |(peak, total), v| (peak.max(v.abs()), total + v.abs()));
-        if !total.is_finite() {
-            return f64::INFINITY;
+        observe_certified(setup, y, bound, seed, self.x_obs.dt())
+    }
+
+    /// The exact path's synthesized (unobserved) response of a device: the
+    /// reference synthesis every certified path is checked against.
+    fn exact_response(&self, setup: &TestSetup, cut: &BiquadParams, y: &mut Vec<f64>) -> Result<()> {
+        cut.steady_state_response_into(&setup.stimulus, 1, setup.sample_rate, y);
+        if y.len() != self.samples() {
+            return Err(DsigError::Signal(sim_signal::SignalError::GridMismatch {
+                left: self.samples(),
+                right: y.len(),
+            }));
         }
-        match setup.monitor_bandwidth_hz {
-            Some(bandwidth) => {
-                let dt = self.x_obs.dt();
-                lowpass_in_place(y, dt, bandwidth);
-                lowpass_gap_bound(bound, peak, dt, bandwidth)
-            }
-            None => bound,
-        }
+        Ok(())
     }
 
     /// Zone-encodes a certified y, within `bound` of the exact path's y at
@@ -509,6 +711,69 @@ impl SharedStimulus {
             }
         }
     }
+
+    /// Captures one noisy device. When every monitor has a flip curve, x is
+    /// the exact path's (`x_raw`, the device's x noise, the front-end
+    /// filter), y is the certified synthesis with its noise
+    /// ([`SharedStimulus::certified_response`]), and
+    /// [`SharedStimulus::encode_noisy`] decides every bit. Otherwise, or when
+    /// that leaves a bit in doubt, no bound holds or an x sample is not
+    /// finite, the device is captured exactly
+    /// ([`SlotTable::capture_measurement`]) and counts in
+    /// [`SharedStimulus::exact_syntheses`].
+    fn capture_noisy(
+        &self,
+        setup: &TestSetup,
+        curves: Option<&FlipCurves>,
+        device: &BatchDevice,
+        y: &mut Vec<f64>,
+        scratch: &mut CaptureScratch,
+    ) -> Result<Signature> {
+        let dt = self.x_obs.dt();
+        if let (Some(curves), Some(grid)) = (curves, &self.tones) {
+            let x = &mut scratch.x;
+            x.clear();
+            x.extend_from_slice(self.x_raw.samples());
+            observe_in_place(setup, x, x_stream(device.noise_seed), dt);
+            let bound = self.certified_response(grid, setup, &device.cut, device.noise_seed, y);
+            if scratch.x.iter().all(|v| v.is_finite()) && self.encode_noisy(curves, y, bound, scratch) {
+                return capture_codes(setup, &scratch.codes, dt);
+            }
+        }
+        self.exact_syntheses.fetch_add(1, Ordering::Relaxed);
+        self.exact_response(setup, &device.cut, y)?;
+        self.slots
+            .capture_measurement(setup, self.x_raw.samples(), y, device.noise_seed, dt, scratch)
+    }
+
+    /// Zone-encodes a noisy observed pair into `scratch.codes`: x is
+    /// `scratch.x`, the exact path's, and y lies within `bound` of the exact
+    /// path's observed y at every sample. Each bit is decided by its
+    /// monitor's band in x's cell widened by the bound
+    /// ([`FlipCurves::decide`]), and a bit left in doubt is settled by
+    /// [`two_point`]. Returns `false`, leaving the codes unusable, when the
+    /// bound is not finite or a two-point check leaves a bit in doubt.
+    fn encode_noisy(&self, curves: &FlipCurves, y: &[f64], bound: f64, scratch: &mut CaptureScratch) -> bool {
+        if !bound.is_finite() {
+            return false;
+        }
+        let CaptureScratch { x, codes, .. } = scratch;
+        codes.clear();
+        codes.resize(y.len(), 0);
+        for ((code, &xk), &yk) in codes.iter_mut().zip(x.iter()).zip(y) {
+            let (bits, mut doubtful) = curves.decide(xk, yk, bound);
+            *code = bits;
+            while doubtful != 0 {
+                let m = doubtful.trailing_zeros() as usize;
+                doubtful &= doubtful - 1;
+                match two_point(|y| self.slots.bit_at_point(m, xk, y), yk, bound) {
+                    Some(bit) => *code |= u32::from(bit) << m,
+                    None => return false,
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Captures the signatures of a batch of devices sharing one setup, reusing
@@ -518,7 +783,16 @@ impl SharedStimulus {
 /// The result is **bit-identical** to calling [`TestSetup::signature_of`]
 /// per device (see the [module docs](self) for why), for every batch size —
 /// including the noisy case, where each device still draws its own x/y noise
-/// realisations from its seed.
+/// realisations from its seed. Retest repeats are batch entries too: one
+/// [`BatchDevice`] per repeat seed captures what
+/// [`TestSetup::signatures_of_repeats`] does.
+///
+/// Both cases take a certified path when the setup allows it: y synthesized
+/// from per-setup tone tables with an error bound, and every bit decided by
+/// a threshold table (noiseless) or a flip-curve table on an x grid (noisy)
+/// with that bound as margin. A device whose bits the margin leaves in doubt
+/// is recaptured on the exact path and counted by
+/// [`SharedStimulus::exact_syntheses`].
 ///
 /// # Errors
 /// Returns [`DsigError::InvalidConfig`] when `shared` was built for a
@@ -533,47 +807,27 @@ pub fn capture_signatures_batch(
             "shared stimulus does not match the setup; fetch it from a StimulusBank with this setup".into(),
         ));
     }
-    let n = shared.x_obs.len();
     let dt = shared.x_obs.dt();
-    let noisy = !setup.noise.is_none();
+    // x differs per device when the setup is noisy: its bits are decided
+    // against the flip-curve tables instead of the per-sample thresholds.
+    let noisy = (!setup.noise.is_none()).then(|| shared.flip_curves(&setup.partition));
 
     // Scratch buffers reused across every device of the batch.
     let mut y: Vec<f64> = Vec::new();
     let mut scratch = CaptureScratch::default();
-    // The reference synthesis of the exact path.
-    let exact_response = |cut: &BiquadParams, y: &mut Vec<f64>| {
-        cut.steady_state_response_into(&setup.stimulus, 1, setup.sample_rate, y);
-        if y.len() != n {
-            return Err(DsigError::Signal(sim_signal::SignalError::GridMismatch {
-                left: n,
-                right: y.len(),
-            }));
-        }
-        Ok(())
-    };
-
     let mut out = Vec::with_capacity(devices.len());
     for device in devices {
-        if noisy {
-            // x differs per device: both streams go through exact encoding.
-            exact_response(&device.cut, &mut y)?;
-            out.push(shared.slots.capture_measurement(
-                setup,
-                shared.x_raw.samples(),
-                &y,
-                device.noise_seed,
-                dt,
-                &mut scratch,
-            )?);
+        if let Some(curves) = noisy {
+            out.push(shared.capture_noisy(setup, curves, device, &mut y, &mut scratch)?);
             continue;
         }
         let certified = shared.tones.as_ref().is_some_and(|grid| {
-            let bound = shared.certified_response(grid, setup, &device.cut, &mut y);
+            let bound = shared.certified_response(grid, setup, &device.cut, device.noise_seed, &mut y);
             shared.encode_certified(&y, bound, &mut scratch)
         });
         if !certified {
             shared.exact_syntheses.fetch_add(1, Ordering::Relaxed);
-            exact_response(&device.cut, &mut y)?;
+            shared.exact_response(setup, &device.cut, &mut y)?;
             if let Some(bandwidth) = setup.monitor_bandwidth_hz {
                 lowpass_in_place(&mut y, dt, bandwidth);
             }
@@ -1114,6 +1368,23 @@ mod tests {
         setup
     }
 
+    /// The monitors of [`noisy_custom_setup`] that get flip curves: all but
+    /// the two with Y on both branches. Y on the right branch, X through two
+    /// drive models, no subthreshold term, each in both output polarities.
+    fn monotone_custom_setup() -> TestSetup {
+        use xy_monitor::ZonePartition;
+        let mut setup = noisy_custom_setup();
+        let monitors = setup
+            .partition
+            .monitors()
+            .iter()
+            .filter(|monitor| y_step_slot(monitor).is_some())
+            .cloned()
+            .collect();
+        setup.partition = ZonePartition::new(monitors).unwrap();
+        setup
+    }
+
     #[test]
     fn noisy_custom_partitions_match_per_repeat_capture_on_both_exact_paths() {
         let setup = noisy_custom_setup();
@@ -1216,7 +1487,7 @@ mod tests {
             let shared = SharedStimulus::new(&setup).unwrap();
             let grid = shared.tones.as_ref().expect("Table I is fully tabulated");
             let mut y = Vec::new();
-            let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), &mut y);
+            let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), 0, &mut y);
             assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
             let mut scratch = CaptureScratch::default();
             assert!(
@@ -1258,24 +1529,25 @@ mod tests {
     #[test]
     fn certified_response_stays_within_its_bound_on_table1_lots() {
         for (rate, bandwidth) in [(2e6, true), (5e6, false)] {
-            let setup = table1_setup(rate, bandwidth);
-            let shared = SharedStimulus::new(&setup).unwrap();
-            let grid = shared.tones.as_ref().unwrap();
-            let (mut certified, mut exact) = (Vec::new(), Vec::new());
-            for device in lot(9) {
-                let bound = shared.certified_response(grid, &setup, &device.cut, &mut certified);
-                device
-                    .cut
-                    .steady_state_response_into(&setup.stimulus, 1, setup.sample_rate, &mut exact);
-                if let Some(bandwidth) = setup.monitor_bandwidth_hz {
-                    lowpass_in_place(&mut exact, shared.x_obs.dt(), bandwidth);
+            for noise in [NoiseModel::none(), NoiseModel::paper_default()] {
+                let setup = table1_setup(rate, bandwidth).with_noise(noise);
+                let shared = SharedStimulus::new(&setup).unwrap();
+                let grid = shared.tones.as_ref().unwrap();
+                let (mut certified, mut exact) = (Vec::new(), Vec::new());
+                for device in lot(9) {
+                    let seed = device.noise_seed;
+                    let bound = shared.certified_response(grid, &setup, &device.cut, seed, &mut certified);
+                    shared.exact_response(&setup, &device.cut, &mut exact).unwrap();
+                    observe_in_place(&setup, &mut exact, y_stream(seed), shared.x_obs.dt());
+                    assert_eq!(exact, setup.observe(&device.cut, seed).1.samples());
+                    let gap = certified
+                        .iter()
+                        .zip(&exact)
+                        .map(|(a, b)| (a - b).abs())
+                        .fold(0.0, f64::max);
+                    assert!(gap <= bound, "f0 {}: gap {gap:e} above {bound:e}", device.cut.f0_hz);
+                    assert!(bound < 1e-14, "{noise:?}: bound {bound:e}");
                 }
-                let gap = certified
-                    .iter()
-                    .zip(&exact)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0, f64::max);
-                assert!(gap <= bound, "f0 {}: gap {gap:e} above {bound:e}", device.cut.f0_hz);
             }
         }
     }
@@ -1292,34 +1564,296 @@ mod tests {
             0,
             "a Table I lot is decided by the certified synthesis"
         );
-        // Noisy capture never takes the certified path, and does not count.
+        // A noisy Table I lot is decided by the certified synthesis and the
+        // flip-curve tables, which the first noisy capture builds.
+        assert!(
+            shared.flip_curves.get().is_none(),
+            "noiseless capture builds no flip curves"
+        );
         capture_signatures_batch(
             &table1.clone().with_noise(NoiseModel::paper_default()),
             &shared,
             &devices,
         )
         .unwrap();
+        assert!(shared.flip_curves.get().is_some());
         assert_eq!(bank.exact_syntheses(), 0);
-        // A monitor without a threshold table sends every device exact.
+        // A monitor without a threshold table sends every device exact, and
+        // so does a monitor without a flip curve on the noisy path.
         let custom = custom_setup();
         let custom_shared = bank.shared_for(&custom).unwrap();
         assert!(custom_shared.tones.is_none());
         capture_signatures_batch(&custom, &custom_shared, &devices).unwrap();
         assert_eq!(custom_shared.exact_syntheses(), 7);
+        let noisy_custom = custom.with_noise(NoiseModel::paper_default());
+        capture_signatures_batch(&noisy_custom, &custom_shared, &devices).unwrap();
+        assert_eq!(custom_shared.exact_syntheses(), 14);
         // The bank's total survives the entry's eviction.
-        assert_eq!(bank.exact_syntheses(), 7);
+        assert_eq!(bank.exact_syntheses(), 14);
         bank.shared_for(&table1).unwrap();
         assert_eq!(bank.evictions(), 2);
-        assert_eq!(bank.exact_syntheses(), 7);
+        assert_eq!(bank.exact_syntheses(), 14);
+    }
+
+    /// `repeats` measurements of one device through batched capture: one
+    /// batch entry per repeat seed, as the engine captures retest repeats.
+    fn batched_repeats(
+        setup: &TestSetup,
+        shared: &SharedStimulus,
+        cut: BiquadParams,
+        repeats: u64,
+        base_seed: u64,
+    ) -> Vec<Signature> {
+        let entries: Vec<BatchDevice> = (0..repeats)
+            .map(|i| BatchDevice::new(cut, base_seed.wrapping_add(i)))
+            .collect();
+        capture_signatures_batch(setup, shared, &entries).unwrap()
+    }
+
+    /// Table I plus a monitor whose X gates sit on both branches, so its bit
+    /// is not monotone in x: it has a threshold table but no flip curve.
+    fn split_x_setup() -> TestSetup {
+        use xy_monitor::ZonePartition;
+        let nmos = MosParams::nmos_65nm(1.8e-6, 180e-9);
+        let split_x = CurrentComparator::new(
+            "split-x",
+            [nmos.with_width(3e-6), nmos, nmos.with_width(1e-6), nmos],
+            [
+                MonitorInput::YAxis,
+                MonitorInput::XAxis,
+                MonitorInput::XAxis,
+                MonitorInput::Dc(0.45),
+            ],
+            1.2,
+        )
+        .unwrap();
+        let mut setup = table1_setup(2e6, true).with_noise(NoiseModel::paper_default());
+        let mut monitors = setup.partition.monitors().to_vec();
+        monitors.push(split_x);
+        setup.partition = ZonePartition::new(monitors).unwrap();
+        setup
+    }
+
+    #[test]
+    fn noisy_fallbacks_stay_bit_identical_and_count_their_recaptures() {
+        let with_noise = |sigma: f64, mean: f64| table1_setup(2e6, true).with_noise(NoiseModel { sigma, mean });
+        // (setup, name, whether every capture must go exact)
+        let cases = [
+            (split_x_setup(), "X gates on both branches", true),
+            (
+                custom_setup().with_noise(NoiseModel::paper_default()),
+                "Y on both branches",
+                true,
+            ),
+            (with_noise(f64::NAN, 0.0), "σ = NaN", true),
+            (with_noise(f64::INFINITY, 0.0), "σ = +inf", true),
+            (with_noise(1e300, 0.0), "σ = 1e300 V", false),
+            (with_noise(0.0, 0.01), "mean only", false),
+        ];
+        let devices = lot(4);
+        for (setup, name, all_exact) in cases {
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+            for (device, batched_sig) in devices.iter().zip(&batched) {
+                let seed = device.noise_seed;
+                assert_eq!(*batched_sig, setup.signature_of(&device.cut, seed).unwrap(), "{name}");
+                let repeats = batched_repeats(&setup, &shared, device.cut, 3, seed);
+                assert_eq!(
+                    repeats,
+                    setup.signatures_of_repeats(&device.cut, 3, seed).unwrap(),
+                    "{name}"
+                );
+            }
+            let captures = devices.len() as u64 * 4;
+            if all_exact {
+                assert_eq!(shared.exact_syntheses(), captures, "{name}: every capture goes exact");
+            }
+            if name == "mean only" {
+                assert_eq!(
+                    shared.exact_syntheses(),
+                    0,
+                    "{name}: the certified path decides a shifted x"
+                );
+            }
+        }
+        // One monitor without a flip curve leaves the setup without tables.
+        let split_x = split_x_setup();
+        assert!(SharedStimulus::new(&split_x)
+            .unwrap()
+            .flip_curves(&split_x.partition)
+            .is_none());
+    }
+
+    #[test]
+    fn noisy_lots_with_flip_curves_and_their_repeats_are_decided_without_recapture() {
+        let noisy_table1 = |rate, bandwidth| table1_setup(rate, bandwidth).with_noise(NoiseModel::paper_default());
+        // Table I with and without the filter, and custom monitors with Y on
+        // the right branch, X through two drive models, and no subthreshold
+        // term.
+        for (setup, name) in [
+            (noisy_table1(2e6, true), "Table I, 2 MS/s, filter"),
+            (noisy_table1(5e6, false), "Table I, 5 MS/s"),
+            (monotone_custom_setup(), "custom"),
+        ] {
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let devices = lot(6);
+            let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+            for (device, batched_sig) in devices.iter().zip(&batched) {
+                let seed = device.noise_seed;
+                assert_eq!(*batched_sig, setup.signature_of(&device.cut, seed).unwrap(), "{name}");
+                let repeats = batched_repeats(&setup, &shared, device.cut, 2, seed);
+                assert_eq!(
+                    repeats,
+                    setup.signatures_of_repeats(&device.cut, 2, seed).unwrap(),
+                    "{name}"
+                );
+            }
+            assert_eq!(shared.exact_syntheses(), 0, "{name}");
+            assert!(
+                shared.flip_curves(&setup.partition).is_some(),
+                "{name}: every monitor has a flip curve"
+            );
+        }
+    }
+
+    /// The flip key at `x` of monitor `m` bracketed by the band `[lo, hi]`:
+    /// the exact bit reads `below` at `lo` and the opposite at `hi`, where
+    /// each end is finite.
+    fn brackets(shared: &SharedStimulus, m: usize, below: bool, x: f64, [lo, hi]: [f64; 2]) -> bool {
+        (!lo.is_finite() || shared.slots.bit_at_point(m, x, lo) == below)
+            && (!hi.is_finite() || shared.slots.bit_at_point(m, x, hi) != below)
+    }
+
+    #[test]
+    fn flip_curve_bands_hold_the_flip_point_of_every_x_within_a_grid_step_of_their_cell() {
+        for setup in [table1_setup(2e6, true), monotone_custom_setup()] {
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let curves = shared.flip_curves(&setup.partition).unwrap();
+            let points = curves.grid().points();
+            let cells = points.len() - 3;
+            let mut probed = 0;
+            for m in 0..setup.partition.monitors().len() {
+                let below = curves.below(m);
+                for cell in (0..cells).step_by(3) {
+                    let band = curves.band(cell, m);
+                    // From one grid point below the cell to one above it,
+                    // both ends and points between.
+                    let (from, to) = (points[cell], points[cell + 3]);
+                    for step in 0..=6 {
+                        let x = from + (to - from) * f64::from(step) / 6.0;
+                        assert!(
+                            brackets(&shared, m, below, x, band),
+                            "monitor {m} cell {cell} x {x} band {band:?}"
+                        );
+                        probed += 1;
+                    }
+                    let center = (points[cell + 1] + points[cell + 2]) / 2.0;
+                    assert_eq!(curves.grid().cell(center), Some(cell));
+                }
+            }
+            assert!(probed > 5_000, "only {probed} probes");
+        }
+    }
+
+    #[test]
+    fn flip_curve_bands_leave_every_doubtful_noisy_bit_to_the_two_point_check() {
+        let setup = table1_setup(2e6, true).with_noise(NoiseModel::paper_default());
+        let shared = SharedStimulus::new(&setup).unwrap();
+        let curves = shared.flip_curves(&setup.partition).unwrap();
+        let grid = shared.tones.as_ref().unwrap();
+        let mut y = Vec::new();
+        let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), 5, &mut y);
+        assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
+        let points = curves.grid().points();
+        let cells = points.len() - 3;
+        let mut probed = 0;
+        for m in 0..6 {
+            let below = curves.below(m);
+            for cell in (0..cells).step_by(7) {
+                let x = (points[cell + 1] + points[cell + 2]) / 2.0;
+                let [lo, hi] = curves.band(cell, m);
+                for (end, outward) in [(hi, 1.0), (lo, -1.0)] {
+                    if !end.is_finite() {
+                        continue;
+                    }
+                    probed += 1;
+                    for scale in [0.5, 0.99, 1.01, 2.0] {
+                        let yk = probe(end, outward, scale * bound, scale > 1.0);
+                        let (bits, doubtful) = curves.decide(x, yk, bound);
+                        let at = format!("monitor {m} cell {cell} edge {end} scale {scale}");
+                        if scale < 1.0 {
+                            assert_eq!(doubtful >> m & 1, 1, "{at}: decided inside the widened band");
+                        } else {
+                            assert_eq!(doubtful >> m & 1, 0, "{at}: left in doubt beyond the widened band");
+                            let bit = bits >> m & 1 == 1;
+                            assert_eq!(bit, (outward > 0.0) ^ below, "{at}");
+                            assert_eq!(shared.slots.bit_at_point(m, x, yk - bound), bit, "{at}");
+                            assert_eq!(shared.slots.bit_at_point(m, x, yk + bound), bit, "{at}");
+                        }
+                    }
+                }
+            }
+            // Outside the grid, or at a non-finite x, every bit is doubtful.
+            let (lowest, highest) = curves.grid().span();
+            for x in [lowest - 1.0, highest + 1.0, f64::NAN, f64::INFINITY] {
+                assert_eq!(curves.decide(x, 0.5, bound), (0, 0b11_1111), "x {x}");
+            }
+        }
+        assert!(probed > 6 * (cells / 7), "only {probed} finite band edges");
+    }
+
+    #[test]
+    fn observation_carries_a_certified_gap_within_a_factor_two_of_its_worst_case() {
+        let rate = 2e6;
+        let cases = [
+            (NoiseModel::none(), true),
+            (NoiseModel::paper_default(), true),
+            (NoiseModel::paper_default(), false),
+            (NoiseModel::new(0.2), true),
+        ];
+        for (noise, bandwidth) in cases {
+            let setup = table1_setup(rate, bandwidth).with_noise(noise);
+            let shared = SharedStimulus::new(&setup).unwrap();
+            let dt = shared.x_obs.dt();
+            let mut exact = Vec::new();
+            shared
+                .exact_response(&setup, &BiquadParams::paper_default(), &mut exact)
+                .unwrap();
+            for offset in [1e-9, 3e-13] {
+                // A constant offset passes the filter unchanged: the worst
+                // case of the carried gap.
+                let mut certified: Vec<f64> = exact.iter().map(|v| v + offset).collect();
+                let gap = certified
+                    .iter()
+                    .zip(&exact)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                let bound = observe_certified(&setup, &mut certified, gap, 9, dt);
+                let mut reference = exact.clone();
+                observe_in_place(&setup, &mut reference, y_stream(9), dt);
+                let carried = certified
+                    .iter()
+                    .zip(&reference)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                let at = format!("{noise:?} bandwidth {bandwidth} offset {offset:e}");
+                assert!(carried <= bound, "{at}: gap {carried:e} above {bound:e}");
+                assert!(carried > bound / 2.0, "{at}: gap {carried:e} below half of {bound:e}");
+            }
+        }
     }
 
     #[test]
     fn devices_without_a_deciding_bound_are_captured_exactly() {
         // A phase of 1e17 rad makes the reference round its sine argument by
         // volts, so the bound leaves every bit in doubt; a NaN amplitude
-        // leaves no bound at all.
-        for tone in [ToneSpec::new(3, 0.14).with_phase(1e17), ToneSpec::new(3, f64::NAN)] {
-            let mut setup = table1_setup(2e6, true);
+        // leaves no bound at all, and no finite x range for flip curves.
+        let tones = [ToneSpec::new(3, 0.14).with_phase(1e17), ToneSpec::new(3, f64::NAN)];
+        for (tone, noise) in tones
+            .into_iter()
+            .flat_map(|tone| [NoiseModel::none(), NoiseModel::paper_default()].map(|noise| (tone, noise)))
+        {
+            let mut setup = table1_setup(2e6, true).with_noise(noise);
             let mut tones = setup.stimulus.tones().to_vec();
             tones[1] = tone;
             setup.stimulus = MultitoneSpec::new(5_000.0, 0.5, tones).unwrap();
@@ -1327,7 +1861,7 @@ mod tests {
             assert!(shared.tones.is_some());
             let devices = lot(3);
             let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
-            assert_eq!(shared.exact_syntheses(), 3, "{tone:?}");
+            assert_eq!(shared.exact_syntheses(), 3, "{tone:?} {noise:?}");
             for (device, batched_sig) in devices.iter().zip(&batched) {
                 assert_eq!(
                     *batched_sig,

@@ -80,12 +80,12 @@ impl DriveStreams {
     }
 }
 
-/// Buffers of exact capture, reused across the devices of a batch or the
-/// repeats of one device: one observed pair, the drive streams of its models
-/// and its zone codes.
+/// Buffers of capture, reused across the devices of a batch or the repeats
+/// of one device: one observed pair, the drive streams of its models and its
+/// zone codes.
 #[derive(Debug, Default)]
 pub(crate) struct CaptureScratch {
-    x: Vec<f64>,
+    pub(super) x: Vec<f64>,
     y: Vec<f64>,
     x_drives: DriveStreams,
     pub(super) y_drives: DriveStreams,
@@ -163,6 +163,17 @@ impl SlotTable {
         self.monitors[m].bit(|d| x.at(d, k), |d| GateDrive::at(&self.y_models[d], y))
     }
 
+    /// Monitor `m`'s bit at the observed point `(x, y)`, with the drives of
+    /// both computed on demand: the exact evaluation of the samples a
+    /// flip-curve table leaves in doubt.
+    #[inline]
+    pub(super) fn bit_at_point(&self, m: usize, x: f64, y: f64) -> bool {
+        self.monitors[m].bit(
+            |d| GateDrive::at(&self.x_models[d], x),
+            |d| GateDrive::at(&self.y_models[d], y),
+        )
+    }
+
     /// Sets bit `m` of every code where monitor `m` reads 1, by exact
     /// evaluation over drive streams covering `codes.len()` samples.
     pub(super) fn encode_monitor(&self, m: usize, x: &DriveStreams, y: &DriveStreams, codes: &mut [u32]) {
@@ -193,16 +204,10 @@ impl SlotTable {
             y_drives,
             codes,
         } = scratch;
-        for (observed, raw, stream_seed) in [
-            (&mut *x_obs, x, seed.wrapping_mul(2)),
-            (&mut *y_obs, y, seed.wrapping_mul(2).wrapping_add(1)),
-        ] {
+        for (observed, raw, stream_seed) in [(&mut *x_obs, x, x_stream(seed)), (&mut *y_obs, y, y_stream(seed))] {
             observed.clear();
             observed.extend_from_slice(raw);
-            setup.noise.apply_in_place(observed, stream_seed);
-            if let Some(bandwidth) = setup.monitor_bandwidth_hz {
-                lowpass_in_place(observed, dt, bandwidth);
-            }
+            observe_in_place(setup, observed, stream_seed, dt);
         }
         x_drives.fill(&self.x_models, x_obs);
         y_drives.fill(&self.y_models, y_obs);
@@ -212,6 +217,27 @@ impl SlotTable {
             self.encode_monitor(m, x_drives, y_drives, codes);
         }
         capture_codes(setup, codes, dt)
+    }
+}
+
+/// The noise stream seed of a measurement's x: the seed
+/// [`TestSetup::observe`] draws x's noise from.
+pub(super) fn x_stream(seed: u64) -> u64 {
+    seed.wrapping_mul(2)
+}
+
+/// The noise stream seed of a measurement's y.
+pub(super) fn y_stream(seed: u64) -> u64 {
+    seed.wrapping_mul(2).wrapping_add(1)
+}
+
+/// Applies a setup's measurement noise (stream `stream_seed`) and front-end
+/// filter to one synthesized stream in place, as [`TestSetup::observe`]
+/// applies them.
+pub(super) fn observe_in_place(setup: &TestSetup, samples: &mut [f64], stream_seed: u64, dt: f64) {
+    setup.noise.apply_in_place(samples, stream_seed);
+    if let Some(bandwidth) = setup.monitor_bandwidth_hz {
+        lowpass_in_place(samples, dt, bandwidth);
     }
 }
 

@@ -1,8 +1,10 @@
-//! Per-sample flip-point tables of the noiseless zone-encoding fast path
-//! (see the [module docs](super)): the guard band, the `f64` total-order
-//! keys the exact search runs on, and the search itself — false position on
-//! a rising branch-current difference for a starting point, then galloping
-//! and bisection in key order for the exact flip point.
+//! Flip-point tables of the zone-encoding fast paths (see the
+//! [module docs](super)): the guard band, the `f64` total-order keys the
+//! exact search runs on, the search itself — false position on a rising
+//! branch-current difference for a starting point, then galloping and
+//! bisection in key order for the exact flip point — the per-sample table
+//! of noiseless capture, the per-cell flip-curve table of noisy capture, and
+//! the two-point check that settles what the latter leaves in doubt.
 
 /// Half-width, in units in the last place of y, of the band around each
 /// tabulated flip point inside which noiseless capture evaluates the exact
@@ -120,6 +122,198 @@ impl YThresholds {
     pub(super) fn beyond([lo, hi]: [f64; 2], y: f64, bound: f64) -> (bool, bool) {
         (y - hi > bound, lo - y > bound)
     }
+}
+
+/// Cells of a flip-curve table per monitor, when [`FLIP_TABLE_BYTES`]
+/// allows: at 2 MS/s with the paper's noise, 2,048 cells leave 2.5 of a
+/// Table I device's 2,400 (sample, monitor) pairs in doubt, averaged over
+/// 256 devices.
+const FLIP_CELLS: usize = 2048;
+
+/// The most bytes the flip-curve bands of one setup take: 2,048 cells for
+/// up to eight monitors, fewer cells beyond that.
+const FLIP_TABLE_BYTES: usize = 256 * 1024;
+
+/// How far the x grid of the flip-curve tables reaches past the noiseless
+/// observed stimulus on each side, volts: more than three times the paper's
+/// 3σ noise spread of 15 mV. A sample outside the grid is doubtful.
+const X_GRID_MARGIN_V: f64 = 0.05;
+
+/// A uniform grid of x cells. Cell `c` spans
+/// `[start + c·step, start + (c + 1)·step]`; its band is built from the
+/// flip points at the grid points one step past it on each side too, so the
+/// grid has `cells + 3` points ([`XGrid::points`]).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct XGrid {
+    start: f64,
+    step: f64,
+    per_step: f64,
+    cells: usize,
+}
+
+impl XGrid {
+    /// The grid over `[lowest, highest]` widened by [`X_GRID_MARGIN_V`] on
+    /// each side, with as many cells as the bands of `monitors` monitors
+    /// may take, or `None` when the range is not finite.
+    pub(super) fn covering(lowest: f64, highest: f64, monitors: usize) -> Option<Self> {
+        let cells = (FLIP_TABLE_BYTES / (16 * monitors.max(1))).min(FLIP_CELLS);
+        let start = lowest - X_GRID_MARGIN_V;
+        let step = (highest + X_GRID_MARGIN_V - start) / cells as f64;
+        (start.is_finite() && step.is_finite() && step > 0.0).then(|| XGrid {
+            start,
+            step,
+            per_step: 1.0 / step,
+            cells,
+        })
+    }
+
+    /// The grid points `g_j = start + (j − 1)·step`, `j = 0 ..= cells + 2`:
+    /// cell `c` spans `[g_(c+1), g_(c+2)]`.
+    pub(super) fn points(&self) -> Vec<f64> {
+        (0..self.cells + 3)
+            .map(|j| self.start + (j as f64 - 1.0) * self.step)
+            .collect()
+    }
+
+    /// The lowest and highest grid point.
+    pub(super) fn span(&self) -> (f64, f64) {
+        (
+            self.start - self.step,
+            self.start + (self.cells as f64 + 1.0) * self.step,
+        )
+    }
+
+    /// The grid step, volts.
+    pub(super) fn step(&self) -> f64 {
+        self.step
+    }
+
+    /// The cell of `x`, or `None` for an x outside the grid or not finite.
+    #[inline]
+    pub(super) fn cell(&self, x: f64) -> Option<usize> {
+        let t = (x - self.start) * self.per_step;
+        // A u32 conversion is a single instruction; `cells` fits one.
+        (t >= 0.0 && t < self.cells as f64).then_some(t as u32 as usize)
+    }
+}
+
+/// The flip-curve tables of one setup: every monitor's flip curve y\*(x) on
+/// an [`XGrid`], as a band per cell that holds the flip point of every x in
+/// the cell or within one grid step of it, widened by [`GUARD_ULPS`].
+#[derive(Debug, Clone)]
+pub(super) struct FlipCurves {
+    grid: XGrid,
+    /// Bit `m` is set for every monitor `m`.
+    monitor_mask: u32,
+    /// Bit `m` is monitor `m`'s bit for y below its bands; above them it
+    /// reads the opposite.
+    below: u32,
+    monitors: usize,
+    /// Cell-major: every monitor's `[lo, hi]` in cell 0, then cell 1, and
+    /// so on.
+    bands: Vec<[f64; 2]>,
+}
+
+impl FlipCurves {
+    /// Assembles the tables from each monitor's flip points at the grid
+    /// points of `grid` ([`YThresholds::build`] over [`XGrid::points`]). A
+    /// cell's band is the hull of the four point bands from one grid point
+    /// below the cell to one above it.
+    pub(super) fn new(grid: XGrid, points: Vec<YThresholds>) -> Self {
+        let monitors = points.len();
+        let mut bands = vec![[0.0; 2]; grid.cells * monitors];
+        let (mut monitor_mask, mut below) = (0, 0);
+        for (m, points) in points.into_iter().enumerate() {
+            monitor_mask |= 1 << m;
+            below |= u32::from(points.below) << m;
+            for (cell, window) in points.bands.windows(4).enumerate() {
+                bands[cell * monitors + m] = window
+                    .iter()
+                    .fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], &[l, h]| {
+                        [lo.min(l), hi.max(h)]
+                    });
+            }
+        }
+        FlipCurves {
+            grid,
+            monitor_mask,
+            below,
+            monitors,
+            bands,
+        }
+    }
+
+    /// The x grid.
+    #[cfg(test)]
+    pub(super) fn grid(&self) -> &XGrid {
+        &self.grid
+    }
+
+    /// Monitor `m`'s bit for y below its bands.
+    #[cfg(test)]
+    pub(super) fn below(&self, m: usize) -> bool {
+        self.below >> m & 1 == 1
+    }
+
+    /// Monitor `m`'s band in `cell`.
+    #[cfg(test)]
+    pub(super) fn band(&self, cell: usize, m: usize) -> [f64; 2] {
+        self.bands[cell * self.monitors + m]
+    }
+
+    /// The bits of every monitor at one sample whose exact x is `x` and
+    /// whose y is within `bound` of the exact path's: bit `m` is decided
+    /// when y lies more than `bound` beyond monitor `m`'s band in x's cell
+    /// ([`YThresholds::beyond`]). Returns the decided bits and the mask of
+    /// monitors left in doubt: all of them for an x outside the grid or not
+    /// finite, and any whose widened band holds y or whose compare a NaN y
+    /// or bound defeats.
+    #[inline]
+    pub(super) fn decide(&self, x: f64, y: f64, bound: f64) -> (u32, u32) {
+        let Some(cell) = self.grid.cell(x) else {
+            return (0, self.monitor_mask);
+        };
+        let row = &self.bands[cell * self.monitors..][..self.monitors];
+        let (mut above, mut under) = (0u32, 0u32);
+        for (m, &band) in row.iter().enumerate() {
+            let (over, below) = YThresholds::beyond(band, y, bound);
+            above |= u32::from(over) << m;
+            under |= u32::from(below) << m;
+        }
+        let decided = above | under;
+        ((above ^ self.below) & decided, self.monitor_mask & !decided)
+    }
+}
+
+/// Settles a bit a flip-curve table leaves in doubt. `bit` is the exact
+/// slot expression of a monitor with a flip curve at the sample's exact x, and the
+/// exact path's y lies within `bound` of `y`. Evaluates `bit` at both ends of
+/// `[y − bound, y + bound]`, each moved outward by twice [`GUARD_ULPS`]:
+/// when the two agree, every y in the interval has that bit. `None` when
+/// they disagree or an end is not finite.
+///
+/// Why twice the guard. The premise of every table here is that the bit is
+/// a step in y up to dips strictly within the guard of a flip key F: it
+/// reads its below-value `b` at every key `≤ F − G` and `!b` at every key
+/// `≥ F + G`, with `G = GUARD_ULPS`. The exact path's y is a float within
+/// `bound` of `y`, and rounding is monotone, so its key lies at least `2G`
+/// above the lower end and `2G` below the upper one. If both ends read `b`,
+/// the upper end's key is below `F + G`, so the exact y's key is below
+/// `F − G`: it reads `b`. If both read `!b`, the lower end's key is above
+/// `F − G`, so the exact y's key is above `F + G`: it reads `!b`. With one
+/// guard, the upper end could sit at `F + G − 1` reading a dip's `b` while
+/// the exact y sits at `F − 1` reading `!b`.
+pub(super) fn two_point(bit: impl Fn(f64) -> bool, y: f64, bound: f64) -> Option<bool> {
+    let (lo, hi) = (y - bound, y + bound);
+    if !(lo.is_finite() && hi.is_finite()) {
+        return None;
+    }
+    let lo = order_key(lo)
+        .checked_sub(2 * GUARD_ULPS)
+        .filter(|&key| key >= MIN_KEY)?;
+    let hi = Some(order_key(hi) + 2 * GUARD_ULPS).filter(|&key| key < POS_INF_KEY)?;
+    let low_bit = bit(from_order_key(lo));
+    (bit(from_order_key(hi)) == low_bit).then_some(low_bit)
 }
 
 /// First outward step of the flip-point search when no neighbouring flip
@@ -296,5 +490,47 @@ mod tests {
         // Above everywhere or nowhere: the finite range ends.
         assert_eq!(first_above(|_| true, 0.5), MIN_KEY);
         assert_eq!(first_above(|_| false, 0.5), POS_INF_KEY);
+    }
+
+    #[test]
+    fn two_point_check_survives_any_dip_within_the_guard_band() {
+        // A bit that steps up at key F but whose whole dip window, every key
+        // strictly within the guard of F, reads the wrong side: the worst
+        // case the premise allows.
+        let g = GUARD_ULPS;
+        let flip = order_key(0.5);
+        let bit = |y: f64| {
+            let key = order_key(y);
+            let stepped = key >= flip;
+            if key.abs_diff(flip) < g {
+                !stepped
+            } else {
+                stepped
+            }
+        };
+        let mut decided = 0;
+        for bound_ulps in [0u64, 1, 3, 2 * g] {
+            for offset in -(4 * g as i64)..=4 * g as i64 {
+                let y = from_order_key(flip.saturating_add_signed(offset));
+                let bound = bound_ulps as f64 * (0.5f64.next_up() - 0.5);
+                let Some(settled) = two_point(bit, y, bound) else {
+                    continue;
+                };
+                decided += 1;
+                // Every float within the bound of y reads the settled bit.
+                let (lo, hi) = (order_key(y - bound), order_key(y + bound));
+                for key in lo..=hi {
+                    let at = from_order_key(key);
+                    if (at - y).abs() <= bound {
+                        assert_eq!(bit(at), settled, "y {y:e} bound {bound:e} at {at:e}");
+                    }
+                }
+            }
+        }
+        assert!(decided > 4 * g, "only {decided} probes settled");
+        // Ends that are not finite settle nothing.
+        assert_eq!(two_point(bit, f64::MAX, f64::MAX), None);
+        assert_eq!(two_point(bit, 0.5, f64::NAN), None);
+        assert_eq!(two_point(bit, f64::NAN, 0.0), None);
     }
 }

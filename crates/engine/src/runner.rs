@@ -396,7 +396,7 @@ fn evaluate_chunk(
         let _score = Span::enter(&metrics.score_us);
         score_batch(campaign, scorer, specs, observed)?
     };
-    apply_retest(campaign, scorer, retest, metrics, tracer, ctx, &mut outcomes)?;
+    apply_retest(campaign, scorer, retest, metrics, tracer, ctx, shared, &mut outcomes)?;
     Ok(outcomes)
 }
 
@@ -412,6 +412,7 @@ fn apply_retest(
     metrics: &EngineMetrics,
     tracer: &Tracer,
     ctx: TraceContext,
+    shared: Option<&SharedStimulus>,
     outcomes: &mut [DeviceOutcome],
 ) -> Result<()> {
     let Some(policy) = retest else {
@@ -433,18 +434,41 @@ fn apply_retest(
         return Ok(());
     }
     // Capture the repeat budget of every marginal device up to the
-    // escalation cap: `signatures_of_repeats` synthesizes the stimulus and
-    // response once per device, so the per-repeat cost is noise + capture.
+    // escalation cap. On the batched path every repeat of the chunk is one
+    // entry of a single `capture_signatures_batch` call, seeded as
+    // `signatures_of_repeats` seeds it. The per-device path keeps
+    // `signatures_of_repeats`, which synthesizes the stimulus and response
+    // once per device.
     let cap = policy.repeat_cap() as usize;
-    let mut repeats: Vec<Vec<Signature>> = Vec::with_capacity(marginal.len());
-    for &at in &marginal {
-        let spec = campaign.device(outcomes[at].result.index)?;
-        let seed = retest_seed(spec.noise_seed);
-        repeats.push(match observed_setup(campaign, &spec)? {
-            None => campaign.setup.signatures_of_repeats(&spec.cut, cap, seed)?,
-            Some(setup) => setup.signatures_of_repeats(&spec.cut, cap, seed)?,
-        });
-    }
+    let specs: Vec<DeviceSpec> = marginal
+        .iter()
+        .map(|&at| campaign.device(outcomes[at].result.index))
+        .collect::<Result<_>>()?;
+    let repeats: Vec<Vec<Signature>> = match shared {
+        Some(shared) => {
+            let batch: Vec<BatchDevice> = specs
+                .iter()
+                .flat_map(|spec| {
+                    let seed = retest_seed(spec.noise_seed);
+                    (0..cap as u64).map(move |i| BatchDevice::new(spec.cut, seed.wrapping_add(i)))
+                })
+                .collect();
+            let mut captured = capture_signatures_batch(&campaign.setup, shared, &batch)?.into_iter();
+            (0..specs.len())
+                .map(|_| captured.by_ref().take(cap).collect())
+                .collect()
+        }
+        None => specs
+            .iter()
+            .map(|spec| {
+                let seed = retest_seed(spec.noise_seed);
+                match observed_setup(campaign, spec)? {
+                    None => campaign.setup.signatures_of_repeats(&spec.cut, cap, seed),
+                    Some(setup) => setup.signatures_of_repeats(&spec.cut, cap, seed),
+                }
+            })
+            .collect::<Result<_>>()?,
+    };
     match scorer {
         Scorer::Local(flow) => {
             for (&at, device_repeats) in marginal.iter().zip(&repeats) {

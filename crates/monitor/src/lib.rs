@@ -55,5 +55,6 @@ pub use zoner::{hamming_distance, ZonePartition};
 // transistor model (and the current law the boundaries derive from) is part
 // of this crate's API surface; re-export both so downstream crates don't need
 // a direct `sim-spice` dependency to evaluate monitor branch currents (the
-// drive/gain split included).
-pub use sim_spice::devices::{saturation_current, GateDrive, GateGain, MosParams, MosPolarity};
+// drive/gain split and the thermal voltage its exponentials divide by
+// included).
+pub use sim_spice::devices::{saturation_current, GateDrive, GateGain, MosParams, MosPolarity, THERMAL_VOLTAGE};

@@ -4,9 +4,10 @@
 //! seeds, batch sizes), batched capture must be bit-identical to the
 //! per-device reference path — signature by signature, entry by entry. The
 //! repeat fast path must likewise equal per-device capture under each
-//! repeat's seed. About half the generated setups are noiseless, so both the
-//! shared-x branch (certified response synthesis and threshold-table
-//! encoding) and the per-device-x branch are exercised.
+//! repeat's seed, and so must repeats captured as batch entries. About half
+//! the generated setups are noiseless, so both the shared-x branch
+//! (threshold-table encoding) and the per-device-x branch (flip-curve
+//! encoding) are exercised, each with certified response synthesis.
 
 use analog_signature::dsig::{
     capture_signatures_batch, BatchDevice, CaptureClock, SharedStimulus, StimulusBank, TestSetup,
@@ -110,11 +111,10 @@ proptest! {
                 );
             }
         }
-        // Noiseless lots must have been decided by the certified synthesis,
-        // so the property checks its bound and not only the exact fallback.
-        if setup.noise.is_none() {
-            prop_assert_eq!(shared.exact_syntheses(), 0);
-        }
+        // Noiseless and noisy lots (σ below 8 mV) alike must have been
+        // decided by the certified synthesis, so the property checks its
+        // bound and not only the exact fallback.
+        prop_assert_eq!(shared.exact_syntheses(), 0);
     }
 
     #[test]
@@ -134,6 +134,15 @@ proptest! {
 
         let repeated = setup.signatures_of_repeats(&cut, repeats, base_seed).expect("repeats");
         prop_assert_eq!(repeated.len(), repeats);
+        // Retest repeats as the engine captures them: one batch entry per
+        // repeat seed.
+        let shared = SharedStimulus::new(&setup).expect("shared stimulus");
+        let entries: Vec<BatchDevice> = (0..repeats as u64)
+            .map(|i| BatchDevice::new(cut, base_seed + i))
+            .collect();
+        let batched = capture_signatures_batch(&setup, &shared, &entries).expect("batched repeats");
+        prop_assert_eq!(&batched, &repeated);
+        prop_assert_eq!(shared.exact_syntheses(), 0);
         for (i, repeat) in (0u64..).zip(&repeated) {
             let per_repeat = setup.signature_of(&cut, base_seed + i).expect("per-repeat capture");
             prop_assert_eq!(repeat.len(), per_repeat.len());

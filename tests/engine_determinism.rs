@@ -2,7 +2,7 @@
 //! over a Monte-Carlo population must produce NDFs and peak Hamming
 //! distances bit-identical to the plain serial loop, at every thread count.
 
-use analog_signature::dsig::{ndf, peak_hamming_distance, AcceptanceBand, TestFlow, TestSetup};
+use analog_signature::dsig::{ndf, peak_hamming_distance, AcceptanceBand, RetestPolicy, TestFlow, TestSetup};
 use analog_signature::engine::{Campaign, CampaignRunner, DevicePopulation};
 use analog_signature::filters::BiquadParams;
 use analog_signature::signal::NoiseModel;
@@ -107,6 +107,43 @@ fn batched_capture_is_bit_identical_at_every_batch_size_and_thread_count() {
             assert_eq!(
                 report, reference,
                 "batch size {chunk} x {threads} thread(s) diverged from the per-device reference"
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_retest_repeats_are_bit_identical_at_every_batch_size_and_thread_count() {
+    // Retest repeats go through the batched capture too, one batch entry per
+    // repeat seed; the per-device reference captures them with
+    // `signatures_of_repeats`. Every verdict, retest record and NDF bit must
+    // agree.
+    let campaign = campaign();
+    let policy = RetestPolicy::new(0.01, vec![2, 6]).expect("policy");
+    let reference = CampaignRunner::with_threads(1)
+        .with_batching(false)
+        .with_retest(policy.clone())
+        .run(&campaign)
+        .expect("per-device reference run");
+    assert!(
+        reference.results.iter().any(|r| r.retest.is_some()),
+        "some device must be marginal"
+    );
+    for chunk in [1usize, 7, 64] {
+        for threads in [1usize, 8] {
+            let report = CampaignRunner::with_threads(threads)
+                .with_chunk_size(chunk)
+                .with_retest(policy.clone())
+                .run(&campaign)
+                .expect("batched run");
+            assert_eq!(
+                report, reference,
+                "batch size {chunk} x {threads} thread(s) diverged from the per-device reference"
+            );
+            assert_eq!(
+                report.results.iter().map(|r| r.ndf.to_bits()).collect::<Vec<_>>(),
+                reference.results.iter().map(|r| r.ndf.to_bits()).collect::<Vec<_>>(),
+                "NDF bits at batch size {chunk} x {threads} thread(s)"
             );
         }
     }

@@ -110,6 +110,30 @@ fn the_noisy_lot_is_marginal_heavy_and_retest_flips_devices_to_their_truth() {
 }
 
 #[test]
+fn the_local_report_matches_the_per_device_reference_runner_bit_for_bit() {
+    // The local report captures repeats through the batched capture; the
+    // per-device reference runner captures them with
+    // `signatures_of_repeats`. Every score target is compared against the
+    // local report, so it must itself be the reference's.
+    let lot = lot();
+    let reference = runner(2)
+        .with_batching(false)
+        .with_retest(lot.policy.clone())
+        .run(&lot.campaign)
+        .unwrap();
+    assert_eq!(reference, lot.local);
+    let ndf_bits = |report: &CampaignReport| -> Vec<(u64, Option<u64>)> {
+        report
+            .results
+            .iter()
+            .map(|r| (r.ndf.to_bits(), r.retest.map(|m| m.initial_ndf.to_bits())))
+            .collect()
+    };
+    assert_eq!(ndf_bits(&reference), ndf_bits(&lot.local));
+    assert_eq!(reference.retest, lot.local.retest);
+}
+
+#[test]
 fn serve_target_reproduces_the_local_retest_report_bit_for_bit() {
     let lot = lot();
     let store = Arc::new(GoldenStore::new());
