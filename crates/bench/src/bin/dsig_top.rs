@@ -154,9 +154,11 @@ impl DemoFleet {
         client.screen(self.key, &batch).map(drop)
     }
 
-    /// Takes the golden's owner backend down for real: stop its listener,
-    /// then drop the router's cached connection so the next forward dials a
-    /// dead port and the failover machinery engages.
+    /// Takes the golden's owner backend down for real: stop its listener
+    /// (so a fresh dial is refused), then kill the member at the router,
+    /// which refuses its work until a revive — the server keeps serving the
+    /// connection the router already holds — so the failover machinery
+    /// engages.
     fn kill_owner(&mut self) {
         if let Some(server) = self
             .servers
@@ -247,9 +249,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if let Some(demo) = &demo {
-        // Clear the demo kill's failure record (the listener itself stays
-        // down; the console exits right after), so the drained event log
-        // also carries the operator-recovery edge.
+        // Lift the demo kill and clear its failure record (the listener
+        // itself stays down; the console exits right after), so the drained
+        // event log also carries the operator-recovery edge.
         demo.router.handle().revive(&demo.owner)?;
     }
     if let Some(path) = &args.events {

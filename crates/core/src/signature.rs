@@ -304,6 +304,15 @@ impl Signature {
     }
 }
 
+/// A borrowed-or-owned signature equals an owned one with the same entries,
+/// as `Cow<str>` equals `String`: serving requests carry their signatures as
+/// `Cow`.
+impl PartialEq<Signature> for std::borrow::Cow<'_, Signature> {
+    fn eq(&self, other: &Signature) -> bool {
+        **self == *other
+    }
+}
+
 impl FromIterator<SignatureEntry> for Signature {
     /// Collects entries through [`Signature::new`].
     ///

@@ -813,6 +813,10 @@ mod tests {
                     })
                     .collect()
             }
+
+            fn retest_remote(&self, _request: &RetestRequest) -> Result<Vec<crate::RetestScore>> {
+                Err(dsig_core::DsigError::Remote("no adaptive retest".into()))
+            }
         }
 
         let c = campaign(DevicePopulation::MonteCarlo {
@@ -835,6 +839,10 @@ mod tests {
         struct Failing;
         impl RemoteScorer for Failing {
             fn screen_remote(&self, _key: u64, _signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+                Err(dsig_core::DsigError::Remote("backend gone".into()))
+            }
+
+            fn retest_remote(&self, _request: &RetestRequest) -> Result<Vec<crate::RetestScore>> {
                 Err(dsig_core::DsigError::Remote("backend gone".into()))
             }
         }
@@ -1014,6 +1022,12 @@ mod tests {
                         outcome: dsig_core::TestOutcome::Pass,
                     })
                     .collect())
+            }
+
+            fn retest_remote(&self, _request: &RetestRequest) -> Result<Vec<RetestScore>> {
+                Err(dsig_core::DsigError::Remote(
+                    "this scoring target does not support adaptive retest".into(),
+                ))
             }
         }
         let err = CampaignRunner::with_threads(1)

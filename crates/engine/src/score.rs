@@ -64,6 +64,15 @@ pub struct RetestRequest {
     pub items: Vec<RetestItem>,
 }
 
+/// A borrowed-or-owned request equals an owned one with the same contents,
+/// as `Cow<str>` equals `String`: serving requests carry a retest batch as
+/// `Cow`.
+impl PartialEq<RetestRequest> for std::borrow::Cow<'_, RetestRequest> {
+    fn eq(&self, other: &RetestRequest) -> bool {
+        **self == *other
+    }
+}
+
 /// The adaptive-retest score of one device: the final (possibly averaged)
 /// score plus the retest metadata of the escalation walk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,19 +109,10 @@ pub trait RemoteScorer: Sync {
     /// it needs no copy of its signatures. Returns one score per device, in
     /// request order.
     ///
-    /// The default implementation reports the capability as unsupported —
-    /// the serving tier (`ServeHandle`, and `PipelinedClient` over TCP) and
-    /// the routing tier (`RouterHandle`) override it with the `DSRT` path.
-    ///
     /// # Errors
-    /// Returns [`dsig_core::DsigError::Remote`] when the backend cannot
-    /// answer or does not support adaptive retest.
-    fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        let _ = request;
-        Err(dsig_core::DsigError::Remote(
-            "this scoring target does not support adaptive retest".into(),
-        ))
-    }
+    /// Returns [`dsig_core::DsigError::Remote`] (or a decoded scoring error)
+    /// when the backend cannot answer.
+    fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>>;
 }
 
 /// Where a campaign's observed signatures are scored.
@@ -172,6 +172,10 @@ mod tests {
                         outcome: TestOutcome::Pass,
                     })
                     .collect())
+            }
+
+            fn retest_remote(&self, _request: &RetestRequest) -> Result<Vec<RetestScore>> {
+                Err(dsig_core::DsigError::Remote("no adaptive retest".into()))
             }
         }
         let null = Null;

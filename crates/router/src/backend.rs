@@ -1,15 +1,13 @@
-//! A scoring backend as the router sees it: a transport (TCP `dsig-serve`
-//! process or in-process [`ServeHandle`]), a stable rendezvous identity and
-//! a health record with exponential backoff.
+//! A scoring backend as the router sees it: a [`Service`] (an in-process
+//! [`ServeHandle`] or a `dsig-serve` process over TCP), a stable rendezvous
+//! identity, a kill switch and a health record with exponential backoff.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dsig_core::{AcceptanceBand, Signature};
-use dsig_obs::{EventLog, MetricsSnapshot, TraceLog};
-use dsig_serve::{GoldenRecord, PipelinedClient, RetestRequest, RetestScore, ScoreResult, ServeError, ServeHandle};
+use dsig_serve::{PipelinedClient, Request, Response, Result, ServeError, ServeHandle, Service};
 
 /// Backoff policy of the per-backend health record: the `n`-th consecutive
 /// failure marks the backend down for `base_backoff * 2^(n-1)`, capped at
@@ -51,30 +49,45 @@ struct Health {
     heal_armed: bool,
 }
 
-/// How the router reaches a backend.
-enum Transport {
-    /// A `dsig-serve` process reached over **one multiplexed connection**:
-    /// every concurrently forwarding router thread pipelines onto the same
-    /// [`PipelinedClient`], so the fan-in from thousands of downstream
-    /// testers rides a single upstream stream per backend. The slot is
-    /// `None` until first use and after a transport failure (the next
-    /// operation redials).
-    Tcp {
-        addr: SocketAddr,
-        mux: Mutex<Option<PipelinedClient>>,
-    },
-    /// An in-process scoring handle (built by [`ServeHandle::spawn`]) — the
-    /// no-TCP path tests and single-process deployments use. The `killed`
-    /// flag simulates a dead process: once set, every operation fails like a
-    /// torn-down connection would.
-    Local { handle: ServeHandle, killed: AtomicBool },
+/// A `dsig-serve` process reached over **one multiplexed connection**: every
+/// forwarding router thread pipelines onto the same [`PipelinedClient`], so
+/// thousands of downstream testers fan in over one upstream stream. The
+/// connection is dialed on first use. Any error but a remote-side one
+/// (`UnknownGolden`, `Remote`) drops it — a dead or poisoned client is
+/// replaced by a fresh dial on the next call.
+struct Tcp {
+    addr: SocketAddr,
+    mux: Mutex<Option<PipelinedClient>>,
 }
 
-/// One backend of a router: transport + identity + health.
+impl Service for Tcp {
+    fn call(&self, request: Request<'_>) -> Result<Response> {
+        let client = {
+            let mut slot = self.mux.lock().expect("backend mux lock poisoned");
+            match &*slot {
+                Some(client) => client.clone(),
+                None => slot.insert(PipelinedClient::connect(self.addr)?).clone(),
+            }
+        };
+        // The pipelined client already retried once internally, so a
+        // transport error here means the backend is unreachable right now.
+        let response = client.call(request);
+        if let Err(err) = &response {
+            if !matches!(err, ServeError::UnknownGolden(_) | ServeError::Remote(_)) {
+                *self.mux.lock().expect("backend mux lock poisoned") = None;
+            }
+        }
+        response
+    }
+}
+
+/// One backend of a router: the service it answers through, its identity,
+/// its kill switch and its health.
 pub struct Backend {
     id: u64,
     label: String,
-    transport: Transport,
+    service: Arc<dyn Service>,
+    killed: AtomicBool,
     health: Mutex<Health>,
 }
 
@@ -88,38 +101,42 @@ impl std::fmt::Debug for Backend {
 }
 
 impl Backend {
-    /// A TCP backend addressing a `dsig-serve` process. The rendezvous id is
-    /// a hash of the address, so every router instance fronting the same
-    /// backend set ranks keys identically.
+    /// A backend answering through `service`, addressed by `label` and
+    /// ranked by the rendezvous id `id` — the constructor every transport
+    /// goes through. A test or a simulation can put any [`Service`] here,
+    /// for example one that injects faults.
+    pub fn new(id: u64, label: impl Into<String>, service: Arc<dyn Service>) -> Backend {
+        Backend {
+            id,
+            label: label.into(),
+            service,
+            killed: AtomicBool::new(false),
+            health: Mutex::new(Health::default()),
+        }
+    }
+
+    /// A TCP backend addressing a `dsig-serve` process over one multiplexed
+    /// connection, dialed on first use. The rendezvous id is a hash of the
+    /// address, so every router instance fronting the same backend set ranks
+    /// keys identically.
     pub fn tcp(addr: SocketAddr) -> Backend {
         let label = addr.to_string();
         let id = label.bytes().fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
             (hash ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3)
         });
-        Backend {
-            id,
-            label,
-            transport: Transport::Tcp {
-                addr,
-                mux: Mutex::new(None),
-            },
-            health: Mutex::new(Health::default()),
-        }
+        let service = Tcp {
+            addr,
+            mux: Mutex::new(None),
+        };
+        Backend::new(id, label, Arc::new(service))
     }
 
-    /// An in-process backend over an existing [`ServeHandle`], with an
-    /// explicit rendezvous id (in-process routers number their backends
-    /// `0, 1, 2, …`).
+    /// An in-process backend over an existing [`ServeHandle`] (the no-TCP
+    /// path tests and single-process deployments use), with an explicit
+    /// rendezvous id (in-process routers number their backends `0, 1, 2,
+    /// …`).
     pub fn local(id: u64, handle: ServeHandle) -> Backend {
-        Backend {
-            id,
-            label: format!("local-{id}"),
-            transport: Transport::Local {
-                handle,
-                killed: AtomicBool::new(false),
-            },
-            health: Mutex::new(Health::default()),
-        }
+        Backend::new(id, format!("local-{id}"), Arc::new(handle))
     }
 
     /// The stable rendezvous identity of this backend.
@@ -132,27 +149,35 @@ impl Backend {
         &self.label
     }
 
-    /// Simulates (or forces) a dead backend: every subsequent operation on an
-    /// in-process backend fails as a torn-down connection would. TCP
-    /// backends drop their multiplexed connection; whether later operations
-    /// fail depends on whether the remote process is actually gone.
+    /// Simulates (or forces) a dead backend: until [`Backend::revive`],
+    /// every operation fails with [`ServeError::Closed`] as a torn-down
+    /// connection would, whatever the transport. A TCP backend keeps its
+    /// connection; the remote process is not touched.
     pub fn kill(&self) {
-        match &self.transport {
-            Transport::Local { killed, .. } => killed.store(true, Ordering::SeqCst),
-            Transport::Tcp { mux, .. } => *mux.lock().expect("backend mux lock poisoned") = None,
-        }
+        self.killed.store(true, Ordering::SeqCst);
     }
 
-    /// Undoes a [`Backend::kill`]: in-process backends accept operations
-    /// again, and the health record is cleared so the next forward reaches
-    /// the backend without waiting out a backoff window. TCP backends only
-    /// clear their record — whether operations succeed depends on the remote
-    /// process being back. Returns `true` when this ended a failure streak.
+    /// Undoes a [`Backend::kill`]: the backend accepts operations again, and
+    /// the health record is cleared so the next forward reaches the backend
+    /// without waiting out a backoff window. Whether operations then succeed
+    /// depends on the service behind it (a TCP backend's remote process must
+    /// be up). Returns `true` when this ended a failure streak.
     pub fn revive(&self) -> bool {
-        if let Transport::Local { killed, .. } = &self.transport {
-            killed.store(false, Ordering::SeqCst);
-        }
+        self.killed.store(false, Ordering::SeqCst);
         self.note_success()
+    }
+
+    /// Runs one request on this backend's service, unless the backend is
+    /// killed.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Closed`] while killed, otherwise the service's
+    /// error.
+    pub(crate) fn call(&self, request: Request<'_>) -> Result<Response> {
+        if self.killed.load(Ordering::SeqCst) {
+            return Err(ServeError::Closed);
+        }
+        self.service.call(request)
     }
 
     /// Whether the backend's health record currently marks it down.
@@ -207,112 +232,14 @@ impl Backend {
         health.down_until = Some(now + config.backoff(health.consecutive_failures));
         health.consecutive_failures == 1
     }
-
-    /// Runs one operation on this backend — the only place the transport is
-    /// matched. Over TCP, `tcp` runs on the shared multiplexed connection,
-    /// dialed on first use (or after a transport failure cleared it); a
-    /// transport error clears the connection again, while remote-side
-    /// errors keep it (the stream itself is fine). The pipelined client
-    /// already retried once internally, so a transport error here means the
-    /// backend is genuinely unreachable right now. In process, `local` runs
-    /// on the handle unless the backend is killed, which fails every
-    /// operation with [`ServeError::Closed`] as a torn-down connection would.
-    fn dispatch<T>(
-        &self,
-        tcp: impl FnOnce(&PipelinedClient) -> Result<T, ServeError>,
-        local: impl FnOnce(&ServeHandle) -> Result<T, ServeError>,
-    ) -> Result<T, ServeError> {
-        match &self.transport {
-            Transport::Tcp { addr, mux } => {
-                let client = {
-                    let mut slot = mux.lock().expect("backend mux lock poisoned");
-                    match &*slot {
-                        Some(client) => client.clone(),
-                        None => slot.insert(PipelinedClient::connect(*addr)?).clone(),
-                    }
-                };
-                let result = tcp(&client);
-                if let Err(err) = &result {
-                    if !matches!(err, ServeError::UnknownGolden(_) | ServeError::Remote(_)) {
-                        *mux.lock().expect("backend mux lock poisoned") = None;
-                    }
-                }
-                result
-            }
-            Transport::Local { handle, killed } => {
-                if killed.load(Ordering::SeqCst) {
-                    return Err(ServeError::Closed);
-                }
-                local(handle)
-            }
-        }
-    }
-
-    /// Scores a batch against this backend.
-    pub(crate) fn screen(&self, key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, ServeError> {
-        self.dispatch(
-            |client| client.screen(key, signatures),
-            |handle| handle.screen(key, signatures),
-        )
-    }
-
-    /// Screens an adaptive-retest batch against this backend (`DSRT`).
-    pub(crate) fn retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>, ServeError> {
-        self.dispatch(
-            |client| client.screen_retest(request),
-            |handle| handle.screen_retest(request),
-        )
-    }
-
-    /// Pushes a golden record to this backend (replication).
-    pub(crate) fn push(&self, key: u64, record: &GoldenRecord) -> Result<(), ServeError> {
-        self.dispatch(
-            |client| client.push_golden(key, record.band, &record.golden),
-            |handle| {
-                handle.push_golden(key, record.golden.clone(), record.band);
-                Ok(())
-            },
-        )
-    }
-
-    /// Scrapes this backend's own metrics snapshot (`DSMX`) — one leg of the
-    /// router's fleet-metrics fan-out.
-    pub(crate) fn metrics(&self) -> Result<MetricsSnapshot, ServeError> {
-        self.dispatch(PipelinedClient::metrics, |handle| Ok(handle.metrics()))
-    }
-
-    /// Drains this backend's buffered trace spans (`DSTX`) — one leg of the
-    /// router's fleet-trace fan-out. A drain is consuming: spans move to the
-    /// caller and are gone from the backend.
-    pub(crate) fn traces(&self) -> Result<TraceLog, ServeError> {
-        self.dispatch(PipelinedClient::traces, |handle| Ok(handle.traces()))
-    }
-
-    /// Drains this backend's buffered events (`DSEX`). Consuming, like
-    /// [`Backend::traces`].
-    pub(crate) fn events(&self) -> Result<EventLog, ServeError> {
-        self.dispatch(PipelinedClient::events, |handle| Ok(handle.events()))
-    }
-
-    /// Reads a golden record back from this backend.
-    pub(crate) fn fetch(&self, key: u64) -> Result<(AcceptanceBand, Signature), ServeError> {
-        self.dispatch(
-            |client| client.fetch_golden(key),
-            |handle| {
-                let record = handle.fetch_golden(key)?;
-                Ok((record.band, record.golden.clone()))
-            },
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    use dsig_core::{SignatureEntry, ZoneCode};
-    use dsig_serve::{GoldenStore, ServeConfig, Server};
+    use dsig_core::{AcceptanceBand, Signature, SignatureEntry, ZoneCode};
+    use dsig_serve::{AdminReply, GoldenStore, ScoreResult, ServeConfig, Server};
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -332,6 +259,11 @@ mod tests {
             id,
             ServeHandle::spawn(Arc::new(GoldenStore::new()), ServeConfig::with_shards(1)),
         )
+    }
+
+    /// Screens `observed` against `key` on `backend`.
+    fn screen(backend: &Backend, key: u64, observed: &[Signature]) -> Result<Vec<ScoreResult>> {
+        backend.call(Request::screen(key, observed))?.into_body()
     }
 
     #[test]
@@ -401,25 +333,17 @@ mod tests {
         let backend = local_backend(7);
         let band = AcceptanceBand::new(0.05).unwrap();
         let golden = sig(&[(1, 100e-6)]);
-        backend
-            .push(
-                4,
-                &GoldenRecord {
-                    golden: golden.clone(),
-                    band,
-                },
-            )
-            .unwrap();
+        backend.call(Request::push(4, band, &golden)).unwrap();
         backend.kill();
         backend.note_failure(Instant::now(), &HealthConfig::default());
-        assert!(matches!(backend.metrics(), Err(ServeError::Closed)));
-        assert!(matches!(backend.events(), Err(ServeError::Closed)));
-        assert!(matches!(backend.traces(), Err(ServeError::Closed)));
+        assert!(matches!(backend.call(Request::Metrics), Err(ServeError::Closed)));
+        assert!(matches!(backend.call(Request::Events), Err(ServeError::Closed)));
+        assert!(matches!(backend.call(Request::Traces), Err(ServeError::Closed)));
         assert!(backend.is_down());
         backend.revive();
         assert!(!backend.is_down(), "revive clears the backoff immediately");
-        assert_eq!(backend.screen(4, std::slice::from_ref(&golden)).unwrap()[0].ndf, 0.0);
-        assert!(backend.metrics().is_ok());
+        assert_eq!(screen(&backend, 4, std::slice::from_ref(&golden)).unwrap()[0].ndf, 0.0);
+        assert!(backend.call(Request::Metrics).is_ok());
     }
 
     #[test]
@@ -427,58 +351,61 @@ mod tests {
         let backend = local_backend(3);
         let band = AcceptanceBand::new(0.05).unwrap();
         let golden = sig(&[(1, 100e-6)]);
-        backend
-            .push(
-                9,
-                &GoldenRecord {
-                    golden: golden.clone(),
-                    band,
-                },
-            )
-            .unwrap();
-        assert_eq!(backend.fetch(9).unwrap().1, golden);
-        assert_eq!(backend.screen(9, std::slice::from_ref(&golden)).unwrap()[0].ndf, 0.0);
+        backend.call(Request::push(9, band, &golden)).unwrap();
+        match backend.call(Request::FetchGolden { key: 9 }).unwrap() {
+            Response::Admin(AdminReply::Record(record)) => assert_eq!(record.golden, golden),
+            other => panic!("expected the record, got {other:?}"),
+        }
+        assert_eq!(screen(&backend, 9, std::slice::from_ref(&golden)).unwrap()[0].ndf, 0.0);
         backend.kill();
         assert!(matches!(
-            backend.screen(9, std::slice::from_ref(&golden)),
+            screen(&backend, 9, std::slice::from_ref(&golden)),
             Err(ServeError::Closed)
         ));
         assert!(matches!(
-            backend.push(9, &GoldenRecord { golden, band }),
+            backend.call(Request::push(9, band, &golden)),
             Err(ServeError::Closed)
         ));
-        assert!(matches!(backend.fetch(9), Err(ServeError::Closed)));
+        assert!(matches!(
+            backend.call(Request::FetchGolden { key: 9 }),
+            Err(ServeError::Closed)
+        ));
     }
 
-    /// Whether a TCP backend currently holds its shared connection.
-    fn connected(backend: &Backend) -> bool {
-        match &backend.transport {
-            Transport::Tcp { mux, .. } => mux.lock().unwrap().is_some(),
-            Transport::Local { .. } => panic!("not a TCP backend"),
-        }
+    /// A TCP backend whose service the test can inspect: whether it
+    /// currently holds its shared connection.
+    fn tcp_backend(addr: SocketAddr) -> (Backend, Arc<Tcp>) {
+        let tcp = Arc::new(Tcp {
+            addr,
+            mux: Mutex::new(None),
+        });
+        let backend = Backend::new(7, addr.to_string(), Arc::clone(&tcp) as Arc<dyn Service>);
+        (backend, tcp)
+    }
+
+    fn connected(tcp: &Tcp) -> bool {
+        tcp.mux.lock().unwrap().is_some()
     }
 
     #[test]
-    fn tcp_backend_keeps_its_connection_on_answers_and_redials_after_a_kill() {
+    fn tcp_backend_keeps_its_connection_on_answers_and_refuses_work_when_killed() {
         let mut server =
             Server::bind("127.0.0.1:0", Arc::new(GoldenStore::new()), ServeConfig::with_shards(1)).unwrap();
-        let record = GoldenRecord {
-            golden: sig(&[(1, 100e-6)]),
-            band: AcceptanceBand::new(0.05).unwrap(),
-        };
-        let observed = std::slice::from_ref(&record.golden);
-        let backend = Backend::tcp(server.local_addr());
-        assert!(!connected(&backend), "the connection is dialed on first use");
-        backend.push(4, &record).unwrap();
-        assert!(connected(&backend));
+        let band = AcceptanceBand::new(0.05).unwrap();
+        let golden = sig(&[(1, 100e-6)]);
+        let observed = std::slice::from_ref(&golden);
+        let (backend, tcp) = tcp_backend(server.local_addr());
+        assert!(!connected(&tcp), "the connection is dialed on first use");
+        backend.call(Request::push(4, band, &golden)).unwrap();
+        assert!(connected(&tcp));
 
         // An unknown golden is the server's answer, not a transport failure:
         // the connection stays, and a router does not mark the backend down.
         assert!(matches!(
-            backend.screen(0xBAD, observed),
+            screen(&backend, 0xBAD, observed),
             Err(ServeError::UnknownGolden(0xBAD))
         ));
-        assert!(connected(&backend), "a remote-side error keeps the connection");
+        assert!(connected(&tcp), "a remote-side error keeps the connection");
         let router = crate::RouterHandle::with_backends(
             vec![Backend::tcp(server.local_addr())],
             crate::RouterStore::new(),
@@ -486,33 +413,46 @@ mod tests {
         )
         .unwrap();
         let label = server.local_addr().to_string();
-        router.push_golden(4, record.golden.clone(), record.band).unwrap();
+        router.push_golden(4, golden.clone(), band).unwrap();
         assert!(matches!(
             router.screen(0xBAD, observed),
-            Err(crate::RouterError::UnknownGolden(0xBAD))
+            Err(ServeError::UnknownGolden(0xBAD))
         ));
         assert!(!router.backend_is_down(&label).unwrap());
 
-        // A kill only drops the connection: the next call redials the
-        // still-running server and succeeds without a revive.
+        // A kill refuses work without touching the connection, on every
+        // transport, until a revive; the still-running server then answers
+        // on the same connection.
         backend.kill();
-        assert!(!connected(&backend), "a TCP kill drops the shared connection");
-        assert_eq!(backend.screen(4, observed).unwrap()[0].ndf, 0.0);
-        assert!(connected(&backend), "the next call redials");
+        assert!(matches!(screen(&backend, 4, observed), Err(ServeError::Closed)));
+        assert!(connected(&tcp), "a kill leaves the connection alone");
+        backend.revive();
+        assert_eq!(screen(&backend, 4, observed).unwrap()[0].ndf, 0.0);
         router.kill(&label).unwrap();
+        match router.screen(4, observed) {
+            Err(ServeError::AllBackendsFailed { detail, .. }) => assert!(detail.contains("shut down"), "{detail}"),
+            other => panic!("expected AllBackendsFailed, got {other:?}"),
+        }
+        assert!(router.backend_is_down(&label).unwrap());
+        router.revive(&label).unwrap();
         assert_eq!(router.screen(4, observed).unwrap()[0].ndf, 0.0);
         assert!(!router.backend_is_down(&label).unwrap());
 
-        // Once the server is gone, a kill followed by a call fails with the
-        // connection error, leaves the slot empty, and the router marks the
-        // backend down.
+        // Once the server is gone, a fresh dial fails with the connection
+        // error, leaves the slot empty, and the router marks the backend
+        // down.
         server.shutdown();
-        backend.kill();
-        assert!(matches!(backend.screen(4, observed), Err(ServeError::Io(_))));
-        assert!(!connected(&backend), "a transport failure leaves the slot empty");
-        router.kill(&label).unwrap();
+        let (backend, tcp) = tcp_backend(server.local_addr());
+        assert!(matches!(screen(&backend, 4, observed), Err(ServeError::Io(_))));
+        assert!(!connected(&tcp), "a transport failure leaves the slot empty");
+        let router = crate::RouterHandle::with_backends(
+            vec![Backend::tcp(server.local_addr())],
+            crate::RouterStore::new(),
+            crate::RouterConfig::default(),
+        )
+        .unwrap();
         match router.screen(4, observed) {
-            Err(crate::RouterError::AllBackendsFailed { detail, .. }) => {
+            Err(ServeError::AllBackendsFailed { detail, .. }) => {
                 assert!(detail.contains("i/o failed"), "{detail}")
             }
             other => panic!("expected AllBackendsFailed, got {other:?}"),

@@ -4,8 +4,8 @@
 //! golden migration, epoch-versioned so every observer can tell which fleet
 //! shape answered.
 //!
-//! A handle works in-process, without any socket; the TCP
-//! [`crate::Router`] holds one and answers every frame through it.
+//! A handle works in-process, without any socket, and is a [`Service`]: the
+//! TCP [`crate::Router`] holds one and answers every frame through it.
 //! [`RouterHandle::spawn`] builds a whole backend fleet in-process (via
 //! [`ServeHandle::spawn`]) for tests, benchmarks and single-process
 //! deployments.
@@ -25,12 +25,11 @@ use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Span, TraceLog};
 use dsig_serve::server::health_sample;
 use dsig_serve::{
-    AdminRequest, BackendState, FleetRoster, GoldenRecord, GoldenStore, RetestRequest, RetestScore, RosterEntry,
-    ScoreResult, ServeConfig, ServeError, ServeHandle,
+    AdminReply, AdminRequest, BackendState, FleetRoster, GoldenRecord, GoldenStore, Request, Response, Result,
+    RetestRequest, RetestScore, RosterEntry, ScoreResult, ServeConfig, ServeError, ServeHandle, Service,
 };
 
 use crate::backend::Backend;
-use crate::error::{Result, RouterError};
 use crate::router::{MemberEntry, Membership, RouterConfig, RouterMetrics};
 use crate::RouterStore;
 
@@ -66,7 +65,7 @@ impl RouterHandle {
     /// fixture the loopback tests build their fleets with.
     ///
     /// # Errors
-    /// Returns [`crate::RouterError::NoBackends`] for a zero backend count.
+    /// Returns an invalid-config error for a zero backend count.
     pub fn spawn(backends: usize, store: RouterStore, config: RouterConfig) -> Result<Self> {
         let fleet: Vec<Backend> = (0..backends)
             .map(|id| {
@@ -83,8 +82,8 @@ impl RouterHandle {
     /// router reporting into the process-wide [`Registry::global`].
     ///
     /// # Errors
-    /// Returns [`crate::RouterError::NoBackends`] for an empty set and an
-    /// invalid-config error for duplicate rendezvous ids.
+    /// Returns an invalid-config error for an empty set or duplicate
+    /// rendezvous ids.
     pub fn with_backends(backends: Vec<Backend>, store: RouterStore, config: RouterConfig) -> Result<Self> {
         Self::new_in(backends, store, config, Registry::global())
     }
@@ -98,14 +97,12 @@ impl RouterHandle {
         registry: Registry,
     ) -> Result<Self> {
         if backends.is_empty() {
-            return Err(RouterError::NoBackends);
+            return Err(DsigError::InvalidConfig("the router has no backends".into()).into());
         }
         let mut ids: Vec<u64> = backends.iter().map(Backend::id).collect();
         ids.sort_unstable();
         if ids.windows(2).any(|pair| pair[0] == pair[1]) {
-            return Err(RouterError::Dsig(DsigError::InvalidConfig(
-                "router backends must have unique rendezvous ids".into(),
-            )));
+            return Err(DsigError::InvalidConfig("router backends must have unique rendezvous ids".into()).into());
         }
         let entries: Vec<MemberEntry> = backends
             .into_iter()
@@ -178,11 +175,12 @@ impl RouterHandle {
         let m = self.snapshot();
         m.index_of(label)
             .map(|i| Arc::clone(&m.entries[i].backend))
-            .ok_or_else(|| RouterError::Dsig(DsigError::InvalidConfig(format!("unknown backend {label:?}"))))
+            .ok_or_else(|| DsigError::InvalidConfig(format!("unknown backend {label:?}")).into())
     }
 
-    /// Kills the member at `label` (see [`Backend::kill`]): subsequent
-    /// requests routed to it fail and fail over to its replicas.
+    /// Kills the member at `label` (see [`Backend::kill`]): until a
+    /// [`RouterHandle::revive`], requests routed to it are refused and fail
+    /// over to its replicas, whatever its transport.
     ///
     /// # Errors
     /// Rejects an unknown label.
@@ -252,9 +250,9 @@ impl RouterHandle {
             return self.reactivate_locked(&m, index);
         }
         let addr: SocketAddr = label.parse().map_err(|_| {
-            RouterError::Dsig(DsigError::InvalidConfig(format!(
+            DsigError::InvalidConfig(format!(
                 "cannot join {label:?}: not a member and not a dialable host:port address"
-            )))
+            ))
         })?;
         self.join_new_locked(&m, Backend::tcp(addr))
     }
@@ -287,10 +285,11 @@ impl RouterHandle {
     /// migrate first, the membership flips second.
     fn join_new_locked(&self, m: &Membership, backend: Backend) -> Result<FleetRoster> {
         if m.entries.iter().any(|entry| entry.backend.id() == backend.id()) {
-            return Err(RouterError::Dsig(DsigError::InvalidConfig(format!(
+            return Err(DsigError::InvalidConfig(format!(
                 "backend {} collides with an existing rendezvous id",
                 backend.label()
-            ))));
+            ))
+            .into());
         }
         let label = backend.label().to_string();
         let mut entries = m.entries.clone();
@@ -325,7 +324,9 @@ impl RouterHandle {
             let Some(record) = self.inner.store.get(key) else {
                 continue;
             };
-            next.entries[index].backend.push(key, &record)?;
+            next.entries[index]
+                .backend
+                .call(Request::push(key, record.band, &record.golden))?;
             migrated += 1;
         }
         Ok(migrated)
@@ -345,9 +346,10 @@ impl RouterHandle {
             return Ok(self.fleet_roster());
         };
         if m.entries.len() == 1 {
-            return Err(RouterError::Dsig(DsigError::InvalidConfig(format!(
+            return Err(DsigError::InvalidConfig(format!(
                 "cannot remove {label:?}: it is the last backend of the fleet"
-            ))));
+            ))
+            .into());
         }
         self.rereplicate_from(&m, index);
         let mut entries = m.entries.clone();
@@ -377,9 +379,7 @@ impl RouterHandle {
         let _admin = self.inner.admin.lock().expect("admin lock poisoned");
         let m = self.snapshot();
         let Some(index) = m.index_of(label) else {
-            return Err(RouterError::Dsig(DsigError::InvalidConfig(format!(
-                "cannot drain unknown backend {label:?}"
-            ))));
+            return Err(DsigError::InvalidConfig(format!("cannot drain unknown backend {label:?}")).into());
         };
         if m.entries[index].draining {
             return Ok(self.fleet_roster());
@@ -426,16 +426,6 @@ impl RouterHandle {
         }
     }
 
-    /// Dispatches one decoded `DSAQ` admin verb.
-    pub(crate) fn admin(&self, request: &AdminRequest) -> Result<FleetRoster> {
-        match request {
-            AdminRequest::Join { label } => self.fleet_join(label),
-            AdminRequest::Leave { label } => self.fleet_leave(label),
-            AdminRequest::Drain { label } => self.fleet_drain(label),
-            AdminRequest::List => Ok(self.fleet_roster()),
-        }
-    }
-
     /// Installs a new membership snapshot and logs the transition.
     fn install(&self, next: Arc<Membership>, event: &str, detail: &str, label: &str) {
         let epoch = next.epoch;
@@ -473,8 +463,11 @@ impl RouterHandle {
                 .filter(|&&i| i != index && !m.entries[i].draining)
                 .take(replicas)
             {
-                match m.entries[target].backend.push(key, &record) {
-                    Ok(()) => {
+                match m.entries[target]
+                    .backend
+                    .call(Request::push(key, record.band, &record.golden))
+                {
+                    Ok(_) => {
                         self.mark_success(&m.entries[target]);
                         placed = true;
                     }
@@ -511,7 +504,7 @@ impl RouterHandle {
     /// cross-backend rollup under `fleet.`, and the router's own registry
     /// unprefixed. Also returns, per member, whether it answered.
     fn scrape_fleet(&self, m: &Membership) -> (MetricsSnapshot, Vec<bool>) {
-        let scraped = m.fan_out(Backend::metrics);
+        let scraped = m.fan_out::<MetricsSnapshot>(Request::Metrics);
         let answered = scraped.iter().map(Option::is_some).collect();
         let parts: Vec<(String, MetricsSnapshot)> = m
             .entries
@@ -539,7 +532,7 @@ impl RouterHandle {
     /// tracer's canonical `(trace_id, start_us, span_id)` order. Consuming:
     /// each span is exported at most once fleet-wide.
     pub fn fleet_traces(&self) -> TraceLog {
-        let drained = self.snapshot().fan_out(Backend::traces);
+        let drained = self.snapshot().fan_out::<TraceLog>(Request::Traces);
         let mut spans: Vec<dsig_obs::SpanRecord> = drained.into_iter().flatten().flat_map(|log| log.spans).collect();
         spans.extend(self.inner.registry.tracer().drain());
         spans.sort_by_key(|span| (span.trace_id, span.start_us, span.span_id));
@@ -554,7 +547,7 @@ impl RouterHandle {
     /// sink with the router; the drain's take-semantics keep each record
     /// exported exactly once either way.
     pub fn events(&self) -> EventLog {
-        let drained = self.snapshot().fan_out(Backend::events);
+        let drained = self.snapshot().fan_out::<EventLog>(Request::Events);
         let mut events: Vec<dsig_obs::EventRecord> = drained.into_iter().flatten().flat_map(|log| log.events).collect();
         events.extend(self.inner.registry.events().drain());
         events.sort_by(|a, b| (a.at_us, a.trace_id, &a.name).cmp(&(b.at_us, b.trace_id, &b.name)));
@@ -630,8 +623,8 @@ impl RouterHandle {
                 break;
             }
             let entry = &m.entries[index];
-            match entry.backend.push(key, record) {
-                Ok(()) => {
+            match entry.backend.call(Request::push(key, record.band, &record.golden)) {
+                Ok(_) => {
                     self.mark_success(entry);
                     pushed += 1;
                 }
@@ -642,7 +635,7 @@ impl RouterHandle {
             }
         }
         if pushed == 0 {
-            return Err(RouterError::AllBackendsFailed {
+            return Err(ServeError::AllBackendsFailed {
                 key,
                 detail: failures.join("; "),
             });
@@ -655,7 +648,7 @@ impl RouterHandle {
     /// `DSGF` path a freshly restarted router uses to repopulate its store.
     ///
     /// # Errors
-    /// Returns [`crate::RouterError::UnknownGolden`] when nobody holds it.
+    /// Returns [`ServeError::UnknownGolden`] when nobody holds it.
     pub fn golden(&self, key: u64) -> Result<Arc<GoldenRecord>> {
         if let Some(record) = self.inner.store.get(key) {
             return Ok(record);
@@ -664,17 +657,21 @@ impl RouterHandle {
         let m = self.snapshot();
         for index in m.rank(key) {
             let entry = &m.entries[index];
-            match entry.backend.fetch(key) {
-                Ok((band, golden)) => {
+            match entry
+                .backend
+                .call(Request::FetchGolden { key })
+                .and_then(Response::into_body::<AdminReply>)
+            {
+                Ok(AdminReply::Record(record)) => {
                     self.mark_success(entry);
-                    self.inner.store.insert(key, golden, band);
+                    self.inner.store.insert(key, record.golden, record.band);
                     return Ok(self.inner.store.get(key).expect("record just cached"));
                 }
                 Err(ServeError::UnknownGolden(_)) => {}
-                Err(_) => self.mark_failure(&m, index, now),
+                _ => self.mark_failure(&m, index, now),
             }
         }
-        Err(RouterError::UnknownGolden(key))
+        Err(ServeError::UnknownGolden(key))
     }
 
     /// Scores a batch against the golden under `golden_key`: the batch is
@@ -685,10 +682,9 @@ impl RouterHandle {
     /// backend count and split.
     ///
     /// # Errors
-    /// Returns [`crate::RouterError::UnknownGolden`] for an unknown
-    /// fingerprint (also for an empty batch) and
-    /// [`crate::RouterError::AllBackendsFailed`] when the whole failover
-    /// chain is down.
+    /// Returns [`ServeError::UnknownGolden`] for an unknown fingerprint (also
+    /// for an empty batch) and [`ServeError::AllBackendsFailed`] when the
+    /// whole failover chain is down.
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
         let mut screen_span = self
             .inner
@@ -696,7 +692,9 @@ impl RouterHandle {
             .span("router.screen", "router", trace::current_context());
         screen_span.annotate("batch", signatures.len());
         self.forward_pieces(screen_span.context(), signatures, |chunk| {
-            self.forward_with_failover(golden_key, |backend| backend.screen(golden_key, chunk))
+            self.forward_with_failover(golden_key, |backend| {
+                backend.call(Request::screen(golden_key, chunk))?.into_body()
+            })
         })
     }
 
@@ -738,7 +736,7 @@ impl RouterHandle {
                 };
                 &split
             };
-            self.forward_with_failover(key, |backend| backend.retest(piece))
+            self.forward_with_failover(key, |backend| backend.call(Request::retest(piece))?.into_body())
         })
     }
 
@@ -775,11 +773,7 @@ impl RouterHandle {
     /// success wins; both operations routed this way (plain screening and
     /// adaptive retest) are pure functions of `(golden, observed,
     /// band/policy)`, so *which* member answers can never change a verdict.
-    fn forward_with_failover<T>(
-        &self,
-        key: u64,
-        attempt: impl Fn(&Backend) -> std::result::Result<T, ServeError>,
-    ) -> Result<T> {
+    fn forward_with_failover<T>(&self, key: u64, attempt: impl Fn(&Backend) -> Result<T>) -> Result<T> {
         let _fanout = Span::enter(&self.inner.metrics.fanout_us);
         // One membership snapshot and one clock sample per forward: the
         // partitioning and any failure bookkeeping below see the same fleet
@@ -836,9 +830,9 @@ impl RouterHandle {
             }
         }
         if misses == rank.len() {
-            return Err(RouterError::UnknownGolden(key));
+            return Err(ServeError::UnknownGolden(key));
         }
-        Err(RouterError::AllBackendsFailed {
+        Err(ServeError::AllBackendsFailed {
             key,
             detail: failures.join("; "),
         })
@@ -847,16 +841,11 @@ impl RouterHandle {
     /// One attempt of an arbitrary golden-addressed operation against one
     /// member, refreshing the golden from the router store when the backend
     /// misses it (the replication path's "refresh on miss").
-    fn try_backend<T>(
-        &self,
-        backend: &Backend,
-        key: u64,
-        attempt: &impl Fn(&Backend) -> std::result::Result<T, ServeError>,
-    ) -> std::result::Result<T, ServeError> {
+    fn try_backend<T>(&self, backend: &Backend, key: u64, attempt: &impl Fn(&Backend) -> Result<T>) -> Result<T> {
         match attempt(backend) {
             Err(ServeError::UnknownGolden(_)) => match self.inner.store.get(key) {
                 Some(record) => {
-                    backend.push(key, &record)?;
+                    backend.call(Request::push(key, record.band, &record.golden))?;
                     self.inner.metrics.refresh_on_miss.inc();
                     self.inner.registry.events().emit(
                         EventLevel::Info,
@@ -927,20 +916,49 @@ impl RouterHandle {
     }
 }
 
+impl Service for RouterHandle {
+    fn call(&self, request: Request<'_>) -> Result<Response> {
+        Ok(match request {
+            Request::Screen(request) => Response::Screen(self.screen(request.golden_key, &request.signatures)?),
+            Request::Retest(request) => Response::Retest(self.screen_retest(&request)?),
+            Request::PushGolden { key, band, golden } => {
+                self.push_golden(key, golden.into_owned(), band)?;
+                Response::Admin(AdminReply::Ack)
+            }
+            Request::FetchGolden { key } => Response::Admin(AdminReply::Record((*self.golden(key)?).clone())),
+            // The plain scrapes answer with the router's own registry; the
+            // fleet scrapes fan out to every backend and merge.
+            Request::Metrics => Response::Metrics(self.metrics()),
+            Request::Traces => Response::Traces(self.traces()),
+            Request::FleetMetrics => Response::Metrics(self.fleet_metrics()),
+            Request::FleetTraces => Response::Traces(self.fleet_traces()),
+            Request::Events => Response::Events(self.events()),
+            Request::Health => Response::Health(self.health()),
+            // The admin family: live membership over the same tagged mux the
+            // work frames ride. Every verb answers the post-change roster.
+            Request::Admin(verb) => Response::Admin(AdminReply::Roster(match &verb {
+                AdminRequest::Join { label } => self.fleet_join(label)?,
+                AdminRequest::Leave { label } => self.fleet_leave(label)?,
+                AdminRequest::Drain { label } => self.fleet_drain(label)?,
+                AdminRequest::List => self.fleet_roster(),
+            })),
+        })
+    }
+}
+
 impl RemoteScorer for RouterHandle {
     fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> dsig_core::Result<Vec<ScoreResult>> {
-        self.screen(golden_key, signatures).map_err(RouterError::into_dsig)
+        self.screen(golden_key, signatures).map_err(ServeError::into_dsig)
     }
 
     fn retest_remote(&self, request: &RetestRequest) -> dsig_core::Result<Vec<RetestScore>> {
-        self.screen_retest(request).map_err(RouterError::into_dsig)
+        self.screen_retest(request).map_err(ServeError::into_dsig)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RouterError;
     use dsig_core::{SignatureEntry, TestOutcome, ZoneCode};
     use dsig_serve::BackendState;
 
@@ -1009,7 +1027,7 @@ mod tests {
     fn empty_fleets_and_duplicate_ids_are_rejected() {
         assert!(matches!(
             RouterHandle::spawn(0, RouterStore::new(), RouterConfig::default()),
-            Err(RouterError::NoBackends)
+            Err(ServeError::Dsig(DsigError::InvalidConfig(_)))
         ));
         let dup = vec![local_backend(1), local_backend(1)];
         assert!(RouterHandle::with_backends(dup, RouterStore::new(), RouterConfig::default()).is_err());
@@ -1030,10 +1048,10 @@ mod tests {
         assert!(results[1].ndf > 0.0);
         // Readback resolves from the store; unknown keys are reported as such.
         assert_eq!(router.golden(0xC0FFEE).unwrap().golden, golden);
-        assert!(matches!(router.golden(0xBAD), Err(RouterError::UnknownGolden(0xBAD))));
+        assert!(matches!(router.golden(0xBAD), Err(ServeError::UnknownGolden(0xBAD))));
         assert!(matches!(
             router.screen(0xBAD, &[golden]),
-            Err(RouterError::UnknownGolden(0xBAD))
+            Err(ServeError::UnknownGolden(0xBAD))
         ));
     }
 
@@ -1107,7 +1125,7 @@ mod tests {
         };
         assert!(matches!(
             router.screen_retest(&unknown),
-            Err(RouterError::UnknownGolden(0xBAD))
+            Err(ServeError::UnknownGolden(0xBAD))
         ));
         let empty = RetestRequest {
             golden_key: 0xAB,
@@ -1272,7 +1290,7 @@ mod tests {
         router.kill("local-0").unwrap();
         router.kill("local-1").unwrap();
         match router.screen(1, &[golden]) {
-            Err(RouterError::AllBackendsFailed { key, detail }) => {
+            Err(ServeError::AllBackendsFailed { key, detail }) => {
                 assert_eq!(key, 1);
                 assert!(detail.contains("local-0") && detail.contains("local-1"), "{detail}");
             }

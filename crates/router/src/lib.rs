@@ -19,26 +19,31 @@
 //! The crate provides:
 //!
 //! * [`Router`] — the TCP front: the serving tier's accept loop
-//!   ([`dsig_serve::mux::Listener`]), request dispatch by magic, fan-out over
-//!   the fleet;
+//!   ([`dsig_serve::mux::Listener`]) and its one frame handler
+//!   ([`dsig_serve::service::respond`]) over the router's handle;
 //! * [`RouterHandle`] — the router itself, usable in-process (no TCP): the
 //!   live membership, the golden store and every routed operation, shared by
-//!   its clones and by the [`Router`] that fronts it, plus
-//!   [`RouterHandle::spawn`] which builds a whole in-process backend fleet
-//!   via [`dsig_serve::ServeHandle::spawn`] for tests and benches;
+//!   its clones and by the [`Router`] that fronts it. It is a
+//!   [`dsig_serve::Service`] like the serving tier's handle, and
+//!   [`RouterHandle::spawn`] builds a whole in-process backend fleet via
+//!   [`dsig_serve::ServeHandle::spawn`] for tests and benches;
 //! * [`RouterClient`] / [`PipelinedRouterClient`] — the TCP clients: the
 //!   router speaks the serving protocol unchanged, so these are
 //!   [`dsig_serve::ServeClient`] (blocking) and
 //!   [`dsig_serve::PipelinedClient`] (multiplexed) under the router's
-//!   names, with the serving tier's [`dsig_serve::ServeError`] vocabulary;
+//!   names. Routed operations fail with the serving tier's
+//!   [`dsig_serve::ServeError`] too; a request the whole failover chain
+//!   failed is [`dsig_serve::ServeError::AllBackendsFailed`];
 //! * [`RouterStore`] — the router's authoritative golden store, a
 //!   [`dsig_serve::GoldenStore`] (same `DSGS` format, same fingerprint
 //!   keying): characterize once, **push** to the owning backends,
 //!   **refresh** a failover backend on miss, **read back** from backends
 //!   after a router restart;
-//! * [`Backend`] / [`HealthConfig`] — the backend fleet: TCP or in-process
-//!   transports, stable rendezvous ids, exponential-backoff health records
-//!   with deterministic failover (the replica chain *is* the HRW ranking);
+//! * [`Backend`] / [`HealthConfig`] — the backend fleet: each member an
+//!   `Arc<dyn` [`dsig_serve::Service`]`>` (a `dsig-serve` process over TCP,
+//!   an in-process handle, or any other service), with a stable rendezvous
+//!   id, a kill switch and an exponential-backoff health record for
+//!   deterministic failover (the replica chain *is* the HRW ranking);
 //! * [`RouterConfig`] — replication factor, sub-batch boundary, health
 //!   policy.
 //!
@@ -113,7 +118,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod error;
 pub mod handle;
 pub mod hash;
 pub mod router;
@@ -123,7 +127,6 @@ pub use backend::{Backend, HealthConfig};
 /// The router's authoritative golden store: the serving tier's golden store.
 pub use dsig_serve::GoldenStore as RouterStore;
 pub use dsig_serve::{PipelinedClient as PipelinedRouterClient, ServeClient as RouterClient};
-pub use error::{Result, RouterError};
 pub use handle::RouterHandle;
 pub use hash::{hrw_weight, mix64, rank_backends};
 pub use router::RouterConfig;

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use dsig_obs::{Counter, Gauge, Histogram, Registry, SloPolicy};
-use dsig_serve::ServeError;
+use dsig_serve::proto::ReplyBody;
+use dsig_serve::{Request, Response};
 
 use crate::backend::{Backend, HealthConfig};
 use crate::hash::rank_backends;
@@ -138,19 +139,18 @@ impl Membership {
         self.entries.iter().position(|entry| entry.backend.label() == label)
     }
 
-    /// Runs `call` against every member concurrently (one scoped thread per
+    /// Sends `request` to every member concurrently (one scoped thread per
     /// member), answering in membership order. A member whose call fails
     /// yields `None`: the fleet scrapes skip it, never fail on it.
-    pub(crate) fn fan_out<T: Send>(
-        &self,
-        call: impl Fn(&Backend) -> std::result::Result<T, ServeError> + Sync,
-    ) -> Vec<Option<T>> {
-        let call = &call;
+    pub(crate) fn fan_out<T: ReplyBody + Send>(&self, request: Request<'static>) -> Vec<Option<T>> {
+        let request = &request;
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .entries
                 .iter()
-                .map(|entry| scope.spawn(move || call(&entry.backend).ok()))
+                .map(|entry| {
+                    scope.spawn(move || entry.backend.call(request.clone()).and_then(Response::into_body).ok())
+                })
                 .collect();
             handles
                 .into_iter()

@@ -1,9 +1,10 @@
-//! The TCP router front: an accept loop speaking the `dsig-serve` wire
-//! protocol (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSMX` in, `DSRS`/`DSRR`/`DSRA`/
-//! `DSMR` out), answering every request through the [`RouterHandle`] it holds,
-//! which fans it out across the backend fleet. The fleet-observability frames (`DSFM`/`DSFT` aggregated
-//! scrapes, `DSEX` event drain, `DSHC` health check) are answered here too —
-//! the router is the natural aggregation point for a fleet.
+//! The TCP router front: the serving tier's accept loop and its one frame
+//! handler ([`dsig_serve::service::respond`]), answering every request of
+//! the `dsig-serve` wire protocol through the [`RouterHandle`] it holds —
+//! a [`dsig_serve::Service`] that fans the work out across the backend
+//! fleet. The fleet-observability frames (`DSFM`/`DSFT` aggregated scrapes,
+//! `DSEX` event drain, `DSHC` health check) are answered the same way — the
+//! router is the natural aggregation point for a fleet.
 //!
 //! # Architecture
 //!
@@ -23,37 +24,14 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-use dsig_obs::trace;
-use dsig_serve::mux::{Listener, Responder, WorkPool};
-use dsig_serve::proto::{
-    decode_any_request, decode_request_context, encode_decode_error, encode_reply, AdminReply, ErrorCode, Reply,
-    ReplyBody, Request,
-};
+use dsig_serve::mux::{Listener, WorkPool};
+use dsig_serve::service::respond;
+use dsig_serve::Result;
 
 use crate::backend::Backend;
-use crate::error::{Result, RouterError};
 use crate::handle::RouterHandle;
 use crate::router::RouterConfig;
 use crate::RouterStore;
-
-/// Maps a router error onto the wire error code it travels as.
-fn error_code_of(err: &RouterError) -> ErrorCode {
-    match err {
-        RouterError::UnknownGolden(_) => ErrorCode::UnknownGolden,
-        _ => ErrorCode::Internal,
-    }
-}
-
-/// Maps an admin-verb failure onto its wire code: rejected verbs
-/// (unparseable label, unknown drain target, removing the last member, a
-/// rendezvous-id collision) are the caller's fault — `BadRequest`, so a
-/// resubmitting client knows retrying verbatim cannot succeed.
-fn admin_error_code_of(err: &RouterError) -> ErrorCode {
-    match err {
-        RouterError::Dsig(dsig_core::DsigError::InvalidConfig(_)) => ErrorCode::BadRequest,
-        _ => ErrorCode::Internal,
-    }
-}
 
 /// The routing tier's TCP front: the accept loop answers every connection
 /// through one [`RouterHandle`], whose clones route in-process alongside.
@@ -70,9 +48,9 @@ impl Router {
     /// backend fleet and starts routing.
     ///
     /// # Errors
-    /// Returns [`RouterError::Io`] if the listener cannot be bound,
-    /// [`RouterError::NoBackends`] for an empty fleet and an invalid-config
-    /// error for duplicate rendezvous ids.
+    /// Returns [`dsig_serve::ServeError::Io`] if the listener cannot be
+    /// bound, and an invalid-config error for an empty fleet or duplicate
+    /// rendezvous ids.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backends: Vec<Backend>,
@@ -84,7 +62,12 @@ impl Router {
         // thousands of pipelined testers fan in over it, while each backend
         // is reached through one multiplexed upstream connection.
         let pool = Arc::new(WorkPool::new(dsig_engine::available_threads()));
-        let listener = Listener::bind(addr, pool, responder(handle.clone()))?;
+        let service = handle.clone();
+        let listener = Listener::bind(
+            addr,
+            pool,
+            Arc::new(move |payload: Vec<u8>| respond(&service, &payload, None)),
+        )?;
         Ok(Router { listener, handle })
     }
 
@@ -105,56 +88,6 @@ impl Router {
     pub fn shutdown(&mut self) {
         self.listener.shutdown();
     }
-}
-
-/// The router's request handler, shared by every connection: requests
-/// route as pool jobs completing out of order (see
-/// [`dsig_serve::mux::drive_connection`]).
-fn responder(router: RouterHandle) -> Arc<Responder> {
-    Arc::new(move |payload: Vec<u8>| {
-        // Pin the caller's trace context per request so the routing spans
-        // parent under the remote caller even when pool workers interleave
-        // requests from many testers.
-        let _ctx = trace::with_context(decode_request_context(&payload));
-        match decode_any_request(&payload) {
-            Ok(request) => respond(&router, request),
-            Err(err) => encode_decode_error(&payload, err.to_string()),
-        }
-    })
-}
-
-/// Builds the response frame for one decoded request — the router answers
-/// the same request kinds a serving process does, after fanning out.
-fn respond(router: &RouterHandle, request: Request) -> Vec<u8> {
-    match request {
-        Request::Screen(request) => answer(router.screen(request.golden_key, &request.signatures), error_code_of),
-        Request::Retest(request) => answer(router.screen_retest(&request), error_code_of),
-        Request::PushGolden { key, band, golden } => answer(
-            router.push_golden(key, golden, band).map(|()| AdminReply::Ack),
-            error_code_of,
-        ),
-        Request::FetchGolden { key } => answer(
-            router.golden(key).map(|record| AdminReply::Record((*record).clone())),
-            error_code_of,
-        ),
-        Request::Metrics => answer(Ok(router.metrics()), error_code_of),
-        Request::Traces => answer(Ok(router.traces()), error_code_of),
-        // The fleet scrapes fan out to every backend and merge; the router's
-        // own plain `DSMX`/`DSTX` answers above stay backend-free.
-        Request::FleetMetrics => answer(Ok(router.fleet_metrics()), error_code_of),
-        Request::FleetTraces => answer(Ok(router.fleet_traces()), error_code_of),
-        Request::Events => answer(Ok(router.events()), error_code_of),
-        Request::Health => answer(Ok(router.health()), error_code_of),
-        // The admin family: live membership over the same tagged mux the
-        // work frames ride. Every verb answers the post-change roster.
-        Request::Admin(admin) => answer(router.admin(&admin).map(AdminReply::Roster), admin_error_code_of),
-    }
-}
-
-/// Encodes the reply to one routed operation's result, its error under the
-/// code `code_of` maps it to.
-fn answer<T: ReplyBody>(result: Result<T>, code_of: fn(&RouterError) -> ErrorCode) -> Vec<u8> {
-    encode_reply(&Reply::from_result(result, code_of))
 }
 
 #[cfg(test)]
@@ -267,11 +200,11 @@ mod tests {
         // exactly as the serving tier refuses it: in process and over TCP.
         assert!(matches!(
             handle.screen(0xBAD, &[]),
-            Err(RouterError::UnknownGolden(0xBAD))
+            Err(ServeError::UnknownGolden(0xBAD))
         ));
         assert!(matches!(
             handle.screen_retest(&empty_retest(0xBAD)),
-            Err(RouterError::UnknownGolden(0xBAD))
+            Err(ServeError::UnknownGolden(0xBAD))
         ));
         assert!(matches!(
             client.screen(0xBAD, &[]),

@@ -1,11 +1,15 @@
-//! The TCP client: every typed operation written once, over two transports.
+//! The TCP client: one [`Service`] over two transports.
 //!
-//! [`Client`] carries the typed operations — screening, adaptive retest,
-//! golden push and fetch, the observability scrapes and drains, the
-//! fleet-admin verbs — over a small sealed exchange seam: one encoded
-//! request frame in, its response payload out. The response-count check,
-//! the `UnknownGolden(key)` mapping and the drain rule live in that one
-//! typed layer. Its two instantiations differ only in the transport:
+//! [`Client`] implements [`Service`] over a small sealed exchange seam: one
+//! encoded request frame in, its response payload out. Its one `call`
+//! encodes the [`Request`], exchanges it (resent on a dead connection only
+//! when [`Request::resendable`] allows) and decodes the reply in the
+//! request's family, checking that a screen or retest is answered with one
+//! result per item and reporting an unknown golden under the request's key.
+//! The typed operations — screening, adaptive retest, golden push and
+//! fetch, the observability scrapes and drains, the fleet-admin verbs — are
+//! thin wrappers over that call. The two instantiations differ only in the
+//! transport:
 //!
 //! * [`ServeClient`] — the blocking transport: one connection, one request
 //!   in flight, each exchange a write-then-read on the caller's thread (no
@@ -50,11 +54,10 @@ use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Tr
 
 use crate::error::{Result, ServeError};
 use crate::proto::{
-    decode_reply, encode_admin_request, encode_fetch_request, encode_push_request, encode_request,
-    encode_retest_request, encode_scrape_request, read_frame, stamp_request_id, write_frame, AdminReply, AdminRequest,
-    FleetRoster, ReplyBody, RetestRequest, RetestScore, ScoreResult, EVENTS_REQUEST_MAGIC, FLEET_METRICS_REQUEST_MAGIC,
-    FLEET_TRACES_REQUEST_MAGIC, HEALTH_REQUEST_MAGIC, METRICS_REQUEST_MAGIC, TRACES_REQUEST_MAGIC,
+    encode_request, encode_retest_request, read_frame, stamp_request_id, write_frame, AdminReply, AdminRequest, Family,
+    FleetRoster, Request, Response, RetestRequest, RetestScore, ScoreResult,
 };
+use crate::service::Service;
 
 mod seam {
     use std::net::SocketAddr;
@@ -63,7 +66,7 @@ mod seam {
 
     /// The exchange seam [`super::Client`] writes its typed operations over.
     /// Sealed: implemented by the two transports of this module only.
-    pub trait Exchange {
+    pub trait Exchange: Send + Sync {
         /// Sends one encoded request frame and returns its response payload.
         /// `resend` says whether the request may ride a second connection
         /// when the first turns out dead; drains may not.
@@ -121,22 +124,17 @@ pub type ServeClient = Client<Blocking>;
 /// one thread keeps hundreds of requests in flight.
 pub type PipelinedClient = Client<Pipelined>;
 
+impl<T: seam::Exchange> Service for Client<T> {
+    fn call(&self, request: Request<'_>) -> Result<Response> {
+        let payload = self.transport.exchange(request.encode(), request.resendable())?;
+        reply(&request, &payload)
+    }
+}
+
 impl<T: seam::Exchange> Client<T> {
     /// The server address this client is connected to (and reconnects to).
     pub fn peer_addr(&self) -> SocketAddr {
         self.transport.peer_addr()
-    }
-
-    /// One idempotent request: resent once on a fresh connection if the
-    /// current one turns out dead.
-    fn call(&self, frame: Vec<u8>) -> Result<Vec<u8>> {
-        self.transport.exchange(frame, true)
-    }
-
-    /// One consuming drain: never resent — if the connection dies before
-    /// the response arrives, the drain fails with the connection error.
-    fn drain(&self, frame: Vec<u8>) -> Result<Vec<u8>> {
-        self.transport.exchange(frame, false)
     }
 
     /// Scores a batch of observed signatures against the golden stored under
@@ -150,8 +148,7 @@ impl<T: seam::Exchange> Client<T> {
     /// [`ServeError::Io`] on dead connections (after one transparent
     /// reconnect attempt).
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        let payload = self.call(encode_request(golden_key, signatures))?;
-        check_count(reply(&payload, Some(golden_key))?, signatures.len())
+        self.call(Request::screen(golden_key, signatures))?.into_body()
     }
 
     /// Scores a single signature (a one-element [`Client::screen`]).
@@ -170,8 +167,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::screen`].
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        let payload = self.call(encode_retest_request(request))?;
-        check_count(reply(&payload, Some(request.golden_key))?, request.items.len())
+        self.call(Request::retest(request))?.into_body()
     }
 
     /// Stores (or replaces) a golden record on the server (`DSGP`) — the
@@ -180,7 +176,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::screen`] (minus `UnknownGolden`).
     pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        match reply(&self.call(encode_push_request(key, band, golden))?, None)? {
+        match self.call(Request::push(key, band, golden))?.into_body()? {
             AdminReply::Ack => Ok(()),
             other => Err(ServeError::Protocol(format!("push answered with {other:?}"))),
         }
@@ -193,7 +189,7 @@ impl<T: seam::Exchange> Client<T> {
     /// Returns [`ServeError::UnknownGolden`] when the server has no record
     /// under `key`; otherwise as for [`Client::screen`].
     pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        match reply(&self.call(encode_fetch_request(key))?, Some(key))? {
+        match self.call(Request::FetchGolden { key })?.into_body()? {
             AdminReply::Record(record) => Ok((record.band, record.golden)),
             other => Err(ServeError::Protocol(format!("fetch answered with {other:?}"))),
         }
@@ -207,7 +203,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::screen`] (minus `UnknownGolden`).
     pub fn metrics(&self) -> Result<MetricsSnapshot> {
-        reply(&self.call(encode_scrape_request(METRICS_REQUEST_MAGIC))?, None)
+        self.call(Request::Metrics)?.into_body()
     }
 
     /// Scrapes the fleet-wide merged metrics (`DSFM`): against a routing
@@ -219,7 +215,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
-        reply(&self.call(encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC))?, None)
+        self.call(Request::FleetMetrics)?.into_body()
     }
 
     /// Drains the server's buffered trace spans (`DSTX`), returning its
@@ -230,7 +226,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn traces(&self) -> Result<TraceLog> {
-        reply(&self.drain(encode_scrape_request(TRACES_REQUEST_MAGIC))?, None)
+        self.call(Request::Traces)?.into_body()
     }
 
     /// Drains trace spans fleet-wide (`DSFT`): a routing tier drains every
@@ -240,7 +236,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn fleet_traces(&self) -> Result<TraceLog> {
-        reply(&self.drain(encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC))?, None)
+        self.call(Request::FleetTraces)?.into_body()
     }
 
     /// Drains the server's structured event log (`DSEX`): backend
@@ -250,7 +246,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn events(&self) -> Result<EventLog> {
-        reply(&self.drain(encode_scrape_request(EVENTS_REQUEST_MAGIC))?, None)
+        self.call(Request::Events)?.into_body()
     }
 
     /// Asks the server to evaluate its own health (`DSHC`), returning the
@@ -260,7 +256,7 @@ impl<T: seam::Exchange> Client<T> {
     /// # Errors
     /// As for [`Client::metrics`].
     pub fn health(&self) -> Result<HealthReport> {
-        reply(&self.call(encode_scrape_request(HEALTH_REQUEST_MAGIC))?, None)
+        self.call(Request::Health)?.into_body()
     }
 
     /// Asks a routing tier to admit the backend at `label` (`DSAQ` join: a
@@ -309,11 +305,27 @@ impl<T: seam::Exchange> Client<T> {
 
     /// One fleet-admin verb, answered with the post-change roster.
     fn admin(&self, request: AdminRequest) -> Result<FleetRoster> {
-        match reply(&self.call(encode_admin_request(&request))?, None)? {
+        match self.call(Request::Admin(request))?.into_body()? {
             AdminReply::Roster(roster) => Ok(roster),
             other => Err(ServeError::Protocol(format!("admin verb answered with {other:?}"))),
         }
     }
+}
+
+/// Decodes `payload` as the reply to `request`: a body of the request's
+/// family, or the server's error (see [`crate::proto::Reply::into_result`]),
+/// with one result per item for a screen or retest.
+fn reply(request: &Request<'_>, payload: &[u8]) -> Result<Response> {
+    let response = request.family().decode(payload)?.into_result(request.golden_key())?;
+    Ok(match (response, request) {
+        (Response::Screen(scores), Request::Screen(screen)) => {
+            Response::Screen(check_count(scores, screen.signatures.len())?)
+        }
+        (Response::Retest(scores), Request::Retest(retest)) => {
+            Response::Retest(check_count(scores, retest.items.len())?)
+        }
+        (response, _) => response,
+    })
 }
 
 /// Checks that a response carries one result per request item.
@@ -325,12 +337,6 @@ fn check_count<S>(results: Vec<S>, expected: usize) -> Result<Vec<S>> {
         )));
     }
     Ok(results)
-}
-
-/// Decodes a response of body `B` and converts it to a result: the body,
-/// or the server's error (see [`crate::proto::Reply::into_result`]).
-fn reply<B: ReplyBody>(payload: &[u8], golden_key: Option<u64>) -> Result<B> {
-    decode_reply::<B>(payload)?.into_result(golden_key)
 }
 
 /// The blocking transport of [`ServeClient`]: one connection, exchanged on
@@ -571,7 +577,8 @@ impl PipelinedClient {
     /// # Errors
     /// As for [`Client::screen`].
     pub fn wait_screen(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
-        check_count(reply(&ticket.wait()?, Some(golden_key))?, expected)
+        let scores = Family::Screen.decode(&ticket.wait()?)?.into_result(Some(golden_key))?;
+        check_count(scores.into_body()?, expected)
     }
 
     /// Starts an adaptive-retest request (`DSRT`); redeem with
@@ -588,7 +595,8 @@ impl PipelinedClient {
     /// # Errors
     /// As for [`Client::screen_retest`].
     pub fn wait_retest(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
-        check_count(reply(&ticket.wait()?, Some(golden_key))?, expected)
+        let scores = Family::Retest.decode(&ticket.wait()?)?.into_result(Some(golden_key))?;
+        check_count(scores.into_body()?, expected)
     }
 }
 

@@ -1,11 +1,13 @@
-//! Error type of the serving layer.
+//! Error type of both serving tiers.
 
 use std::fmt;
 
 use dsig_core::DsigError;
 
-/// Errors produced by the golden store, the wire protocol, the server and
-/// the client.
+use crate::proto::ErrorCode;
+
+/// Errors produced by the golden store, the wire protocol, the server, the
+/// client and the routing tier.
 #[derive(Debug)]
 pub enum ServeError {
     /// A socket or filesystem operation failed.
@@ -20,9 +22,17 @@ pub enum ServeError {
     /// The server reported an error for a request (the rendered remote
     /// message, as received over the wire).
     Remote(String),
-    /// The backend has shut down (a killed in-process backend) and can no
-    /// longer accept work.
+    /// The backend has shut down (a killed backend) and can no longer
+    /// accept work.
     Closed,
+    /// Every backend in a routing tier's rendezvous ranking failed the
+    /// request.
+    AllBackendsFailed {
+        /// The golden fingerprint being routed.
+        key: u64,
+        /// One rendered failure per attempted backend, rank order.
+        detail: String,
+    },
 }
 
 impl ServeError {
@@ -38,6 +48,17 @@ impl ServeError {
             other => DsigError::Remote(other.to_string()),
         }
     }
+
+    /// The wire code this error travels as in an error reply: an unknown
+    /// golden as `UnknownGolden`, an invalid request or configuration (an
+    /// admin verb a peer rejects) as `BadRequest`, the rest as `Internal`.
+    pub fn code(&self) -> ErrorCode {
+        match self {
+            ServeError::UnknownGolden(_) => ErrorCode::UnknownGolden,
+            ServeError::Dsig(DsigError::InvalidConfig(_)) => ErrorCode::BadRequest,
+            _ => ErrorCode::Internal,
+        }
+    }
 }
 
 impl fmt::Display for ServeError {
@@ -51,6 +72,9 @@ impl fmt::Display for ServeError {
             ServeError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             ServeError::Remote(msg) => write!(f, "server reported an error: {msg}"),
             ServeError::Closed => write!(f, "the scoring backend has shut down"),
+            ServeError::AllBackendsFailed { key, detail } => {
+                write!(f, "every backend failed for fingerprint {key:#018x}: {detail}")
+            }
         }
     }
 }
@@ -102,6 +126,34 @@ mod tests {
         assert!(ServeError::Remote("boom".into()).to_string().contains("boom"));
         assert!(ServeError::Closed.to_string().contains("shut down"));
         assert!(ServeError::Closed.source().is_none());
+    }
+
+    /// The routing tier's failures and the one map from errors to wire
+    /// codes.
+    #[test]
+    fn display_sources_and_conversions() {
+        use std::error::Error;
+        let all = ServeError::AllBackendsFailed {
+            key: 1,
+            detail: "b0: closed; b1: closed".into(),
+        };
+        assert!(all.to_string().contains("every backend failed"), "{all}");
+        assert!(all.to_string().contains("b0: closed; b1: closed"), "{all}");
+        assert!(all.source().is_none());
+        assert_eq!(all.code(), ErrorCode::Internal);
+        assert!(matches!(all.into_dsig(), DsigError::Remote(msg) if msg.contains("every backend failed")));
+        assert_eq!(ServeError::UnknownGolden(9).code(), ErrorCode::UnknownGolden);
+        assert_eq!(ServeError::Closed.code(), ErrorCode::Internal);
+        let rejected: ServeError = DsigError::InvalidConfig("unknown backend".into()).into();
+        assert_eq!(
+            rejected.code(),
+            ErrorCode::BadRequest,
+            "a rejected admin verb is the caller's fault"
+        );
+        assert!(matches!(rejected.into_dsig(), DsigError::InvalidConfig(_)));
+        let e: ServeError = std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "refused").into();
+        assert_eq!(e.code(), ErrorCode::Internal);
+        assert!(matches!(e.into_dsig(), DsigError::Remote(msg) if msg.contains("refused")));
     }
 
     #[test]

@@ -17,14 +17,18 @@
 //!   run requests on one shared [`WorkPool`]; each batch is scored in
 //!   request order on the thread that holds the request, so results are
 //!   bit-identical for every pool size;
+//! * [`Service`] — the one seam of the serving protocol: a [`Request`] in,
+//!   a [`Response`] out. [`ServeHandle`], [`Client`] and the routing tier's
+//!   handle implement it, and [`service::respond`] is the one frame handler
+//!   both tiers' listeners answer through;
 //! * [`ServeHandle`] — the in-process client path (the same scoring, on the
 //!   caller's thread, no TCP) for embedding the scorer into another process;
-//! * [`Client`] — the one typed TCP client: every operation written once
-//!   over a sealed exchange seam, in two transports — [`ServeClient`]
-//!   (blocking, one request in flight) and [`PipelinedClient`] (N requests
-//!   in flight on one connection, responses matched by request id). A
-//!   routing tier speaks the same protocol, and `dsig_router` re-exports
-//!   the two as `RouterClient` and `PipelinedRouterClient`;
+//! * [`Client`] — the one typed TCP client: a [`Service`] over a sealed
+//!   exchange seam, in two transports — [`ServeClient`] (blocking, one
+//!   request in flight) and [`PipelinedClient`] (N requests in flight on one
+//!   connection, responses matched by request id). A routing tier speaks
+//!   the same protocol, and `dsig_router` re-exports the two as
+//!   `RouterClient` and `PipelinedRouterClient`;
 //! * [`mux`] — the accept loop both serving tiers share, the [`WorkPool`]
 //!   and the connection event loop that serves frames out of order;
 //! * [`proto`] — the std-only wire protocol (layout below).
@@ -125,14 +129,16 @@ pub mod error;
 pub mod mux;
 pub mod proto;
 pub mod server;
+pub mod service;
 pub mod store;
 
 pub use client::{Client, PipelinedClient, ServeClient, Ticket};
 pub use error::{Result, ServeError};
 pub use mux::WorkPool;
 pub use proto::{
-    AdminReply, AdminRequest, BackendState, ErrorCode, FleetRoster, Reply, Request, RetestItem, RetestRequest,
-    RetestResponse, RetestScore, RosterEntry, ScoreResult, ScreenRequest, ScreenResponse,
+    AdminReply, AdminRequest, BackendState, ErrorCode, Family, FleetRoster, Reply, Request, Response, RetestItem,
+    RetestRequest, RetestResponse, RetestScore, RosterEntry, ScoreResult, ScreenRequest, ScreenResponse,
 };
 pub use server::{ServeConfig, ServeHandle, Server};
+pub use service::Service;
 pub use store::{GoldenRecord, GoldenStore};

@@ -11,8 +11,13 @@
 //! The protocol is deliberately batch-first: one request carries any number
 //! of signatures for one golden, so the framing, syscall and dispatch cost is
 //! amortized over the batch.
+//!
+//! Every request kind is one variant of [`Request`], which borrows its bodies
+//! when a caller builds it and owns them when [`decode_any_request`] does;
+//! every reply is one variant of [`Response`]. Which reply family answers
+//! which request is decided in one place, [`Family::of`].
 
-use std::fmt::Display;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use dsig_core::wire::{self, ByteReader, Wire};
@@ -130,18 +135,17 @@ dsig_core::wire_tags!(ErrorCode: u16 {
     Internal = 3,
 });
 
-/// A decoded screening request: score `signatures` against the golden stored
-/// under `golden_key`.
+/// A screening request: score `signatures` against the golden stored under
+/// `golden_key`. The signatures are borrowed when a caller builds the request
+/// and owned when [`decode_request`] builds it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScreenRequest {
+pub struct ScreenRequest<'a> {
     /// Fingerprint of the golden to score against
     /// (see [`dsig_engine::golden_fingerprint`]).
     pub golden_key: u64,
     /// The observed signatures to score, in request order.
-    pub signatures: Vec<Signature>,
+    pub signatures: Cow<'a, [Signature]>,
 }
-
-dsig_core::wire_fields!(ScreenRequest { golden_key, signatures });
 
 /// A decoded fleet-admin request (`DSAQ`): one membership verb addressed to
 /// a routing tier. Every verb is idempotent by label — replaying it after a
@@ -245,14 +249,17 @@ pub struct FleetRoster {
 
 dsig_core::wire_fields!(FleetRoster { epoch, entries });
 
-/// Any request frame the serving tier understands, decoded by payload magic
-/// (see [`decode_any_request`]).
+/// Any request the serving tier understands: what a [`crate::Service`]
+/// answers and what a request frame decodes to (see [`decode_any_request`]).
+/// Bodies are borrowed when a caller builds the request, so neither an
+/// in-process hop nor a TCP encode copies a signature, and owned when the
+/// decoder builds it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub enum Request<'a> {
     /// A single-golden screening request (`DSRQ`).
-    Screen(ScreenRequest),
+    Screen(ScreenRequest<'a>),
     /// An adaptive-retest screening request (`DSRT`).
-    Retest(RetestRequest),
+    Retest(Cow<'a, RetestRequest>),
     /// A golden replication push (`DSGP`): store `golden` under `key`.
     PushGolden {
         /// Fingerprint the golden is stored under.
@@ -260,7 +267,7 @@ pub enum Request {
         /// Acceptance band applied to NDFs scored against this golden.
         band: AcceptanceBand,
         /// The golden signature.
-        golden: Signature,
+        golden: Cow<'a, Signature>,
     },
     /// A golden readback request (`DSGF`): return the record under `key`.
     FetchGolden {
@@ -290,6 +297,85 @@ pub enum Request {
     Admin(AdminRequest),
 }
 
+impl<'a> Request<'a> {
+    /// A screening request borrowing its signatures.
+    pub fn screen(golden_key: u64, signatures: &'a [Signature]) -> Self {
+        Request::Screen(ScreenRequest {
+            golden_key,
+            signatures: Cow::Borrowed(signatures),
+        })
+    }
+
+    /// An adaptive-retest request borrowing its devices.
+    pub fn retest(request: &'a RetestRequest) -> Self {
+        Request::Retest(Cow::Borrowed(request))
+    }
+
+    /// A golden push borrowing its golden.
+    pub fn push(key: u64, band: AcceptanceBand, golden: &'a Signature) -> Self {
+        Request::PushGolden {
+            key,
+            band,
+            golden: Cow::Borrowed(golden),
+        }
+    }
+}
+
+impl Request<'_> {
+    /// The magic of this request's frame.
+    pub fn magic(&self) -> [u8; 4] {
+        match self {
+            Request::Screen(_) => REQUEST_MAGIC,
+            Request::Retest(_) => RETEST_REQUEST_MAGIC,
+            Request::PushGolden { .. } => PUSH_MAGIC,
+            Request::FetchGolden { .. } => FETCH_MAGIC,
+            Request::Metrics => METRICS_REQUEST_MAGIC,
+            Request::Traces => TRACES_REQUEST_MAGIC,
+            Request::FleetMetrics => FLEET_METRICS_REQUEST_MAGIC,
+            Request::FleetTraces => FLEET_TRACES_REQUEST_MAGIC,
+            Request::Events => EVENTS_REQUEST_MAGIC,
+            Request::Health => HEALTH_REQUEST_MAGIC,
+            Request::Admin(_) => ADMIN_REQUEST_MAGIC,
+        }
+    }
+
+    /// The response family that answers this request.
+    pub fn family(&self) -> Family {
+        Family::of(&self.magic())
+    }
+
+    /// Whether a client may resend this request on a fresh connection when
+    /// the first one dies: every request but the drains (`DSTX`, `DSFT`,
+    /// `DSEX`), which consume what they return.
+    pub fn resendable(&self) -> bool {
+        !matches!(self, Request::Traces | Request::FleetTraces | Request::Events)
+    }
+
+    /// The golden fingerprint this request names, if any: an unknown-golden
+    /// error in its reply is reported under this key.
+    pub fn golden_key(&self) -> Option<u64> {
+        match self {
+            Request::Screen(request) => Some(request.golden_key),
+            Request::Retest(request) => Some(request.golden_key),
+            Request::PushGolden { key, .. } | Request::FetchGolden { key } => Some(*key),
+            _ => None,
+        }
+    }
+
+    /// Encodes this request's payload (without the frame length prefix),
+    /// writing every borrowed body straight into the frame.
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            Request::Screen(request) => encode_request(request.golden_key, &request.signatures),
+            Request::Retest(request) => encode_retest_request(request),
+            Request::PushGolden { key, band, golden } => encode_push_request(*key, *band, golden),
+            Request::FetchGolden { key } => encode_fetch_request(*key),
+            Request::Admin(request) => encode_admin_request(request),
+            scrape => encode_scrape_request(scrape.magic()),
+        }
+    }
+}
+
 /// A decoded response of any family: the operation's results, or the error
 /// body every response family shares.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,15 +399,11 @@ pub type ScreenResponse = Reply<Vec<ScoreResult>>;
 pub type RetestResponse = Reply<Vec<RetestScore>>;
 
 impl<T> Reply<T> {
-    /// The reply to an operation's outcome: its results, or its error
-    /// rendered under the code `code_of` maps it to.
-    pub fn from_result<E: Display>(result: std::result::Result<T, E>, code_of: impl FnOnce(&E) -> ErrorCode) -> Self {
-        match result {
-            Ok(body) => Reply::Results(body),
-            Err(err) => Reply::Error {
-                code: code_of(&err),
-                message: err.to_string(),
-            },
+    /// The same reply with its ok body mapped through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Reply<U> {
+        match self {
+            Reply::Results(body) => Reply::Results(f(body)),
+            Reply::Error { code, message } => Reply::Error { code, message },
         }
     }
 
@@ -377,43 +459,119 @@ pub trait ReplyBody: Wire {
     /// The ok status byte, or `None` for a body whose own tag is its
     /// status byte (`DSRA`).
     const STATUS: Option<u8> = Some(STATUS_OK);
+
+    /// The body of `response`, if it belongs to this family.
+    fn from_response(response: Response) -> Option<Self>;
 }
 
-impl ReplyBody for Vec<ScoreResult> {
-    const MAGIC: [u8; 4] = RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "screen response";
+/// Declares every response family once — its [`Response`] and [`Family`]
+/// variant, ok-body type, magic, decode context and any other [`ReplyBody`]
+/// constant — and derives from that list each body's [`ReplyBody`] impl and
+/// the per-family reply, error and decode paths.
+macro_rules! reply_families {
+    ($($(#[$doc:meta])* $family:ident($body:ty) = $magic:ident, $context:literal $(, $name:ident: $ty:ty = $value:expr)*;)*) => {
+        /// A reply body of any family: what a [`crate::Service`] answers.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Response {
+            $($(#[$doc])* $family($body),)*
+        }
+
+        /// The response families: which frame answers a request (see
+        /// [`Family::of`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Family {
+            $($(#[$doc])* $family,)*
+        }
+
+        $(impl ReplyBody for $body {
+            const MAGIC: [u8; 4] = $magic;
+            const CONTEXT: &'static str = $context;
+            $(const $name: $ty = $value;)*
+
+            fn from_response(response: Response) -> Option<Self> {
+                match response {
+                    Response::$family(body) => Some(body),
+                    _ => None,
+                }
+            }
+        })*
+
+        impl Response {
+            /// Encodes this reply's payload (without the frame length
+            /// prefix).
+            pub fn encode(self) -> Vec<u8> {
+                match self {
+                    $(Response::$family(body) => encode_reply(&Reply::Results(body)),)*
+                }
+            }
+        }
+
+        impl Family {
+            /// Encodes an error reply of this family.
+            pub fn error(self, code: ErrorCode, message: String) -> Vec<u8> {
+                match self {
+                    $(Family::$family => encode_reply(&Reply::<$body>::Error { code, message }),)*
+                }
+            }
+
+            /// Decodes a reply payload of this family. Never panics on
+            /// malformed input.
+            ///
+            /// # Errors
+            /// As for [`decode_reply`].
+            pub fn decode(self, payload: &[u8]) -> Result<Reply<Response>> {
+                Ok(match self {
+                    $(Family::$family => decode_reply::<$body>(payload)?.map(Response::$family),)*
+                })
+            }
+        }
+    };
 }
 
-impl ReplyBody for Vec<RetestScore> {
-    const MAGIC: [u8; 4] = RETEST_RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "retest response";
+reply_families! {
+    /// Screening scores (`DSRS`): one per request signature.
+    Screen(Vec<ScoreResult>) = RESPONSE_MAGIC, "screen response";
+    /// Adaptive-retest scores (`DSRR`): one per request device.
+    Retest(Vec<RetestScore>) = RETEST_RESPONSE_MAGIC, "retest response";
+    /// An admin answer (`DSRA`): a push ack, a fetched record or a roster.
+    Admin(AdminReply) = ADMIN_RESPONSE_MAGIC, "admin response", STATUS: Option<u8> = None;
+    /// A metrics snapshot (`DSMR`).
+    Metrics(MetricsSnapshot) = METRICS_RESPONSE_MAGIC, "metrics response";
+    /// Drained trace spans (`DSTD`).
+    Traces(TraceLog) = TRACES_RESPONSE_MAGIC, "traces response";
+    /// Drained events (`DSED`).
+    Events(EventLog) = EVENTS_RESPONSE_MAGIC, "events response";
+    /// A health verdict (`DSHR`).
+    Health(HealthReport) = HEALTH_RESPONSE_MAGIC, "health response", VERSION: u16 = HEALTH_RESPONSE_VERSION;
 }
 
-impl ReplyBody for AdminReply {
-    const MAGIC: [u8; 4] = ADMIN_RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "admin response";
-    const STATUS: Option<u8> = None;
+impl Family {
+    /// The family that answers request payloads of `magic`'s first four
+    /// bytes — the one place that decides which reply answers which
+    /// request. A payload of no known magic is answered as a screen.
+    pub fn of(magic: &[u8]) -> Family {
+        match magic.get(..4).and_then(|magic| <[u8; 4]>::try_from(magic).ok()) {
+            Some(PUSH_MAGIC | FETCH_MAGIC | ADMIN_REQUEST_MAGIC) => Family::Admin,
+            Some(RETEST_REQUEST_MAGIC) => Family::Retest,
+            Some(METRICS_REQUEST_MAGIC | FLEET_METRICS_REQUEST_MAGIC) => Family::Metrics,
+            Some(TRACES_REQUEST_MAGIC | FLEET_TRACES_REQUEST_MAGIC) => Family::Traces,
+            Some(EVENTS_REQUEST_MAGIC) => Family::Events,
+            Some(HEALTH_REQUEST_MAGIC) => Family::Health,
+            _ => Family::Screen,
+        }
+    }
 }
 
-impl ReplyBody for MetricsSnapshot {
-    const MAGIC: [u8; 4] = METRICS_RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "metrics response";
-}
-
-impl ReplyBody for TraceLog {
-    const MAGIC: [u8; 4] = TRACES_RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "traces response";
-}
-
-impl ReplyBody for EventLog {
-    const MAGIC: [u8; 4] = EVENTS_RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "events response";
-}
-
-impl ReplyBody for HealthReport {
-    const MAGIC: [u8; 4] = HEALTH_RESPONSE_MAGIC;
-    const CONTEXT: &'static str = "health response";
-    const VERSION: u16 = HEALTH_RESPONSE_VERSION;
+impl Response {
+    /// This response's body as a `T`.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Protocol`] when the response belongs to another
+    /// family.
+    pub fn into_body<T: ReplyBody>(self) -> Result<T> {
+        T::from_response(self)
+            .ok_or_else(|| ServeError::Protocol(format!("expected a {}, got another family", T::CONTEXT)))
+    }
 }
 
 /// A status byte, then the ok body or the shared error body: `u16` error
@@ -452,14 +610,21 @@ impl<T: ReplyBody> Wire for Reply<T> {
     }
 }
 
-/// The work-carrying request magics (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`):
-/// the frames that carry a trace context after the request id.
-const WORK_REQUEST_MAGICS: [[u8; 4]; 5] = [
+/// Every request magic. The first five are the work-carrying requests
+/// (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`), whose frames carry a trace context
+/// after the request id; the rest are the header-only scrapes.
+pub(crate) const REQUEST_MAGICS: [[u8; 4]; 11] = [
     REQUEST_MAGIC,
     RETEST_REQUEST_MAGIC,
     PUSH_MAGIC,
     FETCH_MAGIC,
     ADMIN_REQUEST_MAGIC,
+    METRICS_REQUEST_MAGIC,
+    TRACES_REQUEST_MAGIC,
+    FLEET_METRICS_REQUEST_MAGIC,
+    FLEET_TRACES_REQUEST_MAGIC,
+    EVENTS_REQUEST_MAGIC,
+    HEALTH_REQUEST_MAGIC,
 ];
 
 /// Starts a work-request frame of `magic`: the tagged header with the
@@ -523,10 +688,10 @@ pub fn stamp_request_id(frame: &mut [u8], request_id: u64) {
 /// well-formed frame of a context-carrying family yields
 /// [`TraceContext::NONE`] (the decoder proper reports the actual error).
 pub fn decode_request_context(payload: &[u8]) -> TraceContext {
-    WORK_REQUEST_MAGICS
-        .into_iter()
+    REQUEST_MAGICS[..5]
+        .iter()
         .find(|magic| payload.get(..4) == Some(magic.as_slice()))
-        .and_then(|magic| open_work_request(payload, magic, "request trace context").ok())
+        .and_then(|magic| open_work_request(payload, *magic, "request trace context").ok())
         .map_or(TraceContext::NONE, |(ctx, _)| ctx)
 }
 
@@ -547,8 +712,12 @@ pub fn encode_request(golden_key: u64, signatures: &[Signature]) -> Vec<u8> {
 ///
 /// # Errors
 /// Returns [`ServeError::Dsig`] on framing or signature decoding errors.
-pub fn decode_request(payload: &[u8]) -> Result<ScreenRequest> {
-    decode_work(payload, REQUEST_MAGIC, "screen request")
+pub fn decode_request(payload: &[u8]) -> Result<ScreenRequest<'static>> {
+    let (golden_key, signatures) = decode_work::<(u64, Vec<Signature>)>(payload, REQUEST_MAGIC, "screen request")?;
+    Ok(ScreenRequest {
+        golden_key,
+        signatures: Cow::Owned(signatures),
+    })
 }
 
 /// Encodes an adaptive-retest screening request payload (without the frame
@@ -594,28 +763,27 @@ pub fn encode_admin_request(request: &AdminRequest) -> Vec<u8> {
     out
 }
 
-/// The header-only scrape requests, keyed by magic, with the request each
-/// one decodes to.
-static SCRAPES: [([u8; 4], Request); 6] = [
-    (METRICS_REQUEST_MAGIC, Request::Metrics),
-    (TRACES_REQUEST_MAGIC, Request::Traces),
-    (FLEET_METRICS_REQUEST_MAGIC, Request::FleetMetrics),
-    (FLEET_TRACES_REQUEST_MAGIC, Request::FleetTraces),
-    (EVENTS_REQUEST_MAGIC, Request::Events),
-    (HEALTH_REQUEST_MAGIC, Request::Health),
+/// The header-only scrape requests.
+const SCRAPES: [Request<'static>; 6] = [
+    Request::Metrics,
+    Request::Traces,
+    Request::FleetMetrics,
+    Request::FleetTraces,
+    Request::Events,
+    Request::Health,
 ];
 
-/// The [`SCRAPES`] entry of a payload's magic, if it is a scrape request.
-fn scrape_of(payload: &[u8]) -> Option<&'static ([u8; 4], Request)> {
+/// The scrape request of a payload's magic, if it is one.
+fn scrape_of(payload: &[u8]) -> Option<Request<'static>> {
     SCRAPES
-        .iter()
-        .find(|(magic, _)| payload.get(..4) == Some(magic.as_slice()))
+        .into_iter()
+        .find(|scrape| payload.get(..4) == Some(scrape.magic().as_slice()))
 }
 
 /// Encodes a header-only scrape request payload (without the frame length
 /// prefix): `magic` is one of `DSMX`/`DSTX`/`DSFM`/`DSFT`/`DSEX`/`DSHC`.
 pub fn encode_scrape_request(magic: [u8; 4]) -> Vec<u8> {
-    debug_assert!(SCRAPES.iter().any(|(scrape, _)| *scrape == magic), "not a scrape magic");
+    debug_assert!(scrape_of(&magic).is_some(), "not a scrape magic");
     let mut out = Vec::with_capacity(14);
     wire::put_tagged_header(&mut out, magic, PROTO_VERSION, 0);
     out
@@ -628,17 +796,17 @@ pub fn encode_scrape_request(magic: [u8; 4]) -> Vec<u8> {
 /// Returns [`ServeError::Protocol`] for a magic that is not a scrape request
 /// and [`ServeError::Dsig`] on framing errors (unsupported version,
 /// truncation, trailing bytes).
-pub fn decode_scrape_request(payload: &[u8]) -> Result<Request> {
-    let (magic, request) = scrape_of(payload).ok_or_else(|| {
+pub fn decode_scrape_request(payload: &[u8]) -> Result<Request<'static>> {
+    let request = scrape_of(payload).ok_or_else(|| {
         ServeError::Protocol(format!(
             "{:?} is not a scrape request",
             String::from_utf8_lossy(payload.get(..4).unwrap_or(payload))
         ))
     })?;
     let mut r = ByteReader::new(payload, "scrape request");
-    r.tagged_header(*magic, PROTO_VERSION)?;
+    r.tagged_header(request.magic(), PROTO_VERSION)?;
     r.finish()?;
-    Ok(request.clone())
+    Ok(request)
 }
 
 /// Decodes any request frame by its payload magic — the dispatch point of a
@@ -647,13 +815,19 @@ pub fn decode_scrape_request(payload: &[u8]) -> Result<Request> {
 /// # Errors
 /// Returns [`ServeError::Protocol`] for an unknown magic and
 /// [`ServeError::Dsig`] for a malformed frame of a known one.
-pub fn decode_any_request(payload: &[u8]) -> Result<Request> {
+pub fn decode_any_request(payload: &[u8]) -> Result<Request<'static>> {
     match payload.get(..4) {
         Some(magic) if *magic == REQUEST_MAGIC => Ok(Request::Screen(decode_request(payload)?)),
-        Some(magic) if *magic == RETEST_REQUEST_MAGIC => Ok(Request::Retest(decode_retest_request(payload)?)),
+        Some(magic) if *magic == RETEST_REQUEST_MAGIC => {
+            Ok(Request::Retest(Cow::Owned(decode_retest_request(payload)?)))
+        }
         Some(magic) if *magic == PUSH_MAGIC => {
             let (key, band, golden) = decode_work(payload, PUSH_MAGIC, "golden push request")?;
-            Ok(Request::PushGolden { key, band, golden })
+            Ok(Request::PushGolden {
+                key,
+                band,
+                golden: Cow::Owned(golden),
+            })
         }
         Some(magic) if *magic == FETCH_MAGIC => Ok(Request::FetchGolden {
             key: decode_work(payload, FETCH_MAGIC, "golden fetch request")?,
@@ -675,35 +849,12 @@ pub fn decode_any_request(payload: &[u8]) -> Result<Request> {
     }
 }
 
-/// Encodes the response for a request frame that failed to decode, in the
-/// response family the client is waiting for: admin requests
-/// (`DSGP`/`DSGF`/`DSAQ`) are answered with a `DSRA` error, retest requests
-/// (`DSRT`) with a `DSRR` error and each scrape with an error in the family
-/// that answers it (`DSFM` in `DSMR`, `DSFT` in `DSTD`), so each client-side
-/// decoder surfaces the server's message instead of a magic mismatch;
-/// everything else gets a `DSRS` error.
+/// Encodes the response for a request frame that failed to decode: a
+/// `BadRequest` error in the family [`Family::of`] its magic names, so each
+/// client-side decoder surfaces the server's message instead of a magic
+/// mismatch.
 pub fn encode_decode_error(payload: &[u8], message: String) -> Vec<u8> {
-    fn bad_request<T: ReplyBody>(message: String) -> Vec<u8> {
-        encode_reply(&Reply::<T>::Error {
-            code: ErrorCode::BadRequest,
-            message,
-        })
-    }
-    match payload.get(..4).unwrap_or_default() {
-        magic if magic == PUSH_MAGIC || magic == FETCH_MAGIC || magic == ADMIN_REQUEST_MAGIC => {
-            bad_request::<AdminReply>(message)
-        }
-        magic if magic == RETEST_REQUEST_MAGIC => bad_request::<Vec<RetestScore>>(message),
-        magic if magic == METRICS_REQUEST_MAGIC || magic == FLEET_METRICS_REQUEST_MAGIC => {
-            bad_request::<MetricsSnapshot>(message)
-        }
-        magic if magic == TRACES_REQUEST_MAGIC || magic == FLEET_TRACES_REQUEST_MAGIC => {
-            bad_request::<TraceLog>(message)
-        }
-        magic if magic == EVENTS_REQUEST_MAGIC => bad_request::<EventLog>(message),
-        magic if magic == HEALTH_REQUEST_MAGIC => bad_request::<HealthReport>(message),
-        _ => bad_request::<Vec<ScoreResult>>(message),
-    }
+    Family::of(payload).error(ErrorCode::BadRequest, message)
 }
 
 /// Encodes a response payload of any family (without the frame length

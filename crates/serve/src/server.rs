@@ -12,6 +12,10 @@
 //!  ServeHandle ──▶ score on the caller's thread
 //! ```
 //!
+//! Both paths answer through the same [`Service`] impl of [`ServeHandle`]:
+//! the listener runs [`crate::service::respond`] over it, behind a private
+//! metering layer that counts the requests arriving as frames.
+//!
 //! A request's batch is scored on the thread that holds the request — a
 //! pool worker, a connection reader serving inline (one-worker pool) or the
 //! caller of an in-process [`ServeHandle`] — over the decoded signatures as
@@ -21,7 +25,7 @@
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use dsig_core::{ndf_and_peak, AcceptanceBand, DsigError, Signature};
 use dsig_engine::{available_threads, RemoteScorer};
@@ -32,11 +36,9 @@ use dsig_obs::{
 };
 
 use crate::error::{Result, ServeError};
-use crate::mux::{self, Responder, WorkPool};
-use crate::proto::{
-    decode_any_request, decode_request_context, encode_decode_error, encode_reply, AdminReply, ErrorCode, Reply,
-    ReplyBody, Request, RetestRequest, RetestScore, ScoreResult,
-};
+use crate::mux::{self, WorkPool};
+use crate::proto::{AdminReply, Request, Response, RetestRequest, RetestScore, ScoreResult, REQUEST_MAGICS};
+use crate::service::{self, Service};
 use crate::store::{GoldenRecord, GoldenStore};
 
 /// Tuning knobs of a [`Server`].
@@ -69,10 +71,9 @@ impl ServeConfig {
 /// under the `serve.` prefix of the registry the handle was spawned in
 /// (the process-wide [`Registry::global`] by default).
 struct ServeMetrics {
-    /// `serve.requests.<family>` — requests answered, by payload magic.
-    requests: PerFamily,
-    /// `serve.errors.<family>` — error responses, by payload magic.
-    errors: PerFamily,
+    /// `serve.requests.<family>` and `serve.errors.<family>` for each
+    /// request magic (`dsrq`, …): requests answered, and error responses.
+    families: Vec<([u8; 4], Arc<Counter>, Arc<Counter>)>,
     /// `serve.errors.decode` — frames whose payload failed to decode.
     decode_errors: Arc<Counter>,
     /// `serve.bytes_in` / `serve.bytes_out` — framed TCP payload traffic.
@@ -87,61 +88,19 @@ struct ServeMetrics {
     queue_depth: Arc<Gauge>,
 }
 
-/// One counter per request family (wire magic).
-struct PerFamily {
-    screen: Arc<Counter>,
-    retest: Arc<Counter>,
-    push: Arc<Counter>,
-    fetch: Arc<Counter>,
-    metrics: Arc<Counter>,
-    traces: Arc<Counter>,
-    fleet_metrics: Arc<Counter>,
-    fleet_traces: Arc<Counter>,
-    events: Arc<Counter>,
-    health: Arc<Counter>,
-    admin: Arc<Counter>,
-}
-
-impl PerFamily {
-    fn new(registry: &Registry, kind: &str) -> PerFamily {
-        let name = |family: &str| format!("serve.{kind}.{family}");
-        PerFamily {
-            screen: registry.counter(&name("dsrq")),
-            retest: registry.counter(&name("dsrt")),
-            push: registry.counter(&name("dsgp")),
-            fetch: registry.counter(&name("dsgf")),
-            metrics: registry.counter(&name("dsmx")),
-            traces: registry.counter(&name("dstx")),
-            fleet_metrics: registry.counter(&name("dsfm")),
-            fleet_traces: registry.counter(&name("dsft")),
-            events: registry.counter(&name("dsex")),
-            health: registry.counter(&name("dshc")),
-            admin: registry.counter(&name("dsaq")),
-        }
-    }
-
-    fn of(&self, request: &Request) -> &Arc<Counter> {
-        match request {
-            Request::Screen(_) => &self.screen,
-            Request::Retest(_) => &self.retest,
-            Request::PushGolden { .. } => &self.push,
-            Request::FetchGolden { .. } => &self.fetch,
-            Request::Metrics => &self.metrics,
-            Request::Traces => &self.traces,
-            Request::FleetMetrics => &self.fleet_metrics,
-            Request::FleetTraces => &self.fleet_traces,
-            Request::Events => &self.events,
-            Request::Health => &self.health,
-            Request::Admin(_) => &self.admin,
-        }
-    }
-}
-
 impl ServeMetrics {
     fn new(registry: &Registry) -> ServeMetrics {
+        let counter = |kind: &str, magic: &[u8; 4]| {
+            registry.counter(&format!(
+                "serve.{kind}.{}",
+                String::from_utf8_lossy(magic).to_lowercase()
+            ))
+        };
         ServeMetrics {
-            requests: PerFamily::new(registry, "requests"),
-            errors: PerFamily::new(registry, "errors"),
+            families: REQUEST_MAGICS
+                .iter()
+                .map(|magic| (*magic, counter("requests", magic), counter("errors", magic)))
+                .collect(),
             decode_errors: registry.counter("serve.errors.decode"),
             bytes_in: registry.counter("serve.bytes_in"),
             bytes_out: registry.counter("serve.bytes_out"),
@@ -149,6 +108,17 @@ impl ServeMetrics {
             request_us: registry.histogram("serve.request_us"),
             queue_depth: registry.gauge("serve.queue_depth"),
         }
+    }
+
+    /// The request and error counters of `request`'s family.
+    fn family(&self, request: &Request) -> (&Counter, &Counter) {
+        let magic = request.magic();
+        let (_, requests, errors) = self
+            .families
+            .iter()
+            .find(|(family, ..)| *family == magic)
+            .expect("every request magic is counted");
+        (requests, errors)
     }
 }
 
@@ -439,7 +409,21 @@ impl Server {
         // one listener fans out to thousands of pipelined clients.
         let pool = Arc::new(WorkPool::new(config.shards));
         let handle = ServeHandle::spawn_in(store, config, registry);
-        let respond = responder(handle.clone(), Arc::downgrade(&pool));
+        let metered = Metered(handle.clone());
+        // The request handler sees the pool only to sample
+        // `serve.queue_depth`, and holds it weakly so the pool is never
+        // dropped from one of its own workers.
+        let queue = Arc::downgrade(&pool);
+        let respond = Arc::new(move |payload: Vec<u8>| {
+            let metrics = &metered.0.metrics;
+            metrics.bytes_in.add(payload.len() as u64 + 4);
+            if let Some(pool) = queue.upgrade() {
+                metrics.queue_depth.set(pool.queued() as f64);
+            }
+            let response = service::respond(&metered, &payload, Some(&metrics.decode_errors));
+            metrics.bytes_out.add(response.len() as u64 + 4);
+            response
+        });
         let listener = mux::Listener::bind(addr, pool, respond)?;
         Ok(Server { listener, handle })
     }
@@ -475,90 +459,52 @@ impl Server {
     }
 }
 
-/// Maps a serving-layer error onto the wire error code it travels as.
-fn error_code_of(err: &ServeError) -> ErrorCode {
-    match err {
-        ServeError::UnknownGolden(_) => ErrorCode::UnknownGolden,
-        _ => ErrorCode::Internal,
-    }
-}
-
-/// Builds the response frame for one decoded request — shared by every
-/// serving process (and mirrored by the router tier, which answers the same
-/// request kinds after fanning the work out).
-fn respond(handle: &ServeHandle, request: Request) -> Vec<u8> {
-    let metrics = &handle.metrics;
-    let _request_timer = Span::enter(&metrics.request_us);
-    metrics.requests.of(&request).inc();
-    let errors = metrics.errors.of(&request);
-    match request {
-        Request::Screen(request) => answer(errors, handle.screen(request.golden_key, &request.signatures)),
-        Request::Retest(request) => answer(errors, handle.screen_retest(&request)),
-        Request::PushGolden { key, band, golden } => {
-            handle.push_golden(key, golden, band);
-            answer(errors, Ok(AdminReply::Ack))
-        }
-        Request::FetchGolden { key } => answer(
-            errors,
-            handle
-                .fetch_golden(key)
-                .map(|record| AdminReply::Record(GoldenRecord::clone(&record))),
-        ),
-        // A standalone serving process answers the fleet scrapes as a fleet
-        // of one: its own snapshot/log, no `backend.*` prefixes, so the
-        // routing tier and a bare server share one client-side shape.
-        Request::Metrics | Request::FleetMetrics => answer(errors, Ok(handle.metrics())),
-        Request::Traces | Request::FleetTraces => answer(errors, Ok(handle.traces())),
-        Request::Events => answer(errors, Ok(handle.events())),
-        Request::Health => answer(errors, Ok(handle.health(&SloPolicy::default()))),
-        // A leaf serving process has no fleet to administer; only the
-        // routing tier accepts membership verbs.
-        Request::Admin(_) => {
-            errors.inc();
-            encode_reply(&Reply::<AdminReply>::Error {
-                code: ErrorCode::BadRequest,
-                message: "fleet admin verbs are only valid against a routing tier".into(),
-            })
-        }
-    }
-}
-
-/// Encodes the reply to one operation's result, counting a failure in
-/// `errors`.
-fn answer<T: ReplyBody>(errors: &Counter, result: Result<T>) -> Vec<u8> {
-    if result.is_err() {
-        errors.inc();
-    }
-    encode_reply(&Reply::from_result(result, error_code_of))
-}
-
-/// The server's request handler, shared by every connection: decode one
-/// request payload, answer it through `handle`, meter the bytes. It sees the
-/// pool only to sample `serve.queue_depth`, and holds it weakly so the pool
-/// is never dropped from one of its own workers.
-fn responder(handle: ServeHandle, pool: Weak<WorkPool>) -> Arc<Responder> {
-    Arc::new(move |payload: Vec<u8>| {
-        handle.metrics.bytes_in.add(payload.len() as u64 + 4);
-        if let Some(pool) = pool.upgrade() {
-            handle.metrics.queue_depth.set(pool.queued() as f64);
-        }
-        let response = {
-            // Pin the caller's trace context for the whole request so every
-            // span opened while serving it parents under the remote caller
-            // — per request, because pool workers interleave requests from
-            // many callers.
-            let _ctx = trace::with_context(decode_request_context(&payload));
-            match decode_any_request(&payload) {
-                Ok(request) => respond(&handle, request),
-                Err(err) => {
-                    handle.metrics.decode_errors.inc();
-                    encode_decode_error(&payload, err.to_string())
-                }
+impl Service for ServeHandle {
+    fn call(&self, request: Request<'_>) -> Result<Response> {
+        Ok(match request {
+            Request::Screen(request) => Response::Screen(self.screen(request.golden_key, &request.signatures)?),
+            Request::Retest(request) => Response::Retest(self.screen_retest(&request)?),
+            Request::PushGolden { key, band, golden } => {
+                self.push_golden(key, golden.into_owned(), band);
+                Response::Admin(AdminReply::Ack)
             }
-        };
-        handle.metrics.bytes_out.add(response.len() as u64 + 4);
+            Request::FetchGolden { key } => Response::Admin(AdminReply::Record((*self.fetch_golden(key)?).clone())),
+            // A standalone serving process answers the fleet scrapes as a
+            // fleet of one: its own snapshot/log, no `backend.*` prefixes, so
+            // the routing tier and a bare server share one client-side shape.
+            Request::Metrics | Request::FleetMetrics => Response::Metrics(self.metrics()),
+            Request::Traces | Request::FleetTraces => Response::Traces(self.traces()),
+            Request::Events => Response::Events(self.events()),
+            Request::Health => Response::Health(self.health(&SloPolicy::default())),
+            // A leaf serving process has no fleet to administer; only the
+            // routing tier accepts membership verbs.
+            Request::Admin(_) => {
+                return Err(
+                    DsigError::InvalidConfig("fleet admin verbs are only valid against a routing tier".into()).into(),
+                )
+            }
+        })
+    }
+}
+
+/// A [`Server`]'s handle as its listener answers it: every request that
+/// arrives as a frame is counted by family (`serve.requests.*`, and
+/// `serve.errors.*` when it fails) and timed (`serve.request_us`). Calls on
+/// the handle itself stay unmetered.
+struct Metered(ServeHandle);
+
+impl Service for Metered {
+    fn call(&self, request: Request<'_>) -> Result<Response> {
+        let metrics = &self.0.metrics;
+        let _request_timer = Span::enter(&metrics.request_us);
+        let (requests, errors) = metrics.family(&request);
+        requests.inc();
+        let response = self.0.call(request);
+        if response.is_err() {
+            errors.inc();
+        }
         response
-    })
+    }
 }
 
 impl RemoteScorer for ServeHandle {

@@ -85,9 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scores.extend(client.screen(key, batch)?);
     }
     // A real kill: shut the owning TCP server down (its listener closes, so
-    // fresh dials are refused), or flip the in-process backend's kill switch;
-    // either way also drop the router's pooled connections to it. Backends
-    // are addressed by label: a TCP backend's label is its host:port.
+    // fresh dials are refused; connections it already accepted, the
+    // router's among them, keep being served), and flip the member's kill
+    // switch at the router, which refuses its work on any transport until a
+    // revive. Backends are addressed by label: a TCP backend's label is its
+    // host:port.
     let owner = &rank[0];
     if *owner == server_a.local_addr().to_string() {
         server_a.shutdown();

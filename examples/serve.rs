@@ -1,5 +1,5 @@
 //! Production-test serving: characterize a golden into a persistent store,
-//! spawn the sharded scoring server, and screen a Monte-Carlo production lot
+//! bind the scoring server, and screen a Monte-Carlo production lot
 //! over loopback TCP — verifying that the served decisions are bit-identical
 //! to direct campaign-engine scoring.
 //!

@@ -1,38 +1,40 @@
-//! Allocation counts of the screening-request codec (`DSRQ`), under a
-//! counting global allocator: encoding writes every signature straight into
-//! one exactly sized frame, and decoding allocates one entry list per
-//! signature, which `Signature::new` merges in place.
+//! Allocation counts of the serving path, under a counting global
+//! allocator: the screening-request codec (`DSRQ`), where encoding writes
+//! every signature straight into one exactly sized frame and decoding
+//! allocates one entry list per signature, which `Signature::new` merges in
+//! place; and the routed in-process hop, where a screen or a retest request
+//! reaches its backend borrowed, without a copy per signature.
 //!
-//! The allocator replaces the global one for this whole binary, so this file
-//! holds a single test; only allocations made by the measuring thread count.
+//! The allocator replaces the global one for this whole binary. Counts are
+//! kept per thread, and each test counts only on its own thread, so the
+//! tests may run in parallel.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use analog_signature::dsig::{Signature, SignatureEntry, ZoneCode};
-use analog_signature::serve::proto;
+use analog_signature::dsig::{AcceptanceBand, RetestPolicy, Signature, SignatureEntry, ZoneCode};
+use analog_signature::router::{RouterConfig, RouterHandle, RouterStore};
+use analog_signature::serve::{proto, RetestItem, RetestRequest};
 
 /// Counts allocations and reallocations made while the calling thread's
 /// `COUNTING` flag is set.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count() {
     if COUNTING.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
     }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so the
 // caller's guarantees are `System`'s preconditions and `System`'s results
-// are returned as they are; counting touches only an atomic and a
-// thread-local flag, and never allocates.
+// are returned as they are; counting touches only two const-initialized
+// thread-local cells, and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -59,11 +61,11 @@ static GLOBAL: Counting = Counting;
 
 /// Runs `f` and returns how many allocations it made on this thread.
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|on| on.set(true));
     let value = f();
     COUNTING.with(|on| on.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+    (ALLOCATIONS.with(Cell::get) - before, value)
 }
 
 /// `count` signatures of 40 entries each; neighbouring codes differ, so no
@@ -104,4 +106,65 @@ fn request_encoding_allocates_once_and_decoding_once_per_signature() {
     );
     assert_eq!(decoded.golden_key, 7);
     assert_eq!(decoded.signatures, many);
+}
+
+/// A two-backend in-process router holding `golden` under key 7.
+fn routed(golden: &Signature) -> RouterHandle {
+    let router = RouterHandle::spawn(2, RouterStore::new(), RouterConfig::default()).unwrap();
+    router
+        .push_golden(7, golden.clone(), AcceptanceBand::new(0.05).unwrap())
+        .unwrap();
+    router
+}
+
+#[test]
+fn a_routed_in_process_screen_allocates_as_often_for_256_signatures_as_for_one() {
+    let many = signatures(256);
+    let router = routed(&many[0]);
+    // Warm up: first calls register metric handles and thread-locals.
+    router.screen(7, &many).unwrap();
+    router.screen(7, &many[..1]).unwrap();
+
+    let (one, scored_one) = allocations_of(|| router.screen(7, &many[..1]).unwrap());
+    let (all, scored_all) = allocations_of(|| router.screen(7, &many).unwrap());
+    assert_eq!((scored_one.len(), scored_all.len()), (1, 256));
+    assert_eq!(
+        all, one,
+        "a routed screen of 256 signatures made {all} allocations, of one signature {one}"
+    );
+}
+
+#[test]
+fn a_routed_in_process_retest_allocates_fewer_times_than_the_signatures_it_carries() {
+    // 36 devices with six repeats and one with three: 37 devices carrying
+    // 256 signatures.
+    let mut pool = signatures(256).into_iter();
+    let golden = pool.next().unwrap();
+    let router = routed(&golden);
+    let items: Vec<RetestItem> = (0..37)
+        .map(|device| {
+            let initial = if device == 0 {
+                golden.clone()
+            } else {
+                pool.next().unwrap()
+            };
+            let repeats = pool.by_ref().take(if device < 36 { 6 } else { 3 }).collect();
+            RetestItem { initial, repeats }
+        })
+        .collect();
+    let carried: usize = items.iter().map(|item| 1 + item.repeats.len()).sum();
+    assert_eq!(carried, 256);
+    let request = RetestRequest {
+        golden_key: 7,
+        policy: RetestPolicy::new(0.02, vec![2, 6]).unwrap(),
+        items,
+    };
+    router.screen_retest(&request).unwrap();
+
+    let (made, scores) = allocations_of(|| router.screen_retest(&request).unwrap());
+    assert_eq!(scores.len(), 37);
+    assert!(
+        made < carried,
+        "a routed retest of {carried} signatures made {made} allocations"
+    );
 }
