@@ -12,7 +12,7 @@ use sim_signal::{MultitoneSpec, NoiseModel, Waveform};
 use xy_monitor::ZonePartition;
 
 use crate::batch::{CaptureScratch, SlotTable};
-use crate::capture::{capture_signature, CaptureClock, PointEncoder};
+use crate::capture::{capture_signature, CaptureClock};
 use crate::decision::{AcceptanceBand, ScreeningStats, TestOutcome};
 use crate::error::{DsigError, Result};
 use crate::ndf::ndf_and_peak;
@@ -164,22 +164,6 @@ impl TestSetup {
         (0..repeats)
             .map(|i| capture_one(base_seed.wrapping_add(i as u64)))
             .collect()
-    }
-
-    /// Captures a signature with an alternative encoder (used by the
-    /// straight-line zoning baseline).
-    ///
-    /// # Errors
-    /// Propagates capture errors.
-    pub fn signature_with_encoder(
-        &self,
-        encoder: &dyn PointEncoder,
-        cut: &BiquadParams,
-        noise_seed: u64,
-    ) -> Result<Signature> {
-        let (x, y) = self.observe(cut, noise_seed);
-        let raw = capture_signature(encoder, &x, &y, self.clock.as_ref())?;
-        Ok(raw.deglitched(self.transition_min_dwell))
     }
 }
 

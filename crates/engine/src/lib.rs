@@ -20,6 +20,10 @@
 //!   the per-device throughput, still bit-identical at every batch size;
 //! * [`GoldenCache`] — golden signatures characterized once per
 //!   `(setup, reference)` fingerprint, not once per device;
+//! * [`score`] — the one production scorer: [`score::screen`] and
+//!   [`score::retest`] decide every verdict, both for the runner's in-process
+//!   local target and for the serving tier behind a remote
+//!   [`ScoreTarget`] (the [`RemoteScorer`] seam);
 //! * [`CampaignReport`] — streaming aggregation: NDF histogram, pass/fail
 //!   yield, escapes and false rejects, per-fault coverage and zone dwell
 //!   statistics;
@@ -73,8 +77,7 @@ pub use campaign::{mix_seed, Campaign, DevicePopulation, DeviceSpec};
 pub use codec::SignatureLog;
 pub use pool::{available_threads, parallel_map_indexed, DEFAULT_CHUNK};
 pub use report::{
-    report_diff, CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats, FaultCoverage, NdfHistogram,
-    ReportDiff, RetestStats,
+    CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats, FaultCoverage, NdfHistogram, RetestStats,
 };
 pub use runner::CampaignRunner;
 pub use score::{RemoteScorer, RetestItem, RetestRequest, RetestScore, ScoreResult, ScoreTarget};

@@ -1,7 +1,7 @@
 //! Streaming campaign aggregation: NDF histogram, pass/fail yield, per-fault
 //! coverage and dwell-time statistics, folded one device at a time — plus
 //! persistence ([`CampaignReport::save`] / [`CampaignReport::load`], format
-//! `DSGR` v2, declared through [`dsig_core::wire`]) and run-to-run comparison ([`report_diff`]).
+//! `DSGR` v2, declared through [`dsig_core::wire`]).
 
 use std::path::Path;
 
@@ -515,95 +515,6 @@ impl CampaignReport {
     }
 }
 
-/// The difference between two campaign runs, `candidate` relative to
-/// `baseline` — the artifact reviewed when a setup, band or code change is
-/// qualified against a stored reference run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportDiff {
-    /// Device counts `(baseline, candidate)`.
-    pub devices: (usize, usize),
-    /// Change in test yield (candidate − baseline).
-    pub yield_delta: f64,
-    /// Change in the number of test escapes.
-    pub escapes_delta: i64,
-    /// Change in the number of false rejects (yield loss).
-    pub false_rejects_delta: i64,
-    /// Change in the population mean NDF.
-    pub mean_ndf_delta: f64,
-    /// Change in the population maximum NDF.
-    pub max_ndf_delta: f64,
-    /// Change in fault coverage (`None` unless both runs tracked coverage).
-    pub coverage_delta: Option<f64>,
-    /// Fault labels detected by the candidate but missed by the baseline.
-    pub newly_detected: Vec<String>,
-    /// Fault labels detected by the baseline but missed by the candidate —
-    /// the regression signal.
-    pub newly_missed: Vec<String>,
-}
-
-impl ReportDiff {
-    /// Whether the candidate run is strictly worse on a safety metric: more
-    /// escapes, or previously detected faults now missed.
-    pub fn is_regression(&self) -> bool {
-        self.escapes_delta > 0 || !self.newly_missed.is_empty()
-    }
-
-    /// A compact multi-line human-readable summary of the deltas.
-    pub fn summary(&self) -> String {
-        let mut out = format!(
-            "devices: {} -> {}\nyield: {:+.2}%  escapes: {:+}  false rejects: {:+}\nndf: mean {:+.4}  max {:+.4}\n",
-            self.devices.0,
-            self.devices.1,
-            100.0 * self.yield_delta,
-            self.escapes_delta,
-            self.false_rejects_delta,
-            self.mean_ndf_delta,
-            self.max_ndf_delta
-        );
-        if let Some(delta) = self.coverage_delta {
-            out.push_str(&format!("fault coverage: {:+.1}%\n", 100.0 * delta));
-        }
-        if !self.newly_detected.is_empty() {
-            out.push_str(&format!("newly detected: {}\n", self.newly_detected.join(", ")));
-        }
-        if !self.newly_missed.is_empty() {
-            out.push_str(&format!("NEWLY MISSED: {}\n", self.newly_missed.join(", ")));
-        }
-        out
-    }
-}
-
-/// Compares two campaign runs: yield, escape, NDF and coverage deltas of
-/// `candidate` relative to `baseline`. Coverage rows are matched by fault
-/// label, so the runs may cover different (overlapping) fault dictionaries.
-pub fn report_diff(baseline: &CampaignReport, candidate: &CampaignReport) -> ReportDiff {
-    let mut newly_detected = Vec::new();
-    let mut newly_missed = Vec::new();
-    for row in &candidate.coverage {
-        let before = baseline.coverage.iter().find(|b| b.label == row.label);
-        match before {
-            Some(b) if !b.detected && row.detected => newly_detected.push(row.label.clone()),
-            Some(b) if b.detected && !row.detected => newly_missed.push(row.label.clone()),
-            _ => {}
-        }
-    }
-    let coverage_delta = match (baseline.fault_coverage(), candidate.fault_coverage()) {
-        (Some(a), Some(b)) => Some(b - a),
-        _ => None,
-    };
-    ReportDiff {
-        devices: (baseline.devices(), candidate.devices()),
-        yield_delta: candidate.test_yield() - baseline.test_yield(),
-        escapes_delta: candidate.screening.escapes as i64 - baseline.screening.escapes as i64,
-        false_rejects_delta: candidate.screening.false_rejects as i64 - baseline.screening.false_rejects as i64,
-        mean_ndf_delta: candidate.mean_ndf().unwrap_or(0.0) - baseline.mean_ndf().unwrap_or(0.0),
-        max_ndf_delta: candidate.max_ndf().unwrap_or(0.0) - baseline.max_ndf().unwrap_or(0.0),
-        coverage_delta,
-        newly_detected,
-        newly_missed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use dsig_core::DsigError;
@@ -868,34 +779,6 @@ mod tests {
             CampaignReport::from_bytes(&v1),
             Err(DsigError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn diff_reports_yield_escape_and_coverage_deltas() {
-        let baseline = sample_report();
-        let mut candidate = CampaignReport::new();
-        let dwell = DwellStats::new();
-        // Device 2 (true deviation 8%, out of tolerance) now correctly fails.
-        candidate.record(result(0, 0.01, 1.0, TestOutcome::Pass), &dwell, 3.0, true);
-        candidate.record(result(1, 0.20, 10.0, TestOutcome::Fail), &dwell, 3.0, true);
-        candidate.record(result(2, 0.09, 8.0, TestOutcome::Fail), &dwell, 3.0, true);
-        let diff = report_diff(&baseline, &candidate);
-        assert_eq!(diff.devices, (3, 3));
-        assert!(diff.yield_delta < 0.0, "one more rejection lowers yield");
-        assert_eq!(diff.escapes_delta, -1);
-        assert_eq!(diff.newly_detected, vec!["d2".to_string()]);
-        assert!(diff.newly_missed.is_empty());
-        assert!(!diff.is_regression());
-        assert!((diff.coverage_delta.unwrap() - 1.0 / 3.0).abs() < 1e-12);
-        let text = diff.summary();
-        assert!(text.contains("escapes: -1"), "{text}");
-        assert!(text.contains("newly detected: d2"), "{text}");
-
-        // The reverse direction is a regression.
-        let reverse = report_diff(&candidate, &baseline);
-        assert!(reverse.is_regression());
-        assert_eq!(reverse.newly_missed, vec!["d2".to_string()]);
-        assert!(reverse.summary().contains("NEWLY MISSED: d2"));
     }
 
     #[test]

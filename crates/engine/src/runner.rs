@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsig_core::{
-    capture_signatures_batch, ndf_and_peak, retest_seed, BatchDevice, Result, RetestPolicy, SharedStimulus, Signature,
-    StimulusBank, TestFlow, TestSetup,
+    capture_signatures_batch, retest_seed, AcceptanceBand, BatchDevice, Result, RetestPolicy, SharedStimulus,
+    Signature, StimulusBank, TestFlow, TestSetup,
 };
 use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{Counter, Gauge, Histogram, Registry, Span};
@@ -20,7 +20,7 @@ use crate::campaign::{Campaign, DevicePopulation, DeviceSpec};
 use crate::codec::SignatureLog;
 use crate::pool::{available_threads, parallel_map_indexed, DEFAULT_CHUNK};
 use crate::report::{CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats};
-use crate::score::{RemoteScorer, RetestItem, RetestRequest, ScoreTarget};
+use crate::score::{self, RemoteScorer, RetestItem, RetestRequest, RetestScore, ScoreResult, ScoreTarget};
 
 /// Executes campaigns over a worker pool with a shared golden-signature cache
 /// and a shared-stimulus bank for the batched capture fast path.
@@ -147,10 +147,11 @@ impl CampaignRunner {
     /// campaign band are re-measured with averaged repeats (captured through
     /// [`TestSetup::signatures_of_repeats`], seeds derived by
     /// [`dsig_core::retest_seed`]) and re-decided by the policy's escalation
-    /// walk. On a remote [`ScoreTarget`], the repeats ship to the tier in one
-    /// `DSRT` request per chunk and the **serving tier** verdicts — reports
-    /// stay bit-identical to local retest scoring because the walk is the
-    /// same pure function of the same repeat measurements.
+    /// walk. A chunk's marginal devices go to the [`ScoreTarget`] in one
+    /// [`RetestRequest`]: a remote target ships it to the **serving tier**,
+    /// which verdicts; the local target re-decides it in-process with
+    /// [`score::retest`], the function a serving tier runs, so the reports
+    /// are bit-identical.
     pub fn with_retest(mut self, policy: RetestPolicy) -> Self {
         self.retest = Some(policy);
         self
@@ -222,15 +223,19 @@ impl CampaignRunner {
         keep_signatures: bool,
         target: ScoreTarget<'_>,
     ) -> Result<(CampaignReport, SignatureLog)> {
-        // The local path scores against the cached golden; the remote path
-        // never characterizes locally — the target's store holds the golden,
+        // The local target scores against the cached golden; a remote
+        // target never characterizes locally — its store holds the golden,
         // addressed by the campaign's fingerprint.
-        let scorer = match target {
-            ScoreTarget::Local => Scorer::Local(self.cache.flow_for(&campaign.setup, &campaign.reference)?),
-            ScoreTarget::Remote(remote) => Scorer::Remote {
-                remote,
-                key: golden_fingerprint(&campaign.setup, &campaign.reference),
-            },
+        let local;
+        let (scorer, key): (&dyn RemoteScorer, u64) = match target {
+            ScoreTarget::Local => {
+                local = LocalScorer {
+                    flow: self.cache.flow_for(&campaign.setup, &campaign.reference)?,
+                    band: campaign.band,
+                };
+                (&local, 0)
+            }
+            ScoreTarget::Remote(remote) => (remote, golden_fingerprint(&campaign.setup, &campaign.reference)),
         };
         let devices = campaign.device_count();
 
@@ -272,7 +277,7 @@ impl CampaignRunner {
             chunk_span.annotate("chunk", chunk_index);
             chunk_span.annotate("devices", end - start);
             let ctx = chunk_span.context();
-            evaluate_chunk(campaign, &scorer, retest, metrics, tracer, ctx, shared, start, end)
+            evaluate_chunk(campaign, scorer, key, retest, metrics, tracer, ctx, shared, start, end)
         });
         let mut outcomes: Vec<Result<DeviceOutcome>> = Vec::with_capacity(devices);
         for chunk in per_chunk {
@@ -325,11 +330,22 @@ impl Default for CampaignRunner {
     }
 }
 
-/// Where a worker's captured signatures get their verdicts: the local cached
-/// golden, or a remote scoring tier addressed by the campaign fingerprint.
-enum Scorer<'a> {
-    Local(Arc<TestFlow>),
-    Remote { remote: &'a dyn RemoteScorer, key: u64 },
+/// The local score target: the runner's cached golden under the campaign's
+/// band, scored in-process by [`score::screen`] and [`score::retest`]. It
+/// holds one golden, so it ignores the key.
+struct LocalScorer {
+    flow: Arc<TestFlow>,
+    band: AcceptanceBand,
+}
+
+impl RemoteScorer for LocalScorer {
+    fn screen_remote(&self, _golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+        score::screen(self.flow.golden(), &self.band, signatures)
+    }
+
+    fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+        score::retest(self.flow.golden(), &self.band, request)
+    }
 }
 
 /// Builds the observation setup of one device: the campaign setup itself, or
@@ -356,12 +372,13 @@ fn observed_setup(campaign: &Campaign, spec: &DeviceSpec) -> Result<Option<TestS
 /// Evaluates one chunk of the population: capture its signatures — against
 /// the shared stimulus on the batched fast path (`shared` present), or one
 /// device at a time (with a per-device varied monitor bank when the campaign
-/// asks for it) — then score the chunk in one go (one remote request per
-/// chunk on the remote path) and retest its marginal devices. Scratch
-/// buffers live per chunk, not per device.
+/// asks for it) — then score the chunk in one request to `scorer` under the
+/// golden `key` and retest its marginal devices. Scratch buffers live per
+/// chunk, not per device.
 fn evaluate_chunk(
     campaign: &Campaign,
-    scorer: &Scorer<'_>,
+    scorer: &dyn RemoteScorer,
+    key: u64,
     retest: Option<&RetestPolicy>,
     metrics: &EngineMetrics,
     tracer: &Tracer,
@@ -394,20 +411,30 @@ fn evaluate_chunk(
         // injects it into outgoing frames and the tiers parent under it.
         let _ambient = trace::with_context(score_span.context());
         let _score = Span::enter(&metrics.score_us);
-        score_batch(campaign, scorer, specs, observed)?
+        score_batch(scorer, key, specs, observed)?
     };
-    apply_retest(campaign, scorer, retest, metrics, tracer, ctx, shared, &mut outcomes)?;
+    apply_retest(
+        campaign,
+        scorer,
+        key,
+        retest,
+        metrics,
+        tracer,
+        ctx,
+        shared,
+        &mut outcomes,
+    )?;
     Ok(outcomes)
 }
 
 /// Re-decides the marginal devices of one scored chunk under the campaign's
 /// retest policy: capture the repeat measurements (seeded by
-/// [`retest_seed`], so every score target sees the same bytes), then either
-/// walk the escalation locally against the cached golden or ship the chunk's
-/// marginal devices to the remote tier in one `DSRT` batch.
+/// [`retest_seed`], so every score target sees the same bytes), then send
+/// the chunk's marginal devices to `scorer` in one `DSRT` batch.
 fn apply_retest(
     campaign: &Campaign,
-    scorer: &Scorer<'_>,
+    scorer: &dyn RemoteScorer,
+    key: u64,
     retest: Option<&RetestPolicy>,
     metrics: &EngineMetrics,
     tracer: &Tracer,
@@ -469,73 +496,49 @@ fn apply_retest(
             })
             .collect::<Result<_>>()?,
     };
-    match scorer {
-        Scorer::Local(flow) => {
-            for (&at, device_repeats) in marginal.iter().zip(&repeats) {
-                let golden = flow.golden();
-                let mut repeat_ndfs = Vec::with_capacity(device_repeats.len());
-                let mut repeat_peaks = Vec::with_capacity(device_repeats.len());
-                for observed in device_repeats {
-                    let (ndf, peak_hamming) = ndf_and_peak(golden, observed)?;
-                    repeat_ndfs.push(ndf);
-                    repeat_peaks.push(peak_hamming);
-                }
-                let outcome = &mut outcomes[at];
-                let verdict = policy.escalate(&campaign.band, outcome.result.ndf, &repeat_ndfs);
-                note_cap_hit(policy, &verdict, outcome.result.index);
-                let used = verdict.repeats_used as usize;
-                let peak = repeat_peaks[..used]
-                    .iter()
-                    .fold(outcome.result.peak_hamming, |peak, &p| peak.max(p));
-                finish_retest(outcome, verdict, peak, &device_repeats[..used]);
-            }
+    // The repeats move into the request; only the initial signature is
+    // copied, because the outcome keeps it for the signature log.
+    let request = RetestRequest {
+        golden_key: key,
+        policy: policy.clone(),
+        items: marginal
+            .iter()
+            .zip(repeats)
+            .map(|(&at, repeats)| RetestItem {
+                initial: outcomes[at].observed.clone(),
+                repeats,
+            })
+            .collect(),
+    };
+    let scores = scorer.retest_remote(&request)?;
+    if scores.len() != request.items.len() {
+        return Err(dsig_core::DsigError::Remote(format!(
+            "remote target returned {} retest scores for {} devices",
+            scores.len(),
+            request.items.len()
+        )));
+    }
+    for ((&at, item), remote_score) in marginal.iter().zip(&request.items).zip(scores) {
+        let outcome = &mut outcomes[at];
+        let verdict = dsig_core::RetestVerdict {
+            ndf: remote_score.score.ndf,
+            outcome: remote_score.score.outcome,
+            marginal: remote_score.marginal,
+            flipped: remote_score.flipped,
+            repeats_used: remote_score.repeats_used,
+        };
+        let used = remote_score.repeats_used as usize;
+        if used > item.repeats.len() {
+            return Err(dsig_core::DsigError::Remote(format!(
+                "remote target used {used} retest repeats of device {} but was sent {}",
+                outcome.result.index,
+                item.repeats.len()
+            )));
         }
-        Scorer::Remote { remote, key } => {
-            // The repeats move into the request; only the initial signature
-            // is copied, because the outcome keeps it for the signature log.
-            let request = RetestRequest {
-                golden_key: *key,
-                policy: policy.clone(),
-                items: marginal
-                    .iter()
-                    .zip(repeats)
-                    .map(|(&at, repeats)| RetestItem {
-                        initial: outcomes[at].observed.clone(),
-                        repeats,
-                    })
-                    .collect(),
-            };
-            let scores = remote.retest_remote(&request)?;
-            if scores.len() != request.items.len() {
-                return Err(dsig_core::DsigError::Remote(format!(
-                    "remote target returned {} retest scores for {} devices",
-                    scores.len(),
-                    request.items.len()
-                )));
-            }
-            for ((&at, item), remote_score) in marginal.iter().zip(&request.items).zip(scores) {
-                let outcome = &mut outcomes[at];
-                let verdict = dsig_core::RetestVerdict {
-                    ndf: remote_score.score.ndf,
-                    outcome: remote_score.score.outcome,
-                    marginal: remote_score.marginal,
-                    flipped: remote_score.flipped,
-                    repeats_used: remote_score.repeats_used,
-                };
-                let used = remote_score.repeats_used as usize;
-                if used > item.repeats.len() {
-                    return Err(dsig_core::DsigError::Remote(format!(
-                        "remote target used {used} retest repeats of device {} but was sent {}",
-                        outcome.result.index,
-                        item.repeats.len()
-                    )));
-                }
-                note_cap_hit(policy, &verdict, outcome.result.index);
-                // The remote tier already folded the peak Hamming distance
-                // over the initial capture and the consumed repeats.
-                finish_retest(outcome, verdict, remote_score.score.peak_hamming, &item.repeats[..used]);
-            }
-        }
+        note_cap_hit(policy, &verdict, outcome.result.index);
+        // The target already folded the peak Hamming distance over the
+        // initial capture and the consumed repeats.
+        finish_retest(outcome, verdict, remote_score.score.peak_hamming, &item.repeats[..used]);
     }
     Ok(())
 }
@@ -588,62 +591,32 @@ fn finish_retest(
         .fold(outcome.result.observed_zones, |zones, s| zones.max(s.len()));
 }
 
-/// Scores one captured chunk: locally against the cached golden (NDF, peak
-/// Hamming, the campaign band's PASS/FAIL), or remotely in one batched
-/// screening request. Dwell statistics always come from the local capture.
+/// Scores one captured chunk in one screening request to `scorer`. Dwell
+/// statistics always come from the local capture.
 fn score_batch(
-    campaign: &Campaign,
-    scorer: &Scorer<'_>,
+    scorer: &dyn RemoteScorer,
+    key: u64,
     specs: Vec<DeviceSpec>,
     observed: Vec<Signature>,
 ) -> Result<Vec<DeviceOutcome>> {
-    match scorer {
-        Scorer::Local(flow) => specs
-            .into_iter()
-            .zip(observed)
-            .map(|(spec, observed)| {
-                let (ndf_value, peak_hamming) = ndf_and_peak(flow.golden(), &observed)?;
-                Ok(device_outcome(campaign, spec, observed, ndf_value, peak_hamming, None))
-            })
-            .collect(),
-        Scorer::Remote { remote, key } => {
-            let scores = remote.screen_remote(*key, &observed)?;
-            if scores.len() != observed.len() {
-                return Err(dsig_core::DsigError::Remote(format!(
-                    "remote target returned {} scores for {} signatures",
-                    scores.len(),
-                    observed.len()
-                )));
-            }
-            Ok(specs
-                .into_iter()
-                .zip(observed)
-                .zip(scores)
-                .map(|((spec, observed), score)| {
-                    device_outcome(
-                        campaign,
-                        spec,
-                        observed,
-                        score.ndf,
-                        score.peak_hamming,
-                        Some(score.outcome),
-                    )
-                })
-                .collect())
-        }
+    let scores = scorer.screen_remote(key, &observed)?;
+    if scores.len() != observed.len() {
+        return Err(dsig_core::DsigError::Remote(format!(
+            "remote target returned {} scores for {} signatures",
+            scores.len(),
+            observed.len()
+        )));
     }
+    Ok(specs
+        .into_iter()
+        .zip(observed)
+        .zip(scores)
+        .map(|((spec, observed), score)| device_outcome(spec, observed, score))
+        .collect())
 }
 
-/// Assembles one device's outcome row. `remote_outcome` carries the decision
-/// of the remote golden's acceptance band; locally the campaign band decides.
-fn device_outcome(
-    campaign: &Campaign,
-    spec: DeviceSpec,
-    observed: Signature,
-    ndf_value: f64,
-    peak_hamming: u32,
-    remote_outcome: Option<dsig_core::TestOutcome>,
-) -> DeviceOutcome {
+/// Assembles one device's outcome row from its score.
+fn device_outcome(spec: DeviceSpec, observed: Signature, score: ScoreResult) -> DeviceOutcome {
     let mut dwell = DwellStats::new();
     for entry in observed.entries() {
         dwell.record(entry.duration);
@@ -652,10 +625,10 @@ fn device_outcome(
         index: spec.index,
         label: spec.label,
         true_deviation_pct: spec.true_deviation_pct,
-        ndf: ndf_value,
-        peak_hamming,
+        ndf: score.ndf,
+        peak_hamming: score.peak_hamming,
         observed_zones: observed.len(),
-        outcome: remote_outcome.unwrap_or_else(|| campaign.band.decide(ndf_value)),
+        outcome: score.outcome,
         retest: None,
     };
     DeviceOutcome {

@@ -11,12 +11,14 @@
 //! The crate provides:
 //!
 //! * [`GoldenStore`] — goldens characterized once per `(setup, reference)`
-//!   fingerprint ([`dsig_engine::golden_fingerprint`]), held in memory for
-//!   scoring and persisted in a versioned binary format;
+//!   fingerprint ([`dsig_engine::golden_fingerprint`]), each the golden of
+//!   [`dsig_core::TestFlow::new`] that the engine's cache holds too, held in
+//!   memory for scoring and persisted in a versioned binary format;
 //! * [`Server`] / [`ServeConfig`] — a TCP accept loop whose connections
 //!   run requests on one shared [`WorkPool`]; each batch is scored in
-//!   request order on the thread that holds the request, so results are
-//!   bit-identical for every pool size;
+//!   request order by [`dsig_engine::score`], the scorer of a campaign's
+//!   local target, on the thread that holds the request, so results are
+//!   bit-identical for every pool size and to local scoring;
 //! * [`Service`] — the one seam of the serving protocol: a [`Request`] in,
 //!   a [`Response`] out. [`ServeHandle`], [`Client`] and the routing tier's
 //!   handle implement it, and [`service::respond`] is the one frame handler

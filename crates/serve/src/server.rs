@@ -16,10 +16,11 @@
 //! the listener runs [`crate::service::respond`] over it, behind a private
 //! metering layer that counts the requests arriving as frames.
 //!
-//! A request's batch is scored on the thread that holds the request — a
-//! pool worker, a connection reader serving inline (one-worker pool) or the
-//! caller of an in-process [`ServeHandle`] — over the decoded signatures as
-//! they are, in request order. Scoring is a pure function of
+//! A request's batch is scored by [`dsig_engine::score`], the scorer a
+//! campaign's local target runs too, on the thread that holds the request —
+//! a pool worker, a connection reader serving inline (one-worker pool) or
+//! the caller of an in-process [`ServeHandle`] — over the decoded
+//! signatures as they are, in request order. Scoring is a pure function of
 //! `(golden, observed)`, so every path answers bit-identical scores;
 //! requests still run concurrently across the pool.
 
@@ -27,8 +28,8 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsig_core::{ndf_and_peak, AcceptanceBand, DsigError, Signature};
-use dsig_engine::{available_threads, RemoteScorer};
+use dsig_core::{AcceptanceBand, DsigError, Signature};
+use dsig_engine::{available_threads, score, RemoteScorer};
 use dsig_obs::trace::{self, Tracer};
 use dsig_obs::{
     Counter, EventLevel, EventLog, Gauge, HealthReport, HealthSample, Histogram, MetricValue, MetricsSnapshot,
@@ -153,16 +154,6 @@ pub fn health_sample(snapshot: &MetricsSnapshot, prefix: &str, backed_off: u32, 
     }
 }
 
-/// Scores one observed signature against a golden record.
-fn score(record: &GoldenRecord, observed: &Signature) -> std::result::Result<ScoreResult, DsigError> {
-    let (ndf, peak_hamming) = ndf_and_peak(&record.golden, observed)?;
-    Ok(ScoreResult {
-        ndf,
-        peak_hamming,
-        outcome: record.band.decide(ndf),
-    })
-}
-
 /// An in-process scoring backend: the scoring path the TCP connections use,
 /// without any socket or framing cost. Every call scores on the calling
 /// thread. Cloning a handle is cheap; each clone can be used from its own
@@ -259,9 +250,9 @@ impl ServeHandle {
         self.store.get(key).ok_or(ServeError::UnknownGolden(key))
     }
 
-    /// Screens an adaptive-retest batch: every device's single-shot
-    /// signature **and** its pre-captured measurement repeats are scored in
-    /// request order, then the pure escalation walk of
+    /// Screens an adaptive-retest batch through [`score::retest`]: every
+    /// device's single-shot signature **and** its pre-captured measurement
+    /// repeats are scored in request order, then the pure escalation walk of
     /// [`dsig_core::RetestPolicy::escalate`] re-decides marginal devices from
     /// averaged repeats — server-side, before any verdict is answered.
     /// Returns one [`RetestScore`] per device in request order.
@@ -272,89 +263,57 @@ impl ServeHandle {
     /// consumed repeat — exactly what
     /// [`dsig_core::TestFlow::evaluate_with_retest`] computes locally.
     ///
-    /// Every initial signature and every repeat is scored (the scoring path
-    /// of plain screening) before any escalation walk, so a request that
-    /// fails to score emits no event.
+    /// A device that consumes the policy's whole schedule logs a
+    /// `retest.cap_hit` event once the whole request has scored, so a
+    /// request that fails to score emits none.
     ///
     /// # Errors
     /// As for [`ServeHandle::screen`]; the golden's stored acceptance band
     /// decides marginality and the final verdicts.
     pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        let RetestRequest {
-            golden_key,
-            policy,
-            items,
-        } = request;
-        let record = self.fetch_golden(*golden_key)?;
-        let flat = items
-            .iter()
-            .flat_map(|item| std::iter::once(&item.initial).chain(&item.repeats));
-        let scores = self.score_batch(&record, flat)?;
-        let mut results = Vec::with_capacity(items.len());
-        let mut at = 0usize;
-        for item in items {
-            let initial = scores[at];
-            let repeats = &scores[at + 1..at + 1 + item.repeats.len()];
-            at += 1 + item.repeats.len();
-            let repeat_ndfs: Vec<f64> = repeats.iter().map(|s| s.ndf).collect();
-            let verdict = policy.escalate(&record.band, initial.ndf, &repeat_ndfs);
-            if verdict.marginal && verdict.repeats_used >= policy.repeat_cap() {
-                let key = format!("{golden_key:#x}");
-                let used = verdict.repeats_used.to_string();
-                self.registry.events().emit(
-                    EventLevel::Warn,
-                    "serve",
-                    "retest.cap_hit",
-                    "marginal device consumed the full escalation schedule",
-                    &[("golden_key", &key), ("repeats_used", &used)],
-                );
-            }
-            let used = verdict.repeats_used as usize;
-            results.push(RetestScore {
-                score: ScoreResult {
-                    ndf: verdict.ndf,
-                    peak_hamming: repeats[..used]
-                        .iter()
-                        .fold(initial.peak_hamming, |peak, s| peak.max(s.peak_hamming)),
-                    outcome: verdict.outcome,
-                },
-                marginal: verdict.marginal,
-                flipped: verdict.flipped,
-                repeats_used: verdict.repeats_used,
-            });
+        let record = self.fetch_golden(request.golden_key)?;
+        let scores = self.scoring(request.signature_count(), || {
+            score::retest(&record.golden, &record.band, request)
+        })?;
+        let cap = request.policy.repeat_cap();
+        for device in scores.iter().filter(|s| s.marginal && s.repeats_used >= cap) {
+            let key = format!("{:#x}", request.golden_key);
+            let used = device.repeats_used.to_string();
+            self.registry.events().emit(
+                EventLevel::Warn,
+                "serve",
+                "retest.cap_hit",
+                "marginal device consumed the full escalation schedule",
+                &[("golden_key", &key), ("repeats_used", &used)],
+            );
         }
-        Ok(results)
+        Ok(scores)
     }
 
     /// Scores a batch of observed signatures against the golden stored under
-    /// `golden_key`, returning one [`ScoreResult`] per signature in order.
+    /// `golden_key` through [`score::screen`], returning one [`ScoreResult`]
+    /// per signature in order.
     ///
     /// # Errors
     /// Returns [`ServeError::UnknownGolden`] for an unknown fingerprint and
     /// [`ServeError::Dsig`] if any signature fails to score.
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
         let record = self.fetch_golden(golden_key)?;
-        self.score_batch(&record, signatures)
+        self.scoring(signatures.len(), || {
+            score::screen(&record.golden, &record.band, signatures)
+        })
     }
 
-    /// The one scoring path: scores borrowed signatures against a resolved
-    /// golden record on the calling thread, in order, under one
-    /// `serve.score` span parented under the request's trace context. A
-    /// batch that scores adds its size to `serve.signatures_scored` once.
-    fn score_batch<'a>(
-        &self,
-        record: &GoldenRecord,
-        signatures: impl IntoIterator<Item = &'a Signature>,
-    ) -> Result<Vec<ScoreResult>> {
+    /// Runs `run`, which scores `signatures` signatures, on the calling
+    /// thread under one `serve.score` span parented under the request's
+    /// trace context. A call that scores adds `signatures` to
+    /// `serve.signatures_scored` once.
+    fn scoring<T>(&self, signatures: usize, run: impl FnOnce() -> dsig_core::Result<Vec<T>>) -> Result<Vec<T>> {
         let mut span = self.tracer.span("serve.score", "serve", trace::current_context());
-        let signatures = signatures.into_iter();
-        let mut scores = Vec::with_capacity(signatures.size_hint().0);
-        for observed in signatures {
-            scores.push(score(record, observed)?);
-        }
-        span.annotate("items", scores.len());
-        self.scored.fetch_add(scores.len() as u64, Ordering::Relaxed);
-        self.metrics.scored.add(scores.len() as u64);
+        let scores = run()?;
+        span.annotate("items", signatures);
+        self.scored.fetch_add(signatures as u64, Ordering::Relaxed);
+        self.metrics.scored.add(signatures as u64);
         Ok(scores)
     }
 
@@ -546,8 +505,15 @@ mod tests {
         Arc::new(store)
     }
 
+    /// Scores `observed` with the reference `ndf` and
+    /// `peak_hamming_distance`, independent of the production scorer.
     fn direct_score(record: &GoldenRecord, observed: &Signature) -> ScoreResult {
-        score(record, observed).unwrap()
+        let ndf = dsig_core::ndf(&record.golden, observed).unwrap();
+        ScoreResult {
+            ndf,
+            peak_hamming: dsig_core::peak_hamming_distance(&record.golden, observed).unwrap(),
+            outcome: record.band.decide(ndf),
+        }
     }
 
     #[test]
@@ -640,7 +606,7 @@ mod tests {
         let marginal_bad = sig(&[(1, 100e-6), (3, 91e-6), (7, 9e-6)]);
         let worse = sig(&[(1, 100e-6), (3, 80e-6), (7, 20e-6)]);
         let marginal_ok = sig(&[(1, 100e-6), (3, 92e-6), (7, 8e-6)]);
-        let single = |s: &Signature| score(&record, s).unwrap();
+        let single = |s: &Signature| direct_score(&record, s);
         // Build a guard band that makes exactly the two borderline devices
         // marginal against the stored 0.05 threshold.
         let guard = 0.02;

@@ -10,15 +10,14 @@
 //! fingerprint changes with it — bump [`STORE_VERSION`] in that case so stale
 //! stores are rejected at load time instead of missing every lookup.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 use cut_filters::BiquadParams;
 use dsig_core::wire::{self, ByteReader, Format, Wire};
-use dsig_core::{capture_signatures_batch, AcceptanceBand, BatchDevice, Signature, StimulusBank, TestSetup};
+use dsig_core::{AcceptanceBand, Signature, TestFlow, TestSetup};
 use dsig_engine::golden_fingerprint;
-use sim_signal::NoiseModel;
 
 use crate::error::Result;
 
@@ -47,9 +46,6 @@ pub struct GoldenRecord {
 #[derive(Debug, Default)]
 pub struct GoldenStore {
     records: RwLock<HashMap<u64, Arc<GoldenRecord>>>,
-    /// Shared-stimulus cache of the batched capture fast path: references
-    /// characterized against the same setup share one synthesized stimulus.
-    bank: StimulusBank,
 }
 
 impl GoldenStore {
@@ -72,9 +68,10 @@ impl GoldenStore {
     /// [`golden_fingerprint`]. Returns the fingerprint, which is what clients
     /// put in their requests.
     ///
-    /// The capture is noiseless regardless of the setup's noise model, like
-    /// the engine's golden cache: a golden signature is a
-    /// characterization-time artifact, not a production measurement.
+    /// The stored golden is [`TestFlow::new`]'s, the one the engine's
+    /// `GoldenCache` holds: a noiseless capture regardless of the setup's
+    /// noise model, because a golden signature is a characterization-time
+    /// artifact, not a production measurement.
     ///
     /// Re-characterizing an already-stored fingerprint skips the capture (the
     /// golden is deterministic) but always adopts the caller's band, so
@@ -84,89 +81,14 @@ impl GoldenStore {
     /// # Errors
     /// Propagates golden-capture errors.
     pub fn characterize(&self, setup: &TestSetup, reference: &BiquadParams, band: AcceptanceBand) -> Result<u64> {
-        Ok(self.characterize_batch(setup, std::slice::from_ref(reference), band)?[0])
-    }
-
-    /// Characterizes a whole lot of references sharing one setup through the
-    /// shared-stimulus batched capture fast path
-    /// ([`dsig_core::capture_signatures_batch`]): the stimulus and the
-    /// monitor current terms are synthesized once (and cached in the store's
-    /// [`StimulusBank`] across calls), then every golden still missing from
-    /// the store is captured against them in one batch. Returns one
-    /// fingerprint per reference, in input order.
-    ///
-    /// Each captured golden is bit-identical to what the single-reference
-    /// path produced before batching existed (the per-device capture of
-    /// [`dsig_core::TestFlow::new`]); already-stored fingerprints skip the
-    /// capture but always adopt the caller's band, exactly like
-    /// [`GoldenStore::characterize`].
-    ///
-    /// # Errors
-    /// Propagates golden-capture errors.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cut_filters::BiquadParams;
-    /// use dsig_core::{AcceptanceBand, TestSetup};
-    /// use dsig_serve::GoldenStore;
-    ///
-    /// # fn main() -> Result<(), dsig_serve::ServeError> {
-    /// let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
-    /// // Characterize three golden variants (e.g. binning corners) at once.
-    /// let lot: Vec<BiquadParams> = [-1.0, 0.0, 1.0]
-    ///     .iter()
-    ///     .map(|&d| BiquadParams::paper_default().with_f0_shift_pct(d))
-    ///     .collect();
-    /// let store = GoldenStore::new();
-    /// let keys = store.characterize_batch(&setup, &lot, AcceptanceBand::new(0.03)?)?;
-    /// assert_eq!(keys.len(), 3);
-    /// assert_eq!(store.len(), 3);
-    /// // The single-reference path resolves to the same fingerprints.
-    /// assert_eq!(store.characterize(&setup, &lot[1], AcceptanceBand::new(0.03)?)?, keys[1]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn characterize_batch(
-        &self,
-        setup: &TestSetup,
-        references: &[BiquadParams],
-        band: AcceptanceBand,
-    ) -> Result<Vec<u64>> {
-        let keys: Vec<u64> = references.iter().map(|r| golden_fingerprint(setup, r)).collect();
-
-        // Split the lot into stored fingerprints (adopt the caller's band,
-        // skip the capture — the golden is deterministic) and missing ones.
-        let mut missing: Vec<(usize, BatchDevice)> = Vec::new();
-        let mut queued: HashSet<u64> = HashSet::new();
-        for (i, (reference, &key)) in references.iter().zip(&keys).enumerate() {
-            match self.get(key) {
-                Some(record) if record.band == band => {}
-                Some(record) => {
-                    self.insert(key, record.golden.clone(), band);
-                }
-                None => {
-                    if queued.insert(key) {
-                        // A golden is a characterization-time artifact: the
-                        // capture is noiseless with a fixed seed.
-                        missing.push((i, BatchDevice::new(*reference, 0)));
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() {
-            let noiseless = TestSetup {
-                noise: NoiseModel::none(),
-                ..setup.clone()
-            };
-            let shared = self.bank.shared_for(&noiseless)?;
-            let batch: Vec<BatchDevice> = missing.iter().map(|&(_, device)| device).collect();
-            let goldens = capture_signatures_batch(&noiseless, &shared, &batch)?;
-            for ((i, _), golden) in missing.iter().zip(goldens) {
-                self.insert(keys[*i], golden, band);
-            }
-        }
-        Ok(keys)
+        let key = golden_fingerprint(setup, reference);
+        let golden = match self.get(key) {
+            Some(record) if record.band == band => return Ok(key),
+            Some(record) => record.golden.clone(),
+            None => TestFlow::new(setup.clone(), *reference)?.golden().clone(),
+        };
+        self.insert(key, golden, band);
+        Ok(key)
     }
 
     /// Looks up a golden by fingerprint.
@@ -269,7 +191,6 @@ impl Format for GoldenStore {
         }
         Ok(GoldenStore {
             records: RwLock::new(records),
-            bank: StimulusBank::new(),
         })
     }
 }
@@ -329,38 +250,18 @@ mod tests {
         // The fingerprint ignores measurement noise, like the engine cache.
         let noisy = setup.clone().with_noise(sim_signal::NoiseModel::paper_default());
         assert_eq!(store.characterize(&noisy, &reference, band(0.03)).unwrap(), key);
+        // The stored golden is `TestFlow::new`'s, for a noisy setup too.
+        let fresh = GoldenStore::new();
+        fresh.characterize(&noisy, &reference, band(0.03)).unwrap();
+        for (store, setup) in [(&store, &setup), (&fresh, &noisy)] {
+            let flow = TestFlow::new(setup.clone(), reference).unwrap();
+            assert_eq!(store.get(key).unwrap().golden, *flow.golden());
+        }
         // A different reference is a different golden.
         let shifted = reference.with_f0_shift_pct(5.0);
         let other = store.characterize(&setup, &shifted, band(0.03)).unwrap();
         assert_ne!(other, key);
         assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn characterize_batch_matches_the_per_device_flow_golden() {
-        let setup = TestSetup::paper_default().unwrap().with_sample_rate(1e6).unwrap();
-        let references: Vec<BiquadParams> = [-2.0, 0.0, 3.0, 0.0]
-            .iter()
-            .map(|&d| BiquadParams::paper_default().with_f0_shift_pct(d))
-            .collect();
-        let store = GoldenStore::new();
-        let keys = store.characterize_batch(&setup, &references, band(0.03)).unwrap();
-        assert_eq!(keys.len(), 4);
-        assert_eq!(keys[1], keys[3], "duplicate references share a fingerprint");
-        assert_eq!(store.len(), 3, "duplicates must be captured once");
-        // Every batched golden is bit-identical to the per-device capture of
-        // TestFlow::new — the path `characterize` used before batching.
-        for (reference, &key) in references.iter().zip(&keys) {
-            let flow = dsig_core::TestFlow::new(setup.clone(), *reference).unwrap();
-            assert_eq!(store.get(key).unwrap().golden, *flow.golden());
-        }
-        // Re-characterizing hits the store but adopts the new band.
-        let again = store.characterize_batch(&setup, &references, band(0.01)).unwrap();
-        assert_eq!(again, keys);
-        assert!(store
-            .keys()
-            .iter()
-            .all(|&k| store.get(k).unwrap().band.ndf_threshold == 0.01));
     }
 
     #[test]
