@@ -48,9 +48,9 @@
 //! Batched capture and [`TestSetup::signatures_of_repeats`] are therefore
 //! bit-identical to [`TestSetup::signature_of`] at every batch size; the
 //! workspace determinism and equivalence tests enforce this. Batched
-//! capture also computes y differently and decides most bits without
-//! transistor currents, but provably lands every sample in the same zones
-//! (see the last two sections). On the exact path, for Table I, whose
+//! capture also computes y and the noise differently and decides most bits
+//! without transistor currents, but provably lands every sample in the same
+//! zones (see the last two sections). On the exact path, for Table I, whose
 //! transistors differ only in width, a noisy sample costs two drive
 //! evaluations (one on x, one on y) and twelve short multiply-add chains
 //! instead of twelve `saturation_current` calls.
@@ -132,7 +132,9 @@
 //!   2,048 Monte-Carlo devices recaptures none.
 //! * **What does not change.** [`TestSetup::signature_of`],
 //!   [`TestSetup::observe`] and [`TestSetup::signatures_of_repeats`] use
-//!   only the reference synthesis, and no option chooses the path.
+//!   only the reference synthesis and the reference noise
+//!   ([`NoiseModel::apply_in_place`](sim_signal::NoiseModel::apply_in_place)),
+//!   and no option chooses the path.
 //!
 //! # Certified noisy capture
 //!
@@ -167,7 +169,7 @@
 //!   rounded monotone operations of x and libm `exp`; within one ulp,
 //!   `exp` can return a smaller value for a larger argument only when the
 //!   two arguments are within `4.01u` of each other, which
-//!   `exp_steady_over` bounds to a gate-voltage reach a thousandth of a
+//!   `exp_reversal` bounds to a gate-voltage span r below a thousandth of a
 //!   step (and whose results it keeps normal). So every X-gate current at x
 //!   lies between its values at `g_c` and `g_(c+3)`. Rounded addition and
 //!   subtraction are monotone, and the X gates sit on one branch, so the
@@ -177,30 +179,43 @@
 //!   give the above-bit, and so does the one between them; the same holds
 //!   below. Without the two outer grid points, an x a few ulps from a cell
 //!   edge could fall outside both neighbours' currents.
+//! * **The noise and its bound.** Both noisy streams draw their noise
+//!   through [`NoiseModel::apply_approx_in_place`](sim_signal::NoiseModel::apply_approx_in_place):
+//!   the reference's own uniforms, with Box-Muller's `ln` and `cos` as
+//!   vectorised polynomials, and a bound δ on each noise value's distance
+//!   from the reference's, derived in its docs (about 2e-16 V at the
+//!   paper's σ = 5 mV). Each stream gets its own δ.
 //! * **The synthesis and its bound.** When every monitor has a flip curve,
-//!   y is the tone-grid synthesis with its bound E, plus the device's exact
-//!   noise stream. Both paths add the same noise value to each sample, so
-//!   the gap grows only by the rounding of the two additions
-//!   (`noise_gap_bound`); [`lowpass_gap_bound`] then carries it through
-//!   the front-end filter to E'. x stays exact: the stimulus plus its noise
-//!   stream, through the same filter.
+//!   y is the tone-grid synthesis with its bound E, plus the device's
+//!   approximate y noise. Before the additions the two paths' sums lie
+//!   within E + δ, and each addition rounds (`noise_gap_bound`);
+//!   [`lowpass_gap_bound`] then carries the gap through the front-end
+//!   filter to E'. x is the stimulus plus the approximate x noise through
+//!   the same filter, with its own bound Δx from its δ, the same way.
 //! * **The decision.** A bit is decided by the table when y lies more than
-//!   E' beyond its x cell's band, by the rounding argument of the
-//!   per-sample thresholds. A sample the table leaves in doubt (inside the
-//!   widened band, or x outside the grid) gets a two-point check: the
-//!   exact slot expression at the exact x, at both ends of `[y − E', y + E']`
-//!   moved outward by twice `GUARD_ULPS`. When both ends agree, the exact
-//!   path's bit is theirs; `threshold::two_point` derives why twice the
-//!   guard is enough. A Table I device at 2 MS/s has 2.5 such (sample,
-//!   monitor) pairs of its 2,400, averaged over 256 devices.
+//!   E' beyond the band of the cell of the computed x, by the rounding
+//!   argument of the per-sample thresholds. The exact x lies within Δx of
+//!   the computed x, and Δx is below half a step, so it lies within a step
+//!   of that cell, whose band holds its flip point by the argument above.
+//!   A sample the table leaves in doubt (inside the widened band, or x
+//!   outside the grid) gets a box check (`threshold::box_check`): a
+//!   two-point check in y (the exact slot expression at both ends of
+//!   `[y − E', y + E']` moved outward by twice `GUARD_ULPS`;
+//!   `threshold::two_point` derives why twice the guard is enough) at both
+//!   ends of `[x − Δx − r, x + Δx + r]`, both inside the grid. When all
+//!   four agree, every point of the box has their bit: the bit is a step
+//!   in y up to dips within the guard, and monotone in x between points r
+//!   apart. A Table I device at 2 MS/s has 2.5 such (sample, monitor)
+//!   pairs of its 2,400, averaged over 256 devices.
 //! * **The fallback.** The device is recaptured on the exact path
-//!   (`SlotTable::capture_measurement`, which draws x's noise again), and
-//!   counted by [`SharedStimulus::exact_syntheses`], when the two ends of a
-//!   check disagree, E' is not finite, or some sample is not finite. When a
-//!   monitor has no flip curve, or the noiseless x range is not finite,
-//!   every device takes that path. Monte-Carlo Table I lots of 2,048
-//!   devices with the paper's noise, at 1, 2 and 5 MS/s with the front-end
-//!   filter on and off, recapture none.
+//!   (`SlotTable::capture_measurement`, which draws both noise streams
+//!   again), and counted by [`SharedStimulus::exact_syntheses`], when the
+//!   ends of a box check disagree or leave the grid, E' or Δx is not
+//!   finite, Δx is not below half a grid step, or some sample is not
+//!   finite. When a monitor has no flip curve, or the noiseless x range is
+//!   not finite, every device takes that path. Monte-Carlo Table I lots of
+//!   2,048 devices with the paper's noise, at 1, 2 and 5 MS/s with the
+//!   front-end filter on and off, recapture none.
 //! * **Retest repeats** are batch entries: one [`BatchDevice`] per repeat
 //!   seed gives what [`TestSetup::signatures_of_repeats`] gives, through the
 //!   same table.
@@ -240,9 +255,9 @@ use xy_monitor::{CurrentComparator, MonitorInput, MosParams, MosPolarity, ZonePa
 mod slots;
 mod threshold;
 
-use slots::{capture_codes, observe_in_place, x_stream, y_stream, DriveStreams};
+use slots::{capture_codes, x_stream, y_stream, DriveStreams};
 pub(crate) use slots::{CaptureScratch, SlotTable};
-use threshold::{two_point, FlipCurves, XGrid, YThresholds};
+use threshold::{box_check, FlipCurves, XGrid, YThresholds};
 
 use crate::error::{DsigError, Result};
 use crate::flow::TestSetup;
@@ -368,40 +383,46 @@ fn y_step_slot(monitor: &CurrentComparator) -> Option<usize> {
 }
 
 /// Whether a monitor's X-driven gates keep its bit monotone in x over
-/// `grid`: they all sit on one branch, each [`rises_with_gate`], and each is
-/// [`exp_steady_over`] the grid. A monitor without X gates qualifies.
-fn monotone_in_x(monitor: &CurrentComparator, grid: &XGrid) -> bool {
+/// `grid`: they all sit on one branch, each [`rises_with_gate`], and each
+/// has an [`exp_reversal`] span on the grid. Returns the widest such span,
+/// 0 for a monitor without X gates, or `None` when the bit is not monotone.
+fn monotone_in_x(monitor: &CurrentComparator, grid: &XGrid) -> Option<f64> {
     let mut x_slots = (0..4).filter(|&i| monitor.inputs[i] == MonitorInput::XAxis);
     let Some(first) = x_slots.next() else {
-        return true;
+        return Some(0.0);
     };
     let on_right = first >= 2;
-    std::iter::once(first).chain(x_slots).all(|i| {
+    std::iter::once(first).chain(x_slots).try_fold(0.0f64, |widest, i| {
         let t = &monitor.transistors[i];
-        (i >= 2) == on_right && rises_with_gate(t) && exp_steady_over(t, grid)
+        if (i >= 2) != on_right || !rises_with_gate(t) {
+            return None;
+        }
+        Some(widest.max(exp_reversal(t, grid)?))
     })
 }
 
-/// Whether the libm `exp` calls of the gate model `t` can neither reverse
-/// across one step of `grid` nor leave the normal range on it — the premise
-/// under which a flip-curve cell band holds every x in its cell (see the
-/// module docs). A reversal needs two `exp` arguments within `4.01u` of each
-/// other; both arguments are rounded monotone functions of the gate voltage
-/// with slope at least `1/(max(n, 1)·V_T)`, so a reversal spans less than
-/// `4ε·(max(n, 1)·V_T + max|vgs − vth0|)` volts of gate voltage. The grid
-/// step must be a thousand times that.
-fn exp_steady_over(t: &MosParams, grid: &XGrid) -> bool {
+/// How close two gate voltages on `grid` must be for the libm `exp` calls
+/// of the gate model `t` to reverse their order, when that span is below a
+/// thousandth of a grid step and those calls stay in the normal range on
+/// the grid — the premise under which a flip-curve cell band holds every x
+/// in its cell (see the module docs); `None` otherwise. A reversal needs two
+/// `exp` arguments within `4.01u` of each other; both arguments are rounded
+/// monotone functions of the gate voltage with slope at least
+/// `1/(max(n, 1)·V_T)`, so a reversal spans less than
+/// `4ε·(max(n, 1)·V_T + max|vgs − vth0|)` volts of gate voltage.
+fn exp_reversal(t: &MosParams, grid: &XGrid) -> Option<f64> {
     let (lowest, highest) = grid.span();
     let (low_vov, high_vov) = (lowest - t.vth0, highest - t.vth0);
     let n = t.subthreshold_n;
-    let reach = 4.0 * f64::EPSILON * (n.max(1.0) * THERMAL_VOLTAGE + low_vov.abs().max(high_vov.abs()));
+    let span = 4.0 * f64::EPSILON * (n.max(1.0) * THERMAL_VOLTAGE + low_vov.abs().max(high_vov.abs()));
     let normal = !(n > 0.0) || low_vov / (n * THERMAL_VOLTAGE) > -700.0;
-    grid.step() > 1024.0 * reach && normal
+    (grid.step() > 1024.0 * span && normal).then_some(span)
 }
 
-/// The bound on how far a y stream can end up from the exact path's once
-/// the same measurement noise is added to both: a gap of `gap` before the
-/// addition, and the stream with noise at most `peak` in magnitude.
+/// The bound on how far a stream can end up from the exact path's once
+/// each has its measurement noise added: a gap of `gap` between the exact
+/// sums (the streams' gap before the addition plus the noise values' δ),
+/// and the certified stream with noise at most `peak` in magnitude.
 ///
 /// Both additions round to nearest, each by at most `u` of its exact sum
 /// (an addition whose result is subnormal is exact). The certified sum's
@@ -409,34 +430,51 @@ fn exp_steady_over(t: &MosParams, grid: &XGrid) -> bool {
 /// at most that plus `gap`, so the two observed streams differ by at most
 /// `gap + u·(2·peak/(1 − u) + gap)`. The result is
 /// `(gap + 2u·(peak + gap))·(1 + 2^-20)`, whose last factor covers the
-/// `1/(1 − u)` and the rounding of its own evaluation.
+/// `1/(1 − u)`, the rounding of a `gap` formed as a sum, and the rounding
+/// of its own evaluation.
 fn noise_gap_bound(gap: f64, peak: f64) -> f64 {
     const U: f64 = f64::EPSILON / 2.0;
     (gap + 2.0 * U * (peak + gap)) * (1.0 + 1.0 / (1u64 << 20) as f64)
 }
 
-/// Applies a setup's observation to a certified y that lies within `gap` of
-/// the exact path's synthesized y at every sample: the measurement noise of
-/// `seed` (noisy setups only), then the front-end filter. Returns the bound
-/// on the result's distance from the exact path's observed y:
-/// [`noise_gap_bound`], then [`lowpass_gap_bound`]. It is `+inf` or NaN
-/// when no bound holds, including for any non-finite sample.
-fn observe_certified(setup: &TestSetup, y: &mut [f64], gap: f64, seed: u64, dt: f64) -> f64 {
+/// Applies a setup's observation to a certified stream that lies within
+/// `gap` of the exact path's synthesized stream at every sample: the
+/// measurement noise of stream `stream_seed` (noisy setups only) through
+/// [`NoiseModel::apply_approx_in_place`](sim_signal::NoiseModel::apply_approx_in_place)
+/// and the scratch `uniforms`, then the front-end filter. Returns the bound
+/// on the result's distance from the exact path's observed stream: the
+/// noise's δ added to `gap`, [`noise_gap_bound`], then
+/// [`lowpass_gap_bound`]. It is `+inf` or NaN when no bound holds,
+/// including for any non-finite sample.
+fn observe_certified(
+    setup: &TestSetup,
+    samples: &mut [f64],
+    gap: f64,
+    stream_seed: u64,
+    dt: f64,
+    uniforms: &mut Vec<f64>,
+) -> f64 {
     let noisy = !setup.noise.is_none();
-    if noisy {
-        setup.noise.apply_in_place(y, y_stream(seed));
-    }
+    let noise_gap = if noisy {
+        setup.noise.apply_approx_in_place(samples, stream_seed, uniforms)
+    } else {
+        0.0
+    };
     // The sum of magnitudes is finite only when every sample is.
-    let (peak, total) = y
+    let (peak, total) = samples
         .iter()
         .fold((0.0f64, 0.0), |(peak, total), v| (peak.max(v.abs()), total + v.abs()));
     if !total.is_finite() {
         return f64::INFINITY;
     }
-    let gap = if noisy { noise_gap_bound(gap, peak) } else { gap };
+    let gap = if noisy {
+        noise_gap_bound(gap + noise_gap, peak)
+    } else {
+        gap
+    };
     match setup.monitor_bandwidth_hz {
         Some(bandwidth) => {
-            lowpass_in_place(y, dt, bandwidth);
+            lowpass_in_place(samples, dt, bandwidth);
             lowpass_gap_bound(gap, peak, dt, bandwidth)
         }
         None => gap,
@@ -569,9 +607,13 @@ impl SharedStimulus {
                     });
                 let monitors = partition.monitors();
                 let grid = XGrid::covering(lowest, highest, monitors.len())?;
+                let mut reversal = 0.0f64;
                 let slots: Vec<usize> = monitors
                     .iter()
-                    .map(|monitor| y_step_slot(monitor).filter(|_| monotone_in_x(monitor, &grid)))
+                    .map(|monitor| {
+                        reversal = reversal.max(monotone_in_x(monitor, &grid)?);
+                        y_step_slot(monitor)
+                    })
                     .collect::<Option<_>>()?;
                 let points = grid.points();
                 let mut drives = DriveStreams::default();
@@ -582,7 +624,7 @@ impl SharedStimulus {
                     .enumerate()
                     .map(|(m, (monitor, slot))| self.flip_points(m, slot, monitor.inverted, &points, &drives))
                     .collect();
-                Some(FlipCurves::new(grid, curves))
+                Some(FlipCurves::new(grid, curves, reversal))
             })
             .as_ref()
     }
@@ -617,8 +659,8 @@ impl SharedStimulus {
     }
 
     /// Synthesizes a device's observed y on the tone grid into `y` (the
-    /// certified synthesis, the measurement noise of `seed` on a noisy
-    /// setup, then the front-end filter) and returns a bound on its
+    /// certified synthesis, the approximate measurement noise of `seed` on a
+    /// noisy setup, then the front-end filter) and returns a bound on its
     /// distance from the exact path's observed y at every sample:
     /// [`BiquadParams::steady_state_response_on_grid`]'s bound carried
     /// through the observation by [`observe_certified`].
@@ -629,9 +671,10 @@ impl SharedStimulus {
         cut: &BiquadParams,
         seed: u64,
         y: &mut Vec<f64>,
+        uniforms: &mut Vec<f64>,
     ) -> f64 {
         let bound = cut.steady_state_response_on_grid(grid, y);
-        observe_certified(setup, y, bound, seed, self.x_obs.dt())
+        observe_certified(setup, y, bound, y_stream(seed), self.x_obs.dt(), uniforms)
     }
 
     /// The exact path's synthesized (unobserved) response of a device: the
@@ -713,14 +756,13 @@ impl SharedStimulus {
     }
 
     /// Captures one noisy device. When every monitor has a flip curve, x is
-    /// the exact path's (`x_raw`, the device's x noise, the front-end
-    /// filter), y is the certified synthesis with its noise
-    /// ([`SharedStimulus::certified_response`]), and
-    /// [`SharedStimulus::encode_noisy`] decides every bit. Otherwise, or when
-    /// that leaves a bit in doubt, no bound holds or an x sample is not
-    /// finite, the device is captured exactly
-    /// ([`SlotTable::capture_measurement`]) and counts in
-    /// [`SharedStimulus::exact_syntheses`].
+    /// `x_raw` with the device's approximate x noise and the front-end
+    /// filter ([`observe_certified`]), y is the certified synthesis with its
+    /// approximate noise ([`SharedStimulus::certified_response`]), each with
+    /// its bound, and [`SharedStimulus::encode_noisy`] decides every bit.
+    /// Otherwise, or when that leaves a bit in doubt or no bound holds, the
+    /// device is captured exactly ([`SlotTable::capture_measurement`]) and
+    /// counts in [`SharedStimulus::exact_syntheses`].
     fn capture_noisy(
         &self,
         setup: &TestSetup,
@@ -731,12 +773,12 @@ impl SharedStimulus {
     ) -> Result<Signature> {
         let dt = self.x_obs.dt();
         if let (Some(curves), Some(grid)) = (curves, &self.tones) {
-            let x = &mut scratch.x;
+            let CaptureScratch { x, uniforms, .. } = scratch;
             x.clear();
             x.extend_from_slice(self.x_raw.samples());
-            observe_in_place(setup, x, x_stream(device.noise_seed), dt);
-            let bound = self.certified_response(grid, setup, &device.cut, device.noise_seed, y);
-            if scratch.x.iter().all(|v| v.is_finite()) && self.encode_noisy(curves, y, bound, scratch) {
+            let x_gap = observe_certified(setup, x, 0.0, x_stream(device.noise_seed), dt, uniforms);
+            let y_gap = self.certified_response(grid, setup, &device.cut, device.noise_seed, y, uniforms);
+            if self.encode_noisy(curves, y, y_gap, x_gap, scratch) {
                 return capture_codes(setup, &scratch.codes, dt);
             }
         }
@@ -747,16 +789,28 @@ impl SharedStimulus {
     }
 
     /// Zone-encodes a noisy observed pair into `scratch.codes`: x is
-    /// `scratch.x`, the exact path's, and y lies within `bound` of the exact
-    /// path's observed y at every sample. Each bit is decided by its
-    /// monitor's band in x's cell widened by the bound
-    /// ([`FlipCurves::decide`]), and a bit left in doubt is settled by
-    /// [`two_point`]. Returns `false`, leaving the codes unusable, when the
-    /// bound is not finite or a two-point check leaves a bit in doubt.
-    fn encode_noisy(&self, curves: &FlipCurves, y: &[f64], bound: f64, scratch: &mut CaptureScratch) -> bool {
+    /// `scratch.x`, within `x_gap` of the exact path's observed x, and y
+    /// lies within `bound` of the exact path's observed y at every sample.
+    /// Each bit is decided by its monitor's band in x's cell widened by the
+    /// bound ([`FlipCurves::decide`]), and a bit left in doubt is settled by
+    /// [`box_check`]. Returns `false`, leaving the codes unusable, when
+    /// either bound is not finite, `x_gap` is not below half a grid step
+    /// ([`FlipCurves::box_reach`]), or a box check leaves a bit in doubt.
+    fn encode_noisy(
+        &self,
+        curves: &FlipCurves,
+        y: &[f64],
+        bound: f64,
+        x_gap: f64,
+        scratch: &mut CaptureScratch,
+    ) -> bool {
+        let Some(reach) = curves.box_reach(x_gap) else {
+            return false;
+        };
         if !bound.is_finite() {
             return false;
         }
+        let span = curves.span();
         let CaptureScratch { x, codes, .. } = scratch;
         codes.clear();
         codes.resize(y.len(), 0);
@@ -766,7 +820,7 @@ impl SharedStimulus {
             while doubtful != 0 {
                 let m = doubtful.trailing_zeros() as usize;
                 doubtful &= doubtful - 1;
-                match two_point(|y| self.slots.bit_at_point(m, xk, y), yk, bound) {
+                match box_check(|x, y| self.slots.bit_at_point(m, x, y), xk, reach, span, yk, bound) {
                     Some(bit) => *code |= u32::from(bit) << m,
                     None => return false,
                 }
@@ -822,7 +876,14 @@ pub fn capture_signatures_batch(
             continue;
         }
         let certified = shared.tones.as_ref().is_some_and(|grid| {
-            let bound = shared.certified_response(grid, setup, &device.cut, device.noise_seed, &mut y);
+            let bound = shared.certified_response(
+                grid,
+                setup,
+                &device.cut,
+                device.noise_seed,
+                &mut y,
+                &mut scratch.uniforms,
+            );
             shared.encode_certified(&y, bound, &mut scratch)
         });
         if !certified {
@@ -991,6 +1052,7 @@ impl Default for StimulusBank {
 
 #[cfg(test)]
 mod tests {
+    use super::slots::observe_in_place;
     use super::threshold::{from_order_key, order_key, GUARD_ULPS, MIN_KEY, POS_INF_KEY};
     use super::*;
     use sim_signal::{MultitoneSpec, NoiseModel, ToneSpec};
@@ -1487,9 +1549,10 @@ mod tests {
             let shared = SharedStimulus::new(&setup).unwrap();
             let grid = shared.tones.as_ref().expect("Table I is fully tabulated");
             let mut y = Vec::new();
-            let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), 0, &mut y);
-            assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
             let mut scratch = CaptureScratch::default();
+            let cut = BiquadParams::paper_default();
+            let bound = shared.certified_response(grid, &setup, &cut, 0, &mut y, &mut scratch.uniforms);
+            assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
             assert!(
                 shared.encode_certified(&y, bound, &mut scratch),
                 "the nominal device is decided"
@@ -1533,10 +1596,11 @@ mod tests {
                 let setup = table1_setup(rate, bandwidth).with_noise(noise);
                 let shared = SharedStimulus::new(&setup).unwrap();
                 let grid = shared.tones.as_ref().unwrap();
-                let (mut certified, mut exact) = (Vec::new(), Vec::new());
+                let (mut certified, mut exact, mut uniforms) = (Vec::new(), Vec::new(), Vec::new());
                 for device in lot(9) {
                     let seed = device.noise_seed;
-                    let bound = shared.certified_response(grid, &setup, &device.cut, seed, &mut certified);
+                    let bound =
+                        shared.certified_response(grid, &setup, &device.cut, seed, &mut certified, &mut uniforms);
                     shared.exact_response(&setup, &device.cut, &mut exact).unwrap();
                     observe_in_place(&setup, &mut exact, y_stream(seed), shared.x_obs.dt());
                     assert_eq!(exact, setup.observe(&device.cut, seed).1.samples());
@@ -1647,7 +1711,9 @@ mod tests {
             ),
             (with_noise(f64::NAN, 0.0), "σ = NaN", true),
             (with_noise(f64::INFINITY, 0.0), "σ = +inf", true),
-            (with_noise(1e300, 0.0), "σ = 1e300 V", false),
+            (with_noise(f64::NEG_INFINITY, 0.0), "σ = -inf", true),
+            // x's noise bound is far above a grid step.
+            (with_noise(1e300, 0.0), "σ = 1e300 V", true),
             (with_noise(0.0, 0.01), "mean only", false),
         ];
         let devices = lot(4);
@@ -1761,8 +1827,8 @@ mod tests {
         let shared = SharedStimulus::new(&setup).unwrap();
         let curves = shared.flip_curves(&setup.partition).unwrap();
         let grid = shared.tones.as_ref().unwrap();
-        let mut y = Vec::new();
-        let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), 5, &mut y);
+        let (mut y, mut uniforms) = (Vec::new(), Vec::new());
+        let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), 5, &mut y, &mut uniforms);
         assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
         let points = curves.grid().points();
         let cells = points.len() - 3;
@@ -1828,7 +1894,7 @@ mod tests {
                     .zip(&exact)
                     .map(|(a, b)| (a - b).abs())
                     .fold(0.0, f64::max);
-                let bound = observe_certified(&setup, &mut certified, gap, 9, dt);
+                let bound = observe_certified(&setup, &mut certified, gap, y_stream(9), dt, &mut Vec::new());
                 let mut reference = exact.clone();
                 observe_in_place(&setup, &mut reference, y_stream(9), dt);
                 let carried = certified
@@ -1839,6 +1905,38 @@ mod tests {
                 let at = format!("{noise:?} bandwidth {bandwidth} offset {offset:e}");
                 assert!(carried <= bound, "{at}: gap {carried:e} above {bound:e}");
                 assert!(carried > bound / 2.0, "{at}: gap {carried:e} below half of {bound:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn observation_bounds_cover_the_approximate_noise_of_both_streams() {
+        // No gap before the noise: the certified streams are the exact
+        // path's synthesis, so what the bound must cover is the approximate
+        // noise alone, then the filter, on x and on y.
+        let rate = 2e6;
+        let mut uniforms = Vec::new();
+        for sigma in [5e-3, 0.2, 1.0] {
+            for bandwidth in [true, false] {
+                let setup = table1_setup(rate, bandwidth).with_noise(NoiseModel::new(sigma));
+                let shared = SharedStimulus::new(&setup).unwrap();
+                let dt = shared.x_obs.dt();
+                let mut y = Vec::new();
+                shared
+                    .exact_response(&setup, &BiquadParams::paper_default(), &mut y)
+                    .unwrap();
+                for seed in 0..64 {
+                    for (raw, stream) in [(shared.x_raw.samples(), x_stream(seed)), (&y[..], y_stream(seed))] {
+                        let mut certified = raw.to_vec();
+                        let bound = observe_certified(&setup, &mut certified, 0.0, stream, dt, &mut uniforms);
+                        let mut reference = raw.to_vec();
+                        observe_in_place(&setup, &mut reference, stream, dt);
+                        for (k, (a, b)) in certified.iter().zip(&reference).enumerate() {
+                            let at = format!("σ {sigma} bandwidth {bandwidth} stream {stream} sample {k}");
+                            assert!((a - b).abs() <= bound, "{at}: {:e} above {bound:e}", (a - b).abs());
+                        }
+                    }
+                }
             }
         }
     }

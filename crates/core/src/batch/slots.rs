@@ -81,12 +81,13 @@ impl DriveStreams {
 }
 
 /// Buffers of capture, reused across the devices of a batch or the repeats
-/// of one device: one observed pair, the drive streams of its models and its
-/// zone codes.
+/// of one device: one observed pair, the uniforms of a noise stream, the
+/// drive streams of the pair's models and its zone codes.
 #[derive(Debug, Default)]
 pub(crate) struct CaptureScratch {
     pub(super) x: Vec<f64>,
     y: Vec<f64>,
+    pub(super) uniforms: Vec<f64>,
     x_drives: DriveStreams,
     pub(super) y_drives: DriveStreams,
     pub(super) codes: Vec<u32>,
@@ -203,6 +204,7 @@ impl SlotTable {
             x_drives,
             y_drives,
             codes,
+            ..
         } = scratch;
         for (observed, raw, stream_seed) in [(&mut *x_obs, x, x_stream(seed)), (&mut *y_obs, y, y_stream(seed))] {
             observed.clear();

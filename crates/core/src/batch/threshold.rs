@@ -4,7 +4,7 @@
 //! branch-current difference for a starting point, then galloping and
 //! bisection in key order for the exact flip point — the per-sample table
 //! of noiseless capture, the per-cell flip-curve table of noisy capture, and
-//! the two-point check that settles what the latter leaves in doubt.
+//! the two-point and box checks that settle what the latter leaves in doubt.
 
 /// Half-width, in units in the last place of y, of the band around each
 /// tabulated flip point inside which noiseless capture evaluates the exact
@@ -203,6 +203,10 @@ impl XGrid {
 #[derive(Debug, Clone)]
 pub(super) struct FlipCurves {
     grid: XGrid,
+    /// How close two x on the grid must be for libm `exp` to reverse the
+    /// order of an X-gate current: the widest span of any X gate, below a
+    /// thousandth of a step.
+    reversal: f64,
     /// Bit `m` is set for every monitor `m`.
     monitor_mask: u32,
     /// Bit `m` is monitor `m`'s bit for y below its bands; above them it
@@ -218,8 +222,9 @@ impl FlipCurves {
     /// Assembles the tables from each monitor's flip points at the grid
     /// points of `grid` ([`YThresholds::build`] over [`XGrid::points`]). A
     /// cell's band is the hull of the four point bands from one grid point
-    /// below the cell to one above it.
-    pub(super) fn new(grid: XGrid, points: Vec<YThresholds>) -> Self {
+    /// below the cell to one above it. `reversal` is the widest `exp`
+    /// reversal span of the X gates on the grid.
+    pub(super) fn new(grid: XGrid, points: Vec<YThresholds>, reversal: f64) -> Self {
         let monitors = points.len();
         let mut bands = vec![[0.0; 2]; grid.cells * monitors];
         let (mut monitor_mask, mut below) = (0, 0);
@@ -236,6 +241,7 @@ impl FlipCurves {
         }
         FlipCurves {
             grid,
+            reversal,
             monitor_mask,
             below,
             monitors,
@@ -247,6 +253,23 @@ impl FlipCurves {
     #[cfg(test)]
     pub(super) fn grid(&self) -> &XGrid {
         &self.grid
+    }
+
+    /// The lowest and highest grid point: the x range a [`box_check`] may
+    /// probe.
+    pub(super) fn span(&self) -> (f64, f64) {
+        self.grid.span()
+    }
+
+    /// The half-width in x of the [`box_check`] of a sample whose x lies
+    /// within `x_gap` of the exact path's: `x_gap` plus the `exp` reversal
+    /// span, rounded up. `None` unless `x_gap` is below half a grid step,
+    /// which keeps the exact x within a step of the computed x's cell, where
+    /// [`FlipCurves::decide`]'s bands hold its flip point: the cell lookup
+    /// rounds by a few ulps and a reversal spans under a thousandth of a
+    /// step, so half a step of slack covers both.
+    pub(super) fn box_reach(&self, x_gap: f64) -> Option<f64> {
+        (x_gap < self.grid.step / 2.0).then(|| (x_gap + self.reversal) * (1.0 + 1.0 / (1u64 << 20) as f64))
     }
 
     /// Monitor `m`'s bit for y below its bands.
@@ -314,6 +337,43 @@ pub(super) fn two_point(bit: impl Fn(f64) -> bool, y: f64, bound: f64) -> Option
     let hi = Some(order_key(hi) + 2 * GUARD_ULPS).filter(|&key| key < POS_INF_KEY)?;
     let low_bit = bit(from_order_key(lo));
     (bit(from_order_key(hi)) == low_bit).then_some(low_bit)
+}
+
+/// Settles a bit a flip-curve table leaves in doubt when x, too, is known
+/// only within a margin. `bit(x, y)` is the exact slot expression of a
+/// monitor with a flip curve, the exact path's x lies within `x_gap` of
+/// `x`, its y within `bound` of `y`, and `reach` is at least `x_gap` plus
+/// the `exp` reversal span r ([`FlipCurves::box_reach`]). Runs
+/// [`two_point`] in y at both ends of `[x − reach, x + reach]`, each rounded
+/// outward: when the two agree, every point of the box
+/// `[x − x_gap, x + x_gap] × [y − bound, y + bound]` has that bit. `None`
+/// when they disagree, either leaves its bit in doubt, or an end lies
+/// outside `span`, the grid range over which r holds.
+///
+/// Why. At each end, [`two_point`] settles the bit for every y of the
+/// interval. At a fixed y, the bit is monotone in x up to `exp` reversals:
+/// every X gate sits on one branch and rises with its gate, rounded addition
+/// and subtraction are monotone, and an X-gate current can fall as x rises
+/// only between gate voltages less than r apart. An x in the box lies at
+/// least `reach − x_gap ≥ r` from each end, so each X-gate current at x lies
+/// between its values at the two ends, and so does the branch-current
+/// difference: when both ends give the same bit, so does x. Without the x
+/// widening, the flip curve could cross the box between the computed x and
+/// the exact one.
+pub(super) fn box_check(
+    bit: impl Fn(f64, f64) -> bool,
+    x: f64,
+    reach: f64,
+    (lowest, highest): (f64, f64),
+    y: f64,
+    bound: f64,
+) -> Option<bool> {
+    let (left, right) = ((x - reach).next_down(), (x + reach).next_up());
+    if !(left >= lowest && right <= highest) {
+        return None;
+    }
+    let at_left = two_point(|y| bit(left, y), y, bound)?;
+    (two_point(|y| bit(right, y), y, bound)? == at_left).then_some(at_left)
 }
 
 /// First outward step of the flip-point search when no neighbouring flip
@@ -532,5 +592,60 @@ mod tests {
         assert_eq!(two_point(bit, f64::MAX, f64::MAX), None);
         assert_eq!(two_point(bit, 0.5, f64::NAN), None);
         assert_eq!(two_point(bit, f64::NAN, 0.0), None);
+    }
+
+    #[test]
+    fn box_check_survives_any_dip_and_reversal_within_its_margins() {
+        // A bit that reads 1 when a y term (its key, dipping by up to
+        // G − 1 keys either way) reaches a flip key that climbs three keys
+        // of y per key of x, through an x term that wobbles by up to three
+        // keys: the bit is a step in y up to dips within the guard, and
+        // monotone in x between x eight or more keys apart.
+        let g = GUARD_ULPS as i64;
+        let (slope, wobble, reversal_keys) = (3i64, [0i64, 3, -3, 1], 8i64);
+        let (x0, y0) = (order_key(0.75), order_key(0.625));
+        let bit = |x: f64, y: f64| {
+            let kx = order_key(x) as i64 - x0 as i64;
+            let flip = y0 as i64 + slope * (kx + wobble[kx.rem_euclid(4) as usize]);
+            let ky = order_key(y) as i64;
+            let dip = if ky % 2 == 0 { g - 1 } else { 1 - g };
+            ky + dip >= flip
+        };
+        let ulp = 0.75f64.next_up() - 0.75;
+        let span = (0.5, 0.875);
+        let mut decided = 0;
+        for gap_keys in [0u64, 2, 5] {
+            let x_gap = gap_keys as f64 * ulp;
+            let reach = (x_gap + reversal_keys as f64 * ulp) * (1.0 + 1.0 / (1u64 << 20) as f64);
+            for bound_keys in [0u64, 3] {
+                let bound = bound_keys as f64 * ulp;
+                for x_offset in -6i64..=6 {
+                    let x = from_order_key(x0.saturating_add_signed(x_offset));
+                    for y_offset in -90i64..=90 {
+                        let y = from_order_key(order_key(0.625).saturating_add_signed(y_offset + 3 * x_offset));
+                        let Some(settled) = box_check(bit, x, reach, span, y, bound) else {
+                            continue;
+                        };
+                        decided += 1;
+                        // Every float point of the box reads the settled bit.
+                        for kx in order_key(x) - gap_keys..=order_key(x) + gap_keys {
+                            for ky in order_key(y) - bound_keys..=order_key(y) + bound_keys {
+                                let (at_x, at_y) = (from_order_key(kx), from_order_key(ky));
+                                assert_eq!(
+                                    bit(at_x, at_y),
+                                    settled,
+                                    "box at ({x}, {y}) gap {x_gap:e} bound {bound:e}: ({at_x}, {at_y})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(decided > 3_000, "only {decided} boxes settled");
+        // An end outside the span settles nothing, nor does a reach that is
+        // not finite.
+        assert_eq!(box_check(bit, 0.75, 0.2, span, 0.0, 0.0), None);
+        assert_eq!(box_check(bit, 0.75, f64::NAN, span, 0.0, 0.0), None);
     }
 }

@@ -3,10 +3,13 @@
 //! A single capture decides most devices confidently: their NDF lands far
 //! from the acceptance threshold. The devices a single capture *misclassifies*
 //! are exactly the ones whose NDF falls inside the measurement-noise guard
-//! band around the threshold — re-measuring those with averaged repeats (the
-//! [`crate::TestSetup::signatures_of_repeats`] fast path) pushes the
-//! detection limit below the single-shot noise floor, so the verdict flips to
-//! the device's true side of the band.
+//! band around the threshold — re-measuring those with averaged repeats
+//! pushes the detection limit below the single-shot noise floor, so the
+//! verdict flips to the device's true side of the band. The repeats are
+//! captured by [`crate::TestSetup::signatures_of_repeats`], the per-device
+//! reference, or as batch entries of
+//! [`crate::capture_signatures_batch`], one per repeat seed, which the
+//! campaign runner uses and which gives the same signatures.
 //!
 //! [`RetestPolicy`] describes *when* to retest (the guard band) and *how
 //! hard* (a cumulative repeat schedule with an escalation cap);

@@ -161,11 +161,14 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// Appends a borrowed list in [`Vec`]'s encoding.
+/// Appends a borrowed list in [`Vec`]'s encoding. It first reserves the
+/// count and [`Wire::MIN_BYTES`] per item: the exact size of a list of
+/// fixed-size items, such as a reply's scores, and a floor for the others.
 ///
 /// # Panics
 /// Panics on more than `u32::MAX` items, which no frame can carry.
 pub fn put_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    out.reserve(4 + items.len() * T::MIN_BYTES);
     put_len(out, items.len());
     for item in items {
         item.put(out);

@@ -52,9 +52,9 @@ struct EngineMetrics {
     devices_per_s: Arc<Gauge>,
     /// `engine.bank.hits` / `.misses` / `.evictions` / `.exact_syntheses` —
     /// the runner's stimulus bank counters, mirrored as gauges after each
-    /// campaign. The last counts the noiseless batched devices whose
-    /// response went through the exact synthesis rather than the certified
-    /// one ([`StimulusBank::exact_syntheses`]).
+    /// campaign. The last counts the batched devices and retest repeats,
+    /// noiseless or noisy, that were captured on the exact path rather than
+    /// the certified one ([`StimulusBank::exact_syntheses`]).
     bank_hits: Arc<Gauge>,
     bank_misses: Arc<Gauge>,
     bank_evictions: Arc<Gauge>,
@@ -144,14 +144,16 @@ impl CampaignRunner {
 
     /// Returns a copy with an adaptive retest policy: devices whose
     /// single-shot NDF falls inside the policy's guard band around the
-    /// campaign band are re-measured with averaged repeats (captured through
-    /// [`TestSetup::signatures_of_repeats`], seeds derived by
-    /// [`dsig_core::retest_seed`]) and re-decided by the policy's escalation
-    /// walk. A chunk's marginal devices go to the [`ScoreTarget`] in one
-    /// [`RetestRequest`]: a remote target ships it to the **serving tier**,
-    /// which verdicts; the local target re-decides it in-process with
-    /// [`score::retest`], the function a serving tier runs, so the reports
-    /// are bit-identical.
+    /// campaign band are re-measured with averaged repeats and re-decided by
+    /// the policy's escalation walk. On the batched path, a chunk's repeats
+    /// are entries of one [`capture_signatures_batch`] call, one per repeat
+    /// seed (derived by [`dsig_core::retest_seed`]); the per-device path
+    /// captures them with [`TestSetup::signatures_of_repeats`], and both give
+    /// the same signatures, bit for bit. A chunk's marginal devices go to the
+    /// [`ScoreTarget`] in one [`RetestRequest`]: a remote target ships it to
+    /// the **serving tier**, which verdicts; the local target re-decides it
+    /// in-process with [`score::retest`], the function a serving tier runs,
+    /// so the reports are bit-identical.
     pub fn with_retest(mut self, policy: RetestPolicy) -> Self {
         self.retest = Some(policy);
         self

@@ -27,7 +27,7 @@
 //! let stimulus = MultitoneSpec::paper_default();
 //! let y_golden = golden.steady_state_response(&stimulus, 1, 1e6);
 //! let y_defective = defective.steady_state_response(&stimulus, 1, 1e6);
-//! assert!(sim_signal::rms_error(&y_golden, &y_defective)? > 0.0);
+//! assert!(sim_signal::normalized_rms_error(&y_golden, &y_defective)? > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -477,7 +477,7 @@ mod tests {
         let shifted = BiquadParams::paper_default()
             .with_f0_shift_pct(10.0)
             .steady_state_response(&stim, 1, 1e6);
-        let rms = sim_signal::rms_error(&golden, &shifted).unwrap();
+        let rms = sim_signal::normalized_rms_error(&golden, &shifted).unwrap() * golden.peak_to_peak();
         assert!(rms > 0.005, "a 10% f0 shift must visibly change the output (rms {rms})");
     }
 

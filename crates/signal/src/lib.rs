@@ -9,7 +9,7 @@
 //!   excite the circuit under test (§II of the paper);
 //! * [`NoiseModel`] — additive white Gaussian measurement noise (§IV-C);
 //! * [`fft`](mod@fft) — spectrum utilities used by tests and benches;
-//! * [`metrics`] — waveform error metrics used by the baseline methods;
+//! * [`metrics`] — the waveform error of the classic baseline method;
 //! * [`Lissajous`] — X-Y composition of two signals.
 //!
 //! # Examples
@@ -39,7 +39,7 @@ pub mod waveform;
 
 pub use fft::{amplitude_spectrum, fft, tone_amplitude, tone_amplitude_projection};
 pub use lissajous::Lissajous;
-pub use metrics::{correlation, max_abs_error, mean_squared_error, normalized_rms_error, rms_error};
+pub use metrics::normalized_rms_error;
 pub use multitone::{MultitoneSpec, ToneSpec};
 pub use noise::{standard_normal, NoiseModel};
 pub use waveform::{lowpass_gap_bound, lowpass_in_place, SignalError, Waveform};

@@ -80,18 +80,6 @@ impl Lissajous {
             .all(|&(x, y)| x >= x_lo && x <= x_hi && y >= y_lo && y <= y_hi)
     }
 
-    /// Total path length of the trajectory (useful as a curve "fingerprint").
-    pub fn path_length(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| {
-                let (x0, y0) = w[0];
-                let (x1, y1) = w[1];
-                ((x1 - x0).powi(2) + (y1 - y0).powi(2)).sqrt()
-            })
-            .sum()
-    }
-
     /// Maximum pointwise distance between two trajectories on the same grid.
     ///
     /// # Errors
@@ -110,16 +98,6 @@ impl Lissajous {
             .zip(&other.points)
             .map(|(&(x0, y0), &(x1, y1))| ((x1 - x0).powi(2) + (y1 - y0).powi(2)).sqrt())
             .fold(0.0_f64, f64::max))
-    }
-
-    /// How closely the trajectory closes on itself: the distance between the
-    /// first and last point. Periodic (whole-period) trajectories close to
-    /// within one sample step.
-    pub fn closure_gap(&self) -> f64 {
-        match (self.points.first(), self.points.last()) {
-            (Some(&(x0, y0)), Some(&(x1, y1))) => ((x1 - x0).powi(2) + (y1 - y0).powi(2)).sqrt(),
-            _ => 0.0,
-        }
     }
 }
 
@@ -156,16 +134,8 @@ mod tests {
         let ((xmin, xmax), (ymin, ymax)) = c.bounding_box();
         assert!((xmin + 1.0).abs() < 1e-3 && (xmax - 1.0).abs() < 1e-3);
         assert!((ymin + 1.0).abs() < 2e-2 && (ymax - 1.0).abs() < 2e-2);
-        // Circumference of the unit circle.
-        assert!((c.path_length() - 2.0 * std::f64::consts::PI).abs() < 0.01);
         assert!(c.within(-1.01, 1.01, -1.01, 1.01));
         assert!(!c.within(-0.5, 0.5, -1.01, 1.01));
-    }
-
-    #[test]
-    fn closure_gap_small_for_full_period() {
-        let c = circle();
-        assert!(c.closure_gap() < 0.01, "gap {}", c.closure_gap());
     }
 
     #[test]
@@ -192,6 +162,5 @@ mod tests {
         let y = Waveform::from_fn(0.0, stim.period(), 2e6, |t| 0.5 + (stim.value(t - 8e-6) - 0.5) * 0.9);
         let lis = Lissajous::compose(&x, &y).unwrap();
         assert!(lis.within(0.0, 1.0, 0.0, 1.0));
-        assert!(lis.path_length() > 1.0);
     }
 }

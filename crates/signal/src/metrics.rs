@@ -1,101 +1,44 @@
-//! Scalar error metrics between waveforms.
+//! The waveform error of the classic baseline.
 //!
-//! These are used by the baseline comparison methods (DESIGN.md experiment
-//! index): classic transient-test style metrics that compare the raw CUT
-//! output against a golden output, as opposed to the paper's digital
-//! signature approach.
+//! The baseline comparison (`baseline_comparison` and
+//! `dsig_core::normalized_output_error`) sets the paper's digital signature
+//! against a transient-test style metric that compares the raw CUT output
+//! with a golden output: the RMS error normalized by the golden's
+//! peak-to-peak amplitude.
 
 use crate::waveform::{SignalError, Waveform};
-
-/// Mean squared error between two waveforms on the same grid.
-///
-/// # Errors
-/// Returns [`SignalError::GridMismatch`] if the lengths differ and
-/// [`SignalError::TooShort`] for empty waveforms.
-pub fn mean_squared_error(a: &Waveform, b: &Waveform) -> Result<f64, SignalError> {
-    check(a, b)?;
-    let n = a.len() as f64;
-    Ok(a.samples()
-        .iter()
-        .zip(b.samples())
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        / n)
-}
-
-/// Root-mean-square error between two waveforms on the same grid.
-///
-/// # Errors
-/// Same as [`mean_squared_error`].
-pub fn rms_error(a: &Waveform, b: &Waveform) -> Result<f64, SignalError> {
-    Ok(mean_squared_error(a, b)?.sqrt())
-}
-
-/// Maximum absolute difference between two waveforms on the same grid.
-///
-/// # Errors
-/// Same as [`mean_squared_error`].
-pub fn max_abs_error(a: &Waveform, b: &Waveform) -> Result<f64, SignalError> {
-    check(a, b)?;
-    Ok(a.samples()
-        .iter()
-        .zip(b.samples())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0_f64, f64::max))
-}
 
 /// Normalized RMS error: RMS error divided by the golden waveform's
 /// peak-to-peak amplitude. Dimensionless, comparable across signal levels.
 ///
 /// # Errors
-/// Same as [`mean_squared_error`], plus [`SignalError::InvalidParameter`] if
-/// the golden waveform is constant (zero peak-to-peak).
+/// Returns [`SignalError::GridMismatch`] if the lengths differ,
+/// [`SignalError::TooShort`] for empty waveforms and
+/// [`SignalError::InvalidParameter`] if the golden waveform is constant
+/// (zero peak-to-peak).
 pub fn normalized_rms_error(golden: &Waveform, observed: &Waveform) -> Result<f64, SignalError> {
+    if golden.len() != observed.len() {
+        return Err(SignalError::GridMismatch {
+            left: golden.len(),
+            right: observed.len(),
+        });
+    }
+    if golden.is_empty() {
+        return Err(SignalError::TooShort { len: 0, needed: 1 });
+    }
     let span = golden.peak_to_peak();
     if span <= 0.0 {
         return Err(SignalError::InvalidParameter(
             "golden waveform has zero peak-to-peak amplitude".into(),
         ));
     }
-    Ok(rms_error(golden, observed)? / span)
-}
-
-/// Pearson correlation coefficient between two waveforms on the same grid.
-///
-/// # Errors
-/// Same as [`mean_squared_error`], plus [`SignalError::InvalidParameter`] if
-/// either waveform has zero variance.
-pub fn correlation(a: &Waveform, b: &Waveform) -> Result<f64, SignalError> {
-    check(a, b)?;
-    let ma = a.mean();
-    let mb = b.mean();
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.samples().iter().zip(b.samples()) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va <= 0.0 || vb <= 0.0 {
-        return Err(SignalError::InvalidParameter(
-            "constant waveform has no correlation".into(),
-        ));
-    }
-    Ok(cov / (va.sqrt() * vb.sqrt()))
-}
-
-fn check(a: &Waveform, b: &Waveform) -> Result<(), SignalError> {
-    if a.len() != b.len() {
-        return Err(SignalError::GridMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    if a.is_empty() {
-        return Err(SignalError::TooShort { len: 0, needed: 1 });
-    }
-    Ok(())
+    let squares: f64 = golden
+        .samples()
+        .iter()
+        .zip(observed.samples())
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum();
+    Ok((squares / golden.len() as f64).sqrt() / span)
 }
 
 #[cfg(test)]
@@ -109,9 +52,6 @@ mod tests {
     #[test]
     fn identical_waveforms_have_zero_error() {
         let a = ramp(0.0);
-        assert_eq!(mean_squared_error(&a, &a).unwrap(), 0.0);
-        assert_eq!(rms_error(&a, &a).unwrap(), 0.0);
-        assert_eq!(max_abs_error(&a, &a).unwrap(), 0.0);
         assert_eq!(normalized_rms_error(&a, &a).unwrap(), 0.0);
     }
 
@@ -119,9 +59,8 @@ mod tests {
     fn constant_offset_gives_expected_errors() {
         let a = ramp(0.0);
         let b = ramp(0.1);
-        assert!((mean_squared_error(&a, &b).unwrap() - 0.01).abs() < 1e-12);
-        assert!((rms_error(&a, &b).unwrap() - 0.1).abs() < 1e-12);
-        assert!((max_abs_error(&a, &b).unwrap() - 0.1).abs() < 1e-12);
+        let expected = 0.1 / a.peak_to_peak();
+        assert!((normalized_rms_error(&a, &b).unwrap() - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -140,32 +79,22 @@ mod tests {
     }
 
     #[test]
-    fn correlation_detects_sign() {
-        let a = Waveform::from_fn(0.0, 1.0, 100.0, |t| (2.0 * std::f64::consts::PI * t).sin());
-        let b = a.map(|x| -x);
-        assert!((correlation(&a, &a).unwrap() - 1.0).abs() < 1e-12);
-        assert!((correlation(&a, &b).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_rejects_constant_inputs() {
-        let a = Waveform::from_fn(0.0, 1.0, 10.0, |_| 1.0);
-        let b = ramp(0.0).resample(10.0);
-        assert!(correlation(&a, &b).is_err());
-    }
-
-    #[test]
     fn mismatched_grids_rejected() {
         let a = ramp(0.0);
         let b = Waveform::from_fn(0.0, 1.0, 50.0, |t| t);
-        assert!(mean_squared_error(&a, &b).is_err());
-        assert!(correlation(&a, &b).is_err());
+        assert!(matches!(
+            normalized_rms_error(&a, &b),
+            Err(SignalError::GridMismatch { .. })
+        ));
     }
 
     #[test]
     fn empty_waveforms_rejected() {
         let a = Waveform::new(0.0, 1.0, vec![]);
         let b = Waveform::new(0.0, 1.0, vec![]);
-        assert!(matches!(mean_squared_error(&a, &b), Err(SignalError::TooShort { .. })));
+        assert!(matches!(
+            normalized_rms_error(&a, &b),
+            Err(SignalError::TooShort { .. })
+        ));
     }
 }

@@ -2,7 +2,9 @@
 //! allocator: the screening-request codec (`DSRQ`), where encoding writes
 //! every signature straight into one exactly sized frame and decoding
 //! allocates one entry list per signature, which `Signature::new` merges in
-//! place; and the routed in-process hop, where a screen or a retest request
+//! place; the screening-response codec (`DSRS`), whose score list reserves
+//! its exact size before its first score; and the routed in-process hop,
+//! where a screen or a retest request
 //! reaches its backend borrowed, without a copy per signature, and is scored
 //! with no allocation per signature or per device.
 //!
@@ -13,9 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use analog_signature::dsig::{AcceptanceBand, RetestPolicy, Signature, SignatureEntry, ZoneCode};
+use analog_signature::dsig::{AcceptanceBand, RetestPolicy, Signature, SignatureEntry, TestOutcome, ZoneCode};
 use analog_signature::router::{RouterConfig, RouterHandle, RouterStore};
-use analog_signature::serve::{proto, RetestItem, RetestRequest};
+use analog_signature::serve::{proto, Reply, RetestItem, RetestRequest, ScoreResult};
 
 /// Counts allocations and reallocations made while the calling thread's
 /// `COUNTING` flag is set.
@@ -107,6 +109,27 @@ fn request_encoding_allocates_once_and_decoding_once_per_signature() {
     );
     assert_eq!(decoded.golden_key, 7);
     assert_eq!(decoded.signatures, many);
+}
+
+#[test]
+fn a_256_score_response_frame_allocates_at_most_twice() {
+    let scores = (0..256u32)
+        .map(|i| ScoreResult {
+            ndf: f64::from(i) * 1e-3,
+            peak_hamming: i % 7,
+            outcome: if i % 3 == 0 {
+                TestOutcome::Fail
+            } else {
+                TestOutcome::Pass
+            },
+        })
+        .collect();
+    let response = Reply::Results(scores);
+    // The frame's first buffer, then one reserve for the whole score list.
+    let (allocations, frame) = allocations_of(|| proto::encode_response(&response));
+    assert_eq!(frame.len(), 3_347);
+    assert!(allocations <= 2, "encoding 256 scores made {allocations} allocations");
+    assert_eq!(proto::decode_response(&frame).unwrap(), response);
 }
 
 /// A two-backend in-process router holding `golden` under key 7.
