@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 k + 1,
                 entry.code.to_binary_string(partition.bits()),
                 entry.code.value(),
-                entry.duration * 1e6
+                f64::from(entry.count) * signature.unit() * 1e6
             );
         }
     }

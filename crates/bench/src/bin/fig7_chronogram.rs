@@ -34,14 +34,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nChronogram (decimal coded zone value, sampled every 4 us):");
     println!("{:>10} {:>10} {:>10} {:>10}", "t (us)", "golden", "defect", "dH");
+    // Counts of the capture clock's tick, converted to microseconds to print.
+    let us = |count: u32| f64::from(count) * golden.unit() * 1e6;
     let samples = 50;
     for k in 0..samples {
-        let t = golden.total_duration() * k as f64 / samples as f64;
-        let g = golden.code_at(t);
-        let o = observed.code_at(t);
+        let at = (u64::from(golden.total_count()) * k / samples) as u32;
+        let g = golden.code_at(at);
+        let o = observed.code_at(at);
         println!(
             "{:>10.1} {:>10} {:>10} {:>10}",
-            t * 1e6,
+            us(at),
             g.value(),
             o.value(),
             g.hamming_distance(o)
@@ -53,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nHamming-distance segments with non-zero distance:");
     println!("{:>12} {:>12} {:>10}", "from (us)", "to (us)", "distance");
     for s in &nonzero {
-        println!("{:>12.2} {:>12.2} {:>10}", s.t_start * 1e6, s.t_end * 1e6, s.distance);
+        println!("{:>12.2} {:>12.2} {:>10}", us(s.start), us(s.end), s.distance);
     }
 
     let value = ndf(&golden, &observed)?;

@@ -43,7 +43,9 @@
 //! * **Branch sums.** Branch currents are added in the same slot order as
 //!   [`CurrentComparator::current_difference`].
 //! * **Run-length encoding** goes through the same
-//!   [`signature_from_codes`](crate::capture::signature_from_codes) helper.
+//!   [`signature_from_codes`](crate::capture::signature_from_codes) helper,
+//!   which counts samples and rounds each count to clock ticks, and
+//!   deglitching through the same count threshold.
 //!
 //! Batched capture and [`TestSetup::signatures_of_repeats`] are therefore
 //! bit-identical to [`TestSetup::signature_of`] at every batch size; the
@@ -224,7 +226,7 @@
 //!
 //! ```
 //! use cut_filters::BiquadParams;
-//! use dsig_core::{BatchDevice, StimulusBank, TestSetup};
+//! use dsig_core::{capture_signatures_batch, BatchDevice, StimulusBank, TestSetup};
 //!
 //! # fn main() -> Result<(), dsig_core::DsigError> {
 //! let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
@@ -235,7 +237,7 @@
 //! let lot: Vec<BatchDevice> = (0..4)
 //!     .map(|i| BatchDevice::new(BiquadParams::paper_default().with_f0_shift_pct(i as f64), i))
 //!     .collect();
-//! let signatures = setup.signatures_of_batch(&shared, &lot)?;
+//! let signatures = capture_signatures_batch(&setup, &shared, &lot)?;
 //! assert_eq!(signatures.len(), 4);
 //! // Bit-identical to the per-device path.
 //! assert_eq!(signatures[2], setup.signature_of(&lot[2].cut, lot[2].noise_seed)?);

@@ -254,9 +254,10 @@ fn model_index(models: &mut Vec<MosParams>, t: &MosParams) -> usize {
         })
 }
 
-/// The signature of a zone-code stream: run-length encoded, quantized by the
-/// capture clock and deglitched, as [`TestSetup::signature_of`] does.
+/// The signature of a zone-code stream: run-length counted, rounded to the
+/// capture clock's ticks and deglitched, as [`TestSetup::signature_of`] does.
 pub(super) fn capture_codes(setup: &TestSetup, codes: &[u32], dt: f64) -> Result<Signature> {
-    let raw = signature_from_codes(codes.iter().copied(), dt, setup.clock.as_ref())?;
-    Ok(raw.deglitched(setup.transition_min_dwell))
+    let mut signature = signature_from_codes(codes.iter().copied(), dt, setup.clock.as_ref())?;
+    signature.deglitch(setup.transition_min_dwell);
+    Ok(signature)
 }

@@ -5,7 +5,8 @@
 //! m-bit counter clocked by a master clock. This module models that capture
 //! over sampled `x(t)` / `y(t)` waveforms: any [`PointEncoder`] (a bank of
 //! nonlinear monitors, a straight-line zoning baseline, ...) maps samples to
-//! zone codes, and an optional [`CaptureClock`] quantizes the dwell times.
+//! zone codes, run-length encoding counts the samples of each dwell, and an
+//! optional [`CaptureClock`] rounds each count to clock ticks.
 
 use sim_signal::Waveform;
 use xy_monitor::ZonePartition;
@@ -96,20 +97,14 @@ impl CaptureClock {
             (ticks as u64).min(self.max_ticks())
         }
     }
-
-    /// Quantizes a dwell time and converts it back to seconds.
-    pub fn quantize(&self, duration: f64) -> f64 {
-        self.quantize_ticks(duration) as f64 * self.tick()
-    }
 }
 
 /// Captures the digital signature of a pair of observed signals.
 ///
 /// The two waveforms must share the same sampling grid (they are the
 /// `x(t)` / `y(t)` pair composed into the Lissajous trajectory). When a
-/// [`CaptureClock`] is supplied, every dwell time is quantized to the
-/// master-clock tick and saturated to the counter range; `None` captures
-/// exact (continuous-time) durations.
+/// [`CaptureClock`] is supplied, every dwell is counted in master-clock
+/// ticks, saturated to the counter range; `None` counts samples.
 ///
 /// # Errors
 /// Returns [`DsigError::Signal`]-wrapped grid mismatch errors and
@@ -141,8 +136,13 @@ pub fn capture_signature(
 }
 
 /// Run-length encodes a stream of uniformly sampled zone codes into a
-/// [`Signature`], optionally quantizing every dwell time with a
-/// [`CaptureClock`].
+/// [`Signature`], counting each dwell in samples of period `dt` seconds or,
+/// with a [`CaptureClock`], in its ticks.
+///
+/// Quantisation rounds each dwell's sample count to ticks once
+/// ([`CaptureClock::quantize_ticks`] of `count × dt`); a dwell that rounds
+/// to no tick is not registered, and the zones on either side of it join
+/// when they share a code.
 ///
 /// This is the shared back half of every capture path: [`capture_signature`]
 /// streams encoder outputs straight into it (no intermediate buffer), the
@@ -151,8 +151,8 @@ pub fn capture_signature(
 /// guarantees the two paths produce bit-identical signatures.
 ///
 /// # Errors
-/// Returns [`DsigError::InvalidSignature`] for an empty code sequence or a
-/// non-positive sample period.
+/// Returns [`DsigError::InvalidSignature`] for an empty code sequence, a
+/// non-positive sample period, or a capture of more than `u32::MAX` counts.
 pub fn signature_from_codes<I>(codes: I, dt: f64, clock: Option<&CaptureClock>) -> Result<Signature>
 where
     I: IntoIterator<Item = u32>,
@@ -166,32 +166,33 @@ where
             "cannot capture a signature from empty waveforms".into(),
         ));
     };
+    let too_long = || DsigError::InvalidSignature(format!("a capture longer than {} samples", u32::MAX));
     let mut entries: Vec<SignatureEntry> = Vec::new();
-    let mut current_code = first;
-    let mut dwell = dt;
+    let mut current = SignatureEntry {
+        code: ZoneCode(first),
+        count: 1,
+    };
     for code in codes {
-        if code == current_code {
-            dwell += dt;
+        if code == current.code.0 {
+            current.count = current.count.checked_add(1).ok_or_else(too_long)?;
         } else {
-            entries.push(SignatureEntry {
-                code: ZoneCode(current_code),
-                duration: dwell,
-            });
-            current_code = code;
-            dwell = dt;
+            entries.push(current);
+            current = SignatureEntry {
+                code: ZoneCode(code),
+                count: 1,
+            };
         }
     }
-    entries.push(SignatureEntry {
-        code: ZoneCode(current_code),
-        duration: dwell,
-    });
+    entries.push(current);
 
-    if let Some(clock) = clock {
-        for e in &mut entries {
-            e.duration = clock.quantize(e.duration);
-        }
+    let Some(clock) = clock else {
+        return Signature::new(dt, entries);
+    };
+    for e in &mut entries {
+        // `max_ticks` fits a u32: the counter is at most 32 bits wide.
+        e.count = clock.quantize_ticks(f64::from(e.count) * dt) as u32;
     }
-    Signature::new(entries)
+    Signature::new(clock.tick(), entries)
 }
 
 #[cfg(test)]
@@ -228,7 +229,6 @@ mod tests {
         assert_eq!(clk.quantize_ticks(3.4e-6), 3);
         assert_eq!(clk.quantize_ticks(1e-3), 15); // saturates
         assert_eq!(clk.quantize_ticks(1e-9), 0);
-        assert!((clk.quantize(3.4e-6) - 3e-6).abs() < 1e-15);
     }
 
     #[test]
@@ -244,24 +244,49 @@ mod tests {
         assert_eq!(sig.len(), 2, "one transition expected: {:?}", sig.entries());
         assert_eq!(sig.entries()[0].code.value(), 0);
         assert_eq!(sig.entries()[1].code.value(), 1);
-        // Both dwell times are about half the duration.
-        assert!((sig.entries()[0].duration - 0.51).abs() < 0.02);
-        assert!((sig.total_duration() - 1.0).abs() < 1e-9);
+        // Both dwells are about half the 100 samples.
+        assert_eq!(sig.unit(), x.dt());
+        assert_eq!(sig.total_count() as usize, x.len());
+        assert!(sig.entries()[0].count.abs_diff(51) < 2, "{:?}", sig.entries());
     }
 
     #[test]
     fn quantized_capture_rounds_durations() {
         let (x, y) = ramp_pair();
         let clk = CaptureClock::new(10.0, 8).unwrap(); // 0.1 s ticks
-        let sig = capture_signature(&Quadrants, &x, &y, Some(&clk)).unwrap();
-        for e in sig.entries() {
-            let ticks = e.duration / clk.tick();
-            assert!(
-                (ticks - ticks.round()).abs() < 1e-9,
-                "duration not quantized: {}",
-                e.duration
-            );
-        }
+        let samples = capture_signature(&Quadrants, &x, &y, None).unwrap();
+        let ticks = capture_signature(&Quadrants, &x, &y, Some(&clk)).unwrap();
+        assert_eq!(ticks.unit(), clk.tick());
+        // Each dwell's sample count, rounded once to ticks.
+        let rounded: Vec<u32> = samples
+            .entries()
+            .iter()
+            .map(|e| clk.quantize_ticks(f64::from(e.count) * x.dt()) as u32)
+            .collect();
+        let counted: Vec<u32> = ticks.entries().iter().map(|e| e.count).collect();
+        assert_eq!(counted, rounded);
+    }
+
+    #[test]
+    fn dwells_below_half_a_tick_drop_out_and_their_neighbours_join() {
+        // Dwells of 3, 1 and 5 samples of 1 µs on a 2.5 µs clock: 1.2, 0.4
+        // and 2 ticks. The middle one rounds to no tick, and the two dwells
+        // of code 1 on either side of it become one.
+        let clk = CaptureClock::new(0.4e6, 8).unwrap(); // 2.5 µs ticks
+        let s = signature_from_codes([1, 1, 1, 2, 1, 1, 1, 1, 1], 1e-6, Some(&clk)).unwrap();
+        assert_eq!(
+            s.entries(),
+            [SignatureEntry {
+                code: ZoneCode(1),
+                count: 1 + 2
+            }]
+        );
+        // Without a clock every sample counts.
+        let s = signature_from_codes([1, 1, 1, 2, 1, 1, 1, 1, 1], 1e-6, None).unwrap();
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.unit(), 1e-6);
+        assert!(signature_from_codes([], 1e-6, None).is_err());
+        assert!(signature_from_codes([1], 0.0, None).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct TestSetup {
     pub stimulus: MultitoneSpec,
     /// The zone partition (bank of monitors) observing the Lissajous plane.
     pub partition: ZonePartition,
-    /// The capture clock; `None` captures exact dwell times.
+    /// The capture clock; `None` counts dwells in samples.
     pub clock: Option<CaptureClock>,
     /// Sample rate used to discretize the observed signals, hertz.
     pub sample_rate: f64,
@@ -106,25 +106,9 @@ impl TestSetup {
     /// Propagates capture errors.
     pub fn signature_of(&self, cut: &BiquadParams, noise_seed: u64) -> Result<Signature> {
         let (x, y) = self.observe(cut, noise_seed);
-        let raw = capture_signature(&self.partition, &x, &y, self.clock.as_ref())?;
-        Ok(raw.deglitched(self.transition_min_dwell))
-    }
-
-    /// Captures the signatures of a batch of devices sharing this setup
-    /// through the shared-stimulus fast path — bit-identical to calling
-    /// [`TestSetup::signature_of`] per device, at a fraction of the cost.
-    ///
-    /// `shared` must come from [`crate::batch::StimulusBank::shared_for`]
-    /// (or [`crate::batch::SharedStimulus::new`]) with this setup.
-    ///
-    /// # Errors
-    /// Propagates [`crate::batch::capture_signatures_batch`] errors.
-    pub fn signatures_of_batch(
-        &self,
-        shared: &crate::batch::SharedStimulus,
-        devices: &[crate::batch::BatchDevice],
-    ) -> Result<Vec<Signature>> {
-        crate::batch::capture_signatures_batch(self, shared, devices)
+        let mut signature = capture_signature(&self.partition, &x, &y, self.clock.as_ref())?;
+        signature.deglitch(self.transition_min_dwell);
+        Ok(signature)
     }
 
     /// Captures `repeats` independent measurements of **one** CUT instance,
@@ -279,57 +263,6 @@ impl TestFlow {
             peak_hamming,
             observed_zones: observed.len(),
         })
-    }
-
-    /// Evaluates a batch of CUT instances against the golden signature
-    /// through the shared-stimulus fast path, one [`NdfReport`] per device in
-    /// input order. Bit-identical to calling [`TestFlow::evaluate`] per
-    /// device.
-    ///
-    /// # Errors
-    /// Propagates batched-capture and comparison errors.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cut_filters::BiquadParams;
-    /// use dsig_core::{BatchDevice, StimulusBank, TestFlow, TestSetup};
-    ///
-    /// # fn main() -> Result<(), dsig_core::DsigError> {
-    /// let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
-    /// let flow = TestFlow::new(setup, BiquadParams::paper_default())?;
-    /// let bank = StimulusBank::new();
-    /// let shared = bank.shared_for(flow.setup())?;
-    ///
-    /// let lot = [
-    ///     BatchDevice::new(BiquadParams::paper_default(), 1),
-    ///     BatchDevice::new(BiquadParams::paper_default().with_f0_shift_pct(10.0), 2),
-    /// ];
-    /// let reports = flow.evaluate_batch(&shared, &lot)?;
-    /// assert_eq!(reports[0].ndf, 0.0);
-    /// assert!(reports[1].ndf > 0.0);
-    /// // Bit-identical to the per-device path.
-    /// assert_eq!(reports[1], flow.evaluate(&lot[1].cut, lot[1].noise_seed)?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn evaluate_batch(
-        &self,
-        shared: &crate::batch::SharedStimulus,
-        devices: &[crate::batch::BatchDevice],
-    ) -> Result<Vec<NdfReport>> {
-        let signatures = self.setup.signatures_of_batch(shared, devices)?;
-        signatures
-            .iter()
-            .map(|observed| {
-                let (ndf, peak_hamming) = ndf_and_peak(&self.golden, observed)?;
-                Ok(NdfReport {
-                    ndf,
-                    peak_hamming,
-                    observed_zones: observed.len(),
-                })
-            })
-            .collect()
     }
 
     /// Evaluates one CUT instance as the average over several independent
@@ -618,7 +551,9 @@ mod tests {
         let f = flow();
         let golden = f.golden();
         assert!(golden.len() >= 6, "golden signature has only {} zones", golden.len());
-        assert!((golden.total_duration() - 200e-6).abs() < 2e-6);
+        // One 200 µs period of 0.1 µs ticks.
+        assert_eq!(golden.unit(), 1e-7);
+        assert!(golden.total_count().abs_diff(2000) < 20, "{}", golden.total_count());
         assert!(golden.distinct_zones() >= 4);
     }
 

@@ -3,12 +3,15 @@
 //! The digital-signature analog test method of *"Analog Circuit Test Based on
 //! a Digital Signature"* (DATE 2010):
 //!
-//! * [`Signature`] — the sequence of `(zone code, dwell time)` pairs produced
-//!   by the asynchronous capture circuit (Eq. 1, Fig. 5);
+//! * [`Signature`] — the sequence of `(zone code, dwell)` pairs produced by
+//!   the asynchronous capture circuit (Eq. 1, Fig. 5): each dwell a `u32`
+//!   counter word, in one unit of seconds per count;
 //! * [`capture_signature`] — the capture model over sampled `x(t)` / `y(t)`
-//!   observations, with master-clock quantization ([`CaptureClock`]);
+//!   observations: run-length counts of samples, rounded once to the ticks
+//!   of a master clock ([`CaptureClock`]);
 //! * [`ndf()`](fn@ndf) — the normalized discrepancy factor (Eq. 2), the time-weighted
-//!   average Hamming distance between observed and golden zone codes;
+//!   average Hamming distance between observed and golden zone codes, an
+//!   integer sum over counts with one division;
 //!   [`ndf_and_peak`] returns it with the chronogram's peak from one walk,
 //!   the form every scoring path uses;
 //! * [`AcceptanceBand`] / [`TestOutcome`] — the PASS/FAIL decision;

@@ -2,81 +2,93 @@
 //!
 //! `NDF = (1/T) * integral_0^T dH(S_O(t), S_G(t)) dt` — the time average of
 //! the Hamming distance between the observed and golden instantaneous zone
-//! codes over one Lissajous period.
+//! codes over one Lissajous period. Over counted dwells the integral is a
+//! sum: `NDF = Σ dH × Δcount / T`, where each Δcount is a stretch on which
+//! both signatures hold one code and T is the golden's total count. The sum
+//! is exact in integers; the one division is the only rounding.
 
 use crate::error::{DsigError, Result};
-use crate::signature::{Signature, SignatureEntry, ZoneCode};
+use crate::signature::{Signature, SignatureEntry};
 
 /// One segment of the Hamming-distance chronogram (the lower plot of Fig. 7):
-/// the Hamming distance is constant over `[t_start, t_end)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the Hamming distance is constant over the counts `[start, end)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HammingSegment {
-    /// Segment start time, seconds.
-    pub t_start: f64,
-    /// Segment end time, seconds.
-    pub t_end: f64,
+    /// First count of the segment.
+    pub start: u32,
+    /// One past the last count of the segment.
+    pub end: u32,
     /// Hamming distance between the golden and observed codes on the segment.
     pub distance: u32,
 }
 
 impl HammingSegment {
-    /// Duration of the segment, seconds.
-    pub fn duration(&self) -> f64 {
-        self.t_end - self.t_start
+    /// Number of counts the segment spans.
+    pub fn count(&self) -> u32 {
+        self.end - self.start
     }
 }
 
-/// Builds the piecewise-constant Hamming-distance chronogram between a golden
-/// and an observed signature over the golden period.
+/// Checks that two signatures can be compared.
 ///
 /// # Errors
-/// Returns [`DsigError::InvalidSignature`] if either signature is empty.
-pub fn hamming_chronogram(golden: &Signature, observed: &Signature) -> Result<Vec<HammingSegment>> {
+/// Returns [`DsigError::InvalidSignature`] if either signature is empty or
+/// their units differ.
+fn comparable(golden: &Signature, observed: &Signature) -> Result<()> {
     if golden.is_empty() || observed.is_empty() {
         return Err(DsigError::InvalidSignature("cannot compare empty signatures".into()));
     }
-    let period = golden.total_duration();
-
-    // Merge the transition instants of both signatures into one breakpoint list.
-    let mut breakpoints: Vec<f64> = vec![0.0];
-    breakpoints.extend(golden.transition_times());
-    breakpoints.extend(observed.transition_times().into_iter().filter(|&t| t < period));
-    breakpoints.push(period);
-    breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
-
-    let mut segments = Vec::with_capacity(breakpoints.len());
-    for pair in breakpoints.windows(2) {
-        let (t0, t1) = (pair[0], pair[1]);
-        if t1 - t0 <= 0.0 {
-            continue;
-        }
-        let mid = 0.5 * (t0 + t1);
-        let distance = golden.code_at(mid).hamming_distance(observed.code_at(mid));
-        segments.push(HammingSegment {
-            t_start: t0,
-            t_end: t1,
-            distance,
-        });
+    if golden.unit() != observed.unit() {
+        return Err(DsigError::InvalidSignature(format!(
+            "the observed signature counts {} s per count, the golden {} s",
+            observed.unit(),
+            golden.unit()
+        )));
     }
-    Ok(segments)
+    Ok(())
+}
+
+/// Builds the piecewise-constant Hamming-distance chronogram between a golden
+/// and an observed signature over the golden period. Segments are non-empty
+/// and cover `[0, T)` in order; an observed signature shorter than the
+/// golden holds its last code.
+///
+/// # Errors
+/// Returns [`DsigError::InvalidSignature`] if either signature is empty or
+/// their units differ.
+pub fn hamming_chronogram(golden: &Signature, observed: &Signature) -> Result<Vec<HammingSegment>> {
+    comparable(golden, observed)?;
+    let period = golden.total_count();
+    // Every entry boundary of either signature inside the window.
+    let mut breakpoints: Vec<u32> = vec![0, period];
+    for signature in [golden, observed] {
+        breakpoints.extend(ends(signature.entries()).take_while(|&end| end < period));
+    }
+    breakpoints.sort_unstable();
+    breakpoints.dedup();
+    Ok(breakpoints
+        .windows(2)
+        .map(|pair| HammingSegment {
+            start: pair[0],
+            end: pair[1],
+            distance: golden.code_at(pair[0]).hamming_distance(observed.code_at(pair[0])),
+        })
+        .collect())
 }
 
 /// Computes the normalized discrepancy factor between a golden and an
 /// observed signature (Eq. 2). The integration window is the golden
-/// signature's total duration (one Lissajous period).
+/// signature's total count (one Lissajous period).
 ///
 /// # Errors
-/// Returns [`DsigError::InvalidSignature`] if either signature is empty or the
-/// golden signature has zero duration.
+/// Returns [`DsigError::InvalidSignature`] if either signature is empty or
+/// their units differ.
 pub fn ndf(golden: &Signature, observed: &Signature) -> Result<f64> {
-    let period = golden.total_duration();
-    if period <= 0.0 {
-        return Err(DsigError::InvalidSignature("golden signature has zero duration".into()));
-    }
-    let segments = hamming_chronogram(golden, observed)?;
-    let weighted: f64 = segments.iter().map(|s| s.distance as f64 * s.duration()).sum();
-    Ok(weighted / period)
+    let weighted: u64 = hamming_chronogram(golden, observed)?
+        .iter()
+        .map(|s| u64::from(s.distance) * u64::from(s.count()))
+        .sum();
+    Ok(weighted as f64 / f64::from(golden.total_count()))
 }
 
 /// The maximum Hamming distance observed over the comparison window
@@ -97,98 +109,79 @@ pub fn peak_hamming_distance(golden: &Signature, observed: &Signature) -> Result
 ///
 /// Every scoring path uses this; [`ndf`], [`peak_hamming_distance`] and
 /// [`hamming_chronogram`] stay as the reference it is tested against. It
-/// makes one allocation-free merge walk over both signatures' cumulative
-/// boundaries and replays the reference arithmetic: the same breakpoints in
-/// the same order, the same 1e-15 dedup, the same midpoint code lookups (a
-/// forward cursor per signature instead of a rescan) and the same summation
-/// order.
+/// makes one allocation-free merge walk over both signatures' entries,
+/// stepping to whichever entry ends first. The weighted sum is exact in a
+/// `u64` (at most 32 bits of distance times a `u32` window), so summing in
+/// walk order gives the reference's sum, and the same one division by the
+/// walk's last golden boundary, the golden's total, gives the same NDF.
 ///
 /// # Errors
-/// Same as [`ndf`], in the same order.
+/// Same as [`ndf`].
 pub fn ndf_and_peak(golden: &Signature, observed: &Signature) -> Result<(f64, u32)> {
-    let period = golden.total_duration();
-    if period <= 0.0 {
-        return Err(DsigError::InvalidSignature("golden signature has zero duration".into()));
-    }
-    if golden.is_empty() || observed.is_empty() {
-        return Err(DsigError::InvalidSignature("cannot compare empty signatures".into()));
-    }
-    let mut golden_times = transitions(golden.entries()).peekable();
-    let mut observed_times = transitions(observed.entries()).take_while(|&t| t < period).peekable();
-    let breakpoints = std::iter::from_fn(|| match (golden_times.peek(), observed_times.peek()) {
-        (Some(g), Some(o)) if o < g => observed_times.next(),
-        (Some(_), _) => golden_times.next(),
-        (None, _) => observed_times.next(),
-    })
-    .chain(std::iter::once(period));
-
-    let mut golden_code = CodeCursor::new(golden.entries());
-    let mut observed_code = CodeCursor::new(observed.entries());
-    // `Iterator::sum` over the chronogram folds from -0.0.
-    let (mut t0, mut weighted, mut peak) = (0.0, -0.0, 0);
-    for t1 in breakpoints {
-        // The reference's dedup. Kept breakpoints ascend at least 1e-15
-        // apart, so its skip of non-positive windows never fires.
-        if (t1 - t0).abs() < 1e-15 {
-            continue;
-        }
-        let mid = 0.5 * (t0 + t1);
-        let distance = golden_code.at(mid).hamming_distance(observed_code.at(mid));
-        weighted += distance as f64 * (t1 - t0);
+    comparable(golden, observed)?;
+    let (mut golden_entries, mut observed_entries) = (golden.entries().iter(), observed.entries().iter());
+    let (Some(mut g), Some(mut o)) = (golden_entries.next(), observed_entries.next()) else {
+        unreachable!("`comparable` rejects empty signatures");
+    };
+    // Where the current golden and observed entries end.
+    let (mut g_end, mut o_end) = (g.count, o.count);
+    let (mut at, mut weighted, mut peak) = (0u32, 0u64, 0u32);
+    loop {
+        let end = g_end.min(o_end);
+        let distance = g.code.hamming_distance(o.code);
+        weighted += u64::from(distance) * u64::from(end - at);
         peak = peak.max(distance);
-        t0 = t1;
+        at = end;
+        if at == o_end {
+            match observed_entries.next() {
+                Some(next) => {
+                    o = next;
+                    o_end += next.count;
+                }
+                // The observed signature's last code holds to the end of
+                // the window.
+                None => o_end = u32::MAX,
+            }
+        }
+        if at == g_end {
+            match golden_entries.next() {
+                Some(next) => {
+                    g = next;
+                    g_end += next.count;
+                }
+                None => break,
+            }
+        }
     }
-    Ok((weighted / period, peak))
+    Ok((weighted as f64 / f64::from(g_end), peak))
 }
 
-/// A non-empty signature's transition instants, accumulated from 0.0 in
-/// entry order as [`Signature::transition_times`] does.
-fn transitions(entries: &[SignatureEntry]) -> impl Iterator<Item = f64> + '_ {
-    entries[..entries.len() - 1].iter().scan(0.0, |acc, e| {
-        *acc += e.duration;
-        Some(*acc)
+/// A signature's cumulative entry ends, in counts.
+fn ends(entries: &[SignatureEntry]) -> impl Iterator<Item = u32> + '_ {
+    entries.iter().scan(0u32, |end, e| {
+        *end += e.count;
+        Some(*end)
     })
-}
-
-/// [`Signature::code_at`] for non-decreasing times: the cursor keeps the
-/// entry it last returned and that entry's end, summed in `code_at`'s order.
-struct CodeCursor<'a> {
-    entries: &'a [SignatureEntry],
-    index: usize,
-    end: f64,
-}
-
-impl<'a> CodeCursor<'a> {
-    fn new(entries: &'a [SignatureEntry]) -> Self {
-        CodeCursor {
-            entries,
-            index: 0,
-            end: entries[0].duration,
-        }
-    }
-
-    /// The code at `t`. A time at or before 0 finds the cursor on the first
-    /// entry (durations are positive); one past the end stops on the last.
-    fn at(&mut self, t: f64) -> ZoneCode {
-        while !(t < self.end) && self.index + 1 < self.entries.len() {
-            self.index += 1;
-            self.end += self.entries[self.index].duration;
-        }
-        self.entries[self.index].code
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::ZoneCode;
 
-    fn sig(entries: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(entries: &[(u32, u32)]) -> Signature {
+        sig_in(1e-6, entries)
+    }
+
+    fn sig_in(unit: f64, entries: &[(u32, u32)]) -> Signature {
         Signature::new(
+            unit,
             entries
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -197,7 +190,7 @@ mod tests {
 
     #[test]
     fn identical_signatures_have_zero_ndf() {
-        let g = sig(&[(4, 10e-6), (20, 30e-6), (28, 60e-6)]);
+        let g = sig(&[(4, 10), (20, 30), (28, 60)]);
         assert_eq!(ndf(&g, &g).unwrap(), 0.0);
         assert_eq!(peak_hamming_distance(&g, &g).unwrap(), 0);
     }
@@ -205,62 +198,102 @@ mod tests {
     #[test]
     fn completely_different_single_bit_gives_one() {
         // Codes differ by exactly one bit for the whole period.
-        let g = sig(&[(0b0, 100e-6)]);
-        let o = sig(&[(0b1, 100e-6)]);
-        assert!((ndf(&g, &o).unwrap() - 1.0).abs() < 1e-12);
+        let g = sig(&[(0b0, 100)]);
+        let o = sig(&[(0b1, 100)]);
+        assert_eq!(ndf(&g, &o).unwrap(), 1.0);
     }
 
     #[test]
     fn ndf_weights_by_duration() {
         // Half the period differs by 2 bits, the other half matches: NDF = 1.
-        let g = sig(&[(0b00, 50e-6), (0b11, 50e-6)]);
-        let o = sig(&[(0b11, 50e-6), (0b11, 50e-6)]);
-        assert!((ndf(&g, &o).unwrap() - 1.0).abs() < 1e-12);
+        let g = sig(&[(0b00, 50), (0b11, 50)]);
+        let o = sig(&[(0b11, 100)]);
+        assert_eq!(ndf(&g, &o).unwrap(), 1.0);
         // A quarter of the period differing by 2 bits gives NDF = 0.5.
-        let o2 = sig(&[(0b11, 25e-6), (0b00, 75e-6)]);
-        let g2 = sig(&[(0b00, 100e-6)]);
-        assert!((ndf(&g2, &o2).unwrap() - 0.5).abs() < 1e-12);
+        let o2 = sig(&[(0b11, 25), (0b00, 75)]);
+        let g2 = sig(&[(0b00, 100)]);
+        assert_eq!(ndf(&g2, &o2).unwrap(), 0.5);
+    }
+
+    #[test]
+    fn ndf_is_the_distance_weighted_count_over_the_total() {
+        // By hand, over the golden's 70 counts:
+        //   [0, 10)  5 ^ 5 = 0        0 × 10 =   0
+        //   [10, 25) 6 ^ 5 = 0b011    2 × 15 =  30
+        //   [25, 30) 6 ^ 7 = 0b001    1 ×  5 =   5
+        //   [30, 60) 1 ^ 7 = 0b110    2 × 30 =  60
+        //   [60, 70) 1 ^ 7, the observed 7 held past its end
+        //                             2 × 10 =  20
+        // NDF = 115 / 70, peak 2.
+        let g = sig(&[(5, 10), (6, 20), (1, 40)]);
+        let o = sig(&[(5, 25), (7, 35)]);
+        let (value, peak) = ndf_and_peak(&g, &o).unwrap();
+        assert_eq!(value.to_bits(), (115.0f64 / 70.0).to_bits());
+        assert_eq!(peak, 2);
+        assert_eq!(ndf(&g, &o).unwrap().to_bits(), value.to_bits());
+        let segments = hamming_chronogram(&g, &o).unwrap();
+        let spans: Vec<(u32, u32, u32)> = segments.iter().map(|s| (s.start, s.end, s.distance)).collect();
+        assert_eq!(spans, [(0, 10, 0), (10, 25, 2), (25, 30, 1), (30, 60, 2), (60, 70, 2)]);
     }
 
     #[test]
     fn chronogram_segments_cover_the_period() {
-        let g = sig(&[(4, 10e-6), (20, 30e-6), (28, 60e-6)]);
-        let o = sig(&[(4, 12e-6), (20, 28e-6), (30, 60e-6)]);
+        let g = sig(&[(4, 10), (20, 30), (28, 60)]);
+        let o = sig(&[(4, 12), (20, 28), (30, 60)]);
         let segs = hamming_chronogram(&g, &o).unwrap();
-        let total: f64 = segs.iter().map(|s| s.duration()).sum();
-        assert!((total - g.total_duration()).abs() < 1e-12);
-        // Segments are ordered and non-overlapping.
+        assert_eq!(segs.iter().map(HammingSegment::count).sum::<u32>(), g.total_count());
+        // Segments are ordered, adjacent and non-empty.
+        assert_eq!(segs[0].start, 0);
         for pair in segs.windows(2) {
-            assert!(pair[0].t_end <= pair[1].t_start + 1e-15);
+            assert_eq!(pair[0].end, pair[1].start);
+            assert!(pair[0].count() > 0);
         }
     }
 
     #[test]
     fn misaligned_transitions_produce_nonzero_ndf() {
-        // Same code sequence but the transition is 10 µs late in the observed
-        // signature: the mismatch window is 10 µs out of 100 µs with distance 1.
-        let g = sig(&[(0b01, 50e-6), (0b11, 50e-6)]);
-        let o = sig(&[(0b01, 60e-6), (0b11, 40e-6)]);
-        let value = ndf(&g, &o).unwrap();
-        assert!((value - 0.1).abs() < 1e-9, "ndf {value}");
+        // Same code sequence but the transition is 10 counts late in the
+        // observed signature: the mismatch window is 10 of 100 counts with
+        // distance 1.
+        let g = sig(&[(0b01, 50), (0b11, 50)]);
+        let o = sig(&[(0b01, 60), (0b11, 40)]);
+        assert_eq!(ndf(&g, &o).unwrap(), 0.1);
         assert_eq!(peak_hamming_distance(&g, &o).unwrap(), 1);
     }
 
     #[test]
     fn observed_shorter_than_golden_extends_last_code() {
-        let g = sig(&[(0b0, 50e-6), (0b1, 50e-6)]);
-        let o = sig(&[(0b0, 50e-6), (0b1, 25e-6)]);
+        let g = sig(&[(0b0, 50), (0b1, 50)]);
+        let o = sig(&[(0b0, 50), (0b1, 25)]);
         // The observed signature's last code is held, so the tail still matches.
         assert_eq!(ndf(&g, &o).unwrap(), 0.0);
     }
 
     #[test]
     fn empty_signatures_rejected() {
-        let g = sig(&[(1, 1.0)]);
-        let empty = Signature::default();
+        let g = sig(&[(1, 1)]);
+        let empty = sig(&[]);
         assert!(ndf(&g, &empty).is_err());
         assert!(ndf(&empty, &g).is_err());
         assert!(hamming_chronogram(&empty, &empty).is_err());
+    }
+
+    #[test]
+    fn signatures_of_different_units_are_an_error_not_a_number() {
+        // The same codes and counts on the paper clock's tick and on a 2 MS/s
+        // sample period.
+        let g = sig_in(1e-7, &[(4, 10), (20, 30)]);
+        let o = sig_in(5e-7, &[(4, 10), (20, 30)]);
+        for result in [
+            ndf(&g, &o),
+            ndf_and_peak(&g, &o).map(|(value, _)| value),
+            peak_hamming_distance(&g, &o).map(f64::from),
+        ] {
+            assert!(
+                matches!(&result, Err(DsigError::InvalidSignature(message)) if message.contains("per count")),
+                "{result:?}"
+            );
+        }
     }
 
     /// `ndf_and_peak` against the two reference calls: NDF bits, peak and
@@ -273,39 +306,35 @@ mod tests {
 
     #[test]
     fn one_pass_scoring_matches_the_reference_on_edge_cases() {
-        let g = sig(&[(4, 10e-6), (20, 30e-6), (28, 60e-6)]);
-        let tiny = sig(&[(1, 4e-16), (2, 4e-16)]);
+        let g = sig(&[(4, 10), (20, 30), (28, 60)]);
         let cases = [
-            (g.clone(), sig(&[(4, 12e-6), (20, 28e-6), (30, 60e-6)])),
+            (g.clone(), sig(&[(4, 12), (20, 28), (30, 60)])),
             (g.clone(), g.clone()),
-            // An observed transition 5e-16 s after the golden's is dropped by
-            // the dedup; one past the period is ignored.
-            (g.clone(), sig(&[(5, 10e-6 + 5e-16), (20, 100e-6), (7, 1.0)])),
-            // A golden shorter than 1e-15 s has no window at all.
-            (tiny.clone(), sig(&[(6, 1.0)])),
-            // The last midpoint overflows to +inf, where `code_at` returns the
-            // last code of each signature.
+            // An observed boundary on the golden's; one past the period.
+            (g.clone(), sig(&[(5, 10), (20, 90), (7, 1000)])),
+            // An observed signature ending exactly at the period, and one
+            // ending at the last count a signature can hold.
+            (g.clone(), sig(&[(3, 100)])),
             (
-                sig(&[(1, f64::MAX / 4.0), (2, f64::MAX / 2.0)]),
-                sig(&[(3, f64::MAX / 2.0), (0, f64::MAX / 4.0)]),
+                sig(&[(1, u32::MAX / 4), (2, u32::MAX / 2)]),
+                sig(&[(3, u32::MAX / 2), (0, u32::MAX / 2)]),
             ),
-            (g.clone(), Signature::default()),
-            (Signature::default(), g.clone()),
+            (g.clone(), sig(&[])),
+            (sig(&[]), g.clone()),
+            (g.clone(), sig_in(2e-6, &[(4, 10)])),
         ];
         for (golden, observed) in &cases {
             assert_matches_reference(golden, observed);
         }
-        let (value, peak) = ndf_and_peak(&tiny, &cases[3].1).unwrap();
-        assert_eq!((value.to_bits(), peak), ((-0.0f64).to_bits(), 0));
     }
 
     #[test]
     fn segment_duration_helper() {
         let s = HammingSegment {
-            t_start: 1.0,
-            t_end: 3.5,
+            start: 10,
+            end: 35,
             distance: 2,
         };
-        assert!((s.duration() - 2.5).abs() < 1e-12);
+        assert_eq!(s.count(), 25);
     }
 }

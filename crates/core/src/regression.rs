@@ -21,12 +21,13 @@ pub fn dwell_features(golden: &Signature, observed: &Signature) -> Vec<f64> {
     zones
         .iter()
         .map(|&zone| {
-            observed
+            let count: u32 = observed
                 .entries()
                 .iter()
                 .filter(|e| e.code.value() == zone)
-                .map(|e| e.duration)
-                .sum()
+                .map(|e| e.count)
+                .sum();
+            f64::from(count) * observed.unit()
         })
         .collect()
 }
@@ -175,13 +176,15 @@ mod tests {
     use super::*;
     use crate::signature::{SignatureEntry, ZoneCode};
 
-    fn sig(entries: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(entries: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             entries
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -190,14 +193,12 @@ mod tests {
 
     #[test]
     fn dwell_features_follow_golden_zone_order() {
-        let golden = sig(&[(4, 10e-6), (20, 30e-6), (4, 5e-6), (28, 60e-6)]);
-        let observed = sig(&[(4, 12e-6), (28, 50e-6), (99, 5e-6)]);
+        let golden = sig(&[(4, 10), (20, 30), (4, 5), (28, 60)]);
+        let observed = sig(&[(4, 12), (28, 50), (99, 5), (4, 3)]);
         let features = dwell_features(&golden, &observed);
-        // Golden distinct zones sorted: 4, 20, 28.
-        assert_eq!(features.len(), 3);
-        assert!((features[0] - 12e-6).abs() < 1e-12);
-        assert_eq!(features[1], 0.0);
-        assert!((features[2] - 50e-6).abs() < 1e-12);
+        // Golden distinct zones sorted: 4, 20, 28; each the zone's counts
+        // times the unit.
+        assert_eq!(features, [15.0 * 1e-6, 0.0, 50.0 * 1e-6]);
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Digital signatures: zone codes and (code, duration) sequences.
+//! Digital signatures: zone codes and (code, count) sequences.
 //!
 //! Eq. (1) of the paper defines the CUT signature as the ordered sequence of
 //! pairs `(Z_i, Delta_i)`: the zone code traversed by the Lissajous curve and
-//! the time spent in that zone.
+//! the time spent in that zone. The capture circuit of Fig. 5 measures each
+//! dwell with an m-bit counter on its master clock, so a [`Signature`] holds
+//! exactly those counter words: one `u32` count per zone visit, and one
+//! unit, the seconds per count, for the whole signature.
 
 use std::fmt;
 
@@ -50,86 +53,79 @@ impl fmt::Binary for ZoneCode {
 }
 
 /// One `(Z_i, Delta_i)` entry of a signature.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignatureEntry {
     /// Zone code.
     pub code: ZoneCode,
-    /// Time spent in the zone, seconds.
-    pub duration: f64,
+    /// Dwell in the zone, in counts of the signature's unit.
+    pub count: u32,
 }
 
 /// A digital signature: the ordered sequence of zone codes traversed by the
-/// Lissajous trajectory with the dwell time in each zone (Eq. 1).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Lissajous trajectory with the dwell in each zone (Eq. 1).
+///
+/// Every dwell is a positive count of one unit, the seconds per count: the
+/// capture clock's tick, or the sample period of a capture without a clock.
+/// No two neighbouring entries share a code, and the counts sum to at most
+/// `u32::MAX`, so every position in the signature is a `u32` count. The
+/// total count times the unit is finite, so every dwell and every position
+/// in seconds is finite too.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Signature {
+    unit: f64,
     entries: Vec<SignatureEntry>,
 }
 
 impl Signature {
-    /// Creates a signature from raw entries, merging consecutive entries with
-    /// identical codes and dropping zero-duration entries.
+    /// Creates a signature of `unit` seconds per count from raw entries,
+    /// dropping zero counts and merging neighbouring entries with identical
+    /// codes.
     ///
     /// # Errors
-    /// Returns [`DsigError::InvalidSignature`] if any duration is negative or
-    /// not finite, or if the durations sum past `f64::MAX`.
-    pub fn new(mut entries: Vec<SignatureEntry>) -> Result<Self> {
-        for e in &entries {
-            if !(e.duration >= 0.0) || !e.duration.is_finite() {
-                return Err(DsigError::InvalidSignature(format!(
-                    "zone {} has an invalid duration {}",
-                    e.code, e.duration
-                )));
-            }
+    /// Returns [`DsigError::InvalidSignature`] if `unit` is not positive and
+    /// finite, if the counts sum past `u32::MAX`, or if their total times
+    /// `unit` is past `f64::MAX` seconds.
+    pub fn new(unit: f64, mut entries: Vec<SignatureEntry>) -> Result<Self> {
+        if !(unit > 0.0) || !unit.is_finite() {
+            return Err(DsigError::InvalidSignature(format!("invalid unit {unit} s per count")));
         }
+        let mut total = 0u64;
         // Merge in place: `kept` entries are final so far, and the read
         // index never falls behind the write index.
         let mut kept = 0;
         for i in 0..entries.len() {
             let e = entries[i];
-            if e.duration == 0.0 {
+            if e.count == 0 {
                 continue;
             }
+            total += u64::from(e.count);
+            if total > u64::from(u32::MAX) {
+                return Err(DsigError::InvalidSignature(format!(
+                    "counts sum past {} at entry {i}",
+                    u32::MAX
+                )));
+            }
             if kept > 0 && entries[kept - 1].code == e.code {
-                entries[kept - 1].duration += e.duration;
+                entries[kept - 1].count += e.count;
             } else {
                 entries[kept] = e;
                 kept += 1;
             }
         }
-        entries.truncate(kept);
-        let signature = Signature { entries };
-        // Every cumulative boundary is at most the total, so a finite total
-        // keeps every instant the NDF walks finite.
-        let total = signature.total_duration();
-        if !total.is_finite() {
-            return Err(DsigError::InvalidSignature(format!("durations sum to {total}")));
+        // Every dwell and partial sum in seconds is at most the total.
+        if !(total as f64 * unit).is_finite() {
+            return Err(DsigError::InvalidSignature(format!(
+                "{total} counts of {unit} s sum past {} s",
+                f64::MAX
+            )));
         }
-        Ok(signature)
+        entries.truncate(kept);
+        Ok(Signature { unit, entries })
     }
 
-    /// Builds a signature from uniformly sampled zone codes with sample
-    /// period `dt` seconds.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::InvalidSignature`] for an empty code sequence or a
-    /// non-positive `dt`.
-    pub fn from_sampled_codes(codes: &[u32], dt: f64) -> Result<Self> {
-        if codes.is_empty() {
-            return Err(DsigError::InvalidSignature(
-                "no zone codes to build a signature from".into(),
-            ));
-        }
-        if !(dt > 0.0) || !dt.is_finite() {
-            return Err(DsigError::InvalidSignature(format!("invalid sample period {dt}")));
-        }
-        let entries = codes
-            .iter()
-            .map(|&c| SignatureEntry {
-                code: ZoneCode(c),
-                duration: dt,
-            })
-            .collect();
-        Signature::new(entries)
+    /// Seconds per count.
+    pub fn unit(&self) -> f64 {
+        self.unit
     }
 
     /// The `(Z_i, Delta_i)` entries in traversal order.
@@ -147,9 +143,15 @@ impl Signature {
         self.entries.is_empty()
     }
 
-    /// Total duration `T` covered by the signature, seconds.
+    /// Total count `T` covered by the signature.
+    pub fn total_count(&self) -> u32 {
+        // `new` bounds the sum by `u32::MAX`.
+        self.entries.iter().map(|e| e.count).sum()
+    }
+
+    /// Total duration covered by the signature, seconds.
     pub fn total_duration(&self) -> f64 {
-        self.entries.iter().map(|e| e.duration).sum()
+        f64::from(self.total_count()) * self.unit
     }
 
     /// Number of *distinct* zone codes visited.
@@ -160,37 +162,21 @@ impl Signature {
         codes.len()
     }
 
-    /// The zone code active at time `t` (seconds from the start of the
-    /// signature). Times beyond the total duration return the last code;
-    /// negative times return the first code.
+    /// The zone code active at count `at` from the start of the signature.
+    /// Counts at or past the total return the last code.
     ///
     /// # Panics
     /// Panics if the signature is empty.
-    pub fn code_at(&self, t: f64) -> ZoneCode {
+    pub fn code_at(&self, at: u32) -> ZoneCode {
         assert!(!self.entries.is_empty(), "code_at on an empty signature");
-        if t <= 0.0 {
-            return self.entries[0].code;
-        }
-        let mut acc = 0.0;
+        let mut end = 0u32;
         for e in &self.entries {
-            acc += e.duration;
-            if t < acc {
+            end += e.count;
+            if at < end {
                 return e.code;
             }
         }
         self.entries[self.entries.len() - 1].code
-    }
-
-    /// The transition instants of the signature (cumulative entry boundaries,
-    /// excluding 0 and the total duration).
-    pub fn transition_times(&self) -> Vec<f64> {
-        let mut times = Vec::with_capacity(self.entries.len().saturating_sub(1));
-        let mut acc = 0.0;
-        for e in &self.entries[..self.entries.len().saturating_sub(1)] {
-            acc += e.duration;
-            times.push(acc);
-        }
-        times
     }
 
     /// Returns a copy with every entry shorter than `min_dwell` seconds merged
@@ -200,90 +186,132 @@ impl Signature {
     /// detector of Fig. 5: zone crossings caused by high-frequency noise
     /// chatter near a boundary are too short for the capture hardware to
     /// register, while genuine zone dwells (microseconds and longer for the
-    /// paper's 200 µs Lissajous) are preserved.
+    /// paper's 200 µs Lissajous) are preserved. A `min_dwell` that is not
+    /// positive and finite, or that no entry reaches, changes nothing.
     pub fn deglitched(&self, min_dwell: f64) -> Signature {
-        if min_dwell <= 0.0 || self.entries.len() < 2 {
-            return self.clone();
-        }
-        let mut merged: Vec<SignatureEntry> = Vec::with_capacity(self.entries.len());
-        let mut carry = 0.0;
-        for &e in &self.entries {
-            if e.duration < min_dwell {
-                // Too short to be registered: its time is absorbed by the
-                // surrounding zone (the previous one when it exists).
-                if let Some(last) = merged.last_mut() {
-                    last.duration += e.duration;
-                } else {
-                    carry += e.duration;
-                }
-            } else {
-                let mut entry = e;
-                entry.duration += carry;
-                carry = 0.0;
-                merged.push(entry);
-            }
-        }
-        if let Some(last) = merged.last_mut() {
-            last.duration += carry;
-        } else {
-            // Every entry was a glitch: keep the dominant zone.
-            return self.clone();
-        }
-        // Only captured signatures are deglitched (the capture paths of
-        // `TestSetup`), and their one observation window is far below
-        // `f64::MAX`, so regrouping the same durations cannot overflow.
-        Signature::new(merged).expect("durations remain finite and non-negative")
+        let mut signature = self.clone();
+        signature.deglitch(min_dwell);
+        signature
     }
 
-    /// Samples the signature as a decimal-coded chronogram (Fig. 7 top plot):
-    /// `(time, code)` pairs on a uniform grid of `samples` points across the
-    /// total duration.
-    pub fn chronogram(&self, samples: usize) -> Vec<(f64, u32)> {
-        let total = self.total_duration();
-        (0..samples)
-            .map(|k| {
-                let t = total * k as f64 / samples.max(2) as f64;
-                (t, self.code_at(t).value())
-            })
-            .collect()
+    /// [`Signature::deglitched`] in place: one pass that compares each count
+    /// against one count threshold and regroups counts, so the total and
+    /// the unit are unchanged.
+    pub(crate) fn deglitch(&mut self, min_dwell: f64) {
+        let Some(threshold) = self.glitch_threshold(min_dwell) else {
+            return;
+        };
+        let entries = &mut self.entries;
+        // As in `new`: `kept` entries are final so far. A glitch before the
+        // first kept entry carries its count into that entry.
+        let (mut kept, mut carry) = (0, 0);
+        for i in 0..entries.len() {
+            let e = entries[i];
+            if kept > 0 && (e.count < threshold || entries[kept - 1].code == e.code) {
+                entries[kept - 1].count += e.count;
+            } else if e.count < threshold {
+                carry += e.count;
+            } else {
+                entries[kept] = SignatureEntry {
+                    count: e.count + carry,
+                    ..e
+                };
+                carry = 0;
+                kept += 1;
+            }
+        }
+        // Every entry was a glitch: nothing was written, and the signature
+        // stays as captured.
+        if kept > 0 {
+            entries.truncate(kept);
+        }
+    }
+
+    /// The fewest counts that last `min_dwell` seconds, `count × unit` in
+    /// `f64`: an entry with fewer counts is a glitch. `None` when
+    /// deglitching is off (`min_dwell` not positive and finite) or no count
+    /// lasts that long.
+    fn glitch_threshold(&self, min_dwell: f64) -> Option<u32> {
+        if !(min_dwell > 0.0) || !min_dwell.is_finite() {
+            return None;
+        }
+        let lasts = |count: u32| f64::from(count) * self.unit >= min_dwell;
+        let estimate = (min_dwell / self.unit).ceil();
+        if !(estimate <= f64::from(u32::MAX)) {
+            return None;
+        }
+        // `estimate` is within a count of the threshold; `lasts` is
+        // monotone in the count, because rounding is.
+        let mut threshold = estimate as u32;
+        while threshold > 0 && lasts(threshold - 1) {
+            threshold -= 1;
+        }
+        while threshold < u32::MAX && !lasts(threshold) {
+            threshold += 1;
+        }
+        lasts(threshold).then_some(threshold)
+    }
+
+    /// An upper bound on the length of the signature's standalone encoding
+    /// ([`Signature::to_bytes`]), from its entry count alone: the magic, the
+    /// unit, and five bytes per varint. A frame sized by it holds the
+    /// signature without growing.
+    pub fn max_encoded_len(&self) -> usize {
+        4 + 8 + 5 + 10 * self.entries.len()
     }
 }
 
-/// Magic prefix of the binary signature encoding (see [`Signature::to_bytes`]).
-const CODEC_MAGIC: [u8; 4] = *b"DSG1";
-
-crate::wire_fields!(ZoneCode { 0 });
-crate::wire_fields!(SignatureEntry { code, duration });
-
-/// The `DSG1` codec: the magic, then the entries as one list of
-/// `(u32 code, f64 duration)` pairs. Nested in a frame or file, a signature
-/// travels behind its `u32` byte length.
+/// The `DSG2` codec: the magic, the unit as an `f64`, then the entry count
+/// and each entry's code and count as LEB128 varints
+/// ([`wire::put_varint`]). Nested in a frame or file, a signature travels
+/// behind its `u32` byte length.
 impl Format for Signature {
-    const MAGIC: [u8; 4] = CODEC_MAGIC;
+    const MAGIC: [u8; 4] = *b"DSG2";
     const VERSION: Option<u16> = None;
     const CONTEXT: &'static str = "signature";
-    const MIN_BODY: usize = 4;
+    const MIN_BODY: usize = 8 + 1;
 
     fn put_body(&self, out: &mut Vec<u8>) {
-        self.entries.put(out);
+        self.unit.put(out);
+        // Every count is at least 1 and they sum to a `u32`, so the entry
+        // count fits one too.
+        wire::put_varint(out, self.entries.len() as u32);
+        for e in &self.entries {
+            wire::put_varint(out, e.code.0);
+            wire::put_varint(out, e.count);
+        }
     }
 
-    /// Decodes through [`Signature::new`], so smuggled invalid durations
-    /// are rejected like constructed ones.
+    /// Decodes through [`Signature::new`], so a smuggled invalid unit or
+    /// total is rejected like a constructed one. A zero count, which no
+    /// encoder writes, is rejected too.
     fn get_body(r: &mut ByteReader<'_>) -> Result<Self> {
-        Signature::new(Wire::get(r)?)
+        let unit = f64::get(r)?;
+        let len = r.varint()? as usize;
+        r.check_count(len, 2)?;
+        let mut entries = Vec::with_capacity(len);
+        for _ in 0..len {
+            let code = ZoneCode(r.varint()?);
+            let count = r.varint()?;
+            if count == 0 {
+                return Err(DsigError::InvalidSignature(format!("zone {code} has a zero count")));
+            }
+            entries.push(SignatureEntry { code, count });
+        }
+        Signature::new(unit, entries)
     }
 }
 
 impl Signature {
     /// Encodes the signature into a compact, self-describing binary form:
-    /// a 4-byte magic (`DSG1`), the entry count as a little-endian `u32`,
-    /// then one `(u32 code, f64 duration)` little-endian pair per entry.
+    /// a 4-byte magic (`DSG2`), the unit as a little-endian `f64`, then the
+    /// entry count and each entry's code and count as varints.
     ///
-    /// The encoding is exact: durations round-trip bit-for-bit through
-    /// [`Signature::from_bytes`]. A six-zone paper signature costs 32 + 8
-    /// bytes versus hundreds of kilobytes for the raw waveform pair, which is
-    /// what makes storing and replaying full campaign outputs practical.
+    /// A paper signature, with codes below 128 and dwells below 16,384
+    /// ticks, costs at most 3 bytes per entry: 13 + 3 × 17 bytes for a
+    /// 17-entry Table I capture, versus hundreds of kilobytes for the raw
+    /// waveform pair, which is what makes storing and replaying full
+    /// campaign outputs practical.
     pub fn to_bytes(&self) -> Vec<u8> {
         wire::to_bytes(self)
     }
@@ -291,11 +319,12 @@ impl Signature {
     /// Decodes a signature previously encoded with [`Signature::to_bytes`].
     ///
     /// Decoding never panics on malformed input: short buffers report
-    /// [`DsigError::Truncated`], a wrong magic, an impossible entry count or
-    /// trailing bytes report [`DsigError::Corrupt`], and smuggled invalid
-    /// durations (negative, NaN, infinite, or summing past `f64::MAX`)
-    /// report [`DsigError::InvalidSignature`] through the
-    /// [`Signature::new`] validation.
+    /// [`DsigError::Truncated`], a wrong magic, a malformed varint, an
+    /// impossible entry count or trailing bytes report
+    /// [`DsigError::Corrupt`], and a smuggled invalid unit (zero, negative
+    /// or not finite), a zero count, counts summing past `u32::MAX` or a
+    /// total past `f64::MAX` seconds report [`DsigError::InvalidSignature`]
+    /// through the [`Signature::new`] validation.
     ///
     /// # Errors
     /// See above.
@@ -313,27 +342,20 @@ impl PartialEq<Signature> for std::borrow::Cow<'_, Signature> {
     }
 }
 
-impl FromIterator<SignatureEntry> for Signature {
-    /// Collects entries through [`Signature::new`].
-    ///
-    /// # Panics
-    /// Panics where `new` would return an error. Collect only captured
-    /// dwells, which are finite, non-negative and sum to one observation
-    /// window; decoded input goes through `new` and its error.
-    fn from_iter<T: IntoIterator<Item = SignatureEntry>>(iter: T) -> Self {
-        Signature::new(iter.into_iter().collect()).expect("finite non-negative durations")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(code: u32, duration: f64) -> SignatureEntry {
+    fn entry(code: u32, count: u32) -> SignatureEntry {
         SignatureEntry {
             code: ZoneCode(code),
-            duration,
+            count,
         }
+    }
+
+    /// A signature of 0.1 µs counts, the paper clock's tick.
+    fn sig(entries: &[(u32, u32)]) -> Signature {
+        Signature::new(1e-7, entries.iter().map(|&(c, n)| entry(c, n)).collect()).unwrap()
     }
 
     #[test]
@@ -350,117 +372,112 @@ mod tests {
 
     #[test]
     fn new_merges_adjacent_identical_codes() {
-        let s = Signature::new(vec![entry(1, 1.0), entry(1, 2.0), entry(2, 1.0), entry(1, 0.5)]).unwrap();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.entries()[0].duration, 3.0);
+        let s = sig(&[(1, 10), (1, 20), (2, 10), (1, 5)]);
+        assert_eq!(s.entries(), [entry(1, 30), entry(2, 10), entry(1, 5)]);
         assert_eq!(s.distinct_zones(), 2);
-        assert!((s.total_duration() - 4.5).abs() < 1e-12);
+        assert_eq!(s.total_count(), 45);
+        assert_eq!(s.total_duration(), 45.0 * 1e-7);
     }
 
     #[test]
     fn new_drops_zero_durations_and_rejects_negative() {
-        let s = Signature::new(vec![entry(1, 0.0), entry(2, 1.0)]).unwrap();
-        assert_eq!(s.len(), 1);
-        assert!(Signature::new(vec![entry(1, -1.0)]).is_err());
-        assert!(Signature::new(vec![entry(1, f64::NAN)]).is_err());
+        let s = sig(&[(1, 0), (2, 10), (3, 0), (2, 5)]);
+        assert_eq!(s.entries(), [entry(2, 15)]);
+        // A negative, zero or non-finite unit is no count of seconds.
+        for unit in [-1e-7, 0.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    Signature::new(unit, vec![entry(1, 1)]),
+                    Err(DsigError::InvalidSignature(_))
+                ),
+                "unit {unit}"
+            );
+        }
+    }
+
+    #[test]
+    fn new_rejects_counts_summing_past_u32_max() {
+        // Each count fits a u32; their sum does not, merged or not.
+        for code in [2, 1] {
+            let err = Signature::new(1e-7, vec![entry(1, u32::MAX), entry(code, 1)]).unwrap_err();
+            assert!(matches!(err, DsigError::InvalidSignature(_)), "{err:?}");
+        }
+        let s = Signature::new(1e-7, vec![entry(1, u32::MAX - 1), entry(2, 1)]).unwrap();
+        assert_eq!(s.total_count(), u32::MAX);
     }
 
     #[test]
     fn new_rejects_entries_summing_past_f64_max() {
-        // Each duration is finite; their sum is not.
-        let err = Signature::new(vec![entry(1, 1e308), entry(2, 1e308)]).unwrap_err();
+        // Each dwell of one count is finite in seconds; their sum is not.
+        let err = Signature::new(1e308, vec![entry(1, 1), entry(2, 1)]).unwrap_err();
         assert!(matches!(err, DsigError::InvalidSignature(_)), "{err:?}");
         // Halves of f64::MAX still sum to a finite period.
-        let s = Signature::new(vec![entry(1, f64::MAX / 2.0), entry(2, f64::MAX / 2.0)]).unwrap();
+        let s = Signature::new(f64::MAX / 2.0, vec![entry(1, 1), entry(2, 1)]).unwrap();
         assert_eq!(s.total_duration(), f64::MAX);
     }
 
     #[test]
     fn new_rejects_a_merged_entry_past_f64_max() {
-        // Merging two same-code entries would overflow the merged duration.
-        let err = Signature::new(vec![entry(1, 1e308), entry(1, 1e308)]).unwrap_err();
+        // Merging two same-code entries would overflow the merged dwell.
+        let err = Signature::new(1e308, vec![entry(1, 1), entry(1, 1)]).unwrap_err();
         assert!(matches!(err, DsigError::InvalidSignature(_)), "{err:?}");
     }
 
     #[test]
-    fn from_sampled_codes_compresses_runs() {
-        let codes = [4, 4, 4, 20, 20, 28, 28, 28, 28];
-        let s = Signature::from_sampled_codes(&codes, 1e-6).unwrap();
-        assert_eq!(s.len(), 3);
-        assert!((s.entries()[0].duration - 3e-6).abs() < 1e-15);
-        assert!((s.entries()[2].duration - 4e-6).abs() < 1e-15);
-        assert!(Signature::from_sampled_codes(&[], 1e-6).is_err());
-        assert!(Signature::from_sampled_codes(&[1], 0.0).is_err());
-    }
-
-    #[test]
     fn code_at_walks_the_timeline() {
-        let s = Signature::new(vec![entry(1, 1.0), entry(2, 2.0), entry(3, 1.0)]).unwrap();
-        assert_eq!(s.code_at(-1.0).value(), 1);
-        assert_eq!(s.code_at(0.5).value(), 1);
-        assert_eq!(s.code_at(1.5).value(), 2);
-        assert_eq!(s.code_at(3.5).value(), 3);
-        assert_eq!(s.code_at(100.0).value(), 3);
-    }
-
-    #[test]
-    fn transition_times_exclude_endpoints() {
-        let s = Signature::new(vec![entry(1, 1.0), entry(2, 2.0), entry(3, 1.0)]).unwrap();
-        let t = s.transition_times();
-        assert_eq!(t.len(), 2);
-        assert!((t[0] - 1.0).abs() < 1e-12);
-        assert!((t[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chronogram_covers_duration() {
-        let s = Signature::new(vec![entry(7, 1.0), entry(9, 1.0)]).unwrap();
-        let chrono = s.chronogram(10);
-        assert_eq!(chrono.len(), 10);
-        assert_eq!(chrono[0].1, 7);
-        assert_eq!(chrono[9].1, 9);
+        let s = sig(&[(1, 10), (2, 20), (3, 10)]);
+        assert_eq!(s.code_at(0).value(), 1);
+        assert_eq!(s.code_at(9).value(), 1);
+        assert_eq!(s.code_at(10).value(), 2);
+        assert_eq!(s.code_at(35).value(), 3);
+        assert_eq!(s.code_at(u32::MAX).value(), 3);
     }
 
     #[test]
     fn deglitch_merges_short_entries_and_preserves_duration() {
-        let s = Signature::new(vec![
-            entry(1, 10e-6),
-            entry(2, 0.5e-6), // noise glitch
-            entry(1, 9.5e-6),
-            entry(3, 20e-6),
-        ])
-        .unwrap();
+        // 0.1 µs counts; a 2 µs detector registers 20 counts or more.
+        let s = sig(&[(1, 100), (2, 5), (1, 95), (3, 200)]);
         let clean = s.deglitched(2e-6);
-        assert_eq!(clean.len(), 2, "entries: {:?}", clean.entries());
-        assert_eq!(clean.entries()[0].code.value(), 1);
-        assert_eq!(clean.entries()[1].code.value(), 3);
-        assert!((clean.total_duration() - s.total_duration()).abs() < 1e-15);
-        assert!((clean.entries()[0].duration - 20e-6).abs() < 1e-12);
+        assert_eq!(clean.entries(), [entry(1, 200), entry(3, 200)]);
+        assert_eq!(clean.total_count(), s.total_count());
+        assert_eq!(clean.unit(), s.unit());
+    }
+
+    #[test]
+    fn deglitch_compares_counts_as_count_times_unit() {
+        // 20 × 1e-7 rounds to exactly 2e-6 in f64 and 19 × 1e-7 falls short,
+        // so 19 counts are the longest glitch.
+        assert_eq!(20.0 * 1e-7, 2e-6);
+        let s = sig(&[(1, 100), (2, 19), (3, 20), (4, 100)]);
+        assert_eq!(
+            s.deglitched(2e-6).entries(),
+            [entry(1, 119), entry(3, 20), entry(4, 100)]
+        );
+        // 13 × 1e-7 rounds below 1.3e-6, so 13 counts are a glitch at
+        // 1.3 µs, and last 1.2 µs.
+        let s = sig(&[(1, 20), (2, 13), (3, 20)]);
+        assert_eq!(s.deglitched(1.3e-6).entries(), [entry(1, 33), entry(3, 20)]);
+        assert_eq!(s.deglitched(1.2e-6), s);
     }
 
     #[test]
     fn deglitch_handles_leading_glitch_and_noop_cases() {
-        let s = Signature::new(vec![entry(9, 0.5e-6), entry(1, 50e-6)]).unwrap();
+        let s = sig(&[(9, 5), (1, 500)]);
         let clean = s.deglitched(2e-6);
-        assert_eq!(clean.len(), 1);
-        assert!((clean.total_duration() - s.total_duration()).abs() < 1e-15);
+        assert_eq!(clean.entries(), [entry(1, 505)]);
         // Disabled deglitching and all-glitch signatures are returned unchanged.
-        assert_eq!(s.deglitched(0.0), s);
-        let tiny = Signature::new(vec![entry(1, 0.1e-6), entry(2, 0.2e-6)]).unwrap();
+        for min_dwell in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300] {
+            assert_eq!(s.deglitched(min_dwell), s, "min dwell {min_dwell}");
+        }
+        let tiny = sig(&[(1, 1), (2, 2)]);
         assert_eq!(tiny.deglitched(1e-6), tiny);
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let s: Signature = vec![entry(1, 1.0), entry(2, 1.0)].into_iter().collect();
-        assert_eq!(s.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "empty signature")]
     fn code_at_panics_on_empty() {
-        let s = Signature::default();
-        let _ = s.code_at(0.0);
+        let s = sig(&[]);
+        let _ = s.code_at(0);
     }
 
     #[test]
@@ -469,62 +486,69 @@ mod tests {
         // implementations agreeing with each other.
         let code = ZoneCode(0b10110);
         assert_eq!(code, code.clone());
-        let e = entry(5, 1.5e-6);
+        let e = entry(5, 15);
         assert_eq!(e, e.clone());
-        let s = Signature::new(vec![entry(1, 1.0), entry(2, 2.0)]).unwrap();
+        let s = sig(&[(1, 10), (2, 20)]);
         let cloned = s.clone();
         assert_eq!(s, cloned);
         assert_eq!(s.entries(), cloned.entries());
         // Inequality in any component breaks signature equality.
-        assert_ne!(e, entry(6, 1.5e-6));
-        assert_ne!(e, entry(5, 1.6e-6));
-        assert_ne!(s, Signature::new(vec![entry(1, 1.0)]).unwrap());
-        assert_ne!(s, Signature::default());
+        assert_ne!(e, entry(6, 15));
+        assert_ne!(e, entry(5, 16));
+        assert_ne!(s, sig(&[(1, 10)]));
+        assert_ne!(s, sig(&[]));
+        assert_ne!(s, Signature::new(2e-7, s.entries().to_vec()).unwrap());
     }
 
     #[test]
     fn debug_formats_are_informative() {
-        let s = Signature::new(vec![entry(28, 2e-6)]).unwrap();
+        let s = sig(&[(28, 20)]);
         let debug = format!("{s:?}");
-        assert!(debug.contains("Signature"), "{debug}");
+        assert!(debug.contains("Signature") && debug.contains("unit"), "{debug}");
         assert!(debug.contains("28"), "{debug}");
-        let e = format!("{:?}", entry(3, 1.0));
-        assert!(e.contains("SignatureEntry") && e.contains("duration"), "{e}");
+        let e = format!("{:?}", entry(3, 1));
+        assert!(e.contains("SignatureEntry") && e.contains("count"), "{e}");
         assert!(format!("{:?}", ZoneCode(3)).contains("ZoneCode(3)"));
     }
 
     #[test]
     fn codec_round_trips_bit_exact() {
-        let s = Signature::new(vec![
-            entry(0, 1.7e-6),
-            entry(63, 200e-6),
-            entry(5, f64::MIN_POSITIVE), // denormal-adjacent duration survives
-            entry(1, 123.456),
-        ])
+        let s = Signature::new(
+            1.0 / 3e6,
+            vec![
+                entry(0, 17),
+                entry(63, 2000),
+                entry(u32::MAX, 1),
+                entry(5, u32::MAX - 2018),
+            ],
+        )
         .unwrap();
-        let decoded = Signature::from_bytes(&s.to_bytes()).unwrap();
+        let bytes = s.to_bytes();
+        assert!(bytes.len() <= s.max_encoded_len());
+        let decoded = Signature::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, s);
-        for (a, b) in decoded.entries().iter().zip(s.entries()) {
-            assert_eq!(
-                a.duration.to_bits(),
-                b.duration.to_bits(),
-                "durations must be bit-exact"
-            );
-        }
+        assert_eq!(decoded.unit().to_bits(), s.unit().to_bits());
         // An empty signature round-trips too.
-        let empty = Signature::default();
+        let empty = sig(&[]);
         assert_eq!(Signature::from_bytes(&empty.to_bytes()).unwrap(), empty);
     }
 
     #[test]
     fn codec_size_is_compact() {
-        let s = Signature::new((0..10).map(|k| entry(k, 1e-6 * (k + 1) as f64)).collect()).unwrap();
-        assert_eq!(s.to_bytes().len(), 8 + 12 * s.len());
+        // Magic, the unit, the entry count, then (code, count) varints: a
+        // code below 128 takes one byte and a count below 16,384 two.
+        let s = sig(&[(28, 390), (60, 5)]);
+        let mut expected = b"DSG2".to_vec();
+        expected.extend_from_slice(&1e-7f64.to_bits().to_le_bytes());
+        expected.extend_from_slice(&[2, 28, 0x86, 0x03, 60, 5]);
+        assert_eq!(s.to_bytes(), expected);
+        let table_one = sig(&(0..17).map(|k| (k * 3, 128 + 17 * k)).collect::<Vec<_>>());
+        assert_eq!(table_one.to_bytes().len(), 13 + 3 * 17);
     }
 
     #[test]
     fn codec_rejects_corrupted_buffers() {
-        let s = Signature::new(vec![entry(1, 1.0), entry(2, 2.0)]).unwrap();
+        let s = sig(&[(1, 10), (2, 20)]);
         let bytes = s.to_bytes();
         assert!(
             matches!(Signature::from_bytes(&bytes[..3]), Err(DsigError::Truncated { .. })),
@@ -540,10 +564,10 @@ mod tests {
             "truncated entries"
         );
         let mut magic = bytes.clone();
-        magic[0] = b'x';
+        magic[3] = b'1';
         assert!(
             matches!(Signature::from_bytes(&magic), Err(DsigError::Corrupt { .. })),
-            "bad magic"
+            "the previous magic"
         );
         let mut extra = bytes.clone();
         extra.push(0);
@@ -552,18 +576,39 @@ mod tests {
             "trailing bytes"
         );
         // An absurd count field is rejected before any allocation.
-        let mut huge = bytes.clone();
-        huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut huge = bytes[..12].to_vec();
+        huge.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
+        huge.extend_from_slice(&bytes[13..]);
         assert!(
             matches!(Signature::from_bytes(&huge), Err(DsigError::Corrupt { .. })),
             "absurd count"
         );
-        // A NaN duration smuggled into the payload is caught by validation.
-        let mut nan = bytes;
-        nan[12..20].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(
-            matches!(Signature::from_bytes(&nan), Err(DsigError::InvalidSignature(_))),
-            "NaN duration"
-        );
+    }
+
+    #[test]
+    fn codec_rejects_invalid_units_counts_and_totals() {
+        let body = |unit: f64, entries: &[u8]| {
+            let mut bytes = b"DSG2".to_vec();
+            bytes.extend_from_slice(&unit.to_bits().to_le_bytes());
+            bytes.extend_from_slice(entries);
+            Signature::from_bytes(&bytes)
+        };
+        assert!(body(1e-7, &[1, 4, 10]).is_ok());
+        for (unit, entries, what) in [
+            (1e-7, &[1u8, 4, 0][..], "a zero count"),
+            (0.0, &[1, 4, 10], "a zero unit"),
+            (f64::NAN, &[1, 4, 10], "a NaN unit"),
+            (f64::INFINITY, &[1, 4, 10], "an infinite unit"),
+            (
+                1e-7,
+                &[2, 4, 0xff, 0xff, 0xff, 0xff, 0x0f, 5, 1],
+                "a total past u32::MAX",
+            ),
+        ] {
+            assert!(
+                matches!(body(unit, entries), Err(DsigError::InvalidSignature(_))),
+                "{what}"
+            );
+        }
     }
 }

@@ -16,8 +16,10 @@
 //!   UTF-8 strings;
 //! * a list is a `u32` count followed by its items ([`Vec`] is the only
 //!   place that writes a count and checks one);
+//! * the one variable-width encoding, the LEB128 varint ([`put_varint`]),
+//!   is the signature codec's own: a signature's counter words are small;
 //! * a standalone [`Format`] — a persisted file such as the signature codec
-//!   (`DSG1`), a signature log (`DSGL`), a campaign report (`DSGR`) or a
+//!   (`DSG2`), a signature log (`DSGL`), a campaign report (`DSGR`) or a
 //!   golden store (`DSGS`) — starts with a 4-byte ASCII **magic**, then a
 //!   little-endian `u16` **format version** for the versioned formats
 //!   (those whose magic ends in a digit carry the version in the magic);
@@ -224,6 +226,18 @@ macro_rules! tuple_wire {
 tuple_wire!(0 A, 1 B);
 tuple_wire!(0 A, 1 B, 2 C);
 tuple_wire!(0 A, 1 B, 2 C, 3 D);
+
+/// Appends `value` as an unsigned LEB128 varint: seven bits per byte, the
+/// low group first, and the high bit set on every byte but the last. A
+/// value below 128 takes one byte, one below 16,384 two, and any `u32` at
+/// most five; each value has exactly one encoding ([`ByteReader::varint`]).
+pub fn put_varint(out: &mut Vec<u8>, mut value: u32) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
 
 /// Writes a `u32` length or count.
 ///
@@ -581,6 +595,37 @@ impl<'a> ByteReader<'a> {
         let out = &self.buf[self.at..self.at + len];
         self.at += len;
         Ok(out)
+    }
+
+    /// Reads a varint written by [`put_varint`].
+    ///
+    /// # Errors
+    /// Returns [`DsigError::Truncated`] when the buffer ends inside it and
+    /// [`DsigError::Corrupt`] when it exceeds a `u32` or ends in a redundant
+    /// zero group (an overlong encoding).
+    pub fn varint(&mut self) -> Result<u32> {
+        let rest = &self.buf[self.at..];
+        let mut value = 0u32;
+        for (i, &byte) in rest.iter().take(5).enumerate() {
+            if i == 4 && byte > 0x0f {
+                return Err(self.corrupt("varint exceeds a u32"));
+            }
+            value |= u32::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                if byte == 0 && i > 0 {
+                    return Err(self.corrupt("overlong varint"));
+                }
+                self.at += i + 1;
+                return Ok(value);
+            }
+        }
+        // Every byte left continues the varint, and there are fewer than
+        // five (a fifth with its high bit set exceeds a u32 above).
+        Err(DsigError::Truncated {
+            context: self.context,
+            needed: rest.len() + 1,
+            available: rest.len(),
+        })
     }
 
     /// Reads a `u32`-length-prefixed byte string.
@@ -956,6 +1001,39 @@ mod tests {
             ]
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_width_and_reject_malformed_encodings() {
+        for (value, len) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 28, 5),
+            (u32::MAX, 5),
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, value);
+            assert_eq!(out.len(), len, "{value}");
+            let mut r = ByteReader::new(&out, "varint");
+            assert_eq!(r.varint().unwrap(), value);
+            r.finish().unwrap();
+        }
+        let read = |bytes: &[u8]| ByteReader::new(bytes, "varint").varint();
+        assert_eq!(read(&[0x86, 0x03]).unwrap(), 390);
+        assert!(matches!(read(&[0x86]), Err(DsigError::Truncated { .. })));
+        for malformed in [&[0x80, 0x00][..], &[0xff, 0x80, 0x00], &[0xff, 0xff, 0xff, 0xff, 0x10]] {
+            assert!(
+                matches!(read(malformed), Err(DsigError::Corrupt { .. })),
+                "{malformed:x?}"
+            );
+        }
+        assert!(matches!(
+            read(&[0xff, 0xff, 0xff, 0xff, 0x8f, 0x01]),
+            Err(DsigError::Corrupt { .. })
+        ));
     }
 
     #[test]

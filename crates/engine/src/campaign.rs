@@ -5,7 +5,6 @@ use cut_filters::{BiquadParams, Fault};
 use dsig_core::{AcceptanceBand, DsigError, Result, TestSetup};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xy_monitor::ProcessVariation;
 
 /// SplitMix64 finalizer used to derive independent per-device seeds from the
 /// campaign seed and the device index. Seeding depends only on `(seed, index)`
@@ -66,9 +65,6 @@ pub struct DeviceSpec {
     pub label: String,
     /// Seed for the measurement-noise realisation of this device.
     pub noise_seed: u64,
-    /// Seed for the per-device monitor-variation draw (used only when the
-    /// campaign carries a [`ProcessVariation`]).
-    pub monitor_seed: u64,
 }
 
 /// A population-scale screening campaign: one golden setup, one reference
@@ -113,10 +109,6 @@ pub struct Campaign {
     pub tolerance_pct: f64,
     /// Base seed of the campaign; all per-device seeds derive from it.
     pub base_seed: u64,
-    /// Optional per-device process/mismatch variation of the monitor bank
-    /// itself (each device is observed by its own imperfect monitor
-    /// instance, as in the Fig. 4 Monte-Carlo envelope).
-    pub monitor_variation: Option<ProcessVariation>,
 }
 
 impl Campaign {
@@ -147,20 +139,12 @@ impl Campaign {
             band,
             tolerance_pct,
             base_seed: 0,
-            monitor_variation: None,
         })
     }
 
     /// Returns a copy with the given base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
-        self
-    }
-
-    /// Returns a copy whose devices are each observed through an
-    /// independently varied monitor instance.
-    pub fn with_monitor_variation(mut self, variation: ProcessVariation) -> Self {
-        self.monitor_variation = Some(variation);
         self
     }
 
@@ -182,11 +166,10 @@ impl Campaign {
                 "device index {index} out of range for a {count}-device campaign"
             )));
         }
-        // Three decorrelated seed streams per device: parameter draw,
-        // measurement noise, monitor variation.
+        // Two decorrelated seed streams per device: parameter draw and
+        // measurement noise.
         let param_seed = mix_seed(self.base_seed, index as u64);
         let noise_seed = mix_seed(self.base_seed ^ 0x6e6f_6973_655f_7364, index as u64);
-        let monitor_seed = mix_seed(self.base_seed ^ 0x6d6f_6e5f_7661_7279, index as u64);
 
         let (cut, label) = match &self.population {
             DevicePopulation::FaultGrid(faults) => {
@@ -210,7 +193,6 @@ impl Campaign {
             true_deviation_pct,
             label,
             noise_seed,
-            monitor_seed,
         })
     }
 }

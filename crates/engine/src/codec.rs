@@ -101,13 +101,15 @@ mod tests {
     use super::*;
     use dsig_core::{DsigError, SignatureEntry, ZoneCode};
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 0.1 µs ticks.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-7,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -117,8 +119,8 @@ mod tests {
     #[test]
     fn log_round_trips_bit_exact() {
         let mut log = SignatureLog::new();
-        log.push(0, sig(&[(1, 10e-6), (3, 20e-6)]));
-        log.push(7, sig(&[(2, 0.1), (6, 1.5e-7), (2, 3.0)]));
+        log.push(0, sig(&[(1, 100), (3, 200)]));
+        log.push(7, sig(&[(2, 1_000_000), (6, 1), (2, 30_000_000)]));
         let bytes = log.to_bytes();
         let decoded = SignatureLog::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, log);
@@ -136,7 +138,7 @@ mod tests {
     #[test]
     fn corrupted_logs_are_rejected() {
         let mut log = SignatureLog::new();
-        log.push(1, sig(&[(1, 1.0)]));
+        log.push(1, sig(&[(1, 10)]));
         let bytes = log.to_bytes();
         assert!(SignatureLog::from_bytes(&bytes[..6]).is_err(), "truncated header");
         assert!(
@@ -158,8 +160,8 @@ mod tests {
     #[test]
     fn log_saves_and_loads_from_disk() {
         let mut log = SignatureLog::new();
-        log.push(3, sig(&[(1, 1.0), (2, 2.5)]));
-        log.push(9, sig(&[(7, 1e-6)]));
+        log.push(3, sig(&[(1, 10), (2, 25)]));
+        log.push(9, sig(&[(7, 1)]));
         let path = std::env::temp_dir().join(format!("dsig-log-{}-{:p}.bin", std::process::id(), &log));
         log.save(&path).unwrap();
         let loaded = SignatureLog::load(&path).unwrap();
@@ -171,10 +173,10 @@ mod tests {
 
     #[test]
     fn replay_recomputes_ndfs() {
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 1000), (3, 1000)]);
         let mut log = SignatureLog::new();
         log.push(0, golden.clone());
-        log.push(1, sig(&[(1, 100e-6), (7, 100e-6)]));
+        log.push(1, sig(&[(1, 1000), (7, 1000)]));
         let replayed = log.replay(&golden).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[0].0, 0);

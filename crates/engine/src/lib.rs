@@ -9,15 +9,18 @@
 //! The engine provides:
 //!
 //! * [`Campaign`] / [`DevicePopulation`] — fault grids, Monte-Carlo lots and
-//!   `f0` sweeps over one shared [`dsig_core::TestSetup`], optionally with
-//!   per-device monitor process variation ([`xy_monitor::ProcessVariation`]);
+//!   `f0` sweeps over one shared [`dsig_core::TestSetup`];
 //! * [`CampaignRunner`] — a std-only scoped worker pool (chunked work queue
 //!   over `std::thread::scope`) with deterministic per-device seeding:
-//!   results are **bit-identical for every thread count**. Campaigns without
-//!   per-device monitor variation route through the shared-stimulus batched
-//!   capture fast path ([`dsig_core::batch`]) — one synthesized stimulus and
-//!   one set of precomputed monitor current terms per setup, several times
-//!   the per-device throughput, still bit-identical at every batch size;
+//!   results are **bit-identical for every thread count**. Campaigns route
+//!   through the shared-stimulus batched capture fast path
+//!   ([`dsig_core::batch`]) — one synthesized stimulus and one set of
+//!   precomputed monitor current terms per setup, several times the
+//!   per-device throughput, still bit-identical at every batch size — and
+//!   [`CampaignRunner::with_batching`]`(false)` keeps the per-device
+//!   reference it is tested against. Monitor process variation is a
+//!   characterization study ([`xy_monitor::monte_carlo_envelope`], Fig. 4),
+//!   not a campaign option;
 //! * [`GoldenCache`] — golden signatures characterized once per
 //!   `(setup, reference)` fingerprint, not once per device;
 //! * [`score`] — the one production scorer: [`score::screen`] and

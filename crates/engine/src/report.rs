@@ -732,7 +732,7 @@ mod tests {
         let mut report = CampaignReport::new();
         let dwell = DwellStats::new();
         report.capture = CapturePath::PerDevice {
-            reason: "per-device monitor variation".into(),
+            reason: "batching disabled on this runner".into(),
         };
         // A marginal PASS->FAIL flip, a marginal confirmation, a clean device.
         let mut flipped = result(0, 0.041, 5.0, TestOutcome::Fail);
@@ -757,7 +757,7 @@ mod tests {
         assert_eq!(report.retest.repeats_spent, 20);
         let text = report.summary();
         assert!(text.contains("retest: 2 marginal"), "{text}");
-        assert!(text.contains("per-device (per-device monitor variation)"), "{text}");
+        assert!(text.contains("per-device (batching disabled on this runner)"), "{text}");
         // Bit-exact DSGR v2 round trip, including the metadata (equality
         // ignores the capture path, so check it explicitly).
         let decoded = CampaignReport::from_bytes(&report.to_bytes()).unwrap();

@@ -7,13 +7,10 @@ use std::time::Instant;
 
 use dsig_core::{
     capture_signatures_batch, retest_seed, AcceptanceBand, BatchDevice, Result, RetestPolicy, SharedStimulus,
-    Signature, StimulusBank, TestFlow, TestSetup,
+    Signature, StimulusBank, TestFlow,
 };
 use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{Counter, Gauge, Histogram, Registry, Span};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use xy_monitor::ZonePartition;
 
 use crate::cache::{golden_fingerprint, GoldenCache};
 use crate::campaign::{Campaign, DevicePopulation, DeviceSpec};
@@ -148,7 +145,7 @@ impl CampaignRunner {
     /// the policy's escalation walk. On the batched path, a chunk's repeats
     /// are entries of one [`capture_signatures_batch`] call, one per repeat
     /// seed (derived by [`dsig_core::retest_seed`]); the per-device path
-    /// captures them with [`TestSetup::signatures_of_repeats`], and both give
+    /// captures them with [`dsig_core::TestSetup::signatures_of_repeats`], and both give
     /// the same signatures, bit for bit. A chunk's marginal devices go to the
     /// [`ScoreTarget`] in one [`RetestRequest`]: a remote target ships it to
     /// the **serving tier**, which verdicts; the local target re-decides it
@@ -242,10 +239,9 @@ impl CampaignRunner {
         let devices = campaign.device_count();
 
         // The batched fast path shares one stimulus (and its precomputed
-        // monitor terms) across the whole population; per-device monitor
-        // variation gives every device its own partition, so those campaigns
-        // keep the per-device path. Both paths are bit-identical.
-        let use_batch = self.batching && campaign.monitor_variation.is_none();
+        // monitor terms) across the whole population; the per-device path
+        // is the reference it is tested against. Both are bit-identical.
+        let use_batch = self.batching;
         let retest = self.retest.as_ref();
         let metrics = &self.metrics;
         let tracer = &self.tracer;
@@ -305,10 +301,6 @@ impl CampaignRunner {
         // slower per-device path is diagnosable from the report alone.
         report.capture = if use_batch {
             CapturePath::Batched
-        } else if campaign.monitor_variation.is_some() {
-            CapturePath::PerDevice {
-                reason: "per-device monitor variation varies the zone partition".into(),
-            }
         } else {
             CapturePath::PerDevice {
                 reason: "batching disabled on this runner".into(),
@@ -350,32 +342,10 @@ impl RemoteScorer for LocalScorer {
     }
 }
 
-/// Builds the observation setup of one device: the campaign setup itself, or
-/// a per-device varied monitor instance (process + mismatch, as in the
-/// Fig. 4 envelope) when the campaign carries a monitor variation.
-fn observed_setup(campaign: &Campaign, spec: &DeviceSpec) -> Result<Option<TestSetup>> {
-    let Some(variation) = &campaign.monitor_variation else {
-        return Ok(None);
-    };
-    let mut rng = StdRng::seed_from_u64(spec.monitor_seed);
-    let varied: Vec<_> = campaign
-        .setup
-        .partition
-        .monitors()
-        .iter()
-        .map(|monitor| variation.sample_comparator(monitor, &mut rng))
-        .collect::<std::result::Result<_, _>>()?;
-    Ok(Some(TestSetup {
-        partition: ZonePartition::new(varied)?,
-        ..campaign.setup.clone()
-    }))
-}
-
 /// Evaluates one chunk of the population: capture its signatures — against
 /// the shared stimulus on the batched fast path (`shared` present), or one
-/// device at a time (with a per-device varied monitor bank when the campaign
-/// asks for it) — then score the chunk in one request to `scorer` under the
-/// golden `key` and retest its marginal devices. Scratch buffers live per
+/// device at a time — then score the chunk in one request to `scorer` under
+/// the golden `key` and retest its marginal devices. Scratch buffers live per
 /// chunk, not per device.
 fn evaluate_chunk(
     campaign: &Campaign,
@@ -400,10 +370,7 @@ fn evaluate_chunk(
             }
             None => specs
                 .iter()
-                .map(|spec| match observed_setup(campaign, spec)? {
-                    None => campaign.setup.signature_of(&spec.cut, spec.noise_seed),
-                    Some(setup) => setup.signature_of(&spec.cut, spec.noise_seed),
-                })
+                .map(|spec| campaign.setup.signature_of(&spec.cut, spec.noise_seed))
                 .collect::<Result<_>>()?,
         }
     };
@@ -490,11 +457,9 @@ fn apply_retest(
         None => specs
             .iter()
             .map(|spec| {
-                let seed = retest_seed(spec.noise_seed);
-                match observed_setup(campaign, spec)? {
-                    None => campaign.setup.signatures_of_repeats(&spec.cut, cap, seed),
-                    Some(setup) => setup.signatures_of_repeats(&spec.cut, cap, seed),
-                }
+                campaign
+                    .setup
+                    .signatures_of_repeats(&spec.cut, cap, retest_seed(spec.noise_seed))
             })
             .collect::<Result<_>>()?,
     };
@@ -621,7 +586,7 @@ fn score_batch(
 fn device_outcome(spec: DeviceSpec, observed: Signature, score: ScoreResult) -> DeviceOutcome {
     let mut dwell = DwellStats::new();
     for entry in observed.entries() {
-        dwell.record(entry.duration);
+        dwell.record(f64::from(entry.count) * observed.unit());
     }
     let result = DeviceResult {
         index: spec.index,
@@ -645,8 +610,8 @@ mod tests {
     use super::*;
     use crate::campaign::DevicePopulation;
     use cut_filters::{BiquadParams, ComponentRef, Fault};
-    use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand};
-    use xy_monitor::ProcessVariation;
+    use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand, TestSetup};
+    use xy_monitor::ZonePartition;
 
     fn campaign(population: DevicePopulation) -> Campaign {
         let setup = TestSetup::paper_default().unwrap().with_sample_rate(1e6).unwrap();
@@ -809,8 +774,7 @@ mod tests {
                 .unwrap();
             assert_eq!(remote, local, "remote-scored report diverged at {threads} threads");
         }
-        // The per-device (monitor-variation) path also routes through the
-        // remote scorer; failures there must surface as remote errors.
+        // Failures of the remote scorer surface as remote errors.
         struct Failing;
         impl RemoteScorer for Failing {
             fn screen_remote(&self, _key: u64, _signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
@@ -842,14 +806,7 @@ mod tests {
             "{:?}",
             disabled.capture
         );
-        let varied = c.with_monitor_variation(ProcessVariation::nominal_65nm());
-        let fallback = CampaignRunner::with_threads(1).run(&varied).unwrap();
-        assert!(
-            matches!(&fallback.capture, CapturePath::PerDevice { reason } if reason.contains("monitor variation")),
-            "{:?}",
-            fallback.capture
-        );
-        assert!(fallback.summary().contains("capture path: per-device"));
+        assert!(disabled.summary().contains("capture path: per-device"));
     }
 
     #[test]
@@ -1132,27 +1089,6 @@ mod tests {
                 .run(&untabulated)
                 .unwrap()
         );
-    }
-
-    #[test]
-    fn monitor_variation_spreads_the_nominal_ndf() {
-        // With per-device monitor variation even nominal devices score a
-        // nonzero NDF; without it they score exactly zero.
-        let base = campaign(DevicePopulation::MonteCarlo {
-            devices: 6,
-            sigma_pct: 0.0,
-        });
-        let ideal = CampaignRunner::with_threads(2).run(&base).unwrap();
-        assert_eq!(ideal.max_ndf(), Some(0.0));
-        let varied = base.clone().with_monitor_variation(ProcessVariation::nominal_65nm());
-        let real = CampaignRunner::with_threads(2).run(&varied).unwrap();
-        assert!(
-            real.max_ndf().unwrap() > 0.0,
-            "varied monitors must perturb the signature"
-        );
-        // And the variation draw must be deterministic too.
-        let again = CampaignRunner::with_threads(3).run(&varied).unwrap();
-        assert_eq!(real, again);
     }
 
     #[test]

@@ -161,8 +161,8 @@ impl std::fmt::Debug for ScoreTarget<'_> {
 /// in order, each NDF decided by `band`.
 ///
 /// # Errors
-/// Propagates [`ndf_and_peak`] errors: an empty signature, or a golden of
-/// zero duration.
+/// Propagates [`ndf_and_peak`] errors: an empty signature, or a signature
+/// whose unit differs from the golden's.
 pub fn screen(golden: &Signature, band: &AcceptanceBand, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
     score_each(golden, band, signatures.iter(), signatures.len())
 }

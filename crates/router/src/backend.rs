@@ -241,13 +241,15 @@ mod tests {
     use dsig_core::{AcceptanceBand, Signature, SignatureEntry, ZoneCode};
     use dsig_serve::{AdminReply, GoldenStore, ScoreResult, ServeConfig, Server};
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -332,7 +334,7 @@ mod tests {
     fn revive_undoes_a_kill_and_clears_the_health_record() {
         let backend = local_backend(7);
         let band = AcceptanceBand::new(0.05).unwrap();
-        let golden = sig(&[(1, 100e-6)]);
+        let golden = sig(&[(1, 100)]);
         backend.call(Request::push(4, band, &golden)).unwrap();
         backend.kill();
         backend.note_failure(Instant::now(), &HealthConfig::default());
@@ -350,7 +352,7 @@ mod tests {
     fn killed_local_backend_fails_like_a_dead_process() {
         let backend = local_backend(3);
         let band = AcceptanceBand::new(0.05).unwrap();
-        let golden = sig(&[(1, 100e-6)]);
+        let golden = sig(&[(1, 100)]);
         backend.call(Request::push(9, band, &golden)).unwrap();
         match backend.call(Request::FetchGolden { key: 9 }).unwrap() {
             Response::Admin(AdminReply::Record(record)) => assert_eq!(record.golden, golden),
@@ -392,7 +394,7 @@ mod tests {
         let mut server =
             Server::bind("127.0.0.1:0", Arc::new(GoldenStore::new()), ServeConfig::with_shards(1)).unwrap();
         let band = AcceptanceBand::new(0.05).unwrap();
-        let golden = sig(&[(1, 100e-6)]);
+        let golden = sig(&[(1, 100)]);
         let observed = std::slice::from_ref(&golden);
         let (backend, tcp) = tcp_backend(server.local_addr());
         assert!(!connected(&tcp), "the connection is dialed on first use");

@@ -962,13 +962,15 @@ mod tests {
     use dsig_core::{SignatureEntry, TestOutcome, ZoneCode};
     use dsig_serve::BackendState;
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -1036,12 +1038,12 @@ mod tests {
     #[test]
     fn pushed_goldens_land_on_the_owner_and_screen_correctly() {
         let router = fleet(4, 2);
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(0xC0FFEE, golden.clone(), band(0.05)).unwrap();
         assert_eq!(router.store().len(), 1);
         // Screening the golden itself through the router is a clean pass.
         let results = router
-            .screen(0xC0FFEE, &[golden.clone(), sig(&[(1, 100e-6), (7, 100e-6)])])
+            .screen(0xC0FFEE, &[golden.clone(), sig(&[(1, 100), (7, 100)])])
             .unwrap();
         assert_eq!(results[0].ndf, 0.0);
         assert_eq!(results[0].outcome, TestOutcome::Pass);
@@ -1058,13 +1060,9 @@ mod tests {
     #[test]
     fn failover_refreshes_the_golden_and_keeps_verdicts_identical() {
         let router = fleet(3, 1); // a single copy: failover must refresh
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(7, golden.clone(), band(0.05)).unwrap();
-        let observed = vec![
-            golden.clone(),
-            sig(&[(1, 100e-6), (3, 90e-6), (7, 10e-6)]),
-            sig(&[(5, 200e-6)]),
-        ];
+        let observed = vec![golden.clone(), sig(&[(1, 100), (3, 90), (7, 10)]), sig(&[(5, 200)])];
         let before = router.screen(7, &observed).unwrap();
         // Kill the owner: the next screen fails over to the replica, which
         // misses the golden and is refreshed from the router store mid-call.
@@ -1086,11 +1084,11 @@ mod tests {
         use dsig_serve::RetestItem;
 
         let router = fleet(3, 1); // one copy: failover must refresh
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(0xAB, golden.clone(), band(0.05)).unwrap();
         // A marginal device (one short zone rewrite) plus a clean one; the
         // repeats confirm the rewrite, so the marginal device fails.
-        let marginal = sig(&[(1, 100e-6), (3, 90e-6), (7, 10e-6)]);
+        let marginal = sig(&[(1, 100), (3, 90), (7, 10)]);
         let request = RetestRequest {
             golden_key: 0xAB,
             policy: RetestPolicy::new(0.03, vec![2]).unwrap(),
@@ -1145,7 +1143,7 @@ mod tests {
     #[test]
     fn metrics_scrape_tracks_forwards_failovers_and_refreshes() {
         let router = fleet(3, 1); // one copy: failover must refresh
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(0x0B5, golden.clone(), band(0.05)).unwrap();
         // Everything is asserted as before/after deltas with >= — counters
         // are monotonic.
@@ -1197,7 +1195,7 @@ mod tests {
             })
             .collect();
         let router = routed(fleet, RouterConfig::default(), dsig_obs::Registry::new());
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(0xF7EE7, golden.clone(), band(0.05)).unwrap();
         router.screen(0xF7EE7, std::slice::from_ref(&golden)).unwrap();
 
@@ -1258,7 +1256,7 @@ mod tests {
     #[test]
     fn backend_transitions_and_refreshes_surface_as_events() {
         let router = fleet(3, 1); // one copy: failover must refresh
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(0xE7E47, golden.clone(), band(0.05)).unwrap();
         router.screen(0xE7E47, std::slice::from_ref(&golden)).unwrap();
         // Kill the owner: the next screen starts its failure streak and
@@ -1285,7 +1283,7 @@ mod tests {
     #[test]
     fn all_backends_dead_is_reported_with_detail() {
         let router = fleet(2, 2);
-        let golden = sig(&[(1, 100e-6)]);
+        let golden = sig(&[(1, 100)]);
         router.push_golden(1, golden.clone(), band(0.05)).unwrap();
         router.kill("local-0").unwrap();
         router.kill("local-1").unwrap();
@@ -1319,7 +1317,7 @@ mod tests {
         assert!(router.kill("no-such-backend").is_err());
         assert!(router.revive("no-such-backend").is_err());
         assert!(router.backend_is_down("no-such-backend").is_err());
-        let golden = sig(&[(1, 100e-6)]);
+        let golden = sig(&[(1, 100)]);
         router.push_golden(0x51, golden.clone(), band(0.05)).unwrap();
         let (mut ranked, mut members) = (router.rank_labels(0x51), router.backend_labels());
         ranked.sort();
@@ -1344,7 +1342,7 @@ mod tests {
         let setup_keys: Vec<u64> = (0..24).collect();
         for &key in &setup_keys {
             router
-                .push_golden(key, sig(&[(1, 100e-6), (key as u32 + 2, 50e-6)]), band(0.05))
+                .push_golden(key, sig(&[(1, 100), (key as u32 + 2, 50)]), band(0.05))
                 .unwrap();
         }
         assert_eq!(router.epoch(), 1);
@@ -1367,7 +1365,7 @@ mod tests {
             .collect();
         assert!(!moved.is_empty(), "with 24 keys some must re-home onto the joiner");
         for &key in &moved {
-            let observed = sig(&[(1, 100e-6), (key as u32 + 2, 50e-6)]);
+            let observed = sig(&[(1, 100), (key as u32 + 2, 50)]);
             assert_eq!(router.screen_one(key, &observed).unwrap().ndf, 0.0);
         }
 
@@ -1391,7 +1389,7 @@ mod tests {
         let keys: Vec<u64> = (100..130).collect();
         for &key in &keys {
             router
-                .push_golden(key, sig(&[(1, 100e-6), ((key % 31) as u32 + 2, 50e-6)]), band(0.05))
+                .push_golden(key, sig(&[(1, 100), ((key % 31) as u32 + 2, 50)]), band(0.05))
                 .unwrap();
         }
         let leaver = "local-1";
@@ -1410,7 +1408,7 @@ mod tests {
         // The leaver's keys were re-homed before removal: screening them
         // works without any refresh-on-miss (assert via a clean screen).
         for &key in &owned {
-            let observed = sig(&[(1, 100e-6), ((key % 31) as u32 + 2, 50e-6)]);
+            let observed = sig(&[(1, 100), ((key % 31) as u32 + 2, 50)]);
             assert_eq!(router.screen_one(key, &observed).unwrap().ndf, 0.0);
         }
 
@@ -1432,7 +1430,7 @@ mod tests {
         let keys: Vec<u64> = (200..220).collect();
         for &key in &keys {
             router
-                .push_golden(key, sig(&[(1, 100e-6), ((key % 17) as u32 + 2, 50e-6)]), band(0.05))
+                .push_golden(key, sig(&[(1, 100), ((key % 17) as u32 + 2, 50)]), band(0.05))
                 .unwrap();
         }
         let drained = "local-2";
@@ -1453,7 +1451,7 @@ mod tests {
         // members (the drain re-replicated its copies to them).
         router.kill(drained).unwrap();
         for &key in &keys {
-            let observed = sig(&[(1, 100e-6), ((key % 17) as u32 + 2, 50e-6)]);
+            let observed = sig(&[(1, 100), ((key % 17) as u32 + 2, 50)]);
             assert_eq!(router.screen_one(key, &observed).unwrap().ndf, 0.0);
         }
         router.revive(drained).unwrap();
@@ -1493,7 +1491,7 @@ mod tests {
         let keys: Vec<u64> = (300..324).collect();
         for &key in &keys {
             router
-                .push_golden(key, sig(&[(1, 100e-6), ((key % 13) as u32 + 2, 50e-6)]), band(0.05))
+                .push_golden(key, sig(&[(1, 100), ((key % 13) as u32 + 2, 50)]), band(0.05))
                 .unwrap();
         }
         let victim = router.rank_labels(keys[0])[0].clone();
@@ -1502,7 +1500,7 @@ mod tests {
         // The first screen against the dead owner fails over AND (backoff
         // saturated on the first failure) heals: every golden the victim
         // owned re-replicates to the survivors.
-        let observed = sig(&[(1, 100e-6), ((keys[0] % 13) as u32 + 2, 50e-6)]);
+        let observed = sig(&[(1, 100), ((keys[0] % 13) as u32 + 2, 50)]);
         assert_eq!(router.screen_one(keys[0], &observed).unwrap().ndf, 0.0);
 
         let names: Vec<String> = router.events().events.into_iter().map(|event| event.name).collect();
@@ -1515,7 +1513,7 @@ mod tests {
         // After healing, every key the victim owned screens cleanly even
         // though the victim is still dead.
         for &key in &keys {
-            let observed = sig(&[(1, 100e-6), ((key % 13) as u32 + 2, 50e-6)]);
+            let observed = sig(&[(1, 100), ((key % 13) as u32 + 2, 50)]);
             assert_eq!(router.screen_one(key, &observed).unwrap().ndf, 0.0);
         }
     }

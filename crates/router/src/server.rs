@@ -96,13 +96,15 @@ mod tests {
     use dsig_core::{AcceptanceBand, Signature, SignatureEntry, TestOutcome, ZoneCode};
     use dsig_serve::{GoldenStore, ServeClient, ServeConfig, ServeError, ServeHandle};
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -131,14 +133,14 @@ mod tests {
         .unwrap();
         let client = ServeClient::connect(router.local_addr()).unwrap();
         let band = AcceptanceBand::new(0.05).unwrap();
-        let golden_a = sig(&[(1, 100e-6), (3, 100e-6)]);
-        let golden_b = sig(&[(2, 100e-6), (4, 100e-6)]);
+        let golden_a = sig(&[(1, 100), (3, 100)]);
+        let golden_b = sig(&[(2, 100), (4, 100)]);
         client.push_golden(0xA, band, &golden_a).unwrap();
         client.push_golden(0xB, band, &golden_b).unwrap();
 
         // Single-golden screening, routed.
         let results = client
-            .screen(0xA, &[golden_a.clone(), sig(&[(1, 100e-6), (7, 100e-6)])])
+            .screen(0xA, &[golden_a.clone(), sig(&[(1, 100), (7, 100)])])
             .unwrap();
         assert_eq!(results[0].ndf, 0.0);
         assert_eq!(results[0].outcome, TestOutcome::Pass);
@@ -146,7 +148,7 @@ mod tests {
         // The TCP path equals the in-process path bit-for-bit.
         let direct = router
             .handle()
-            .screen(0xA, &[golden_a.clone(), sig(&[(1, 100e-6), (7, 100e-6)])])
+            .screen(0xA, &[golden_a.clone(), sig(&[(1, 100), (7, 100)])])
             .unwrap();
         assert_eq!(results, direct);
 
@@ -155,8 +157,8 @@ mod tests {
             golden_key: 0xA,
             policy: dsig_core::RetestPolicy::new(0.03, vec![2]).unwrap(),
             items: vec![dsig_serve::RetestItem {
-                initial: sig(&[(1, 100e-6), (3, 92e-6), (7, 8e-6)]),
-                repeats: vec![sig(&[(1, 100e-6), (3, 88e-6), (7, 12e-6)]); 2],
+                initial: sig(&[(1, 100), (3, 92), (7, 8)]),
+                repeats: vec![sig(&[(1, 100), (3, 88), (7, 12)]); 2],
             }],
         };
         let retested = client.screen_retest(&retest).unwrap();
@@ -188,7 +190,7 @@ mod tests {
         let handle = router.handle();
         let client = ServeClient::connect(router.local_addr()).unwrap();
         handle
-            .push_golden(0xE, sig(&[(1, 100e-6)]), AcceptanceBand::new(0.05).unwrap())
+            .push_golden(0xE, sig(&[(1, 100)]), AcceptanceBand::new(0.05).unwrap())
             .unwrap();
         let empty_retest = |golden_key| dsig_serve::RetestRequest {
             golden_key,
@@ -231,7 +233,7 @@ mod tests {
         )
         .unwrap();
         let client = ServeClient::connect(router.local_addr()).unwrap();
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         client
             .push_golden(0x11, AcceptanceBand::new(0.05).unwrap(), &golden)
             .unwrap();
@@ -282,7 +284,7 @@ mod tests {
         router.shutdown();
         // The in-process path still works after the listener is gone.
         let band = AcceptanceBand::new(0.05).unwrap();
-        let golden = sig(&[(1, 100e-6)]);
+        let golden = sig(&[(1, 100)]);
         handle.push_golden(5, golden.clone(), band).unwrap();
         assert_eq!(handle.screen_one(5, &golden).unwrap().ndf, 0.0);
     }

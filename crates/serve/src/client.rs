@@ -861,13 +861,15 @@ mod tests {
     use crate::server::{ServeConfig, Server};
     use crate::store::GoldenStore;
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -877,11 +879,7 @@ mod tests {
     fn serve() -> (Server, u64) {
         let store = GoldenStore::new();
         let key = 0xA11CE;
-        store.insert(
-            key,
-            sig(&[(1, 100e-6), (3, 100e-6)]),
-            AcceptanceBand::new(0.05).unwrap(),
-        );
+        store.insert(key, sig(&[(1, 100), (3, 100)]), AcceptanceBand::new(0.05).unwrap());
         let server = Server::bind("127.0.0.1:0", Arc::new(store), ServeConfig::with_shards(2)).unwrap();
         (server, key)
     }
@@ -890,7 +888,7 @@ mod tests {
     fn client_screens_over_loopback() {
         let (server, key) = serve();
         let client = ServeClient::connect(server.local_addr()).unwrap();
-        let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
+        let observed = vec![sig(&[(1, 100), (3, 100)]), sig(&[(1, 100), (7, 100)])];
         let results = client.screen(key, &observed).unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].ndf, 0.0);
@@ -908,12 +906,12 @@ mod tests {
     fn unknown_golden_is_reported_with_the_key() {
         let (server, _) = serve();
         let client = ServeClient::connect(server.local_addr()).unwrap();
-        match client.screen(0xDEAD, &[sig(&[(1, 1.0)])]) {
+        match client.screen(0xDEAD, &[sig(&[(1, 1_000_000)])]) {
             Err(ServeError::UnknownGolden(key)) => assert_eq!(key, 0xDEAD),
             other => panic!("expected UnknownGolden, got {other:?}"),
         }
         // The connection survives an error response.
-        assert!(client.screen(0xA11CE, &[sig(&[(1, 100e-6), (3, 100e-6)])]).is_ok());
+        assert!(client.screen(0xA11CE, &[sig(&[(1, 100), (3, 100)])]).is_ok());
     }
 
     #[test]
@@ -929,11 +927,7 @@ mod tests {
 
         let store = GoldenStore::new();
         let key = 5;
-        store.insert(
-            key,
-            sig(&[(1, 100e-6), (3, 100e-6)]),
-            AcceptanceBand::new(0.05).unwrap(),
-        );
+        store.insert(key, sig(&[(1, 100), (3, 100)]), AcceptanceBand::new(0.05).unwrap());
         let handle = crate::server::ServeHandle::spawn(Arc::new(store), ServeConfig::with_shards(1));
 
         // A deliberately flaky front: the first accepted connection is
@@ -964,7 +958,7 @@ mod tests {
         // The first exchange hits the torn-down connection and must succeed
         // through the one-shot transparent reconnect; later requests reuse
         // the live connection.
-        let observed = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let observed = sig(&[(1, 100), (3, 100)]);
         for _ in 0..3 {
             assert_eq!(client.screen_one(key, &observed).unwrap().ndf, 0.0);
         }
@@ -977,7 +971,7 @@ mod tests {
         let (server, key) = serve();
         let client = PipelinedClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.peer_addr(), server.local_addr());
-        let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
+        let observed = vec![sig(&[(1, 100), (3, 100)]), sig(&[(1, 100), (7, 100)])];
         // Issue a burst of tickets before waiting on any: all in flight on
         // the one connection.
         let tickets: Vec<_> = (0..16).map(|_| client.start_screen(key, &observed).unwrap()).collect();
@@ -994,7 +988,7 @@ mod tests {
         ));
         // Admin + scrape surfaces run pipelined as well.
         let band = AcceptanceBand::new(0.02).unwrap();
-        let second = sig(&[(2, 100e-6)]);
+        let second = sig(&[(2, 100)]);
         client.push_golden(0xB0B, band, &second).unwrap();
         assert_eq!(client.fetch_golden(0xB0B).unwrap(), (band, second.clone()));
         assert!(client.metrics().unwrap().counter("serve.requests.dsrq").unwrap() > 0);
@@ -1010,7 +1004,7 @@ mod tests {
 
         let store = GoldenStore::new();
         let key = 5;
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         store.insert(key, golden.clone(), AcceptanceBand::new(0.05).unwrap());
         let handle = crate::server::ServeHandle::spawn(Arc::new(store), ServeConfig::with_shards(1));
 
@@ -1183,7 +1177,7 @@ mod tests {
         });
 
         let client = PipelinedClient::connect(addr).unwrap();
-        let ticket = client.start_screen(1, &[sig(&[(1, 1.0)])]).unwrap();
+        let ticket = client.start_screen(1, &[sig(&[(1, 1_000_000)])]).unwrap();
         match ticket.wait() {
             Err(ServeError::Io(_)) => {}
             other => panic!("expected Io after the spent retry budget, got {other:?}"),
@@ -1191,7 +1185,10 @@ mod tests {
         crash_loop.join().unwrap();
         // The budget is per request, not per client: a later call dials
         // lazily (and here fails cleanly against the closed listener).
-        assert!(matches!(client.screen(1, &[sig(&[(1, 1.0)])]), Err(ServeError::Io(_))));
+        assert!(matches!(
+            client.screen(1, &[sig(&[(1, 1_000_000)])]),
+            Err(ServeError::Io(_))
+        ));
     }
 
     /// A response id matching nothing in flight poisons the client: every
@@ -1215,7 +1212,7 @@ mod tests {
         });
 
         let client = PipelinedClient::connect(addr).unwrap();
-        let ticket = client.start_screen(1, &[sig(&[(1, 1.0)])]).unwrap();
+        let ticket = client.start_screen(1, &[sig(&[(1, 1_000_000)])]).unwrap();
         match ticket.wait() {
             Err(ServeError::Dsig(dsig_core::DsigError::Corrupt { context, .. })) => {
                 assert_eq!(context, "mux response stream");
@@ -1224,7 +1221,7 @@ mod tests {
         }
         // Poisoning is terminal: later calls fail fast without dialing.
         assert!(matches!(
-            client.screen(1, &[sig(&[(1, 1.0)])]),
+            client.screen(1, &[sig(&[(1, 1_000_000)])]),
             Err(ServeError::Dsig(dsig_core::DsigError::Corrupt { .. }))
         ));
         serve_thread.join().unwrap();
@@ -1235,9 +1232,9 @@ mod tests {
         let (server, key) = serve();
         let client = ServeClient::connect(server.local_addr()).unwrap();
         let before = client.metrics().unwrap();
-        let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
+        let observed = vec![sig(&[(1, 100), (3, 100)]), sig(&[(1, 100), (7, 100)])];
         client.screen(key, &observed).unwrap();
-        let _ = client.screen(0xDEAD, &[sig(&[(1, 1.0)])]);
+        let _ = client.screen(0xDEAD, &[sig(&[(1, 1_000_000)])]);
         let after = client.metrics().unwrap();
         // Counters move and stay monotonic (the registry is process-wide, so
         // only deltas relative to `before` are asserted).
@@ -1261,7 +1258,7 @@ mod tests {
 
         let (server, key) = serve();
         let client = ServeClient::connect(server.local_addr()).unwrap();
-        let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
+        let observed = vec![sig(&[(1, 100), (3, 100)]), sig(&[(1, 100), (7, 100)])];
 
         // An unsampled request (no ambient context) must leave no spans.
         client.screen(key, &observed).unwrap();
@@ -1298,7 +1295,7 @@ mod tests {
         let client = ServeClient::connect(server.local_addr()).unwrap();
         // Push a second golden, read it back, and screen against both.
         let band = AcceptanceBand::new(0.02).unwrap();
-        let second = sig(&[(2, 100e-6), (4, 100e-6)]);
+        let second = sig(&[(2, 100), (4, 100)]);
         client.push_golden(0xB0B, band, &second).unwrap();
         let (fetched_band, fetched) = client.fetch_golden(0xB0B).unwrap();
         assert_eq!(fetched_band, band);
@@ -1308,10 +1305,7 @@ mod tests {
             Err(ServeError::UnknownGolden(0xDEAD))
         ));
         let own = client
-            .screen(
-                key,
-                &[sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])],
-            )
+            .screen(key, &[sig(&[(1, 100), (3, 100)]), sig(&[(1, 100), (7, 100)])])
             .unwrap();
         assert_eq!(own[0].ndf, 0.0);
         assert!(own[1].ndf > 0.0);
@@ -1324,7 +1318,7 @@ mod tests {
     /// One helper exercises both transports: the typed layer cannot tell
     /// them apart.
     fn drive<T: seam::Exchange>(peer: &Client<T>, key: u64) {
-        let observed = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let observed = sig(&[(1, 100), (3, 100)]);
         assert_eq!(peer.screen_one(key, &observed).unwrap().ndf, 0.0);
         assert_eq!(peer.screen(key, std::slice::from_ref(&observed)).unwrap().len(), 1);
         assert!(peer.metrics().unwrap().counter("serve.signatures_scored").is_some());

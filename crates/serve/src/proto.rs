@@ -696,12 +696,12 @@ pub fn decode_request_context(payload: &[u8]) -> TraceContext {
 }
 
 /// Encodes a screening request payload (without the frame length prefix).
-/// Each signature is written straight into the frame, which is sized
-/// exactly up front.
+/// Each signature is written straight into the frame, which is sized up
+/// front for the signatures' largest encodings, so it never grows.
 pub fn encode_request(golden_key: u64, signatures: &[Signature]) -> Vec<u8> {
     // Header, trace context, key and count; then per signature its byte
-    // length, magic, entry count and 12-byte entries.
-    let capacity = 14 + 17 + 8 + 4 + signatures.iter().map(|s| 12 + 12 * s.len()).sum::<usize>();
+    // length and at most its encoding's bound.
+    let capacity = 14 + 17 + 8 + 4 + signatures.iter().map(|s| 4 + s.max_encoded_len()).sum::<usize>();
     let mut out = work_request(REQUEST_MAGIC, capacity);
     golden_key.put(&mut out);
     wire::put_slice(signatures, &mut out);
@@ -741,7 +741,7 @@ pub fn decode_retest_request(payload: &[u8]) -> Result<RetestRequest> {
 
 /// Encodes a golden-push request payload (without the frame length prefix).
 pub fn encode_push_request(key: u64, band: AcceptanceBand, golden: &Signature) -> Vec<u8> {
-    let mut out = work_request(PUSH_MAGIC, 14 + 17 + 16 + 12 + 12 * golden.len());
+    let mut out = work_request(PUSH_MAGIC, 14 + 17 + 16 + 4 + golden.max_encoded_len());
     key.put(&mut out);
     band.put(&mut out);
     golden.put(&mut out);
@@ -979,13 +979,15 @@ mod tests {
         T::get(&mut ByteReader::new(bytes, "test"))
     }
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -994,7 +996,7 @@ mod tests {
 
     #[test]
     fn request_round_trips() {
-        let signatures = vec![sig(&[(1, 10e-6), (3, 20e-6)]), sig(&[(7, 1.0)])];
+        let signatures = vec![sig(&[(1, 10), (3, 20)]), sig(&[(7, 1_000_000)])];
         let payload = encode_request(0xFEED_BEEF, &signatures);
         let decoded = decode_request(&payload).unwrap();
         assert_eq!(decoded.golden_key, 0xFEED_BEEF);
@@ -1034,7 +1036,7 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_rejected_without_panicking() {
-        let payload = encode_request(7, &[sig(&[(1, 1.0)])]);
+        let payload = encode_request(7, &[sig(&[(1, 1_000_000)])]);
         assert!(decode_request(&payload[..5]).is_err());
         assert!(decode_request(&payload[..payload.len() - 1]).is_err());
         let mut bad_magic = payload.clone();
@@ -1059,11 +1061,11 @@ mod tests {
             policy: policy.clone(),
             items: vec![
                 RetestItem {
-                    initial: sig(&[(1, 10e-6), (3, 20e-6)]),
-                    repeats: vec![sig(&[(1, 11e-6)]), sig(&[(1, 9e-6)])],
+                    initial: sig(&[(1, 10), (3, 20)]),
+                    repeats: vec![sig(&[(1, 11)]), sig(&[(1, 9)])],
                 },
                 RetestItem {
-                    initial: sig(&[(7, 1.0)]),
+                    initial: sig(&[(7, 1_000_000)]),
                     repeats: vec![],
                 },
             ],
@@ -1155,7 +1157,7 @@ mod tests {
 
     #[test]
     fn push_and_fetch_round_trip_and_reject_malformed_payloads() {
-        let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let golden = sig(&[(1, 100), (3, 100)]);
         let band = AcceptanceBand::new(0.03).unwrap();
         let push = encode_push_request(0xFACE, band, &golden);
         match decode_any_request(&push).unwrap() {
@@ -1192,7 +1194,7 @@ mod tests {
     #[test]
     fn admin_responses_round_trip_and_reject_malformed_payloads() {
         let band = AcceptanceBand::new(0.05).unwrap();
-        let golden = sig(&[(1, 10e-6), (2, 20e-6)]);
+        let golden = sig(&[(1, 10), (2, 20)]);
         for response in [
             Reply::Results(AdminReply::Ack),
             Reply::Results(AdminReply::Record(GoldenRecord {
@@ -1287,7 +1289,7 @@ mod tests {
     #[test]
     fn decode_errors_answer_in_the_request_family() {
         let band = AcceptanceBand::new(0.03).unwrap();
-        let golden = sig(&[(1, 1.0)]);
+        let golden = sig(&[(1, 1_000_000)]);
         // An undecodable admin request (future version) must get a DSRA
         // error, so the admin client surfaces the message instead of a magic
         // mismatch.
@@ -1384,11 +1386,11 @@ mod tests {
             sampled: true,
         };
         let band = AcceptanceBand::new(0.03).unwrap();
-        let golden = sig(&[(1, 1.0)]);
+        let golden = sig(&[(1, 1_000_000)]);
         let frames: Vec<(&str, Vec<u8>)> = {
             let _guard = trace::with_context(ctx);
             vec![
-                ("DSRQ", encode_request(7, &[sig(&[(1, 1.0)])])),
+                ("DSRQ", encode_request(7, &[sig(&[(1, 1_000_000)])])),
                 (
                     "DSRT",
                     encode_retest_request(&RetestRequest {
@@ -1589,7 +1591,7 @@ mod tests {
     fn request_ids_stamp_and_peek_across_every_tagged_family() {
         // A freshly encoded frame carries the placeholder id 0; stamping
         // patches bytes 6..14 in place and the peek reads it back.
-        let mut request = encode_request(7, &[sig(&[(1, 1.0)])]);
+        let mut request = encode_request(7, &[sig(&[(1, 1_000_000)])]);
         assert_eq!(peek_request_id(&request), 0);
         stamp_request_id(&mut request, 0xABCD_EF01_2345_6789);
         assert_eq!(peek_request_id(&request), 0xABCD_EF01_2345_6789);
@@ -1609,7 +1611,7 @@ mod tests {
                 policy: RetestPolicy::new(0.005, vec![2]).unwrap(),
                 items: vec![],
             }),
-            encode_push_request(1, AcceptanceBand::new(0.03).unwrap(), &sig(&[(1, 1.0)])),
+            encode_push_request(1, AcceptanceBand::new(0.03).unwrap(), &sig(&[(1, 1_000_000)])),
             encode_fetch_request(1),
             encode_admin_request(&AdminRequest::Join {
                 label: "127.0.0.1:9000".into(),

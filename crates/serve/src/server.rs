@@ -482,13 +482,15 @@ mod tests {
     use dsig_core::{AcceptanceBand, SignatureEntry, TestOutcome, ZoneCode};
     use std::net::TcpStream;
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -497,11 +499,7 @@ mod tests {
 
     fn store_with_golden(key: u64) -> Arc<GoldenStore> {
         let store = GoldenStore::new();
-        store.insert(
-            key,
-            sig(&[(1, 100e-6), (3, 100e-6)]),
-            AcceptanceBand::new(0.05).unwrap(),
-        );
+        store.insert(key, sig(&[(1, 100), (3, 100)]), AcceptanceBand::new(0.05).unwrap());
         Arc::new(store)
     }
 
@@ -522,9 +520,9 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(3)).unwrap();
         let handle = server.handle();
         let observed = vec![
-            sig(&[(1, 100e-6), (3, 100e-6)]), // the golden itself
-            sig(&[(1, 100e-6), (7, 100e-6)]), // one zone rewritten
-            sig(&[(5, 200e-6)]),              // grossly defective
+            sig(&[(1, 100), (3, 100)]), // the golden itself
+            sig(&[(1, 100), (7, 100)]), // one zone rewritten
+            sig(&[(5, 200)]),           // grossly defective
         ];
         let results = handle.screen(9, &observed).unwrap();
         assert_eq!(results.len(), 3);
@@ -547,9 +545,7 @@ mod tests {
         let handle = server.handle();
         // A batch with a recognizable per-item signature: item k dwells k+1
         // microseconds in zone 2.
-        let observed: Vec<Signature> = (0..50)
-            .map(|k| sig(&[(1, 100e-6), (2, (k + 1) as f64 * 1e-6)]))
-            .collect();
+        let observed: Vec<Signature> = (0..50).map(|k| sig(&[(1, 100), (2, k + 1)])).collect();
         let results = handle.screen(1, &observed).unwrap();
         assert_eq!(results.len(), 50);
         let record = store.get(1).unwrap();
@@ -568,27 +564,51 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(1)).unwrap();
         let handle = server.handle();
         assert!(matches!(
-            handle.screen(999, &[sig(&[(1, 1.0)])]),
+            handle.screen(999, &[sig(&[(1, 1_000_000)])]),
             Err(ServeError::UnknownGolden(999))
         ));
         assert!(handle.screen(2, &[]).unwrap().is_empty());
-        let single = handle.screen_one(2, &sig(&[(1, 100e-6), (3, 100e-6)])).unwrap();
+        let single = handle.screen_one(2, &sig(&[(1, 100), (3, 100)])).unwrap();
         assert_eq!(single.ndf, 0.0);
+    }
+
+    #[test]
+    fn a_served_signature_of_another_unit_is_answered_with_an_error_not_a_score() {
+        // The golden counts 1 µs; the observed copy holds the same codes and
+        // counts in 0.1 µs ticks.
+        let store = store_with_golden(4);
+        let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(1)).unwrap();
+        let golden = sig(&[(1, 100), (3, 100)]);
+        let ticks = Signature::new(1e-7, golden.entries().to_vec()).unwrap();
+        let in_process = server.handle().screen(4, std::slice::from_ref(&ticks));
+        assert!(
+            matches!(&in_process, Err(ServeError::Dsig(dsig_core::DsigError::InvalidSignature(m))) if m.contains("per count")),
+            "{in_process:?}"
+        );
+        // Over TCP, a `DSRQ` carrying it draws an error reply for the whole
+        // request, and the connection goes on serving.
+        let client = crate::ServeClient::connect(server.local_addr()).unwrap();
+        let served = client.screen(4, &[golden.clone(), ticks]);
+        assert!(
+            matches!(&served, Err(ServeError::Remote(m)) if m.contains("per count")),
+            "{served:?}"
+        );
+        assert_eq!(client.screen(4, &[golden]).unwrap()[0].ndf, 0.0);
     }
 
     #[test]
     fn spawned_handle_scores_without_a_listener_and_serves_admin_ops() {
         let store = store_with_golden(11);
         let handle = ServeHandle::spawn(Arc::clone(&store), ServeConfig::with_shards(2));
-        let observed = sig(&[(1, 100e-6), (3, 100e-6)]);
+        let observed = sig(&[(1, 100), (3, 100)]);
         assert_eq!(handle.screen_one(11, &observed).unwrap().ndf, 0.0);
         assert_eq!(handle.signatures_scored(), 1);
         // Push then read back a second golden through the admin surface.
         assert!(matches!(handle.fetch_golden(12), Err(ServeError::UnknownGolden(12))));
-        handle.push_golden(12, sig(&[(2, 50e-6)]), AcceptanceBand::new(0.01).unwrap());
+        handle.push_golden(12, sig(&[(2, 50)]), AcceptanceBand::new(0.01).unwrap());
         let record = handle.fetch_golden(12).unwrap();
         assert_eq!(record.band.ndf_threshold, 0.01);
-        assert_eq!(record.golden, sig(&[(2, 50e-6)]));
+        assert_eq!(record.golden, sig(&[(2, 50)]));
     }
 
     #[test]
@@ -602,10 +622,10 @@ mod tests {
         // Three devices: one far inside the band, one marginal whose repeats
         // push it over the threshold (a PASS -> FAIL flip), one marginal and
         // confirmed by its repeats.
-        let clean = sig(&[(1, 100e-6), (3, 100e-6)]);
-        let marginal_bad = sig(&[(1, 100e-6), (3, 91e-6), (7, 9e-6)]);
-        let worse = sig(&[(1, 100e-6), (3, 80e-6), (7, 20e-6)]);
-        let marginal_ok = sig(&[(1, 100e-6), (3, 92e-6), (7, 8e-6)]);
+        let clean = sig(&[(1, 100), (3, 100)]);
+        let marginal_bad = sig(&[(1, 100), (3, 91), (7, 9)]);
+        let worse = sig(&[(1, 100), (3, 80), (7, 20)]);
+        let marginal_ok = sig(&[(1, 100), (3, 92), (7, 8)]);
         let single = |s: &Signature| direct_score(&record, s);
         // Build a guard band that makes exactly the two borderline devices
         // marginal against the stored 0.05 threshold.
@@ -685,6 +705,6 @@ mod tests {
         let _ = TcpStream::connect(addr);
         // The in-process path still works: it needs no listener.
         let handle = server.handle();
-        assert!(handle.screen(3, &[sig(&[(1, 100e-6), (3, 100e-6)])]).is_ok());
+        assert!(handle.screen(3, &[sig(&[(1, 100), (3, 100)])]).is_ok());
     }
 }

@@ -200,13 +200,15 @@ mod tests {
     use super::*;
     use dsig_core::{DsigError, SignatureEntry, ZoneCode};
 
-    fn sig(codes: &[(u32, f64)]) -> Signature {
+    /// A signature of 1 µs counts.
+    fn sig(codes: &[(u32, u32)]) -> Signature {
         Signature::new(
+            1e-6,
             codes
                 .iter()
-                .map(|&(c, d)| SignatureEntry {
+                .map(|&(c, n)| SignatureEntry {
                     code: ZoneCode(c),
-                    duration: d,
+                    count: n,
                 })
                 .collect(),
         )
@@ -222,12 +224,12 @@ mod tests {
         let store = GoldenStore::new();
         assert!(store.is_empty());
         assert!(store.get(1).is_none());
-        store.insert(7, sig(&[(1, 1.0)]), band(0.03));
-        store.insert(3, sig(&[(2, 2.0)]), band(0.05));
+        store.insert(7, sig(&[(1, 1_000_000)]), band(0.03));
+        store.insert(3, sig(&[(2, 2_000_000)]), band(0.05));
         assert_eq!(store.len(), 2);
         assert_eq!(store.keys(), vec![3, 7]);
         assert_eq!(store.get(7).unwrap().band.ndf_threshold, 0.03);
-        let replaced = store.insert(7, sig(&[(9, 1.0)]), band(0.10));
+        let replaced = store.insert(7, sig(&[(9, 1_000_000)]), band(0.10));
         assert_eq!(replaced.unwrap().band.ndf_threshold, 0.03);
         assert_eq!(store.len(), 2);
     }
@@ -267,8 +269,8 @@ mod tests {
     #[test]
     fn store_round_trips_through_bytes_and_disk() {
         let store = GoldenStore::new();
-        store.insert(42, sig(&[(1, 10e-6), (3, 20e-6)]), band(0.03));
-        store.insert(7, sig(&[(5, 1.5)]), band(0.08));
+        store.insert(42, sig(&[(1, 10), (3, 20)]), band(0.03));
+        store.insert(7, sig(&[(5, 1_500_000)]), band(0.08));
         let bytes = store.to_bytes();
         assert_eq!(bytes, store.to_bytes(), "serialization must be deterministic");
         let decoded = GoldenStore::from_bytes(&bytes).unwrap();
@@ -290,7 +292,7 @@ mod tests {
     #[test]
     fn corrupted_stores_are_rejected_without_panicking() {
         let store = GoldenStore::new();
-        store.insert(1, sig(&[(1, 1.0)]), band(0.03));
+        store.insert(1, sig(&[(1, 1_000_000)]), band(0.03));
         let bytes = store.to_bytes();
         assert!(GoldenStore::from_bytes(&bytes[..5]).is_err(), "truncated header");
         assert!(
@@ -315,7 +317,7 @@ mod tests {
     #[test]
     fn duplicate_fingerprints_are_corrupt() {
         let store = GoldenStore::new();
-        store.insert(5, sig(&[(1, 1.0)]), band(0.03));
+        store.insert(5, sig(&[(1, 1_000_000)]), band(0.03));
         let mut bytes = store.to_bytes();
         // Append a second copy of the single record and fix the count.
         let record = bytes[10..].to_vec();

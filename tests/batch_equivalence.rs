@@ -32,7 +32,7 @@ fn setup_from(rate: f64, bandwidth_khz: u32, clock_bits: u32, noise_sigma_mv: f6
     } else {
         Some(f64::from(bandwidth_khz) * 1e3)
     };
-    // 0 disables the capture clock (exact dwell times).
+    // 0 disables the capture clock (dwells counted in samples).
     setup.clock = if clock_bits == 0 {
         None
     } else {
@@ -102,13 +102,10 @@ proptest! {
                 .signature_of(&device.cut, device.noise_seed)
                 .expect("per-device capture");
             prop_assert_eq!(batched_sig.len(), per_device.len());
+            prop_assert_eq!(batched_sig.unit().to_bits(), per_device.unit().to_bits(), "units must be bit-identical");
             for (a, b) in batched_sig.entries().iter().zip(per_device.entries()) {
                 prop_assert_eq!(a.code, b.code, "zone codes diverged");
-                prop_assert_eq!(
-                    a.duration.to_bits(),
-                    b.duration.to_bits(),
-                    "dwell times must be bit-identical"
-                );
+                prop_assert_eq!(a.count, b.count, "dwell counts must be identical");
             }
         }
         // Noiseless and noisy lots (σ below 8 mV) alike must have been
@@ -146,13 +143,10 @@ proptest! {
         for (i, repeat) in (0u64..).zip(&repeated) {
             let per_repeat = setup.signature_of(&cut, base_seed + i).expect("per-repeat capture");
             prop_assert_eq!(repeat.len(), per_repeat.len());
+            prop_assert_eq!(repeat.unit().to_bits(), per_repeat.unit().to_bits(), "units must be bit-identical");
             for (a, b) in repeat.entries().iter().zip(per_repeat.entries()) {
                 prop_assert_eq!(a.code, b.code, "zone codes diverged");
-                prop_assert_eq!(
-                    a.duration.to_bits(),
-                    b.duration.to_bits(),
-                    "dwell times must be bit-identical"
-                );
+                prop_assert_eq!(a.count, b.count, "dwell counts must be identical");
             }
         }
     }

@@ -14,36 +14,39 @@ use analog_signature::obs::{MetricsSnapshot, Registry};
 use analog_signature::serve::{proto, GoldenRecord};
 use proptest::prelude::*;
 
-/// Builds a valid signature from generated `(code, duration-in-µs)` pairs.
-fn signature_from(parts: &[(u32, f64)]) -> Signature {
+/// Builds a valid signature from generated `(code, count)` pairs, counted
+/// in the paper clock's 0.1 µs ticks.
+fn signature_from(parts: &[(u32, u32)]) -> Signature {
     Signature::new(
+        1e-7,
         parts
             .iter()
-            .map(|&(code, dur_us)| SignatureEntry {
+            .map(|&(code, count)| SignatureEntry {
                 code: ZoneCode(code),
-                duration: dur_us * 1e-6,
+                count,
             })
             .collect(),
     )
-    .expect("generated durations are finite and positive")
+    .expect("generated counts sum within a u32")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn signature_round_trips_bit_exact(parts in prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..40)) {
+    fn signature_round_trips_bit_exact(parts in prop::collection::vec((0u32..u32::MAX, 1u32..100_000_000), 1..40)) {
+        // Any code and count, at every varint width.
         let signature = signature_from(&parts);
-        let decoded = Signature::from_bytes(&signature.to_bytes()).unwrap();
+        let bytes = signature.to_bytes();
+        prop_assert!(bytes.len() <= signature.max_encoded_len());
+        let decoded = Signature::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&decoded, &signature);
-        for (a, b) in decoded.entries().iter().zip(signature.entries()) {
-            prop_assert_eq!(a.duration.to_bits(), b.duration.to_bits());
-        }
+        prop_assert_eq!(decoded.unit().to_bits(), signature.unit().to_bits());
     }
 
     #[test]
     fn truncated_signatures_always_error(
-        parts in prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..20),
+        parts in prop::collection::vec((0u32..64, 1u32..5000), 1..20),
         cut in 0.0..1.0_f64,
     ) {
         let bytes = signature_from(&parts).to_bytes();
@@ -58,7 +61,7 @@ proptest! {
 
     #[test]
     fn mutated_signatures_never_panic(
-        parts in prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..20),
+        parts in prop::collection::vec((0u32..64, 1u32..5000), 1..20),
         position in 0.0..1.0_f64,
         flip in 1u8..255,
     ) {
@@ -70,12 +73,14 @@ proptest! {
         // value); the property under test is the absence of panics and
         // unbounded allocations.
         if let Ok(decoded) = Signature::from_bytes(&bytes) {
-            prop_assert!(decoded.entries().iter().all(|e| e.duration >= 0.0));
+            prop_assert!(decoded.entries().iter().all(|e| e.count > 0));
+            prop_assert!(decoded.unit() > 0.0 && decoded.unit().is_finite());
         }
-        // Corrupting the header (magic or count) can never decode silently,
-        // except a count flip on a buffer that still frames consistently —
-        // impossible here because the byte length pins the entry count.
-        if at < 8 {
+        // Corrupting the magic (bytes 0..4) or the one-byte entry count
+        // (byte 12, after the 8-byte unit) can never decode silently: the
+        // byte length pins the entry count. A flip inside the unit may
+        // decode to another valid unit.
+        if at < 4 || at == 12 {
             prop_assert!(Signature::from_bytes(&bytes).is_err());
         }
     }
@@ -84,7 +89,7 @@ proptest! {
     fn push_fetch_and_admin_frames_round_trip_and_survive_abuse(
         key in 0u64..u64::MAX,
         threshold in 0.0..10.0_f64,
-        parts in prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..10),
+        parts in prop::collection::vec((0u32..64, 1u32..5000), 1..10),
         position in 0.0..1.0_f64,
         flip in 1u8..255,
         cut in 0.0..1.0_f64,
@@ -182,8 +187,8 @@ proptest! {
         steps in prop::collection::vec(1u32..6, 1..4),
         items in prop::collection::vec(
             (
-                prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..6),
-                prop::collection::vec(prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..4), 0..4),
+                prop::collection::vec((0u32..64, 1u32..5000), 1..6),
+                prop::collection::vec(prop::collection::vec((0u32..64, 1u32..5000), 1..4), 0..4),
             ),
             0..6,
         ),
@@ -709,7 +714,7 @@ proptest! {
     fn tagged_request_headers_round_trip_and_decode_across_versions(
         key in 0u64..u64::MAX,
         id in 1u64..u64::MAX,
-        parts in prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..6),
+        parts in prop::collection::vec((0u32..64, 1u32..5000), 1..6),
         cut in 0.0..1.0_f64,
         position in 0.0..1.0_f64,
         flip in 1u8..255,
@@ -728,9 +733,10 @@ proptest! {
         prop_assert_eq!(proto::peek_request_id(&tagged), id);
         let decoded = proto::decode_request(&tagged).unwrap();
         prop_assert_eq!(&decoded, &reference);
-        for (a, b) in decoded.signatures[0].entries().iter().zip(reference.signatures[0].entries()) {
-            prop_assert_eq!(a.duration.to_bits(), b.duration.to_bits());
-        }
+        prop_assert_eq!(
+            decoded.signatures[0].unit().to_bits(),
+            reference.signatures[0].unit().to_bits()
+        );
 
         // Other versions: the same body framed as v2 (trace context, no id)
         // and v1 (bare) — the layouts before the request id — and as a
@@ -811,7 +817,7 @@ proptest! {
     #[test]
     fn log_round_trips_and_rejects_mutations(
         lots in prop::collection::vec(
-            (0u32..10_000, prop::collection::vec((0u32..64, 0.01..500.0_f64), 1..8)),
+            (0u32..10_000, prop::collection::vec((0u32..64, 1u32..5000), 1..8)),
             1..12,
         ),
         position in 0.0..1.0_f64,
@@ -841,28 +847,30 @@ proptest! {
     }
 }
 
-/// A golden whose two durations are finite but sum past `f64::MAX` (its
-/// period would be +inf and every score NaN) is refused by decoding, so a
-/// server answers the push with an error and stores nothing.
+/// A golden whose two counts each fit a `u32` but sum past `u32::MAX` (its
+/// window would not be a count) is refused by decoding, so a server answers
+/// the push with an error and stores nothing.
 #[test]
 fn a_pushed_golden_whose_durations_overflow_is_rejected_and_not_stored() {
     use analog_signature::serve::{GoldenStore, ServeConfig, ServeError, Server};
     use std::io::Write;
     use std::sync::Arc;
 
-    // Encode a valid two-entry golden, then patch both durations to 1e308
-    // in the frame's embedded signature bytes.
+    // Encode a valid two-entry golden of 2^31 - 1 counts per entry, whose
+    // counts are five-byte varints ending in 0x07, then patch both final
+    // bytes to 0x0f, making each count u32::MAX.
     let key = 0xB16;
-    let valid = signature_from(&[(1, 1.0), (2, 1.0)]);
+    let valid = signature_from(&[(1, 0x7fff_ffff), (2, 0x7fff_ffff)]);
     let mut frame = proto::encode_push_request(key, AcceptanceBand::new(0.03).unwrap(), &valid);
     let embedded = valid.to_bytes();
     let at = frame
         .windows(embedded.len())
         .position(|w| w == embedded.as_slice())
         .expect("the frame embeds the golden's bytes");
-    for entry in 0..2 {
-        let duration = at + 8 + 12 * entry + 4;
-        frame[duration..duration + 8].copy_from_slice(&1e308f64.to_bits().to_le_bytes());
+    // Magic, unit and entry count, then (code, count) per entry.
+    for last_count_byte in [13 + 5, 13 + 6 + 5] {
+        assert_eq!(frame[at + last_count_byte], 0x07);
+        frame[at + last_count_byte] = 0x0f;
     }
     let decoded = proto::decode_any_request(&frame);
     assert!(
@@ -901,20 +909,9 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
         RetestResponse, RetestScore, RosterEntry, ScoreResult, ScreenResponse,
     };
 
-    let seconds = |parts: &[(u32, f64)]| {
-        Signature::new(
-            parts
-                .iter()
-                .map(|&(code, duration)| SignatureEntry {
-                    code: ZoneCode(code),
-                    duration,
-                })
-                .collect(),
-        )
-        .unwrap()
-    };
-    let a = seconds(&[(1, 100e-6), (3, 250e-6)]);
-    let b = seconds(&[(7, 1.0)]);
+    // 100 µs, 250 µs and 1 s of 0.1 µs ticks.
+    let a = signature_from(&[(1, 1000), (3, 2500)]);
+    let b = signature_from(&[(7, 10_000_000)]);
     let band = AcceptanceBand::new(0.03).unwrap();
     let ctx = TraceContext {
         trace_id: 0x0123_4567_89AB_CDEF,
@@ -1155,25 +1152,23 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     (
         "DSRQ",
         concat!(
-            "4453525103000000000000000000efcdab89674523011032547698badcfe010df0edfe00000000020000002000000044",
-            "53473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f1400000044534731010000000700000000",
-            "0000000000f03f",
+            "4453525103000000000000000000efcdab89674523011032547698badcfe010df0edfe00000000020000001300000044",
+            "53473248afbc9af2d77a3e0201e80703c413120000004453473248afbc9af2d77a3e010780ade204",
         ),
     ),
     (
         "DSRT",
         concat!(
             "4453525403000000000000000000efcdab89674523011032547698badcfe01edfe0000000000007b14ae47e17a743f02",
-            "000000020000000600000001000000200000004453473102000000010000002d431cebe2361a3f03000000fca9f1d24d",
-            "62303f0200000014000000445347310100000007000000000000000000f03f200000004453473102000000010000002d",
-            "431cebe2361a3f03000000fca9f1d24d62303f",
+            "000000020000000600000001000000130000004453473248afbc9af2d77a3e0201e80703c41302000000120000004453",
+            "473248afbc9af2d77a3e010780ade204130000004453473248afbc9af2d77a3e0201e80703c413",
         ),
     ),
     (
         "DSGP",
         concat!(
-            "4453475003000000000000000000efcdab89674523011032547698badcfe01cefa000000000000b81e85eb51b89e3f20",
-            "0000004453473102000000010000002d431cebe2361a3f03000000fca9f1d24d62303f",
+            "4453475003000000000000000000efcdab89674523011032547698badcfe01cefa000000000000b81e85eb51b89e3f13",
+            "0000004453473248afbc9af2d77a3e0201e80703c413",
         ),
     ),
     (
@@ -1202,8 +1197,8 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     (
         "DSRQ stamped",
         concat!(
-            "445352510300887766554433221100000000000000000000000000000000000df0edfe00000000010000001400000044",
-            "5347310100000007000000000000000000f03f",
+            "445352510300887766554433221100000000000000000000000000000000000df0edfe00000000010000001200000044",
+            "53473248afbc9af2d77a3e010780ade204",
         ),
     ),
     ("DSMX", "44534d5802000000000000000000"),
@@ -1231,10 +1226,7 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ("DSRA ack", "445352410200000000000000000000"),
     (
         "DSRA record",
-        concat!(
-            "445352410200000000000000000002b81e85eb51b89e3f200000004453473102000000010000002d431cebe2361a3f03",
-            "000000fca9f1d24d62303f",
-        ),
+        "445352410200000000000000000002b81e85eb51b89e3f130000004453473248afbc9af2d77a3e0201e80703c413",
     ),
     (
         "DSRA roster",
@@ -1340,7 +1332,7 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
 ];
 
 /// One file of every persisted and standalone format, encoded from fixed
-/// inputs: a `DSG1` signature, a two-entry `DSGL` log, a `DSGR` report under
+/// inputs: a `DSG2` signature, a two-entry `DSGL` log, a `DSGR` report under
 /// each capture path (with a coverage row, a device row without retest
 /// metadata and one with it), a two-record `DSGS` store, and standalone
 /// `DSMS`, `DSTL` and `DSEL` bodies.
@@ -1352,9 +1344,9 @@ fn golden_files() -> Vec<(&'static str, Vec<u8>)> {
     };
     use analog_signature::serve::GoldenStore;
 
-    let a = signature_from(&[(1, 100.0), (3, 250.0)]);
-    let b = signature_from(&[(7, 1e6)]);
-    let mut files = vec![("DSG1", a.to_bytes())];
+    let a = signature_from(&[(1, 1000), (3, 2500)]);
+    let b = signature_from(&[(7, 10_000_000)]);
+    let mut files = vec![("DSG2", a.to_bytes())];
     let mut log = SignatureLog::new();
     log.push(3, a.clone());
     log.push(9, b.clone());
@@ -1459,18 +1451,50 @@ fn persisted_files_are_byte_identical_to_the_captured_golden_bytes() {
     }
 }
 
+/// Files persisted before the `DSG2` signature codec are a declared break:
+/// a `DSGL` log or `DSGS` store nesting `DSG1` signatures (here the previous
+/// captured bytes of [`golden_files`]' two) is corrupt, not misread.
+#[test]
+fn files_nesting_previous_signatures_are_rejected_as_corrupt() {
+    use analog_signature::serve::{GoldenStore, ServeError};
+
+    let bytes = |hex: &str| -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    };
+    let log = SignatureLog::from_bytes(&bytes(DSG1_LAYOUT_DSGL));
+    assert!(matches!(log, Err(DsigError::Corrupt { .. })), "{log:?}");
+    let store = GoldenStore::from_bytes(&bytes(DSG1_LAYOUT_DSGS));
+    assert!(
+        matches!(store, Err(ServeError::Dsig(DsigError::Corrupt { .. }))),
+        "{store:?}"
+    );
+}
+
+/// The `DSGL` entry of [`GOLDEN_FILES`] as captured with `DSG1` signatures.
+const DSG1_LAYOUT_DSGL: &str = concat!(
+    "4453474c0200000003000000200000004453473102000000010000002c431cebe2361a3f03000000fca9f1d24d62303f",
+    "0900000014000000445347310100000007000000000000000000f03f",
+);
+
+/// The `DSGS` entry of [`GOLDEN_FILES`] as captured with `DSG1` signatures.
+const DSG1_LAYOUT_DSGS: &str = concat!(
+    "4453475301000200000007000000000000009a9999999999a93f14000000445347310100000007000000000000000000",
+    "f03f2a00000000000000b81e85eb51b89e3f200000004453473102000000010000002c431cebe2361a3f03000000fca9",
+    "f1d24d62303f",
+);
+
 /// Every file [`golden_files`] encodes, as captured hex: persisted formats
 /// must stay byte-identical.
 const GOLDEN_FILES: &[(&str, &str)] = &[
-    (
-        "DSG1",
-        "4453473102000000010000002c431cebe2361a3f03000000fca9f1d24d62303f",
-    ),
+    ("DSG2", "4453473248afbc9af2d77a3e0201e80703c413"),
     (
         "DSGL",
         concat!(
-            "4453474c0200000003000000200000004453473102000000010000002c431cebe2361a3f03000000fca9f1d24d62303f",
-            "0900000014000000445347310100000007000000000000000000f03f",
+            "4453474c0200000003000000130000004453473248afbc9af2d77a3e0201e80703c41309000000120000004453473248",
+            "afbc9af2d77a3e010780ade204",
         ),
     ),
     (
@@ -1513,9 +1537,8 @@ const GOLDEN_FILES: &[(&str, &str)] = &[
     (
         "DSGS",
         concat!(
-            "4453475301000200000007000000000000009a9999999999a93f14000000445347310100000007000000000000000000",
-            "f03f2a00000000000000b81e85eb51b89e3f200000004453473102000000010000002c431cebe2361a3f03000000fca9",
-            "f1d24d62303f",
+            "4453475301000200000007000000000000009a9999999999a93f120000004453473248afbc9af2d77a3e010780ade204",
+            "2a00000000000000b81e85eb51b89e3f130000004453473248afbc9af2d77a3e0201e80703c413",
         ),
     ),
     (

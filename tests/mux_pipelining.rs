@@ -586,10 +586,13 @@ fn stalled_reader_at(shards: usize) {
     // (roughly 850 KiB of answers) and never reads a byte. Its connection's
     // writer thread backs up against the kernel buffers; the pool and every
     // other connection must not.
-    let tiny = Signature::new(vec![SignatureEntry {
-        code: ZoneCode(1),
-        duration: 1e-6,
-    }])
+    let tiny = Signature::new(
+        1e-6,
+        vec![SignatureEntry {
+            code: ZoneCode(1),
+            count: 1,
+        }],
+    )
     .unwrap();
     let stalled = TcpStream::connect(addr).unwrap();
     {

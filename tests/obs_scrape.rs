@@ -192,15 +192,16 @@ fn one_fleet_scrape_carries_prefixes_and_rollups_and_health_flips_on_kills() {
 /// A golden of two 100 µs zones, and an observed copy whose second zone
 /// reads code 7 instead of 3 (one bit apart) for its last `flipped_us`: its
 /// NDF is `flipped_us / 200`.
-fn two_zone(flipped_us: f64) -> Signature {
-    let entries = [(1, 100.0), (3, 100.0 - flipped_us), (7, flipped_us)];
+fn two_zone(flipped_us: u32) -> Signature {
+    // 1 µs counts; a zero count drops out.
+    let entries = [(1, 100), (3, 100 - flipped_us), (7, flipped_us)];
     Signature::new(
+        1e-6,
         entries
             .iter()
-            .filter(|&&(_, us)| us > 0.0)
             .map(|&(code, us)| SignatureEntry {
                 code: ZoneCode(code),
-                duration: us * 1e-6,
+                count: us,
             })
             .collect(),
     )
@@ -223,11 +224,11 @@ fn retest_cap_hits_reach_the_fleet_event_log_over_tcp() {
     let client = RouterClient::connect(router.local_addr()).unwrap();
     const KEY: u64 = 0xCA9E_0417;
     let band = AcceptanceBand::new(0.05).unwrap();
-    client.push_golden(KEY, band, &two_zone(0.0)).unwrap();
+    client.push_golden(KEY, band, &two_zone(0)).unwrap();
 
     // Threshold 0.05, guard 0.02: an NDF in [0.03, 0.07] is marginal.
     let policy = RetestPolicy::new(0.02, vec![1, 2]).unwrap();
-    let (clean, marginal, far) = (two_zone(0.0), two_zone(10.0), two_zone(30.0));
+    let (clean, marginal, far) = (two_zone(0), two_zone(10), two_zone(30));
     let item = |initial: &Signature, repeats: [&Signature; 2]| RetestItem {
         initial: initial.clone(),
         repeats: repeats.into_iter().cloned().collect(),

@@ -1,6 +1,6 @@
 //! Allocation counts of the serving path, under a counting global
 //! allocator: the screening-request codec (`DSRQ`), where encoding writes
-//! every signature straight into one exactly sized frame and decoding
+//! every signature straight into one frame sized up front and decoding
 //! allocates one entry list per signature, which `Signature::new` merges in
 //! place; the screening-response codec (`DSRS`), whose score list reserves
 //! its exact size before its first score; and the routed in-process hop,
@@ -77,10 +77,11 @@ fn signatures(count: usize) -> Vec<Signature> {
     (0..count)
         .map(|s| {
             Signature::new(
+                1e-6,
                 (0..40)
                     .map(|k| SignatureEntry {
                         code: ZoneCode(k),
-                        duration: (1 + k as usize + s) as f64 * 1e-6,
+                        count: 1 + k + s as u32,
                     })
                     .collect(),
             )

@@ -1,28 +1,39 @@
 //! Property-based tests of the signature / NDF invariants.
 
 use analog_signature::dsig::{
-    capture_signature, hamming_chronogram, ndf, ndf_and_peak, peak_hamming_distance, CaptureClock, PointEncoder,
-    Signature, SignatureEntry, ZoneCode,
+    capture_signature, ndf, ndf_and_peak, peak_hamming_distance, CaptureClock, PointEncoder, Signature, SignatureEntry,
+    ZoneCode,
 };
 use analog_signature::monitor::ZonePartition;
 use analog_signature::signal::Waveform;
 use proptest::prelude::*;
 
-/// Arbitrary signatures: 1..12 entries with codes below 64 and durations in
-/// (1 µs, 100 µs).
+/// The unit of every generated signature: the paper clock's 0.1 µs tick.
+const TICK: f64 = 1e-7;
+
+/// A signature of `TICK` counts.
+fn counted(entries: impl IntoIterator<Item = (u32, u32)>) -> Signature {
+    counted_in(TICK, entries)
+}
+
+fn counted_in(unit: f64, entries: impl IntoIterator<Item = (u32, u32)>) -> Signature {
+    Signature::new(
+        unit,
+        entries
+            .into_iter()
+            .map(|(c, n)| SignatureEntry {
+                code: ZoneCode(c),
+                count: n,
+            })
+            .collect(),
+    )
+    .expect("valid entries")
+}
+
+/// Arbitrary signatures: 1..12 entries with codes below 64 and dwells of
+/// 10 to 999 ticks (1 µs to 100 µs).
 fn signature_strategy() -> impl Strategy<Value = Signature> {
-    prop::collection::vec((0u32..64, 1e-6..100e-6_f64), 1..12).prop_map(|entries| {
-        Signature::new(
-            entries
-                .into_iter()
-                .map(|(c, d)| SignatureEntry {
-                    code: ZoneCode(c),
-                    duration: d,
-                })
-                .collect(),
-        )
-        .expect("valid entries")
-    })
+    prop::collection::vec((0u32..64, 10u32..1000), 1..12).prop_map(counted)
 }
 
 proptest! {
@@ -30,7 +41,7 @@ proptest! {
 
     #[test]
     fn ndf_of_a_signature_with_itself_is_zero(sig in signature_strategy()) {
-        prop_assert!(ndf(&sig, &sig).expect("ndf") < 1e-12);
+        prop_assert_eq!(ndf(&sig, &sig).expect("ndf"), 0.0);
     }
 
     #[test]
@@ -38,33 +49,29 @@ proptest! {
         // Codes are below 64, i.e. at most 6 bits differ at any instant.
         let value = ndf(&a, &b).expect("ndf");
         prop_assert!(value >= 0.0);
-        prop_assert!(value <= 6.0 + 1e-12);
+        prop_assert!(value <= 6.0);
     }
 
     #[test]
     fn ndf_is_symmetric_when_durations_match(codes_a in prop::collection::vec(0u32..64, 1..10),
                                              codes_b in prop::collection::vec(0u32..64, 1..10)) {
-        // Build two signatures over the same total duration with uniform
-        // dwell times; Eq. (2) is then symmetric in its arguments.
-        let total = 200e-6;
-        let a = Signature::new(codes_a.iter().map(|&c| SignatureEntry {
-            code: ZoneCode(c), duration: total / codes_a.len() as f64,
-        }).collect()).expect("a");
-        let b = Signature::new(codes_b.iter().map(|&c| SignatureEntry {
-            code: ZoneCode(c), duration: total / codes_b.len() as f64,
-        }).collect()).expect("b");
+        // Build two signatures over the same total count with uniform
+        // dwells (2,520 ticks divide evenly into 1 to 9 entries); Eq. (2)
+        // is then symmetric in its arguments, and exactly so in integers.
+        let total = 2520;
+        let a = counted(codes_a.iter().map(|&c| (c, total / codes_a.len() as u32)));
+        let b = counted(codes_b.iter().map(|&c| (c, total / codes_b.len() as u32)));
         let ab = ndf(&a, &b).expect("ndf");
         let ba = ndf(&b, &a).expect("ndf");
-        prop_assert!((ab - ba).abs() < 1e-9, "ndf(a,b) = {ab}, ndf(b,a) = {ba}");
+        prop_assert_eq!(ab.to_bits(), ba.to_bits(), "ndf(a,b) = {}, ndf(b,a) = {}", ab, ba);
     }
 
     #[test]
-    fn signature_total_duration_is_preserved_by_merging(entries in prop::collection::vec((0u32..8, 1e-6..10e-6_f64), 1..20)) {
-        let expected: f64 = entries.iter().map(|e| e.1).sum();
-        let sig = Signature::new(entries.into_iter().map(|(c, d)| SignatureEntry {
-            code: ZoneCode(c), duration: d,
-        }).collect()).expect("sig");
-        prop_assert!((sig.total_duration() - expected).abs() < 1e-12);
+    fn signature_total_duration_is_preserved_by_merging(entries in prop::collection::vec((0u32..8, 10u32..100), 1..20)) {
+        let expected: u32 = entries.iter().map(|e| e.1).sum();
+        let sig = counted(entries);
+        prop_assert_eq!(sig.total_count(), expected);
+        prop_assert_eq!(sig.total_duration(), f64::from(expected) * TICK);
         // Merging never produces two adjacent entries with the same code.
         for pair in sig.entries().windows(2) {
             prop_assert_ne!(pair[0].code, pair[1].code);
@@ -74,7 +81,7 @@ proptest! {
     #[test]
     fn quantization_never_exceeds_half_a_tick_per_entry(duration in 1e-7..1e-3_f64) {
         let clock = CaptureClock::new(10e6, 16).expect("clock");
-        let q = clock.quantize(duration);
+        let q = clock.quantize_ticks(duration) as f64 * clock.tick();
         prop_assert!((q - duration).abs() <= 0.5 * clock.tick() + 1e-15);
     }
 
@@ -91,75 +98,75 @@ proptest! {
     }
 }
 
-/// One drawn signature: a duration palette and `(code, class, unit)` draws
-/// that [`adversarial_duration`] turns into entries.
-type RawSignature = (u32, Vec<(u32, u32, f64)>);
+/// One drawn signature: a count palette and `(code, class, draw)` triples
+/// that [`adversarial_count`] turns into entries.
+type RawSignature = (u32, Vec<(u32, u32, u32)>);
 
 fn raw_signature() -> impl Strategy<Value = RawSignature> {
-    (0u32..5, prop::collection::vec((0u32..64, 0u32..4, 0.0..1.0_f64), 0..12))
+    (
+        0u32..4,
+        prop::collection::vec((0u32..64, 0u32..4, 0u32..u32::MAX), 0..12),
+    )
 }
 
-/// Palette 0 draws 1–100 µs dwells; 1 mixes in gaps of 0–2e-15 s; 2 draws
-/// gaps only, so a whole signature can be shorter than 1e-15 s; 3 mixes in
-/// subnormals (and zeros, which `Signature::new` drops); 4 mixes in
-/// subnormals and durations of 1/8 to 3/8 of `f64::MAX`, whose sums put
-/// midpoints past `f64::MAX`.
-fn adversarial_duration(palette: u32, class: u32, unit: f64) -> f64 {
+/// Palette 0 draws dwells of 10 to 1,000 counts; 1 mixes in dwells of one
+/// and two counts; 2 draws those only, so boundaries fall one count apart;
+/// 3 mixes in dwells of up to a third of `u32::MAX` (and zeros, which
+/// `Signature::new` drops), whose sums reach the top of the count range.
+fn adversarial_count(palette: u32, class: u32, draw: u32) -> u32 {
     match (palette, class) {
-        (1, 0) | (2, _) => unit * 2e-15,
-        (3, 0) | (4, 1) => f64::from_bits((unit * 2f64.powi(52)) as u64),
-        (4, 0) => f64::MAX / 4.0 * (0.5 + unit),
-        _ => 1e-6 + unit * 99e-6,
+        (1, 0) | (2, _) => 1 + draw % 2,
+        (3, 0) | (3, 1) => draw / 3,
+        _ => 10 + draw % 991,
     }
 }
 
 /// A signature of the given entries, leaving out any entry that would take
-/// the running total past 0.9 × `f64::MAX` (merging regroups the sum, and
-/// `Signature::new` refuses a total past `f64::MAX`).
-fn capped_signature(entries: &[(u32, f64)]) -> Signature {
-    let mut total = 0.0;
-    let mut kept = Vec::with_capacity(entries.len());
-    for &(code, duration) in entries {
-        if total + duration <= 0.9 * f64::MAX {
-            total += duration;
-            kept.push(SignatureEntry {
-                code: ZoneCode(code),
-                duration,
-            });
-        }
-    }
-    Signature::new(kept).expect("finite total")
+/// the running total past `u32::MAX` (which `Signature::new` refuses).
+fn capped_signature(unit: f64, entries: &[(u32, u32)]) -> Signature {
+    let mut total = 0u32;
+    let kept: Vec<(u32, u32)> = entries
+        .iter()
+        .copied()
+        .filter(|&(_, n)| total.checked_add(n).map(|sum| total = sum).is_some())
+        .collect();
+    counted_in(unit, kept)
 }
 
 /// A golden and an observed signature. The observed one is unrelated, an
-/// identical copy, a jittered copy (some codes flipped), the golden's
-/// instants under other codes, longer (the golden, then more entries) or
-/// shorter (a prefix of the golden). Either side may be empty or hold one
-/// entry.
+/// identical copy, a jittered copy (some codes flipped, boundaries moved by
+/// a count), the golden's boundaries under other codes, longer (the golden,
+/// then more entries), shorter (a prefix of the golden) or the golden in
+/// another unit. Either side may be empty or hold one entry.
 fn scored_pair() -> impl Strategy<Value = (Signature, Signature)> {
-    (raw_signature(), raw_signature(), 0u32..6, 0.0..0.02_f64).prop_map(|((gp, g), (op, o), relation, jitter)| {
-        let golden: Vec<(u32, f64)> = g.iter().map(|&(c, k, u)| (c, adversarial_duration(gp, k, u))).collect();
-        let other: Vec<(u32, f64)> = o.iter().map(|&(c, k, u)| (c, adversarial_duration(op, k, u))).collect();
-        let observed: Vec<(u32, f64)> = match relation {
+    (raw_signature(), raw_signature(), 0u32..7).prop_map(|((gp, g), (op, o), relation)| {
+        let golden: Vec<(u32, u32)> = g.iter().map(|&(c, k, d)| (c, adversarial_count(gp, k, d))).collect();
+        let other: Vec<(u32, u32)> = o.iter().map(|&(c, k, d)| (c, adversarial_count(op, k, d))).collect();
+        let draw = |i: usize| o.get(i).map_or(0, |entry| entry.2);
+        let observed: Vec<(u32, u32)> = match relation {
             0 => other,
-            1 => golden.clone(),
+            1 | 6 => golden.clone(),
             2 => golden
                 .iter()
                 .enumerate()
-                .map(|(i, &(c, d))| {
-                    let u = o.get(i).map_or(0.5, |draw| draw.2);
-                    (if u < 0.2 { c ^ 1 } else { c }, d * (1.0 + jitter * (u - 0.5)))
+                .map(|(i, &(c, n))| {
+                    let flip = u32::from(draw(i) % 5 == 0);
+                    (c ^ flip, (n + draw(i) % 3).saturating_sub(1))
                 })
                 .collect(),
             3 => golden
                 .iter()
                 .enumerate()
-                .map(|(i, &(c, d))| (c ^ o.get(i).map_or(1, |draw| draw.0), d))
+                .map(|(i, &(c, n))| (c ^ o.get(i).map_or(1, |entry| entry.0), n))
                 .collect(),
             4 => golden.iter().chain(&other).copied().collect(),
             _ => golden[..golden.len() / 2].to_vec(),
         };
-        (capped_signature(&golden), capped_signature(&observed))
+        let observed_unit = if relation == 6 { 2.0 * TICK } else { TICK };
+        (
+            capped_signature(TICK, &golden),
+            capped_signature(observed_unit, &observed),
+        )
     })
 }
 
@@ -178,6 +185,18 @@ proptest! {
 
 const SCORED_PAIRS: u32 = 8192;
 
+/// A signature's interior entry boundaries, in counts.
+fn boundaries(signature: &Signature) -> Vec<u32> {
+    let entries = signature.entries();
+    entries[..entries.len().saturating_sub(1)]
+        .iter()
+        .scan(0, |end, e| {
+            *end += e.count;
+            Some(*end)
+        })
+        .collect()
+}
+
 /// The pairs the proptest above draws (same strategy, same name-seeded
 /// generator) cover every shape the one-pass walk must get right.
 #[test]
@@ -189,40 +208,34 @@ fn scored_pairs_cover_the_adversarial_shapes() {
         "empty golden",
         "empty observed",
         "single entry",
-        "golden under 1e-15 s",
-        "subnormal duration",
-        "equal instants",
-        "instants under 1e-15 s apart",
-        "overflowing midpoint",
+        "one-count entry",
+        "shared boundaries",
+        "boundaries one count apart",
+        "a total past half the count range",
         "observed longer",
         "observed shorter",
+        "units differ",
     ];
     let mut seen = [0u32; 11];
     for _ in 0..SCORED_PAIRS {
         let (golden, observed) = strategy.generate(&mut rng);
-        let (g, o) = (golden.total_duration(), observed.total_duration());
-        let mut instants: Vec<f64> = golden.transition_times();
-        instants.extend(observed.transition_times());
-        instants.sort_by(f64::total_cmp);
-        let gaps = |f: &dyn Fn(f64) -> bool| instants.windows(2).any(|w| f(w[1] - w[0]));
-        let overflow = hamming_chronogram(&golden, &observed)
-            .is_ok_and(|segments| segments.iter().any(|s| (s.t_start + s.t_end).is_infinite()));
+        let (g, o) = (golden.total_count(), observed.total_count());
+        let mut instants = boundaries(&golden);
+        instants.extend(boundaries(&observed));
+        instants.sort_unstable();
+        let gaps = |gap: u32| instants.windows(2).any(|w| w[1] - w[0] == gap);
         let hits = [
             !golden.is_empty() && golden == observed,
             golden.is_empty(),
             observed.is_empty(),
             golden.len() == 1 || observed.len() == 1,
-            g > 0.0 && g < 1e-15 && !observed.is_empty(),
-            golden
-                .entries()
-                .iter()
-                .chain(observed.entries())
-                .any(|e| e.duration < f64::MIN_POSITIVE),
-            gaps(&|gap| gap == 0.0),
-            gaps(&|gap| gap > 0.0 && gap < 1e-15),
-            overflow,
+            golden.entries().iter().chain(observed.entries()).any(|e| e.count == 1),
+            gaps(0),
+            gaps(1),
+            g.max(o) > u32::MAX / 2,
             !golden.is_empty() && o > g,
             !observed.is_empty() && o < g,
+            golden.unit() != observed.unit(),
         ];
         for (count, hit) in seen.iter_mut().zip(hits) {
             *count += u32::from(hit);
@@ -258,6 +271,9 @@ proptest! {
         let x = Waveform::from_fn(0.0, 1.0, 2000.0, |t| 0.5 + 0.45 * (2.0 * std::f64::consts::PI * freq * t + phase).sin());
         let y = Waveform::from_fn(0.0, 1.0, 2000.0, |t| 0.5 + 0.45 * (2.0 * std::f64::consts::PI * freq * t).cos());
         let sig = capture_signature(&Grid4x4, &x, &y, None).expect("capture");
+        // Without a clock every sample counts once.
+        prop_assert_eq!(sig.unit(), x.dt());
+        prop_assert_eq!(sig.total_count() as usize, x.len());
         prop_assert!((sig.total_duration() - 1.0).abs() < 1e-9);
         prop_assert!(!sig.is_empty());
     }
