@@ -86,9 +86,6 @@ impl Signature {
     /// finite, if the counts sum past `u32::MAX`, or if their total times
     /// `unit` is past `f64::MAX` seconds.
     pub fn new(unit: f64, mut entries: Vec<SignatureEntry>) -> Result<Self> {
-        if !(unit > 0.0) || !unit.is_finite() {
-            return Err(DsigError::InvalidSignature(format!("invalid unit {unit} s per count")));
-        }
         let mut total = 0u64;
         // Merge in place: `kept` entries are final so far, and the read
         // index never falls behind the write index.
@@ -98,19 +95,30 @@ impl Signature {
             if e.count == 0 {
                 continue;
             }
-            total += u64::from(e.count);
-            if total > u64::from(u32::MAX) {
-                return Err(DsigError::InvalidSignature(format!(
-                    "counts sum past {} at entry {i}",
-                    u32::MAX
-                )));
-            }
+            // Saturating: a `u64` of `u32` counts fills only past 2^32
+            // entries, and any total past `u32::MAX` is refused below.
+            total = total.saturating_add(u64::from(e.count));
             if kept > 0 && entries[kept - 1].code == e.code {
-                entries[kept - 1].count += e.count;
+                // Wraps only when the total passes `u32::MAX`.
+                entries[kept - 1].count = entries[kept - 1].count.wrapping_add(e.count);
             } else {
                 entries[kept] = e;
                 kept += 1;
             }
+        }
+        entries.truncate(kept);
+        Signature::checked(unit, total, entries)
+    }
+
+    /// The signature of `unit` seconds per count over merged, non-zero
+    /// `entries` whose counts sum to `total`, once the unit is positive and
+    /// finite, the total a `u32` and the total in seconds finite.
+    fn checked(unit: f64, total: u64, entries: Vec<SignatureEntry>) -> Result<Self> {
+        if !(unit > 0.0) || !unit.is_finite() {
+            return Err(DsigError::InvalidSignature(format!("invalid unit {unit} s per count")));
+        }
+        if total > u64::from(u32::MAX) {
+            return Err(DsigError::InvalidSignature(format!("counts sum past {}", u32::MAX)));
         }
         // Every dwell and partial sum in seconds is at most the total.
         if !(total as f64 * unit).is_finite() {
@@ -119,7 +127,6 @@ impl Signature {
                 f64::MAX
             )));
         }
-        entries.truncate(kept);
         Ok(Signature { unit, entries })
     }
 
@@ -282,23 +289,32 @@ impl Format for Signature {
         }
     }
 
-    /// Decodes through [`Signature::new`], so a smuggled invalid unit or
-    /// total is rejected like a constructed one. A zero count, which no
-    /// encoder writes, is rejected too.
+    /// Decodes in one pass that rejects zero counts, which no encoder
+    /// writes, merges equal neighbours and sums the total as it reads; the
+    /// unit and the total then pass [`Signature::new`]'s checks, so a
+    /// smuggled invalid unit or total is rejected like a constructed one.
     fn get_body(r: &mut ByteReader<'_>) -> Result<Self> {
         let unit = f64::get(r)?;
         let len = r.varint()? as usize;
         r.check_count(len, 2)?;
-        let mut entries = Vec::with_capacity(len);
+        let mut entries: Vec<SignatureEntry> = Vec::with_capacity(len);
+        // `len` is a `u32`, so at most `u32::MAX` counts of a `u32` each: the
+        // `u64` cannot overflow.
+        let mut total = 0u64;
         for _ in 0..len {
             let code = ZoneCode(r.varint()?);
             let count = r.varint()?;
             if count == 0 {
                 return Err(DsigError::InvalidSignature(format!("zone {code} has a zero count")));
             }
-            entries.push(SignatureEntry { code, count });
+            total += u64::from(count);
+            match entries.last_mut() {
+                // Wraps only when the total passes `u32::MAX`.
+                Some(last) if last.code == code => last.count = last.count.wrapping_add(count),
+                _ => entries.push(SignatureEntry { code, count }),
+            }
         }
-        Signature::new(unit, entries)
+        Signature::checked(unit, total, entries)
     }
 }
 
@@ -323,8 +339,8 @@ impl Signature {
     /// impossible entry count or trailing bytes report
     /// [`DsigError::Corrupt`], and a smuggled invalid unit (zero, negative
     /// or not finite), a zero count, counts summing past `u32::MAX` or a
-    /// total past `f64::MAX` seconds report [`DsigError::InvalidSignature`]
-    /// through the [`Signature::new`] validation.
+    /// total past `f64::MAX` seconds report [`DsigError::InvalidSignature`],
+    /// as [`Signature::new`] does.
     ///
     /// # Errors
     /// See above.
@@ -583,6 +599,34 @@ mod tests {
             matches!(Signature::from_bytes(&huge), Err(DsigError::Corrupt { .. })),
             "absurd count"
         );
+    }
+
+    #[test]
+    fn decoding_merges_like_new_and_checks_the_unit_and_total_after_the_entries() {
+        let body = |unit: f64, entries: &[u8]| {
+            let mut bytes = b"DSG2".to_vec();
+            bytes.extend_from_slice(&unit.to_bits().to_le_bytes());
+            bytes.extend_from_slice(entries);
+            Signature::from_bytes(&bytes)
+        };
+        // Equal neighbours, which no encoder writes, merge as in `new`.
+        assert_eq!(
+            body(1e-7, &[3, 1, 4, 1, 0x86, 0x03, 2, 3]).unwrap(),
+            sig(&[(1, 394), (2, 3)])
+        );
+        // The unit and the total are checked once the entries are read, so a
+        // malformed entry after them is still `Corrupt` or `Truncated`.
+        let past_u32 = [3, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 2, 1, 3];
+        assert!(matches!(body(1e-7, &past_u32), Err(DsigError::Truncated { .. })));
+        assert!(matches!(
+            body(0.0, &[2, 1, 4, 2, 0x80, 0x00]),
+            Err(DsigError::Corrupt { .. })
+        ));
+        // A zero count is refused where it is read.
+        assert!(matches!(
+            body(1e-7, &[2, 1, 0, 2, 0x80, 0x00]),
+            Err(DsigError::InvalidSignature(_))
+        ));
     }
 
     #[test]

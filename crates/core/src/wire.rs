@@ -603,7 +603,28 @@ impl<'a> ByteReader<'a> {
     /// Returns [`DsigError::Truncated`] when the buffer ends inside it and
     /// [`DsigError::Corrupt`] when it exceeds a `u32` or ends in a redundant
     /// zero group (an overlong encoding).
+    #[inline]
     pub fn varint(&mut self) -> Result<u32> {
+        // The common widths first, small enough to inline where a
+        // signature's entries are read: one byte below 128, two below
+        // 16,384, which covers every Table I code and count. A zero second
+        // byte is overlong and falls through.
+        match self.buf[self.at..] {
+            [low, ..] if low < 0x80 => {
+                self.at += 1;
+                Ok(u32::from(low))
+            }
+            [low, high @ 1..=0x7f, ..] => {
+                self.at += 2;
+                Ok(u32::from(low & 0x7f) | u32::from(high) << 7)
+            }
+            _ => self.any_varint(),
+        }
+    }
+
+    /// [`ByteReader::varint`] at any width: every encoding of three bytes
+    /// or more, and every malformed or truncated one.
+    fn any_varint(&mut self) -> Result<u32> {
         let rest = &self.buf[self.at..];
         let mut value = 0u32;
         for (i, &byte) in rest.iter().take(5).enumerate() {

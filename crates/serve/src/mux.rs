@@ -1,12 +1,18 @@
 //! The multiplexed connection core: the [`Listener`] accept loop both
 //! serving tiers front their TCP port with, a work-stealing thread pool
 //! shared by every connection of a serving process, and the per-connection
-//! reader/writer event loop that lets one TCP stream carry hundreds of
-//! pipelined requests answered **out of order**.
+//! loops that let one TCP stream carry hundreds of pipelined requests.
 //!
 //! # Architecture
 //!
 //! ```text
+//!  one-worker pool: one thread per connection, answers in request order
+//!
+//!  conn A: read_frame ─▶ respond ─▶ write_frame + flush ─▶ read_frame ...
+//!  conn B: read_frame ─▶ respond ─▶ write_frame + flush ─▶ read_frame ...
+//!
+//!  multi-worker pool: a reader/writer pair per connection, answers out of order
+//!
 //!                       ┌─────────────── WorkPool ───────────────┐
 //!  conn A reader ─┐     │ worker 0: [deque] ◀─┐ steal            │
 //!  conn B reader ─┼──▶  │ worker 1: [deque] ◀─┼─ steal           │
@@ -16,15 +22,21 @@
 //!                       conn A writer   conn B writer   (mpsc per conn)
 //! ```
 //!
-//! Each accepted connection runs two threads: the **reader** decodes frames
-//! and submits each request to the shared pool, and the **writer** drains
-//! the response channel, so a stalled peer blocks only its own
-//! reader/writer pair — never a pool worker, never another connection. Responses outstanding per connection
-//! are capped at [`MAX_QUEUED_RESPONSES`]: past the cap the reader stops
-//! pulling new requests until the peer drains some responses, so a peer
-//! that pipelines requests without ever reading answers holds a bounded
-//! amount of server memory. Pool workers stamp the request's id into the
-//! response ([`crate::proto::stamp_request_id`]) and hand it to the owning
+//! With one pool worker, each accepted connection runs **one** thread: it
+//! reads a frame, answers it, writes and flushes the answer, and reads the
+//! next. Only that thread ever blocks on its peer, so a stalled peer stalls
+//! its own connection and nothing else.
+//!
+//! With more workers, each connection runs two threads: the **reader**
+//! decodes frames and submits each request to the shared pool, and the
+//! **writer** drains the response channel, so a stalled peer blocks only
+//! its own reader/writer pair, never a pool worker and never another
+//! connection. Responses outstanding per connection are capped at
+//! [`MAX_QUEUED_RESPONSES`]: past the cap the reader stops pulling new
+//! requests until the peer drains some responses, so a peer that pipelines
+//! requests without ever reading answers holds a bounded amount of server
+//! memory. Pool workers stamp the request's id into the response
+//! ([`crate::proto::stamp_request_id`]) and hand it to the owning
 //! connection's writer; completion order is whatever the pool finishes
 //! first, which is the whole point.
 
@@ -269,19 +281,20 @@ fn worker_loop(inner: &PoolInner, index: usize) {
     }
 }
 
-/// Cap on responses outstanding per connection: requests handed to the pool
-/// (or served inline) whose response frames have not yet been written to the
-/// peer. Past the cap the reader stops pulling frames off the socket until
-/// the writer drains, so a peer that pipelines without reading is
-/// flow-controlled instead of growing an unbounded response queue
-/// server-side. Generous enough to keep every pool worker busy on one
+/// Cap on responses outstanding per connection of a multi-worker pool:
+/// requests handed to the pool whose response frames have not yet been
+/// written to the peer. Past the cap the reader stops pulling frames off
+/// the socket until the writer drains, so a peer that pipelines without
+/// reading is flow-controlled instead of growing an unbounded response
+/// queue server-side. Generous enough to keep every pool worker busy on one
 /// connection; frames can be up to 64 MiB, so the cap is what bounds worst
-/// case per-connection memory.
+/// case per-connection memory. A one-worker pool's connection holds at most
+/// one response, which its own thread writes before reading on.
 pub const MAX_QUEUED_RESPONSES: usize = 64;
 
-/// The per-connection response budget: a counting gate the reader acquires
-/// one slot from per request, released when the response frame has been
-/// written (or abandoned — see [`SlotGuard`]).
+/// The per-connection response budget of a multi-worker pool: a counting
+/// gate the reader acquires one slot from per request, released when the
+/// response frame has been written (or abandoned — see [`SlotGuard`]).
 struct ResponseGate {
     state: Mutex<GateState>,
     freed: Condvar,
@@ -328,10 +341,10 @@ impl ResponseGate {
     }
 }
 
-/// One held response slot. Travels with the response frame through the
-/// channel and releases on drop — when the writer has written the frame,
-/// when the writer dies with frames queued, or when a panicking job never
-/// produces a response at all.
+/// One held response slot of a multi-worker pool's connection. Travels with
+/// the response frame through the channel and releases on drop — when the
+/// writer has written the frame, when the writer dies with frames queued,
+/// or when a panicking job never produces a response at all.
 struct SlotGuard {
     gate: Arc<ResponseGate>,
 }
@@ -346,16 +359,66 @@ impl Drop for SlotGuard {
     }
 }
 
-/// Serves one TCP connection through the shared pool until the peer closes:
-/// the calling thread becomes the frame **reader**, a spawned thread the
-/// frame **writer**, and requests run as pool jobs whose responses complete
-/// out of order (matched by the echoed request id).
+/// Serves one TCP connection until the peer closes or the stream errors.
+///
+/// With a one-worker pool, completion order is submission order and every
+/// job would run back to back on that one worker, so handing requests to
+/// the pool and responses to a writer thread buys nothing: the calling
+/// thread answers each request itself (`serve_inline`). Otherwise it
+/// becomes the frame **reader** of a reader/writer pair, and requests run
+/// as pool jobs whose responses complete out of order, matched by the
+/// echoed request id (`serve_pooled`).
+pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
+    let _ = stream.set_nodelay(true);
+    if pool.workers() == 1 {
+        serve_inline(&stream, &*respond);
+    } else {
+        serve_pooled(stream, pool, respond);
+    }
+}
+
+/// The one-thread connection loop: read a frame, answer it, write and
+/// flush the answer, then read the next. Each answer is flushed before the
+/// next frame is read, even when that frame is already buffered, so a
+/// pipelining peer gets every answer as soon as it exists. Only this
+/// thread ever blocks on this peer: one that stops reading stalls its own
+/// connection against the kernel's buffers, and no other.
+///
+/// A panicking responder closes the connection, so its peer reads end of
+/// stream where the answer would be, and is reported as a `serve`
+/// `conn.respond_panic` error event; every other connection keeps serving.
+fn serve_inline(stream: &TcpStream, respond: &Responder) {
+    let mut reader = std::io::BufReader::new(stream);
+    let mut writer = std::io::BufWriter::new(stream);
+    while let Ok(Some(payload)) = read_frame(&mut reader) {
+        let Ok(response) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(respond, payload))) else {
+            let peer = stream
+                .peer_addr()
+                .map_or_else(|_| "unknown".to_owned(), |addr| addr.to_string());
+            dsig_obs::Registry::global().events().emit(
+                dsig_obs::EventLevel::Error,
+                "serve",
+                "conn.respond_panic",
+                "responder panicked on an inline connection; the connection is closed, others keep serving",
+                &[("peer", &peer)],
+            );
+            return;
+        };
+        if write_frame(&mut writer, &response).is_err() || writer.flush().is_err() {
+            return;
+        }
+    }
+}
+
+/// The reader/writer pair over a multi-worker pool: the calling thread
+/// becomes the frame **reader**, a spawned thread the frame **writer**, and
+/// every request runs as a pool job. A pool worker never blocks on a peer:
+/// it hands its response to the writer's channel.
 ///
 /// Returns when the peer closes or the stream errors; in-flight pool jobs
 /// finish and their responses are written (or dropped if the peer is gone)
 /// before the writer exits.
-pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
-    let _ = stream.set_nodelay(true);
+fn serve_pooled(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -371,13 +434,6 @@ pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Respond
             gate.writer_gone();
         })
     };
-    // With a single pool worker, completion order is submission order and
-    // every job runs back-to-back on that one thread — the handoff (job
-    // allocation, semaphore, queue, worker wake-up) buys nothing, so serve
-    // requests inline on the reader instead. Responses still flow through
-    // the writer thread, so a stalled peer keeps blocking only its own
-    // writer.
-    let inline = pool.workers() == 1;
     // A clean close, unreadable frame or dead socket ends the read loop; so
     // does writer death (the response budget can never be repaid).
     while let Ok(Some(payload)) = read_frame(&mut reader) {
@@ -386,10 +442,6 @@ pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Respond
         let Some(slot) = gate.acquire() else {
             break;
         };
-        if inline {
-            let _ = responses.send((answer(&*respond, payload), slot));
-            continue;
-        }
         let respond = Arc::clone(&respond);
         let responses = responses.clone();
         pool.submit(Box::new(move || {
@@ -412,9 +464,9 @@ fn answer(respond: &Responder, payload: Vec<u8>) -> Vec<u8> {
     response
 }
 
-/// The write half of a connection: drain the response channel, batching
-/// every ready frame into one flush. Exits when the channel closes (reader
-/// gone, jobs done) or the peer stops accepting bytes. Each frame's
+/// The write half of a pooled connection: drain the response channel,
+/// batching every ready frame into one flush. Exits when the channel closes
+/// (reader gone, jobs done) or the peer stops accepting bytes. Each frame's
 /// [`SlotGuard`] is dropped once the frame is written (or abandoned),
 /// repaying the connection's response budget.
 fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<(Vec<u8>, SlotGuard)>) {
@@ -440,7 +492,106 @@ fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<(Vec<u8>, SlotGuard)>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::sync::atomic::AtomicU64;
+
+    /// A tagged frame the test responders echo: a header with `id` at bytes
+    /// `6..14`, then a body.
+    fn tagged(id: u64) -> Vec<u8> {
+        let mut frame = b"TEST\x01\x00\0\0\0\0\0\0\0\0body".to_vec();
+        stamp_request_id(&mut frame, id);
+        frame
+    }
+
+    /// Sends one frame on `stream` and reads one back.
+    fn exchange(stream: &TcpStream, id: u64) -> crate::Result<Option<Vec<u8>>> {
+        write_frame(&mut &*stream, &tagged(id))?;
+        read_frame(&mut &*stream)
+    }
+
+    #[test]
+    fn an_inline_connection_flushes_each_answer_before_answering_the_next() {
+        // Both frames arrive in one write, so frame 2 is already buffered
+        // when answer 1 exists. Frame 2's responder waits, with a bound,
+        // until the client has read answer 1: a loop that held answer 1
+        // back until frame 2 was answered would let that wait run out.
+        let (read_first, first_read) = mpsc::channel::<()>();
+        let first_read = Mutex::new(first_read);
+        let (waited, outcome) = mpsc::channel::<bool>();
+        let respond: Arc<Responder> = Arc::new(move |payload: Vec<u8>| {
+            if peek_request_id(&payload) == 2 {
+                let wait = first_read.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                waited.send(wait.is_ok()).unwrap();
+            }
+            payload
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            drive_connection(stream, &WorkPool::new(1), respond);
+        });
+
+        let client = TcpStream::connect(addr).unwrap();
+        let mut both = Vec::new();
+        write_frame(&mut both, &tagged(1)).unwrap();
+        write_frame(&mut both, &tagged(2)).unwrap();
+        (&client).write_all(&both).unwrap();
+        let mut reader = BufReader::new(&client);
+        let first = read_frame(&mut reader).unwrap().expect("answer 1");
+        assert_eq!(first, tagged(1));
+        read_first.send(()).unwrap();
+        let second = read_frame(&mut reader).unwrap().expect("answer 2");
+        assert_eq!(second, tagged(2));
+        assert!(
+            outcome.recv().unwrap(),
+            "answer 1 reached the client only after frame 2 was answered"
+        );
+        drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_responder_closes_only_its_own_inline_connection() {
+        const PANICS: u64 = 0xDEAD;
+        let respond: Arc<Responder> = Arc::new(|payload: Vec<u8>| {
+            if peek_request_id(&payload) == PANICS {
+                panic!("the responder fails on request {PANICS:#x}");
+            }
+            payload
+        });
+        let listener = Listener::bind("127.0.0.1:0", Arc::new(WorkPool::new(1)), respond).unwrap();
+        let addr = listener.local_addr();
+        let healthy = TcpStream::connect(addr).unwrap();
+        let doomed = TcpStream::connect(addr).unwrap();
+        // A read that hangs fails the test at the timeout instead.
+        for stream in [&healthy, &doomed] {
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        }
+        assert_eq!(exchange(&doomed, 1).unwrap(), Some(tagged(1)));
+
+        // The peer of the panicking request reads end of stream.
+        let closed = exchange(&doomed, PANICS);
+        assert!(matches!(closed, Ok(None)), "{closed:?}");
+        // The other connection, and one accepted after the panic, keep
+        // getting their own answers.
+        for id in 2..10 {
+            assert_eq!(exchange(&healthy, id).unwrap(), Some(tagged(id)));
+        }
+        let fresh = TcpStream::connect(addr).unwrap();
+        fresh.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(exchange(&fresh, 10).unwrap(), Some(tagged(10)));
+
+        let peer = doomed.local_addr().unwrap().to_string();
+        let events = dsig_obs::Registry::global().events().drain();
+        assert!(
+            events.iter().any(|event| event.level == dsig_obs::EventLevel::Error
+                && event.tier == "serve"
+                && event.name == "conn.respond_panic"
+                && event.fields.contains(&("peer".to_owned(), peer.clone()))),
+            "no conn.respond_panic event for {peer}: {events:?}"
+        );
+    }
 
     #[test]
     fn pool_runs_every_job_across_workers() {

@@ -9,6 +9,7 @@
 //!  TCP conn ──▶ reader ─┼────▶ │ decode, score,   │ ──▶ per-connection writer
 //!  TCP conn ──▶ reader ─┘      │ encode           │
 //!                              └──────────────────┘
+//!  TCP conn ──▶ read, decode, score, encode, write on one thread (one worker)
 //!  ServeHandle ──▶ score on the caller's thread
 //! ```
 //!
@@ -18,8 +19,8 @@
 //!
 //! A request's batch is scored by [`dsig_engine::score`], the scorer a
 //! campaign's local target runs too, on the thread that holds the request —
-//! a pool worker, a connection reader serving inline (one-worker pool) or
-//! the caller of an in-process [`ServeHandle`] — over the decoded
+//! a pool worker, a connection's own thread (one-worker pool) or the
+//! caller of an in-process [`ServeHandle`] — over the decoded
 //! signatures as they are, in request order. Scoring is a pure function of
 //! `(golden, observed)`, so every path answers bit-identical scores;
 //! requests still run concurrently across the pool.
@@ -46,9 +47,10 @@ use crate::store::{GoldenRecord, GoldenStore};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads of the server's request pool. Defaults to the hardware
-    /// thread count. With one worker, each connection serves its requests
-    /// inline on its reader thread. An in-process [`ServeHandle`] reads
-    /// nothing from the config: it scores on the caller's thread.
+    /// thread count. With one worker, each connection answers its requests
+    /// on its own thread, which reads, scores and writes each in turn. An
+    /// in-process [`ServeHandle`] reads nothing from the config: it scores
+    /// on the caller's thread.
     pub shards: usize,
 }
 
