@@ -8,9 +8,15 @@
 //!
 //! * every device through `capture_signatures_batch`, which must equal its
 //!   `TestSetup::signature_of` signature;
-//! * the first 256 devices' 6 retest repeats as batch entries, one per
-//!   repeat seed, which must equal `TestSetup::signatures_of_repeats` and
-//!   each repeat seed's `TestSetup::signature_of`.
+//! * the first 256 devices' retest repeats as batch entries, one per
+//!   repeat seed, in the shapes the campaign runner captures them under the
+//!   schedule `[2, 6]`: one batch holding repeats 0–1 of every audited
+//!   device, and one holding repeats 2–5 of every other audited device (the
+//!   devices whose walk goes on). Each entry must equal
+//!   `TestSetup::signatures_of_repeats` over all 6 and its own repeat seed's
+//!   `TestSetup::signature_of`, and the per-device path's slice of repeats
+//!   2–5 (`signatures_of_repeats` from the seed of repeat 2) must equal
+//!   repeats 2–5.
 //!
 //! The audit exits non-zero on any mismatch, and on any device or repeat
 //! the batch recaptured on the exact path (`exact_syntheses`): Table I lots
@@ -24,17 +30,20 @@ use std::time::Instant;
 
 use cut_filters::BiquadParams;
 use dsig_core::{
-    capture_signatures_batch, retest_seed, AcceptanceBand, BatchDevice, DsigError, StimulusBank, TestSetup,
+    capture_signatures_batch, retest_seed, AcceptanceBand, BatchDevice, DsigError, SharedStimulus, Signature,
+    StimulusBank, TestSetup,
 };
-use dsig_engine::{Campaign, DevicePopulation};
+use dsig_engine::{Campaign, DevicePopulation, DeviceSpec};
 use sim_signal::NoiseModel;
 
 /// Devices per lot when no count is given.
 const DEFAULT_DEVICES: usize = 2048;
 /// Devices per lot whose retest repeats are audited.
 const REPEAT_DEVICES: usize = 256;
-/// Retest repeats per audited device.
+/// Retest repeats per audited device: the cap of the schedule `[2, 6]`.
 const REPEATS: usize = 6;
+/// Repeats of the schedule's first step.
+const FIRST_STEP: usize = 2;
 /// Standard deviation of the lot's f0 deviation, percent.
 const SIGMA_PCT: f64 = 3.0;
 /// Devices per batched capture call.
@@ -79,16 +88,26 @@ fn audit(setup: &TestSetup, devices: usize) -> Result<Findings, DsigError> {
         }
     }
 
+    // The runner's two step shapes: every audited device's first step in
+    // one batch, the rest of the cap of every other device in a second.
+    let audited = &specs[..specs.len().min(REPEAT_DEVICES)];
+    let first_step = capture_repeats(setup, &shared, audited.iter(), 0..FIRST_STEP)?;
+    let second_step = capture_repeats(setup, &shared, audited.iter().step_by(2), FIRST_STEP..REPEATS)?;
+    let mut first_step = first_step.chunks(FIRST_STEP);
+    let mut second_step = second_step.chunks(REPEATS - FIRST_STEP);
     let mut repeat_mismatches = 0;
-    for spec in specs.iter().take(REPEAT_DEVICES) {
+    for (at, spec) in audited.iter().enumerate() {
         let seed = retest_seed(spec.noise_seed);
-        let batch: Vec<BatchDevice> = (0..REPEATS as u64)
-            .map(|i| BatchDevice::new(spec.cut, seed.wrapping_add(i)))
-            .collect();
-        let batched = capture_signatures_batch(setup, &shared, &batch)?;
         let repeats = setup.signatures_of_repeats(&spec.cut, REPEATS, seed)?;
-        for ((device, batched), repeat) in batch.iter().zip(&batched).zip(&repeats) {
-            if batched != repeat || *batched != setup.signature_of(&device.cut, device.noise_seed)? {
+        let mut batched = first_step.next().expect("one first step per audited device").to_vec();
+        if at % 2 == 0 {
+            batched.extend_from_slice(second_step.next().expect("one second step per escalated device"));
+            let slice =
+                setup.signatures_of_repeats(&spec.cut, REPEATS - FIRST_STEP, seed.wrapping_add(FIRST_STEP as u64))?;
+            repeat_mismatches += slice.iter().zip(&repeats[FIRST_STEP..]).filter(|(a, b)| a != b).count();
+        }
+        for ((i, batched), repeat) in (0u64..).zip(&batched).zip(&repeats) {
+            if batched != repeat || *batched != setup.signature_of(&spec.cut, seed.wrapping_add(i))? {
                 repeat_mismatches += 1;
             }
         }
@@ -101,11 +120,34 @@ fn audit(setup: &TestSetup, devices: usize) -> Result<Findings, DsigError> {
     })
 }
 
+/// Repeats `range` of each device, as entries of one batched capture call
+/// in device order, repeat `i` seeded `retest_seed(noise_seed) + i`.
+fn capture_repeats<'a>(
+    setup: &TestSetup,
+    shared: &SharedStimulus,
+    specs: impl Iterator<Item = &'a DeviceSpec>,
+    range: std::ops::Range<usize>,
+) -> Result<Vec<Signature>, DsigError> {
+    let batch: Vec<BatchDevice> = specs
+        .flat_map(|spec| {
+            let seed = retest_seed(spec.noise_seed);
+            range
+                .clone()
+                .map(move |i| BatchDevice::new(spec.cut, seed.wrapping_add(i as u64)))
+        })
+        .collect();
+    capture_signatures_batch(setup, shared, &batch)
+}
+
 fn run(devices: usize) -> Result<bool, DsigError> {
+    let audited = devices.min(REPEAT_DEVICES);
     println!(
-        "capture audit: Monte-Carlo Table I lots of {devices} devices (f0 sigma {SIGMA_PCT} %), \
-         {} x {REPEATS} retest repeats per lot",
-        devices.min(REPEAT_DEVICES)
+        "capture audit: Monte-Carlo Table I lots of {devices} devices (f0 sigma {SIGMA_PCT} %); \
+         retest repeats 0-{} of {audited} devices in one batch, {}-{} of {} in a second",
+        FIRST_STEP - 1,
+        FIRST_STEP,
+        REPEATS - 1,
+        audited.div_ceil(2)
     );
     println!(
         "{:>8} {:>7} {:>6} {:>11} {:>17} {:>16} {:>8}",

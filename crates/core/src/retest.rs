@@ -98,7 +98,7 @@ impl RetestPolicy {
     }
 
     /// The pure escalation walk: decides one device from its single-shot NDF
-    /// and the NDFs of its (pre-captured) measurement repeats.
+    /// and the NDFs of the measurement repeats captured so far.
     ///
     /// A non-marginal single shot verdicts immediately with zero repeats
     /// spent. A marginal one walks the schedule: at each step the NDF is the
@@ -109,7 +109,10 @@ impl RetestPolicy {
     /// at the escalation cap. The final average decides PASS/FAIL either way.
     ///
     /// Steps beyond `repeat_ndfs.len()` are clamped — a caller that captured
-    /// fewer repeats than the cap simply stops escalating earlier.
+    /// fewer repeats than the cap simply stops escalating earlier. The
+    /// campaign runner relies on this to capture one step's repeats at a
+    /// time: a walk that used every repeat it was given, below the cap, with
+    /// its average still marginal, is one the next step continues.
     pub fn escalate(&self, band: &AcceptanceBand, initial_ndf: f64, repeat_ndfs: &[f64]) -> RetestVerdict {
         let initial_outcome = band.decide(initial_ndf);
         if !self.is_marginal(band, initial_ndf) {

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsig_core::{
-    capture_signatures_batch, retest_seed, AcceptanceBand, BatchDevice, Result, RetestPolicy, SharedStimulus,
-    Signature, StimulusBank, TestFlow,
+    capture_signatures_batch, retest_seed, AcceptanceBand, BatchDevice, DsigError, Result, RetestPolicy,
+    SharedStimulus, Signature, StimulusBank, TestFlow,
 };
 use dsig_obs::trace::{self, TraceContext, Tracer};
 use dsig_obs::{Counter, Gauge, Histogram, Registry, Span};
@@ -142,15 +142,21 @@ impl CampaignRunner {
     /// Returns a copy with an adaptive retest policy: devices whose
     /// single-shot NDF falls inside the policy's guard band around the
     /// campaign band are re-measured with averaged repeats and re-decided by
-    /// the policy's escalation walk. On the batched path, a chunk's repeats
-    /// are entries of one [`capture_signatures_batch`] call, one per repeat
-    /// seed (derived by [`dsig_core::retest_seed`]); the per-device path
-    /// captures them with [`dsig_core::TestSetup::signatures_of_repeats`], and both give
-    /// the same signatures, bit for bit. A chunk's marginal devices go to the
-    /// [`ScoreTarget`] in one [`RetestRequest`]: a remote target ships it to
-    /// the **serving tier**, which verdicts; the local target re-decides it
-    /// in-process with [`score::retest`], the function a serving tier runs,
-    /// so the reports are bit-identical.
+    /// the policy's escalation walk, one schedule step at a time. At each
+    /// step, a chunk's still-open devices get their repeats up to that
+    /// step's count and go to the [`ScoreTarget`] in one [`RetestRequest`]
+    /// carrying every repeat captured so far, a prefix of the schedule: a
+    /// remote target ships it to the **serving tier**, which verdicts; the
+    /// local target re-decides it in-process with [`score::retest`], the
+    /// function a serving tier runs, so the reports are bit-identical. A
+    /// device stays open only while its walk used every repeat it was sent,
+    /// below the cap, and its average is still marginal, so a repeat is
+    /// captured only when the walk reaches its step. On the batched path, a
+    /// step's repeats are entries of one [`capture_signatures_batch`] call,
+    /// one per repeat seed (derived by [`dsig_core::retest_seed`]); the
+    /// per-device path captures them with
+    /// [`dsig_core::TestSetup::signatures_of_repeats`], and both give the
+    /// same signatures, bit for bit.
     pub fn with_retest(mut self, policy: RetestPolicy) -> Self {
         self.retest = Some(policy);
         self
@@ -380,7 +386,7 @@ fn evaluate_chunk(
         // injects it into outgoing frames and the tiers parent under it.
         let _ambient = trace::with_context(score_span.context());
         let _score = Span::enter(&metrics.score_us);
-        score_batch(scorer, key, specs, observed)?
+        score_batch(scorer, key, &campaign.band, specs, observed)?
     };
     apply_retest(
         campaign,
@@ -397,9 +403,16 @@ fn evaluate_chunk(
 }
 
 /// Re-decides the marginal devices of one scored chunk under the campaign's
-/// retest policy: capture the repeat measurements (seeded by
-/// [`retest_seed`], so every score target sees the same bytes), then send
-/// the chunk's marginal devices to `scorer` in one `DSRT` batch.
+/// retest policy, walking the schedule one step at a time. At each step the
+/// still-open devices get their repeats up to the step's count (seeded by
+/// [`retest_seed`], so every score target sees the same bytes) and go to
+/// `scorer` in one `DSRT` batch, each with every repeat captured so far. The
+/// served walk clamps to the repeats it is sent, so a device stays open only
+/// when its answer used all of them, that count is below the cap, and its
+/// average is still inside the guard band of `campaign.band`; every other
+/// device takes its answer as its verdict. The walk is a strict prefix walk
+/// and a repeat's seed does not depend on the step that captures it, so the
+/// verdicts are those of one batch carrying the whole cap.
 fn apply_retest(
     campaign: &Campaign,
     scorer: &dyn RemoteScorer,
@@ -419,104 +432,175 @@ fn apply_retest(
     // it and the tiers parent their spans under it.
     let _ambient = trace::with_context(retest_span.context());
     let _retest = Span::enter(&metrics.retest_us);
-    let marginal: Vec<usize> = outcomes
+    let mut open: Vec<OpenDevice> = outcomes
         .iter()
         .enumerate()
         .filter(|(_, o)| policy.is_marginal(&campaign.band, o.result.ndf))
-        .map(|(at, _)| at)
-        .collect();
-    retest_span.annotate("marginal", marginal.len());
-    if marginal.is_empty() {
-        return Ok(());
-    }
-    // Capture the repeat budget of every marginal device up to the
-    // escalation cap. On the batched path every repeat of the chunk is one
-    // entry of a single `capture_signatures_batch` call, seeded as
-    // `signatures_of_repeats` seeds it. The per-device path keeps
-    // `signatures_of_repeats`, which synthesizes the stimulus and response
-    // once per device.
-    let cap = policy.repeat_cap() as usize;
-    let specs: Vec<DeviceSpec> = marginal
-        .iter()
-        .map(|&at| campaign.device(outcomes[at].result.index))
+        .map(|(at, o)| {
+            Ok(OpenDevice {
+                at,
+                spec: campaign.device(o.result.index)?,
+                used: 0,
+            })
+        })
         .collect::<Result<_>>()?;
-    let repeats: Vec<Vec<Signature>> = match shared {
-        Some(shared) => {
-            let batch: Vec<BatchDevice> = specs
-                .iter()
-                .flat_map(|spec| {
-                    let seed = retest_seed(spec.noise_seed);
-                    (0..cap as u64).map(move |i| BatchDevice::new(spec.cut, seed.wrapping_add(i)))
-                })
-                .collect();
-            let mut captured = capture_signatures_batch(&campaign.setup, shared, &batch)?.into_iter();
-            (0..specs.len())
-                .map(|_| captured.by_ref().take(cap).collect())
-                .collect()
+    retest_span.annotate("marginal", open.len());
+    // Only the initial signature is copied, because the outcome keeps it for
+    // the signature log; repeats are captured into the items, which move
+    // into each step's request and back out of it.
+    let mut items: Vec<RetestItem> = open
+        .iter()
+        .map(|device| RetestItem {
+            initial: outcomes[device.at].observed.clone(),
+            repeats: Vec::new(),
+        })
+        .collect();
+    let mut captured = 0;
+    for &step in &policy.schedule {
+        if open.is_empty() {
+            break;
         }
-        None => specs
-            .iter()
-            .map(|spec| {
-                campaign
-                    .setup
-                    .signatures_of_repeats(&spec.cut, cap, retest_seed(spec.noise_seed))
-            })
-            .collect::<Result<_>>()?,
-    };
-    // The repeats move into the request; only the initial signature is
-    // copied, because the outcome keeps it for the signature log.
-    let request = RetestRequest {
-        golden_key: key,
-        policy: policy.clone(),
-        items: marginal
-            .iter()
-            .zip(repeats)
-            .map(|(&at, repeats)| RetestItem {
-                initial: outcomes[at].observed.clone(),
-                repeats,
-            })
-            .collect(),
-    };
-    let scores = scorer.retest_remote(&request)?;
-    if scores.len() != request.items.len() {
-        return Err(dsig_core::DsigError::Remote(format!(
-            "remote target returned {} retest scores for {} devices",
-            scores.len(),
-            request.items.len()
-        )));
-    }
-    for ((&at, item), remote_score) in marginal.iter().zip(&request.items).zip(scores) {
-        let outcome = &mut outcomes[at];
-        let verdict = dsig_core::RetestVerdict {
-            ndf: remote_score.score.ndf,
-            outcome: remote_score.score.outcome,
-            marginal: remote_score.marginal,
-            flipped: remote_score.flipped,
-            repeats_used: remote_score.repeats_used,
+        capture_repeats(campaign, shared, &open, captured..step, &mut items)?;
+        captured = step;
+        let request = RetestRequest {
+            golden_key: key,
+            policy: policy.clone(),
+            items,
         };
-        let used = remote_score.repeats_used as usize;
-        if used > item.repeats.len() {
-            return Err(dsig_core::DsigError::Remote(format!(
-                "remote target used {used} retest repeats of device {} but was sent {}",
-                outcome.result.index,
-                item.repeats.len()
+        let scores = scorer.retest_remote(&request)?;
+        if scores.len() != request.items.len() {
+            return Err(DsigError::Remote(format!(
+                "remote target returned {} retest scores for {} devices",
+                scores.len(),
+                request.items.len()
             )));
         }
-        note_cap_hit(policy, &verdict, outcome.result.index);
-        // The target already folded the peak Hamming distance over the
-        // initial capture and the consumed repeats.
-        finish_retest(outcome, verdict, remote_score.score.peak_hamming, &item.repeats[..used]);
+        items = Vec::new();
+        let mut still_open = Vec::new();
+        for ((mut device, item), answer) in open.into_iter().zip(request.items).zip(scores) {
+            let outcome = &mut outcomes[device.at];
+            check_retest_answer(&campaign.band, &device, &item, &answer, outcome.result.index)?;
+            let used = answer.repeats_used;
+            if used as usize == item.repeats.len()
+                && used < policy.repeat_cap()
+                && policy.is_marginal(&campaign.band, answer.score.ndf)
+            {
+                device.used = used;
+                still_open.push(device);
+                items.push(item);
+                continue;
+            }
+            note_cap_hit(policy, used, outcome.result.index);
+            finish_retest(outcome, &answer, &item.repeats[..used as usize]);
+        }
+        open = still_open;
     }
     Ok(())
 }
 
-/// Logs an event for a device whose escalation walk consumed the policy's
-/// whole schedule, whether or not its last average cleared the guard band —
-/// the population the repeat cap is sized against. (`verdict.marginal` is
-/// the single-shot flag every escalated device carries.) Observational only:
-/// the verdict itself is untouched.
-fn note_cap_hit(policy: &RetestPolicy, verdict: &dsig_core::RetestVerdict, device: impl std::fmt::Display) {
-    if verdict.marginal && verdict.repeats_used >= policy.repeat_cap() {
+/// A marginal device whose escalation walk is still open: its row in the
+/// chunk's outcomes, its spec (for capturing repeats) and the repeats its
+/// last answer used.
+struct OpenDevice {
+    at: usize,
+    spec: DeviceSpec,
+    used: u32,
+}
+
+/// Appends repeats `range` of every open device to its item. On the batched
+/// path they are the entries of one [`capture_signatures_batch`] call; the
+/// per-device path keeps `signatures_of_repeats`, which synthesizes the
+/// stimulus and response once per device. Either way repeat `i` of a device
+/// is seeded `retest_seed(noise_seed) + i`, whichever step captures it.
+fn capture_repeats(
+    campaign: &Campaign,
+    shared: Option<&SharedStimulus>,
+    open: &[OpenDevice],
+    range: std::ops::Range<u32>,
+    items: &mut [RetestItem],
+) -> Result<()> {
+    let count = range.len();
+    match shared {
+        Some(shared) => {
+            let batch: Vec<BatchDevice> = open
+                .iter()
+                .flat_map(|device| {
+                    let seed = retest_seed(device.spec.noise_seed);
+                    let cut = device.spec.cut;
+                    range
+                        .clone()
+                        .map(move |i| BatchDevice::new(cut, seed.wrapping_add(u64::from(i))))
+                })
+                .collect();
+            let mut captured = capture_signatures_batch(&campaign.setup, shared, &batch)?.into_iter();
+            for item in items {
+                item.repeats.extend(captured.by_ref().take(count));
+            }
+        }
+        None => {
+            for (device, item) in open.iter().zip(items) {
+                let seed = retest_seed(device.spec.noise_seed).wrapping_add(u64::from(range.start));
+                item.repeats
+                    .extend(campaign.setup.signatures_of_repeats(&device.spec.cut, count, seed)?);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Checks one device's retest answer against what the engine sent: the
+/// engine decides from `band` whether a walk goes on, so an answer that used
+/// repeats it was not sent, unmarked a device the engine sent as marginal,
+/// decided its NDF under another band, or used fewer repeats than the
+/// device's previous answer is an error naming the device.
+fn check_retest_answer(
+    band: &AcceptanceBand,
+    device: &OpenDevice,
+    item: &RetestItem,
+    answer: &RetestScore,
+    index: usize,
+) -> Result<()> {
+    let (used, sent) = (answer.repeats_used, item.repeats.len());
+    if used as usize > sent {
+        return Err(DsigError::Remote(format!(
+            "remote target used {used} retest repeats of device {index} but was sent {sent}"
+        )));
+    }
+    if !answer.marginal {
+        return Err(DsigError::Remote(format!(
+            "remote target judged device {index} not marginal, but the campaign band makes it marginal"
+        )));
+    }
+    check_band(band, &answer.score, index)?;
+    if used < device.used {
+        return Err(DsigError::Remote(format!(
+            "remote target used {used} retest repeats of device {index}, fewer than the {} of its previous answer",
+            device.used
+        )));
+    }
+    Ok(())
+}
+
+/// Checks that a served score decides its NDF as the campaign band does, so
+/// a target holding another band fails the campaign instead of mixing two
+/// bands in one report.
+fn check_band(band: &AcceptanceBand, score: &ScoreResult, index: usize) -> Result<()> {
+    let expected = band.decide(score.ndf);
+    if score.outcome != expected {
+        return Err(DsigError::Remote(format!(
+            "remote target decided device {index} {} at NDF {}, but the campaign band decides {expected}",
+            score.outcome, score.ndf
+        )));
+    }
+    Ok(())
+}
+
+/// Logs an event for a retested device whose escalation walk consumed the
+/// policy's whole schedule, whether or not its last average cleared the
+/// guard band — the population the repeat cap is sized against.
+/// Observational only: the verdict itself is untouched.
+fn note_cap_hit(policy: &RetestPolicy, repeats_used: u32, device: usize) {
+    if repeats_used >= policy.repeat_cap() {
         dsig_obs::Registry::global().events().emit(
             dsig_obs::EventLevel::Warn,
             "engine",
@@ -524,62 +608,58 @@ fn note_cap_hit(policy: &RetestPolicy, verdict: &dsig_core::RetestVerdict, devic
             "marginal device consumed the full escalation schedule",
             &[
                 ("device", &device.to_string()),
-                ("repeats_used", &verdict.repeats_used.to_string()),
+                ("repeats_used", &repeats_used.to_string()),
             ],
         );
     }
 }
 
-/// Rewrites one device outcome with its retest verdict. The observed zone
-/// count is folded client-side (the wire score does not carry it); the
-/// logged signature and the dwell statistics stay those of the single-shot
-/// capture.
-fn finish_retest(
-    outcome: &mut DeviceOutcome,
-    verdict: dsig_core::RetestVerdict,
-    peak_hamming: u32,
-    consumed_repeats: &[Signature],
-) {
-    if !verdict.marginal {
-        // A remote band that disagrees with the campaign band can judge the
-        // device non-marginal; its single-shot score then stands untouched.
-        return;
-    }
+/// Rewrites one device outcome with its retest answer. The target already
+/// folded the peak Hamming distance over the initial capture and the
+/// consumed repeats; the observed zone count is folded client-side (the
+/// wire score does not carry it). The logged signature and the dwell
+/// statistics stay those of the single-shot capture.
+fn finish_retest(outcome: &mut DeviceOutcome, answer: &RetestScore, consumed_repeats: &[Signature]) {
     outcome.result.retest = Some(DeviceRetest {
         initial_ndf: outcome.result.ndf,
-        repeats_used: verdict.repeats_used,
-        flipped: verdict.flipped,
+        repeats_used: answer.repeats_used,
+        flipped: answer.flipped,
     });
-    outcome.result.ndf = verdict.ndf;
-    outcome.result.outcome = verdict.outcome;
-    outcome.result.peak_hamming = peak_hamming;
+    outcome.result.ndf = answer.score.ndf;
+    outcome.result.outcome = answer.score.outcome;
+    outcome.result.peak_hamming = answer.score.peak_hamming;
     outcome.result.observed_zones = consumed_repeats
         .iter()
         .fold(outcome.result.observed_zones, |zones, s| zones.max(s.len()));
 }
 
-/// Scores one captured chunk in one screening request to `scorer`. Dwell
-/// statistics always come from the local capture.
+/// Scores one captured chunk in one screening request to `scorer`, each
+/// answer decided by `band`. Dwell statistics always come from the local
+/// capture.
 fn score_batch(
     scorer: &dyn RemoteScorer,
     key: u64,
+    band: &AcceptanceBand,
     specs: Vec<DeviceSpec>,
     observed: Vec<Signature>,
 ) -> Result<Vec<DeviceOutcome>> {
     let scores = scorer.screen_remote(key, &observed)?;
     if scores.len() != observed.len() {
-        return Err(dsig_core::DsigError::Remote(format!(
+        return Err(DsigError::Remote(format!(
             "remote target returned {} scores for {} signatures",
             scores.len(),
             observed.len()
         )));
     }
-    Ok(specs
+    specs
         .into_iter()
         .zip(observed)
         .zip(scores)
-        .map(|((spec, observed), score)| device_outcome(spec, observed, score))
-        .collect())
+        .map(|((spec, observed), score)| {
+            check_band(band, &score, spec.index)?;
+            Ok(device_outcome(spec, observed, score))
+        })
+        .collect()
 }
 
 /// Assembles one device's outcome row from its score.
@@ -610,7 +690,7 @@ mod tests {
     use super::*;
     use crate::campaign::DevicePopulation;
     use cut_filters::{BiquadParams, ComponentRef, Fault};
-    use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand, TestSetup};
+    use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand, RetestPolicy, TestSetup};
     use xy_monitor::ZonePartition;
 
     fn campaign(population: DevicePopulation) -> Campaign {
@@ -864,73 +944,88 @@ mod tests {
         assert_eq!(per_device, retested, "per-device retest diverged");
     }
 
-    #[test]
-    fn remote_retest_scoring_is_bit_identical_to_local_retest() {
-        use crate::score::{RemoteScorer, RetestRequest, RetestScore, ScoreResult, ScoreTarget};
-        use dsig_core::RetestPolicy;
+    /// A stand-in remote tier that escalates with the same pure walk the
+    /// serving tier uses, against its own characterization under `band`,
+    /// and logs every retest request it answers.
+    struct RetestingScorer {
+        flow: TestFlow,
+        band: AcceptanceBand,
+        requests: std::sync::Mutex<Vec<RetestRequest>>,
+    }
 
-        // A stand-in remote tier that escalates with the same pure walk the
-        // serving tier uses, against its own characterization.
-        struct RetestingScorer {
-            flow: TestFlow,
-            band: AcceptanceBand,
-        }
-        impl RemoteScorer for RetestingScorer {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-                signatures
-                    .iter()
-                    .map(|observed| {
-                        let ndf_value = ndf(self.flow.golden(), observed)?;
-                        Ok(ScoreResult {
-                            ndf: ndf_value,
-                            peak_hamming: peak_hamming_distance(self.flow.golden(), observed)?,
-                            outcome: self.band.decide(ndf_value),
-                        })
-                    })
-                    .collect()
-            }
-            fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-                request
-                    .items
-                    .iter()
-                    .map(|device| {
-                        let golden = self.flow.golden();
-                        let initial_ndf = ndf(golden, &device.initial)?;
-                        let initial_peak = peak_hamming_distance(golden, &device.initial)?;
-                        let mut repeat_ndfs = Vec::new();
-                        let mut repeat_peaks = Vec::new();
-                        for repeat in &device.repeats {
-                            repeat_ndfs.push(ndf(golden, repeat)?);
-                            repeat_peaks.push(peak_hamming_distance(golden, repeat)?);
-                        }
-                        let verdict = request.policy.escalate(&self.band, initial_ndf, &repeat_ndfs);
-                        Ok(RetestScore {
-                            score: ScoreResult {
-                                ndf: verdict.ndf,
-                                peak_hamming: repeat_peaks[..verdict.repeats_used as usize]
-                                    .iter()
-                                    .fold(initial_peak, |peak, &p| peak.max(p)),
-                                outcome: verdict.outcome,
-                            },
-                            marginal: verdict.marginal,
-                            flipped: verdict.flipped,
-                            repeats_used: verdict.repeats_used,
-                        })
-                    })
-                    .collect()
+    impl RetestingScorer {
+        fn new(c: &Campaign, band: AcceptanceBand) -> RetestingScorer {
+            RetestingScorer {
+                flow: TestFlow::new(c.setup.clone(), c.reference).unwrap(),
+                band,
+                requests: std::sync::Mutex::new(Vec::new()),
             }
         }
+    }
 
+    impl RemoteScorer for RetestingScorer {
+        fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+            signatures
+                .iter()
+                .map(|observed| {
+                    let ndf_value = ndf(self.flow.golden(), observed)?;
+                    Ok(ScoreResult {
+                        ndf: ndf_value,
+                        peak_hamming: peak_hamming_distance(self.flow.golden(), observed)?,
+                        outcome: self.band.decide(ndf_value),
+                    })
+                })
+                .collect()
+        }
+
+        fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+            self.requests.lock().unwrap().push(request.clone());
+            request
+                .items
+                .iter()
+                .map(|device| {
+                    let golden = self.flow.golden();
+                    let initial_ndf = ndf(golden, &device.initial)?;
+                    let initial_peak = peak_hamming_distance(golden, &device.initial)?;
+                    let mut repeat_ndfs = Vec::new();
+                    let mut repeat_peaks = Vec::new();
+                    for repeat in &device.repeats {
+                        repeat_ndfs.push(ndf(golden, repeat)?);
+                        repeat_peaks.push(peak_hamming_distance(golden, repeat)?);
+                    }
+                    let verdict = request.policy.escalate(&self.band, initial_ndf, &repeat_ndfs);
+                    Ok(RetestScore {
+                        score: ScoreResult {
+                            ndf: verdict.ndf,
+                            peak_hamming: repeat_peaks[..verdict.repeats_used as usize]
+                                .iter()
+                                .fold(initial_peak, |peak, &p| peak.max(p)),
+                            outcome: verdict.outcome,
+                        },
+                        marginal: verdict.marginal,
+                        flipped: verdict.flipped,
+                        repeats_used: verdict.repeats_used,
+                    })
+                })
+                .collect()
+        }
+    }
+
+    /// The noisy 30-device lot the remote retest tests walk.
+    fn noisy_campaign() -> Campaign {
         let mut c = campaign(DevicePopulation::MonteCarlo {
             devices: 30,
             sigma_pct: 4.0,
         });
         c.setup = c.setup.clone().with_noise(sim_signal::NoiseModel::paper_default());
+        c
+    }
+
+    #[test]
+    fn remote_retest_scoring_is_bit_identical_to_local_retest() {
+        let c = noisy_campaign();
         let policy = RetestPolicy::new(0.015, vec![4]).unwrap();
-        let scorer = RetestingScorer {
-            flow: TestFlow::new(c.setup.clone(), c.reference).unwrap(),
-            band: c.band,
-        };
+        let scorer = RetestingScorer::new(&c, c.band);
         let local = CampaignRunner::with_threads(2)
             .with_retest(policy.clone())
             .run(&c)
@@ -970,36 +1065,120 @@ mod tests {
     }
 
     #[test]
-    fn remote_retest_claiming_more_repeats_than_sent_is_an_error() {
-        use crate::score::{RemoteScorer, RetestRequest, RetestScore, ScoreResult, ScoreTarget};
-        use dsig_core::{RetestPolicy, TestOutcome};
+    fn remote_retest_requests_carry_only_the_repeats_the_walk_reaches() {
+        let c = noisy_campaign();
+        let policy = RetestPolicy::new(0.015, vec![2, 6]).unwrap();
+        let scorer = RetestingScorer::new(&c, c.band);
+        // One chunk on one thread: the log holds step 1, then step 2.
+        let runner = CampaignRunner::with_threads(1)
+            .with_chunk_size(c.device_count())
+            .with_retest(policy.clone());
+        let (local, log) = runner.run_logged(&c).unwrap();
+        let remote = runner.run_with_target(&c, ScoreTarget::Remote(&scorer)).unwrap();
+        assert_eq!(remote, local, "the stepped remote walk must reproduce the local report");
 
-        // A faulty tier: every device sits on the band threshold, and the
-        // retest answer claims one repeat more than the device was sent.
-        struct Overreaching;
-        const ON_THRESHOLD: ScoreResult = ScoreResult {
-            ndf: 0.03,
-            peak_hamming: 0,
-            outcome: TestOutcome::Pass,
-        };
-        impl RemoteScorer for Overreaching {
-            fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-                Ok(vec![ON_THRESHOLD; signatures.len()])
-            }
-            fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-                Ok(request
-                    .items
-                    .iter()
-                    .map(|device| RetestScore {
-                        score: ON_THRESHOLD,
-                        marginal: true,
-                        flipped: false,
-                        repeats_used: device.repeats.len() as u32 + 1,
-                    })
-                    .collect())
-            }
+        let requests = scorer.requests.into_inner().unwrap();
+        assert_eq!(requests.len(), 2, "one chunk walks two steps");
+        let (first, second) = (&requests[0], &requests[1]);
+        // Step 1 carries every marginal device with the first step's repeats.
+        assert_eq!(first.items.len(), local.retest.marginal);
+        assert!(first.items.iter().all(|item| item.repeats.len() == 2));
+        // Step 2 carries only the devices whose 2-repeat average was still
+        // marginal, in order, each with the cap's repeats, the first two
+        // unchanged.
+        let golden = scorer.flow.golden();
+        let still_marginal: Vec<&RetestItem> = first
+            .items
+            .iter()
+            .filter(|item| {
+                let average = (ndf(golden, &item.repeats[0]).unwrap() + ndf(golden, &item.repeats[1]).unwrap()) / 2.0;
+                policy.is_marginal(&c.band, average)
+            })
+            .collect();
+        assert!(
+            !still_marginal.is_empty() && still_marginal.len() < first.items.len(),
+            "{} of {} devices escalate: the lot must exercise both steps",
+            still_marginal.len(),
+            first.items.len()
+        );
+        assert_eq!(second.items.len(), still_marginal.len());
+        for (open, item) in still_marginal.iter().zip(&second.items) {
+            assert_eq!(item.initial, open.initial);
+            assert_eq!(item.repeats.len(), 6);
+            assert_eq!(item.repeats[..2], open.repeats[..]);
+        }
+        // No retested device was sent a repeat its walk did not use.
+        for result in local.results.iter().filter(|r| r.retest.is_some()) {
+            let (_, initial) = log.entries().iter().find(|(i, _)| *i as usize == result.index).unwrap();
+            let most_sent = requests
+                .iter()
+                .flat_map(|request| &request.items)
+                .filter(|item| item.initial == *initial)
+                .map(|item| item.repeats.len())
+                .max()
+                .unwrap();
+            assert_eq!(
+                most_sent as u32,
+                result.retest.unwrap().repeats_used,
+                "device {}",
+                result.index
+            );
+        }
+    }
+
+    #[test]
+    fn a_remote_band_other_than_the_campaign_band_fails_the_campaign() {
+        // The engine decides from the campaign band whether a walk goes on,
+        // so a tier scoring under another band must not slip into the report.
+        let c = noisy_campaign();
+        let policy = RetestPolicy::new(0.015, vec![2, 6]).unwrap();
+        let shifted = AcceptanceBand::new(c.band.ndf_threshold + 2.0 * policy.guard_band).unwrap();
+        let err = CampaignRunner::with_threads(1)
+            .with_retest(policy)
+            .run_with_target(&c, ScoreTarget::Remote(&RetestingScorer::new(&c, shifted)))
+            .unwrap_err();
+        assert!(
+            matches!(&err, dsig_core::DsigError::Remote(message) if message.contains("device ")),
+            "{err}"
+        );
+    }
+
+    /// A faulty tier: every device sits on the band threshold, so it stays
+    /// marginal at every step, and each retest answer claims `used(sent)`
+    /// repeats of the `sent` it carries, flagged `marginal`.
+    struct OnThreshold {
+        used: fn(u32) -> u32,
+        marginal: bool,
+    }
+
+    const ON_THRESHOLD: ScoreResult = ScoreResult {
+        ndf: 0.03,
+        peak_hamming: 0,
+        outcome: dsig_core::TestOutcome::Pass,
+    };
+
+    impl RemoteScorer for OnThreshold {
+        fn screen_remote(&self, _key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+            Ok(vec![ON_THRESHOLD; signatures.len()])
         }
 
+        fn retest_remote(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+            Ok(request
+                .items
+                .iter()
+                .map(|device| RetestScore {
+                    score: ON_THRESHOLD,
+                    marginal: self.marginal,
+                    flipped: false,
+                    repeats_used: (self.used)(device.repeats.len() as u32),
+                })
+                .collect())
+        }
+    }
+
+    /// The remote error an [`OnThreshold`] tier fails a small noisy
+    /// campaign with under the schedule `[2, 4]`.
+    fn on_threshold_error(tier: &OnThreshold) -> String {
         let mut c = campaign(DevicePopulation::MonteCarlo {
             devices: 4,
             sigma_pct: 1.0,
@@ -1007,13 +1186,50 @@ mod tests {
         c.setup = c.setup.clone().with_noise(sim_signal::NoiseModel::paper_default());
         let policy = RetestPolicy::new(0.015, vec![2, 4]).unwrap();
         assert!(policy.is_marginal(&c.band, ON_THRESHOLD.ndf));
-        let err = CampaignRunner::with_threads(1)
+        match CampaignRunner::with_threads(1)
             .with_retest(policy)
-            .run_with_target(&c, ScoreTarget::Remote(&Overreaching))
-            .unwrap_err();
+            .run_with_target(&c, ScoreTarget::Remote(tier))
+        {
+            Err(dsig_core::DsigError::Remote(message)) => message,
+            other => panic!("expected a remote error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn remote_retest_claiming_more_repeats_than_sent_is_an_error() {
+        // Overreaching at step 1: 3 repeats claimed, 2 sent.
+        let message = on_threshold_error(&OnThreshold {
+            used: |sent| sent + 1,
+            marginal: true,
+        });
+        assert!(message.contains("used 3 retest repeats of device"), "{message}");
+        // Honest at step 1, overreaching at step 2: 5 claimed, 4 sent.
+        let message = on_threshold_error(&OnThreshold {
+            used: |sent| if sent < 4 { sent } else { sent + 1 },
+            marginal: true,
+        });
         assert!(
-            matches!(&err, dsig_core::DsigError::Remote(message) if message.contains("used 5 retest repeats of device")),
-            "{err}"
+            message.contains("used 5 retest repeats of device") && message.contains("but was sent 4"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn remote_retest_answers_that_contradict_the_walk_are_errors() {
+        // A device sent as marginal must come back marginal.
+        let message = on_threshold_error(&OnThreshold {
+            used: |sent| sent,
+            marginal: false,
+        });
+        assert!(message.contains("not marginal"), "{message}");
+        // A later step may not use fewer repeats than the step before.
+        let message = on_threshold_error(&OnThreshold {
+            used: |sent| if sent < 4 { sent } else { 1 },
+            marginal: true,
+        });
+        assert!(
+            message.contains("used 1 retest repeats of device") && message.contains("fewer than the 2"),
+            "{message}"
         );
     }
 

@@ -51,21 +51,27 @@ pub struct ScoreResult {
 }
 
 /// One device of an adaptive-retest batch: the single-shot signature plus
-/// the pre-captured measurement repeats the scoring tier may consume if the
-/// single shot turns out marginal.
+/// the measurement repeats captured so far, which the scoring tier may
+/// consume if the single shot turns out marginal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetestItem {
     /// The single-shot observed signature.
     pub initial: Signature,
     /// Measurement repeats of the same device (independent noise
-    /// realisations), at most the policy's escalation cap.
+    /// realisations), in capture order: any prefix of the escalation, at
+    /// most the policy's cap. The campaign runner sends a schedule step's
+    /// count; the walk clamps to what is sent.
     pub repeats: Vec<Signature>,
 }
 
 /// An adaptive-retest screening request (`DSRT`): score each device's
 /// single shot against the golden under `golden_key`, and re-decide marginal
 /// ones from averaged repeats through the carried [`RetestPolicy`] —
-/// **server-side**, before any verdict is answered.
+/// **server-side**, before any verdict is answered. Each device carries the
+/// repeats captured so far, a prefix of the schedule; the walk stops early
+/// where they run out ([`RetestPolicy::escalate`] clamps), so the campaign
+/// runner sends one request per schedule step, each with the devices whose
+/// walk is still open.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetestRequest {
     /// Fingerprint of the golden to score against.
@@ -123,11 +129,12 @@ pub trait RemoteScorer: Sync {
     fn screen_remote(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>>;
 
     /// Screens an adaptive-retest batch (`DSRT`): each device's single shot
-    /// plus its measurement repeats, re-decided remotely through the
-    /// request's policy against the golden stored under its `golden_key`.
-    /// The request is borrowed, so an implementation that encodes or scores
-    /// it needs no copy of its signatures. Returns one score per device, in
-    /// request order.
+    /// plus the measurement repeats captured so far, re-decided remotely
+    /// through the request's policy against the golden stored under its
+    /// `golden_key`; the walk clamps to the repeats sent. The request is
+    /// borrowed, so an implementation that encodes or scores it needs no
+    /// copy of its signatures. Returns one score per device, in request
+    /// order.
     ///
     /// # Errors
     /// Returns [`dsig_core::DsigError::Remote`] (or a decoded scoring error)

@@ -60,8 +60,10 @@ impl Router {
         let handle = RouterHandle::with_backends(backends, store, config)?;
         // One request-processing pool shared by every downstream connection:
         // thousands of pipelined testers fan in over it, while each backend
-        // is reached through one multiplexed upstream connection.
-        let pool = Arc::new(WorkPool::new(dsig_engine::available_threads()));
+        // is reached through one multiplexed upstream connection. On one
+        // thread there is no pool: each connection answers on its own.
+        let workers = dsig_engine::available_threads();
+        let pool = (workers > 1).then(|| Arc::new(WorkPool::new(workers)));
         let service = handle.clone();
         let listener = Listener::bind(
             addr,

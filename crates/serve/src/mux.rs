@@ -1,17 +1,18 @@
 //! The multiplexed connection core: the [`Listener`] accept loop both
 //! serving tiers front their TCP port with, a work-stealing thread pool
-//! shared by every connection of a serving process, and the per-connection
-//! loops that let one TCP stream carry hundreds of pipelined requests.
+//! shared by every connection of a multi-worker serving process, and the
+//! per-connection loops that let one TCP stream carry hundreds of pipelined
+//! requests.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  one-worker pool: one thread per connection, answers in request order
+//!  one worker, no pool: one thread per connection, answers in request order
 //!
 //!  conn A: read_frame ─▶ respond ─▶ write_frame + flush ─▶ read_frame ...
 //!  conn B: read_frame ─▶ respond ─▶ write_frame + flush ─▶ read_frame ...
 //!
-//!  multi-worker pool: a reader/writer pair per connection, answers out of order
+//!  a pool of workers: a reader/writer pair per connection, answers out of order
 //!
 //!                       ┌─────────────── WorkPool ───────────────┐
 //!  conn A reader ─┐     │ worker 0: [deque] ◀─┐ steal            │
@@ -22,12 +23,12 @@
 //!                       conn A writer   conn B writer   (mpsc per conn)
 //! ```
 //!
-//! With one pool worker, each accepted connection runs **one** thread: it
-//! reads a frame, answers it, writes and flushes the answer, and reads the
-//! next. Only that thread ever blocks on its peer, so a stalled peer stalls
-//! its own connection and nothing else.
+//! Without a pool (a listener with one worker builds none), each accepted
+//! connection runs **one** thread: it reads a frame, answers it, writes and
+//! flushes the answer, and reads the next. Only that thread ever blocks on
+//! its peer, so a stalled peer stalls its own connection and nothing else.
 //!
-//! With more workers, each connection runs two threads: the **reader**
+//! With a pool, each connection runs two threads: the **reader**
 //! decodes frames and submits each request to the shared pool, and the
 //! **writer** drains the response channel, so a stalled peer blocks only
 //! its own reader/writer pair, never a pool worker and never another
@@ -39,10 +40,16 @@
 //! ([`crate::proto::stamp_request_id`]) and hand it to the owning
 //! connection's writer; completion order is whatever the pool finishes
 //! first, which is the whole point.
+//!
+//! On either path a responder that panics is reported as a `serve`
+//! `conn.respond_panic` error event and closes its own connection, after the
+//! answers written before it, so its peer reads end of stream instead of
+//! waiting for an answer that never comes; every other connection keeps
+//! serving.
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -60,8 +67,8 @@ pub type Responder = dyn Fn(Vec<u8>) -> Vec<u8> + Send + Sync;
 
 /// A bound TCP port and its accept loop: every accepted stream is served on
 /// its own detached thread by [`drive_connection`], with one responder and
-/// one [`WorkPool`] shared by all of them. The serving tier's `Server` and
-/// the routing tier's `Router` each hold one.
+/// at most one [`WorkPool`] shared by all of them. The serving tier's
+/// `Server` and the routing tier's `Router` each hold one.
 ///
 /// Dropping (or [`Listener::shutdown`]-ing) the listener stops accepting new
 /// connections; open connections keep serving until their peers close.
@@ -73,10 +80,15 @@ pub struct Listener {
 
 impl Listener {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts accepting.
+    /// Without a `pool`, every connection answers on its own thread.
     ///
     /// # Errors
     /// Returns the I/O error of a failed bind.
-    pub fn bind(addr: impl ToSocketAddrs, pool: Arc<WorkPool>, respond: Arc<Responder>) -> std::io::Result<Listener> {
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        pool: Option<Arc<WorkPool>>,
+        respond: Arc<Responder>,
+    ) -> std::io::Result<Listener> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -88,11 +100,11 @@ impl Listener {
                 }
                 match stream {
                     Ok(stream) => {
-                        let pool = Arc::clone(&pool);
+                        let pool = pool.clone();
                         let respond = Arc::clone(&respond);
                         // Connection threads are detached; they exit when the
                         // peer closes its end of the stream.
-                        std::thread::spawn(move || drive_connection(stream, &pool, respond));
+                        std::thread::spawn(move || drive_connection(stream, pool.as_deref(), respond));
                     }
                     // Back off briefly on accept errors (e.g. EMFILE under
                     // fd exhaustion) instead of busy-spinning the core.
@@ -266,9 +278,9 @@ fn worker_loop(inner: &PoolInner, index: usize) {
         };
         // A panicking job must not kill the worker: the pool is shared by
         // every connection of the process, and each death would silently
-        // shrink it until nothing serves. The job's connection sees the
-        // dropped response as a never-answered request; everyone else is
-        // unaffected.
+        // shrink it until nothing serves. A connection's jobs catch their
+        // responder's panics themselves and close their connection; this is
+        // the backstop for any other panic, whose job's result is lost.
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
             dsig_obs::Registry::global().events().emit(
                 dsig_obs::EventLevel::Error,
@@ -281,14 +293,14 @@ fn worker_loop(inner: &PoolInner, index: usize) {
     }
 }
 
-/// Cap on responses outstanding per connection of a multi-worker pool:
+/// Cap on responses outstanding per connection of a pooled listener:
 /// requests handed to the pool whose response frames have not yet been
 /// written to the peer. Past the cap the reader stops pulling frames off
 /// the socket until the writer drains, so a peer that pipelines without
 /// reading is flow-controlled instead of growing an unbounded response
 /// queue server-side. Generous enough to keep every pool worker busy on one
 /// connection; frames can be up to 64 MiB, so the cap is what bounds worst
-/// case per-connection memory. A one-worker pool's connection holds at most
+/// case per-connection memory. A connection without a pool holds at most
 /// one response, which its own thread writes before reading on.
 pub const MAX_QUEUED_RESPONSES: usize = 64;
 
@@ -361,19 +373,17 @@ impl Drop for SlotGuard {
 
 /// Serves one TCP connection until the peer closes or the stream errors.
 ///
-/// With a one-worker pool, completion order is submission order and every
-/// job would run back to back on that one worker, so handing requests to
-/// the pool and responses to a writer thread buys nothing: the calling
-/// thread answers each request itself (`serve_inline`). Otherwise it
-/// becomes the frame **reader** of a reader/writer pair, and requests run
-/// as pool jobs whose responses complete out of order, matched by the
-/// echoed request id (`serve_pooled`).
-pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
+/// Without a pool the calling thread answers each request itself
+/// (`serve_inline`): with one worker, completion order would be submission
+/// order, so handing requests to a pool and responses to a writer thread
+/// buys nothing. With a pool it becomes the frame **reader** of a
+/// reader/writer pair, and requests run as pool jobs whose responses
+/// complete out of order, matched by the echoed request id (`serve_pooled`).
+pub fn drive_connection(stream: TcpStream, pool: Option<&WorkPool>, respond: Arc<Responder>) {
     let _ = stream.set_nodelay(true);
-    if pool.workers() == 1 {
-        serve_inline(&stream, &*respond);
-    } else {
-        serve_pooled(stream, pool, respond);
+    match pool {
+        None => serve_inline(&stream, &*respond),
+        Some(pool) => serve_pooled(stream, pool, respond),
     }
 }
 
@@ -385,23 +395,12 @@ pub fn drive_connection(stream: TcpStream, pool: &WorkPool, respond: Arc<Respond
 /// connection against the kernel's buffers, and no other.
 ///
 /// A panicking responder closes the connection, so its peer reads end of
-/// stream where the answer would be, and is reported as a `serve`
-/// `conn.respond_panic` error event; every other connection keeps serving.
+/// stream where the answer would be (see [`answer_caught`]).
 fn serve_inline(stream: &TcpStream, respond: &Responder) {
     let mut reader = std::io::BufReader::new(stream);
     let mut writer = std::io::BufWriter::new(stream);
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        let Ok(response) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(respond, payload))) else {
-            let peer = stream
-                .peer_addr()
-                .map_or_else(|_| "unknown".to_owned(), |addr| addr.to_string());
-            dsig_obs::Registry::global().events().emit(
-                dsig_obs::EventLevel::Error,
-                "serve",
-                "conn.respond_panic",
-                "responder panicked on an inline connection; the connection is closed, others keep serving",
-                &[("peer", &peer)],
-            );
+        let Some(response) = answer_caught(respond, payload, || peer_name(stream)) else {
             return;
         };
         if write_frame(&mut writer, &response).is_err() || writer.flush().is_err() {
@@ -417,13 +416,16 @@ fn serve_inline(stream: &TcpStream, respond: &Responder) {
 ///
 /// Returns when the peer closes or the stream errors; in-flight pool jobs
 /// finish and their responses are written (or dropped if the peer is gone)
-/// before the writer exits.
+/// before the writer exits. A job whose responder panics sends no response
+/// but a close (see [`answer_caught`]): the writer writes the answers queued
+/// before it and shuts the socket down, which also ends the read loop.
 fn serve_pooled(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    let peer: Arc<str> = peer_name(&stream).into();
     let mut reader = std::io::BufReader::new(read_half);
-    let (responses, inbox) = mpsc::channel::<(Vec<u8>, SlotGuard)>();
+    let (responses, inbox) = mpsc::channel::<(Option<Vec<u8>>, SlotGuard)>();
     let gate = ResponseGate::new();
     let writer = {
         let gate = Arc::clone(&gate);
@@ -444,10 +446,12 @@ fn serve_pooled(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
         };
         let respond = Arc::clone(&respond);
         let responses = responses.clone();
+        let peer = Arc::clone(&peer);
         pool.submit(Box::new(move || {
+            let response = answer_caught(&*respond, payload, || peer.to_string());
             // A send failure means the writer died with the peer; the
             // response is dropped like any write to a closed socket.
-            let _ = responses.send((answer(&*respond, payload), slot));
+            let _ = responses.send((response, slot));
         }));
     }
     // Close our sender; the writer exits once every in-flight job's clone
@@ -464,20 +468,48 @@ fn answer(respond: &Responder, payload: Vec<u8>) -> Vec<u8> {
     response
 }
 
+/// Serves one request frame like [`answer`], catching a responder panic:
+/// that yields `None`, which closes the connection, and a `serve`
+/// `conn.respond_panic` error event naming the `peer`. Every other
+/// connection keeps serving.
+fn answer_caught(respond: &Responder, payload: Vec<u8>, peer: impl FnOnce() -> String) -> Option<Vec<u8>> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(respond, payload)));
+    if caught.is_err() {
+        dsig_obs::Registry::global().events().emit(
+            dsig_obs::EventLevel::Error,
+            "serve",
+            "conn.respond_panic",
+            "responder panicked; its connection is closed, others keep serving",
+            &[("peer", &peer())],
+        );
+    }
+    caught.ok()
+}
+
+/// The peer's address as the `conn.respond_panic` event names it.
+fn peer_name(stream: &TcpStream) -> String {
+    stream
+        .peer_addr()
+        .map_or_else(|_| "unknown".to_owned(), |addr| addr.to_string())
+}
+
 /// The write half of a pooled connection: drain the response channel,
 /// batching every ready frame into one flush. Exits when the channel closes
-/// (reader gone, jobs done) or the peer stops accepting bytes. Each frame's
-/// [`SlotGuard`] is dropped once the frame is written (or abandoned),
-/// repaying the connection's response budget.
-fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<(Vec<u8>, SlotGuard)>) {
-    let mut writer = std::io::BufWriter::new(stream);
-    while let Ok((frame, slot)) = inbox.recv() {
-        if write_frame(&mut writer, &frame).is_err() {
-            return;
-        }
-        drop(slot);
+/// (reader gone, jobs done) or the peer stops accepting bytes, and at a
+/// close (`None`, a panicked responder): it flushes the frames written
+/// before it and shuts the socket down. Each frame's [`SlotGuard`] is
+/// dropped once the frame is written (or abandoned), repaying the
+/// connection's response budget.
+fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<(Option<Vec<u8>>, SlotGuard)>) {
+    let mut writer = std::io::BufWriter::new(&stream);
+    while let Ok(first) = inbox.recv() {
         // Greedily coalesce everything already queued before flushing once.
-        while let Ok((frame, slot)) = inbox.try_recv() {
+        for (frame, slot) in std::iter::once(first).chain(std::iter::from_fn(|| inbox.try_recv().ok())) {
+            let Some(frame) = frame else {
+                let _ = writer.flush();
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            };
             if write_frame(&mut writer, &frame).is_err() {
                 return;
             }
@@ -529,7 +561,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            drive_connection(stream, &WorkPool::new(1), respond);
+            drive_connection(stream, None, respond);
         });
 
         let client = TcpStream::connect(addr).unwrap();
@@ -551,16 +583,23 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[test]
-    fn a_panicking_responder_closes_only_its_own_inline_connection() {
+    /// Serializes the tests that drain the process-wide event log.
+    static GLOBAL_EVENTS: Mutex<()> = Mutex::new(());
+
+    /// Drives a listener whose responder panics on one request id: that
+    /// request's connection must close, within the read timeout, with a
+    /// `conn.respond_panic` event naming its peer, while another connection
+    /// and one accepted after the panic keep getting their answers.
+    fn a_panic_closes_only_its_own_connection(pool: Option<Arc<WorkPool>>) {
         const PANICS: u64 = 0xDEAD;
+        let _events = GLOBAL_EVENTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let respond: Arc<Responder> = Arc::new(|payload: Vec<u8>| {
             if peek_request_id(&payload) == PANICS {
                 panic!("the responder fails on request {PANICS:#x}");
             }
             payload
         });
-        let listener = Listener::bind("127.0.0.1:0", Arc::new(WorkPool::new(1)), respond).unwrap();
+        let listener = Listener::bind("127.0.0.1:0", pool, respond).unwrap();
         let addr = listener.local_addr();
         let healthy = TcpStream::connect(addr).unwrap();
         let doomed = TcpStream::connect(addr).unwrap();
@@ -570,7 +609,8 @@ mod tests {
         }
         assert_eq!(exchange(&doomed, 1).unwrap(), Some(tagged(1)));
 
-        // The peer of the panicking request reads end of stream.
+        // The peer of the panicking request reads end of stream, not the
+        // read timeout.
         let closed = exchange(&doomed, PANICS);
         assert!(matches!(closed, Ok(None)), "{closed:?}");
         // The other connection, and one accepted after the panic, keep
@@ -591,6 +631,16 @@ mod tests {
                 && event.fields.contains(&("peer".to_owned(), peer.clone()))),
             "no conn.respond_panic event for {peer}: {events:?}"
         );
+    }
+
+    #[test]
+    fn a_panicking_responder_closes_only_its_own_inline_connection() {
+        a_panic_closes_only_its_own_connection(None);
+    }
+
+    #[test]
+    fn a_panicking_responder_closes_only_its_own_pooled_connection() {
+        a_panic_closes_only_its_own_connection(Some(Arc::new(WorkPool::new(2))));
     }
 
     #[test]

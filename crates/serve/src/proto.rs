@@ -48,9 +48,10 @@ pub const ADMIN_RESPONSE_MAGIC: [u8; 4] = *b"DSRA";
 /// them like any work frame.
 pub const ADMIN_REQUEST_MAGIC: [u8; 4] = *b"DSAQ";
 /// Magic prefix of adaptive-retest screening request payloads (`DSRT`): each
-/// device carries its single-shot signature plus pre-captured measurement
-/// repeats, and the server verdicts marginal devices through the
-/// [`dsig_core::RetestPolicy`] escalation walk before answering.
+/// device carries its single-shot signature plus the measurement repeats
+/// captured so far (any prefix of the escalation, up to the cap), and the
+/// server verdicts marginal devices through the [`dsig_core::RetestPolicy`]
+/// escalation walk, clamped to the repeats sent, before answering.
 pub const RETEST_REQUEST_MAGIC: [u8; 4] = *b"DSRT";
 /// Magic prefix of adaptive-retest response payloads (`DSRR`) — the
 /// `DSRS`-style score list extended with per-device retest metadata.

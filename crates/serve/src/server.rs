@@ -19,7 +19,7 @@
 //!
 //! A request's batch is scored by [`dsig_engine::score`], the scorer a
 //! campaign's local target runs too, on the thread that holds the request —
-//! a pool worker, a connection's own thread (one-worker pool) or the
+//! a pool worker, a connection's own thread (one worker, no pool) or the
 //! caller of an in-process [`ServeHandle`] — over the decoded
 //! signatures as they are, in request order. Scoring is a pure function of
 //! `(golden, observed)`, so every path answers bit-identical scores;
@@ -87,7 +87,8 @@ struct ServeMetrics {
     /// `serve.request_us` — end-to-end time to answer one decoded request.
     request_us: Arc<Histogram>,
     /// `serve.queue_depth` — work-pool jobs queued or running, sampled as
-    /// each connection frame arrives.
+    /// each connection frame arrives. A one-worker server has no pool and
+    /// never sets it.
     queue_depth: Arc<Gauge>,
 }
 
@@ -253,11 +254,13 @@ impl ServeHandle {
     }
 
     /// Screens an adaptive-retest batch through [`score::retest`]: every
-    /// device's single-shot signature **and** its pre-captured measurement
-    /// repeats are scored in request order, then the pure escalation walk of
+    /// device's single-shot signature **and** the measurement repeats
+    /// captured so far (a prefix of the schedule) are scored in request
+    /// order, then the pure escalation walk of
     /// [`dsig_core::RetestPolicy::escalate`] re-decides marginal devices from
-    /// averaged repeats — server-side, before any verdict is answered.
-    /// Returns one [`RetestScore`] per device in request order.
+    /// averaged repeats, clamped to the repeats sent — server-side, before
+    /// any verdict is answered. Returns one [`RetestScore`] per device in
+    /// request order.
     ///
     /// The averaged NDF of a retested device is bit-identical to
     /// [`dsig_core::TestFlow::evaluate_averaged`] over the consumed repeats,
@@ -340,7 +343,8 @@ pub struct Server {
 
 impl Server {
     /// Binds a listener (use port 0 for an ephemeral port), starts the
-    /// request pool of `config.shards` workers and the accept loop, and
+    /// request pool of `config.shards` workers (none for one worker, whose
+    /// connections answer on their own threads) and the accept loop, and
     /// starts serving.
     ///
     /// Metrics register in the process-wide [`Registry::global`]; use
@@ -367,18 +371,19 @@ impl Server {
     ) -> Result<Server> {
         // One request-processing pool shared by every connection: request
         // concurrency scales with the pool, not with connection count, so
-        // one listener fans out to thousands of pipelined clients.
-        let pool = Arc::new(WorkPool::new(config.shards));
+        // one listener fans out to thousands of pipelined clients. With one
+        // worker there is no pool: each connection answers on its own thread.
+        let pool = (config.shards > 1).then(|| Arc::new(WorkPool::new(config.shards)));
         let handle = ServeHandle::spawn_in(store, config, registry);
         let metered = Metered(handle.clone());
         // The request handler sees the pool only to sample
         // `serve.queue_depth`, and holds it weakly so the pool is never
         // dropped from one of its own workers.
-        let queue = Arc::downgrade(&pool);
+        let queue = pool.as_ref().map(Arc::downgrade);
         let respond = Arc::new(move |payload: Vec<u8>| {
             let metrics = &metered.0.metrics;
             metrics.bytes_in.add(payload.len() as u64 + 4);
-            if let Some(pool) = queue.upgrade() {
+            if let Some(pool) = queue.as_ref().and_then(std::sync::Weak::upgrade) {
                 metrics.queue_depth.set(pool.queued() as f64);
             }
             let response = service::respond(&metered, &payload, Some(&metrics.decode_errors));
