@@ -61,7 +61,7 @@ mod tests {
         let e = FilterError::InvalidParameter("bad".into());
         assert!(e.to_string().contains("bad"));
         assert!(e.source().is_none());
-        let e = FilterError::from(SpiceError::UnknownNode("x".into()));
+        let e = FilterError::from(SpiceError::InvalidAnalysis("x".into()));
         assert!(e.source().is_some());
         let e = FilterError::from(SignalError::TooShort { len: 0, needed: 2 });
         assert!(e.to_string().contains("signal"));

@@ -74,11 +74,6 @@ impl std::fmt::Display for Fault {
 }
 
 impl Fault {
-    /// Whether the fault is catastrophic (open/short) rather than parametric.
-    pub fn is_catastrophic(&self) -> bool {
-        matches!(self, Fault::Open(_) | Fault::Short(_))
-    }
-
     /// Applies the fault to a Tow-Thomas design, returning the faulty design.
     pub fn apply_to_design(&self, design: &TowThomasDesign) -> TowThomasDesign {
         let mut d = *design;
@@ -158,7 +153,6 @@ mod tests {
         let p = BiquadParams::paper_default();
         let faulty = Fault::F0ShiftPct(10.0).apply_to_params(&p).unwrap();
         assert!((faulty.f0_hz - 16_500.0).abs() < 1e-9);
-        assert!(!Fault::F0ShiftPct(10.0).is_catastrophic());
     }
 
     #[test]
@@ -196,9 +190,7 @@ mod tests {
     #[test]
     fn open_resistor_is_catastrophic() {
         let p = BiquadParams::paper_default();
-        let fault = Fault::Open(ComponentRef::R1);
-        assert!(fault.is_catastrophic());
-        let faulty = fault.apply_to_params(&p).unwrap();
+        let faulty = Fault::Open(ComponentRef::R1).apply_to_params(&p).unwrap();
         // An open input resistor kills the gain by six orders of magnitude.
         assert!(faulty.gain < 1e-5, "gain {}", faulty.gain);
     }

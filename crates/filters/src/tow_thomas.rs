@@ -215,9 +215,9 @@ mod tests {
     #[test]
     fn netlist_has_expected_structure() {
         let design = paper_design();
-        let built = design.build_netlist(SourceWaveform::Dc(0.0)).unwrap();
+        let mut built = design.build_netlist(SourceWaveform::Dc(0.0)).unwrap();
         // 1 source + 6 resistors + 2 capacitors + 3 op-amps = 12 elements.
         assert_eq!(built.circuit.element_count(), 12);
-        assert_eq!(built.circuit.node_name(built.lowpass), "lp");
+        assert_eq!(built.circuit.node("lp"), built.lowpass);
     }
 }

@@ -136,31 +136,6 @@ impl BiquadParams {
         self.response(frequency_hz).arg()
     }
 
-    /// The -3 dB cutoff frequency of the low-pass response, found numerically.
-    ///
-    /// # Errors
-    /// Returns [`FilterError::InvalidParameter`] when called on a non-low-pass
-    /// section.
-    pub fn cutoff_frequency(&self) -> Result<f64> {
-        if self.kind != BiquadKind::LowPass {
-            return Err(FilterError::InvalidParameter(
-                "cutoff frequency is defined for the low-pass output".into(),
-            ));
-        }
-        let target = self.gain * std::f64::consts::FRAC_1_SQRT_2;
-        let mut lo = self.f0_hz * 1e-3;
-        let mut hi = self.f0_hz * 1e3;
-        for _ in 0..200 {
-            let mid = (lo * hi).sqrt();
-            if self.magnitude(mid) > target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok((lo * hi).sqrt())
-    }
-
     /// Exact steady-state response of the filter to a multitone stimulus,
     /// sampled at `sample_rate` hertz over `periods` fundamental periods.
     ///
@@ -447,10 +422,11 @@ mod tests {
     fn cutoff_frequency_for_butterworth_q_equals_f0() {
         // With Q = 1/sqrt(2) (Butterworth), the -3 dB point is exactly f0.
         let p = BiquadParams::new(10e3, std::f64::consts::FRAC_1_SQRT_2, 1.0, BiquadKind::LowPass).unwrap();
-        let fc = p.cutoff_frequency().unwrap();
-        assert!((fc - 10e3).abs() / 10e3 < 1e-3, "fc {fc}");
-        let bp = BiquadParams::new(10e3, 1.0, 1.0, BiquadKind::BandPass).unwrap();
-        assert!(bp.cutoff_frequency().is_err());
+        let gain = p.magnitude(10e3);
+        assert!(
+            (gain - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12,
+            "gain at f0 {gain}"
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod tests {
     fn display_variants() {
         assert!(MonitorError::InvalidConfig("x".into()).to_string().contains("x"));
         assert!(MonitorError::BoundaryNotFound { x: 0.5 }.to_string().contains("0.5"));
-        let spice = MonitorError::from(SpiceError::UnknownNode("out".into()));
+        let spice = MonitorError::from(SpiceError::InvalidAnalysis("out".into()));
         assert!(spice.to_string().contains("out"));
     }
 

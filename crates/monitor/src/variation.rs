@@ -127,39 +127,6 @@ impl BoundaryEnvelope {
         }
         self.envelope.iter().map(|&(_, lo, hi)| 0.5 * (hi - lo)).sum::<f64>() / self.envelope.len() as f64
     }
-
-    /// Whether a given boundary curve lies inside the envelope (within
-    /// `tolerance` volts). Each curve point is compared against the envelope
-    /// entry with the nearest abscissa; curve points with no envelope entry
-    /// nearby (e.g. where only some Monte Carlo instances cross the window)
-    /// are ignored.
-    pub fn contains_curve(&self, curve: &BoundaryCurve, tolerance: f64) -> bool {
-        if self.envelope.is_empty() {
-            return curve.is_empty();
-        }
-        // Typical abscissa spacing of the envelope, used to decide whether an
-        // envelope entry is "nearby".
-        let spacing = if self.envelope.len() > 1 {
-            (self.envelope.last().expect("non-empty").0 - self.envelope[0].0) / (self.envelope.len() - 1) as f64
-        } else {
-            f64::INFINITY
-        };
-        for &(x, y) in &curve.points {
-            let nearest = self
-                .envelope
-                .iter()
-                .min_by(|a, b| (a.0 - x).abs().partial_cmp(&(b.0 - x).abs()).expect("finite"));
-            if let Some(&(ex, lo, hi)) = nearest {
-                if (ex - x).abs() > 1.5 * spacing {
-                    continue;
-                }
-                if y < lo - tolerance || y > hi + tolerance {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 /// Runs a Monte Carlo sweep over monitor instances and accumulates the
@@ -246,10 +213,19 @@ mod tests {
         assert_eq!(env.instances, 50);
         assert!(!env.envelope.is_empty());
         assert!(env.mean_half_width() > 0.0);
-        assert!(
-            env.contains_curve(&env.nominal, 0.03),
-            "nominal outside its own MC envelope"
-        );
+        // Wherever an instance crossed at a nominal abscissa, the nominal
+        // curve lies inside the envelope there, within 30 mV.
+        let mut checked = 0;
+        for &(x, y) in &env.nominal.points {
+            if let Some(&(_, lo, hi)) = env.envelope.iter().find(|entry| (entry.0 - x).abs() < 1e-9) {
+                assert!(
+                    y >= lo - 0.03 && y <= hi + 0.03,
+                    "nominal outside its own MC envelope at x = {x}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no nominal abscissa in the envelope");
     }
 
     #[test]

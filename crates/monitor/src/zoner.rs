@@ -68,11 +68,6 @@ impl ZonePartition {
         code
     }
 
-    /// Encodes a sequence of points into zone codes.
-    pub fn encode_points(&self, points: &[(f64, f64)]) -> Vec<u32> {
-        points.iter().map(|&(x, y)| self.zone_code(x, y)).collect()
-    }
-
     /// Number of *distinct* zone codes observed on a uniform `grid x grid`
     /// sampling of the window. This is a lower bound on the number of zones
     /// the partition creates.
@@ -181,17 +176,6 @@ mod tests {
         // consecutive samples unless two boundaries cross exactly between them.
         let d = p.max_adjacent_hamming((0.05, 0.1), (0.95, 0.9), 4000);
         assert!(d <= 2, "adjacent Hamming distance {d}");
-    }
-
-    #[test]
-    fn encode_points_matches_zone_code() {
-        let p = paper();
-        let pts = vec![(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)];
-        let codes = p.encode_points(&pts);
-        assert_eq!(codes.len(), 3);
-        for (k, &(x, y)) in pts.iter().enumerate() {
-            assert_eq!(codes[k], p.zone_code(x, y));
-        }
     }
 
     #[test]

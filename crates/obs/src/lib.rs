@@ -59,4 +59,4 @@ pub use snapshot::{
 pub use trace::{
     ActiveSpan, SpanRecord, TraceContext, TraceLog, TraceTree, Tracer, TRACE_LOG_MAGIC, TRACE_LOG_VERSION,
 };
-pub use window::{HealthReport, HealthSample, HealthStatus, RateWindow, SloPolicy};
+pub use window::{HealthReport, HealthSample, HealthStatus, SloPolicy};

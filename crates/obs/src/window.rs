@@ -1,87 +1,10 @@
-//! Windowed rates and declarative health verdicts.
+//! Declarative health verdicts.
 //!
-//! Lifetime counters answer "how much since boot"; an operator watching a
-//! fleet needs "how much in the last few seconds". A [`RateWindow`] turns
-//! successive observations of one monotonic counter into a per-second rate
-//! over a fixed sliding window of buckets, deterministically — callers pass
-//! explicit timestamps, so tests need no clock.
-//!
-//! A [`SloPolicy`] then compresses a whole scrape into one answer: given a
+//! A [`SloPolicy`] compresses a whole scrape into one answer: given a
 //! [`HealthSample`] (requests, errors, tail latency, backed-off backends)
 //! it produces a [`HealthReport`] with a PASS/DEGRADED/FAIL
 //! [`HealthStatus`] and the specific findings that drove the verdict —
 //! the body of the `DSHC` health frame.
-
-/// A fixed-bucket sliding window deriving per-interval deltas from a
-/// monotonic counter.
-///
-/// Feed it `(now_us, counter_total)` pairs via [`RateWindow::observe`];
-/// [`RateWindow::rate_per_sec`] averages the deltas that landed inside the
-/// window. The first observation only primes the baseline (a process's
-/// lifetime total must not count as a burst). Stale buckets are zeroed
-/// lazily, so an idle counter decays to a zero rate after one window.
-#[derive(Debug, Clone)]
-pub struct RateWindow {
-    bucket_us: u64,
-    /// `(bucket index, accumulated delta)` per slot; a slot is valid only
-    /// while its index is within the window of the queried `now_us`.
-    buckets: Vec<(u64, u64)>,
-    last_total: u64,
-    primed: bool,
-}
-
-impl RateWindow {
-    /// Creates a window of `buckets.max(1)` buckets of
-    /// `bucket_us.max(1)` µs each.
-    pub fn new(bucket_us: u64, buckets: usize) -> Self {
-        RateWindow {
-            bucket_us: bucket_us.max(1),
-            buckets: vec![(0, 0); buckets.max(1)],
-            last_total: 0,
-            primed: false,
-        }
-    }
-
-    /// Total span of the window, in µs.
-    pub fn span_us(&self) -> u64 {
-        self.bucket_us.saturating_mul(self.buckets.len() as u64)
-    }
-
-    /// Records the counter's current `total` at time `now_us`. Deltas are
-    /// saturating, so a counter that restarts (new process scraped under
-    /// the same name) contributes zero instead of wrapping.
-    pub fn observe(&mut self, now_us: u64, total: u64) {
-        if !self.primed {
-            self.primed = true;
-            self.last_total = total;
-            return;
-        }
-        let delta = total.saturating_sub(self.last_total);
-        self.last_total = total;
-        let index = now_us / self.bucket_us;
-        let slot = (index % self.buckets.len() as u64) as usize;
-        if self.buckets[slot].0 != index {
-            self.buckets[slot] = (index, 0);
-        }
-        self.buckets[slot].1 = self.buckets[slot].1.saturating_add(delta);
-    }
-
-    /// The average per-second rate over the window ending at `now_us`.
-    /// Buckets older than the window are ignored; the still-filling
-    /// current bucket is included, so the rate is a slight underestimate
-    /// while the newest bucket is partial.
-    pub fn rate_per_sec(&self, now_us: u64) -> f64 {
-        let current = now_us / self.bucket_us;
-        let oldest = current.saturating_sub(self.buckets.len() as u64 - 1);
-        let total: u64 = self
-            .buckets
-            .iter()
-            .filter(|&&(index, _)| index >= oldest && index <= current)
-            .map(|&(_, delta)| delta)
-            .fold(0, u64::saturating_add);
-        total as f64 * 1_000_000.0 / self.span_us() as f64
-    }
-}
 
 /// Declarative service-level objectives a fleet scrape is judged against.
 ///
@@ -267,39 +190,6 @@ dsig_core::wire_fields!(HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_observation_only_primes() {
-        let mut w = RateWindow::new(1_000_000, 5);
-        w.observe(0, 1_000_000); // a long-lived counter joins the window
-        assert_eq!(w.rate_per_sec(0), 0.0);
-        w.observe(1_000_000, 1_000_100);
-        // 100 events over a 5-second window.
-        assert!((w.rate_per_sec(1_000_000) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_decays_as_buckets_age_out() {
-        let mut w = RateWindow::new(1_000_000, 2);
-        w.observe(0, 0);
-        w.observe(500_000, 100); // bucket 0
-        assert!((w.rate_per_sec(500_000) - 50.0).abs() < 1e-9);
-        // Two seconds later bucket 0 has aged out of the 2-bucket window.
-        assert_eq!(w.rate_per_sec(2_500_000), 0.0);
-        // And its slot is reused without double counting.
-        w.observe(2_500_000, 130);
-        assert!((w.rate_per_sec(2_500_000) - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn counter_restart_contributes_zero() {
-        let mut w = RateWindow::new(1_000_000, 2);
-        w.observe(0, 500);
-        w.observe(100, 10); // the scraped process restarted
-        assert_eq!(w.rate_per_sec(100), 0.0);
-        w.observe(200, 30);
-        assert!(w.rate_per_sec(200) > 0.0);
-    }
 
     #[test]
     fn healthy_sample_passes() {

@@ -527,18 +527,6 @@ impl RouterHandle {
         self.scrape_fleet(&self.snapshot()).0
     }
 
-    /// Aggregated fleet trace drain — the in-process equivalent of a `DSFT`
-    /// scrape: every reachable backend's spans plus the router's own, in the
-    /// tracer's canonical `(trace_id, start_us, span_id)` order. Consuming:
-    /// each span is exported at most once fleet-wide.
-    pub fn fleet_traces(&self) -> TraceLog {
-        let drained = self.snapshot().fan_out::<TraceLog>(Request::Traces);
-        let mut spans: Vec<dsig_obs::SpanRecord> = drained.into_iter().flatten().flat_map(|log| log.spans).collect();
-        spans.extend(self.inner.registry.tracer().drain());
-        spans.sort_by_key(|span| (span.trace_id, span.start_us, span.span_id));
-        TraceLog { spans }
-    }
-
     /// Drains the fleet's buffered events — the in-process equivalent of a
     /// `DSEX` scrape at the router: every reachable backend's drained events
     /// plus the router's own (backend backoff/recovery and membership
@@ -931,7 +919,6 @@ impl Service for RouterHandle {
             Request::Metrics => Response::Metrics(self.metrics()),
             Request::Traces => Response::Traces(self.traces()),
             Request::FleetMetrics => Response::Metrics(self.fleet_metrics()),
-            Request::FleetTraces => Response::Traces(self.fleet_traces()),
             Request::Events => Response::Events(self.events()),
             Request::Health => Response::Health(self.health()),
             // The admin family: live membership over the same tagged mux the
@@ -1274,10 +1261,6 @@ mod tests {
                 "missing {expected} in {names:?}"
             );
         }
-        // Fleet traces drain without error even with spans buffered by other
-        // tests; a second drain of a quiet fleet yields nothing new for the
-        // spans this test produced.
-        let _ = router.fleet_traces();
     }
 
     #[test]

@@ -73,8 +73,8 @@
 //! at its current version with the request id at bytes `6..14`:
 //! `DSRQ`/`DSRS` for single-golden screening (forwarded verbatim to
 //! backends), plus the `DSRT`/`DSRR` retest pair, the `DSGP`/`DSGF`/`DSRA` replication frames, the `DSAQ`
-//! fleet-admin verbs and the observability scrapes (`DSMX`/`DSFM`,
-//! `DSTX`/`DSFT`, `DSEX`, `DSHC`), answering with the routing tier's own
+//! fleet-admin verbs and the observability scrapes (`DSMX`/`DSFM`, `DSTX`,
+//! `DSEX`, `DSHC`), answering with the routing tier's own
 //! counters — per-backend forwards/failovers/retries, backoff gauge,
 //! fan-out latency, refresh-on-miss — or the fleet-wide merge. All are
 //! specified in `docs/FORMATS.md`.

@@ -2,9 +2,9 @@
 //! handler ([`dsig_serve::service::respond`]), answering every request of
 //! the `dsig-serve` wire protocol through the [`RouterHandle`] it holds —
 //! a [`dsig_serve::Service`] that fans the work out across the backend
-//! fleet. The fleet-observability frames (`DSFM`/`DSFT` aggregated scrapes,
-//! `DSEX` event drain, `DSHC` health check) are answered the same way — the
-//! router is the natural aggregation point for a fleet.
+//! fleet. The fleet-observability frames (the `DSFM` aggregated scrape, the
+//! `DSEX` event drain, the `DSHC` health check) are answered the same way —
+//! the router is the natural aggregation point for a fleet.
 //!
 //! # Architecture
 //!

@@ -36,8 +36,8 @@
 //! with their original ids; requests whose responses already arrived are
 //! never resent.
 //!
-//! The drains — `DSTX`, its fleet form `DSFT`, and the `DSEX` event drain —
-//! are the exception on both transports: draining consumes records, so a
+//! The drains — the `DSTX` trace drain and the `DSEX` event drain — are the
+//! exception on both transports: draining consumes records, so a
 //! drain whose connection dies fails with the connection error instead of
 //! being silently re-issued (the drain may or may not have happened
 //! server-side).
@@ -227,16 +227,6 @@ impl<T: seam::Exchange> Client<T> {
     /// As for [`Client::metrics`].
     pub fn traces(&self) -> Result<TraceLog> {
         self.call(Request::Traces)?.into_body()
-    }
-
-    /// Drains trace spans fleet-wide (`DSFT`): a routing tier drains every
-    /// reachable backend plus itself; a bare server answers its own log.
-    /// Consuming, like `DSTX`.
-    ///
-    /// # Errors
-    /// As for [`Client::metrics`].
-    pub fn fleet_traces(&self) -> Result<TraceLog> {
-        self.call(Request::FleetTraces)?.into_body()
     }
 
     /// Drains the server's structured event log (`DSEX`): backend

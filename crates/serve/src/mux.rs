@@ -1,8 +1,7 @@
 //! The multiplexed connection core: the [`Listener`] accept loop both
-//! serving tiers front their TCP port with, a work-stealing thread pool
-//! shared by every connection of a multi-worker serving process, and the
-//! per-connection loops that let one TCP stream carry hundreds of pipelined
-//! requests.
+//! serving tiers front their TCP port with, a thread pool shared by every
+//! connection of a multi-worker serving process, and the per-connection
+//! loops that let one TCP stream carry hundreds of pipelined requests.
 //!
 //! # Architecture
 //!
@@ -14,11 +13,11 @@
 //!
 //!  a pool of workers: a reader/writer pair per connection, answers out of order
 //!
-//!                       ┌─────────────── WorkPool ───────────────┐
-//!  conn A reader ─┐     │ worker 0: [deque] ◀─┐ steal            │
-//!  conn B reader ─┼──▶  │ worker 1: [deque] ◀─┼─ steal           │
-//!  conn C reader ─┘     │ worker N: [deque] ◀─┘                  │
-//!                       └──────┬──────────────┬──────────────────┘
+//!                       ┌──────────── WorkPool ────────────┐
+//!  conn A reader ─┐     │              ┌─▶ worker 0        │
+//!  conn B reader ─┼──▶  │ [job queue] ─┼─▶ worker 1        │
+//!  conn C reader ─┘     │              └─▶ worker N        │
+//!                       └──────┬──────────────┬────────────┘
 //!                              ▼              ▼
 //!                       conn A writer   conn B writer   (mpsc per conn)
 //! ```
@@ -33,10 +32,12 @@
 //! **writer** drains the response channel, so a stalled peer blocks only
 //! its own reader/writer pair, never a pool worker and never another
 //! connection. Responses outstanding per connection are capped at
-//! [`MAX_QUEUED_RESPONSES`]: past the cap the reader stops pulling new
-//! requests until the peer drains some responses, so a peer that pipelines
-//! requests without ever reading answers holds a bounded amount of server
-//! memory. Pool workers stamp the request's id into the response
+//! [`MAX_QUEUED_RESPONSES`] permits: the reader sends one into a bounded
+//! channel before each request and the writer takes one back after each
+//! written frame, so past the cap the reader stops pulling new requests
+//! until the peer drains some responses, and a peer that pipelines requests
+//! without ever reading answers holds a bounded amount of server memory.
+//! Pool workers stamp the request's id into the response
 //! ([`crate::proto::stamp_request_id`]) and hand it to the owning
 //! connection's writer; completion order is whatever the pool finishes
 //! first, which is the whole point.
@@ -50,7 +51,7 @@
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -158,43 +159,42 @@ impl Drop for Listener {
     }
 }
 
-/// A fixed-size work-stealing thread pool, shared by every connection of a
-/// server so the request concurrency is bounded by core count, not by
-/// connection count.
+/// A fixed-size thread pool, shared by every connection of a server so the
+/// request concurrency is bounded by core count, not by connection count.
 ///
-/// Submission is round-robin over per-worker deques; an idle worker steals
-/// from the back of its siblings' deques. A counting semaphore (mutex +
-/// condvar) tracks queued jobs, so workers sleep when the pool is idle and a
-/// grab after a successful acquire is guaranteed to find a job. Dropping the
-/// pool drains every queued job before the workers exit.
+/// Workers take jobs in submission order from one queue and sleep on a
+/// condvar while it is empty. Every job comes from a connection reader, so
+/// there is no worker-local work to keep warm. Dropping the pool drains
+/// every queued job before the workers exit.
 pub struct WorkPool {
     inner: Arc<PoolInner>,
     workers: Vec<JoinHandle<()>>,
 }
 
 struct PoolInner {
-    /// One deque per worker; `submit` round-robins pushes over them.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Queued-job count — the semaphore's permit count.
-    pending: Mutex<usize>,
+    queue: Mutex<Queue>,
     /// Signalled once per submitted job (and broadcast on shutdown).
     available: Condvar,
-    shutdown: AtomicBool,
-    cursor: AtomicUsize,
+}
+
+struct Queue {
+    /// Jobs no worker has picked up yet.
+    jobs: VecDeque<Job>,
+    /// Set when the pool drops: workers exit once `jobs` is empty.
+    shutdown: bool,
 }
 
 impl WorkPool {
     /// Spawns a pool with `workers` threads (at least one).
     pub fn new(workers: usize) -> WorkPool {
-        let count = workers.max(1);
         let inner = Arc::new(PoolInner {
-            queues: (0..count).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            cursor: AtomicUsize::new(0),
         });
-        let workers = (0..count)
+        let workers = (0..workers.max(1))
             .map(|index| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || worker_loop(&inner, index))
@@ -205,35 +205,33 @@ impl WorkPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.queues.len()
+        self.workers.len()
     }
 
     /// Jobs submitted but not yet picked up by a worker — the pool's queue
     /// depth, sampled for the `serve.queue_depth` gauge.
     pub fn queued(&self) -> usize {
-        *self.inner.pending.lock().expect("pool semaphore poisoned")
+        self.inner.queue.lock().expect("pool queue poisoned").jobs.len()
     }
 
     /// Enqueues one job. Jobs submitted before the pool drops are always
     /// run, even if the drop races the submission.
     pub fn submit(&self, job: Job) {
-        let slot = self.inner.cursor.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
-        self.inner.queues[slot]
+        self.inner
+            .queue
             .lock()
             .expect("pool queue poisoned")
+            .jobs
             .push_back(job);
-        // Publish the permit only after the job is queued: a worker that
-        // wins the permit is guaranteed to find a job in some deque.
-        let mut pending = self.inner.pending.lock().expect("pool semaphore poisoned");
-        *pending += 1;
-        drop(pending);
         self.inner.available.notify_one();
     }
 }
 
 impl Drop for WorkPool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set under the lock, so a worker between its empty check and its
+        // wait cannot miss the wake-up.
+        self.inner.queue.lock().expect("pool queue poisoned").shutdown = true;
         self.inner.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -243,38 +241,20 @@ impl Drop for WorkPool {
 
 fn worker_loop(inner: &PoolInner, index: usize) {
     loop {
-        // Acquire one permit, or exit once the pool is shut down *and*
-        // drained — queued work always completes.
-        {
-            let mut pending = inner.pending.lock().expect("pool semaphore poisoned");
+        // Take the oldest job, or exit once the pool is shut down *and*
+        // drained — queued work always completes. Jobs run outside the
+        // lock, so a panicking job cannot poison it.
+        let job = {
+            let mut queue = inner.queue.lock().expect("pool queue poisoned");
             loop {
-                if *pending > 0 {
-                    *pending -= 1;
-                    break;
+                if let Some(job) = queue.jobs.pop_front() {
+                    break job;
                 }
-                if inner.shutdown.load(Ordering::SeqCst) {
+                if queue.shutdown {
                     return;
                 }
-                pending = inner.available.wait(pending).expect("pool semaphore poisoned");
+                queue = inner.available.wait(queue).expect("pool queue poisoned");
             }
-        }
-        // A permit means a job is queued somewhere. It may still be in
-        // flight between another submitter's push and our scan, so loop:
-        // own deque front first (cache-warm), then steal siblings' backs.
-        let job = 'grab: loop {
-            let count = inner.queues.len();
-            for offset in 0..count {
-                let queue = &inner.queues[(index + offset) % count];
-                let grabbed = if offset == 0 {
-                    queue.lock().expect("pool queue poisoned").pop_front()
-                } else {
-                    queue.lock().expect("pool queue poisoned").pop_back()
-                };
-                if let Some(job) = grabbed {
-                    break 'grab job;
-                }
-            }
-            std::thread::yield_now();
         };
         // A panicking job must not kill the worker: the pool is shared by
         // every connection of the process, and each death would silently
@@ -303,73 +283,6 @@ fn worker_loop(inner: &PoolInner, index: usize) {
 /// case per-connection memory. A connection without a pool holds at most
 /// one response, which its own thread writes before reading on.
 pub const MAX_QUEUED_RESPONSES: usize = 64;
-
-/// The per-connection response budget of a multi-worker pool: a counting
-/// gate the reader acquires one slot from per request, released when the
-/// response frame has been written (or abandoned — see [`SlotGuard`]).
-struct ResponseGate {
-    state: Mutex<GateState>,
-    freed: Condvar,
-}
-
-struct GateState {
-    /// Slots currently held by in-flight requests / unwritten responses.
-    held: usize,
-    /// Set when the writer exits; a blocked reader gives up instead of
-    /// waiting for slots nobody will ever free.
-    writer_gone: bool,
-}
-
-impl ResponseGate {
-    fn new() -> Arc<ResponseGate> {
-        Arc::new(ResponseGate {
-            state: Mutex::new(GateState {
-                held: 0,
-                writer_gone: false,
-            }),
-            freed: Condvar::new(),
-        })
-    }
-
-    /// Blocks until a slot is free, returning `None` once the writer is gone
-    /// (the peer stopped accepting bytes — reading more requests is
-    /// pointless).
-    fn acquire(self: &Arc<ResponseGate>) -> Option<SlotGuard> {
-        let mut state = self.state.lock().expect("response gate poisoned");
-        while state.held >= MAX_QUEUED_RESPONSES && !state.writer_gone {
-            state = self.freed.wait(state).expect("response gate poisoned");
-        }
-        if state.writer_gone {
-            return None;
-        }
-        state.held += 1;
-        Some(SlotGuard { gate: Arc::clone(self) })
-    }
-
-    /// Marks the writer dead and wakes a reader blocked on a slot.
-    fn writer_gone(&self) {
-        self.state.lock().expect("response gate poisoned").writer_gone = true;
-        self.freed.notify_all();
-    }
-}
-
-/// One held response slot of a multi-worker pool's connection. Travels with
-/// the response frame through the channel and releases on drop — when the
-/// writer has written the frame, when the writer dies with frames queued,
-/// or when a panicking job never produces a response at all.
-struct SlotGuard {
-    gate: Arc<ResponseGate>,
-}
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        let mut state = self.gate.state.lock().expect("response gate poisoned");
-        state.held -= 1;
-        drop(state);
-        // Only the connection's reader ever waits.
-        self.gate.freed.notify_one();
-    }
-}
 
 /// Serves one TCP connection until the peer closes or the stream errors.
 ///
@@ -425,25 +338,20 @@ fn serve_pooled(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
     };
     let peer: Arc<str> = peer_name(&stream).into();
     let mut reader = std::io::BufReader::new(read_half);
-    let (responses, inbox) = mpsc::channel::<(Option<Vec<u8>>, SlotGuard)>();
-    let gate = ResponseGate::new();
-    let writer = {
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            writer_loop(stream, &inbox);
-            // Unblock a reader waiting on a slot: no more responses will
-            // ever be written, so reading more requests is pointless.
-            gate.writer_gone();
-        })
-    };
+    let (responses, inbox) = mpsc::channel::<Option<Vec<u8>>>();
+    // The response budget: one permit per request whose frame is not yet
+    // written. The writer owns the receiving end, so its exit fails a
+    // reader blocked on a full budget that nobody will ever repay.
+    let (permits, repaid) = mpsc::sync_channel::<()>(MAX_QUEUED_RESPONSES);
+    let writer = std::thread::spawn(move || writer_loop(stream, &inbox, &repaid));
     // A clean close, unreadable frame or dead socket ends the read loop; so
-    // does writer death (the response budget can never be repaid).
+    // does writer death.
     while let Ok(Some(payload)) = read_frame(&mut reader) {
-        // One response slot per request, acquired *before* the work exists:
-        // at the cap the reader pauses here until the peer drains responses.
-        let Some(slot) = gate.acquire() else {
+        // One permit per request, sent *before* the work exists: at the cap
+        // the reader pauses here until the peer drains responses.
+        if permits.send(()).is_err() {
             break;
-        };
+        }
         let respond = Arc::clone(&respond);
         let responses = responses.clone();
         let peer = Arc::clone(&peer);
@@ -451,7 +359,7 @@ fn serve_pooled(stream: TcpStream, pool: &WorkPool, respond: Arc<Responder>) {
             let response = answer_caught(&*respond, payload, || peer.to_string());
             // A send failure means the writer died with the peer; the
             // response is dropped like any write to a closed socket.
-            let _ = responses.send((response, slot));
+            let _ = responses.send(response);
         }));
     }
     // Close our sender; the writer exits once every in-flight job's clone
@@ -497,14 +405,13 @@ fn peer_name(stream: &TcpStream) -> String {
 /// batching every ready frame into one flush. Exits when the channel closes
 /// (reader gone, jobs done) or the peer stops accepting bytes, and at a
 /// close (`None`, a panicked responder): it flushes the frames written
-/// before it and shuts the socket down. Each frame's [`SlotGuard`] is
-/// dropped once the frame is written (or abandoned), repaying the
-/// connection's response budget.
-fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<(Option<Vec<u8>>, SlotGuard)>) {
+/// before it and shuts the socket down. It takes one permit back from
+/// `repaid` per written frame, repaying the connection's response budget.
+fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<Option<Vec<u8>>>, repaid: &mpsc::Receiver<()>) {
     let mut writer = std::io::BufWriter::new(&stream);
     while let Ok(first) = inbox.recv() {
         // Greedily coalesce everything already queued before flushing once.
-        for (frame, slot) in std::iter::once(first).chain(std::iter::from_fn(|| inbox.try_recv().ok())) {
+        for frame in std::iter::once(first).chain(std::iter::from_fn(|| inbox.try_recv().ok())) {
             let Some(frame) = frame else {
                 let _ = writer.flush();
                 let _ = stream.shutdown(Shutdown::Both);
@@ -513,7 +420,8 @@ fn writer_loop(stream: TcpStream, inbox: &mpsc::Receiver<(Option<Vec<u8>>, SlotG
             if write_frame(&mut writer, &frame).is_err() {
                 return;
             }
-            drop(slot);
+            // The reader sent this frame's permit before submitting its job.
+            let _ = repaid.try_recv();
         }
         if writer.flush().is_err() {
             return;
@@ -644,6 +552,47 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_that_never_reads_gets_at_most_the_response_budget_answered() {
+        // Each answer is 1 MiB, so the kernel's socket buffers take only a
+        // few before the writer blocks; every other answered request holds
+        // a permit. The peer pipelines three budgets' worth of requests and
+        // reads nothing: the reader must stop after one budget plus what the
+        // buffers swallowed, not answer all of them into server memory.
+        let calls = Arc::new(AtomicU64::new(0));
+        let respond: Arc<Responder> = {
+            let calls = Arc::clone(&calls);
+            Arc::new(move |mut payload: Vec<u8>| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                payload.resize(1 << 20, 0);
+                payload
+            })
+        };
+        let listener = Listener::bind("127.0.0.1:0", Some(Arc::new(WorkPool::new(2))), respond).unwrap();
+        let peer = TcpStream::connect(listener.local_addr()).unwrap();
+        let mut frames = Vec::new();
+        for id in 1..=3 * MAX_QUEUED_RESPONSES as u64 {
+            write_frame(&mut frames, &tagged(id)).unwrap();
+        }
+        (&peer).write_all(&frames).unwrap();
+        // Wait, at most 10 s, until the count holds still for half a second.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut settled = calls.load(Ordering::SeqCst);
+        while std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(500));
+            let now = calls.load(Ordering::SeqCst);
+            if now == settled && now > 0 {
+                break;
+            }
+            settled = now;
+        }
+        let answered = calls.load(Ordering::SeqCst) as usize;
+        assert!(
+            (MAX_QUEUED_RESPONSES..2 * MAX_QUEUED_RESPONSES).contains(&answered),
+            "{answered} requests answered for a peer that reads nothing (budget {MAX_QUEUED_RESPONSES})"
+        );
+    }
+
+    #[test]
     fn pool_runs_every_job_across_workers() {
         let pool = WorkPool::new(4);
         assert_eq!(pool.workers(), 4);
@@ -728,10 +677,10 @@ mod tests {
 
     #[test]
     fn idle_workers_steal_from_busy_queues() {
-        // Two workers; worker 0's queue gets a blocker plus follow-up work
-        // (round-robin alternates, so half the jobs land behind the
-        // blocker). Worker 1 must steal them — the test deadlocks without
-        // stealing and passes quickly with it.
+        // Two workers; the first job blocks one of them until every later
+        // job has run, so the idle worker must take all of them from the
+        // queue — a pool that parked jobs behind the blocked worker would
+        // time out here.
         let pool = WorkPool::new(2);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let (done, finished) = mpsc::channel();

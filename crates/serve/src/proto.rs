@@ -76,11 +76,6 @@ pub const TRACES_RESPONSE_MAGIC: [u8; 4] = *b"DSTD";
 /// ordinary `DSMR` response family. Idempotent: scraping twice returns two
 /// consistent snapshots.
 pub const FLEET_METRICS_REQUEST_MAGIC: [u8; 4] = *b"DSFM";
-/// Magic prefix of fleet-trace-drain request payloads (`DSFT`): the `DSFM`
-/// pattern for traces — every backend's span ring drained and concatenated
-/// with the aggregator's own, answered in the `DSTD` response family.
-/// **Not** idempotent: like `DSTX`, a drain consumes the spans it returns.
-pub const FLEET_TRACES_REQUEST_MAGIC: [u8; 4] = *b"DSFT";
 /// Magic prefix of event-drain request payloads (`DSEX`): a header-only
 /// frame asking the answering process to drain its buffered operational
 /// events. **Not** idempotent: like `DSTX`, a drain consumes what it
@@ -283,9 +278,6 @@ pub enum Request<'a> {
     /// backend and answer one merged snapshot. A leaf process answers it
     /// as a fleet of one.
     FleetMetrics,
-    /// A fleet-trace-drain request (`DSFT`): drain every backend's spans
-    /// plus the aggregator's own.
-    FleetTraces,
     /// An event-drain request (`DSEX`): drain the process's buffered
     /// operational events.
     Events,
@@ -333,7 +325,6 @@ impl Request<'_> {
             Request::Metrics => METRICS_REQUEST_MAGIC,
             Request::Traces => TRACES_REQUEST_MAGIC,
             Request::FleetMetrics => FLEET_METRICS_REQUEST_MAGIC,
-            Request::FleetTraces => FLEET_TRACES_REQUEST_MAGIC,
             Request::Events => EVENTS_REQUEST_MAGIC,
             Request::Health => HEALTH_REQUEST_MAGIC,
             Request::Admin(_) => ADMIN_REQUEST_MAGIC,
@@ -346,10 +337,10 @@ impl Request<'_> {
     }
 
     /// Whether a client may resend this request on a fresh connection when
-    /// the first one dies: every request but the drains (`DSTX`, `DSFT`,
-    /// `DSEX`), which consume what they return.
+    /// the first one dies: every request but the drains (`DSTX`, `DSEX`),
+    /// which consume what they return.
     pub fn resendable(&self) -> bool {
-        !matches!(self, Request::Traces | Request::FleetTraces | Request::Events)
+        !matches!(self, Request::Traces | Request::Events)
     }
 
     /// The golden fingerprint this request names, if any: an unknown-golden
@@ -555,7 +546,7 @@ impl Family {
             Some(PUSH_MAGIC | FETCH_MAGIC | ADMIN_REQUEST_MAGIC) => Family::Admin,
             Some(RETEST_REQUEST_MAGIC) => Family::Retest,
             Some(METRICS_REQUEST_MAGIC | FLEET_METRICS_REQUEST_MAGIC) => Family::Metrics,
-            Some(TRACES_REQUEST_MAGIC | FLEET_TRACES_REQUEST_MAGIC) => Family::Traces,
+            Some(TRACES_REQUEST_MAGIC) => Family::Traces,
             Some(EVENTS_REQUEST_MAGIC) => Family::Events,
             Some(HEALTH_REQUEST_MAGIC) => Family::Health,
             _ => Family::Screen,
@@ -614,7 +605,7 @@ impl<T: ReplyBody> Wire for Reply<T> {
 /// Every request magic. The first five are the work-carrying requests
 /// (`DSRQ`/`DSRT`/`DSGP`/`DSGF`/`DSAQ`), whose frames carry a trace context
 /// after the request id; the rest are the header-only scrapes.
-pub(crate) const REQUEST_MAGICS: [[u8; 4]; 11] = [
+pub(crate) const REQUEST_MAGICS: [[u8; 4]; 10] = [
     REQUEST_MAGIC,
     RETEST_REQUEST_MAGIC,
     PUSH_MAGIC,
@@ -623,7 +614,6 @@ pub(crate) const REQUEST_MAGICS: [[u8; 4]; 11] = [
     METRICS_REQUEST_MAGIC,
     TRACES_REQUEST_MAGIC,
     FLEET_METRICS_REQUEST_MAGIC,
-    FLEET_TRACES_REQUEST_MAGIC,
     EVENTS_REQUEST_MAGIC,
     HEALTH_REQUEST_MAGIC,
 ];
@@ -765,11 +755,10 @@ pub fn encode_admin_request(request: &AdminRequest) -> Vec<u8> {
 }
 
 /// The header-only scrape requests.
-const SCRAPES: [Request<'static>; 6] = [
+const SCRAPES: [Request<'static>; 5] = [
     Request::Metrics,
     Request::Traces,
     Request::FleetMetrics,
-    Request::FleetTraces,
     Request::Events,
     Request::Health,
 ];
@@ -782,7 +771,7 @@ fn scrape_of(payload: &[u8]) -> Option<Request<'static>> {
 }
 
 /// Encodes a header-only scrape request payload (without the frame length
-/// prefix): `magic` is one of `DSMX`/`DSTX`/`DSFM`/`DSFT`/`DSEX`/`DSHC`.
+/// prefix): `magic` is one of `DSMX`/`DSTX`/`DSFM`/`DSEX`/`DSHC`.
 pub fn encode_scrape_request(magic: [u8; 4]) -> Vec<u8> {
     debug_assert!(scrape_of(&magic).is_some(), "not a scrape magic");
     let mut out = Vec::with_capacity(14);
@@ -1487,7 +1476,6 @@ mod tests {
                 encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC),
                 Request::FleetMetrics,
             ),
-            (encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC), Request::FleetTraces),
             (encode_scrape_request(EVENTS_REQUEST_MAGIC), Request::Events),
             (encode_scrape_request(HEALTH_REQUEST_MAGIC), Request::Health),
         ] {
@@ -1501,15 +1489,10 @@ mod tests {
             assert!(decode_any_request(&future).is_err(), "{want:?} future version");
         }
         // Decode failures answer in the family the client decodes: DSFM in
-        // DSMR, DSFT in DSTD, DSEX in DSED, DSHC in DSHR.
+        // DSMR, DSEX in DSED, DSHC in DSHR.
         let response = encode_decode_error(&encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC)[..5], "bad".into());
         assert!(matches!(
             decode_reply::<MetricsSnapshot>(&response).unwrap(),
-            Reply::Error { .. }
-        ));
-        let response = encode_decode_error(&encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC)[..5], "bad".into());
-        assert!(matches!(
-            decode_reply::<TraceLog>(&response).unwrap(),
             Reply::Error { .. }
         ));
         let response = encode_decode_error(&encode_scrape_request(EVENTS_REQUEST_MAGIC)[..5], "bad".into());
@@ -1620,7 +1603,6 @@ mod tests {
             encode_scrape_request(METRICS_REQUEST_MAGIC),
             encode_scrape_request(TRACES_REQUEST_MAGIC),
             encode_scrape_request(FLEET_METRICS_REQUEST_MAGIC),
-            encode_scrape_request(FLEET_TRACES_REQUEST_MAGIC),
             encode_scrape_request(EVENTS_REQUEST_MAGIC),
             encode_scrape_request(HEALTH_REQUEST_MAGIC),
             encode_retest_response(&RetestResponse::Results(vec![])),

@@ -86,8 +86,8 @@ struct ServeMetrics {
     scored: Arc<Counter>,
     /// `serve.request_us` — end-to-end time to answer one decoded request.
     request_us: Arc<Histogram>,
-    /// `serve.queue_depth` — work-pool jobs queued or running, sampled as
-    /// each connection frame arrives. A one-worker server has no pool and
+    /// `serve.queue_depth` — work-pool jobs queued, sampled as each
+    /// connection frame arrives. A one-worker server has no pool and
     /// never sets it.
     queue_depth: Arc<Gauge>,
 }
@@ -439,7 +439,7 @@ impl Service for ServeHandle {
             // fleet of one: its own snapshot/log, no `backend.*` prefixes, so
             // the routing tier and a bare server share one client-side shape.
             Request::Metrics | Request::FleetMetrics => Response::Metrics(self.metrics()),
-            Request::Traces | Request::FleetTraces => Response::Traces(self.traces()),
+            Request::Traces => Response::Traces(self.traces()),
             Request::Events => Response::Events(self.events()),
             Request::Health => Response::Health(self.health(&SloPolicy::default())),
             // A leaf serving process has no fleet to administer; only the

@@ -136,36 +136,6 @@ impl MultitoneSpec {
     pub fn sample(&self, periods: u32, sample_rate: f64) -> Waveform {
         Waveform::from_fn(0.0, self.period() * periods as f64, sample_rate, |t| self.value(t))
     }
-
-    /// Sum of the tone amplitudes (worst-case excursion around the offset).
-    pub fn amplitude_sum(&self) -> f64 {
-        self.tones.iter().map(|t| t.amplitude).sum()
-    }
-
-    /// Converts the stimulus into the equivalent SPICE source waveform.
-    pub fn to_source_waveform(&self) -> sim_spice_waveform::SourceDescription {
-        sim_spice_waveform::SourceDescription {
-            offset: self.offset,
-            tones: self
-                .tones
-                .iter()
-                .map(|t| (t.amplitude, self.fundamental_hz * t.harmonic as f64, t.phase_rad))
-                .collect(),
-        }
-    }
-}
-
-/// A tiny intermediary so that this crate does not depend on `sim-spice`
-/// directly (the filter crate converts it into a real source).
-pub mod sim_spice_waveform {
-    /// Offset plus `(amplitude, frequency_hz, phase_rad)` tones.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct SourceDescription {
-        /// DC offset in volts.
-        pub offset: f64,
-        /// `(amplitude, frequency_hz, phase_rad)` per tone.
-        pub tones: Vec<(f64, f64, f64)>,
-    }
 }
 
 #[cfg(test)]
@@ -216,18 +186,10 @@ mod tests {
     #[test]
     fn amplitude_sum_and_offset() {
         let s = MultitoneSpec::new(1e3, 0.4, vec![ToneSpec::new(1, 0.1), ToneSpec::new(3, 0.2)]).unwrap();
-        assert!((s.amplitude_sum() - 0.3).abs() < 1e-12);
+        let amplitude_sum: f64 = s.tones().iter().map(|t| t.amplitude).sum();
+        assert!((amplitude_sum - 0.3).abs() < 1e-12);
         assert_eq!(s.offset(), 0.4);
         assert_eq!(s.tones().len(), 2);
-    }
-
-    #[test]
-    fn source_description_lists_absolute_frequencies() {
-        let s = MultitoneSpec::new(2e3, 0.5, vec![ToneSpec::new(1, 0.1), ToneSpec::new(4, 0.2)]).unwrap();
-        let d = s.to_source_waveform();
-        assert_eq!(d.offset, 0.5);
-        assert_eq!(d.tones[0].1, 2e3);
-        assert_eq!(d.tones[1].1, 8e3);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl AcResult {
         self.phasors.iter().map(|row| row[node.index()].abs()).collect()
     }
 
-    /// Magnitude response in decibels.
-    pub fn magnitude_db(&self, node: Node) -> Vec<f64> {
-        self.phasors.iter().map(|row| row[node.index()].db()).collect()
-    }
-
     /// Phase response in radians.
     pub fn phase(&self, node: Node) -> Vec<f64> {
         self.phasors.iter().map(|row| row[node.index()].arg()).collect()
@@ -133,22 +128,6 @@ pub fn ac_sweep_at(circuit: &Circuit, op: &OperatingPoint, frequencies: &[f64]) 
                         Complex::from_imag(omega * farads),
                     );
                 }
-                Element::Inductor {
-                    a: na, b: nb, henries, ..
-                } => {
-                    let br = branch.expect("inductor branch");
-                    let ia = layout.node_unknown(*na);
-                    let ib = layout.node_unknown(*nb);
-                    if let Some(i) = ia {
-                        a.add(i, br, Complex::ONE);
-                        a.add(br, i, Complex::ONE);
-                    }
-                    if let Some(j) = ib {
-                        a.add(j, br, -Complex::ONE);
-                        a.add(br, j, -Complex::ONE);
-                    }
-                    a.add(br, br, Complex::from_imag(-omega * henries));
-                }
                 Element::VoltageSource { pos, neg, waveform, .. } => {
                     let br = branch.expect("vsource branch");
                     let ip = layout.node_unknown(*pos);
@@ -162,66 +141,6 @@ pub fn ac_sweep_at(circuit: &Circuit, op: &OperatingPoint, frequencies: &[f64]) 
                         a.add(br, j, -Complex::ONE);
                     }
                     b[br] = Complex::from_real(waveform.ac_magnitude());
-                }
-                Element::CurrentSource { from, to, waveform, .. } => {
-                    let mag = waveform.ac_magnitude();
-                    if let Some(f) = layout.node_unknown(*from) {
-                        b[f] += Complex::from_real(-mag);
-                    }
-                    if let Some(t) = layout.node_unknown(*to) {
-                        b[t] += Complex::from_real(mag);
-                    }
-                }
-                Element::Vcvs {
-                    out_pos,
-                    out_neg,
-                    ctrl_pos,
-                    ctrl_neg,
-                    gain,
-                    ..
-                } => {
-                    let br = branch.expect("vcvs branch");
-                    let op_ = layout.node_unknown(*out_pos);
-                    let on = layout.node_unknown(*out_neg);
-                    let cp = layout.node_unknown(*ctrl_pos);
-                    let cn = layout.node_unknown(*ctrl_neg);
-                    if let Some(i) = op_ {
-                        a.add(i, br, Complex::ONE);
-                        a.add(br, i, Complex::ONE);
-                    }
-                    if let Some(j) = on {
-                        a.add(j, br, -Complex::ONE);
-                        a.add(br, j, -Complex::ONE);
-                    }
-                    if let Some(i) = cp {
-                        a.add(br, i, Complex::from_real(-gain));
-                    }
-                    if let Some(j) = cn {
-                        a.add(br, j, Complex::from_real(*gain));
-                    }
-                }
-                Element::Vccs {
-                    out_pos,
-                    out_neg,
-                    ctrl_pos,
-                    ctrl_neg,
-                    gm,
-                    ..
-                } => {
-                    let op_ = layout.node_unknown(*out_pos);
-                    let on = layout.node_unknown(*out_neg);
-                    let cp = layout.node_unknown(*ctrl_pos);
-                    let cn = layout.node_unknown(*ctrl_neg);
-                    for (row, sign) in [(op_, 1.0), (on, -1.0)] {
-                        if let Some(r) = row {
-                            if let Some(c) = cp {
-                                a.add(r, c, Complex::from_real(sign * gm));
-                            }
-                            if let Some(c) = cn {
-                                a.add(r, c, Complex::from_real(-sign * gm));
-                            }
-                        }
-                    }
                 }
                 Element::IdealOpAmp {
                     in_pos, in_neg, out, ..
@@ -332,8 +251,7 @@ mod tests {
     fn rc_lowpass_rolloff_is_20db_per_decade() {
         let (ckt, out) = rc_lowpass(1e3);
         let res = ac_sweep(&ckt, &[10e3, 100e3]).unwrap();
-        let db = res.magnitude_db(out);
-        let slope = db[1] - db[0];
+        let slope = res.phasor(1, out).db() - res.phasor(0, out).db();
         assert!((slope + 20.0).abs() < 0.5, "slope {slope}");
     }
 
@@ -365,39 +283,5 @@ mod tests {
         ckt.add_resistor("R1", a, g, 1e3).unwrap();
         let res = ac_sweep(&ckt, &[1e3]).unwrap();
         assert!(res.magnitude(a)[0] < 1e-9);
-    }
-
-    #[test]
-    fn rlc_bandpass_peaks_at_resonance() {
-        // Series RLC, output across R: band-pass with peak gain 1 at resonance.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let mid = ckt.node("mid");
-        let out = ckt.node("out");
-        let g = ckt.ground();
-        ckt.add_vsource(
-            "V1",
-            vin,
-            g,
-            SourceWaveform::Sine {
-                offset: 0.0,
-                amplitude: 1.0,
-                frequency_hz: 1e4,
-                phase_rad: 0.0,
-            },
-        )
-        .unwrap();
-        ckt.add_inductor("L1", vin, mid, 1e-3).unwrap();
-        ckt.add_capacitor("C1", mid, out, 1e-6).unwrap();
-        ckt.add_resistor("R1", out, g, 100.0).unwrap();
-        let f0 = 1.0 / (2.0 * std::f64::consts::PI * (1e-3_f64 * 1e-6).sqrt());
-        let res = ac_sweep(&ckt, &[f0 / 10.0, f0, f0 * 10.0]).unwrap();
-        let mag = res.magnitude(out);
-        assert!(mag[1] > 0.99, "resonant gain {}", mag[1]);
-        // Analytic gain of the series RLC band-pass: 1/sqrt(1 + Q^2 (f/f0 - f0/f)^2).
-        let q = (1e-3_f64 / 1e-6).sqrt() / 100.0;
-        let expected_off = 1.0 / (1.0 + q * q * (0.1_f64 - 10.0).powi(2)).sqrt();
-        assert!((mag[0] - expected_off).abs() < 0.01, "off-resonance gains {:?}", mag);
-        assert!((mag[2] - expected_off).abs() < 0.01, "off-resonance gains {:?}", mag);
     }
 }

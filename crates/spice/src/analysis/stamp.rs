@@ -4,22 +4,12 @@ use crate::circuit::{Circuit, Element, MnaLayout};
 use crate::devices::mosfet;
 use crate::linalg::DenseMatrix;
 
-/// Numerical integration method used for reactive elements in transient analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntegrationMethod {
-    /// First-order implicit Euler. Very robust, introduces numerical damping.
-    BackwardEuler,
-    /// Second-order trapezoidal rule. More accurate for oscillatory circuits.
-    #[default]
-    Trapezoidal,
-}
-
-/// Per-element companion-model state carried between transient time steps.
+/// Per-capacitor companion-model state carried between transient time steps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReactiveState {
-    /// Previous voltage across the element (capacitors and inductors).
+    /// Previous voltage across the capacitor.
     pub v_prev: f64,
-    /// Previous current through the element.
+    /// Previous current through the capacitor.
     pub i_prev: f64,
 }
 
@@ -44,15 +34,13 @@ impl SourceEval {
 /// What to do with reactive elements during assembly.
 #[derive(Debug, Clone, Copy)]
 pub enum ReactiveMode<'a> {
-    /// DC: capacitors open, inductors ideal shorts.
+    /// DC: capacitors open.
     Static,
-    /// Transient step of size `step` using companion models built from the
-    /// previous-step state.
+    /// Transient step of size `step` using trapezoidal companion models built
+    /// from the previous-step state.
     Companion {
         /// Time-step size in seconds.
         step: f64,
-        /// Integration method.
-        method: IntegrationMethod,
         /// Per-element previous state (indexed like `Circuit::elements`).
         state: &'a [ReactiveState],
     },
@@ -118,18 +106,10 @@ pub fn assemble(
                 ReactiveMode::Static => {
                     // Open circuit at DC: no stamp.
                 }
-                ReactiveMode::Companion { step, method, state } => {
+                ReactiveMode::Companion { step, state } => {
                     let st = state[idx];
-                    let (geq, ieq) = match method {
-                        IntegrationMethod::BackwardEuler => {
-                            let geq = farads / step;
-                            (geq, geq * st.v_prev)
-                        }
-                        IntegrationMethod::Trapezoidal => {
-                            let geq = 2.0 * farads / step;
-                            (geq, geq * st.v_prev + st.i_prev)
-                        }
-                    };
+                    let geq = 2.0 * farads / step;
+                    let ieq = geq * st.v_prev + st.i_prev;
                     let ia = layout.node_unknown(*na);
                     let ib = layout.node_unknown(*nb);
                     stamp_conductance(&mut a, ia, ib, geq);
@@ -138,42 +118,6 @@ pub fn assemble(
                     stamp_current(&mut b, ib, ia, ieq);
                 }
             },
-            Element::Inductor {
-                a: na, b: nb, henries, ..
-            } => {
-                let br = branch.expect("inductor has a branch");
-                let ia = layout.node_unknown(*na);
-                let ib = layout.node_unknown(*nb);
-                // KCL: branch current leaves node a, enters node b.
-                if let Some(i) = ia {
-                    a.add(i, br, 1.0);
-                    a.add(br, i, 1.0);
-                }
-                if let Some(j) = ib {
-                    a.add(j, br, -1.0);
-                    a.add(br, j, -1.0);
-                }
-                match reactive {
-                    ReactiveMode::Static => {
-                        // v_a - v_b = 0 (ideal short); nothing else to add.
-                    }
-                    ReactiveMode::Companion { step, method, state } => {
-                        let st = state[idx];
-                        match method {
-                            IntegrationMethod::BackwardEuler => {
-                                let z = henries / step;
-                                a.add(br, br, -z);
-                                b[br] = -z * st.i_prev;
-                            }
-                            IntegrationMethod::Trapezoidal => {
-                                let z = 2.0 * henries / step;
-                                a.add(br, br, -z);
-                                b[br] = -z * st.i_prev - st.v_prev;
-                            }
-                        }
-                    }
-                }
-            }
             Element::VoltageSource { pos, neg, waveform, .. } => {
                 let br = branch.expect("vsource has a branch");
                 let ip = layout.node_unknown(*pos);
@@ -187,62 +131,6 @@ pub fn assemble(
                     a.add(br, j, -1.0);
                 }
                 b[br] = sources.value(waveform);
-            }
-            Element::CurrentSource { from, to, waveform, .. } => {
-                let i = sources.value(waveform);
-                stamp_current(&mut b, layout.node_unknown(*from), layout.node_unknown(*to), i);
-            }
-            Element::Vcvs {
-                out_pos,
-                out_neg,
-                ctrl_pos,
-                ctrl_neg,
-                gain,
-                ..
-            } => {
-                let br = branch.expect("vcvs has a branch");
-                let op = layout.node_unknown(*out_pos);
-                let on = layout.node_unknown(*out_neg);
-                let cp = layout.node_unknown(*ctrl_pos);
-                let cn = layout.node_unknown(*ctrl_neg);
-                if let Some(i) = op {
-                    a.add(i, br, 1.0);
-                    a.add(br, i, 1.0);
-                }
-                if let Some(j) = on {
-                    a.add(j, br, -1.0);
-                    a.add(br, j, -1.0);
-                }
-                if let Some(i) = cp {
-                    a.add(br, i, -gain);
-                }
-                if let Some(j) = cn {
-                    a.add(br, j, *gain);
-                }
-            }
-            Element::Vccs {
-                out_pos,
-                out_neg,
-                ctrl_pos,
-                ctrl_neg,
-                gm,
-                ..
-            } => {
-                let op = layout.node_unknown(*out_pos);
-                let on = layout.node_unknown(*out_neg);
-                let cp = layout.node_unknown(*ctrl_pos);
-                let cn = layout.node_unknown(*ctrl_neg);
-                // Current gm*(vcp - vcn) leaves out_pos and enters out_neg.
-                for (row, sign) in [(op, 1.0), (on, -1.0)] {
-                    if let Some(r) = row {
-                        if let Some(c) = cp {
-                            a.add(r, c, sign * gm);
-                        }
-                        if let Some(c) = cn {
-                            a.add(r, c, -sign * gm);
-                        }
-                    }
-                }
             }
             Element::IdealOpAmp {
                 in_pos, in_neg, out, ..
@@ -301,35 +189,21 @@ pub fn assemble(
     (a, b)
 }
 
-/// Computes the post-solve reactive element state (currents/voltages) used to
-/// seed the next transient step.
+/// Computes the post-solve capacitor state (voltages and trapezoidal
+/// currents) used to seed the next transient step.
 pub fn update_reactive_state(
     circuit: &Circuit,
     layout: &MnaLayout,
     solution: &[f64],
     step: f64,
-    method: IntegrationMethod,
     state: &mut [ReactiveState],
 ) {
     for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Capacitor { a, b, farads, .. } => {
-                let v = layout.voltage_from(solution, *a) - layout.voltage_from(solution, *b);
-                let st = &mut state[idx];
-                let i = match method {
-                    IntegrationMethod::BackwardEuler => farads / step * (v - st.v_prev),
-                    IntegrationMethod::Trapezoidal => 2.0 * farads / step * (v - st.v_prev) - st.i_prev,
-                };
-                st.v_prev = v;
-                st.i_prev = i;
-            }
-            Element::Inductor { a, b, .. } => {
-                let br = layout.branch_of_element[idx].expect("inductor branch");
-                let st = &mut state[idx];
-                st.i_prev = solution[br];
-                st.v_prev = layout.voltage_from(solution, *a) - layout.voltage_from(solution, *b);
-            }
-            _ => {}
+        if let Element::Capacitor { a, b, farads, .. } = element {
+            let v = layout.voltage_from(solution, *a) - layout.voltage_from(solution, *b);
+            let st = &mut state[idx];
+            st.i_prev = 2.0 * farads / step * (v - st.v_prev) - st.i_prev;
+            st.v_prev = v;
         }
     }
 }
@@ -345,12 +219,13 @@ mod tests {
         let a_node = ckt.node("a");
         let g = ckt.ground();
         ckt.add_resistor("R1", a_node, g, 2.0).unwrap();
-        ckt.add_isource("I1", g, a_node, 1.0).unwrap();
+        ckt.add_vsource("V1", a_node, g, 1.0).unwrap();
         let layout = MnaLayout::new(&ckt);
         let x = vec![0.0; layout.total_unknowns];
         let (a, b) = assemble(&ckt, &layout, &x, SourceEval::Dc, ReactiveMode::Static, 0.0);
         assert!((a[(0, 0)] - 0.5).abs() < 1e-12);
-        assert!((b[0] - 1.0).abs() < 1e-12);
+        assert_eq!((a[(0, 1)], a[(1, 0)]), (1.0, 1.0));
+        assert_eq!(b, vec![0.0, 1.0]);
     }
 
     #[test]

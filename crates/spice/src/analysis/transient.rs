@@ -4,7 +4,7 @@ use crate::circuit::{Circuit, Element, MnaLayout, Node};
 use crate::error::{Result, SpiceError};
 
 use super::dc::{dc_operating_point_at_time, newton_solve, NewtonOptions};
-use super::stamp::{update_reactive_state, IntegrationMethod, ReactiveMode, ReactiveState, SourceEval};
+use super::stamp::{update_reactive_state, ReactiveMode, ReactiveState, SourceEval};
 
 /// Configuration of a transient analysis run.
 #[derive(Debug, Clone, Copy)]
@@ -13,8 +13,6 @@ pub struct TransientConfig {
     pub t_stop: f64,
     /// Fixed time step in seconds.
     pub dt: f64,
-    /// Integration method for reactive elements.
-    pub method: IntegrationMethod,
     /// Samples before this time are simulated but not recorded (useful to
     /// skip the start-up transient before steady state).
     pub record_from: f64,
@@ -24,13 +22,12 @@ pub struct TransientConfig {
 }
 
 impl TransientConfig {
-    /// Creates a configuration with the trapezoidal method, recording from
-    /// `t = 0` and starting from the DC operating point.
+    /// Creates a configuration recording from `t = 0` and starting from the
+    /// DC operating point.
     pub fn new(t_stop: f64, dt: f64) -> Self {
         TransientConfig {
             t_stop,
             dt,
-            method: IntegrationMethod::Trapezoidal,
             record_from: 0.0,
             start_from_dc: true,
         }
@@ -39,12 +36,6 @@ impl TransientConfig {
     /// Returns a copy that only records samples at or after `t` seconds.
     pub fn with_record_from(mut self, t: f64) -> Self {
         self.record_from = t;
-        self
-    }
-
-    /// Returns a copy using the given integration method.
-    pub fn with_method(mut self, method: IntegrationMethod) -> Self {
-        self.method = method;
         self
     }
 
@@ -81,7 +72,6 @@ pub struct TransientResult {
     times: Vec<f64>,
     /// `traces[node_index][sample]`, node index 0 (ground) is all zeros.
     traces: Vec<Vec<f64>>,
-    node_names: Vec<String>,
 }
 
 impl TransientResult {
@@ -105,19 +95,6 @@ impl TransientResult {
         &self.traces[node.index()]
     }
 
-    /// The voltage trace of a node looked up by name.
-    ///
-    /// # Errors
-    /// Returns [`SpiceError::UnknownNode`] if the node does not exist.
-    pub fn voltage_by_name(&self, name: &str) -> Result<&[f64]> {
-        let idx = self
-            .node_names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| SpiceError::UnknownNode(name.to_string()))?;
-        Ok(&self.traces[idx])
-    }
-
     /// Returns `(times, voltages)` pairs for a node as owned vectors.
     pub fn sampled(&self, node: Node) -> (Vec<f64>, Vec<f64>) {
         (self.times.clone(), self.traces[node.index()].clone())
@@ -127,7 +104,7 @@ impl TransientResult {
 /// Runs a fixed-step transient analysis.
 ///
 /// The circuit is first solved for its operating point at `t = 0` (unless
-/// `start_from_dc` is disabled), then integrated with the configured method.
+/// `start_from_dc` is disabled), then integrated with the trapezoidal rule.
 ///
 /// # Errors
 /// Propagates DC convergence errors, per-step Newton failures
@@ -165,21 +142,11 @@ pub fn transient(circuit: &Circuit, config: &TransientConfig) -> Result<Transien
         vec![0.0; layout.total_unknowns]
     };
 
-    // Seed companion-model state from the initial solution.
+    // Seed the capacitors' companion-model state from the initial solution.
     let mut state = vec![ReactiveState::default(); circuit.element_count()];
     for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Capacitor { a, b, .. } => {
-                state[idx].v_prev = layout.voltage_from(&x, *a) - layout.voltage_from(&x, *b);
-                state[idx].i_prev = 0.0;
-            }
-            Element::Inductor { a, b, .. } => {
-                if let Some(br) = layout.branch_of_element[idx] {
-                    state[idx].i_prev = x[br];
-                }
-                state[idx].v_prev = layout.voltage_from(&x, *a) - layout.voltage_from(&x, *b);
-            }
-            _ => {}
+        if let Element::Capacitor { a, b, .. } = element {
+            state[idx].v_prev = layout.voltage_from(&x, *a) - layout.voltage_from(&x, *b);
         }
     }
 
@@ -203,7 +170,6 @@ pub fn transient(circuit: &Circuit, config: &TransientConfig) -> Result<Transien
         let t = step as f64 * config.dt;
         let reactive = ReactiveMode::Companion {
             step: config.dt,
-            method: config.method,
             state: &state,
         };
         x = newton_solve(
@@ -216,18 +182,11 @@ pub fn transient(circuit: &Circuit, config: &TransientConfig) -> Result<Transien
             &options,
             "transient",
         )?;
-        update_reactive_state(circuit, &layout, &x, config.dt, config.method, &mut state);
+        update_reactive_state(circuit, &layout, &x, config.dt, &mut state);
         record(t, &x, &mut traces, &mut times);
     }
 
-    let node_names = (0..node_count)
-        .map(|i| circuit.node_name(Node(i)).to_string())
-        .collect();
-    Ok(TransientResult {
-        times,
-        traces,
-        node_names,
-    })
+    Ok(TransientResult { times, traces })
 }
 
 #[cfg(test)]
@@ -296,42 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn lc_oscillation_period_matches_theory() {
-        // Series RLC with tiny R: resonance at 1/(2*pi*sqrt(LC)).
-        let mut ckt = Circuit::new();
-        let n1 = ckt.node("n1");
-        let n2 = ckt.node("n2");
-        let g = ckt.ground();
-        ckt.add_vsource(
-            "V1",
-            n1,
-            g,
-            SourceWaveform::Pwl(vec![(0.0, 1.0), (1e-6, 0.0), (1.0, 0.0)]),
-        )
-        .unwrap();
-        ckt.add_inductor("L1", n1, n2, 1e-3).unwrap();
-        ckt.add_capacitor("C1", n2, g, 1e-6).unwrap();
-        ckt.add_resistor("R1", n2, g, 1e6).unwrap();
-        let res = transient(&ckt, &TransientConfig::new(2e-3, 1e-7)).unwrap();
-        let v = res.voltage(n2);
-        let times = res.times();
-        // Count zero crossings after the kick to estimate the period.
-        let mut crossings = Vec::new();
-        for i in 1..v.len() {
-            if v[i - 1] < 0.0 && v[i] >= 0.0 {
-                crossings.push(times[i]);
-            }
-        }
-        assert!(crossings.len() >= 2, "expected oscillation");
-        let period = crossings[crossings.len() - 1] - crossings[crossings.len() - 2];
-        let expected = 2.0 * std::f64::consts::PI * (1e-3_f64 * 1e-6).sqrt();
-        assert!(
-            (period - expected).abs() / expected < 0.05,
-            "period {period} vs {expected}"
-        );
-    }
-
-    #[test]
     fn invalid_config_rejected() {
         let ckt = Circuit::new();
         assert!(transient(&ckt, &TransientConfig::new(-1.0, 1e-6)).is_err());
@@ -349,35 +272,5 @@ mod tests {
         let res = transient(&ckt, &TransientConfig::new(1e-3, 1e-5).with_record_from(5e-4)).unwrap();
         assert!(res.times()[0] >= 5e-4 - 1e-12);
         assert!(!res.is_empty());
-    }
-
-    #[test]
-    fn voltage_by_name_matches_node_handle() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("mid");
-        let g = ckt.ground();
-        ckt.add_vsource("V1", a, g, 2.0).unwrap();
-        ckt.add_resistor("R1", a, g, 1e3).unwrap();
-        let res = transient(&ckt, &TransientConfig::new(1e-4, 1e-5)).unwrap();
-        assert_eq!(res.voltage_by_name("mid").unwrap(), res.voltage(a));
-        assert!(res.voltage_by_name("missing").is_err());
-    }
-
-    #[test]
-    fn backward_euler_also_converges() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        let g = ckt.ground();
-        ckt.add_vsource("V1", vin, g, 1.0).unwrap();
-        ckt.add_resistor("R1", vin, out, 1e3).unwrap();
-        ckt.add_capacitor("C1", out, g, 1e-6).unwrap();
-        let res = transient(
-            &ckt,
-            &TransientConfig::new(5e-3, 1e-5).with_method(IntegrationMethod::BackwardEuler),
-        )
-        .unwrap();
-        // Starting from DC the output is already settled at 1 V.
-        assert!((res.voltage(out).last().unwrap() - 1.0).abs() < 1e-6);
     }
 }

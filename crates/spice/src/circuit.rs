@@ -1,6 +1,6 @@
 //! Circuit (netlist) construction.
 //!
-//! A [`Circuit`] is a flat netlist of two-, three- and four-terminal elements
+//! A [`Circuit`] is a flat netlist of two- and three-terminal elements
 //! connected between named nodes. Node `"0"` (also available as
 //! [`Circuit::ground`]) is the reference node.
 //!
@@ -76,17 +76,6 @@ pub enum Element {
         /// Capacitance in farads.
         farads: f64,
     },
-    /// Linear inductor between `a` and `b` (adds one branch-current unknown).
-    Inductor {
-        /// Instance name.
-        name: String,
-        /// First terminal.
-        a: Node,
-        /// Second terminal.
-        b: Node,
-        /// Inductance in henries.
-        henries: f64,
-    },
     /// Independent voltage source; `pos` is the positive terminal.
     VoltageSource {
         /// Instance name.
@@ -97,48 +86,6 @@ pub enum Element {
         neg: Node,
         /// Driving waveform.
         waveform: SourceWaveform,
-    },
-    /// Independent current source driving current from `from` into `to`.
-    CurrentSource {
-        /// Instance name.
-        name: String,
-        /// Node the current is drawn from.
-        from: Node,
-        /// Node the current is injected into.
-        to: Node,
-        /// Driving waveform (amperes).
-        waveform: SourceWaveform,
-    },
-    /// Voltage-controlled voltage source: `v(out_pos) - v(out_neg) = gain * (v(ctrl_pos) - v(ctrl_neg))`.
-    Vcvs {
-        /// Instance name.
-        name: String,
-        /// Positive output terminal.
-        out_pos: Node,
-        /// Negative output terminal.
-        out_neg: Node,
-        /// Positive controlling terminal.
-        ctrl_pos: Node,
-        /// Negative controlling terminal.
-        ctrl_neg: Node,
-        /// Voltage gain.
-        gain: f64,
-    },
-    /// Voltage-controlled current source driving `gm * (v(ctrl_pos) - v(ctrl_neg))`
-    /// from `out_pos` to `out_neg`.
-    Vccs {
-        /// Instance name.
-        name: String,
-        /// Terminal the current leaves.
-        out_pos: Node,
-        /// Terminal the current enters.
-        out_neg: Node,
-        /// Positive controlling terminal.
-        ctrl_pos: Node,
-        /// Negative controlling terminal.
-        ctrl_neg: Node,
-        /// Transconductance in siemens.
-        gm: f64,
     },
     /// Ideal operational amplifier (nullor): forces `v(in_pos) = v(in_neg)`
     /// by sourcing whatever current is needed at `out`.
@@ -173,11 +120,7 @@ impl Element {
         match self {
             Element::Resistor { name, .. }
             | Element::Capacitor { name, .. }
-            | Element::Inductor { name, .. }
             | Element::VoltageSource { name, .. }
-            | Element::CurrentSource { name, .. }
-            | Element::Vcvs { name, .. }
-            | Element::Vccs { name, .. }
             | Element::IdealOpAmp { name, .. }
             | Element::Mosfet { name, .. } => name,
         }
@@ -185,35 +128,25 @@ impl Element {
 
     /// Whether the element introduces a branch-current unknown in MNA.
     pub fn needs_branch(&self) -> bool {
-        matches!(
-            self,
-            Element::VoltageSource { .. }
-                | Element::Inductor { .. }
-                | Element::Vcvs { .. }
-                | Element::IdealOpAmp { .. }
-        )
+        matches!(self, Element::VoltageSource { .. } | Element::IdealOpAmp { .. })
     }
 }
 
 /// A flat netlist of elements between named nodes.
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
-    name_to_index: HashMap<String, usize>,
+    /// Node name to node index; ground is `"0"`, index 0.
+    nodes: HashMap<String, usize>,
     elements: Vec<Element>,
 }
 
 impl Circuit {
     /// Creates an empty circuit containing only the ground node `"0"`.
     pub fn new() -> Self {
-        let mut ckt = Circuit {
-            node_names: Vec::new(),
-            name_to_index: HashMap::new(),
+        Circuit {
+            nodes: HashMap::from([("0".to_string(), 0)]),
             elements: Vec::new(),
-        };
-        ckt.node_names.push("0".to_string());
-        ckt.name_to_index.insert("0".to_string(), 0);
-        ckt
+        }
     }
 
     /// The reference node.
@@ -223,34 +156,13 @@ impl Circuit {
 
     /// Returns the node with the given name, creating it if necessary.
     pub fn node(&mut self, name: &str) -> Node {
-        if let Some(&idx) = self.name_to_index.get(name) {
-            return Node(idx);
-        }
-        let idx = self.node_names.len();
-        self.node_names.push(name.to_string());
-        self.name_to_index.insert(name.to_string(), idx);
-        Node(idx)
-    }
-
-    /// Looks up an existing node by name.
-    ///
-    /// # Errors
-    /// Returns [`SpiceError::UnknownNode`] if no node with that name exists.
-    pub fn find_node(&self, name: &str) -> Result<Node> {
-        self.name_to_index
-            .get(name)
-            .map(|&idx| Node(idx))
-            .ok_or_else(|| SpiceError::UnknownNode(name.to_string()))
-    }
-
-    /// The name of a node.
-    pub fn node_name(&self, node: Node) -> &str {
-        &self.node_names[node.0]
+        let next = self.nodes.len();
+        Node(*self.nodes.entry(name.to_string()).or_insert(next))
     }
 
     /// Number of nodes including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.nodes.len()
     }
 
     /// The elements in insertion order.
@@ -303,21 +215,6 @@ impl Circuit {
         Ok(())
     }
 
-    /// Adds an inductor.
-    ///
-    /// # Errors
-    /// Returns [`SpiceError::InvalidParameter`] if `henries` is not positive and finite.
-    pub fn add_inductor(&mut self, name: &str, a: Node, b: Node, henries: f64) -> Result<()> {
-        Self::check_positive(name, "inductance", henries)?;
-        self.elements.push(Element::Inductor {
-            name: name.to_string(),
-            a,
-            b,
-            henries,
-        });
-        Ok(())
-    }
-
     /// Adds an independent voltage source.
     ///
     /// # Errors
@@ -328,80 +225,6 @@ impl Circuit {
             pos,
             neg,
             waveform: waveform.into(),
-        });
-        Ok(())
-    }
-
-    /// Adds an independent current source driving current from `from` into `to`.
-    ///
-    /// # Errors
-    /// Currently infallible for all waveforms; returns `Ok(())`.
-    pub fn add_isource(&mut self, name: &str, from: Node, to: Node, waveform: impl Into<SourceWaveform>) -> Result<()> {
-        self.elements.push(Element::CurrentSource {
-            name: name.to_string(),
-            from,
-            to,
-            waveform: waveform.into(),
-        });
-        Ok(())
-    }
-
-    /// Adds a voltage-controlled voltage source.
-    ///
-    /// # Errors
-    /// Returns [`SpiceError::InvalidParameter`] if `gain` is not finite.
-    pub fn add_vcvs(
-        &mut self,
-        name: &str,
-        out_pos: Node,
-        out_neg: Node,
-        ctrl_pos: Node,
-        ctrl_neg: Node,
-        gain: f64,
-    ) -> Result<()> {
-        if !gain.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                what: name.to_string(),
-                message: "gain must be finite".to_string(),
-            });
-        }
-        self.elements.push(Element::Vcvs {
-            name: name.to_string(),
-            out_pos,
-            out_neg,
-            ctrl_pos,
-            ctrl_neg,
-            gain,
-        });
-        Ok(())
-    }
-
-    /// Adds a voltage-controlled current source.
-    ///
-    /// # Errors
-    /// Returns [`SpiceError::InvalidParameter`] if `gm` is not finite.
-    pub fn add_vccs(
-        &mut self,
-        name: &str,
-        out_pos: Node,
-        out_neg: Node,
-        ctrl_pos: Node,
-        ctrl_neg: Node,
-        gm: f64,
-    ) -> Result<()> {
-        if !gm.is_finite() {
-            return Err(SpiceError::InvalidParameter {
-                what: name.to_string(),
-                message: "transconductance must be finite".to_string(),
-            });
-        }
-        self.elements.push(Element::Vccs {
-            name: name.to_string(),
-            out_pos,
-            out_neg,
-            ctrl_pos,
-            ctrl_neg,
-            gm,
         });
         Ok(())
     }
@@ -500,21 +323,14 @@ mod tests {
         let a2 = ckt.node("a");
         assert_eq!(a, a2);
         assert_eq!(ckt.node_count(), 2);
-        assert_eq!(ckt.node_name(a), "a");
     }
 
     #[test]
     fn ground_is_node_zero() {
-        let ckt = Circuit::new();
+        let mut ckt = Circuit::new();
         assert!(ckt.ground().is_ground());
         assert_eq!(ckt.ground().index(), 0);
-        assert_eq!(ckt.node_name(ckt.ground()), "0");
-    }
-
-    #[test]
-    fn find_node_errors_on_missing() {
-        let ckt = Circuit::new();
-        assert!(matches!(ckt.find_node("nope"), Err(SpiceError::UnknownNode(_))));
+        assert_eq!(ckt.node("0"), ckt.ground());
     }
 
     #[test]
@@ -529,12 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn invalid_capacitor_and_inductor_rejected() {
+    fn invalid_capacitor_rejected() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         let g = ckt.ground();
         assert!(ckt.add_capacitor("C1", a, g, -1e-9).is_err());
-        assert!(ckt.add_inductor("L1", a, g, 0.0).is_err());
+        assert!(ckt.add_capacitor("C1", a, g, 0.0).is_err());
     }
 
     #[test]
@@ -545,7 +361,7 @@ mod tests {
         let g = ckt.ground();
         ckt.add_vsource("V1", a, g, 1.0).unwrap();
         ckt.add_resistor("R1", a, b, 1e3).unwrap();
-        ckt.add_inductor("L1", b, g, 1e-3).unwrap();
+        ckt.add_opamp("U1", g, b, b).unwrap();
         let layout = MnaLayout::new(&ckt);
         assert_eq!(layout.num_node_unknowns, 2);
         assert_eq!(layout.total_unknowns, 4);
@@ -585,16 +401,5 @@ mod tests {
         let g = ckt.ground();
         let bad = MosParams::nmos_65nm(-1.0, 180e-9);
         assert!(ckt.add_mosfet("M1", a, a, g, bad).is_err());
-    }
-
-    #[test]
-    fn vcvs_and_vccs_validation() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let g = ckt.ground();
-        assert!(ckt.add_vcvs("E1", a, g, a, g, f64::INFINITY).is_err());
-        assert!(ckt.add_vccs("G1", a, g, a, g, f64::NAN).is_err());
-        assert!(ckt.add_vcvs("E1", a, g, a, g, 2.0).is_ok());
-        assert!(ckt.add_vccs("G1", a, g, a, g, 1e-3).is_ok());
     }
 }

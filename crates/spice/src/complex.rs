@@ -45,14 +45,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Reciprocal `1 / self`.
     pub fn recip(self) -> Self {
         let d = self.re * self.re + self.im * self.im;

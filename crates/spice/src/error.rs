@@ -28,8 +28,6 @@ pub enum SpiceError {
         /// Human readable explanation.
         message: String,
     },
-    /// The requested node does not exist in the circuit.
-    UnknownNode(String),
     /// An analysis was requested with an invalid configuration
     /// (e.g. a non-positive time step or an empty frequency list).
     InvalidAnalysis(String),
@@ -52,7 +50,6 @@ impl fmt::Display for SpiceError {
             SpiceError::InvalidParameter { what, message } => {
                 write!(f, "invalid parameter for {what}: {message}")
             }
-            SpiceError::UnknownNode(name) => write!(f, "unknown node `{name}`"),
             SpiceError::InvalidAnalysis(msg) => write!(f, "invalid analysis setup: {msg}"),
         }
     }
@@ -92,11 +89,6 @@ mod tests {
             message: "resistance must be finite".into(),
         };
         assert!(e.to_string().contains("R1"));
-    }
-
-    #[test]
-    fn display_unknown_node() {
-        assert!(SpiceError::UnknownNode("out".into()).to_string().contains("out"));
     }
 
     #[test]

@@ -6,17 +6,20 @@
 //!
 //! The crate provides:
 //!
-//! * a netlist builder ([`Circuit`]) with resistors, capacitors, inductors,
-//!   independent and controlled sources, ideal op-amps and level-1 MOSFETs;
+//! * a netlist builder ([`Circuit`]) with the five elements the paper's two
+//!   circuits need: resistors, capacitors, independent voltage sources, ideal
+//!   op-amps (the Tow-Thomas biquad) and level-1 MOSFETs (the Fig. 2
+//!   current-comparator monitor);
 //! * DC operating-point analysis ([`dc_operating_point`]) using damped
 //!   Newton-Raphson with gmin stepping;
-//! * fixed-step transient analysis ([`transient`]) with backward-Euler or
-//!   trapezoidal integration;
+//! * fixed-step transient analysis ([`transient`]) with trapezoidal
+//!   integration;
 //! * small-signal AC analysis ([`ac_sweep`]).
 //!
 //! It is intentionally minimal: dense linear algebra, fixed time steps and a
 //! single MOSFET model — enough to simulate the paper's Biquad filter and the
-//! transistor-level X-Y zoning monitor, and nothing more.
+//! transistor-level X-Y zoning monitor, and to cross-check the behavioural
+//! models against them, and nothing more.
 //!
 //! # Examples
 //!
@@ -53,7 +56,7 @@ pub mod source;
 
 pub use analysis::{
     ac_sweep, ac_sweep_at, dc_operating_point, dc_operating_point_at_time, log_frequency_grid, transient, AcResult,
-    IntegrationMethod, NewtonOptions, OperatingPoint, TransientConfig, TransientResult,
+    NewtonOptions, OperatingPoint, TransientConfig, TransientResult,
 };
 pub use circuit::{Circuit, Element, MnaLayout, Node};
 pub use complex::Complex;

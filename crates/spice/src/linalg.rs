@@ -138,11 +138,6 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
     }
 }
 
-/// Computes the infinity norm (max absolute entry) of a vector.
-pub fn inf_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
-}
-
 /// Computes the infinity norm of the difference between two vectors.
 ///
 /// # Panics
@@ -247,9 +242,9 @@ mod tests {
 
     #[test]
     fn inf_norm_basics() {
-        assert_eq!(inf_norm(&[1.0, -3.0, 2.0]), 3.0);
-        assert_eq!(inf_norm(&[]), 0.0);
         assert_eq!(diff_inf_norm(&[1.0, 2.0], &[0.0, 5.0]), 3.0);
+        assert_eq!(diff_inf_norm(&[-3.0], &[0.0]), 3.0);
+        assert_eq!(diff_inf_norm(&[], &[]), 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Time-domain waveforms for independent voltage and current sources.
+//! Time-domain waveforms for independent voltage sources.
 
 /// One sinusoidal component of a multitone source.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tone {
-    /// Peak amplitude in volts (or amperes for current sources).
+    /// Peak amplitude in volts.
     pub amplitude: f64,
     /// Frequency in hertz.
     pub frequency_hz: f64,

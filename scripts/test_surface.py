@@ -1,0 +1,200 @@
+#!/usr/bin/env python3
+"""Self-tests of the public-surface scan on synthetic sources.
+
+    python3 scripts/test_surface.py
+"""
+
+import os
+import sys
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import surface  # noqa: E402
+
+LIB = r"""//! Crate docs naming `documented_only()`.
+
+use crate::other::imported_only;
+pub use crate::other::{reexported_only, AlsoReexported};
+
+/// Calls `in_doc_example()`:
+/// ```
+/// in_doc_example();
+/// ```
+pub fn called() -> u32 {
+    helper()
+}
+
+pub fn helper() -> u32 {
+    let _ = "string_only()";
+    1
+}
+
+pub fn recursive(n: u32) -> u32 {
+    if n == 0 { 0 } else { recursive(n - 1) }
+}
+
+pub(crate) fn crate_private() {}
+
+pub struct Lonely {
+    value: u32,
+}
+
+impl Lonely {
+    pub fn new() -> Lonely {
+        Lonely { value: 0 }
+    }
+
+    pub fn at(&self) -> u32 {
+        self.value
+    }
+}
+
+impl std::fmt::Display for Lonely {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", Lonely::new().value)
+    }
+}
+
+pub const LIMIT: usize = 4;
+
+pub fn documented_only() {}
+pub fn in_doc_example() {}
+pub fn string_only() {}
+pub fn imported_only() {}
+pub fn reexported_only() {}
+pub fn tested_only() {}
+pub fn used_by_bench() {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn calls_everything() {
+        tested_only();
+        let _ = LIMIT;
+    }
+}
+"""
+
+MAIN = r"""fn main() {
+    let _ = analog::called();
+}
+"""
+
+BENCH = r"""fn run() {
+    analog::used_by_bench();
+}
+"""
+
+TWINS = r"""pub struct A;
+pub struct B;
+
+impl A {
+    pub fn twin(&self) {}
+}
+
+impl<T> From<T> for B {
+    fn from(_: T) -> B {
+        B
+    }
+}
+
+impl B {
+    pub fn twin(&self) {}
+}
+"""
+
+
+def crate_of(path):
+    return "demo"
+
+
+def listed(files):
+    return {key for key, *_ in surface.scan(files, crate_of)}
+
+
+class Scan(unittest.TestCase):
+    def test_items_without_non_test_uses_are_listed(self):
+        files = {
+            "crates/demo/src/lib.rs": LIB,
+            "crates/demo/src/bin/main.rs": MAIN,
+            "perfbench/src/main.rs": BENCH,
+            "crates/demo/tests/it.rs": "fn t() { analog::documented_only(); analog::LIMIT; }\n",
+        }
+        self.assertEqual(
+            listed(files),
+            {
+                # Uses only in comments, doc examples, strings, use lines,
+                # test modules and files under tests/ do not count.
+                "demo::documented_only",
+                "demo::in_doc_example",
+                "demo::string_only",
+                "demo::imported_only",
+                "demo::reexported_only",
+                "demo::tested_only",
+                "demo::LIMIT",
+                # A recursive call is the item's own body.
+                "demo::recursive",
+                # A type used only inside its own impl blocks, Display's
+                # included, has no caller; its methods are named by owner.
+                "demo::Lonely",
+                "demo::Lonely::at",
+            },
+        )
+
+    def test_bins_and_the_benchmark_package_count_as_uses(self):
+        files = {"crates/demo/src/lib.rs": LIB, "crates/demo/src/bin/main.rs": MAIN, "perfbench/src/main.rs": BENCH}
+        found = listed(files)
+        self.assertNotIn("demo::called", found)
+        self.assertNotIn("demo::used_by_bench", found)
+        # `helper` is called from `called`, which is not its own body.
+        self.assertNotIn("demo::helper", found)
+        # A method's own body is only the method: `Lonely::new` called from
+        # Display's impl counts as a use of `new`.
+        self.assertNotIn("demo::Lonely::new", found)
+        self.assertNotIn("demo::crate_private", found)
+
+    def test_items_defined_in_the_benchmark_package_or_compat_are_not_scanned(self):
+        files = {
+            "perfbench/src/lib.rs": "pub fn bench_only() {}\n",
+            "crates/compat/rand/src/lib.rs": "pub fn shim_only() {}\n",
+        }
+        self.assertEqual(listed(files), set())
+
+    def test_same_named_items_do_not_count_as_each_others_uses(self):
+        # Each `twin` defines the name the other would use; `B` occurs only
+        # in impl blocks whose self type it is, a trait impl included.
+        found = listed({"crates/demo/src/lib.rs": TWINS})
+        self.assertEqual(found, {"demo::A", "demo::B", "demo::A::twin", "demo::B::twin"})
+
+    def test_a_use_anywhere_hides_every_same_named_item(self):
+        files = {"crates/demo/src/lib.rs": TWINS, "examples/demo.rs": "fn main() { demo::A.twin(); }\n"}
+        self.assertEqual(listed(files), {"demo::B"})
+
+    def test_impl_headers_with_generics_and_paths_name_their_self_type(self):
+        code = "impl<'a, T: Into<u8>> crate::x::Wrapper<'a, T> where T: Copy {\n    pub fn inner(&self) {}\n}\n"
+        kinds = surface.code_mask(code)
+        blocks = surface.impl_blocks(code, kinds)
+        self.assertEqual([name for name, *_ in blocks], ["Wrapper"])
+        self.assertEqual(surface.definitions(code, kinds, blocks)[0][:3], ("fn", "inner", "Wrapper"))
+
+
+class Check(unittest.TestCase):
+    def test_check_reports_unkept_items_and_stale_keep_entries(self):
+        listed_items = [("demo::a", "p", 1, "fn"), ("demo::b", "p", 2, "fn")]
+        self.assertEqual(surface.check(listed_items, {"demo::a": "why", "demo::c": "why"}), (["demo::c"], ["demo::b"]))
+        self.assertEqual(surface.check(listed_items, {"demo::a": "why", "demo::b": "why"}), ([], []))
+
+    def test_scanned_paths(self):
+        self.assertTrue(surface.scanned("crates/router/src/handle.rs"))
+        self.assertTrue(surface.scanned("perfbench/src/traced.rs"))
+        self.assertTrue(surface.scanned("examples/router.rs"))
+        self.assertFalse(surface.scanned("crates/compat/rand/src/lib.rs"))
+        self.assertFalse(surface.scanned("tests/router_loopback.rs"))
+        self.assertFalse(surface.scanned("crates/bench/tests/dsig_top.rs"))
+        self.assertFalse(surface.scanned("scripts/loc.py"))
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -4,7 +4,7 @@
 //! observability tier's `DSMS` snapshots, `DSMX`/`DSMR` scrape pair, `DSTL`
 //! trace logs, `DSTX`/`DSTD` trace scrape pair, `DSEL` event logs with
 //! their `DSEX`/`DSED` drain pair, the `DSHC` health-check pair and the
-//! `DSFM`/`DSFT` fleet-scrape requests) must round-trip bit-exactly, and
+//! `DSFM` fleet-scrape request) must round-trip bit-exactly, and
 //! random truncations / byte mutations must be rejected or decoded — never
 //! panic, never hang, never over-allocate.
 
@@ -677,36 +677,24 @@ proptest! {
         flip in 1u8..255,
         cut in 0.0..1.0_f64,
     ) {
-        for (request, is_metrics) in [
-            (proto::encode_scrape_request(proto::FLEET_METRICS_REQUEST_MAGIC), true),
-            (proto::encode_scrape_request(proto::FLEET_TRACES_REQUEST_MAGIC), false),
-        ] {
-            match proto::decode_any_request(&request).unwrap() {
-                proto::Request::FleetMetrics => prop_assert!(is_metrics),
-                proto::Request::FleetTraces => prop_assert!(!is_metrics),
-                other => prop_assert!(false, "unexpected request kind {:?}", other),
-            }
-            // Truncation: always a clean error (the request is 14 bytes).
-            let keep = (request.len() as f64 * cut) as usize;
-            prop_assert!(proto::decode_any_request(&request[..keep]).is_err());
-            // Mutation: corrupting the magic or version means the frame no
-            // longer decodes as the family it was encoded as (a magic flip
-            // may legally land on a *different* family's magic); the id
-            // bytes (6..14) are an opaque correlator.
-            let mut mutated = request.clone();
-            let at = ((mutated.len() - 1) as f64 * position) as usize;
-            mutated[at] ^= flip;
-            let same_family = if is_metrics {
-                matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::FleetMetrics))
-            } else {
-                matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::FleetTraces))
-            };
-            if at < 6 {
-                prop_assert!(!same_family);
-            } else {
-                prop_assert!(same_family);
-                prop_assert_eq!(proto::peek_request_id(&mutated) == 0, mutated[6..14] == [0u8; 8]);
-            }
+        let request = proto::encode_scrape_request(proto::FLEET_METRICS_REQUEST_MAGIC);
+        prop_assert_eq!(proto::decode_any_request(&request).unwrap(), proto::Request::FleetMetrics);
+        // Truncation: always a clean error (the request is 14 bytes).
+        let keep = (request.len() as f64 * cut) as usize;
+        prop_assert!(proto::decode_any_request(&request[..keep]).is_err());
+        // Mutation: corrupting the magic or version means the frame no
+        // longer decodes as the family it was encoded as (a magic flip may
+        // legally land on a *different* family's magic); the id bytes
+        // (6..14) are an opaque correlator.
+        let mut mutated = request.clone();
+        let at = ((mutated.len() - 1) as f64 * position) as usize;
+        mutated[at] ^= flip;
+        let same_family = matches!(proto::decode_scrape_request(&mutated), Ok(proto::Request::FleetMetrics));
+        if at < 6 {
+            prop_assert!(!same_family);
+        } else {
+            prop_assert!(same_family);
+            prop_assert_eq!(proto::peek_request_id(&mutated) == 0, mutated[6..14] == [0u8; 8]);
         }
     }
 
@@ -966,7 +954,6 @@ fn golden_frames() -> Vec<(String, Vec<u8>)> {
         ("DSMX", proto::METRICS_REQUEST_MAGIC),
         ("DSTX", proto::TRACES_REQUEST_MAGIC),
         ("DSFM", proto::FLEET_METRICS_REQUEST_MAGIC),
-        ("DSFT", proto::FLEET_TRACES_REQUEST_MAGIC),
         ("DSEX", proto::EVENTS_REQUEST_MAGIC),
         ("DSHC", proto::HEALTH_REQUEST_MAGIC),
     ] {
@@ -1204,7 +1191,6 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
     ("DSMX", "44534d5802000000000000000000"),
     ("DSTX", "4453545802000000000000000000"),
     ("DSFM", "4453464d02000000000000000000"),
-    ("DSFT", "4453465402000000000000000000"),
     ("DSEX", "4453455802000000000000000000"),
     ("DSHC", "4453484302000000000000000000"),
     (
@@ -1314,8 +1300,10 @@ const GOLDEN_FRAMES: &[(&str, &str)] = &[
         "44534d52020000000000000000000102000b0000006261642072657175657374",
     ),
     (
+        // `DSFT` is no request magic: its decode error answers in the screen
+        // family, as `NOPE`'s does (docs/FORMATS.md).
         "decode error DSFT",
-        "44535444020000000000000000000102000b0000006261642072657175657374",
+        "44535253020000000000000000000102000b0000006261642072657175657374",
     ),
     (
         "decode error DSEX",

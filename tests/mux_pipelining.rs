@@ -13,7 +13,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use analog_signature::dsig::{AcceptanceBand, RetestPolicy, Signature, SignatureEntry, TestSetup, ZoneCode};
-use analog_signature::engine::{available_threads, Campaign, CampaignReport, CampaignRunner, DevicePopulation};
+use analog_signature::engine::{
+    available_threads, Campaign, CampaignReport, CampaignRunner, DevicePopulation, ScoreResult,
+};
 use analog_signature::filters::BiquadParams;
 use analog_signature::obs::trace::{self, TraceContext};
 use analog_signature::router::{Backend, PipelinedRouterClient, Router, RouterClient, RouterConfig, RouterStore};
@@ -471,6 +473,71 @@ fn old_version_frames_draw_current_bad_request_errors_and_the_connection_keeps_s
         }
         other => panic!("unexpected response {other:?}"),
     }
+}
+
+#[test]
+fn a_dsft_frame_from_an_old_peer_draws_an_explicit_error_and_the_connection_keeps_serving() {
+    let _exclusive = exclusive();
+    let lot = lot();
+    let (store, key) = served_store();
+    let server = Server::bind("127.0.0.1:0", store, ServeConfig::default()).unwrap();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        vec![Backend::tcp(server.local_addr())],
+        RouterStore::new(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    router
+        .handle()
+        .characterize(&lot.setup, &lot.reference, lot.band)
+        .unwrap();
+
+    // The deleted fleet trace drain as an old peer still frames it: a
+    // header-only `DSFT` scrape at version 2 with its request id.
+    let mut dsft = b"DSFT".to_vec();
+    dsft.extend_from_slice(&2u16.to_le_bytes());
+    dsft.extend_from_slice(&0x5EEDu64.to_le_bytes());
+    // Then a current DSRQ, whose answer is direct scoring's, bit for bit.
+    let mut screen = proto::encode_request(key, std::slice::from_ref(&lot.signatures[0]));
+    proto::stamp_request_id(&mut screen, 7);
+    let direct = &lot.report.results[0];
+    let mut expected = proto::encode_response(&proto::Reply::Results(vec![ScoreResult {
+        ndf: direct.ndf,
+        peak_hamming: direct.peak_hamming,
+        outcome: direct.outcome,
+    }]));
+    proto::stamp_request_id(&mut expected, 7);
+
+    let before = server.metrics();
+    for (tier, addr) in [("server", server.local_addr()), ("router", router.local_addr())] {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = std::io::BufWriter::new(stream.try_clone().unwrap());
+        let mut reader = std::io::BufReader::new(stream);
+        let mut exchange = |frame: &[u8]| {
+            proto::write_frame(&mut writer, frame).unwrap();
+            writer.flush().unwrap();
+            proto::read_frame(&mut reader).unwrap().expect("response frame")
+        };
+
+        // An unknown magic answers in the screen family, under its id.
+        let response = exchange(&dsft);
+        assert_eq!(proto::peek_request_id(&response), 0x5EED, "{tier}");
+        match proto::decode_response(&response).unwrap() {
+            proto::Reply::Error { code, message } => {
+                assert_eq!(code, proto::ErrorCode::BadRequest, "{tier}");
+                assert!(message.contains("DSFT"), "{tier}: {message}");
+            }
+            other => panic!("{tier}: a DSFT frame must draw an error, got {other:?}"),
+        }
+        assert_eq!(exchange(&screen), expected, "{tier}");
+    }
+    // Only the server's own DSFT reached its decoder: the router answered
+    // its copy without forwarding it.
+    let after = server.metrics();
+    let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    assert_eq!(delta("serve.errors.decode"), 1);
 }
 
 #[test]
