@@ -74,25 +74,6 @@ pub struct LinearZoning {
 }
 
 impl LinearZoning {
-    /// Creates a straight-line partition.
-    ///
-    /// # Errors
-    /// Returns [`DsigError::InvalidConfig`] for an empty or over-wide (>32) bank.
-    pub fn new(boundaries: Vec<LinearBoundary>) -> Result<Self> {
-        if boundaries.is_empty() {
-            return Err(DsigError::InvalidConfig(
-                "a linear zoning needs at least one boundary".into(),
-            ));
-        }
-        if boundaries.len() > 32 {
-            return Err(DsigError::InvalidConfig(format!(
-                "at most 32 boundaries are supported (got {})",
-                boundaries.len()
-            )));
-        }
-        Ok(LinearZoning { boundaries })
-    }
-
     /// A six-line partition comparable in richness to the paper's six
     /// nonlinear monitors: two vertical cuts, two horizontal cuts, the main
     /// diagonal and an anti-diagonal.
@@ -107,11 +88,6 @@ impl LinearZoning {
                 LinearBoundary::new(1.0, 1.0, -1.0).expect("non-degenerate"),
             ],
         }
-    }
-
-    /// The straight boundaries of the partition.
-    pub fn boundaries(&self) -> &[LinearBoundary] {
-        &self.boundaries
     }
 }
 
@@ -174,7 +150,6 @@ mod tests {
     fn linear_zoning_encodes_distinct_regions() {
         let z = LinearZoning::paper_comparable();
         assert_eq!(z.bits(), 6);
-        assert_eq!(z.boundaries().len(), 6);
         let c_low = z.encode(0.1, 0.1);
         let c_high = z.encode(0.9, 0.9);
         let c_mid = z.encode(0.5, 0.5);
@@ -182,11 +157,6 @@ mod tests {
         assert_ne!(c_low, c_mid);
         // The origin-side zone is all zeros.
         assert_eq!(z.encode(0.0, 0.0), 0);
-    }
-
-    #[test]
-    fn empty_zoning_rejected() {
-        assert!(LinearZoning::new(vec![]).is_err());
     }
 
     #[test]

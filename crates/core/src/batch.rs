@@ -263,6 +263,7 @@ use threshold::{box_check, FlipCurves, XGrid, YThresholds};
 
 use crate::error::{DsigError, Result};
 use crate::flow::TestSetup;
+use crate::recover;
 use crate::signature::Signature;
 
 /// The exact cache key of a [`SharedStimulus`]: every [`TestSetup`] parameter
@@ -967,7 +968,7 @@ impl StimulusBank {
     pub fn shared_for(&self, setup: &TestSetup) -> Result<Arc<SharedStimulus>> {
         let key = stimulus_key(setup);
         {
-            let mut inner = self.inner.lock().expect("stimulus bank lock poisoned");
+            let mut inner = recover(self.inner.lock());
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(i) = inner.entries.iter().position(|e| e.key == key) {
@@ -980,7 +981,7 @@ impl StimulusBank {
 
         // Synthesize outside the lock: this is the expensive part.
         let shared = Arc::new(SharedStimulus::new(setup)?);
-        let mut inner = self.inner.lock().expect("stimulus bank lock poisoned");
+        let mut inner = recover(self.inner.lock());
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(i) = inner.entries.iter().position(|e| e.key == key) {
@@ -1010,7 +1011,7 @@ impl StimulusBank {
 
     /// Number of shared stimuli currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("stimulus bank lock poisoned").entries.len()
+        recover(self.inner.lock()).entries.len()
     }
 
     /// Whether the bank is empty.
@@ -1018,30 +1019,25 @@ impl StimulusBank {
         self.len() == 0
     }
 
-    /// Maximum number of entries the bank retains before evicting.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("stimulus bank lock poisoned").capacity
-    }
-
     /// Number of [`StimulusBank::shared_for`] calls answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("stimulus bank lock poisoned").hits
+        recover(self.inner.lock()).hits
     }
 
     /// Number of [`StimulusBank::shared_for`] calls that had to synthesize.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("stimulus bank lock poisoned").misses
+        recover(self.inner.lock()).misses
     }
 
     /// Number of entries evicted to make room for a newly synthesized one.
     pub fn evictions(&self) -> u64 {
-        self.inner.lock().expect("stimulus bank lock poisoned").evictions
+        recover(self.inner.lock()).evictions
     }
 
     /// [`SharedStimulus::exact_syntheses`] summed over every entry this bank
     /// has held (an evicted entry's count as of its eviction).
     pub fn exact_syntheses(&self) -> u64 {
-        let inner = self.inner.lock().expect("stimulus bank lock poisoned");
+        let inner = recover(self.inner.lock());
         inner.evicted_exact_syntheses + inner.entries.iter().map(|e| e.shared.exact_syntheses()).sum::<u64>()
     }
 }
@@ -1179,7 +1175,6 @@ mod tests {
     #[test]
     fn bank_evicts_least_recently_used() {
         let bank = StimulusBank::with_capacity(2);
-        assert_eq!(bank.capacity(), 2);
         let rate_a = setup();
         let rate_b = setup().with_sample_rate(2e6).unwrap();
         let rate_c = setup().with_sample_rate(5e6).unwrap();

@@ -154,16 +154,6 @@ impl ScreeningStats {
 // The outcome tags every format that carries a verdict shares.
 crate::wire_tags!(TestOutcome: u8 { Pass = 0, Fail = 1 });
 
-crate::wire_fields!(ScreeningStats {
-    total,
-    passed,
-    failed,
-    truly_good,
-    truly_bad,
-    escapes,
-    false_rejects
-});
-
 /// The threshold, decoded through [`AcceptanceBand::new`].
 impl Wire for AcceptanceBand {
     const MIN_BYTES: usize = 8;

@@ -67,3 +67,16 @@ pub use ndf::{hamming_chronogram, ndf, ndf_and_peak, peak_hamming_distance, Hamm
 pub use regression::{dwell_features, SignatureRegressor};
 pub use retest::{retest_seed, RetestPolicy, RetestVerdict};
 pub use signature::{Signature, SignatureEntry, ZoneCode};
+
+/// The guard a lock operation returns, recovered when a panicking holder
+/// poisoned the lock: the workspace's one lock-poisoning policy. It takes any
+/// [`std::sync::LockResult`]: `Mutex::lock`, `RwLock::read` and `write`,
+/// `Condvar::wait`, `Mutex::into_inner`.
+///
+/// Every critical section in the workspace assigns whole values or does one
+/// map or queue operation, so a recovered guard reads consistent state, and
+/// one panicking request fails alone instead of taking down every later
+/// holder of the lock.
+pub fn recover<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

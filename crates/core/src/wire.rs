@@ -19,8 +19,8 @@
 //! * the one variable-width encoding, the LEB128 varint ([`put_varint`]),
 //!   is the signature codec's own: a signature's counter words are small;
 //! * a standalone [`Format`] — a persisted file such as the signature codec
-//!   (`DSG2`), a signature log (`DSGL`), a campaign report (`DSGR`) or a
-//!   golden store (`DSGS`) — starts with a 4-byte ASCII **magic**, then a
+//!   (`DSG2`), a signature log (`DSGL`) or a golden store (`DSGS`) —
+//!   starts with a 4-byte ASCII **magic**, then a
 //!   little-endian `u16` **format version** for the versioned formats
 //!   (those whose magic ends in a digit carry the version in the magic);
 //!   nested inside another body, a format travels behind its `u32` byte

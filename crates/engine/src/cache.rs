@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use cut_filters::BiquadParams;
-use dsig_core::{Result, TestFlow, TestSetup};
+use dsig_core::{recover, Result, TestFlow, TestSetup};
 
 /// The exact cache key of a golden signature: every parameter of the setup
 /// and reference device that the (noiseless) golden capture depends on,
@@ -132,7 +132,7 @@ impl GoldenCache {
     /// Propagates golden-capture errors from [`TestFlow::new`].
     pub fn flow_for(&self, setup: &TestSetup, reference: &BiquadParams) -> Result<Arc<TestFlow>> {
         let key = golden_key(setup, reference);
-        if let Some(flow) = self.flows.lock().expect("cache lock poisoned").get(&key) {
+        if let Some(flow) = recover(self.flows.lock()).get(&key) {
             return Ok(Arc::clone(flow));
         }
         // Characterize outside the lock: golden capture is the expensive part.
@@ -141,13 +141,13 @@ impl GoldenCache {
             ..setup.clone()
         };
         let flow = Arc::new(TestFlow::new(noiseless, *reference)?);
-        let mut flows = self.flows.lock().expect("cache lock poisoned");
+        let mut flows = recover(self.flows.lock());
         Ok(Arc::clone(flows.entry(key).or_insert(flow)))
     }
 
     /// Number of distinct golden signatures currently cached.
     pub fn len(&self) -> usize {
-        self.flows.lock().expect("cache lock poisoned").len()
+        recover(self.flows.lock()).len()
     }
 
     /// Whether the cache is empty.

@@ -6,8 +6,6 @@
 //! ([`Signature::to_bytes`] / [`Signature::from_bytes`]); this module frames
 //! many of them into one buffer with their device indices.
 
-use std::path::Path;
-
 use dsig_core::{ndf_and_peak, wire, Result, Signature};
 
 /// An ordered log of `(device index, observed signature)` pairs.
@@ -62,23 +60,6 @@ impl SignatureLog {
         wire::from_bytes(bytes)
     }
 
-    /// Writes the serialized log to a file.
-    ///
-    /// # Errors
-    /// Returns [`dsig_core::DsigError::Io`] on filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        wire::save_bytes(path.as_ref(), &self.to_bytes(), "signature log")
-    }
-
-    /// Reads a log previously written with [`SignatureLog::save`].
-    ///
-    /// # Errors
-    /// Returns [`dsig_core::DsigError::Io`] on filesystem errors and decoding errors as
-    /// in [`SignatureLog::from_bytes`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_bytes(&wire::load_bytes(path.as_ref(), "signature log")?)
-    }
-
     /// Replays the log against a golden signature: recomputes the NDF of
     /// every stored signature, returning `(device index, ndf)` pairs. This is
     /// the offline path for re-scoring a stored campaign with a new golden
@@ -99,7 +80,7 @@ dsig_core::wire_fields!(SignatureLog { entries }, file: *b"DSGL", None, "signatu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsig_core::{DsigError, SignatureEntry, ZoneCode};
+    use dsig_core::{SignatureEntry, ZoneCode};
 
     /// A signature of 0.1 µs ticks.
     fn sig(codes: &[(u32, u32)]) -> Signature {
@@ -155,20 +136,6 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(SignatureLog::from_bytes(&trailing).is_err());
-    }
-
-    #[test]
-    fn log_saves_and_loads_from_disk() {
-        let mut log = SignatureLog::new();
-        log.push(3, sig(&[(1, 10), (2, 25)]));
-        log.push(9, sig(&[(7, 1)]));
-        let path = std::env::temp_dir().join(format!("dsig-log-{}-{:p}.bin", std::process::id(), &log));
-        log.save(&path).unwrap();
-        let loaded = SignatureLog::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded, log);
-        let missing = SignatureLog::load(path.with_extension("missing"));
-        assert!(matches!(missing, Err(DsigError::Io(_))));
     }
 
     #[test]

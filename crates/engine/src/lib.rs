@@ -27,8 +27,8 @@
 //!   [`score::retest`] decide every verdict, both for the runner's in-process
 //!   local target and for the serving tier behind a remote
 //!   [`ScoreTarget`] (the [`RemoteScorer`] seam);
-//! * [`CampaignReport`] — streaming aggregation: NDF histogram, pass/fail
-//!   yield, escapes and false rejects, per-fault coverage and zone dwell
+//! * [`CampaignReport`] — streaming aggregation: pass/fail yield, NDF
+//!   range, escapes and false rejects, per-fault coverage and zone dwell
 //!   statistics;
 //! * [`SignatureLog`] — a compact binary log of observed signatures
 //!   (built on [`dsig_core::Signature::to_bytes`]) that can be stored and
@@ -79,8 +79,6 @@ pub use cache::{golden_fingerprint, golden_key, GoldenCache, GoldenKey};
 pub use campaign::{mix_seed, Campaign, DevicePopulation, DeviceSpec};
 pub use codec::SignatureLog;
 pub use pool::{available_threads, parallel_map_indexed, DEFAULT_CHUNK};
-pub use report::{
-    CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats, FaultCoverage, NdfHistogram, RetestStats,
-};
+pub use report::{CampaignReport, CapturePath, DeviceResult, DeviceRetest, DwellStats, FaultCoverage, RetestStats};
 pub use runner::CampaignRunner;
 pub use score::{RemoteScorer, RetestItem, RetestRequest, RetestScore, ScoreResult, ScoreTarget};

@@ -10,6 +10,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use dsig_core::recover;
+
 /// Default number of items claimed per worker visit to the queue.
 pub const DEFAULT_CHUNK: usize = 16;
 
@@ -41,16 +43,12 @@ where
                 }
                 let end = (start + chunk).min(n);
                 let out: Vec<T> = (start..end).map(&f).collect();
-                done.lock()
-                    .expect("worker panicked while holding the results lock")
-                    .push((start, out));
+                recover(done.lock()).push((start, out));
             });
         }
     });
 
-    let mut chunks = done
-        .into_inner()
-        .expect("worker panicked while holding the results lock");
+    let mut chunks = recover(done.into_inner());
     chunks.sort_unstable_by_key(|&(start, _)| start);
     let mut results = Vec::with_capacity(n);
     for (_, mut part) in chunks {

@@ -1,12 +1,7 @@
-//! Streaming campaign aggregation: NDF histogram, pass/fail yield, per-fault
-//! coverage and dwell-time statistics, folded one device at a time — plus
-//! persistence ([`CampaignReport::save`] / [`CampaignReport::load`], format
-//! `DSGR` v2, declared through [`dsig_core::wire`]).
+//! Streaming campaign aggregation: pass/fail yield, NDF range, per-fault
+//! coverage and dwell-time statistics, folded one device at a time.
 
-use std::path::Path;
-
-use dsig_core::wire::{self, ByteReader, Wire};
-use dsig_core::{Result, ScreeningStats, TestOutcome};
+use dsig_core::{ScreeningStats, TestOutcome};
 
 /// The outcome of evaluating one device of a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,62 +88,6 @@ impl std::fmt::Display for CapturePath {
     }
 }
 
-/// A fixed-bin histogram of NDF values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NdfHistogram {
-    bin_width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-}
-
-impl NdfHistogram {
-    /// Creates a histogram of `bins` bins of width `bin_width`, plus an
-    /// overflow bucket. The paper's NDF values live in roughly `[0, 1]`, so
-    /// the default campaign histogram uses 50 bins of 0.01.
-    pub fn new(bin_width: f64, bins: usize) -> Self {
-        NdfHistogram {
-            bin_width,
-            counts: vec![0; bins.max(1)],
-            overflow: 0,
-        }
-    }
-
-    /// The default campaign histogram: 50 bins of 0.01 NDF.
-    pub fn campaign_default() -> Self {
-        Self::new(0.01, 50)
-    }
-
-    /// Records one NDF value.
-    pub fn record(&mut self, ndf: f64) {
-        let bin = (ndf / self.bin_width).floor();
-        if bin.is_finite() && bin >= 0.0 && (bin as usize) < self.counts.len() {
-            self.counts[bin as usize] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Per-bin counts (bin `i` covers `[i * w, (i + 1) * w)`).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Width of one bin.
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
-    }
-
-    /// Values beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.overflow
-    }
-}
-
 /// Streaming min/max/mean statistics of zone dwell times (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DwellStats {
@@ -225,8 +164,8 @@ pub struct FaultCoverage {
 
 /// The aggregated outcome of a campaign.
 ///
-/// Equality compares every *result* field — screening counters, histogram,
-/// dwell statistics, coverage, per-device rows and retest statistics — but
+/// Equality compares every *result* field — screening counters, dwell
+/// statistics, coverage, per-device rows and retest statistics — but
 /// deliberately ignores [`CampaignReport::capture`]: the capture path
 /// records *how* the signatures were produced, and the batched fast path is
 /// bit-identical to the per-device reference by contract, so two runs
@@ -235,8 +174,6 @@ pub struct FaultCoverage {
 pub struct CampaignReport {
     /// Pass/fail/escape bookkeeping over the whole population.
     pub screening: ScreeningStats,
-    /// Histogram of device NDFs.
-    pub histogram: NdfHistogram,
     /// Dwell-time statistics across every zone of every observed signature.
     pub dwell: DwellStats,
     /// Per-fault coverage (populated for fault-grid campaigns, where each
@@ -256,11 +193,10 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Creates an empty report with the default histogram.
+    /// Creates an empty report.
     pub fn new() -> Self {
         CampaignReport {
             screening: ScreeningStats::default(),
-            histogram: NdfHistogram::campaign_default(),
             dwell: DwellStats::new(),
             coverage: Vec::new(),
             results: Vec::new(),
@@ -278,7 +214,6 @@ impl CampaignReport {
     pub fn record(&mut self, result: DeviceResult, dwell: &DwellStats, tolerance_pct: f64, track_coverage: bool) {
         let truly_good = result.true_deviation_pct.abs() <= tolerance_pct;
         self.screening.record(truly_good, result.outcome);
-        self.histogram.record(result.ndf);
         self.dwell.merge(dwell);
         self.ndf_sum += result.ndf;
         self.ndf_min = self.ndf_min.min(result.ndf);
@@ -387,7 +322,6 @@ impl PartialEq for CampaignReport {
     fn eq(&self, other: &Self) -> bool {
         // `capture` is diagnostic metadata, not a result — see the type docs.
         self.screening == other.screening
-            && self.histogram == other.histogram
             && self.dwell == other.dwell
             && self.coverage == other.coverage
             && self.results == other.results
@@ -404,121 +338,8 @@ impl Default for CampaignReport {
     }
 }
 
-/// Current campaign-report format version. Version 2 added the capture-path
-/// record, the aggregate retest statistics and the per-device retest
-/// metadata; a report of any other version is rejected.
-const REPORT_VERSION: u16 = 2;
-
-dsig_core::wire_fields!(NdfHistogram {
-    bin_width,
-    counts,
-    overflow
-});
-dsig_core::wire_fields!(DwellStats { min, max, sum, count });
-dsig_core::wire_fields!(RetestStats {
-    marginal,
-    flips_to_fail,
-    flips_to_pass,
-    repeats_spent
-});
-dsig_core::wire_fields!(FaultCoverage { label, ndf, detected });
-dsig_core::wire_fields!(DeviceRetest {
-    initial_ndf,
-    repeats_used,
-    flipped
-});
-dsig_core::wire_fields!(DeviceResult {
-    index,
-    label,
-    true_deviation_pct,
-    ndf,
-    peak_hamming,
-    observed_zones,
-    outcome,
-    retest
-});
-dsig_core::wire_fields!(CampaignReport {
-    screening,
-    histogram,
-    dwell,
-    ndf_sum,
-    ndf_min,
-    ndf_max,
-    capture,
-    retest,
-    coverage,
-    results
-}, file: *b"DSGR", Some(REPORT_VERSION), "campaign report");
-
-/// A tag byte and a reason string; only [`CapturePath::PerDevice`] carries
-/// a reason, so the other paths must carry an empty one.
-impl Wire for CapturePath {
-    const MIN_BYTES: usize = 1 + 4;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            CapturePath::Unknown => (0u8, String::new()).put(out),
-            CapturePath::Batched => (1u8, String::new()).put(out),
-            CapturePath::PerDevice { reason } => {
-                2u8.put(out);
-                reason.put(out);
-            }
-        }
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let (tag, reason) = <(u8, String)>::get(r)?;
-        match tag {
-            0 | 1 if !reason.is_empty() => Err(r.corrupt(format!("capture path {tag} carries a reason {reason:?}"))),
-            0 => Ok(CapturePath::Unknown),
-            1 => Ok(CapturePath::Batched),
-            2 => Ok(CapturePath::PerDevice { reason }),
-            other => Err(r.corrupt(format!("invalid capture-path tag {other}"))),
-        }
-    }
-}
-
-impl CampaignReport {
-    /// Serializes the complete report (screening counters, histogram, dwell
-    /// statistics, capture path, retest statistics, coverage rows and
-    /// per-device results) into the versioned `DSGR` binary format.
-    /// Floating-point fields round-trip bit-exactly.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        wire::to_bytes(self)
-    }
-
-    /// Decodes a report produced by [`CampaignReport::to_bytes`], at exactly
-    /// the current version.
-    ///
-    /// # Errors
-    /// Returns [`dsig_core::DsigError::Truncated`] / [`dsig_core::DsigError::Corrupt`] on malformed
-    /// input; never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        wire::from_bytes(bytes)
-    }
-
-    /// Writes the serialized report to a file.
-    ///
-    /// # Errors
-    /// Returns [`dsig_core::DsigError::Io`] on filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        wire::save_bytes(path.as_ref(), &self.to_bytes(), "campaign report")
-    }
-
-    /// Reads a report previously written with [`CampaignReport::save`].
-    ///
-    /// # Errors
-    /// Returns [`dsig_core::DsigError::Io`] on filesystem errors and decoding errors as
-    /// in [`CampaignReport::from_bytes`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_bytes(&wire::load_bytes(path.as_ref(), "campaign report")?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use dsig_core::DsigError;
-
     use super::*;
 
     fn result(index: usize, ndf: f64, dev: f64, outcome: TestOutcome) -> DeviceResult {
@@ -532,20 +353,6 @@ mod tests {
             outcome,
             retest: None,
         }
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = NdfHistogram::new(0.1, 5);
-        for v in [0.0, 0.05, 0.1, 0.45, 0.9, f64::NAN] {
-            h.record(v);
-        }
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[1], 1);
-        assert_eq!(h.counts()[4], 1);
-        assert_eq!(h.overflow(), 2, "0.9 and NaN overflow");
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.bin_width(), 0.1);
     }
 
     #[test]
@@ -584,151 +391,8 @@ mod tests {
         assert!(text.contains("fault coverage"));
     }
 
-    fn sample_report() -> CampaignReport {
-        let mut report = CampaignReport::new();
-        let mut dwell = DwellStats::new();
-        dwell.record(10e-6);
-        dwell.record(35e-6);
-        report.record(result(0, 0.01, 1.0, TestOutcome::Pass), &dwell, 3.0, true);
-        report.record(result(1, 0.20, 10.0, TestOutcome::Fail), &dwell, 3.0, true);
-        report.record(result(2, 0.02, 8.0, TestOutcome::Pass), &dwell, 3.0, true);
-        report
-    }
-
     #[test]
-    fn report_round_trips_bit_exact() {
-        let report = sample_report();
-        let decoded = CampaignReport::from_bytes(&report.to_bytes()).unwrap();
-        assert_eq!(decoded, report);
-        assert_eq!(
-            decoded.mean_ndf().unwrap().to_bits(),
-            report.mean_ndf().unwrap().to_bits()
-        );
-        // The empty report (infinite min/max sentinels) round-trips too.
-        let empty = CampaignReport::new();
-        assert_eq!(CampaignReport::from_bytes(&empty.to_bytes()).unwrap(), empty);
-    }
-
-    #[test]
-    fn report_saves_and_loads_from_disk() {
-        let report = sample_report();
-        let path = std::env::temp_dir().join(format!("dsig-report-{}-{:p}.bin", std::process::id(), &report));
-        report.save(&path).unwrap();
-        let loaded = CampaignReport::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded, report);
-        assert!(matches!(
-            CampaignReport::load(path.with_extension("missing")),
-            Err(DsigError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn corrupted_reports_are_rejected_without_panicking() {
-        let bytes = sample_report().to_bytes();
-        assert!(CampaignReport::from_bytes(&bytes[..bytes.len() / 2]).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(matches!(
-            CampaignReport::from_bytes(&bad_magic),
-            Err(DsigError::Corrupt { .. })
-        ));
-        let mut future_version = bytes.clone();
-        future_version[4..6].copy_from_slice(&99u16.to_le_bytes());
-        assert!(matches!(
-            CampaignReport::from_bytes(&future_version),
-            Err(DsigError::Corrupt { .. })
-        ));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(CampaignReport::from_bytes(&trailing).is_err());
-        // The sample rows carry no retest metadata, so the last device row
-        // ends with its outcome tag and then its retest presence tag (0).
-        let last = bytes.len() - 1;
-        assert_eq!(bytes[last - 1..], [0, 0], "a PASS row without retest metadata");
-        // A bad outcome tag in the last device row is caught by validation.
-        let mut bad_outcome = bytes.clone();
-        bad_outcome[last - 1] = 7;
-        assert!(matches!(
-            CampaignReport::from_bytes(&bad_outcome),
-            Err(DsigError::Corrupt { .. })
-        ));
-        // So is a bad retest presence tag.
-        let mut bad_presence = bytes;
-        bad_presence[last] = 7;
-        assert!(matches!(
-            CampaignReport::from_bytes(&bad_presence),
-            Err(DsigError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn a_detected_byte_other_than_0_or_1_is_corrupt() {
-        // One coverage row and no device rows: the detected byte sits just
-        // before the 4-byte device-row count.
-        let mut report = CampaignReport::new();
-        report.coverage.push(FaultCoverage {
-            label: "open R1".into(),
-            ndf: 0.5,
-            detected: true,
-        });
-        let mut bytes = report.to_bytes();
-        let detected = bytes.len() - 5;
-        assert_eq!(bytes[detected], 1);
-        bytes[detected] = 7;
-        assert!(matches!(
-            CampaignReport::from_bytes(&bytes),
-            Err(DsigError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn a_flipped_byte_other_than_0_or_1_is_corrupt() {
-        // A last device row with retest metadata ends with its flipped byte.
-        let mut report = sample_report();
-        let mut retested = result(3, 0.041, 5.0, TestOutcome::Fail);
-        retested.retest = Some(DeviceRetest {
-            initial_ndf: 0.028,
-            repeats_used: 6,
-            flipped: true,
-        });
-        report.record(retested, &DwellStats::new(), 3.0, false);
-        let mut bytes = report.to_bytes();
-        let flipped = bytes.len() - 1;
-        assert_eq!(bytes[flipped], 1);
-        bytes[flipped] = 9;
-        assert!(matches!(
-            CampaignReport::from_bytes(&bytes),
-            Err(DsigError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn a_reason_on_the_unknown_or_batched_capture_path_is_corrupt() {
-        let mut report = sample_report();
-        report.capture = CapturePath::PerDevice {
-            reason: "reason-marker".into(),
-        };
-        let bytes = report.to_bytes();
-        let marker = bytes
-            .windows(13)
-            .position(|w| w == b"reason-marker")
-            .expect("the report carries the reason");
-        // The capture tag precedes the reason's 4-byte length.
-        let tag = marker - 5;
-        assert_eq!(bytes[tag], 2);
-        for other in [0, 1] {
-            let mut mutated = bytes.clone();
-            mutated[tag] = other;
-            assert!(
-                matches!(CampaignReport::from_bytes(&mutated), Err(DsigError::Corrupt { .. })),
-                "capture tag {other} with a reason"
-            );
-        }
-    }
-
-    #[test]
-    fn retest_stats_and_capture_path_aggregate_and_round_trip() {
+    fn retest_stats_and_capture_path_aggregate() {
         let mut report = CampaignReport::new();
         let dwell = DwellStats::new();
         report.capture = CapturePath::PerDevice {
@@ -758,27 +422,6 @@ mod tests {
         let text = report.summary();
         assert!(text.contains("retest: 2 marginal"), "{text}");
         assert!(text.contains("per-device (batching disabled on this runner)"), "{text}");
-        // Bit-exact DSGR v2 round trip, including the metadata (equality
-        // ignores the capture path, so check it explicitly).
-        let decoded = CampaignReport::from_bytes(&report.to_bytes()).unwrap();
-        assert_eq!(decoded, report);
-        assert_eq!(decoded.capture, report.capture);
-        assert_eq!(
-            decoded.results[0].retest.unwrap().initial_ndf.to_bits(),
-            0.028f64.to_bits()
-        );
-    }
-
-    #[test]
-    fn version_1_reports_are_rejected_as_corrupt() {
-        // A report is read at exactly its current version: a version-1
-        // header is refused before any body byte is read.
-        let mut v1 = sample_report().to_bytes();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            CampaignReport::from_bytes(&v1),
-            Err(DsigError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl StateSpaceSim {
         Ok(StateSpaceSim { params, dt })
     }
 
-    /// The filter parameters being simulated.
-    pub fn params(&self) -> &BiquadParams {
-        &self.params
-    }
-
     /// State derivative of the canonical second-order section:
     /// `x1' = x2`, `x2' = w0^2 (u - x1) - (w0/Q) x2`.
     fn derivative(&self, x: [f64; 2], u: f64) -> [f64; 2] {
@@ -160,12 +155,5 @@ mod tests {
         let sim = StateSpaceSim::new(p, 1e-7).unwrap();
         let y = sim.simulate_multitone(&stim, 3, 2);
         assert!((y.duration() - 2.0 * stim.period()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn params_accessor() {
-        let p = BiquadParams::paper_default();
-        let sim = StateSpaceSim::new(p, 1e-7).unwrap();
-        assert_eq!(sim.params(), &p);
     }
 }

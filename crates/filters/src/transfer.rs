@@ -131,11 +131,6 @@ impl BiquadParams {
         self.response(frequency_hz).abs()
     }
 
-    /// Phase of the frequency response at `f` hertz, radians.
-    pub fn phase(&self, frequency_hz: f64) -> f64 {
-        self.response(frequency_hz).arg()
-    }
-
     /// Exact steady-state response of the filter to a multitone stimulus,
     /// sampled at `sample_rate` hertz over `periods` fundamental periods.
     ///
@@ -432,7 +427,7 @@ mod tests {
     #[test]
     fn phase_is_minus_90_degrees_at_f0() {
         let p = BiquadParams::paper_default();
-        assert!((p.phase(p.f0_hz) + std::f64::consts::FRAC_PI_2).abs() < 1e-9);
+        assert!((p.response(p.f0_hz).arg() + std::f64::consts::FRAC_PI_2).abs() < 1e-9);
     }
 
     #[test]

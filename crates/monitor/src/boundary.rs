@@ -32,11 +32,6 @@ impl Window {
             y_max: 1.0,
         }
     }
-
-    /// Whether a point lies inside the closed window.
-    pub fn contains(&self, x: f64, y: f64) -> bool {
-        x >= self.x_min && x <= self.x_max && y >= self.y_min && y <= self.y_max
-    }
 }
 
 impl Default for Window {
@@ -162,11 +157,7 @@ mod tests {
     use crate::table1::{comparator_for_row, table1_comparators, table1_rows};
 
     #[test]
-    fn window_contains() {
-        let w = Window::unit();
-        assert!(w.contains(0.5, 0.5));
-        assert!(!w.contains(1.5, 0.5));
-        assert!(!w.contains(0.5, -0.1));
+    fn the_default_window_is_the_unit_window() {
         assert_eq!(Window::default(), Window::unit());
     }
 

@@ -97,21 +97,11 @@ impl EventSink {
     /// Default ring capacity, in events.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
-    /// Creates a sink with the default ring capacity.
-    pub fn new() -> Self {
-        EventSink::default()
-    }
-
     /// Creates a sink holding at most `capacity.max(1)` events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventSink {
             ring: Arc::new(Ring::new(capacity)),
         }
-    }
-
-    /// The ring capacity, in events.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 
     /// Number of events overwritten before being drained. Surfaced in
@@ -226,7 +216,7 @@ mod tests {
 
     #[test]
     fn emit_captures_ambient_trace_and_fields() {
-        let sink = EventSink::new();
+        let sink = EventSink::default();
         let ctx = TraceContext {
             trace_id: 0xABCD,
             parent_span: 7,
@@ -276,7 +266,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_ring() {
-        let sink = EventSink::new();
+        let sink = EventSink::default();
         sink.clone().emit(EventLevel::Error, "test", "from-clone", "x", &[]);
         assert_eq!(sink.drain().len(), 1);
     }

@@ -2,7 +2,7 @@
 //!
 //! Std-only observability substrate for the digital-signature workspace:
 //! atomic [`Counter`]s and [`Gauge`]s, fixed-bin latency [`Histogram`]s with
-//! p50/p95/p99 extraction, and RAII [`Span`] timers — behind a cloneable
+//! quantile extraction, and RAII [`Span`] timers — behind a cloneable
 //! [`Registry`] whose [`MetricsSnapshot`] serializes through
 //! `dsig_core::wire` like every other workspace format (magic `DSMS`).
 //!

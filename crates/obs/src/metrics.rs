@@ -147,11 +147,6 @@ impl Histogram {
         self.record_us(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
     }
 
-    /// Returns the number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Returns an owned snapshot of the current bucket counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -175,7 +170,7 @@ impl Histogram {
 ///     let _span = Span::enter(&latency);
 ///     // ... timed work ...
 /// }
-/// assert_eq!(latency.count(), 1);
+/// assert_eq!(latency.snapshot().count, 1);
 /// ```
 #[derive(Debug)]
 pub struct Span<'a> {
@@ -257,7 +252,7 @@ mod tests {
         {
             let _span = Span::enter(&h);
         }
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]
@@ -280,7 +275,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(), 4000);
-        assert_eq!(h.count(), 4000);
+        assert_eq!(h.snapshot().count, 4000);
         assert_eq!(h.snapshot().buckets.iter().map(|&(_, n)| n).sum::<u64>(), 4000);
     }
 }

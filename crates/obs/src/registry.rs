@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use dsig_core::recover;
+
 use crate::events::EventSink;
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{MetricValue, MetricsSnapshot};
@@ -67,7 +69,7 @@ impl Registry {
     fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
         // Metric updates cannot panic, so poisoning can only come from a
         // panicking *caller* mid-registration; the map is still coherent.
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        recover(self.inner.lock())
     }
 
     /// Returns the counter registered under `name`, creating it at zero if

@@ -9,6 +9,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use dsig_core::recover;
+
 /// A bounded ring of records that overwrites its oldest entry when full.
 pub(crate) struct Ring<T> {
     slots: Vec<Mutex<Option<T>>>,
@@ -42,7 +44,7 @@ impl<T> Ring<T> {
         // Slot mutexes are uncontended unless two pushers land on the same
         // slot in one ring revolution; either way the lock is held for one
         // store. A poisoned slot still holds a whole record.
-        let mut guard = self.slots[slot].lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut guard = recover(self.slots[slot].lock());
         if guard.is_some() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -54,7 +56,7 @@ impl<T> Ring<T> {
     pub(crate) fn take_all(&self) -> Vec<T> {
         self.slots
             .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).take())
+            .filter_map(|slot| recover(slot.lock()).take())
             .collect()
     }
 }

@@ -53,23 +53,9 @@ impl HistogramSnapshot {
         self.quantile_us(0.50)
     }
 
-    /// 95th-percentile latency bound in µs.
-    pub fn p95_us(&self) -> u64 {
-        self.quantile_us(0.95)
-    }
-
     /// 99th-percentile latency bound in µs.
     pub fn p99_us(&self) -> u64 {
         self.quantile_us(0.99)
-    }
-
-    /// Mean recorded value in µs (0 for an empty histogram).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
     }
 }
 
@@ -392,31 +378,6 @@ impl MetricsSnapshot {
             metrics: merged.into_iter().collect(),
         }
     }
-
-    /// Renders the snapshot as human-readable text, one metric per line:
-    /// a counter's value, a gauge's value, or a histogram's count, mean,
-    /// p50, p95, p99 and max in microseconds.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.metrics {
-            let line = match value {
-                MetricValue::Counter(v) => format!("{name} counter {v}"),
-                MetricValue::Gauge(v) => format!("{name} gauge {v:?}"),
-                MetricValue::Histogram(h) => format!(
-                    "{name} histogram count {} mean_us {:.1} p50_us {} p95_us {} p99_us {} max_us {}",
-                    h.count,
-                    h.mean_us(),
-                    h.p50_us(),
-                    h.p95_us(),
-                    h.p99_us(),
-                    h.max_us
-                ),
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Merges two histogram snapshots: counts and sums added (wrapping, like
@@ -487,7 +448,7 @@ mod tests {
             buckets: vec![(1, 50), (2, 40), (4, 9), (u64::MAX, 1)],
         };
         assert_eq!(h.p50_us(), 1);
-        assert_eq!(h.p95_us(), 4);
+        assert_eq!(h.quantile_us(0.95), 4);
         assert_eq!(h.p99_us(), 4);
         assert_eq!(h.quantile_us(1.0), u64::MAX);
         assert_eq!(
@@ -738,13 +699,5 @@ mod tests {
         // The result is a legal DSMS body: sorted unique names.
         let bytes = fleet.to_bytes();
         assert_eq!(MetricsSnapshot::from_bytes(&bytes).unwrap(), fleet);
-    }
-
-    #[test]
-    fn render_is_one_line_per_metric() {
-        let text = sample().render();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("a.count counter 42"));
-        assert!(text.contains("p99_us"));
     }
 }

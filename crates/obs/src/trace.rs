@@ -205,21 +205,11 @@ impl Tracer {
     /// Default ring capacity, in spans.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// Creates a tracer with the default ring capacity.
-    pub fn new() -> Self {
-        Tracer::default()
-    }
-
     /// Creates a tracer holding at most `capacity.max(1)` spans.
     pub fn with_capacity(capacity: usize) -> Self {
         Tracer {
             ring: Arc::new(Ring::new(capacity)),
         }
-    }
-
-    /// The ring capacity, in spans.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 
     /// Number of spans overwritten before being drained. Surfaced in
@@ -468,11 +458,6 @@ impl TraceTree {
         self.orphans.len()
     }
 
-    /// Looks up a span of this trace by id.
-    pub fn find(&self, span_id: u64) -> Option<&SpanRecord> {
-        self.spans.iter().find(|s| s.span_id == span_id)
-    }
-
     /// Self time of span `i`: its total minus the totals of its children
     /// (saturating, since child clocks may come from another process).
     fn self_us(&self, i: usize) -> u64 {
@@ -573,7 +558,7 @@ mod tests {
 
     #[test]
     fn unsampled_spans_are_no_ops() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::default();
         {
             let mut span = tracer.span("noop", "test", TraceContext::NONE);
             span.annotate("k", "v");
@@ -591,7 +576,7 @@ mod tests {
 
     #[test]
     fn spans_record_parentage_and_annotations() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::default();
         let root_ctx = tracer.start_trace();
         let child_ctx;
         {
@@ -636,7 +621,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_ring() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::default();
         let clone = tracer.clone();
         let ctx = tracer.start_trace();
         drop(clone.span("from-clone", "test", ctx));
@@ -730,8 +715,6 @@ mod tests {
         assert_eq!(first.root_count(), 1);
         assert_eq!(first.orphan_count(), 1);
         assert_eq!(first.spans().len(), 4);
-        assert_eq!(first.find(11).unwrap().name, "a");
-        assert!(first.find(99).is_none());
         assert_eq!(trees[1].trace_id, 2);
         assert_eq!(trees[1].orphan_count(), 0);
     }

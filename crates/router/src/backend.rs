@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use dsig_core::recover;
 use dsig_serve::{PipelinedClient, Request, Response, Result, ServeError, ServeHandle, Service};
 
 /// Backoff policy of the per-backend health record: the `n`-th consecutive
@@ -63,7 +64,7 @@ struct Tcp {
 impl Service for Tcp {
     fn call(&self, request: Request<'_>) -> Result<Response> {
         let client = {
-            let mut slot = self.mux.lock().expect("backend mux lock poisoned");
+            let mut slot = recover(self.mux.lock());
             match &*slot {
                 Some(client) => client.clone(),
                 None => slot.insert(PipelinedClient::connect(self.addr)?).clone(),
@@ -74,7 +75,7 @@ impl Service for Tcp {
         let response = client.call(request);
         if let Err(err) = &response {
             if !matches!(err, ServeError::UnknownGolden(_) | ServeError::Remote(_)) {
-                *self.mux.lock().expect("backend mux lock poisoned") = None;
+                *recover(self.mux.lock()) = None;
             }
         }
         response
@@ -187,7 +188,7 @@ impl Backend {
 
     /// Whether the backend is outside any failure backoff window at `now`.
     pub(crate) fn is_available(&self, now: Instant) -> bool {
-        match self.health.lock().expect("backend health lock poisoned").down_until {
+        match recover(self.health.lock()).down_until {
             Some(until) => now >= until,
             None => true,
         }
@@ -197,7 +198,7 @@ impl Backend {
     /// `true` when this ended a failure streak — the backed-off → recovered
     /// transition the router logs an event for.
     pub(crate) fn note_success(&self) -> bool {
-        let mut health = self.health.lock().expect("backend health lock poisoned");
+        let mut health = recover(self.health.lock());
         let recovered = health.consecutive_failures > 0;
         health.consecutive_failures = 0;
         health.down_until = None;
@@ -212,7 +213,7 @@ impl Backend {
     /// [`Backend::revive`]) disarms the latch, so a backend that comes back
     /// and dies again heals again.
     pub(crate) fn arm_heal(&self, config: &HealthConfig) -> bool {
-        let mut health = self.health.lock().expect("backend health lock poisoned");
+        let mut health = recover(self.health.lock());
         if health.heal_armed
             || health.consecutive_failures == 0
             || config.backoff(health.consecutive_failures) < config.max_backoff
@@ -227,10 +228,13 @@ impl Backend {
     /// `true` when this started a failure streak (the backend just went from
     /// healthy to backed-off).
     pub(crate) fn note_failure(&self, now: Instant, config: &HealthConfig) -> bool {
-        let mut health = self.health.lock().expect("backend health lock poisoned");
-        health.consecutive_failures = health.consecutive_failures.saturating_add(1);
-        health.down_until = Some(now + config.backoff(health.consecutive_failures));
-        health.consecutive_failures == 1
+        let mut health = recover(self.health.lock());
+        // Both fields are computed before either is assigned, so a panic
+        // leaves the record as it was.
+        let failures = health.consecutive_failures.saturating_add(1);
+        health.down_until = Some(now + config.backoff(failures));
+        health.consecutive_failures = failures;
+        failures == 1
     }
 }
 

@@ -1,5 +1,5 @@
-//! The router, [`RouterHandle`]: rendezvous ranking, per-backend
-//! sub-batch splitting, golden replication/refresh/readback, health-aware
+//! The router, [`RouterHandle`]: rendezvous ranking, whole-request
+//! forwarding, golden replication/refresh/readback, health-aware
 //! deterministic failover, and **live membership** — join/leave/drain with
 //! golden migration, epoch-versioned so every observer can tell which fleet
 //! shape answered.
@@ -19,10 +19,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use cut_filters::BiquadParams;
-use dsig_core::{AcceptanceBand, DsigError, Signature, TestSetup};
+use dsig_core::{recover, AcceptanceBand, DsigError, Signature, TestSetup};
 use dsig_engine::RemoteScorer;
-use dsig_obs::trace::{self, TraceContext, Tracer};
-use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, Span, TraceLog};
+use dsig_obs::trace::{self, Tracer};
+use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, SloPolicy, Span, TraceLog};
 use dsig_serve::server::health_sample;
 use dsig_serve::{
     AdminReply, AdminRequest, BackendState, FleetRoster, GoldenRecord, GoldenStore, Request, Response, Result,
@@ -124,17 +124,15 @@ impl RouterHandle {
         })
     }
 
-    /// The router's authoritative golden store: goldens are characterized or
-    /// pushed here, replicated to their owners, and refreshed from here onto
-    /// a failover backend that misses one.
-    pub fn store(&self) -> &RouterStore {
-        &self.inner.store
+    /// The registry this router reports into.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.inner.registry
     }
 
     /// One consistent view of the fleet: the snapshot every operation works
     /// within.
     fn snapshot(&self) -> Arc<Membership> {
-        Arc::clone(&self.inner.membership.read().expect("membership lock poisoned"))
+        Arc::clone(&*recover(self.inner.membership.read()))
     }
 
     /// Number of members (active, draining or backed off) in the live fleet.
@@ -229,7 +227,7 @@ impl RouterHandle {
     /// Rejects a rendezvous-id collision and an unreachable backend (the
     /// migration must land).
     pub fn join(&self, backend: Backend) -> Result<FleetRoster> {
-        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let _admin = recover(self.inner.admin.lock());
         let m = self.snapshot();
         if let Some(index) = m.index_of(backend.label()) {
             return self.reactivate_locked(&m, index);
@@ -244,7 +242,7 @@ impl RouterHandle {
     /// # Errors
     /// As for [`RouterHandle::join`], plus unparseable labels.
     pub fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
-        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let _admin = recover(self.inner.admin.lock());
         let m = self.snapshot();
         if let Some(index) = m.index_of(label) {
             return self.reactivate_locked(&m, index);
@@ -340,7 +338,7 @@ impl RouterHandle {
     /// Rejects removing the last member — a router with no backends can
     /// answer nothing.
     pub fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
-        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let _admin = recover(self.inner.admin.lock());
         let m = self.snapshot();
         let Some(index) = m.index_of(label) else {
             return Ok(self.fleet_roster());
@@ -376,7 +374,7 @@ impl RouterHandle {
     /// Rejects an unknown label (a drain never removes, so resubmission
     /// converges).
     pub fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
-        let _admin = self.inner.admin.lock().expect("admin lock poisoned");
+        let _admin = recover(self.inner.admin.lock());
         let m = self.snapshot();
         let Some(index) = m.index_of(label) else {
             return Err(DsigError::InvalidConfig(format!("cannot drain unknown backend {label:?}")).into());
@@ -430,7 +428,7 @@ impl RouterHandle {
     fn install(&self, next: Arc<Membership>, event: &str, detail: &str, label: &str) {
         let epoch = next.epoch;
         self.inner.metrics.epoch.set(epoch as f64);
-        *self.inner.membership.write().expect("membership lock poisoned") = next;
+        *recover(self.inner.membership.write()) = next;
         self.inner.registry.events().emit(
             EventLevel::Info,
             "router",
@@ -560,10 +558,7 @@ impl RouterHandle {
             .filter(|(entry, answered)| !answered || !entry.backend.is_available(now))
             .count();
         let mut report =
-            self.inner
-                .config
-                .slo
-                .evaluate(health_sample(&merged, "fleet.", down as u32, m.entries.len() as u32));
+            SloPolicy::default().evaluate(health_sample(&merged, "fleet.", down as u32, m.entries.len() as u32));
         report.epoch = m.epoch;
         report
     }
@@ -662,12 +657,10 @@ impl RouterHandle {
         Err(ServeError::UnknownGolden(key))
     }
 
-    /// Scores a batch against the golden under `golden_key`: the batch is
-    /// split at the configured sub-batch boundary and each piece is
-    /// forwarded to the owning backend through the failover chain, so a
-    /// backend dying mid-batch only re-routes the not-yet-scored remainder.
+    /// Scores a batch against the golden under `golden_key`: the whole batch
+    /// is forwarded to the owning backend through the failover chain.
     /// Bit-identical to direct [`dsig_core::TestFlow`] scoring for every
-    /// backend count and split.
+    /// backend count.
     ///
     /// # Errors
     /// Returns [`ServeError::UnknownGolden`] for an unknown fingerprint (also
@@ -679,10 +672,9 @@ impl RouterHandle {
             .tracer
             .span("router.screen", "router", trace::current_context());
         screen_span.annotate("batch", signatures.len());
-        self.forward_pieces(screen_span.context(), signatures, |chunk| {
-            self.forward_with_failover(golden_key, |backend| {
-                backend.call(Request::screen(golden_key, chunk))?.into_body()
-            })
+        let _ctx = trace::with_context(screen_span.context());
+        self.forward_with_failover(golden_key, |backend| {
+            backend.call(Request::screen(golden_key, signatures))?.into_body()
         })
     }
 
@@ -694,14 +686,10 @@ impl RouterHandle {
         Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
     }
 
-    /// Screens an adaptive-retest batch (`DSRT`): the request is split at
-    /// the configured sub-batch boundary (counted in devices) and each piece
-    /// is forwarded to the golden's owner along the same failover chain as
-    /// [`RouterHandle::screen`] — the owning backend reruns marginal devices
-    /// with averaged repeats before verdicting, and a backend dying
-    /// mid-batch only re-routes the not-yet-decided remainder. A request
-    /// that fits one piece is forwarded as it is; only a split one copies
-    /// its devices into per-piece requests.
+    /// Screens an adaptive-retest batch (`DSRT`): the whole request is
+    /// forwarded to the golden's owner along the same failover chain as
+    /// [`RouterHandle::screen`], and the owning backend reruns marginal
+    /// devices with averaged repeats before verdicting.
     ///
     /// # Errors
     /// As for [`RouterHandle::screen`].
@@ -712,47 +700,8 @@ impl RouterHandle {
             .tracer
             .span("router.retest", "router", trace::current_context());
         retest_span.annotate("devices", request.items.len());
-        self.forward_pieces(retest_span.context(), &request.items, |chunk| {
-            let split;
-            let piece = if chunk.len() == request.items.len() {
-                request
-            } else {
-                split = RetestRequest {
-                    golden_key: key,
-                    policy: request.policy.clone(),
-                    items: chunk.to_vec(),
-                };
-                &split
-            };
-            self.forward_with_failover(key, |backend| backend.call(Request::retest(piece))?.into_body())
-        })
-    }
-
-    /// Splits `items` at the configured sub-batch boundary and forwards each
-    /// piece under its own `router.sub_batch` span (a child of `parent`,
-    /// annotated with the piece index and size), concatenating the answers
-    /// in request order; the first failing piece fails the batch. An empty
-    /// batch is forwarded anyway, under `parent`, so an unknown fingerprint
-    /// is reported exactly like the serving tier reports it.
-    fn forward_pieces<I, T>(
-        &self,
-        parent: TraceContext,
-        items: &[I],
-        forward: impl Fn(&[I]) -> Result<Vec<T>>,
-    ) -> Result<Vec<T>> {
-        if items.is_empty() {
-            let _ctx = trace::with_context(parent);
-            return forward(items);
-        }
-        let mut results = Vec::with_capacity(items.len());
-        for (piece, chunk) in items.chunks(self.inner.config.sub_batch.max(1)).enumerate() {
-            let mut sub_span = self.inner.tracer.span("router.sub_batch", "router", parent);
-            sub_span.annotate("piece", piece);
-            sub_span.annotate("items", chunk.len());
-            let _ctx = trace::with_context(sub_span.context());
-            results.extend(forward(chunk)?);
-        }
-        Ok(results)
+        let _ctx = trace::with_context(retest_span.context());
+        self.forward_with_failover(key, |backend| backend.call(Request::retest(request))?.into_body())
     }
 
     /// Forwards one golden-addressed operation through the failover chain:
@@ -973,7 +922,6 @@ mod tests {
             backends,
             RouterConfig {
                 replicas,
-                sub_batch: 3, // force sub-batch splits in tests
                 ..RouterConfig::default()
             },
         )
@@ -1012,6 +960,83 @@ mod tests {
         )
     }
 
+    /// A member whose service panics on every golden push.
+    struct PanicsOnPush;
+
+    impl Service for PanicsOnPush {
+        fn call(&self, request: Request<'_>) -> Result<Response> {
+            match request {
+                Request::PushGolden { .. } => panic!("injected panic on DSGP"),
+                _ => Err(ServeError::Remote("unsupported".into())),
+            }
+        }
+    }
+
+    #[test]
+    fn a_join_that_panicked_during_warm_up_does_not_block_the_next_join() {
+        let router = fleet(2, 2);
+        let golden = sig(&[(1, 100), (3, 100)]);
+        router.push_golden(0xC0FFEE, golden.clone(), band(0.05)).unwrap();
+        // With two members and two replicas, a third member owns a copy of
+        // every golden under some rendezvous id; warming it up pushes one.
+        let id = (100..)
+            .find(|&id| {
+                let mut entries = router.snapshot().entries.clone();
+                entries.push(MemberEntry::new(
+                    &Registry::new(),
+                    Backend::new(id, "probe", Arc::new(PanicsOnPush)),
+                ));
+                Membership { epoch: 0, entries }.rank(0xC0FFEE)[..2].contains(&2)
+            })
+            .unwrap();
+        let joining = Backend::new(id, "panics-on-push", Arc::new(PanicsOnPush));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.join(joining)));
+        assert!(panicked.is_err(), "the warm-up push must reach the panicking member");
+        assert_eq!(
+            router.backend_count(),
+            2,
+            "a failed join leaves the membership as it was"
+        );
+        // The admin lock was held across the panic; the next join still runs.
+        let roster = router.join(local_backend(7)).unwrap();
+        assert_eq!(roster.entries.len(), 3);
+        assert_eq!(router.screen(0xC0FFEE, &[golden]).unwrap()[0].ndf, 0.0);
+    }
+
+    #[test]
+    fn a_routed_screen_counts_as_a_request_on_its_in_process_owner() {
+        let registries: Vec<Registry> = (0..3).map(|_| Registry::new()).collect();
+        let members = registries
+            .iter()
+            .enumerate()
+            .map(|(id, registry)| {
+                let store = Arc::new(GoldenStore::new());
+                Backend::local(
+                    id as u64,
+                    ServeHandle::spawn_in(store, ServeConfig::with_shards(1), registry.clone()),
+                )
+            })
+            .collect();
+        let config = RouterConfig {
+            replicas: 1,
+            ..RouterConfig::default()
+        };
+        let router = RouterHandle::new_in(members, RouterStore::new(), config, Registry::new()).unwrap();
+        let golden = sig(&[(1, 100), (3, 100)]);
+        router.push_golden(0xC0FFEE, golden.clone(), band(0.05)).unwrap();
+        let owner = router.snapshot().rank(0xC0FFEE)[0];
+        let screens = |i: usize| registries[i].snapshot().counter("serve.requests.dsrq").unwrap_or(0);
+        let before: Vec<u64> = (0..3).map(screens).collect();
+        router.screen(0xC0FFEE, &[golden]).unwrap();
+        for (i, before) in before.into_iter().enumerate() {
+            assert_eq!(
+                screens(i) - before,
+                u64::from(i == owner),
+                "backend {i} (owner {owner})"
+            );
+        }
+    }
+
     #[test]
     fn empty_fleets_and_duplicate_ids_are_rejected() {
         assert!(matches!(
@@ -1027,7 +1052,6 @@ mod tests {
         let router = fleet(4, 2);
         let golden = sig(&[(1, 100), (3, 100)]);
         router.push_golden(0xC0FFEE, golden.clone(), band(0.05)).unwrap();
-        assert_eq!(router.store().len(), 1);
         // Screening the golden itself through the router is a clean pass.
         let results = router
             .screen(0xC0FFEE, &[golden.clone(), sig(&[(1, 100), (7, 100)])])
@@ -1463,12 +1487,10 @@ mod tests {
         // and arms the healing latch.
         let config = RouterConfig {
             replicas: 1, // a single copy: healing must create the second one
-            sub_batch: 3,
             health: HealthConfig {
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(1),
             },
-            ..RouterConfig::default()
         };
         let router = fleet_with(3, config);
         let keys: Vec<u64> = (300..324).collect();

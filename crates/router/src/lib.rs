@@ -8,12 +8,11 @@
 //! scoring process eventually saturates. The router shards that workload by
 //! **golden fingerprint** ([`dsig_engine::golden_fingerprint`]): rendezvous
 //! (HRW) hashing assigns every fingerprint an owner backend and a
-//! deterministic replica chain, batch requests split into per-backend
-//! sub-batches forwarded concurrently over the existing `DSRQ`/`DSRS`
-//! protocol, and responses reassemble in request order. Because signature
+//! deterministic replica chain, and each request goes whole to its golden's
+//! owner over the existing `DSRQ`/`DSRS` protocol. Because signature
 //! scoring is a pure function of `(golden, observed, band)`, routed results
 //! are **bit-identical** to direct [`dsig_core::TestFlow`] scoring at every
-//! backend count, every split boundary and under failover — the loopback
+//! backend count and under failover — the loopback
 //! tests enforce this over a 1000-device lot with a killed backend.
 //!
 //! The crate provides:
@@ -44,8 +43,7 @@
 //!   an in-process handle, or any other service), with a stable rendezvous
 //!   id, a kill switch and an exponential-backoff health record for
 //!   deterministic failover (the replica chain *is* the HRW ranking);
-//! * [`RouterConfig`] — replication factor, sub-batch boundary, health
-//!   policy.
+//! * [`RouterConfig`] — replication factor and health policy.
 //!
 //! # Elastic fleet
 //!

@@ -1,12 +1,12 @@
 //! The routing tier's data model: the [`RouterConfig`] knobs, the
 //! epoch-versioned membership snapshot every routed operation works within,
 //! and the metric handles [`crate::RouterHandle`] routes with. The routing
-//! itself (ranking, splitting, replication, failover, membership changes)
+//! itself (ranking, replication, failover, membership changes)
 //! lives on [`crate::RouterHandle`].
 
 use std::sync::Arc;
 
-use dsig_obs::{Counter, Gauge, Histogram, Registry, SloPolicy};
+use dsig_obs::{Counter, Gauge, Histogram, Registry};
 use dsig_serve::proto::ReplyBody;
 use dsig_serve::{Request, Response};
 
@@ -20,23 +20,15 @@ pub struct RouterConfig {
     /// plus `replicas - 1` followers). At least one; more copies let a
     /// failover backend answer without a mid-request refresh.
     pub replicas: usize,
-    /// Maximum signatures per forwarded screening sub-batch. Large client
-    /// batches are split at this boundary; results are bit-identical at
-    /// every boundary because scoring is per-signature pure.
-    pub sub_batch: usize,
     /// Health/backoff policy of the backend set.
     pub health: HealthConfig,
-    /// SLO thresholds the `DSHC` health check verdicts the fleet against.
-    pub slo: SloPolicy,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             replicas: 2,
-            sub_batch: 256,
             health: HealthConfig::default(),
-            slo: SloPolicy::default(),
         }
     }
 }
@@ -47,8 +39,8 @@ pub(crate) struct RouterMetrics {
     /// `router.backoff_backends` — ranked backends in failure backoff at the
     /// last forward (a state gauge, refreshed per forwarded operation).
     pub(crate) backoff: Arc<Gauge>,
-    /// `router.fanout_us` — latency of one forwarded sub-batch, failover
-    /// walk included.
+    /// `router.fanout_us` — latency of one forwarded request, failover walk
+    /// included.
     pub(crate) fanout_us: Arc<Histogram>,
     /// `router.refresh_on_miss` — goldens re-pushed to a backend that
     /// answered "unknown golden" mid-request.

@@ -65,10 +65,11 @@ impl Router {
         let workers = dsig_engine::available_threads();
         let pool = (workers > 1).then(|| Arc::new(WorkPool::new(workers)));
         let service = handle.clone();
+        let decode_errors = handle.registry().counter("serve.errors.decode");
         let listener = Listener::bind(
             addr,
             pool,
-            Arc::new(move |payload: Vec<u8>| respond(&service, &payload, None)),
+            Arc::new(move |payload: Vec<u8>| respond(&service, &payload, Some(&decode_errors))),
         )?;
         Ok(Router { listener, handle })
     }

@@ -48,7 +48,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 
-use dsig_core::{AcceptanceBand, DsigError, Signature};
+use dsig_core::{recover, AcceptanceBand, DsigError, Signature};
 
 use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, TraceLog};
 
@@ -60,8 +60,6 @@ use crate::proto::{
 use crate::service::Service;
 
 mod seam {
-    use std::net::SocketAddr;
-
     use crate::error::Result;
 
     /// The exchange seam [`super::Client`] writes its typed operations over.
@@ -71,9 +69,6 @@ mod seam {
         /// `resend` says whether the request may ride a second connection
         /// when the first turns out dead; drains may not.
         fn exchange(&self, frame: Vec<u8>, resend: bool) -> Result<Vec<u8>>;
-
-        /// The server address the transport is connected to (and redials).
-        fn peer_addr(&self) -> SocketAddr;
     }
 }
 
@@ -132,11 +127,6 @@ impl<T: seam::Exchange> Service for Client<T> {
 }
 
 impl<T: seam::Exchange> Client<T> {
-    /// The server address this client is connected to (and reconnects to).
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.transport.peer_addr()
-    }
-
     /// Scores a batch of observed signatures against the golden stored under
     /// `golden_key` on the server (routed to its owning backend by a routing
     /// tier), returning one [`ScoreResult`] per signature in request order.
@@ -390,29 +380,26 @@ impl Blocking {
     /// failed. A failure drops the connection, so the next exchange
     /// redials.
     fn exchange_once(&self, conn: &mut Option<Connection>, frame: &[u8]) -> Result<Vec<u8>> {
-        let live = match conn {
+        // The connection leaves its slot for the exchange and returns only
+        // after a whole one: a failed exchange, or a panic inside one, leaves
+        // the slot empty and the next call redials.
+        let mut live = match conn.take() {
             Some(live) => live,
-            None => conn.insert(Connection::dial(self.addr)?),
+            None => Connection::dial(self.addr)?,
         };
-        let response = live.exchange(frame);
-        if response.is_err() {
-            *conn = None;
-        }
-        response
+        let response = live.exchange(frame)?;
+        *conn = Some(live);
+        Ok(response)
     }
 }
 
 impl seam::Exchange for Blocking {
     fn exchange(&self, frame: Vec<u8>, resend: bool) -> Result<Vec<u8>> {
-        let mut conn = self.conn.lock().expect("blocking connection poisoned");
+        let mut conn = recover(self.conn.lock());
         match self.exchange_once(&mut conn, &frame) {
             Err(ServeError::Io(_)) if resend => self.exchange_once(&mut conn, &frame),
             response => response,
         }
-    }
-
-    fn peer_addr(&self) -> SocketAddr {
-        self.addr
     }
 }
 
@@ -504,7 +491,7 @@ impl Ticket {
     /// produced an unmatchable response id.
     pub fn wait(self) -> Result<Vec<u8>> {
         {
-            let mut state = self.inner.state.lock().expect("mux state poisoned");
+            let mut state = recover(self.inner.state.lock());
             if let Some(writer) = state.writer.as_mut() {
                 if !writer.buffer().is_empty() && writer.flush().is_err() {
                     reconnect(&self.inner, &mut state);
@@ -545,7 +532,7 @@ impl PipelinedClient {
             }),
             next_id: AtomicU64::new(1),
         });
-        let mut state = inner.state.lock().expect("mux state poisoned");
+        let mut state = recover(inner.state.lock());
         attach_stream(&inner, &mut state, stream)?;
         drop(state);
         Ok(Client {
@@ -603,7 +590,7 @@ impl Pipelined {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         stamp_request_id(&mut frame, id);
         let (tx, rx) = mpsc::channel();
-        let mut state = self.inner.state.lock().expect("mux state poisoned");
+        let mut state = recover(self.inner.state.lock());
         if let Some(detail) = &state.poisoned {
             return Err(poison_error(detail));
         }
@@ -613,7 +600,7 @@ impl Pipelined {
             // submissions nor the reader's response delivery.
             drop(state);
             let stream = TcpStream::connect_timeout(&self.inner.addr, DIAL_TIMEOUT)?;
-            state = self.inner.state.lock().expect("mux state poisoned");
+            state = recover(self.inner.state.lock());
             if let Some(detail) = &state.poisoned {
                 return Err(poison_error(detail));
             }
@@ -657,10 +644,6 @@ impl seam::Exchange for Pipelined {
     fn exchange(&self, frame: Vec<u8>, resend: bool) -> Result<Vec<u8>> {
         self.submit(frame, resend)?.wait()
     }
-
-    fn peer_addr(&self) -> SocketAddr {
-        self.inner.addr
-    }
 }
 
 /// The terminal error a poisoned client answers everything with.
@@ -676,11 +659,14 @@ fn poison_error(detail: &str) -> ServeError {
 fn attach_stream(inner: &Arc<MuxInner>, state: &mut MuxState, stream: TcpStream) -> Result<()> {
     stream.set_nodelay(true)?;
     let read_half = stream.try_clone()?;
-    state.writer = Some(BufWriter::new(stream));
-    state.generation += 1;
-    let generation = state.generation;
+    // The reader starts before the state changes, so a failed spawn leaves
+    // the state as it was. It cannot see the state before the caller
+    // releases the lock.
+    let generation = state.generation + 1;
     let weak = Arc::downgrade(inner);
     std::thread::spawn(move || reader_loop(&weak, read_half, generation));
+    state.writer = Some(BufWriter::new(stream));
+    state.generation = generation;
     Ok(())
 }
 
@@ -776,7 +762,7 @@ fn reader_loop(inner: &Weak<MuxInner>, stream: TcpStream, generation: u64) {
         let Some(inner) = inner.upgrade() else {
             return;
         };
-        let mut state = inner.state.lock().expect("mux state poisoned");
+        let mut state = recover(inner.state.lock());
         if state.generation != generation {
             return;
         }
@@ -944,7 +930,6 @@ mod tests {
         });
 
         let client = ServeClient::connect(addr).unwrap();
-        assert_eq!(client.peer_addr(), addr);
         // The first exchange hits the torn-down connection and must succeed
         // through the one-shot transparent reconnect; later requests reuse
         // the live connection.
@@ -960,7 +945,6 @@ mod tests {
     fn pipelined_client_screens_and_matches_the_blocking_path() {
         let (server, key) = serve();
         let client = PipelinedClient::connect(server.local_addr()).unwrap();
-        assert_eq!(client.peer_addr(), server.local_addr());
         let observed = vec![sig(&[(1, 100), (3, 100)]), sig(&[(1, 100), (7, 100)])];
         // Issue a burst of tickets before waiting on any: all in flight on
         // the one connection.

@@ -56,6 +56,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dsig_core::recover;
+
 use crate::proto::{peek_request_id, read_frame, stamp_request_id, write_frame};
 
 /// One unit of connection work: decode, serve and encode one request.
@@ -203,26 +205,16 @@ impl WorkPool {
         WorkPool { inner, workers }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Jobs submitted but not yet picked up by a worker — the pool's queue
     /// depth, sampled for the `serve.queue_depth` gauge.
     pub fn queued(&self) -> usize {
-        self.inner.queue.lock().expect("pool queue poisoned").jobs.len()
+        recover(self.inner.queue.lock()).jobs.len()
     }
 
     /// Enqueues one job. Jobs submitted before the pool drops are always
     /// run, even if the drop races the submission.
     pub fn submit(&self, job: Job) {
-        self.inner
-            .queue
-            .lock()
-            .expect("pool queue poisoned")
-            .jobs
-            .push_back(job);
+        recover(self.inner.queue.lock()).jobs.push_back(job);
         self.inner.available.notify_one();
     }
 }
@@ -231,7 +223,7 @@ impl Drop for WorkPool {
     fn drop(&mut self) {
         // Set under the lock, so a worker between its empty check and its
         // wait cannot miss the wake-up.
-        self.inner.queue.lock().expect("pool queue poisoned").shutdown = true;
+        recover(self.inner.queue.lock()).shutdown = true;
         self.inner.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -245,7 +237,7 @@ fn worker_loop(inner: &PoolInner, index: usize) {
         // drained — queued work always completes. Jobs run outside the
         // lock, so a panicking job cannot poison it.
         let job = {
-            let mut queue = inner.queue.lock().expect("pool queue poisoned");
+            let mut queue = recover(inner.queue.lock());
             loop {
                 if let Some(job) = queue.jobs.pop_front() {
                     break job;
@@ -253,7 +245,7 @@ fn worker_loop(inner: &PoolInner, index: usize) {
                 if queue.shutdown {
                     return;
                 }
-                queue = inner.available.wait(queue).expect("pool queue poisoned");
+                queue = recover(inner.available.wait(queue));
             }
         };
         // A panicking job must not kill the worker: the pool is shared by
@@ -595,7 +587,6 @@ mod tests {
     #[test]
     fn pool_runs_every_job_across_workers() {
         let pool = WorkPool::new(4);
-        assert_eq!(pool.workers(), 4);
         let sum = Arc::new(AtomicU64::new(0));
         let (done, finished) = mpsc::channel();
         for k in 1..=100u64 {

@@ -195,11 +195,6 @@ impl ServeHandle {
         }
     }
 
-    /// The golden store this handle scores against.
-    pub fn store(&self) -> &Arc<GoldenStore> {
-        &self.store
-    }
-
     /// Snapshots the registry this handle reports into — the in-process
     /// form of the `DSMX` metrics scrape. Counters are monotonically
     /// consistent across successive calls.
@@ -375,18 +370,18 @@ impl Server {
         // worker there is no pool: each connection answers on its own thread.
         let pool = (config.shards > 1).then(|| Arc::new(WorkPool::new(config.shards)));
         let handle = ServeHandle::spawn_in(store, config, registry);
-        let metered = Metered(handle.clone());
+        let served = handle.clone();
         // The request handler sees the pool only to sample
         // `serve.queue_depth`, and holds it weakly so the pool is never
         // dropped from one of its own workers.
         let queue = pool.as_ref().map(Arc::downgrade);
         let respond = Arc::new(move |payload: Vec<u8>| {
-            let metrics = &metered.0.metrics;
+            let metrics = &served.metrics;
             metrics.bytes_in.add(payload.len() as u64 + 4);
             if let Some(pool) = queue.as_ref().and_then(std::sync::Weak::upgrade) {
                 metrics.queue_depth.set(pool.queued() as f64);
             }
-            let response = service::respond(&metered, &payload, Some(&metrics.decode_errors));
+            let response = service::respond(&served, &payload, Some(&metrics.decode_errors));
             metrics.bytes_out.add(response.len() as u64 + 4);
             response
         });
@@ -425,8 +420,26 @@ impl Server {
     }
 }
 
+/// Every request a handle answers, as a frame or as an in-process call, is
+/// counted by family (`serve.requests.*`, and `serve.errors.*` when it
+/// fails) and timed (`serve.request_us`). Calls of the handle's own methods
+/// stay unmetered.
 impl Service for ServeHandle {
     fn call(&self, request: Request<'_>) -> Result<Response> {
+        let _request_timer = Span::enter(&self.metrics.request_us);
+        let (requests, errors) = self.metrics.family(&request);
+        requests.inc();
+        let response = self.answer(request);
+        if response.is_err() {
+            errors.inc();
+        }
+        response
+    }
+}
+
+impl ServeHandle {
+    /// Answers one request, unmetered.
+    fn answer(&self, request: Request<'_>) -> Result<Response> {
         Ok(match request {
             Request::Screen(request) => Response::Screen(self.screen(request.golden_key, &request.signatures)?),
             Request::Retest(request) => Response::Retest(self.screen_retest(&request)?),
@@ -450,26 +463,6 @@ impl Service for ServeHandle {
                 )
             }
         })
-    }
-}
-
-/// A [`Server`]'s handle as its listener answers it: every request that
-/// arrives as a frame is counted by family (`serve.requests.*`, and
-/// `serve.errors.*` when it fails) and timed (`serve.request_us`). Calls on
-/// the handle itself stay unmetered.
-struct Metered(ServeHandle);
-
-impl Service for Metered {
-    fn call(&self, request: Request<'_>) -> Result<Response> {
-        let metrics = &self.0.metrics;
-        let _request_timer = Span::enter(&metrics.request_us);
-        let (requests, errors) = metrics.family(&request);
-        requests.inc();
-        let response = self.0.call(request);
-        if response.is_err() {
-            errors.inc();
-        }
-        response
     }
 }
 

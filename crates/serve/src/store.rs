@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 
 use cut_filters::BiquadParams;
 use dsig_core::wire::{self, ByteReader, Format, Wire};
-use dsig_core::{AcceptanceBand, Signature, TestFlow, TestSetup};
+use dsig_core::{recover, AcceptanceBand, Signature, TestFlow, TestSetup};
 use dsig_engine::golden_fingerprint;
 
 use crate::error::Result;
@@ -57,10 +57,7 @@ impl GoldenStore {
     /// Inserts (or replaces) a golden under an explicit fingerprint and
     /// returns the previous record, if any.
     pub fn insert(&self, key: u64, golden: Signature, band: AcceptanceBand) -> Option<Arc<GoldenRecord>> {
-        self.records
-            .write()
-            .expect("store lock poisoned")
-            .insert(key, Arc::new(GoldenRecord { golden, band }))
+        recover(self.records.write()).insert(key, Arc::new(GoldenRecord { golden, band }))
     }
 
     /// Characterizes the golden signature of `(setup, reference)` — the
@@ -93,25 +90,19 @@ impl GoldenStore {
 
     /// Looks up a golden by fingerprint.
     pub fn get(&self, key: u64) -> Option<Arc<GoldenRecord>> {
-        self.records.read().expect("store lock poisoned").get(&key).cloned()
+        recover(self.records.read()).get(&key).cloned()
     }
 
     /// The stored fingerprints, ascending.
     pub fn keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self
-            .records
-            .read()
-            .expect("store lock poisoned")
-            .keys()
-            .copied()
-            .collect();
+        let mut keys: Vec<u64> = recover(self.records.read()).keys().copied().collect();
         keys.sort_unstable();
         keys
     }
 
     /// Number of stored goldens.
     pub fn len(&self) -> usize {
-        self.records.read().expect("store lock poisoned").len()
+        recover(self.records.read()).len()
     }
 
     /// Whether the store is empty.
@@ -170,10 +161,7 @@ impl Format for GoldenStore {
     const MIN_BODY: usize = 4;
 
     fn put_body(&self, out: &mut Vec<u8>) {
-        let mut rows: Vec<(u64, Arc<GoldenRecord>)> = self
-            .records
-            .read()
-            .expect("store lock poisoned")
+        let mut rows: Vec<(u64, Arc<GoldenRecord>)> = recover(self.records.read())
             .iter()
             .map(|(&key, record)| (key, Arc::clone(record)))
             .collect();

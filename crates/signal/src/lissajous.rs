@@ -10,7 +10,6 @@ use crate::waveform::{SignalError, Waveform};
 /// A sampled X-Y trajectory: `(x(t_k), y(t_k))` over a common time grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lissajous {
-    times: Vec<f64>,
     points: Vec<(f64, f64)>,
 }
 
@@ -34,14 +33,8 @@ impl Lissajous {
                 needed: 2,
             });
         }
-        let times = (0..x.len()).map(|k| x.time_at(k)).collect();
         let points = x.samples().iter().zip(y.samples()).map(|(&a, &b)| (a, b)).collect();
-        Ok(Lissajous { times, points })
-    }
-
-    /// The sampling times in seconds.
-    pub fn times(&self) -> &[f64] {
-        &self.times
+        Ok(Lissajous { points })
     }
 
     /// The `(x, y)` points of the trajectory.

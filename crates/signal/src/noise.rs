@@ -55,11 +55,6 @@ impl NoiseModel {
         NoiseModel { sigma: 0.0, mean: 0.0 }
     }
 
-    /// The 3σ spread of the model in volts.
-    pub fn three_sigma(&self) -> f64 {
-        3.0 * self.sigma
-    }
-
     /// Draws one noise sample using the supplied random number generator.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         if self.sigma == 0.0 {
@@ -307,7 +302,7 @@ mod tests {
     #[test]
     fn paper_default_matches_three_sigma_spec() {
         let n = NoiseModel::paper_default();
-        assert!((n.three_sigma() - 0.015).abs() < 1e-12);
+        assert!((3.0 * n.sigma - 0.015).abs() < 1e-12);
         assert_eq!(n.mean, 0.0);
     }
 

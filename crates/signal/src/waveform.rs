@@ -232,29 +232,6 @@ impl Waveform {
         }
     }
 
-    /// Adds another waveform sample-by-sample.
-    ///
-    /// # Errors
-    /// Returns [`SignalError::GridMismatch`] if the lengths differ.
-    pub fn add(&self, other: &Waveform) -> Result<Waveform, SignalError> {
-        if self.samples.len() != other.samples.len() {
-            return Err(SignalError::GridMismatch {
-                left: self.samples.len(),
-                right: other.samples.len(),
-            });
-        }
-        Ok(Waveform {
-            start_time: self.start_time,
-            sample_rate: self.sample_rate,
-            samples: self.samples.iter().zip(&other.samples).map(|(a, b)| a + b).collect(),
-        })
-    }
-
-    /// Clamps every sample into `[lo, hi]` (models supply-rail saturation).
-    pub fn clamp(&self, lo: f64, hi: f64) -> Waveform {
-        self.map(|x| x.clamp(lo, hi))
-    }
-
     /// Applies a first-order low-pass filter with the given cutoff frequency,
     /// returning the filtered waveform on the same grid.
     ///
@@ -418,16 +395,11 @@ mod tests {
     }
 
     #[test]
-    fn map_add_clamp() {
+    fn map_transforms_every_sample() {
         let a = Waveform::new(0.0, 1.0, vec![0.0, 1.0, 2.0]);
         let b = a.map(|x| x * 2.0);
         assert_eq!(b.samples(), &[0.0, 2.0, 4.0]);
-        let c = a.add(&b).unwrap();
-        assert_eq!(c.samples(), &[0.0, 3.0, 6.0]);
-        let d = c.clamp(0.0, 4.0);
-        assert_eq!(d.samples(), &[0.0, 3.0, 4.0]);
-        let mismatched = Waveform::new(0.0, 1.0, vec![1.0]);
-        assert!(a.add(&mismatched).is_err());
+        assert_eq!((b.start_time(), b.sample_rate()), (a.start_time(), a.sample_rate()));
     }
 
     #[test]

@@ -15,30 +15,14 @@ use super::dc::{dc_operating_point, OperatingPoint};
 /// Result of an AC sweep: per-frequency node phasors.
 #[derive(Debug, Clone)]
 pub struct AcResult {
-    frequencies: Vec<f64>,
     /// `phasors[freq_index][node_index]`.
     phasors: Vec<Vec<Complex>>,
 }
 
 impl AcResult {
-    /// The analysis frequencies in hertz.
-    pub fn frequencies(&self) -> &[f64] {
-        &self.frequencies
-    }
-
     /// Phasor of `node` at the `freq_index`-th analysis frequency.
     pub fn phasor(&self, freq_index: usize, node: Node) -> Complex {
         self.phasors[freq_index][node.index()]
-    }
-
-    /// Magnitude response of a node across the sweep.
-    pub fn magnitude(&self, node: Node) -> Vec<f64> {
-        self.phasors.iter().map(|row| row[node.index()].abs()).collect()
-    }
-
-    /// Phase response in radians.
-    pub fn phase(&self, node: Node) -> Vec<f64> {
-        self.phasors.iter().map(|row| row[node.index()].arg()).collect()
     }
 }
 
@@ -202,10 +186,7 @@ pub fn ac_sweep_at(circuit: &Circuit, op: &OperatingPoint, frequencies: &[f64]) 
         phasors.push(row);
     }
 
-    Ok(AcResult {
-        frequencies: frequencies.to_vec(),
-        phasors,
-    })
+    Ok(AcResult { phasors })
 }
 
 #[cfg(test)]
@@ -241,9 +222,9 @@ mod tests {
     fn rc_lowpass_minus_3db_at_cutoff() {
         let (ckt, out) = rc_lowpass(10e3);
         let res = ac_sweep(&ckt, &[10e3]).unwrap();
-        let mag = res.magnitude(out)[0];
+        let mag = res.phasor(0, out).abs();
         assert!((mag - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3, "gain {mag}");
-        let ph = res.phase(out)[0];
+        let ph = res.phasor(0, out).arg();
         assert!((ph + std::f64::consts::FRAC_PI_4).abs() < 1e-3, "phase {ph}");
     }
 
@@ -282,6 +263,6 @@ mod tests {
         ckt.add_vsource("V1", a, g, 1.0).unwrap();
         ckt.add_resistor("R1", a, g, 1e3).unwrap();
         let res = ac_sweep(&ckt, &[1e3]).unwrap();
-        assert!(res.magnitude(a)[0] < 1e-9);
+        assert!(res.phasor(0, a).abs() < 1e-9);
     }
 }

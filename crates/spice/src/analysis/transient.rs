@@ -80,24 +80,9 @@ impl TransientResult {
         &self.times
     }
 
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// The voltage trace of a node.
     pub fn voltage(&self, node: Node) -> &[f64] {
         &self.traces[node.index()]
-    }
-
-    /// Returns `(times, voltages)` pairs for a node as owned vectors.
-    pub fn sampled(&self, node: Node) -> (Vec<f64>, Vec<f64>) {
-        (self.times.clone(), self.traces[node.index()].clone())
     }
 }
 
@@ -271,6 +256,5 @@ mod tests {
         ckt.add_resistor("R1", a, g, 1e3).unwrap();
         let res = transient(&ckt, &TransientConfig::new(1e-3, 1e-5).with_record_from(5e-4)).unwrap();
         assert!(res.times()[0] >= 5e-4 - 1e-12);
-        assert!(!res.is_empty());
     }
 }

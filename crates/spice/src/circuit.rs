@@ -115,17 +115,6 @@ pub enum Element {
 }
 
 impl Element {
-    /// Instance name of the element.
-    pub fn name(&self) -> &str {
-        match self {
-            Element::Resistor { name, .. }
-            | Element::Capacitor { name, .. }
-            | Element::VoltageSource { name, .. }
-            | Element::IdealOpAmp { name, .. }
-            | Element::Mosfet { name, .. } => name,
-        }
-    }
-
     /// Whether the element introduces a branch-current unknown in MNA.
     pub fn needs_branch(&self) -> bool {
         matches!(self, Element::VoltageSource { .. } | Element::IdealOpAmp { .. })
@@ -133,11 +122,17 @@ impl Element {
 }
 
 /// A flat netlist of elements between named nodes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
     /// Node name to node index; ground is `"0"`, index 0.
     nodes: HashMap<String, usize>,
     elements: Vec<Element>,
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Circuit::new()
+    }
 }
 
 impl Circuit {
@@ -334,6 +329,13 @@ mod tests {
     }
 
     #[test]
+    fn the_default_circuit_has_the_ground_node() {
+        let mut ckt = Circuit::default();
+        assert!(!ckt.node("a").is_ground());
+        assert_eq!(ckt.node("0"), ckt.ground());
+    }
+
+    #[test]
     fn invalid_resistor_rejected() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
@@ -388,9 +390,9 @@ mod tests {
         ckt.add_mosfet("M1", a, a, g, MosParams::nmos_65nm(1e-6, 180e-9))
             .unwrap();
         let elems = ckt.elements();
-        assert_eq!(elems[0].name(), "V1");
+        assert!(matches!(&elems[0], Element::VoltageSource { name, .. } if name == "V1"));
         assert!(elems[0].needs_branch());
-        assert_eq!(elems[1].name(), "M1");
+        assert!(matches!(&elems[1], Element::Mosfet { name, .. } if name == "M1"));
         assert!(!elems[1].needs_branch());
     }
 

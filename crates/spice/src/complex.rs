@@ -140,11 +140,6 @@ impl ComplexMatrix {
         }
     }
 
-    /// Dimension of the matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Adds `value` at `(row, col)`.
     #[inline]
     pub fn add(&mut self, row: usize, col: usize, value: Complex) {

@@ -31,16 +31,6 @@ impl DenseMatrix {
         m
     }
 
-    /// Dimension of the (square) matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Resets every entry to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Adds `value` to the entry at `(row, col)`.
     ///
     /// This is the fundamental "stamping" operation of MNA assembly.
@@ -245,13 +235,5 @@ mod tests {
         assert_eq!(diff_inf_norm(&[1.0, 2.0], &[0.0, 5.0]), 3.0);
         assert_eq!(diff_inf_norm(&[-3.0], &[0.0]), 3.0);
         assert_eq!(diff_inf_norm(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn clear_keeps_dimension() {
-        let mut m = DenseMatrix::identity(3);
-        m.clear();
-        assert_eq!(m.dim(), 3);
-        assert_eq!(m[(1, 1)], 0.0);
     }
 }

@@ -12,15 +12,6 @@ pub struct Tone {
 }
 
 impl Tone {
-    /// Creates a tone with zero initial phase.
-    pub fn new(amplitude: f64, frequency_hz: f64) -> Self {
-        Tone {
-            amplitude,
-            frequency_hz,
-            phase_rad: 0.0,
-        }
-    }
-
     /// Instantaneous value of the tone at time `t` (seconds).
     pub fn value(&self, t: f64) -> f64 {
         self.amplitude * (2.0 * std::f64::consts::PI * self.frequency_hz * t + self.phase_rad).sin()
@@ -192,7 +183,13 @@ mod tests {
     fn multitone_sums_components() {
         let w = SourceWaveform::Multitone {
             offset: 0.5,
-            tones: vec![Tone::new(0.1, 1000.0), Tone::new(0.2, 3000.0)],
+            tones: [(0.1, 1000.0), (0.2, 3000.0)]
+                .map(|(amplitude, frequency_hz)| Tone {
+                    amplitude,
+                    frequency_hz,
+                    phase_rad: 0.0,
+                })
+                .to_vec(),
         };
         // At t=0 all sines are zero.
         assert!((w.value(0.0) - 0.5).abs() < 1e-12);

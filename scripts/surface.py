@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Public items that nothing outside tests calls: a by-name scan of the workspace.
+"""Public items that nothing outside tests uses: a compiler pass for functions
+and a by-name scan for the other items.
 
 Run from anywhere inside the repository:
 
@@ -14,29 +15,46 @@ a directory named `tests` or `benches` and minus every `#[cfg(test)]` item
 `perfbench/`; `pub(crate)` and narrower, `pub mod`, `pub use`, fields and enum
 variants are not items here.
 
-An item is listed when its name occurs as an identifier in no scanned code
-except its own definition. What does not count as a use:
+Functions: the compiler pass. In a temporary copy of the working tree's
+files, every non-test `pub fn` gets `#[deprecated(note = "surface-probe
+<key>")]`, and `cargo check` runs on the workspace's lib, bin and example
+targets and on the benchmark package, with lints capped at warn. Every
+deprecation warning is a type-checked use of a probed function. Warnings inside
+`use` declarations are not uses. A warning inside the body of a probed
+function (the innermost, following macro expansions out to their call sites)
+is that function's use; any other warning is a use by live code. A function
+is listed when no chain of uses reaches it from live code, KEEP's functions
+counting as live. Dead callers therefore do not keep their callees alive,
+and a dead `len` is listed even when another type's `len` is used.
+
+Other items: a by-name scan. Such an item is listed when its name occurs as
+an identifier in no scanned code except its own definition. What does not
+count as a use:
 
 - comments (doc comments and their examples included) and string literals;
 - `use` declarations, re-exports among them;
 - the name where any item defines it (after `fn`, `struct`, ...);
-- the item's own body (a recursive call), and for a type, the bodies of the
-  `impl` blocks whose self type it is.
+- the item's own body, and for a type, the bodies of the `impl` blocks whose
+  self type it is.
 
-Crate sources, bins, examples and the benchmark package all count as uses.
 The scan is by name, so an item shares its uses with every same-named item:
-it can miss a dead `pub fn new`, but what it lists has no caller at all.
+what it lists has no caller at all.
 
 `--check` exits non-zero when a listed item is missing from `KEEP`, or when a
-`KEEP` entry is no longer listed. An item is named `crate::Owner::name`
-(`Owner` is the self type of the enclosing `impl`, absent for free items); a
-`KEEP` entry maps that name to the kept code or paper claim its tests check.
+`KEEP` entry is one that the passes would not list without it. An item is
+named `crate::Owner::name` (`Owner` is the self type of the enclosing `impl`,
+absent for free items); a `KEEP` entry maps that name to the kept code, paper
+claim or lint its tests or presence serve.
 """
 
+import collections
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import loc  # noqa: E402
@@ -57,22 +75,40 @@ PUB_ITEM = re.compile(
 USE_DECL = re.compile(r"\b(?:pub(?:\s*\([^)]*\))?\s+)?use\b")
 IMPL = re.compile(r"\bimpl\b")
 
+PROBE = "surface-probe"
+PROBE_KEY = re.compile(PROBE + r" ([\w:-]+)")
+# `cargo check` arguments for the non-test targets: the workspace's, then the
+# benchmark package's (a workspace of its own).
+CHECKS = (
+    ("--workspace", "--lib", "--bins", "--examples"),
+    ("--manifest-path", "perfbench/Cargo.toml"),
+)
+
 # Public items that only tests call, each kept because its tests check other
-# kept code or a paper claim: `crate::Owner::name` -> the reason.
+# kept code or a paper claim, or because a lint requires it:
+# `crate::Owner::name` -> the reason.
+LEN_TWIN = "clippy's len_without_is_empty: the twin of a len that non-test code calls"
 KEEP = {
     # The paper's two transistor-level circuits and the cross-validation of
     # the behavioural models against them (tests/cross_validation.rs).
     "cut-filters::StateSpaceSim": "RK4 reference that rk4_and_analytic_agree_on_the_paper_stimulus runs",
+    "cut-filters::StateSpaceSim::new": "builds that RK4 reference",
     "cut-filters::StateSpaceSim::simulate_multitone": "RK4 filter response checked against the analytic "
     "steady-state synthesis capture uses (rk4_and_analytic_agree_on_the_paper_stimulus)",
+    "cut-filters::BiquadParams::magnitude": "the analytic gain the AC and transient cross-checks compare "
+    "the simulated Tow-Thomas netlist against",
     "cut-filters::TowThomasDesign::build_netlist": "the op-amp Tow-Thomas CUT netlist whose AC and transient "
     "responses the cross-validation tests compare with BiquadParams",
     "sim-spice::ac_sweep": "AC analysis of the Tow-Thomas netlist, checked against BiquadParams::response "
     "(tow_thomas_ac_response_matches_analytic_across_the_band)",
+    "sim-spice::AcResult::phasor": "reads the swept node phasors in that AC cross-check",
     "sim-spice::log_frequency_grid": "frequency grid of that AC cross-check",
     "sim-spice::transient": "transient analysis of the Tow-Thomas netlist, checked against the transfer "
     "function (tow_thomas_transient_attenuates_tones_like_the_transfer_function)",
+    "sim-spice::TransientConfig::new": "configures that transient cross-check",
     "sim-spice::TransientConfig::with_record_from": "skips the start-up transient in that transient cross-check",
+    "sim-spice::TransientResult::times": "the simulated time axis the transient cross-check measures tones on",
+    "sim-spice::TransientResult::voltage": "the simulated node trace the transient cross-check measures",
     "sim-signal::Waveform::from_samples": "wraps the transient simulation's samples for the tone measurement",
     "sim-signal::tone_amplitude_projection": "measures the simulated netlist's tone amplitudes against "
     "BiquadParams::magnitude in the transient cross-check",
@@ -82,35 +118,91 @@ KEEP = {
     "sim-spice::DenseMatrix::identity": "identity system on which identity_solve_returns_rhs checks the LU solve",
     "sim-spice::DenseMatrix::mul_vec": "residual A x - b of solve_roundtrip_residual_is_small, checking the LU solve",
     "sim-spice::Complex::db": "rc_lowpass_rolloff_is_20db_per_decade reads ac_sweep's roll-off in dB with it",
+    "sim-spice::OperatingPoint::layout": "resistive_divider reads the source current from its MNA branch unknown",
     # Paper claims.
     "xy-monitor::ZonePartition::max_adjacent_hamming": "Fig. 6: adjacent zones differ in one bit "
     "(adjacent_samples_differ_by_at_most_one_bit)",
+    "xy-monitor::CurrentComparator::widths": "Table I: the monitors' published transistor widths "
+    "(table_has_six_rows_with_published_widths, comparators_build_for_all_rows)",
     "sim-signal::MultitoneSpec::max_frequency": "the paper stimulus tops out at 25 kHz "
     "(paper_default_period_is_200us)",
-    # Measurements that check other kept code.
+    # Measurements and fixtures that check other kept code.
     "sim-signal::tone_amplitude": "measures the multitone stimulus's tone amplitudes "
     "(spectrum_separates_multitone_components)",
+    "sim-signal::MultitoneSpec::new": "builds the one- and two-tone stimuli on which the spectrum, synthesis "
+    "and filter-response tests check kept code",
     "sim-signal::Waveform::rms": "measures the front-end low-pass filter's noise reduction "
     "(lowpass_reduces_white_noise_variance)",
+    "sim-signal::Waveform::mean": "measures DC levels: the noise model's offset and the biquad's DC gain",
+    "sim-signal::Waveform::map": "builds the distorted candidate of the straight-line baseline's detection test",
     "sim-signal::Waveform::resample": "builds the candidate on which normalized_error_rejects_constant_golden "
     "checks normalized_rms_error",
+    "xy-monitor::ProcessVariation::none": "zero_variation_reproduces_nominal checks sample_comparator against "
+    "the nominal Table I devices",
+    "dsig-core::StimulusBank::len": "the bank's reuse and eviction tests count its retained stimuli",
     "dsig-core::TestFlow::evaluate_with_retest": "the retest reference that score::retest's and the serve "
     "tier's retest tests compare against bit for bit",
     "dsig-engine::RetestStats::flips": "retest_determinism checks that averaging flips verdicts, "
     "identically on every target",
+    "dsig-serve::GoldenStore::len": "the store tests count records to check that characterize reuses a "
+    "stored golden and that insert replaces",
+    # The body codecs every frame and file nests: round trips, golden bytes
+    # and mutation (tests/codec_robustness.rs, tests/obs_scrape.rs).
+    "dsig-core::Signature::to_bytes": "encodes the DSG2 signature body that every signature-carrying frame "
+    "nests, for the codec's round-trip, golden-byte and mutation tests",
+    "dsig-core::Signature::from_bytes": "decodes that body in the same tests",
+    "dsig-obs::MetricsSnapshot::to_bytes": "encodes the DSMS body the metrics scrape nests, for its codec tests",
+    "dsig-obs::MetricsSnapshot::from_bytes": "decodes that body in the same tests",
+    "dsig-obs::TraceLog::to_bytes": "encodes the DSTL body the trace drain nests, for its codec tests",
+    "dsig-obs::TraceLog::from_bytes": "decodes that body in the same tests",
+    "dsig-obs::EventLog::to_bytes": "encodes the DSEL body the event drain nests, for its codec tests",
+    "dsig-obs::EventLog::from_bytes": "decodes that body in the same tests",
+    # Observability checks.
+    "dsig-obs::MetricsSnapshot::diff": "the scrape delta that SnapshotDiff::monotonicity_violations reads; "
+    "obs_scrape checks per-family counter deltas with it",
     "dsig-obs::SnapshotDiff::monotonicity_violations": "obs_scrape checks that live counters never decrease "
     "between scrapes",
     "dsig-obs::TraceTree": "trace_propagation rebuilds a routed campaign's drained spans into trees",
+    "dsig-obs::TraceTree::build": "builds those trees",
+    "dsig-obs::TraceTree::spans": "trace_propagation checks which tiers each tree's spans came from",
+    "dsig-obs::TraceTree::render": "renders a tree with each span's self time "
+    "(render_indents_children_and_reports_self_time); trace_propagation prints every tree it rejects with it",
     "dsig-obs::TraceTree::root_count": "trace_propagation checks each trace has one root",
     "dsig-obs::TraceTree::orphan_count": "trace_propagation checks no span is disconnected",
-    "dsig-router::RouterHandle::backend_count": "router tests check the membership after join, leave and kill",
-    "dsig-router::RouterHandle::screen_one": "router tests screen through the fleet after kills and rebalances",
+    # Serving and routing: fixtures and probes of the kept tiers.
+    "dsig-serve::Server::handle": "serve tests score in process against a TCP server's store to check the "
+    "served answers bit for bit",
+    "dsig-serve::Server::metrics": "mux and obs tests read a TCP server's per-family request and error deltas",
     "dsig-serve::ServeHandle::screen_one": "serve tests check one-signature scoring against the batch path",
     "dsig-serve::Client::screen_one": "client tests check one-signature scoring over TCP against direct scoring",
+    "dsig-serve::Client::push_golden": "serve and router tests push goldens over TCP to check the admin path",
+    "dsig-serve::Client::metrics": "client and obs tests scrape metrics over TCP",
+    "dsig-serve::Client::traces": "client and mux tests drain spans over TCP",
+    "dsig-serve::Client::fleet_join": "router_loopback joins a backend over TCP and checks every verdict",
+    "dsig-serve::Client::fleet_leave": "client tests check that a bare server rejects every fleet-admin verb "
+    "(both_transports_drive_every_operation_against_a_bare_server)",
+    "dsig-serve::Client::fleet_drain": "router_loopback drains a backend over TCP under load",
+    "dsig-serve::Client::fleet_roster": "router_loopback reads the roster and its epoch over TCP",
     "dsig-serve::PipelinedClient::start_screen": "mux tests submit pipelined screens out of order",
     "dsig-serve::PipelinedClient::wait_screen": "mux tests check pipelined screens bit for bit",
     "dsig-serve::PipelinedClient::start_retest": "mux_pipelining submits pipelined retests",
     "dsig-serve::PipelinedClient::wait_retest": "mux_pipelining checks pipelined retests bit for bit",
+    "dsig-router::Router::shutdown": "shutdown_is_idempotent_and_handles_survive checks that handles keep "
+    "serving in process once the listener stops",
+    "dsig-router::RouterHandle::spawn": "router tests and suites build in-process fleets of local backends",
+    "dsig-router::RouterHandle::join": "membership tests add a backend and check warm-up and every verdict",
+    "dsig-router::RouterHandle::epoch": "router_loopback checks the membership epoch moves on each change",
+    "dsig-router::RouterHandle::backend_labels": "membership tests check which backends are members",
+    "dsig-router::RouterHandle::backend_count": "router tests check the membership after join, leave and kill",
+    "dsig-router::RouterHandle::screen_one": "router tests screen through the fleet after kills and rebalances",
+    # Lints.
+    "cut-filters::ToneGrid::is_empty": LEN_TWIN,
+    "dsig-core::StimulusBank::is_empty": LEN_TWIN,
+    "dsig-engine::GoldenCache::is_empty": LEN_TWIN,
+    "dsig-engine::SignatureLog::is_empty": LEN_TWIN,
+    "dsig-serve::GoldenStore::is_empty": LEN_TWIN,
+    "sim-signal::Lissajous::is_empty": LEN_TWIN,
+    "xy-monitor::BoundaryCurve::is_empty": LEN_TWIN,
 }
 
 
@@ -252,9 +344,144 @@ def scan(files, crate_names):
     return sorted(listed)
 
 
+# ---- the compiler pass (functions) ----
+
+
+def mark(text, crate):
+    """`(marked, functions)`: `text` with a probe marker before every non-test
+    `pub fn`, and `[(key, start, end, line)]` of those functions, `start` and
+    `end` bounding each in `marked` and `line` its line in `text` (a marker
+    adds no line)."""
+    kinds = code_mask(text)
+    code = code_only(text, kinds)
+    found = []
+    for kind, name, owner, start, end, line in definitions(code, kinds, impl_blocks(code, kinds)):
+        if kind == "fn":
+            key = "::".join(part for part in (crate, owner, name) if part)
+            found.append((key, start, end, line, f'#[deprecated(note = "{PROBE} {key}")] '))
+    inserted = [(start, len(marker)) for _, start, _, _, marker in found]
+
+    def moved(at):
+        return at + sum(size for start, size in inserted if start <= at)
+
+    pieces, at = [], 0
+    for _, start, _, _, marker in found:
+        pieces += [text[at:start], marker]
+        at = start
+    pieces.append(text[at:])
+    functions = [(key, moved(start), moved(end - 1) + 1, line) for key, start, end, line, _ in found]
+    return "".join(pieces), functions
+
+
+def charged(span, functions, files):
+    """The key of the innermost function among `functions` (`{path:
+    [(key, start, end, line)]}`) whose body holds `span`, a rustc JSON span
+    with its `path` resolved, following macro expansions out to their call
+    sites; `None` when none does."""
+    while span:
+        at = files.offset(span["path"], span["byte_start"])
+        inner = [(end - start, key) for key, start, end, _ in functions.get(span["path"], ()) if start <= at < end]
+        if inner:
+            return min(inner)[1]
+        expansion = span.get("expansion")
+        span = expansion and dict(expansion["span"], path=files.resolve(expansion["span"]["file_name"]))
+    return None
+
+
+class Sources:
+    """Source texts of the probe copy, by path relative to its root."""
+
+    def __init__(self, root, check_root):
+        self.root, self.check_root, self.texts = root, check_root, {}
+
+    def resolve(self, file_name):
+        return os.path.relpath(os.path.realpath(os.path.join(self.check_root, file_name)), self.root)
+
+    def text(self, path):
+        if path not in self.texts:
+            try:
+                with open(os.path.join(self.root, path), "rb") as source:
+                    data = source.read()
+            except OSError:
+                data = b""
+            text = data.decode("utf-8", errors="replace")
+            kinds = code_mask(text)
+            self.texts[path] = (data, use_ranges(code_only(text, kinds), kinds))
+        return self.texts[path]
+
+    def offset(self, path, byte_start):
+        return len(self.text(path)[0][:byte_start].decode("utf-8", errors="replace"))
+
+    def in_use_declaration(self, path, byte_start):
+        at = self.offset(path, byte_start)
+        return any(start <= at < end for start, end in self.text(path)[1])
+
+
+def probe(top, paths, crate_names, checks=CHECKS):
+    """`(functions, uses)` of the tree at `top`: `{key: (path, line)}` of
+    its probed functions, and `[(key, user)]` of their uses, where `user` is
+    the probed function whose body holds the use, or `None` for live code.
+    `paths` are the files to copy; `checks` are `cargo check` arguments, run
+    in order in the copy's root."""
+    root = os.path.realpath(tempfile.mkdtemp(prefix="surface-probe-"))
+    try:
+        functions = {}
+        for path in paths:
+            target = os.path.join(root, path)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            if scanned(path) and path.startswith(DEFINING_ROOTS):
+                with open(os.path.join(top, path), encoding="utf-8") as source:
+                    marked, functions[path] = mark(source.read(), crate_names(path))
+                with open(target, "w", encoding="utf-8") as copy:
+                    copy.write(marked)
+            else:
+                shutil.copyfile(os.path.join(top, path), target)
+        env = dict(os.environ, RUSTFLAGS="--cap-lints=warn", CARGO_TARGET_DIR=os.path.join(root, "target"))
+        uses = []
+        for check in checks:
+            manifest = check[check.index("--manifest-path") + 1] if "--manifest-path" in check else "Cargo.toml"
+            files = Sources(root, os.path.dirname(os.path.join(root, manifest)))
+            command = ["cargo", "check", "--offline", "--message-format=json", *check]
+            run = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+            if run.returncode:
+                raise RuntimeError(f"{' '.join(command)} failed:\n{run.stderr[-4000:]}")
+            for line in run.stdout.splitlines():
+                record = json.loads(line)
+                message = record.get("message") or {}
+                key = PROBE_KEY.search(message.get("message", ""))
+                if record.get("reason") != "compiler-message" or not key:
+                    continue
+                span = next(span for span in message["spans"] if span["is_primary"])
+                span = dict(span, path=files.resolve(span["file_name"]))
+                if not files.in_use_declaration(span["path"], span["byte_start"]):
+                    uses.append((key.group(1), charged(span, functions, files)))
+        listed = {key: (path, line) for path, found in functions.items() for key, _, _, line in found}
+        return listed, uses
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def unreached(functions, uses, roots=()):
+    """The keys of `functions` that no chain of `uses` reaches from live code
+    or from `roots`, sorted."""
+    callees, frontier = {}, list(roots)
+    for key, user in uses:
+        if user is None:
+            frontier.append(key)
+        elif user != key:
+            callees.setdefault(user, []).append(key)
+    live = set()
+    while frontier:
+        key = frontier.pop()
+        if key not in live:
+            live.add(key)
+            frontier += callees.get(key, ())
+    return sorted(set(functions) - live)
+
+
 def check(listed, keep):
-    """`(unlisted_keeps, unkept_items)`: KEEP entries the scan no longer
-    lists, and listed items KEEP does not name."""
+    """`(unlisted_keeps, unkept_items)`: KEEP entries the passes no longer
+    list, and listed items KEEP does not name."""
     names = {key for key, *_ in listed}
     return sorted(set(keep) - names), sorted(names - set(keep))
 
@@ -304,20 +531,29 @@ def main(argv):
     listed_paths = subprocess.run(
         ["git", "-C", top, "ls-files", "-z", "-co", "--exclude-standard"], capture_output=True, check=True, text=True
     ).stdout.split("\0")
+    paths = [path for path in listed_paths if path and os.path.isfile(os.path.join(top, path))]
     files = {}
-    for path in filter(scanned, listed_paths):
-        full = os.path.join(top, path)
-        if os.path.isfile(full):
-            with open(full, encoding="utf-8", errors="replace") as source:
-                files[path] = source.read()
-    listed = scan(files, package_names(top))
+    for path in filter(scanned, paths):
+        with open(os.path.join(top, path), encoding="utf-8", errors="replace") as source:
+            files[path] = source.read()
+    names = package_names(top)
+    others = [item for item in scan(files, names) if item[3] != "fn"]
+    functions, uses = probe(top, paths, names)
+    listed = sorted(others + [(key, *functions[key], "fn") for key in unreached(functions, uses)])
+    # A function that only KEEP's functions reach needs no entry of its own.
+    needed = {key for key, *_ in others} | set(unreached(functions, uses, KEEP))
+    marks = {key: "kept" if key in KEEP else "DEAD" if key in needed else "via" for key, *_ in listed}
     for key, path, line, kind in listed:
-        mark = "kept" if key in KEEP else "DEAD"
-        print(f"{mark:<5} {kind:<7} {key:<56} {path}:{line}")
-    print(f"{len(listed)} public items with no use outside tests; {sum(k in KEEP for k, *_ in listed)} kept")
+        print(f"{marks[key]:<5} {kind:<7} {key:<56} {path}:{line}")
+    tally = collections.Counter(marks.values())
+    print(
+        f"{len(listed)} public items with no use outside tests ({len(listed) - len(others)} functions by the "
+        f"compiler pass, {len(others)} other items by name); {tally['kept']} kept, "
+        f"{tally['via']} used only by kept functions"
+    )
     if not argv:
         return 0
-    stale, unkept = check(listed, KEEP)
+    stale, unkept = check([item for item in listed if marks[item[0]] != "via"], KEEP)
     for key in stale:
         print(f"KEEP entry no longer listed: {key}", file=sys.stderr)
     for key in unkept:

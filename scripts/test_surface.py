@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Self-tests of the public-surface scan on synthetic sources.
+"""Self-tests of the public-surface passes on synthetic sources: the by-name
+scan on source texts, and the compiler pass on a two-crate workspace that it
+checks with `cargo`.
 
     python3 scripts/test_surface.py
 """
 
 import os
+import shutil
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -178,6 +182,139 @@ class Scan(unittest.TestCase):
         blocks = surface.impl_blocks(code, kinds)
         self.assertEqual([name for name, *_ in blocks], ["Wrapper"])
         self.assertEqual(surface.definitions(code, kinds, blocks)[0][:3], ("fn", "inner", "Wrapper"))
+
+
+ALPHA = r"""pub use crate::inner::reexported_only;
+
+pub mod inner {
+    pub fn reexported_only() {}
+}
+
+pub fn cross_crate() -> usize {
+    1
+}
+
+pub fn tested_only() {}
+
+pub fn dead_caller() {
+    called_by_dead();
+}
+
+pub fn called_by_dead() {}
+
+pub struct Used(Vec<u8>);
+
+pub struct Unused(Vec<u8>);
+
+impl Used {
+    pub fn new() -> Used {
+        Used(vec![1])
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+impl Unused {
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls_tested_only() {
+        super::tested_only();
+    }
+}
+"""
+
+BETA = r"""fn main() {
+    println!("{}", alpha::cross_crate() + alpha::Used::new().len());
+}
+"""
+
+WORKSPACE = {
+    "Cargo.toml": '[workspace]\nresolver = "2"\nmembers = ["crates/alpha", "crates/beta"]\n',
+    "crates/alpha/Cargo.toml": '[package]\nname = "alpha"\nversion = "0.1.0"\nedition = "2021"\n',
+    "crates/alpha/src/lib.rs": ALPHA,
+    "crates/beta/Cargo.toml": '[package]\nname = "beta"\nversion = "0.1.0"\nedition = "2021"\n\n'
+    '[dependencies]\nalpha = { path = "../alpha" }\n',
+    "crates/beta/src/main.rs": BETA,
+}
+
+
+class Mark(unittest.TestCase):
+    def test_markers_precede_each_non_test_pub_fn_and_bodies_cover_them(self):
+        text = "pub fn a() {}\n#[cfg(test)]\nmod tests {\n    pub fn t() {}\n}\nimpl S {\n    pub fn b(&self) {}\n}\n"
+        marked, functions = surface.mark(text, "demo")
+        self.assertEqual([key for key, *_ in functions], ["demo::a", "demo::S::b"])
+        self.assertEqual(marked.count('#[deprecated(note = "surface-probe '), 2)
+        for key, start, end, line in functions:
+            self.assertTrue(marked[start:end].startswith("pub fn"), key)
+            self.assertTrue(marked[start:end].endswith("}"), key)
+        self.assertEqual([line for *_, line in functions], [1, 7])
+
+
+class Unreached(unittest.TestCase):
+    def test_only_chains_from_live_code_or_roots_keep_a_function(self):
+        functions = {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0}
+        uses = [("a", None), ("b", "a"), ("d", "c"), ("c", "c"), ("e", "e")]
+        self.assertEqual(surface.unreached(functions, uses), ["c", "d", "e"])
+        self.assertEqual(surface.unreached(functions, uses, roots=["c"]), ["e"])
+
+
+@unittest.skipUnless(shutil.which("cargo"), "the compiler pass needs cargo")
+class CompilerPass(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        top = tempfile.mkdtemp(prefix="surface-test-")
+        cls.addClassCleanup(shutil.rmtree, top, ignore_errors=True)
+        for path, text in WORKSPACE.items():
+            os.makedirs(os.path.join(top, os.path.dirname(path)), exist_ok=True)
+            with open(os.path.join(top, path), "w", encoding="utf-8") as out:
+                out.write(text)
+        checks = (("--workspace", "--lib", "--bins", "--examples"),)
+        cls.functions, cls.uses = surface.probe(top, list(WORKSPACE), surface.package_names(top), checks)
+        cls.listed = surface.unreached(cls.functions, cls.uses)
+
+    def test_every_non_test_pub_fn_is_probed(self):
+        self.assertEqual(
+            set(self.functions),
+            {
+                "alpha::reexported_only",
+                "alpha::cross_crate",
+                "alpha::tested_only",
+                "alpha::dead_caller",
+                "alpha::called_by_dead",
+                "alpha::Used::new",
+                "alpha::Used::len",
+                "alpha::Unused::len",
+            },
+        )
+
+    def test_a_cross_crate_use_keeps_a_function(self):
+        self.assertNotIn("alpha::cross_crate", self.listed)
+        self.assertNotIn("alpha::Used::new", self.listed)
+
+    def test_a_use_only_under_cfg_test_does_not(self):
+        self.assertIn("alpha::tested_only", self.listed)
+
+    def test_a_use_only_in_a_pub_use_does_not(self):
+        self.assertIn("alpha::reexported_only", self.listed)
+
+    def test_a_function_called_only_by_a_dead_one_is_dead(self):
+        self.assertIn("alpha::dead_caller", self.listed)
+        self.assertIn("alpha::called_by_dead", self.listed)
+        # A root keeps what it calls.
+        kept = surface.unreached(self.functions, self.uses, ["alpha::dead_caller"])
+        self.assertNotIn("alpha::called_by_dead", kept)
+
+    def test_a_dead_len_is_listed_beside_a_used_one(self):
+        self.assertNotIn("alpha::Used::len", self.listed)
+        self.assertIn("alpha::Unused::len", self.listed)
 
 
 class Check(unittest.TestCase):

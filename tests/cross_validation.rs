@@ -55,8 +55,7 @@ fn tow_thomas_transient_attenuates_tones_like_the_transfer_function() {
     let period = stimulus.period();
     let config = TransientConfig::new(3.0 * period, period / 2000.0).with_record_from(2.0 * period);
     let result = transient(&built.circuit, &config).expect("transient");
-    let (times, values) = result.sampled(built.lowpass);
-    let out = Waveform::from_samples(&times, &values).expect("waveform");
+    let out = Waveform::from_samples(result.times(), result.voltage(built.lowpass)).expect("waveform");
 
     for tone in stimulus.tones() {
         let f = stimulus.fundamental_hz() * tone.harmonic as f64;

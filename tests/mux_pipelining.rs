@@ -18,6 +18,7 @@ use analog_signature::engine::{
 };
 use analog_signature::filters::BiquadParams;
 use analog_signature::obs::trace::{self, TraceContext};
+use analog_signature::obs::{MetricsSnapshot, Registry};
 use analog_signature::router::{Backend, PipelinedRouterClient, Router, RouterClient, RouterConfig, RouterStore};
 use analog_signature::serve::{
     proto, GoldenStore, PipelinedClient, RetestItem, RetestRequest, ServeClient, ServeConfig, Server,
@@ -352,16 +353,7 @@ fn routed_pipelined_campaign_is_bit_identical_at_every_backend_count() {
             .map(|_| Server::bind("127.0.0.1:0", Arc::new(GoldenStore::new()), ServeConfig::default()).unwrap())
             .collect();
         let fleet = servers.iter().map(|s| Backend::tcp(s.local_addr())).collect();
-        let router = Router::bind(
-            "127.0.0.1:0",
-            fleet,
-            RouterStore::new(),
-            RouterConfig {
-                sub_batch: 97, // coprime with BATCH: split boundaries land everywhere
-                ..RouterConfig::default()
-            },
-        )
-        .unwrap();
+        let router = Router::bind("127.0.0.1:0", fleet, RouterStore::new(), RouterConfig::default()).unwrap();
         let key = router
             .handle()
             .characterize(&lot.setup, &lot.reference, lot.band)
@@ -452,7 +444,7 @@ fn old_version_frames_draw_current_bad_request_errors_and_the_connection_keeps_s
     assert_eq!(&response[..4], b"DSMR");
     assert_eq!(u16::from_le_bytes([response[4], response[5]]), proto::PROTO_VERSION);
     assert!(matches!(
-        proto::decode_reply::<analog_signature::obs::MetricsSnapshot>(&response).unwrap(),
+        proto::decode_reply::<MetricsSnapshot>(&response).unwrap(),
         proto::Reply::Error {
             code: proto::ErrorCode::BadRequest,
             ..
@@ -480,7 +472,9 @@ fn a_dsft_frame_from_an_old_peer_draws_an_explicit_error_and_the_connection_keep
     let _exclusive = exclusive();
     let lot = lot();
     let (store, key) = served_store();
-    let server = Server::bind("127.0.0.1:0", store, ServeConfig::default()).unwrap();
+    // The server meters into its own registry and the router into the
+    // process-wide one, so each tier's decode errors are read apart.
+    let server = Server::bind_in("127.0.0.1:0", store, ServeConfig::default(), Registry::new()).unwrap();
     let router = Router::bind(
         "127.0.0.1:0",
         vec![Backend::tcp(server.local_addr())],
@@ -509,7 +503,7 @@ fn a_dsft_frame_from_an_old_peer_draws_an_explicit_error_and_the_connection_keep
     }]));
     proto::stamp_request_id(&mut expected, 7);
 
-    let before = server.metrics();
+    let before = [server.metrics(), router.handle().metrics()];
     for (tier, addr) in [("server", server.local_addr()), ("router", router.local_addr())] {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -533,11 +527,13 @@ fn a_dsft_frame_from_an_old_peer_draws_an_explicit_error_and_the_connection_keep
         }
         assert_eq!(exchange(&screen), expected, "{tier}");
     }
-    // Only the server's own DSFT reached its decoder: the router answered
-    // its copy without forwarding it.
-    let after = server.metrics();
-    let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-    assert_eq!(delta("serve.errors.decode"), 1);
+    // Each tier counted the DSFT its own decoder refused: the router
+    // answered its copy without forwarding it.
+    let after = [server.metrics(), router.handle().metrics()];
+    for ((tier, before), after) in ["server", "router"].into_iter().zip(&before).zip(&after) {
+        let decode_errors = |snapshot: &MetricsSnapshot| snapshot.counter("serve.errors.decode").unwrap_or(0);
+        assert_eq!(decode_errors(after) - decode_errors(before), 1, "{tier}");
+    }
 }
 
 #[test]

@@ -57,15 +57,7 @@ fn live_fleet_scrapes_move_and_leave_the_campaign_report_bit_identical() {
     // The uninstrumented reference: a plain local run, no router, no scrapes.
     let local = runner.run(&campaign).unwrap();
 
-    let router = RouterHandle::spawn(
-        BACKENDS,
-        RouterStore::new(),
-        RouterConfig {
-            sub_batch: 37,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
+    let router = RouterHandle::spawn(BACKENDS, RouterStore::new(), RouterConfig::default()).unwrap();
     router.characterize(&setup, &reference, band).unwrap();
 
     let first = router.metrics();
@@ -136,8 +128,7 @@ fn one_fleet_scrape_carries_prefixes_and_rollups_and_health_flips_on_kills() {
     let router = RouterHandle::with_backends(fleet, RouterStore::new(), RouterConfig::default()).unwrap();
     let key = router.characterize(&setup, &reference, band).unwrap();
     let golden = router.golden(key).unwrap().golden.clone();
-    // A batch bigger than the sub-batch size spreads over the whole fleet,
-    // so every backend's scored counter moves.
+    // Screen a batch so the owner's scored counter moves.
     let batch: Vec<_> = std::iter::repeat_with(|| golden.clone()).take(8 * BACKENDS).collect();
     router.screen(key, &batch).unwrap();
 

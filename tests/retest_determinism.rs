@@ -156,15 +156,7 @@ fn serve_target_reproduces_the_local_retest_report_bit_for_bit() {
 fn router_target_reproduces_the_local_retest_report_at_every_backend_count() {
     let lot = lot();
     for backends in [1usize, 2, 4] {
-        let router = RouterHandle::spawn(
-            backends,
-            RouterStore::new(),
-            RouterConfig {
-                sub_batch: 97, // coprime with the runner chunk: split everywhere
-                ..RouterConfig::default()
-            },
-        )
-        .unwrap();
+        let router = RouterHandle::spawn(backends, RouterStore::new(), RouterConfig::default()).unwrap();
         let key = router
             .characterize(&lot.campaign.setup, &lot.campaign.reference, lot.campaign.band)
             .unwrap();

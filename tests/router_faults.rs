@@ -156,14 +156,12 @@ fn faulty_router(seed: u64, injected: &Arc<Injected>) -> (RouterHandle, u64, Arc
         .collect();
     let config = RouterConfig {
         replicas: 2,
-        sub_batch: 97,
         // A backoff that saturates at the second consecutive failure, so
         // replica healing triggers under the fault rate.
         health: HealthConfig {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
         },
-        ..RouterConfig::default()
     };
     let router = RouterHandle::with_backends(backends, RouterStore::new(), config).unwrap();
     let key = router.characterize(&lot.setup, &lot.reference, lot.band).unwrap();

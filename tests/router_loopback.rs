@@ -19,8 +19,7 @@ use analog_signature::router::{Backend, Router, RouterClient, RouterConfig, Rout
 use analog_signature::serve::{BackendState, GoldenStore, ServeConfig, ServeHandle, Server};
 
 const DEVICES: usize = 1000;
-/// Client-side batch size; deliberately coprime with the router's sub-batch
-/// so every split boundary is exercised.
+/// Client-side batch size: each batch is one routed request.
 const BATCH: usize = 64;
 
 struct Lot {
@@ -63,17 +62,9 @@ fn lot() -> &'static Lot {
     })
 }
 
-fn router_with(backends: usize, sub_batch: usize) -> (RouterHandle, u64) {
+fn router_with(backends: usize) -> (RouterHandle, u64) {
     let lot = lot();
-    let router = RouterHandle::spawn(
-        backends,
-        RouterStore::new(),
-        RouterConfig {
-            sub_batch,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
+    let router = RouterHandle::spawn(backends, RouterStore::new(), RouterConfig::default()).unwrap();
     let key = router.characterize(&lot.setup, &lot.reference, lot.band).unwrap();
     (router, key)
 }
@@ -106,7 +97,7 @@ fn routed_screening_is_bit_identical_at_every_backend_count() {
     // Sub-batch 97 is coprime with the client batch of 64, so chunk
     // boundaries land everywhere across the lot.
     for backends in [1usize, 2, 4] {
-        let (router, key) = router_with(backends, 97);
+        let (router, key) = router_with(backends);
         let mut scores = Vec::with_capacity(DEVICES);
         for batch in lot.signatures.chunks(BATCH) {
             scores.extend(router.screen(key, batch).unwrap());
@@ -118,7 +109,7 @@ fn routed_screening_is_bit_identical_at_every_backend_count() {
 #[test]
 fn routed_screening_survives_a_killed_backend_with_zero_wrong_verdicts() {
     let lot = lot();
-    let (router, key) = router_with(4, 97);
+    let (router, key) = router_with(4);
     let owner = router.rank_labels(key)[0].clone();
 
     // First half of the lot with the full fleet...
@@ -144,7 +135,7 @@ fn routed_screening_survives_a_killed_backend_with_zero_wrong_verdicts() {
 fn rolling_restart_mid_lot_keeps_every_verdict_at_all_fleet_sizes() {
     let lot = lot();
     for backends in [2usize, 4, 8] {
-        let (router, key) = router_with(backends, 97);
+        let (router, key) = router_with(backends);
         let what = format!("rolling-restart backends={backends}");
         let third = DEVICES / 3;
         let mut scores = Vec::with_capacity(DEVICES);
@@ -196,7 +187,7 @@ fn rolling_restart_mid_lot_keeps_every_verdict_at_all_fleet_sizes() {
 #[test]
 fn campaign_scores_through_the_router_target_bit_identically() {
     let lot = lot();
-    let (router, _key) = router_with(3, 256);
+    let (router, _key) = router_with(3);
     let campaign = Campaign::new(
         lot.setup.clone(),
         lot.reference,
@@ -238,16 +229,7 @@ fn a_drain_and_a_cold_tcp_join_under_concurrent_tcp_load_keep_every_verdict() {
             )
         })
         .collect();
-    let router = Router::bind(
-        "127.0.0.1:0",
-        fleet,
-        RouterStore::new(),
-        RouterConfig {
-            sub_batch: 97,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
+    let router = Router::bind("127.0.0.1:0", fleet, RouterStore::new(), RouterConfig::default()).unwrap();
     let key = router
         .handle()
         .characterize(&lot.setup, &lot.reference, lot.band)

@@ -57,15 +57,7 @@ fn routed_retest_campaign_yields_one_connected_span_tree_per_chunk() {
     );
 
     for backends in [1usize, 2] {
-        let router = RouterHandle::spawn(
-            backends,
-            RouterStore::new(),
-            RouterConfig {
-                sub_batch: 7, // force sub-batch splits inside each chunk
-                ..RouterConfig::default()
-            },
-        )
-        .unwrap();
+        let router = RouterHandle::spawn(backends, RouterStore::new(), RouterConfig::default()).unwrap();
         router.characterize(&setup, &reference, band).unwrap();
         tracer.drain(); // discard anything recorded before this run
 
