@@ -92,10 +92,6 @@ impl LinearZoning {
 }
 
 impl PointEncoder for LinearZoning {
-    fn bits(&self) -> usize {
-        self.boundaries.len()
-    }
-
     fn encode(&self, x: f64, y: f64) -> u32 {
         let mut code = 0u32;
         for (i, b) in self.boundaries.iter().enumerate() {
@@ -149,7 +145,7 @@ mod tests {
     #[test]
     fn linear_zoning_encodes_distinct_regions() {
         let z = LinearZoning::paper_comparable();
-        assert_eq!(z.bits(), 6);
+        assert_eq!(z.boundaries.len(), 6);
         let c_low = z.encode(0.1, 0.1);
         let c_high = z.encode(0.9, 0.9);
         let c_mid = z.encode(0.5, 0.5);

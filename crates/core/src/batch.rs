@@ -119,7 +119,17 @@
 //!   carries E through the front-end filter. The filter's update is a
 //!   convex combination of state and input, so the gap between two exact
 //!   filters never grows, and each computed filter adds only its own
-//!   rounding, about `u·max|y|/α` for smoothing factor α.
+//!   rounding, about `u·max|y|/α` for smoothing factor α. Devices go two
+//!   at a time: their responses pass the filter in one loop
+//!   ([`lowpass_lanes_in_place`]), whose lanes each run the reference's
+//!   recurrence, so each response is filtered bit for bit as alone. An odd
+//!   batch ends with one device.
+//! * **The no-bound rule.** The filter's bound needs the stream's peak
+//!   magnitude, taken as an eight-lane maximum, which is exact and
+//!   order-free. No bound holds, and the device goes exact, when some sample
+//!   is not finite or a sum of the `n` magnitudes could overflow: the rule
+//!   refuses unless `2·n·peak` is finite, above any rounded running sum of
+//!   `n` magnitudes at most `peak`.
 //! * **The decision.** Each bit is decided against its threshold band
 //!   widened by the carried bound E': above when `fl(y − hi) > E'`, below
 //!   when `fl(lo − y) > E'`. Rounding is monotone, so these hold only when
@@ -155,14 +165,17 @@
 //!   built only when every monitor qualifies, as the certified synthesis
 //!   needs a threshold table for every monitor.
 //! * **The table.** The x grid spans the noiseless observed x range plus
-//!   50 mV on each side, in up to 2,048 cells (at most 256 KiB of bands
-//!   per setup). The exact flip point at every grid point is found by the
-//!   same search as the per-sample thresholds, warm started from its
-//!   neighbours. A cell's band is the hull of the flip points at four grid
-//!   points, from one below the cell to one above it, widened by
-//!   `GUARD_ULPS`. The table is built on the first noisy capture of a
-//!   [`SharedStimulus`] (about 3 ms for Table I), so noiseless workloads
-//!   never pay for it.
+//!   50 mV on each side, in up to 2,048 cells. Each cell is a row that
+//!   holds every monitor's `lo` and `hi` in lanes, in blocks of eight,
+//!   padded with lanes that decide nothing. The cell count is counted over
+//!   the padded width: for Table I, 2,048 rows of 128 bytes, 256 KiB, plus
+//!   one sentinel row whose lanes all decide nothing. The exact flip point
+//!   at every grid point is found by the same search as the per-sample
+//!   thresholds, warm started from its neighbours. A cell's band is the
+//!   hull of the flip points at four grid points, from one below the cell
+//!   to one above it, widened by `GUARD_ULPS`. The table is built on the
+//!   first noisy capture of a [`SharedStimulus`] (about 3 ms for Table I),
+//!   so noiseless workloads never pay for it.
 //! * **Why every x in a cell has its flip point in the band.** Take a
 //!   finite x in cell `c`, which spans `[g_(c+1), g_(c+2)]`; the band
 //!   covers `g_c` to `g_(c+3)`. The grid points and the cell lookup round
@@ -193,12 +206,17 @@
 //!   within E + δ, and each addition rounds (`noise_gap_bound`);
 //!   [`lowpass_gap_bound`] then carries the gap through the front-end
 //!   filter to E'. x is the stimulus plus the approximate x noise through
-//!   the same filter, with its own bound Δx from its δ, the same way.
-//! * **The decision.** A bit is decided by the table when y lies more than
-//!   E' beyond the band of the cell of the computed x, by the rounding
-//!   argument of the per-sample thresholds. The exact x lies within Δx of
-//!   the computed x, and Δx is below half a step, so it lies within a step
-//!   of that cell, whose band holds its flip point by the argument above.
+//!   the same filter, with its own bound Δx from its δ, the same way. x and
+//!   y pass the filter in one loop, under the no-bound rule above.
+//! * **The decision.** One pass computes every sample's row: the cell of
+//!   the computed x, or the sentinel row for an x outside the grid or not
+//!   finite. Each sample then reads its row and decides every monitor's bit
+//!   and doubt at once, a block of lanes per step. A bit is decided when y
+//!   lies more than E' beyond its monitor's band in that row, by the
+//!   rounding argument of the per-sample thresholds. The exact x lies
+//!   within Δx of the computed x, and Δx is below half a step, so it lies
+//!   within a step of that cell, whose band holds its flip point by the
+//!   argument above.
 //!   A sample the table leaves in doubt (inside the widened band, or x
 //!   outside the grid) gets a box check (`threshold::box_check`): a
 //!   two-point check in y (the exact slot expression at both ends of
@@ -251,7 +269,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cut_filters::{BiquadParams, ToneGrid};
-use sim_signal::{lowpass_gap_bound, lowpass_in_place, Waveform};
+use sim_signal::{lowpass_gap_bound, lowpass_in_place, lowpass_lanes_in_place, Waveform};
 use xy_monitor::{CurrentComparator, MonitorInput, MosParams, MosPolarity, ZonePartition, THERMAL_VOLTAGE};
 
 mod slots;
@@ -440,48 +458,83 @@ fn noise_gap_bound(gap: f64, peak: f64) -> f64 {
     (gap + 2.0 * U * (peak + gap)) * (1.0 + 1.0 / (1u64 << 20) as f64)
 }
 
-/// Applies a setup's observation to a certified stream that lies within
-/// `gap` of the exact path's synthesized stream at every sample: the
-/// measurement noise of stream `stream_seed` (noisy setups only) through
+/// A certified stream's bound on its way through the observation: it lies
+/// within `gap` of the exact path's stream at every sample, and is at most
+/// `peak` in magnitude.
+#[derive(Debug, Clone, Copy)]
+struct Carried {
+    gap: f64,
+    peak: f64,
+}
+
+/// Applies a setup's measurement noise to a certified stream that lies
+/// within `gap` of the exact path's synthesized stream at every sample: the
+/// noise of stream `stream_seed` (noisy setups only) through
 /// [`NoiseModel::apply_approx_in_place`](sim_signal::NoiseModel::apply_approx_in_place)
-/// and the scratch `uniforms`, then the front-end filter. Returns the bound
-/// on the result's distance from the exact path's observed stream: the
-/// noise's δ added to `gap`, [`noise_gap_bound`], then
-/// [`lowpass_gap_bound`]. It is `+inf` or NaN when no bound holds,
-/// including for any non-finite sample.
+/// and the scratch `uniforms`. Returns the stream's bound ahead of the
+/// front-end filter ([`filter_certified`]): the noise's δ added to `gap`,
+/// then [`noise_gap_bound`], and the stream's [`bounded_peak`]; `None` when
+/// no bound holds, including for any non-finite sample.
 fn observe_certified(
     setup: &TestSetup,
     samples: &mut [f64],
     gap: f64,
     stream_seed: u64,
-    dt: f64,
     uniforms: &mut Vec<f64>,
-) -> f64 {
-    let noisy = !setup.noise.is_none();
-    let noise_gap = if noisy {
-        setup.noise.apply_approx_in_place(samples, stream_seed, uniforms)
-    } else {
-        0.0
-    };
-    // The sum of magnitudes is finite only when every sample is.
-    let (peak, total) = samples
-        .iter()
-        .fold((0.0f64, 0.0), |(peak, total), v| (peak.max(v.abs()), total + v.abs()));
-    if !total.is_finite() {
-        return f64::INFINITY;
-    }
-    let gap = if noisy {
-        noise_gap_bound(gap + noise_gap, peak)
-    } else {
-        gap
-    };
-    match setup.monitor_bandwidth_hz {
-        Some(bandwidth) => {
-            lowpass_in_place(samples, dt, bandwidth);
-            lowpass_gap_bound(gap, peak, dt, bandwidth)
+) -> Option<Carried> {
+    let noise_gap = (!setup.noise.is_none()).then(|| setup.noise.apply_approx_in_place(samples, stream_seed, uniforms));
+    let peak = bounded_peak(samples)?;
+    let gap = noise_gap.map_or(gap, |noise_gap| noise_gap_bound(gap + noise_gap, peak));
+    Some(Carried { gap, peak })
+}
+
+/// The largest magnitude among `samples`, or `None` when some sample is not
+/// finite or a sum of their magnitudes could overflow: the observation's
+/// no-bound rule.
+///
+/// The maximum runs in eight lanes. It is exact and does not depend on the
+/// order of its operands, so it has the bits of a serial fold. A NaN, once
+/// met, stays in its lane, and an infinity wins every lane it meets, so the
+/// result is finite only when every sample is. A rounded running sum of `n`
+/// magnitudes, each at most `peak`, stays at most `n·peak·(1 + u)^(n−1)`,
+/// below `2·n·peak`; the rule refuses unless that is finite.
+fn bounded_peak(samples: &[f64]) -> Option<f64> {
+    const LANES: usize = 8;
+    let wider = |peak: f64, v: f64| {
+        let magnitude = v.abs();
+        if magnitude > peak || magnitude.is_nan() {
+            magnitude
+        } else {
+            peak
         }
-        None => gap,
+    };
+    let mut lanes = [0.0f64; LANES];
+    let chunks = samples.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = wider(*lane, v);
+        }
     }
+    let peak = lanes.iter().chain(tail).fold(0.0, |peak, &v| wider(peak, v));
+    (2.0 * peak * samples.len() as f64).is_finite().then_some(peak)
+}
+
+/// Passes `N` certified streams through the setup's front-end filter in one
+/// loop ([`lowpass_lanes_in_place`]) and returns each one's bound on its
+/// distance from the exact path's observed stream: `carried` through
+/// [`lowpass_gap_bound`], or `+inf` where no bound holds.
+fn filter_certified<const N: usize>(
+    setup: &TestSetup,
+    streams: [&mut [f64]; N],
+    carried: [Option<Carried>; N],
+    dt: f64,
+) -> [f64; N] {
+    let Some(bandwidth) = setup.monitor_bandwidth_hz else {
+        return carried.map(|carried| carried.map_or(f64::INFINITY, |c| c.gap));
+    };
+    lowpass_lanes_in_place(streams, dt, bandwidth);
+    carried.map(|carried| carried.map_or(f64::INFINITY, |c| lowpass_gap_bound(c.gap, c.peak, dt, bandwidth)))
 }
 
 /// The per-setup artifacts shared by every device of a batched capture: the
@@ -661,12 +714,10 @@ impl SharedStimulus {
         self.exact_syntheses.load(Ordering::Relaxed)
     }
 
-    /// Synthesizes a device's observed y on the tone grid into `y` (the
-    /// certified synthesis, the approximate measurement noise of `seed` on a
-    /// noisy setup, then the front-end filter) and returns a bound on its
-    /// distance from the exact path's observed y at every sample:
-    /// [`BiquadParams::steady_state_response_on_grid`]'s bound carried
-    /// through the observation by [`observe_certified`].
+    /// Synthesizes a device's y on the tone grid into `y` and applies the
+    /// approximate measurement noise of `seed` on a noisy setup: the bound
+    /// of [`BiquadParams::steady_state_response_on_grid`] carried through
+    /// [`observe_certified`], ahead of the front-end filter.
     fn certified_response(
         &self,
         grid: &ToneGrid,
@@ -675,9 +726,9 @@ impl SharedStimulus {
         seed: u64,
         y: &mut Vec<f64>,
         uniforms: &mut Vec<f64>,
-    ) -> f64 {
+    ) -> Option<Carried> {
         let bound = cut.steady_state_response_on_grid(grid, y);
-        observe_certified(setup, y, bound, y_stream(seed), self.x_obs.dt(), uniforms)
+        observe_certified(setup, y, bound, y_stream(seed), uniforms)
     }
 
     /// The exact path's synthesized (unobserved) response of a device: the
@@ -758,14 +809,62 @@ impl SharedStimulus {
         }
     }
 
+    /// Captures `N` noiseless devices into `out`, with `N` scratch responses.
+    /// When every monitor has a threshold table, each y is the certified
+    /// synthesis ([`SharedStimulus::certified_response`]), the `N` responses
+    /// pass the front-end filter in one loop ([`filter_certified`]), and
+    /// [`SharedStimulus::encode_certified`] decides every bit. Otherwise, or
+    /// when no bound holds or a bit is in doubt, a device is captured exactly
+    /// and counts in [`SharedStimulus::exact_syntheses`].
+    fn capture_noiseless<const N: usize>(
+        &self,
+        setup: &TestSetup,
+        devices: [&BatchDevice; N],
+        mut ys: [&mut Vec<f64>; N],
+        scratch: &mut CaptureScratch,
+        out: &mut Vec<Signature>,
+    ) -> Result<()> {
+        let dt = self.x_obs.dt();
+        let bounds = match &self.tones {
+            Some(grid) => {
+                let carried = std::array::from_fn(|i| {
+                    let device = devices[i];
+                    self.certified_response(
+                        grid,
+                        setup,
+                        &device.cut,
+                        device.noise_seed,
+                        ys[i],
+                        &mut scratch.uniforms,
+                    )
+                });
+                filter_certified(setup, ys.each_mut().map(|y| y.as_mut_slice()), carried, dt)
+            }
+            None => [f64::INFINITY; N],
+        };
+        for ((device, y), bound) in devices.into_iter().zip(ys).zip(bounds) {
+            if !self.encode_certified(y, bound, scratch) {
+                self.exact_syntheses.fetch_add(1, Ordering::Relaxed);
+                self.exact_response(setup, &device.cut, y)?;
+                if let Some(bandwidth) = setup.monitor_bandwidth_hz {
+                    lowpass_in_place(y, dt, bandwidth);
+                }
+                self.encode_noiseless(y, scratch);
+            }
+            out.push(capture_codes(setup, &scratch.codes, dt)?);
+        }
+        Ok(())
+    }
+
     /// Captures one noisy device. When every monitor has a flip curve, x is
-    /// `x_raw` with the device's approximate x noise and the front-end
-    /// filter ([`observe_certified`]), y is the certified synthesis with its
-    /// approximate noise ([`SharedStimulus::certified_response`]), each with
-    /// its bound, and [`SharedStimulus::encode_noisy`] decides every bit.
-    /// Otherwise, or when that leaves a bit in doubt or no bound holds, the
-    /// device is captured exactly ([`SlotTable::capture_measurement`]) and
-    /// counts in [`SharedStimulus::exact_syntheses`].
+    /// `x_raw` with the device's approximate x noise ([`observe_certified`]),
+    /// y is the certified synthesis with its approximate noise
+    /// ([`SharedStimulus::certified_response`]), both pass the front-end
+    /// filter in one loop ([`filter_certified`]) with their bounds, and
+    /// [`SharedStimulus::encode_noisy`] decides every bit. Otherwise, or
+    /// when that leaves a bit in doubt or no bound holds, the device is
+    /// captured exactly ([`SlotTable::capture_measurement`]) and counts in
+    /// [`SharedStimulus::exact_syntheses`].
     fn capture_noisy(
         &self,
         setup: &TestSetup,
@@ -779,8 +878,9 @@ impl SharedStimulus {
             let CaptureScratch { x, uniforms, .. } = scratch;
             x.clear();
             x.extend_from_slice(self.x_raw.samples());
-            let x_gap = observe_certified(setup, x, 0.0, x_stream(device.noise_seed), dt, uniforms);
-            let y_gap = self.certified_response(grid, setup, &device.cut, device.noise_seed, y, uniforms);
+            let x_carried = observe_certified(setup, x, 0.0, x_stream(device.noise_seed), uniforms);
+            let y_carried = self.certified_response(grid, setup, &device.cut, device.noise_seed, y, uniforms);
+            let [x_gap, y_gap] = filter_certified(setup, [x, y], [x_carried, y_carried], dt);
             if self.encode_noisy(curves, y, y_gap, x_gap, scratch) {
                 return capture_codes(setup, &scratch.codes, dt);
             }
@@ -794,11 +894,13 @@ impl SharedStimulus {
     /// Zone-encodes a noisy observed pair into `scratch.codes`: x is
     /// `scratch.x`, within `x_gap` of the exact path's observed x, and y
     /// lies within `bound` of the exact path's observed y at every sample.
-    /// Each bit is decided by its monitor's band in x's cell widened by the
-    /// bound ([`FlipCurves::decide`]), and a bit left in doubt is settled by
-    /// [`box_check`]. Returns `false`, leaving the codes unusable, when
-    /// either bound is not finite, `x_gap` is not below half a grid step
-    /// ([`FlipCurves::box_reach`]), or a box check leaves a bit in doubt.
+    /// One pass writes every sample's row ([`FlipCurves::rows_of`]) into the
+    /// codes; then each sample's row decides all its monitors' bits at once,
+    /// each band widened by the bound ([`FlipCurves::decide`]), and a bit
+    /// left in doubt is settled by [`box_check`]. Returns `false`, leaving
+    /// the codes unusable, when either bound is not finite, `x_gap` is not
+    /// below half a grid step ([`FlipCurves::box_reach`]), or a box check
+    /// leaves a bit in doubt.
     fn encode_noisy(
         &self,
         curves: &FlipCurves,
@@ -815,10 +917,9 @@ impl SharedStimulus {
         }
         let span = curves.span();
         let CaptureScratch { x, codes, .. } = scratch;
-        codes.clear();
-        codes.resize(y.len(), 0);
+        curves.rows_of(x, codes);
         for ((code, &xk), &yk) in codes.iter_mut().zip(x.iter()).zip(y) {
-            let (bits, mut doubtful) = curves.decide(xk, yk, bound);
+            let (bits, mut doubtful) = curves.decide(*code, yk, bound);
             *code = bits;
             while doubtful != 0 {
                 let m = doubtful.trailing_zeros() as usize;
@@ -864,40 +965,29 @@ pub fn capture_signatures_batch(
             "shared stimulus does not match the setup; fetch it from a StimulusBank with this setup".into(),
         ));
     }
-    let dt = shared.x_obs.dt();
-    // x differs per device when the setup is noisy: its bits are decided
-    // against the flip-curve tables instead of the per-sample thresholds.
-    let noisy = (!setup.noise.is_none()).then(|| shared.flip_curves(&setup.partition));
-
     // Scratch buffers reused across every device of the batch.
-    let mut y: Vec<f64> = Vec::new();
+    let mut ys: [Vec<f64>; 2] = Default::default();
+    let [y, second_y] = &mut ys;
     let mut scratch = CaptureScratch::default();
     let mut out = Vec::with_capacity(devices.len());
-    for device in devices {
-        if let Some(curves) = noisy {
-            out.push(shared.capture_noisy(setup, curves, device, &mut y, &mut scratch)?);
-            continue;
+    // x differs per device when the setup is noisy: its bits are decided
+    // against the flip-curve tables instead of the per-sample thresholds.
+    if !setup.noise.is_none() {
+        let curves = shared.flip_curves(&setup.partition);
+        for device in devices {
+            out.push(shared.capture_noisy(setup, curves, device, y, &mut scratch)?);
         }
-        let certified = shared.tones.as_ref().is_some_and(|grid| {
-            let bound = shared.certified_response(
-                grid,
-                setup,
-                &device.cut,
-                device.noise_seed,
-                &mut y,
-                &mut scratch.uniforms,
-            );
-            shared.encode_certified(&y, bound, &mut scratch)
-        });
-        if !certified {
-            shared.exact_syntheses.fetch_add(1, Ordering::Relaxed);
-            shared.exact_response(setup, &device.cut, &mut y)?;
-            if let Some(bandwidth) = setup.monitor_bandwidth_hz {
-                lowpass_in_place(&mut y, dt, bandwidth);
-            }
-            shared.encode_noiseless(&y, &mut scratch);
-        }
-        out.push(capture_codes(setup, &scratch.codes, dt)?);
+        return Ok(out);
+    }
+    // Noiseless devices go two at a time, their responses filtered in one
+    // loop; an odd batch ends with one.
+    let pairs = devices.chunks_exact(2);
+    let last = pairs.remainder();
+    for pair in pairs {
+        shared.capture_noiseless(setup, [&pair[0], &pair[1]], [y, second_y], &mut scratch, &mut out)?;
+    }
+    if let [device] = last {
+        shared.capture_noiseless(setup, [device], [y], &mut scratch, &mut out)?;
     }
     Ok(out)
 }
@@ -1200,6 +1290,30 @@ mod tests {
         scratch.codes
     }
 
+    /// [`observe_certified`] then the front-end filter, for one stream: the
+    /// observed stream's bound, `+inf` when none holds.
+    fn observe_and_filter(setup: &TestSetup, samples: &mut [f64], gap: f64, stream: u64, dt: f64) -> f64 {
+        let carried = observe_certified(setup, samples, gap, stream, &mut Vec::new());
+        let [bound] = filter_certified(setup, [samples], [carried], dt);
+        bound
+    }
+
+    /// A device's certified observed y, as noiseless and noisy capture
+    /// observe it, and its bound.
+    fn certified_y(shared: &SharedStimulus, setup: &TestSetup, cut: &BiquadParams, seed: u64, y: &mut Vec<f64>) -> f64 {
+        let grid = shared.tones.as_ref().expect("every monitor has a threshold table");
+        let carried = shared.certified_response(grid, setup, cut, seed, y, &mut Vec::new());
+        let [bound] = filter_certified(setup, [y], [carried], shared.x_obs.dt());
+        bound
+    }
+
+    /// [`FlipCurves::decide`] at one point: the row of `x`, then its bits.
+    fn decide_at(curves: &FlipCurves, x: f64, y: f64, bound: f64) -> (u32, u32) {
+        let mut rows = Vec::new();
+        curves.rows_of(&[x], &mut rows);
+        curves.decide(rows[0], y, bound)
+    }
+
     /// Probes every tabulated flip point of `setup` at ±1 to ±(guard + 8)
     /// ulps through noiseless encoding, checking each bit against the exact
     /// slot expression and the per-device comparator, and that the band the
@@ -1444,6 +1558,17 @@ mod tests {
         setup
     }
 
+    /// Table I's monitors followed by [`monotone_custom_setup`]'s: twelve
+    /// monitors with flip curves, whose rows take two blocks of lanes.
+    fn twelve_monitor_setup() -> TestSetup {
+        use xy_monitor::ZonePartition;
+        let mut setup = table1_setup(2e6, true).with_noise(NoiseModel::paper_default());
+        let mut monitors = setup.partition.monitors().to_vec();
+        monitors.extend_from_slice(monotone_custom_setup().partition.monitors());
+        setup.partition = ZonePartition::new(monitors).unwrap();
+        setup
+    }
+
     #[test]
     fn noisy_custom_partitions_match_per_repeat_capture_on_both_exact_paths() {
         let setup = noisy_custom_setup();
@@ -1544,11 +1669,9 @@ mod tests {
         for (rate, bandwidth) in [(2e6, true), (5e6, false)] {
             let setup = table1_setup(rate, bandwidth);
             let shared = SharedStimulus::new(&setup).unwrap();
-            let grid = shared.tones.as_ref().expect("Table I is fully tabulated");
             let mut y = Vec::new();
             let mut scratch = CaptureScratch::default();
-            let cut = BiquadParams::paper_default();
-            let bound = shared.certified_response(grid, &setup, &cut, 0, &mut y, &mut scratch.uniforms);
+            let bound = certified_y(&shared, &setup, &BiquadParams::paper_default(), 0, &mut y);
             assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
             assert!(
                 shared.encode_certified(&y, bound, &mut scratch),
@@ -1592,12 +1715,10 @@ mod tests {
             for noise in [NoiseModel::none(), NoiseModel::paper_default()] {
                 let setup = table1_setup(rate, bandwidth).with_noise(noise);
                 let shared = SharedStimulus::new(&setup).unwrap();
-                let grid = shared.tones.as_ref().unwrap();
-                let (mut certified, mut exact, mut uniforms) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut certified, mut exact) = (Vec::new(), Vec::new());
                 for device in lot(9) {
                     let seed = device.noise_seed;
-                    let bound =
-                        shared.certified_response(grid, &setup, &device.cut, seed, &mut certified, &mut uniforms);
+                    let bound = certified_y(&shared, &setup, &device.cut, seed, &mut certified);
                     shared.exact_response(&setup, &device.cut, &mut exact).unwrap();
                     observe_in_place(&setup, &mut exact, y_stream(seed), shared.x_obs.dt());
                     assert_eq!(exact, setup.observe(&device.cut, seed).1.samples());
@@ -1757,6 +1878,7 @@ mod tests {
             (noisy_table1(2e6, true), "Table I, 2 MS/s, filter"),
             (noisy_table1(5e6, false), "Table I, 5 MS/s"),
             (monotone_custom_setup(), "custom"),
+            (twelve_monitor_setup(), "Table I and custom, two blocks of lanes"),
         ] {
             let shared = SharedStimulus::new(&setup).unwrap();
             let devices = lot(6);
@@ -1811,7 +1933,9 @@ mod tests {
                         probed += 1;
                     }
                     let center = (points[cell + 1] + points[cell + 2]) / 2.0;
-                    assert_eq!(curves.grid().cell(center), Some(cell));
+                    let mut rows = Vec::new();
+                    curves.rows_of(&[center], &mut rows);
+                    assert_eq!(rows, [cell as u32]);
                 }
             }
             assert!(probed > 5_000, "only {probed} probes");
@@ -1823,9 +1947,7 @@ mod tests {
         let setup = table1_setup(2e6, true).with_noise(NoiseModel::paper_default());
         let shared = SharedStimulus::new(&setup).unwrap();
         let curves = shared.flip_curves(&setup.partition).unwrap();
-        let grid = shared.tones.as_ref().unwrap();
-        let (mut y, mut uniforms) = (Vec::new(), Vec::new());
-        let bound = shared.certified_response(grid, &setup, &BiquadParams::paper_default(), 5, &mut y, &mut uniforms);
+        let bound = certified_y(&shared, &setup, &BiquadParams::paper_default(), 5, &mut Vec::new());
         assert!(bound > 0.0 && bound < 1e-14, "bound {bound:e}");
         let points = curves.grid().points();
         let cells = points.len() - 3;
@@ -1842,8 +1964,9 @@ mod tests {
                     probed += 1;
                     for scale in [0.5, 0.99, 1.01, 2.0] {
                         let yk = probe(end, outward, scale * bound, scale > 1.0);
-                        let (bits, doubtful) = curves.decide(x, yk, bound);
+                        let (bits, doubtful) = decide_at(curves, x, yk, bound);
                         let at = format!("monitor {m} cell {cell} edge {end} scale {scale}");
+                        assert_eq!(bits >> 6, 0, "{at}: a padded lane decided a bit");
                         if scale < 1.0 {
                             assert_eq!(doubtful >> m & 1, 1, "{at}: decided inside the widened band");
                         } else {
@@ -1856,10 +1979,13 @@ mod tests {
                     }
                 }
             }
-            // Outside the grid, or at a non-finite x, every bit is doubtful.
+            // Outside the grid, or at a non-finite x, every bit is doubtful:
+            // the sentinel row decides nothing.
             let (lowest, highest) = curves.grid().span();
             for x in [lowest - 1.0, highest + 1.0, f64::NAN, f64::INFINITY] {
-                assert_eq!(curves.decide(x, 0.5, bound), (0, 0b11_1111), "x {x}");
+                for y in [-1e300, 0.5, 1e300] {
+                    assert_eq!(decide_at(curves, x, y, bound), (0, 0b11_1111), "x {x} y {y}");
+                }
             }
         }
         assert!(probed > 6 * (cells / 7), "only {probed} finite band edges");
@@ -1891,7 +2017,7 @@ mod tests {
                     .zip(&exact)
                     .map(|(a, b)| (a - b).abs())
                     .fold(0.0, f64::max);
-                let bound = observe_certified(&setup, &mut certified, gap, y_stream(9), dt, &mut Vec::new());
+                let bound = observe_and_filter(&setup, &mut certified, gap, y_stream(9), dt);
                 let mut reference = exact.clone();
                 observe_in_place(&setup, &mut reference, y_stream(9), dt);
                 let carried = certified
@@ -1912,7 +2038,6 @@ mod tests {
         // path's synthesis, so what the bound must cover is the approximate
         // noise alone, then the filter, on x and on y.
         let rate = 2e6;
-        let mut uniforms = Vec::new();
         for sigma in [5e-3, 0.2, 1.0] {
             for bandwidth in [true, false] {
                 let setup = table1_setup(rate, bandwidth).with_noise(NoiseModel::new(sigma));
@@ -1925,7 +2050,7 @@ mod tests {
                 for seed in 0..64 {
                     for (raw, stream) in [(shared.x_raw.samples(), x_stream(seed)), (&y[..], y_stream(seed))] {
                         let mut certified = raw.to_vec();
-                        let bound = observe_certified(&setup, &mut certified, 0.0, stream, dt, &mut uniforms);
+                        let bound = observe_and_filter(&setup, &mut certified, 0.0, stream, dt);
                         let mut reference = raw.to_vec();
                         observe_in_place(&setup, &mut reference, stream, dt);
                         for (k, (a, b)) in certified.iter().zip(&reference).enumerate() {
@@ -1936,6 +2061,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn observations_whose_magnitudes_could_overflow_a_sum_have_no_bound() {
+        // σ = 0 with a mean of 1e306 V: every observed sample is finite, but
+        // the sum of 400 magnitudes overflows. A NaN or infinite mean makes
+        // every sample non-finite.
+        for mean in [1e306, f64::NAN, f64::INFINITY] {
+            let setup = table1_setup(2e6, true).with_noise(NoiseModel { sigma: 0.0, mean });
+            let shared = SharedStimulus::new(&setup).unwrap();
+            for (raw, stream) in [
+                (shared.x_raw.samples(), x_stream(3)),
+                (shared.x_obs.samples(), y_stream(3)),
+            ] {
+                let mut samples = raw.to_vec();
+                let carried = observe_certified(&setup, &mut samples, 0.0, stream, &mut Vec::new());
+                assert!(carried.is_none(), "mean {mean:e}: {carried:?}");
+                assert_eq!(samples.iter().all(|v| v.is_finite()), mean.is_finite(), "mean {mean:e}");
+            }
+            let devices = lot(5);
+            let batched = capture_signatures_batch(&setup, &shared, &devices).unwrap();
+            assert_eq!(shared.exact_syntheses(), 5, "mean {mean:e}: every device is recaptured");
+            for (device, batched_sig) in devices.iter().zip(&batched) {
+                let seed = device.noise_seed;
+                assert_eq!(
+                    *batched_sig,
+                    setup.signature_of(&device.cut, seed).unwrap(),
+                    "mean {mean:e}"
+                );
+            }
+        }
+        // One NaN or infinite sample leaves no bound on either path.
+        for setup in [
+            table1_setup(2e6, true),
+            table1_setup(2e6, true).with_noise(NoiseModel::paper_default()),
+        ] {
+            let raw = SharedStimulus::new(&setup).unwrap().x_raw.samples().to_vec();
+            for at in [0, 7, 200, raw.len() - 1] {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut samples = raw.clone();
+                    samples[at] = bad;
+                    assert!(observe_certified(&setup, &mut samples, 0.0, 9, &mut Vec::new()).is_none());
+                }
+            }
+        }
+        // Finite samples whose sum cannot overflow give the exact largest
+        // magnitude, and one NaN or infinity gives none, from a lane or from
+        // the tail past the last eight.
+        for len in [1, 7, 8, 9, 400, 403] {
+            for at in [0, len / 2, len - 1] {
+                let mut samples: Vec<f64> = (0..len).map(|k| (k % 13) as f64 * -1e-3).collect();
+                samples[at] = -0.75;
+                assert_eq!(bounded_peak(&samples), Some(0.75), "length {len} at {at}");
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    samples[at] = bad;
+                    assert_eq!(bounded_peak(&samples), None, "length {len} at {at}: {bad}");
+                }
+            }
+        }
+        assert_eq!(bounded_peak(&[]), Some(0.0));
+        assert_eq!(bounded_peak(&[1e306; 8]), Some(1e306));
+        assert_eq!(bounded_peak(&[f64::MAX / 1e3; 1000]), None);
     }
 
     #[test]

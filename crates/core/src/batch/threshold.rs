@@ -124,15 +124,19 @@ impl YThresholds {
     }
 }
 
-/// Cells of a flip-curve table per monitor, when [`FLIP_TABLE_BYTES`]
-/// allows: at 2 MS/s with the paper's noise, 2,048 cells leave 2.5 of a
-/// Table I device's 2,400 (sample, monitor) pairs in doubt, averaged over
-/// 256 devices.
+/// Cells of a flip-curve table, when [`FLIP_TABLE_BYTES`] allows: at 2 MS/s
+/// with the paper's noise, 2,048 cells leave 2.5 of a Table I device's 2,400
+/// (sample, monitor) pairs in doubt, averaged over 256 devices.
 const FLIP_CELLS: usize = 2048;
 
-/// The most bytes the flip-curve bands of one setup take: 2,048 cells for
-/// up to eight monitors, fewer cells beyond that.
+/// The most bytes the cell rows of one setup's flip-curve table take:
+/// 2,048 cells for up to eight monitors (one block of [`LANES`] lanes),
+/// fewer cells beyond that. The sentinel row comes on top.
 const FLIP_TABLE_BYTES: usize = 256 * 1024;
+
+/// Monitors per block of a flip-curve row: a row holds every monitor's band
+/// in blocks of this many lanes, the last block padded.
+const LANES: usize = 8;
 
 /// How far the x grid of the flip-curve tables reaches past the noiseless
 /// observed stimulus on each side, volts: more than three times the paper's
@@ -153,10 +157,12 @@ pub(super) struct XGrid {
 
 impl XGrid {
     /// The grid over `[lowest, highest]` widened by [`X_GRID_MARGIN_V`] on
-    /// each side, with as many cells as the bands of `monitors` monitors
-    /// may take, or `None` when the range is not finite.
+    /// each side, with as many cells as the rows of `monitors` monitors, in
+    /// lanes padded to a multiple of [`LANES`], may take, or `None` when the
+    /// range is not finite.
     pub(super) fn covering(lowest: f64, highest: f64, monitors: usize) -> Option<Self> {
-        let cells = (FLIP_TABLE_BYTES / (16 * monitors.max(1))).min(FLIP_CELLS);
+        let lanes = monitors.max(1).div_ceil(LANES) * LANES;
+        let cells = (FLIP_TABLE_BYTES / (16 * lanes)).min(FLIP_CELLS);
         let start = lowest - X_GRID_MARGIN_V;
         let step = (highest + X_GRID_MARGIN_V - start) / cells as f64;
         (start.is_finite() && step.is_finite() && step > 0.0).then(|| XGrid {
@@ -187,13 +193,37 @@ impl XGrid {
     pub(super) fn step(&self) -> f64 {
         self.step
     }
+}
 
-    /// The cell of `x`, or `None` for an x outside the grid or not finite.
-    #[inline]
-    pub(super) fn cell(&self, x: f64) -> Option<usize> {
-        let t = (x - self.start) * self.per_step;
-        // A u32 conversion is a single instruction; `cells` fits one.
-        (t >= 0.0 && t < self.cells as f64).then_some(t as u32 as usize)
+/// One block of a flip-curve row: the `[lo, hi]` bands of up to [`LANES`]
+/// monitors, a lane each.
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
+    lo: [f64; LANES],
+    hi: [f64; LANES],
+}
+
+impl Lanes {
+    /// Lanes that decide nothing: `[−∞, +∞]` holds every y, and no compare
+    /// of [`YThresholds::beyond`] holds against an infinite end. The padded
+    /// lanes of a row and every lane of the sentinel row read so.
+    const UNDECIDED: Lanes = Lanes {
+        lo: [f64::NEG_INFINITY; LANES],
+        hi: [f64::INFINITY; LANES],
+    };
+
+    /// [`YThresholds::beyond`] of `y` against every lane, as two words: bit
+    /// `j` of the first is set when y lies more than `bound` above lane `j`'s
+    /// band, bit `j` of the second when it lies more than `bound` below.
+    #[inline(always)]
+    fn beyond(&self, y: f64, bound: f64) -> (u32, u32) {
+        let (mut above, mut under) = (0u32, 0u32);
+        for (j, (&lo, &hi)) in self.lo.iter().zip(&self.hi).enumerate() {
+            let (over, below) = YThresholds::beyond([lo, hi], y, bound);
+            above |= u32::from(over) << j;
+            under |= u32::from(below) << j;
+        }
+        (above, under)
     }
 }
 
@@ -212,10 +242,14 @@ pub(super) struct FlipCurves {
     /// Bit `m` is monitor `m`'s bit for y below its bands; above them it
     /// reads the opposite.
     below: u32,
-    monitors: usize,
-    /// Cell-major: every monitor's `[lo, hi]` in cell 0, then cell 1, and
-    /// so on.
-    bands: Vec<[f64; 2]>,
+    /// Blocks of [`LANES`] lanes per row.
+    blocks: usize,
+    /// One row per cell, then the sentinel row, which stands for an x
+    /// outside the grid or not finite: row `r` is blocks
+    /// `r·blocks .. (r + 1)·blocks`, and monitor `m` is lane `m % LANES` of
+    /// block `m / LANES`. Padded lanes and the sentinel row are
+    /// [`Lanes::UNDECIDED`].
+    rows: Vec<Lanes>,
 }
 
 impl FlipCurves {
@@ -225,18 +259,20 @@ impl FlipCurves {
     /// below the cell to one above it. `reversal` is the widest `exp`
     /// reversal span of the X gates on the grid.
     pub(super) fn new(grid: XGrid, points: Vec<YThresholds>, reversal: f64) -> Self {
-        let monitors = points.len();
-        let mut bands = vec![[0.0; 2]; grid.cells * monitors];
+        let blocks = points.len().max(1).div_ceil(LANES);
+        let mut rows = vec![Lanes::UNDECIDED; (grid.cells + 1) * blocks];
         let (mut monitor_mask, mut below) = (0, 0);
         for (m, points) in points.into_iter().enumerate() {
             monitor_mask |= 1 << m;
             below |= u32::from(points.below) << m;
             for (cell, window) in points.bands.windows(4).enumerate() {
-                bands[cell * monitors + m] = window
+                let [lo, hi] = window
                     .iter()
                     .fold([f64::INFINITY, f64::NEG_INFINITY], |[lo, hi], &[l, h]| {
                         [lo.min(l), hi.max(h)]
                     });
+                let lanes = &mut rows[cell * blocks + m / LANES];
+                (lanes.lo[m % LANES], lanes.hi[m % LANES]) = (lo, hi);
             }
         }
         FlipCurves {
@@ -244,8 +280,8 @@ impl FlipCurves {
             reversal,
             monitor_mask,
             below,
-            monitors,
-            bands,
+            blocks,
+            rows,
         }
     }
 
@@ -278,30 +314,47 @@ impl FlipCurves {
         self.below >> m & 1 == 1
     }
 
-    /// Monitor `m`'s band in `cell`.
+    /// Monitor `m`'s band in row `row` (a cell, or the sentinel row).
     #[cfg(test)]
-    pub(super) fn band(&self, cell: usize, m: usize) -> [f64; 2] {
-        self.bands[cell * self.monitors + m]
+    pub(super) fn band(&self, row: usize, m: usize) -> [f64; 2] {
+        let lanes = &self.rows[row * self.blocks + m / LANES];
+        [lanes.lo[m % LANES], lanes.hi[m % LANES]]
     }
 
-    /// The bits of every monitor at one sample whose exact x is `x` and
-    /// whose y is within `bound` of the exact path's: bit `m` is decided
-    /// when y lies more than `bound` beyond monitor `m`'s band in x's cell
-    /// ([`YThresholds::beyond`]). Returns the decided bits and the mask of
-    /// monitors left in doubt: all of them for an x outside the grid or not
-    /// finite, and any whose widened band holds y or whose compare a NaN y
-    /// or bound defeats.
+    /// The row of every x in `x`, into `rows`: its cell, or the sentinel row
+    /// for an x outside the grid or not finite. One branch-free pass over
+    /// the samples, ahead of [`FlipCurves::decide`], so that the decision
+    /// loop reads its rows without a lookup.
+    pub(super) fn rows_of(&self, x: &[f64], rows: &mut Vec<u32>) {
+        let XGrid {
+            start, per_step, cells, ..
+        } = self.grid;
+        // `cells` fits a u32, and so does every cell below it.
+        let (limit, sentinel) = (cells as f64, cells as u32);
+        rows.clear();
+        rows.resize(x.len(), sentinel);
+        for (row, &x) in rows.iter_mut().zip(x) {
+            let t = (x - start) * per_step;
+            *row = if t >= 0.0 && t < limit { t as u32 } else { sentinel };
+        }
+    }
+
+    /// The bits of every monitor at one sample whose exact x lies in row
+    /// `row` ([`FlipCurves::rows_of`]) and whose y is within `bound` of the
+    /// exact path's: bit `m` is decided when y lies more than `bound` beyond
+    /// monitor `m`'s band in that row ([`YThresholds::beyond`]), every
+    /// monitor at once, a block of [`LANES`] lanes per step. Returns the
+    /// decided bits and the mask of monitors left in doubt: all of them in
+    /// the sentinel row, and any whose widened band holds y or whose compare
+    /// a NaN y or bound defeats.
     #[inline]
-    pub(super) fn decide(&self, x: f64, y: f64, bound: f64) -> (u32, u32) {
-        let Some(cell) = self.grid.cell(x) else {
-            return (0, self.monitor_mask);
-        };
-        let row = &self.bands[cell * self.monitors..][..self.monitors];
+    pub(super) fn decide(&self, row: u32, y: f64, bound: f64) -> (u32, u32) {
+        let lanes = &self.rows[row as usize * self.blocks..][..self.blocks];
         let (mut above, mut under) = (0u32, 0u32);
-        for (m, &band) in row.iter().enumerate() {
-            let (over, below) = YThresholds::beyond(band, y, bound);
-            above |= u32::from(over) << m;
-            under |= u32::from(below) << m;
+        for (block, lanes) in lanes.iter().enumerate() {
+            let (over, below) = lanes.beyond(y, bound);
+            above |= over << (block * LANES);
+            under |= below << (block * LANES);
         }
         let decided = above | under;
         ((above ^ self.below) & decided, self.monitor_mask & !decided)

@@ -20,17 +20,11 @@ use crate::signature::{Signature, SignatureEntry, ZoneCode};
 /// ([`ZonePartition`]); the prior-work baseline uses straight lines
 /// ([`crate::baseline::LinearZoning`]).
 pub trait PointEncoder {
-    /// Number of bits (monitors) in the zone code.
-    fn bits(&self) -> usize;
     /// The zone code of an observation point.
     fn encode(&self, x: f64, y: f64) -> u32;
 }
 
 impl PointEncoder for ZonePartition {
-    fn bits(&self) -> usize {
-        ZonePartition::bits(self)
-    }
-
     fn encode(&self, x: f64, y: f64) -> u32 {
         self.zone_code(x, y)
     }
@@ -203,9 +197,6 @@ mod tests {
     struct Quadrants;
 
     impl PointEncoder for Quadrants {
-        fn bits(&self) -> usize {
-            2
-        }
         fn encode(&self, x: f64, y: f64) -> u32 {
             (u32::from(x > 0.5)) | (u32::from(y > 0.5) << 1)
         }
@@ -302,7 +293,6 @@ mod tests {
     fn zone_partition_implements_point_encoder() {
         let partition = ZonePartition::paper_default().unwrap();
         let encoder: &dyn PointEncoder = &partition;
-        assert_eq!(encoder.bits(), 6);
         assert_eq!(encoder.encode(0.3, 0.4), partition.zone_code(0.3, 0.4));
     }
 

@@ -42,4 +42,4 @@ pub use lissajous::Lissajous;
 pub use metrics::normalized_rms_error;
 pub use multitone::{MultitoneSpec, ToneSpec};
 pub use noise::{standard_normal, NoiseModel};
-pub use waveform::{lowpass_gap_bound, lowpass_in_place, SignalError, Waveform};
+pub use waveform::{lowpass_gap_bound, lowpass_in_place, lowpass_lanes_in_place, SignalError, Waveform};

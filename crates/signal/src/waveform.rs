@@ -258,15 +258,37 @@ impl Waveform {
 /// # Panics
 /// Panics if `cutoff_hz` is not strictly positive.
 pub fn lowpass_in_place(samples: &mut [f64], dt: f64, cutoff_hz: f64) {
+    lowpass_lanes_in_place([samples], dt, cutoff_hz);
+}
+
+/// [`lowpass_in_place`] over `N` independent streams in one loop, one lane
+/// per stream: each lane runs the same recurrence on its own state, so each
+/// stream comes out bit-identical to filtering it alone. Each update waits
+/// on the previous one (a subtract, a multiply and an add), so one stream's
+/// loop is bound by that latency; the lanes' chains are independent and
+/// overlap, and two streams cost little more than one.
+///
+/// # Panics
+/// Panics if `cutoff_hz` is not strictly positive, or if the streams are
+/// not all of one length.
+pub fn lowpass_lanes_in_place<const N: usize>(mut streams: [&mut [f64]; N], dt: f64, cutoff_hz: f64) {
     assert!(cutoff_hz > 0.0, "cutoff frequency must be positive");
-    let Some(&first) = samples.first() else {
+    let len = streams.first().map_or(0, |stream| stream.len());
+    assert!(
+        streams.iter().all(|stream| stream.len() == len),
+        "lowpass lanes must be streams of one length"
+    );
+    if len == 0 {
         return;
-    };
+    }
     let alpha = lowpass_alpha(dt, cutoff_hz);
-    let mut state = first;
-    for x in samples.iter_mut() {
-        state += alpha * (*x - state);
-        *x = state;
+    let mut state = streams.each_ref().map(|stream| stream[0]);
+    for k in 0..len {
+        for (state, stream) in state.iter_mut().zip(streams.iter_mut()) {
+            let x = &mut stream[k];
+            *state += alpha * (*x - *state);
+            *x = *state;
+        }
     }
 }
 
@@ -460,6 +482,51 @@ mod tests {
         assert_eq!(lowpass_gap_bound(f64::NAN, 1.0, dt, 1e3), f64::INFINITY);
         assert_eq!(lowpass_gap_bound(1e-15, f64::INFINITY, dt, 1e3), f64::INFINITY);
         assert_eq!(lowpass_gap_bound(1e-15, 1.0, dt, 1e-12), f64::INFINITY);
+    }
+
+    #[test]
+    fn lowpass_lanes_match_the_single_stream_filter_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1A_4E5);
+        let dt = 5e-7;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in [0, 1, 2, 399, 400] {
+            for cutoff in [50e3, 300e3] {
+                let mut raw: [Vec<f64>; 2] =
+                    std::array::from_fn(|_| (0..len).map(|_| rng.gen_range(-1.2..1.2)).collect());
+                // A non-finite sample in one lane must stay in that lane.
+                if len > 2 {
+                    raw[1][len / 2] = f64::NAN;
+                }
+                let mut lanes = raw.clone();
+                let [a, b] = &mut lanes;
+                lowpass_lanes_in_place([a, b], dt, cutoff);
+                for (lane, raw) in lanes.iter().zip(&raw) {
+                    let mut alone = raw.clone();
+                    lowpass_in_place(&mut alone, dt, cutoff);
+                    assert_eq!(bits(lane), bits(&alone), "length {len} cutoff {cutoff}");
+                    // The recurrence, spelled out.
+                    let alpha = lowpass_alpha(dt, cutoff);
+                    let mut state = raw.first().copied().unwrap_or_default();
+                    let spelled: Vec<f64> = raw
+                        .iter()
+                        .map(|&x| {
+                            state += alpha * (x - state);
+                            state
+                        })
+                        .collect();
+                    assert_eq!(bits(&alone), bits(&spelled), "length {len} cutoff {cutoff}");
+                }
+                assert!(lanes[0].iter().all(|v| v.is_finite()), "lane 1's NaN reached lane 0");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "streams of one length")]
+    fn lowpass_lanes_reject_streams_of_unequal_length() {
+        let (mut a, mut b) = (vec![0.5; 400], vec![0.5; 399]);
+        lowpass_lanes_in_place([&mut a[..], &mut b[..]], 5e-7, 300e3);
     }
 
     #[test]

@@ -16,10 +16,14 @@ a directory named `tests` or `benches` and minus every `#[cfg(test)]` item
 variants are not items here.
 
 Functions: the compiler pass. In a temporary copy of the working tree's
-files, every non-test `pub fn` gets `#[deprecated(note = "surface-probe
-<key>")]`, and `cargo check` runs on the workspace's lib, bin and example
-targets and on the benchmark package, with lints capped at warn. Every
-deprecation warning is a type-checked use of a probed function. Warnings inside
+files, every non-test `pub fn` and every method declared in a non-test
+`trait` block (of any visibility, sealed traits included) gets
+`#[deprecated(note = "surface-probe <key>")]`, and `cargo check` runs on the
+workspace's lib, bin and example targets and on the benchmark package, with
+lints capped at warn. Every deprecation warning is a type-checked use of a
+probed function; a call that resolves to a trait method, on a concrete type,
+a generic or a trait object, warns at the trait's declaration, while an
+`impl` of the method does not warn. Warnings inside
 `use` declarations are not uses. A warning inside the body of a probed
 function (the innermost, following macro expansions out to their call sites)
 is that function's use; any other warning is a use by live code. A function
@@ -74,6 +78,8 @@ PUB_ITEM = re.compile(
 )
 USE_DECL = re.compile(r"\b(?:pub(?:\s*\([^)]*\))?\s+)?use\b")
 IMPL = re.compile(r"\bimpl\b")
+TRAIT = re.compile(r"\btrait\s+([A-Za-z_][A-Za-z0-9_]*)")
+TRAIT_FN = re.compile(r"\b(?:(?:const|async|unsafe|extern(?:\s+\"[^\"]*\")?)\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
 
 PROBE = "surface-probe"
 PROBE_KEY = re.compile(PROBE + r" ([\w:-]+)")
@@ -347,18 +353,40 @@ def scan(files, crate_names):
 # ---- the compiler pass (functions) ----
 
 
+def trait_methods(code, kinds):
+    """`[(trait, name, start, end, line)]` of the methods declared directly in
+    the braces of each `trait` block, a default body included in its range."""
+    methods = []
+    for match in TRAIT.finditer(code):
+        brace = code.find("{", match.end())
+        if brace < 0:
+            continue
+        block_end = loc.item_end(code, kinds, brace)
+        for method in TRAIT_FN.finditer(code, brace + 1, block_end):
+            start = method.start()
+            if code.count("{", brace, start) - code.count("}", brace, start) == 1:
+                end = loc.item_end(code, kinds, method.end())
+                methods.append((match.group(1), method.group(1), start, end, code.count("\n", 0, start) + 1))
+    return methods
+
+
 def mark(text, crate):
     """`(marked, functions)`: `text` with a probe marker before every non-test
-    `pub fn`, and `[(key, start, end, line)]` of those functions, `start` and
-    `end` bounding each in `marked` and `line` its line in `text` (a marker
-    adds no line)."""
+    `pub fn` and trait method, and `[(key, start, end, line)]` of those
+    functions, `start` and `end` bounding each in `marked` and `line` its line
+    in `text` (a marker adds no line)."""
     kinds = code_mask(text)
     code = code_only(text, kinds)
     found = []
     for kind, name, owner, start, end, line in definitions(code, kinds, impl_blocks(code, kinds)):
         if kind == "fn":
-            key = "::".join(part for part in (crate, owner, name) if part)
-            found.append((key, start, end, line, f'#[deprecated(note = "{PROBE} {key}")] '))
+            found.append(("::".join(part for part in (crate, owner, name) if part), start, end, line))
+    for trait, name, start, end, line in trait_methods(code, kinds):
+        found.append((f"{crate}::{trait}::{name}", start, end, line))
+    found = [
+        (key, start, end, line, f'#[deprecated(note = "{PROBE} {key}")] ')
+        for key, start, end, line in sorted(found, key=lambda item: item[1])
+    ]
     inserted = [(start, len(marker)) for _, start, _, _, marker in found]
 
     def moved(at):

@@ -206,6 +206,28 @@ pub struct Used(Vec<u8>);
 
 pub struct Unused(Vec<u8>);
 
+mod seal {
+    pub trait Sealed {
+        fn called(&self) -> u8;
+        fn uncalled(&self) -> u8;
+    }
+
+    impl Sealed for u8 {
+        fn called(&self) -> u8 {
+            *self
+        }
+
+        fn uncalled(&self) -> u8 {
+            *self
+        }
+    }
+}
+
+pub fn sealed_call() -> u8 {
+    use seal::Sealed;
+    1u8.called()
+}
+
 impl Used {
     pub fn new() -> Used {
         Used(vec![1])
@@ -232,7 +254,7 @@ mod tests {
 """
 
 BETA = r"""fn main() {
-    println!("{}", alpha::cross_crate() + alpha::Used::new().len());
+    println!("{} {}", alpha::cross_crate() + alpha::Used::new().len(), alpha::sealed_call());
 }
 """
 
@@ -256,6 +278,20 @@ class Mark(unittest.TestCase):
             self.assertTrue(marked[start:end].startswith("pub fn"), key)
             self.assertTrue(marked[start:end].endswith("}"), key)
         self.assertEqual([line for *_, line in functions], [1, 7])
+
+    def test_trait_method_declarations_are_probed_and_their_impls_are_not(self):
+        text = (
+            "pub(crate) trait Seal {\n    fn a(&self);\n    unsafe fn b(&self) -> u8 {\n        { 1 }\n    }\n}\n"
+            "impl Seal for u8 {\n    fn a(&self) {}\n}\n"
+            "#[cfg(test)]\nmod tests {\n    trait T {\n        fn t();\n    }\n}\n"
+        )
+        marked, functions = surface.mark(text, "demo")
+        self.assertEqual([key for key, *_ in functions], ["demo::Seal::a", "demo::Seal::b"])
+        self.assertEqual([line for *_, line in functions], [2, 3])
+        for key, start, end, _ in functions:
+            self.assertTrue(marked[start:end].startswith(("fn", "unsafe fn")), key)
+            self.assertTrue(marked[start:end].endswith((";", "}")), key)
+        self.assertIn('#[deprecated(note = "surface-probe demo::Seal::b")] unsafe fn b', marked)
 
 
 class Unreached(unittest.TestCase):
@@ -292,6 +328,9 @@ class CompilerPass(unittest.TestCase):
                 "alpha::Used::new",
                 "alpha::Used::len",
                 "alpha::Unused::len",
+                "alpha::sealed_call",
+                "alpha::Sealed::called",
+                "alpha::Sealed::uncalled",
             },
         )
 
@@ -311,6 +350,13 @@ class CompilerPass(unittest.TestCase):
         # A root keeps what it calls.
         kept = surface.unreached(self.functions, self.uses, ["alpha::dead_caller"])
         self.assertNotIn("alpha::called_by_dead", kept)
+
+    def test_a_sealed_trait_method_without_a_caller_is_listed(self):
+        # rustc's dead_code does not look at a pub trait's methods, even in a
+        # private module; the call on a concrete type resolves to the trait's
+        # declaration, and the impl's definition is no use.
+        self.assertNotIn("alpha::Sealed::called", self.listed)
+        self.assertIn("alpha::Sealed::uncalled", self.listed)
 
     def test_a_dead_len_is_listed_beside_a_used_one(self):
         self.assertNotIn("alpha::Used::len", self.listed)

@@ -253,9 +253,6 @@ fn scored_pairs_cover_the_adversarial_shapes() {
 struct Grid4x4;
 
 impl PointEncoder for Grid4x4 {
-    fn bits(&self) -> usize {
-        4
-    }
     fn encode(&self, x: f64, y: f64) -> u32 {
         let xi = ((x * 4.0).floor() as u32).min(3);
         let yi = ((y * 4.0).floor() as u32).min(3);
